@@ -42,7 +42,6 @@ from .scores import (
     tweedie,
 )
 from .sde import (
-    MultiAgentState,
     NoiseSchedule,
     NoiseStream,
     TimeGrid,

@@ -6,8 +6,8 @@ supplies the coordinates in its index set, and the index sets partition
 M whose rows are distinct unit vectors, so M M^T = I_d holds by
 construction and is re-validated from the index sets exactly.
 
-Masks are stored as index sets, not dense matrices. The aggregator can in
-principle carry learnable parameters; fixed masks register none.
+Masks are stored as index sets, not dense matrices. The aggregator has no
+learnable parameters: training updates the control policies only.
 """
 from __future__ import annotations
 
@@ -57,10 +57,6 @@ class MaskAggregator:
         for i, s in enumerate(sets):
             masks[i, list(s)] = 1.0
         object.__setattr__(self, "masks", masks)
-
-    def params(self) -> list[Node]:
-        """Learnable aggregator parameters; fixed masks have none."""
-        return []
 
     def selection_matrix(self) -> Array:
         """Dense M of shape (d, N*d); for tests and documentation only."""

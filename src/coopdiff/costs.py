@@ -38,7 +38,6 @@ class SocConfig:
     seam_beta: float = 0.0
     seam_gamma: float = 0.0
     charbonnier_eps: float = 1e-3
-    target_label: int | None = None
 
     def __post_init__(self):
         if self.control_weight < 0 or self.running_scale < 0:

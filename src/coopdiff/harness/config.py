@@ -84,7 +84,6 @@ class ExperimentConfig:
     plan_inner_steps: int = 5
     plan_batch: int = 16
     plan_lr: float = 1e-4
-    plan_lr_aggregator: float = 1e-4
     plan_shuffle_agents: bool = False
     plan_checkpoint_every: int = 0
 
@@ -151,11 +150,6 @@ class ExperimentConfig:
             seam_beta=self.soc_seam_beta,
             seam_gamma=self.soc_seam_gamma,
             charbonnier_eps=self.soc_charbonnier_eps,
-            target_label=(
-                CLASS_NAMES.index(self.soc_target_class)
-                if self.task == "shapes16"
-                else None
-            ),
         )
 
     def plan(self) -> TrainPlan:
@@ -167,7 +161,6 @@ class ExperimentConfig:
             inner_steps=self.plan_inner_steps,
             batch=self.plan_batch,
             lr=self.plan_lr,
-            lr_aggregator=self.plan_lr_aggregator,
             shuffle_agents=self.plan_shuffle_agents,
             checkpoint_every=self.plan_checkpoint_every,
         )
@@ -207,7 +200,6 @@ _SCHEMA: dict = {
     "plan.inner_steps": ("plan_inner_steps", int),
     "plan.batch": ("plan_batch", int),
     "plan.lr": ("plan_lr", float),
-    "plan.lr_aggregator": ("plan_lr_aggregator", float),
     "plan.shuffle_agents": ("plan_shuffle_agents", _parse_bool),
     "plan.checkpoint_every": ("plan_checkpoint_every", int),
     "cdps.alpha_guid": ("cdps_alpha_guid", float),

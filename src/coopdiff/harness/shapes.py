@@ -21,14 +21,6 @@ IMAGE_W = 16
 CLASS_NAMES = ("hbar", "vbar", "cross", "ring")
 
 
-def class_id(name: str) -> int:
-    if name not in CLASS_NAMES:
-        raise ValueError(
-            f"unknown shape class {name!r}; expected one of {CLASS_NAMES}"
-        )
-    return CLASS_NAMES.index(name)
-
-
 def _draw(kind: int, rng: np.random.Generator) -> Array:
     img = np.full((IMAGE_H, IMAGE_W), -1.0)
     stroke = rng.uniform(0.65, 1.0)

@@ -91,9 +91,6 @@ class Mlp:
     def named_params(self) -> list[tuple[str, Node]]:
         return [(p.name, p) for p in self.params()]
 
-    def num_params(self) -> int:
-        return sum(p.value.size for p in self.params())
-
     def state_dict(self) -> dict[str, Array]:
         return {name: p.value.copy() for name, p in self.named_params()}
 

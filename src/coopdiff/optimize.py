@@ -7,17 +7,24 @@ reverse-time SDEs on a shared time grid. Per step k and agent i:
     s_i   = S(X_i, t_k)                        shared score model
     xh_i  = tweedie(X_i, t_k, s_i)             denoised look-ahead
     Yh    = aggregate(xh)                      joint Tweedie estimate
-    g_i   = grad_{xh_i} psi(Yh)                guidance, detached
-    u_i   = control(x_i, Y, t_k, g_i)
+    u     = controls(k, t_k, X, Y, xh)         one control per agent
     mu_i  = 0.5 b X_i + b s_i                  reverse drift
     X_i  <- X_i + (mu_i + g u_i) dt + g sqrt(dt) xi
 
 accumulating the control energy and the running cost; the terminal cost is
 evaluated on the aggregate of the final states. The rollout is recorded on
-the tape end to end (score evaluations included), except for the guidance
-inputs g_i, which are computed from detached leaves in a nested backward
-pass and enter the graph as constants: adjoints never flow from the
-controls back into the score model through the guidance path.
+the tape end to end (score evaluations included).
+
+A control source computes whatever guidance it consumes. The learned
+control computes g_i = grad_{xh_i} psi(Yh) from detached leaves in a
+nested backward pass; g_i enters the graph as a constant, so adjoints
+never flow from the controls back into the score model through it. The
+training-free baseline differentiates psi through the score model
+instead, and the zero control computes nothing.
+
+Both trainers run one update loop and differ only in their schedule of
+(update index, agents to step): joint training steps every agent at every
+update, control-wise training one agent per block of updates.
 
 All noise is drawn from a ``NoiseStream`` keyed by (stream, update, step),
 so runs sharing a seed are pairable draw by draw: joint and control-wise
@@ -50,6 +57,7 @@ from .sde import (
     NoiseSchedule,
     NoiseStream,
     TimeGrid,
+    derive_rng,
     em_step,
     reverse_drift,
 )
@@ -103,7 +111,6 @@ class RolloutRecord:
     states: list = field(default_factory=list)      # [k][i] -> (B, d)
     controls: list = field(default_factory=list)    # [k][i] -> (B, d)
     tweedies: list = field(default_factory=list)    # [k][i] -> (B, d)
-    guidances: list = field(default_factory=list)   # [k][i] -> (B, d)
     y_aggs: list = field(default_factory=list)      # [k]    -> (B, d)
     y0_hats: list = field(default_factory=list)     # [k]    -> (B, d)
 
@@ -118,7 +125,6 @@ class TrainPlan:
     inner_steps: int = 5             # updates per agent per sweep
     batch: int = 16
     lr: float = 1e-4
-    lr_aggregator: float = 1e-4      # used only if the aggregator has params
     shuffle_agents: bool = False
     checkpoint_every: int = 0        # 0 disables periodic checkpoints
 
@@ -130,8 +136,8 @@ class TrainPlan:
         for name in ("updates", "outer_iters", "inner_steps", "batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.lr <= 0 or self.lr_aggregator <= 0:
-            raise ValueError("learning rates must be positive")
+        if self.lr <= 0:
+            raise ValueError("the learning rate must be positive")
 
     def planned_updates(self, num_agents: int) -> int:
         """Gradient updates the plan will execute.
@@ -147,15 +153,21 @@ class TrainPlan:
 # ---------------------------------------------------------------------------
 # control sources
 # ---------------------------------------------------------------------------
-# A control source maps per-step context to one control node per agent.
-# Keeping zero controls and learned controls on the same arithmetic path
-# makes "zero policy" and "uncontrolled" runs bit-identical.
+# A control source maps the per-step context (k, t, xs, Y, x0_hats) to one
+# control node per agent, computing any guidance it needs itself. Keeping
+# zero controls and learned controls on the same arithmetic path makes
+# "zero policy" and "uncontrolled" runs bit-identical.
 
 class PolicyControls:
-    def __init__(self, policies: Sequence[ControlPolicy]):
-        self.policies = list(policies)
+    """Learned controls fed the cost gradient at the Tweedie aggregate."""
 
-    def __call__(self, k, t, xs, y, x0_hats, guidances):
+    def __init__(self, policies: Sequence[ControlPolicy], psi, agg):
+        self.policies = list(policies)
+        self.psi = psi
+        self.agg = agg
+
+    def __call__(self, k, t, xs, y, x0_hats):
+        guidances = tweedie_guidance(self.psi, self.agg, x0_hats)
         return [
             eval_control(p, x, y, t, g)
             for p, x, g in zip(self.policies, xs, guidances)
@@ -163,7 +175,7 @@ class PolicyControls:
 
 
 class ZeroControls:
-    def __call__(self, k, t, xs, y, x0_hats, guidances):
+    def __call__(self, k, t, xs, y, x0_hats):
         return [tape.constant(np.zeros_like(x.value)) for x in xs]
 
 
@@ -177,7 +189,7 @@ class CdpsControls:
         self.psi = psi
         self.schedule = schedule
 
-    def __call__(self, k, t, xs, y, x0_hats, guidances):
+    def __call__(self, k, t, xs, y, x0_hats):
         grads = state_guidance(
             self.score_fn,
             self.agg,
@@ -212,15 +224,8 @@ def coupled_rollout(
     batch: int,
     update_index: int = 0,
     record_history: bool = False,
-    guidance_override: Sequence | None = None,
 ) -> tuple[Node, RolloutRecord]:
-    """Simulate the coupled controlled system and assemble hat-J.
-
-    ``guidance_override``, when given, replaces the per-step guidance
-    arrays (list over steps of lists per agent); gradient checks use it to
-    freeze the guidance at base-point values, which is the function the
-    backward pass differentiates (guidance is constant by construction).
-    """
+    """Simulate the coupled controlled system and assemble hat-J."""
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     n_agents = agg.num_agents
@@ -262,12 +267,7 @@ def coupled_rollout(
         weighted = tape.scale(step_cost, cfg.running_weight(t) * dt)
         running_node = weighted if running_node is None else tape.add(running_node, weighted)
 
-        if guidance_override is not None:
-            guidances = [np.asarray(g) for g in guidance_override[k]]
-        else:
-            guidances = tweedie_guidance(psi, agg, x0_hats)
-
-        controls = control_fn(k, t, xs, y_k, x0_hats, guidances)
+        controls = control_fn(k, t, xs, y_k, x0_hats)
 
         step_u = 0.0
         for i, u in enumerate(controls):
@@ -280,7 +280,6 @@ def coupled_rollout(
         if record_history:
             record.controls.append([u.value for u in controls])
             record.tweedies.append([xh.value for xh in x0_hats])
-            record.guidances.append([np.asarray(g) for g in guidances])
             record.y_aggs.append(y_k.value)
             record.y0_hats.append(y0_hat.value)
 
@@ -333,7 +332,6 @@ def bptt_rollout(
     batch: int,
     update_index: int = 0,
     record_history: bool = False,
-    guidance_override: Sequence | None = None,
 ) -> tuple[Node, RolloutRecord]:
     """Differentiable rollout under the learned per-agent controls."""
     if len(policies) != agg.num_agents:
@@ -341,7 +339,7 @@ def bptt_rollout(
             f"{len(policies)} policies for {agg.num_agents} agents"
         )
     return coupled_rollout(
-        PolicyControls(policies),
+        PolicyControls(policies, psi, agg),
         score_fn,
         agg,
         cfg,
@@ -352,7 +350,6 @@ def bptt_rollout(
         batch,
         update_index=update_index,
         record_history=record_history,
-        guidance_override=guidance_override,
     )
 
 
@@ -397,49 +394,16 @@ def joint_ido(
     seed: int,
     on_update: Callable | None = None,
 ) -> TrainingResult:
-    """Simultaneous gradient descent on every agent's control parameters.
-
-    Repeats {rollout, backward, Adam step on all policies (and aggregator
-    parameters, if it has any)} for ``plan.updates`` updates. A diverged
-    rollout skips the update and halves the learning rate once; a second
-    divergence aborts with the partial curve attached.
-    """
+    """Simultaneous gradient descent on every agent's control parameters:
+    each of the ``plan.updates`` updates steps every policy."""
     if plan.mode != "joint":
         raise ValueError(f"joint_ido needs mode='joint', got {plan.mode!r}")
     policies = list(policies)
-    params = [p for policy in policies for p in policy.params()]
-    agg_params = agg.params()
-    if not params and not agg_params:
-        raise ValueError("no learnable parameters; use the cdps sampler instead")
-    adam = AdamState.for_params(params, lr=plan.lr)
-    adam_agg = AdamState.for_params(agg_params, lr=plan.lr_aggregator)
-    noise = NoiseStream(seed)
-    curve: list[CurvePoint] = []
-    lr_halved = False
-    for n in range(plan.updates):
-        try:
-            objective, rec = bptt_rollout(
-                policies, score_fn, agg, cfg, grid, psi, schedule, noise,
-                plan.batch, update_index=n,
-            )
-        except DivergedRolloutError as err:
-            if lr_halved:
-                raise TrainingDivergedError(
-                    f"update {n}: {err} (after halving the learning rate)",
-                    [c.row() for c in curve],
-                ) from err
-            lr_halved = True
-            adam.lr = adam.lr / 2.0
-            adam_agg.lr = adam_agg.lr / 2.0
-            continue
-        tape.backward(objective)
-        adam_step(params, _collect_grads(params), adam)
-        if agg_params:
-            adam_step(agg_params, _collect_grads(agg_params), adam_agg)
-        curve.append(CurvePoint(n, rec.loss_u, rec.loss_c, rec.loss_psi, rec.objective))
-        if on_update is not None:
-            on_update(n, policies)
-    return TrainingResult(policies, curve, plan.updates)
+    every = range(len(policies))
+    return _train(
+        plan, policies, ((n, every) for n in range(plan.updates)),
+        score_fn, agg, cfg, grid, psi, schedule, seed, on_update,
+    )
 
 
 def controlwise_ido(
@@ -459,64 +423,76 @@ def controlwise_ido(
     Outer sweeps select one agent at a time; during that agent's
     ``inner_steps`` updates every other policy is held fixed (their
     gradients are computed but never applied, and their Adam state never
-    advances). The global update counter keys the noise stream, so a joint
-    run with the same seed consumes identical noise at the same update.
+    advances). With ``shuffle_agents`` sweep ``outer`` visits the agents in
+    the order ``derive_rng(seed, 9, outer).permutation(N)``.
     """
     if plan.mode != "controlwise":
         raise ValueError(
             f"controlwise_ido needs mode='controlwise', got {plan.mode!r}"
         )
     policies = list(policies)
+
+    def blocks():
+        update = 0
+        for outer in range(plan.outer_iters):
+            order = range(len(policies))
+            if plan.shuffle_agents:
+                order = derive_rng(seed, 9, outer).permutation(len(policies))
+            for i in order:
+                for _ in range(plan.inner_steps):
+                    yield update, (int(i),)
+                    update += 1
+
+    return _train(
+        plan, policies, blocks(),
+        score_fn, agg, cfg, grid, psi, schedule, seed, on_update,
+    )
+
+
+def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
+           seed, on_update) -> TrainingResult:
+    """The update loop both trainers share.
+
+    ``updates`` yields (update index, indices of the agents to step). Per
+    update: rollout, backward, one Adam step per active policy, a curve
+    point and ``on_update``. The update index keys the noise stream, so
+    joint and control-wise runs with the same seed consume identical noise
+    at the same update. A diverged rollout skips the update and halves
+    every learning rate once; a second divergence aborts with the partial
+    curve attached.
+    """
     if not any(policy.params() for policy in policies):
         raise ValueError("no learnable parameters; use the cdps sampler instead")
-    agg_params = agg.params()
     adams = [
         AdamState.for_params(policy.params(), lr=plan.lr) for policy in policies
     ]
-    adam_agg = AdamState.for_params(agg_params, lr=plan.lr_aggregator)
     noise = NoiseStream(seed)
     curve: list[CurvePoint] = []
-    update = 0
     lr_halved = False
-    for outer in range(plan.outer_iters):
-        order = list(range(len(policies)))
-        if plan.shuffle_agents:
-            from .sde import derive_rng
-
-            order = list(derive_rng(seed, 9, outer).permutation(len(policies)))
-        for i in order:
-            active = policies[i].params()
-            for _ in range(plan.inner_steps):
-                try:
-                    objective, rec = bptt_rollout(
-                        policies, score_fn, agg, cfg, grid, psi, schedule,
-                        noise, plan.batch, update_index=update,
-                    )
-                except DivergedRolloutError as err:
-                    if lr_halved:
-                        raise TrainingDivergedError(
-                            f"update {update}: {err} (after halving the "
-                            "learning rate)",
-                            [c.row() for c in curve],
-                        ) from err
-                    lr_halved = True
-                    for adam in adams:
-                        adam.lr = adam.lr / 2.0
-                    adam_agg.lr = adam_agg.lr / 2.0
-                    update += 1
-                    continue
-                tape.backward(objective)
-                adam_step(active, _collect_grads(active), adams[i])
-                if agg_params:
-                    adam_step(agg_params, _collect_grads(agg_params), adam_agg)
-                curve.append(
-                    CurvePoint(update, rec.loss_u, rec.loss_c, rec.loss_psi,
-                               rec.objective)
-                )
-                if on_update is not None:
-                    on_update(update, policies)
-                update += 1
-    return TrainingResult(policies, curve, update)
+    for n, active in updates:
+        try:
+            objective, rec = bptt_rollout(
+                policies, score_fn, agg, cfg, grid, psi, schedule, noise,
+                plan.batch, update_index=n,
+            )
+        except DivergedRolloutError as err:
+            if lr_halved:
+                raise TrainingDivergedError(
+                    f"update {n}: {err} (after halving the learning rate)",
+                    [c.row() for c in curve],
+                ) from err
+            lr_halved = True
+            for adam in adams:
+                adam.lr = adam.lr / 2.0
+            continue
+        tape.backward(objective)
+        for i in active:
+            params = policies[i].params()
+            adam_step(params, _collect_grads(params), adams[i])
+        curve.append(CurvePoint(n, rec.loss_u, rec.loss_c, rec.loss_psi, rec.objective))
+        if on_update is not None:
+            on_update(n, policies)
+    return TrainingResult(policies, curve, plan.planned_updates(len(policies)))
 
 
 # ---------------------------------------------------------------------------

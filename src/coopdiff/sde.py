@@ -100,35 +100,6 @@ def make_time_grid(steps: int, eps: float = 1e-3) -> TimeGrid:
     return TimeGrid(times=np.linspace(1.0, eps, steps), eps=float(eps))
 
 
-@dataclass(frozen=True)
-class MultiAgentState:
-    """N same-dimension agent state batches, shape (batch, dim) each."""
-
-    agents: tuple
-
-    def __post_init__(self):
-        agents = tuple(np.asarray(a, dtype=np.float64) for a in self.agents)
-        object.__setattr__(self, "agents", agents)
-        if not agents:
-            raise ValueError("need at least one agent")
-        shape = agents[0].shape
-        for i, a in enumerate(agents):
-            if a.shape != shape:
-                raise ValueError(
-                    f"agent {i} has shape {a.shape}, expected {shape}"
-                )
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"agent {i} contains non-finite entries")
-
-    @property
-    def num_agents(self) -> int:
-        return len(self.agents)
-
-    @property
-    def dim(self) -> int:
-        return self.agents[0].shape[-1]
-
-
 def reverse_drift(x, t: float, score, schedule: NoiseSchedule) -> Node:
     """mu = -f(x, t) + g(t)^2 * score = 0.5 beta(t) x + beta(t) score."""
     x = tape.as_node(x)
@@ -171,8 +142,6 @@ def em_step(x, t: float, dt: float, drift, g: float, noise: Array) -> Node:
 # stream ids namespace the NoiseStream keys
 STREAM_INIT = 0      # trajectory initialisation draws
 STREAM_STEP = 1      # per-step EM noise
-STREAM_DATA = 2      # data batches and per-batch times for score training
-STREAM_EVAL = 3      # evaluation-time sampling
 
 
 class NoiseStream:

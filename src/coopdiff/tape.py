@@ -50,10 +50,6 @@ def grad_enabled():
         _GRAD_ENABLED = prev
 
 
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Node:
     """One recorded value. Treat ``.value`` as immutable once created."""
 
@@ -228,11 +224,6 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Node:
     return _make(y, (a,), (vjp,))
 
 
-def mean_all(a) -> Node:
-    a = as_node(a)
-    return scale(reduce_sum(a), 1.0 / a.value.size)
-
-
 def square_norm(a, axis=None, keepdims: bool = False) -> Node:
     """Sum of squares, optionally along one axis (per-row norms)."""
     return reduce_sum(mul(a, a), axis=axis, keepdims=keepdims)
@@ -313,9 +304,6 @@ def stopgrad(a) -> Node:
     return Node(a.value)
 
 
-detach = stopgrad
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 # ---------------------------------------------------------------------------
@@ -366,22 +354,6 @@ def backward(root: Node) -> None:
                 grads[pid] = grads[pid] + contrib
             else:
                 grads[pid] = contrib
-
-
-def record_forward(program: Callable[..., Node], *inputs) -> tuple[float, Node]:
-    """Run a graph-building program to a scalar root.
-
-    The returned node IS the recorded computation: its parent links hold
-    the whole graph, and ``backward`` on it fills the adjoints.
-    """
-    root = program(*[as_node(x) for x in inputs])
-    if not isinstance(root, Node):
-        raise TypeError("program must return a Node built from tape ops")
-    if root.value.size != 1:
-        raise ValueError(
-            f"program must produce a scalar, got shape {root.value.shape}"
-        )
-    return root.value.item(), root
 
 
 def value_and_grad(f: Callable[..., Node], params: Sequence[Node]):

@@ -64,6 +64,7 @@ from coopdiff.harness import (
     run_experiment,
     with_overrides,
 )
+from guidance_replay import record_guidance, replay_guidance
 
 SCHEDULE = NoiseSchedule()
 
@@ -177,7 +178,7 @@ def test_criterion2_mlp_backward_vs_finite_differences():
                     assert abs(fd - an) / max(abs(fd), abs(an)) <= 1e-3
 
 
-def test_criterion2_rollout_backward_vs_finite_differences():
+def test_criterion2_rollout_backward_vs_finite_differences(monkeypatch):
     # K = 5, d = 2, N = 2 coupled rollout, guidance frozen at base values
     # (stopgrad makes the guidance a constant of the function backward
     # differentiates)
@@ -194,17 +195,17 @@ def test_criterion2_rollout_backward_vs_finite_differences():
         for i in range(2)
     ]
     noise = NoiseStream(7)
+    frozen = record_guidance(monkeypatch)
     root, rec = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
                              noise, batch=2, record_history=True)
     tape.backward(root)
     params = [p for pol in policies for p in pol.params()]
     grads = [p.grad.copy() for p in params]
-    frozen = rec.guidances
+    replay_guidance(monkeypatch, frozen)
 
     def forward():
         value, _ = bptt_rollout(policies, score, agg, cfg, grid, psi,
-                                SCHEDULE, noise, batch=2,
-                                guidance_override=frozen)
+                                SCHEDULE, noise, batch=2)
         return value.value.item()
 
     check_rng = np.random.default_rng(1)
@@ -222,7 +223,7 @@ def test_criterion2_rollout_backward_vs_finite_differences():
     assert worst <= 1e-3, worst
 
 
-def test_criterion2_stopgrad_isolates_score_network():
+def test_criterion2_stopgrad_isolates_score_network(monkeypatch):
     # (a) standalone guidance assembly: the score network receives zero
     # adjoint when its only connection to the loss is the guidance input
     agg = make_mask("halves", 2, 2)
@@ -253,12 +254,14 @@ def test_criterion2_stopgrad_isolates_score_network():
         for i in range(2)
     ]
     noise = NoiseStream(8)
+    captured = record_guidance(monkeypatch)
     root, rec = bptt_rollout(policies, net, agg1, cfg, grid, psi, SCHEDULE,
                              noise, batch=2, record_history=True)
     tape.backward(root)
     live_grads = [p.grad.copy() for p in net.params()]
+    replay_guidance(monkeypatch, captured)
     root2, _ = bptt_rollout(policies, net, agg1, cfg, grid, psi, SCHEDULE,
-                            noise, batch=2, guidance_override=rec.guidances)
+                            noise, batch=2)
     tape.backward(root2)
     for a, p in zip(live_grads, net.params()):
         assert np.array_equal(a, p.grad)

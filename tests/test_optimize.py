@@ -8,17 +8,20 @@ from coopdiff.control import make_policy
 from coopdiff.costs import QuadraticWell, SocConfig, ZeroCost, soc_objective
 from coopdiff.optimize import (
     DivergedRolloutError,
+    TrainingDivergedError,
     TrainPlan,
     bptt_rollout,
     controlwise_ido,
     joint_ido,
     sample_cdps,
+    sample_controlled,
     sample_poe_naive,
     sample_reverse_sde,
     sample_uncontrolled,
 )
 from coopdiff.scores import AnalyticGmmScore, GaussianMixture
 from coopdiff.sde import NoiseSchedule, NoiseStream, derive_rng, make_time_grid
+from guidance_replay import record_guidance, replay_guidance
 
 SCHEDULE = NoiseSchedule()
 
@@ -111,7 +114,7 @@ def test_rollout_rejects_empty_batch():
                      NoiseStream(0), batch=0)
 
 
-def test_rollout_gradient_matches_finite_differences():
+def test_rollout_gradient_matches_finite_differences(monkeypatch):
     # single agent, identity mask, quadratic well, K = 5, d = 2, B = 1;
     # the guidance inputs are frozen at base-point values because stopgrad
     # makes them constants of the differentiated function
@@ -123,16 +126,17 @@ def test_rollout_gradient_matches_finite_differences():
     policies = make_policies(1, hidden=(6,), gain=(4,), c0=-0.3)
     noise = NoiseStream(17)
 
+    frozen = record_guidance(monkeypatch)
     J, rec = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
                           noise, batch=1, record_history=True)
     tape.backward(J)
     params = policies[0].params()
     grads = [p.grad.copy() for p in params]
-    frozen = rec.guidances
+    replay_guidance(monkeypatch, frozen)
 
     def forward():
         Jv, _ = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
-                             noise, batch=1, guidance_override=frozen)
+                             noise, batch=1)
         return Jv.value.item()
 
     h = 1e-6
@@ -322,3 +326,67 @@ def test_poe_two_standard_normals_relaxes_to_one_third_variance():
                          batch=40_000, dim=1)
     var = x.var()
     assert abs(var - 1.0 / 3.0) < 0.015, var
+
+
+@pytest.mark.parametrize("trainer, mode", [(joint_ido, "joint"),
+                                           (controlwise_ido, "controlwise")],
+                         ids=["joint", "controlwise"])
+def test_second_divergence_aborts_with_the_partial_curve(trainer, mode):
+    # every rollout diverges: update 0 is skipped and halves the learning
+    # rate, update 1 aborts the run
+    score, agg, cfg, psi, grid = make_setup(steps=30)
+    plan = TrainPlan(mode=mode, updates=3, outer_iters=2, inner_steps=2,
+                     batch=2, lr=1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError) as err:
+            trainer(plan, make_policies(2, c0=1e8), score, agg, cfg, grid,
+                    psi, SCHEDULE, seed=1)
+    assert str(err.value).startswith("update 1: ")
+    assert err.value.curve == []
+
+
+def test_shuffled_sweeps_follow_the_derived_permutation():
+    gmm = GaussianMixture(weights=[1.0], means=[[0.0, 0.0, 0.0]],
+                          variances=[1.0])
+    score = AnalyticGmmScore(gmm, SCHEDULE)
+    agg = make_mask("halves", 3, 3)
+    cfg = SocConfig(control_weight=0.5, running_scale=0.5)
+    psi = QuadraticWell(np.array([1.0, -1.0, 0.5]))
+    grid = make_time_grid(6, 1e-3)
+    policies = [
+        make_policy(3, i, derive_rng(7, 100 + i), hidden=(8,),
+                    gain_hidden=(4,), guidance_gain_init=-0.2)
+        for i in range(3)
+    ]
+    plan = TrainPlan(mode="controlwise", outer_iters=3, inner_steps=2,
+                     batch=2, lr=1e-2, shuffle_agents=True)
+    snapshot = [[p.value.copy() for p in pol.params()] for pol in policies]
+    moved = []
+
+    def on_update(update, pols):
+        now = [[p.value.copy() for p in pol.params()] for pol in pols]
+        moved.append([
+            i for i in range(3)
+            if any(not np.array_equal(a, b)
+                   for a, b in zip(snapshot[i], now[i]))
+        ])
+        snapshot[:] = now
+
+    controlwise_ido(plan, policies, score, agg, cfg, grid, psi, SCHEDULE,
+                    seed=4, on_update=on_update)
+    orders = [list(derive_rng(4, 9, outer).permutation(3))
+              for outer in range(3)]
+    assert orders != [[0, 1, 2]] * 3
+    assert moved == [[i] for order in orders for i in order for _ in range(2)]
+
+
+def test_only_the_learned_control_computes_tweedie_guidance(monkeypatch):
+    score, agg, cfg, psi, grid = make_setup(steps=6)
+    calls = record_guidance(monkeypatch)
+    sample_uncontrolled(score, agg, cfg, grid, psi, SCHEDULE, seed=2, batch=3)
+    sample_cdps(score, agg, cfg, grid, psi, SCHEDULE, seed=2, batch=3,
+                alpha_guid=2.0)
+    assert calls == []
+    sample_controlled(make_policies(2, c0=-0.5), score, agg, cfg, grid, psi,
+                      SCHEDULE, seed=2, batch=3)
+    assert len(calls) == grid.steps - 1

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from coopdiff.sde import (
-    MultiAgentState,
     NoiseSchedule,
     NoiseStream,
     em_step,
@@ -157,17 +156,6 @@ def test_make_time_grid_validation():
         make_time_grid(10, 0.0)
     with pytest.raises(ValueError):
         make_time_grid(10, 1.0)
-
-
-def test_multi_agent_state_validation():
-    state = MultiAgentState(agents=(np.zeros((4, 3)), np.ones((4, 3))))
-    assert state.num_agents == 2 and state.dim == 3
-    with pytest.raises(ValueError):
-        MultiAgentState(agents=(np.zeros((4, 3)), np.zeros((4, 2))))
-    with pytest.raises(ValueError):
-        MultiAgentState(agents=(np.full((1, 2), np.inf),))
-    with pytest.raises(ValueError):
-        MultiAgentState(agents=())
 
 
 def test_noise_stream_keying():
