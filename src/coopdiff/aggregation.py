@@ -6,8 +6,11 @@ supplies the coordinates in its index set, and the index sets partition
 M whose rows are distinct unit vectors, so M M^T = I_d holds by
 construction and is re-validated from the index sets exactly.
 
-Masks are stored as index sets, not dense matrices. The aggregator has no
-learnable parameters: training updates the control policies only.
+Masks are stored as index sets, with their (N, d) 0/1 indicator rows
+precomputed; no dense M is built outside tests. The N agent states travel
+as one (N, batch, d) array, so ``aggregate`` is one multiply by
+``masks[:, None, :]`` and one sum over the agent axis. The aggregator has
+no learnable parameters: training updates the control policies only.
 """
 from __future__ import annotations
 
@@ -67,75 +70,57 @@ class MaskAggregator:
         return m
 
 
-def _check_agents(agg: MaskAggregator, states) -> list[Node]:
-    states = [tape.as_node(s) for s in states]
-    if len(states) != agg.num_agents:
-        raise ValueError(
-            f"got {len(states)} agent states for {agg.num_agents} agents"
-        )
-    for i, s in enumerate(states):
-        if s.value.shape[-1] != agg.dim:
-            raise ValueError(
-                f"agent {i} has dimension {s.value.shape[-1]}, "
-                f"aggregator expects {agg.dim}"
-            )
-    return states
-
-
 def aggregate(agg: MaskAggregator, states) -> Node:
     """Y with Y[j] copied from the agent whose index set contains j.
 
-    ``states`` is a sequence of (batch, dim) nodes or arrays. Linear, so
-    it is recorded with plain mask-multiply-and-add ops.
+    ``states`` is an (N, batch, dim) node or array holding one slice per
+    agent. Linear, so it is recorded as one multiply by the masks and one
+    sum over the agent axis; the adjoint routes dY to agent i as
+    dY * mask_i.
     """
-    states = _check_agents(agg, states)
-    out = None
-    for i, s in enumerate(states):
-        term = tape.mul(s, tape.constant(agg.masks[i]))
-        out = term if out is None else tape.add(out, term)
-    return out
+    states = tape.as_node(states)
+    shape = states.value.shape
+    if len(shape) != 3 or shape[0] != agg.num_agents or shape[2] != agg.dim:
+        raise ValueError(
+            f"states of shape {shape} do not match "
+            f"({agg.num_agents}, batch, {agg.dim})"
+        )
+    masked = tape.mul(states, tape.constant(agg.masks[:, None, :]))
+    return tape.reduce_sum(masked, axis=0)
 
 
 def aggregate_np(agg: MaskAggregator, states) -> Array:
-    values = [s.value if isinstance(s, Node) else np.asarray(s) for s in states]
     with tape.no_grad():
-        return aggregate(agg, values).value
+        return aggregate(agg, states).value
 
 
-def scatter_adjoint(agg: MaskAggregator, grad_y) -> list[Array]:
-    """Transpose of ``aggregate``: route dY to each agent's own coordinates."""
+def scatter_adjoint(agg: MaskAggregator, grad_y) -> Array:
+    """Transpose of ``aggregate``: route a (batch, dim) dY to each agent's
+    own coordinates, giving (N, batch, dim)."""
     grad_y = np.asarray(grad_y, dtype=np.float64)
     if grad_y.shape[-1] != agg.dim:
         raise ValueError(
             f"gradient has dimension {grad_y.shape[-1]}, expected {agg.dim}"
         )
-    return [grad_y * agg.masks[i] for i in range(agg.num_agents)]
+    return grad_y * agg.masks[:, None, :]
 
 
 def control_energy(agg: MaskAggregator, controls) -> float:
-    """Total quadratic control energy sum_i ||u_i||^2.
+    """Total quadratic control energy sum_i ||u_i||^2 of (N, B, d) controls.
 
     For disjoint masks the energy of the aggregated control decomposes into
     the per-agent restricted energies; this identity is asserted here since
     it is exact up to rounding.
     """
-    values = [
-        np.asarray(c.value if isinstance(c, Node) else c, dtype=np.float64)
-        for c in controls
-    ]
-    if len(values) != agg.num_agents:
-        raise ValueError(
-            f"got {len(values)} controls for {agg.num_agents} agents"
-        )
-    total = float(sum((v * v).sum() for v in values))
-    masked = float(masked_control_energy(agg, values))
-    restricted = float(
-        sum(((v * agg.masks[i]) ** 2).sum() for i, v in enumerate(values))
-    )
+    u = tape.as_node(controls).value
+    if u.shape[0] != agg.num_agents:
+        raise ValueError(f"got {u.shape[0]} controls for {agg.num_agents} agents")
+    masked = masked_control_energy(agg, u)
+    restricted = float(((u * agg.masks[:, None, :]) ** 2).sum())
     assert abs(masked - restricted) <= 1e-9 * max(1.0, abs(masked)), (
         "mask aggregation violated the control-energy decomposition"
     )
-    return total
+    return float((u * u).sum())
 
 
 def masked_control_energy(agg: MaskAggregator, controls) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from . import tape
 from .aggregation import MaskAggregator, aggregate
 from .nn import Mlp, time_features
-from .scores import tweedie
+from .scores import stacked_score, tweedie
 from .sde import NoiseSchedule
 from .tape import Node
 
@@ -123,25 +123,20 @@ def cdps_control(x_i, t: float, guidance_wrt_state, alpha_guid: float) -> Node:
 # guidance gradients
 # ---------------------------------------------------------------------------
 
-def tweedie_guidance(psi, agg: MaskAggregator, x0_hat_values) -> list[Array]:
+def tweedie_guidance(psi, agg: MaskAggregator, y0_hat) -> Array:
     """grad of psi(aggregate(x0_hats)) w.r.t. each agent's Tweedie estimate.
 
-    The inputs are detached values: the result is a plain array per agent,
-    which downstream consumers treat as a constant. Per-sample gradients are
-    independent, so one backward from the batch sum yields all rows.
+    The aggregate routes dY to agent i as dY * mask_i, so this is
+    masks * grad psi(Y0_hat), shape (N, B, d), from one sub-tape on a
+    detached Y0_hat leaf. The result is a plain array, which consumers
+    treat as a constant. Per-sample gradients are independent, so one
+    backward from the batch sum yields all rows.
     """
-    values = [
-        np.asarray(v.value if isinstance(v, Node) else v, dtype=np.float64)
-        for v in x0_hat_values
-    ]
     with tape.grad_enabled():
-        leaves = [tape.leaf(v) for v in values]
-        y0 = aggregate(agg, leaves)
+        y0 = tape.leaf(tape.as_node(y0_hat).value)
         tape.backward(tape.reduce_sum(psi(y0)))
-    return [
-        leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
-        for leaf in leaves
-    ]
+    grad = y0.grad if y0.grad is not None else np.zeros_like(y0.value)
+    return agg.masks[:, None, :] * grad
 
 
 def state_guidance(
@@ -151,24 +146,15 @@ def state_guidance(
     schedule: NoiseSchedule,
     x_values,
     t: float,
-) -> list[Array]:
-    """grad of psi(aggregate(tweedie(x, score(x)))) w.r.t. each agent state.
+) -> Array:
+    """grad of psi(aggregate(tweedie(x, score(x)))) w.r.t. the (N, B, d)
+    agent states.
 
     Unlike ``tweedie_guidance`` this differentiates through the score model
     and the Tweedie map; it is the gradient the training-free baseline uses.
     """
-    values = [
-        np.asarray(v.value if isinstance(v, Node) else v, dtype=np.float64)
-        for v in x_values
-    ]
     with tape.grad_enabled():
-        leaves = [tape.leaf(v) for v in values]
-        x0_hats = [
-            tweedie(x, t, score_fn(x, t), schedule) for x in leaves
-        ]
-        y0 = aggregate(agg, x0_hats)
-        tape.backward(tape.reduce_sum(psi(y0)))
-    return [
-        leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
-        for leaf in leaves
-    ]
+        xs = tape.leaf(tape.as_node(x_values).value)
+        x0_hats = tweedie(xs, t, stacked_score(score_fn, xs, t), schedule)
+        tape.backward(tape.reduce_sum(psi(aggregate(agg, x0_hats))))
+    return xs.grad if xs.grad is not None else np.zeros_like(xs.value)

@@ -246,7 +246,7 @@ def running_cost(y0_hat, t: float, psi, cfg: SocConfig) -> Node:
 def soc_objective(record, cfg: SocConfig, psi) -> float:
     """Recompute hat-J from a stored rollout, tape-free.
 
-    ``record`` must expose dts, times, controls[k][i], y0_hats[k],
+    ``record`` must expose dts, times, controls[k] (N, B, d), y0_hats[k],
     terminal_y and batch (see optimize.RolloutRecord). Used to cross-check
     the fused objective assembled during the differentiable rollout.
     """
@@ -257,8 +257,8 @@ def soc_objective(record, cfg: SocConfig, psi) -> float:
         control_term = 0.0
         run_term = 0.0
         for k, dt in enumerate(record.dts):
-            for i, u in enumerate(record.controls[k]):
-                control_term += lambdas[i] * float((u * u).sum(axis=1).mean()) * dt
+            u = np.asarray(record.controls[k])
+            control_term += float(lambdas @ (u * u).sum(axis=2).mean(axis=1)) * dt
             psi_hat = psi(tape.constant(record.y0_hats[k])).value
             run_term += cfg.running_weight(record.times[k]) * float(psi_hat.mean()) * dt
         term = float(psi(tape.constant(record.terminal_y)).value.mean())

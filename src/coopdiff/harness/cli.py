@@ -7,8 +7,8 @@ Verbs:
   sample            draw samples with a configured method
   report            print the metrics of a finished run
 
-Exit codes: 0 success, 2 configuration error, 3 diverged dynamics,
-4 I/O failure.
+Exit codes: 0 success, 2 configuration error, 3 training failed
+(diverged dynamics or classifier below its target accuracy), 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .shapes import generate_shapes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_DIVERGED = 3
+EXIT_TRAINING = 3
 EXIT_IO = 4
 
 
@@ -138,7 +138,12 @@ def _cmd_sample(args) -> int:
         policies = make_policies(config, assets.dim)
         for pol in policies:
             path = Path(args.policies) / f"policy_agent{pol.agent_index}.npz"
-            pol.load_state_dict(load_checkpoint(path)[0])
+            try:
+                pol.load_state_dict(load_checkpoint(path)[0])
+            except (KeyError, ValueError) as err:
+                raise ConfigError(
+                    f"{path} does not fit the configured policy: {err}"
+                ) from err
     from .experiment import _evaluate_method
 
     evals = _evaluate_method(config, assets, policies)
@@ -182,10 +187,12 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergedRolloutError, TrainingDivergedError,
-            ClassifierTrainingError) as err:
+    except (DivergedRolloutError, TrainingDivergedError) as err:
         print(f"diverged: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return EXIT_TRAINING
+    except ClassifierTrainingError as err:
+        print(f"classifier training failed: {err}", file=sys.stderr)
+        return EXIT_TRAINING
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -13,10 +13,12 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 
+from ..aggregation import MaskAggregator, make_mask
 from ..costs import SocConfig
 from ..optimize import TrainPlan
-from ..sde import NoiseSchedule
-from .shapes import CLASS_NAMES
+from ..scores import ALPHA_FLOOR
+from ..sde import NoiseSchedule, make_time_grid
+from .shapes import CLASS_NAMES, IMAGE_H, IMAGE_W
 
 OUTPUT_ROOT_ENV = "COOPDIFF_OUTPUT_ROOT"
 
@@ -136,11 +138,29 @@ class ExperimentConfig:
             raise ConfigError("poe is a method, not a task")
         if self.method == "poe" and self.task != "gmm2d":
             raise ConfigError("the poe baseline is defined for the gmm2d task")
+        # build every derived object once, so a bad value fails here and
+        # not in the middle of a run
+        try:
+            if self.schedule().alpha(1.0) < ALPHA_FLOOR:
+                raise ValueError(f"alpha(1) is below the Tweedie floor "
+                                 f"{ALPHA_FLOOR:g}; lower schedule.beta_max")
+            make_time_grid(self.grid_steps, self.grid_eps)
+            self.aggregator()
+            self.soc()
+            self.plan()
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
 
     # -- derived objects ---------------------------------------------------
 
     def schedule(self) -> NoiseSchedule:
         return NoiseSchedule(self.schedule_beta_min, self.schedule_beta_max)
+
+    def aggregator(self) -> MaskAggregator:
+        if self.task == "gmm2d":
+            return make_mask(self.mask, self.num_agents, 2)
+        return make_mask(self.mask, self.num_agents, IMAGE_H * IMAGE_W,
+                         image_hw=(IMAGE_H, IMAGE_W))
 
     def soc(self) -> SocConfig:
         return SocConfig(

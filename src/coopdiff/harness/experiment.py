@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import tape
-from ..aggregation import MaskAggregator, make_mask
+from ..aggregation import MaskAggregator
 from ..checkpoint import load_checkpoint, save_checkpoint
 from ..control import make_policy
 from ..costs import ClassifierNll, QuadraticWell, with_seam
@@ -125,9 +125,9 @@ def build_assets(
 ) -> TaskAssets:
     """Construct (or load, or accept pre-built) task components."""
     schedule = config.schedule()
+    agg = config.aggregator()
+    dim = agg.dim
     if config.task == "gmm2d":
-        dim = 2
-        agg = make_mask(config.mask, config.num_agents, dim)
         if score_fn is None:
             score_fn = AnalyticGmmScore(_gmm2d_mixture(config), schedule)
         target = np.asarray(config.soc_target, dtype=np.float64)
@@ -146,10 +146,6 @@ def build_assets(
         return TaskAssets(dim, agg, score_fn, psi, accuracy_fn)
 
     # shapes16
-    dim = IMAGE_H * IMAGE_W
-    agg = make_mask(
-        config.mask, config.num_agents, dim, image_hw=(IMAGE_H, IMAGE_W)
-    )
     if dataset is None:
         dataset = generate_shapes(config.shapes_per_class, seed=config.seed)
     if classifier is None:

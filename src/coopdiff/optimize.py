@@ -2,25 +2,27 @@
 loops, and baseline samplers.
 
 One rollout simulates B trajectories of the N coupled controlled
-reverse-time SDEs on a shared time grid. Per step k and agent i:
+reverse-time SDEs on a shared time grid. The agents' states are one
+(N, B, d) node X, so every step below is one op on the whole stack:
 
-    s_i   = S(X_i, t_k)                        shared score model
-    xh_i  = tweedie(X_i, t_k, s_i)             denoised look-ahead
-    Yh    = aggregate(xh)                      joint Tweedie estimate
-    u     = controls(k, t_k, X, Y, xh)         one control per agent
-    mu_i  = 0.5 b X_i + b s_i                  reverse drift
-    X_i  <- X_i + (mu_i + g u_i) dt + g sqrt(dt) xi
+    S     = S(X, t_k)                          shared score model, N*B rows
+    Xh    = tweedie(X, t_k, S)                 denoised look-ahead
+    Y, Yh = aggregate(X), aggregate(Xh)        joint state and Tweedie estimate
+    U     = controls(k, t_k, X, Y, Yh)         (N, B, d), one slice per agent
+    mu    = 0.5 b X + b S                      reverse drift
+    X    <- X + (mu + g U) dt + g sqrt(dt) xi
 
 accumulating the control energy and the running cost; the terminal cost is
 evaluated on the aggregate of the final states. The rollout is recorded on
 the tape end to end (score evaluations included).
 
 A control source computes whatever guidance it consumes. The learned
-control computes g_i = grad_{xh_i} psi(Yh) from detached leaves in a
-nested backward pass; g_i enters the graph as a constant, so adjoints
-never flow from the controls back into the score model through it. The
-training-free baseline differentiates psi through the score model
-instead, and the zero control computes nothing.
+control computes G = masks * grad psi(Yh) from a detached Yh leaf in a
+nested backward pass; G enters the graph as a constant, so adjoints never
+flow from the controls back into the score model through it. Each agent
+keeps its own policy, so the learned control is the one place that loops
+over agents. The training-free baseline differentiates psi through the
+score model instead, and the zero control computes nothing.
 
 Both trainers run one update loop and differ only in their schedule of
 (update index, agents to step): joint training steps every agent at every
@@ -50,7 +52,7 @@ from .control import (
 )
 from .costs import SocConfig
 from .optim import AdamState, adam_step
-from .scores import tweedie
+from .scores import stacked_score, tweedie
 from .sde import (
     STREAM_INIT,
     STREAM_STEP,
@@ -67,7 +69,8 @@ Array = np.ndarray
 
 
 class DivergedRolloutError(RuntimeError):
-    """A trajectory left the finite range; ``step`` names the EM step."""
+    """A step left some state non-finite; ``step`` names the EM step and
+    ``agent`` the first agent with a non-finite state."""
 
     def __init__(self, step: int, agent: int):
         super().__init__(
@@ -107,12 +110,10 @@ class RolloutRecord:
     objective: float = 0.0
     per_sample_psi: Array | None = None
     terminal_y: Array | None = None
-    terminal_states: list = field(default_factory=list)
-    states: list = field(default_factory=list)      # [k][i] -> (B, d)
-    controls: list = field(default_factory=list)    # [k][i] -> (B, d)
-    tweedies: list = field(default_factory=list)    # [k][i] -> (B, d)
-    y_aggs: list = field(default_factory=list)      # [k]    -> (B, d)
-    y0_hats: list = field(default_factory=list)     # [k]    -> (B, d)
+    terminal_states: Array | None = None            # (N, B, d)
+    states: list = field(default_factory=list)      # [k] -> (N, B, d)
+    controls: list = field(default_factory=list)    # [k] -> (N, B, d)
+    y0_hats: list = field(default_factory=list)     # [k] -> (B, d)
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,8 @@ class TrainPlan:
 # ---------------------------------------------------------------------------
 # control sources
 # ---------------------------------------------------------------------------
-# A control source maps the per-step context (k, t, xs, Y, x0_hats) to one
-# control node per agent, computing any guidance it needs itself. Keeping
+# A control source maps the per-step context (k, t, X, Y, Y0_hat) to one
+# (N, B, d) control node, computing any guidance it needs itself. Keeping
 # zero controls and learned controls on the same arithmetic path makes
 # "zero policy" and "uncontrolled" runs bit-identical.
 
@@ -166,17 +167,17 @@ class PolicyControls:
         self.psi = psi
         self.agg = agg
 
-    def __call__(self, k, t, xs, y, x0_hats):
-        guidances = tweedie_guidance(self.psi, self.agg, x0_hats)
-        return [
-            eval_control(p, x, y, t, g)
-            for p, x, g in zip(self.policies, xs, guidances)
-        ]
+    def __call__(self, k, t, xs, y, y0_hat):
+        guidance = tweedie_guidance(self.psi, self.agg, y0_hat)
+        return tape.stack([
+            eval_control(p, tape.index(xs, i), y, t, guidance[i])
+            for i, p in enumerate(self.policies)
+        ])
 
 
 class ZeroControls:
-    def __call__(self, k, t, xs, y, x0_hats):
-        return [tape.constant(np.zeros_like(x.value)) for x in xs]
+    def __call__(self, k, t, xs, y, y0_hat):
+        return tape.constant(np.zeros_like(xs.value))
 
 
 class CdpsControls:
@@ -189,19 +190,11 @@ class CdpsControls:
         self.psi = psi
         self.schedule = schedule
 
-    def __call__(self, k, t, xs, y, x0_hats):
+    def __call__(self, k, t, xs, y, y0_hat):
         grads = state_guidance(
-            self.score_fn,
-            self.agg,
-            self.psi,
-            self.schedule,
-            [x.value for x in xs],
-            t,
+            self.score_fn, self.agg, self.psi, self.schedule, xs.value, t
         )
-        return [
-            cdps_control(x, t, tape.constant(g), self.alpha_guid)
-            for x, g in zip(xs, grads)
-        ]
+        return cdps_control(xs, t, tape.constant(grads), self.alpha_guid)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +232,7 @@ def coupled_rollout(
 
     sigma0 = float(schedule.sigma(times[0]))
     init = noise.normal((STREAM_INIT, update_index, 0), (n_agents, batch, dim))
-    xs = [tape.constant(sigma0 * init[i]) for i in range(n_agents)]
+    xs = tape.constant(sigma0 * init)              # (N, B, d)
 
     control_node: Node | None = None
     running_node: Node | None = None
@@ -252,13 +245,11 @@ def coupled_rollout(
         g_k = float(schedule.g(t))
 
         if record_history:
-            record.states.append([x.value for x in xs])
+            record.states.append(xs.value)
 
         y_k = aggregate(agg, xs)
-        scores = [score_fn(x, t) for x in xs]
-        x0_hats = [
-            tweedie(x, t, s, schedule) for x, s in zip(xs, scores)
-        ]
+        scores = stacked_score(score_fn, xs, t)
+        x0_hats = tweedie(xs, t, scores, schedule)
         y0_hat = aggregate(agg, x0_hats)
 
         psi_hat = psi(y0_hat)                      # (B, 1), on the tape
@@ -267,38 +258,29 @@ def coupled_rollout(
         weighted = tape.scale(step_cost, cfg.running_weight(t) * dt)
         running_node = weighted if running_node is None else tape.add(running_node, weighted)
 
-        controls = control_fn(k, t, xs, y_k, x0_hats)
+        controls = control_fn(k, t, xs, y_k, y0_hat)
 
-        step_u = 0.0
-        for i, u in enumerate(controls):
-            sq = _batch_mean(tape.square_norm(u, axis=1, keepdims=True), batch)
-            term = tape.scale(sq, lambdas[i] * dt)
-            control_node = term if control_node is None else tape.add(control_node, term)
-            step_u += float(sq.value) / n_agents
-        loss_u += step_u * dt
+        # per-agent batch means of ||u_i||^2, shape (N,)
+        sq = tape.scale(tape.reduce_sum(tape.square_norm(controls, axis=2),
+                                        axis=1), 1.0 / batch)
+        term = tape.reduce_sum(tape.mul(sq, tape.constant(lambdas * dt)))
+        control_node = term if control_node is None else tape.add(control_node, term)
+        loss_u += float((sq.value / n_agents).sum()) * dt
 
         if record_history:
-            record.controls.append([u.value for u in controls])
-            record.tweedies.append([xh.value for xh in x0_hats])
-            record.y_aggs.append(y_k.value)
+            record.controls.append(controls.value)
             record.y0_hats.append(y0_hat.value)
 
         xi = noise.normal((STREAM_STEP, update_index, k), (n_agents, batch, dim))
-        new_xs = []
-        for i, (x, s, u) in enumerate(zip(xs, scores, controls)):
-            mu = reverse_drift(x, t, s, schedule)
-            drift = tape.add(mu, tape.scale(u, g_k))
-            try:
-                x_next = em_step(x, t, dt, drift, g_k, xi[i])
-            except FloatingPointError as err:
-                raise DivergedRolloutError(step=k, agent=i) from err
-            if not np.all(np.isfinite(x_next.value)):
-                raise DivergedRolloutError(step=k, agent=i)
-            new_xs.append(x_next)
-        xs = new_xs
+        mu = reverse_drift(xs, t, scores, schedule)
+        drift = tape.add(mu, tape.scale(controls, g_k))
+        xs = em_step(xs, t, dt, drift, g_k, xi)
+        finite = np.isfinite(xs.value).all(axis=(1, 2))
+        if not finite.all():
+            raise DivergedRolloutError(step=k, agent=int(np.argmin(finite)))
 
     if record_history:
-        record.states.append([x.value for x in xs])
+        record.states.append(xs.value)
 
     y_term = aggregate(agg, xs)
     psi_term = psi(y_term)                         # (B, 1)
@@ -316,7 +298,7 @@ def coupled_rollout(
     record.objective = float(objective.value)
     record.per_sample_psi = psi_term.value[:, 0].copy()
     record.terminal_y = y_term.value
-    record.terminal_states = [x.value for x in xs]
+    record.terminal_states = xs.value
     return objective, record
 
 
@@ -374,12 +356,6 @@ class TrainingResult:
     policies: list
     curve: list
     total_updates: int
-
-
-def _collect_grads(params: list[Node]) -> list[Array]:
-    return [
-        p.grad if p.grad is not None else np.zeros_like(p.value) for p in params
-    ]
 
 
 def joint_ido(
@@ -488,7 +464,7 @@ def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
         tape.backward(objective)
         for i in active:
             params = policies[i].params()
-            adam_step(params, _collect_grads(params), adams[i])
+            adam_step(params, [p.grad for p in params], adams[i])
         curve.append(CurvePoint(n, rec.loss_u, rec.loss_c, rec.loss_psi, rec.objective))
         if on_update is not None:
             on_update(n, policies)

@@ -262,6 +262,13 @@ def dsm_loss(score_fn, batch: Array, times: Array, noises: Array,
     return tape.scale(tape.reduce_sum(per_sample), 1.0 / x0.shape[0])
 
 
+def stacked_score(score_fn, xs, t: float) -> Node:
+    """One call of a shared score model on (N, B, d) states as N*B rows."""
+    xs = tape.as_node(xs)
+    n, b, d = xs.value.shape
+    return tape.reshape(score_fn(tape.reshape(xs, (n * b, d)), t), (n, b, d))
+
+
 def tweedie(x, t: float, score, schedule: NoiseSchedule) -> Node:
     """Posterior-mean denoiser x0_hat = (x + sigma(t)^2 score) / alpha(t)."""
     alpha, sigma = marginal_coeffs(schedule, t)

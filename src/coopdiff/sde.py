@@ -122,12 +122,6 @@ def em_step(x, t: float, dt: float, drift, g: float, noise: Array) -> Node:
     x = tape.as_node(x)
     drift = tape.as_node(drift)
     noise = np.asarray(noise, dtype=np.float64)
-    if not (
-        np.all(np.isfinite(x.value))
-        and np.all(np.isfinite(drift.value))
-        and np.all(np.isfinite(noise))
-    ):
-        raise FloatingPointError(f"non-finite input to em_step at t={t}")
     out = tape.add(x, tape.scale(drift, dt))
     kick = float(g) * np.sqrt(dt)
     if kick != 0.0:

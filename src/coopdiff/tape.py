@@ -4,7 +4,7 @@ A computation graph is built by calling the op functions below on ``Node``
 objects (raw arrays and floats are wrapped as constants). Every op computes
 its value eagerly and records its parents together with one vector-Jacobian
 product per parent; ``backward`` on a scalar root then fills ``.grad`` on
-every node of the graph, leaves included.
+the leaves of the graph (interior adjoints are dropped once propagated).
 
 Design constraints:
   * values are float64 throughout, so central finite differences are a
@@ -248,6 +248,32 @@ def concat(nodes: Sequence, axis: int = 1) -> Node:
     return _make(y, tuple(nodes), tuple(make_vjp(i) for i in range(len(nodes))))
 
 
+def stack(nodes: Sequence) -> Node:
+    """Stack same-shape nodes along a new leading axis."""
+    nodes = [as_node(n) for n in nodes]
+    vjps = tuple((lambda g, i=i: g[i]) for i in range(len(nodes)))
+    return _make(np.stack([n.value for n in nodes]), tuple(nodes), vjps)
+
+
+def index(a, i: int) -> Node:
+    """The slice ``a[i]`` along the leading axis."""
+    a = as_node(a)
+
+    def vjp(g: Array) -> Array:
+        out = np.zeros_like(a.value)
+        out[i] = g
+        return out
+
+    return _make(a.value[i], (a,), (vjp,))
+
+
+def reshape(a, shape) -> Node:
+    """``a`` with the same entries in a new shape."""
+    a = as_node(a)
+    av = a.value
+    return _make(av.reshape(shape), (a,), (lambda g: g.reshape(av.shape),))
+
+
 def gather_cols(a, idx) -> Node:
     """Select columns ``a[:, idx]`` of a 2-D node."""
     a = as_node(a)
@@ -329,24 +355,23 @@ def _toposort(root: Node) -> list[Node]:
 
 
 def backward(root: Node) -> None:
-    """Fill ``.grad`` on every node reachable from a scalar ``root``.
+    """Fill ``.grad`` on every leaf reachable from a scalar ``root``.
 
-    Accumulation happens in a fixed topological order, so gradients are
-    bit-reproducible for identical graphs.
+    Interior adjoints are dropped once propagated, so interior nodes keep
+    ``.grad = None`` and a finished pass pins no second graph-sized set of
+    arrays. Accumulation happens in a fixed topological order, so gradients
+    are bit-reproducible for identical graphs.
     """
     if root.value.size != 1:
         raise ValueError(
             f"backward needs a scalar root, got shape {root.value.shape}"
         )
-    order = _toposort(root)
     grads: dict[int, Array] = {id(root): np.ones_like(root.value)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            # node feeds the root only through stopgrad or not at all
-            node.grad = np.zeros_like(node.value) if node.is_leaf else None
+    for node in reversed(_toposort(root)):
+        g = grads.pop(id(node))       # every reachable node has an adjoint
+        if node.is_leaf:
+            node.grad = g
             continue
-        node.grad = g
         for parent, vjp in zip(node.parents, node.vjps):
             contrib = vjp(g)
             pid = id(parent)

@@ -16,8 +16,8 @@ def record_guidance(monkeypatch) -> list:
     calls = []
     real = optimize.tweedie_guidance
 
-    def recording(psi, agg, x0_hats):
-        guidances = real(psi, agg, x0_hats)
+    def recording(psi, agg, y0_hat):
+        guidances = real(psi, agg, y0_hat)
         calls.append([g.copy() for g in guidances])
         return guidances
 
@@ -33,7 +33,7 @@ def replay_guidance(monkeypatch, calls: list) -> None:
     """
     step = itertools.count()
 
-    def replaying(psi, agg, x0_hats):
+    def replaying(psi, agg, y0_hat):
         return calls[next(step) % len(calls)]
 
     monkeypatch.setattr(optimize, "tweedie_guidance", replaying)

@@ -31,7 +31,12 @@ import numpy as np
 import pytest
 
 from coopdiff import tape
-from coopdiff.aggregation import aggregate_np, make_mask, masked_control_energy
+from coopdiff.aggregation import (
+    aggregate,
+    aggregate_np,
+    make_mask,
+    masked_control_energy,
+)
 from coopdiff.control import eval_control, make_policy, tweedie_guidance
 from coopdiff.costs import QuadraticWell, SocConfig
 from coopdiff.nn import Mlp
@@ -235,7 +240,7 @@ def test_criterion2_stopgrad_isolates_score_network(monkeypatch):
     xs = [tape.constant(rng.standard_normal((3, 2))) for _ in range(2)]
     scores = [net(x, 0.5) for x in xs]
     x0h = [tweedie(x, 0.5, s, SCHEDULE) for x, s in zip(xs, scores)]
-    guidance = tweedie_guidance(psi, agg, x0h)
+    guidance = tweedie_guidance(psi, agg, aggregate(agg, tape.stack(x0h)))
     u = eval_control(policy, xs[0], xs[1], 0.5, guidance[0])
     tape.backward(tape.reduce_sum(tape.mul(u, u)))
     assert all(p.grad is None or np.all(p.grad == 0.0) for p in net.params())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coopdiff import tape
-from coopdiff.aggregation import make_mask
+from coopdiff.aggregation import aggregate, aggregate_np, make_mask
 from coopdiff.control import (
     cdps_control,
     eval_control,
@@ -97,9 +97,7 @@ def test_state_guidance_matches_finite_differences():
         with tape.no_grad():
             x0h = [tweedie(x, t, score_fn(tape.constant(x), t), SCHEDULE)
                    for x in xs_val]
-            from coopdiff.aggregation import aggregate
-
-            y0 = aggregate(agg, x0h)
+            y0 = aggregate(agg, tape.stack(x0h))
             return float(tape.reduce_sum(psi(y0)).value)
 
     h = 1e-6
@@ -123,7 +121,7 @@ def test_tweedie_guidance_equals_masked_cost_gradient():
     psi = QuadraticWell(np.zeros(4))
     rng = derive_rng(1, 1)
     x0h = [rng.standard_normal((3, 4)) for _ in range(2)]
-    grads = tweedie_guidance(psi, agg, x0h)
+    grads = tweedie_guidance(psi, agg, aggregate_np(agg, x0h))
     y0 = sum(x * m for x, m in zip(x0h, agg.masks))
     full = 2.0 * y0
     for i in range(2):
@@ -145,7 +143,7 @@ def test_score_params_perturbation_changes_cdps_not_stopgrad_guidance():
     with tape.no_grad():
         x0h_before = [tweedie(x, t, net(tape.constant(x), t), SCHEDULE).value
                       for x in xs]
-    tg_before = tweedie_guidance(psi, agg, x0h_before)
+    tg_before = tweedie_guidance(psi, agg, aggregate_np(agg, x0h_before))
 
     for p in net.params():
         p.value = p.value + 0.05
@@ -153,7 +151,7 @@ def test_score_params_perturbation_changes_cdps_not_stopgrad_guidance():
     after = state_guidance(net, agg, psi, SCHEDULE, xs, t)
     assert any(not np.array_equal(a, b) for a, b in zip(before, after))
     # holding the Tweedie estimates fixed, the guidance is untouched
-    tg_after = tweedie_guidance(psi, agg, x0h_before)
+    tg_after = tweedie_guidance(psi, agg, aggregate_np(agg, x0h_before))
     for a, b in zip(tg_before, tg_after):
         np.testing.assert_array_equal(a, b)
 
@@ -173,7 +171,7 @@ def test_guidance_path_gives_zero_gradient_to_score_params():
 
     scores = [net(x, t) for x in xs]
     x0h = [tweedie(x, t, s, SCHEDULE) for x, s in zip(xs, scores)]
-    guidance = tweedie_guidance(psi, agg, x0h)
+    guidance = tweedie_guidance(psi, agg, aggregate(agg, tape.stack(x0h)))
     u = eval_control(policy, xs[0], xs[1], t, guidance[0])
     tape.backward(tape.reduce_sum(tape.mul(u, u)))
 

@@ -1,8 +1,16 @@
 """Dataset generation, classifier training, configs, grid export, runs, CLI."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import coopdiff
 from coopdiff.aggregation import make_mask
+from coopdiff.checkpoint import save_checkpoint
+from coopdiff.control import make_policy
 from coopdiff.harness import (
     ConfigError,
     generate_shapes,
@@ -28,6 +36,7 @@ from coopdiff.harness.gridio import (
 )
 from coopdiff.harness.shapes import IMAGE_H, IMAGE_W, ShapesDataset
 from coopdiff.harness.cli import main as cli_main
+from coopdiff.sde import derive_rng
 
 
 GMM_SMOKE = """
@@ -292,3 +301,38 @@ def test_cli_sample_learned_method_needs_policies(tmp_path, monkeypatch,
         "method = uncontrolled", "method = joint"))
     assert cli_main(["sample", "--config", str(cfg_path)]) == 2
     assert "--policies" in capsys.readouterr().err
+
+
+# each case edits GMM_SMOKE (old line -> new line) into an input the CLI
+# must reject with exit 2 instead of a traceback
+BAD_INPUTS = {
+    "grid-eps-above-one": ("grid.eps = 0.001", "grid.eps = 1.5"),
+    "image-mask-on-gmm2d": ("mask = halves", "mask = h-stripes"),
+    "alpha-below-floor": ("grid.eps = 0.001",
+                          "grid.eps = 0.001\nschedule.beta_max = 200"),
+    "policy-checkpoint-mismatch": ("method = uncontrolled", "method = joint"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_cli_bad_input_exits_2_without_traceback(case, tmp_path):
+    old, new = BAD_INPUTS[case]
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(GMM_SMOKE.format(out="bad").replace(old, new))
+    argv = ["run"]
+    if case == "policy-checkpoint-mismatch":
+        # the config asks for policy.hidden = 16 16
+        for i in range(2):
+            policy = make_policy(2, i, derive_rng(0, i), hidden=(8,))
+            save_checkpoint(tmp_path / "pols" / f"policy_agent{i}.npz",
+                            policy.state_dict())
+        argv = ["sample", "--policies", str(tmp_path / "pols")]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(coopdiff.__file__).resolve().parents[1]),
+               COOPDIFF_OUTPUT_ROOT=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coopdiff", *argv, "--config", str(cfg_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr

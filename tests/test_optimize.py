@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from coopdiff import tape
-from coopdiff.aggregation import make_mask
+from coopdiff.aggregation import aggregate, make_mask
 from coopdiff.control import make_policy
 from coopdiff.costs import QuadraticWell, SocConfig, ZeroCost, soc_objective
 from coopdiff.optimize import (
@@ -390,3 +390,45 @@ def test_only_the_learned_control_computes_tweedie_guidance(monkeypatch):
     sample_controlled(make_policies(2, c0=-0.5), score, agg, cfg, grid, psi,
                       SCHEDULE, seed=2, batch=3)
     assert len(calls) == grid.steps - 1
+
+
+def test_rollout_calls_the_shared_score_model_once_per_step():
+    # N = 3 agents on a K-step grid: one score call on all N*B rows per step
+    gmm = GaussianMixture(weights=[1.0], means=[[0.0, 0.0, 0.0]],
+                          variances=[1.0])
+    score = AnalyticGmmScore(gmm, SCHEDULE)
+    calls = []
+
+    def counting_score(x, t):
+        calls.append(x.value.shape)
+        return score(x, t)
+
+    agg = make_mask("halves", 3, 3)
+    cfg = SocConfig(control_weight=0.5, running_scale=0.5)
+    psi = QuadraticWell(np.array([1.0, -1.0, 0.5]))
+    steps = 7
+    grid = make_time_grid(steps + 1, 1e-3)
+    policies = [
+        make_policy(3, i, derive_rng(7, 100 + i), hidden=(8,),
+                    gain_hidden=(4,), guidance_gain_init=-0.2)
+        for i in range(3)
+    ]
+    bptt_rollout(policies, counting_score, agg, cfg, grid, psi, SCHEDULE,
+                 NoiseStream(1), batch=4)
+    assert calls == [(3 * 4, 3)] * steps
+
+
+def test_stacked_aggregate_matches_the_per_agent_mask_sum():
+    rng = derive_rng(5, 0)
+    agg = make_mask("h-stripes", 3, 64, image_hw=(8, 8))
+    xs = tape.leaf(rng.standard_normal((3, 4, 64)))
+    weights = rng.standard_normal((4, 64))
+    y = aggregate(agg, xs)
+    tape.backward(tape.reduce_sum(tape.mul(y, weights)))
+    # the per-agent form: Y = sum_i X_i * mask_i, dX_i = dY * mask_i
+    expected = xs.value[0] * agg.masks[0]
+    for i in range(1, 3):
+        expected = expected + xs.value[i] * agg.masks[i]
+    np.testing.assert_array_equal(y.value, expected)
+    for i in range(3):
+        np.testing.assert_array_equal(xs.grad[i], weights * agg.masks[i])

@@ -218,3 +218,16 @@ def test_matmul_concat_sqrt_gradients_match_fd():
     fd_b = finite_diff(lambda v: float(build(av, v)[2].value), bv)
     assert max_rel_err(fd_a, a.grad) < 1e-4
     assert max_rel_err(fd_b, b.grad) < 1e-4
+
+
+def test_backward_keeps_gradients_on_leaves_only():
+    w = tape.leaf(np.array([1.5, -2.0]))
+    x = tape.leaf(np.array([0.5, 3.0]))
+    hidden = tape.tanh(tape.mul(w, x))
+    root = tape.reduce_sum(tape.mul(hidden, hidden))
+    tape.backward(root)
+    assert hidden.grad is None and root.grad is None
+    dh = 2.0 * np.tanh(w.value * x.value)
+    dz = dh * (1.0 - np.tanh(w.value * x.value) ** 2)
+    np.testing.assert_array_equal(w.grad, dz * x.value)
+    np.testing.assert_array_equal(x.grad, dz * w.value)
