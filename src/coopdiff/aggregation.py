@@ -105,24 +105,6 @@ def scatter_adjoint(agg: MaskAggregator, grad_y) -> Array:
     return grad_y * agg.masks[:, None, :]
 
 
-def control_energy(agg: MaskAggregator, controls) -> float:
-    """Total quadratic control energy sum_i ||u_i||^2 of (N, B, d) controls.
-
-    For disjoint masks the energy of the aggregated control decomposes into
-    the per-agent restricted energies; this identity is asserted here since
-    it is exact up to rounding.
-    """
-    u = tape.as_node(controls).value
-    if u.shape[0] != agg.num_agents:
-        raise ValueError(f"got {u.shape[0]} controls for {agg.num_agents} agents")
-    masked = masked_control_energy(agg, u)
-    restricted = float(((u * agg.masks[:, None, :]) ** 2).sum())
-    assert abs(masked - restricted) <= 1e-9 * max(1.0, abs(masked)), (
-        "mask aggregation violated the control-energy decomposition"
-    )
-    return float((u * u).sum())
-
-
 def masked_control_energy(agg: MaskAggregator, controls) -> float:
     """|| M vec(u) ||^2: the energy the aggregate actually sees."""
     y = aggregate_np(agg, controls)

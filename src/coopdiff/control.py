@@ -123,20 +123,23 @@ def cdps_control(x_i, t: float, guidance_wrt_state, alpha_guid: float) -> Node:
 # guidance gradients
 # ---------------------------------------------------------------------------
 
-def tweedie_guidance(psi, agg: MaskAggregator, y0_hat) -> Array:
-    """grad of psi(aggregate(x0_hats)) w.r.t. each agent's Tweedie estimate.
+def tweedie_guidance(psi, y0_hat) -> tuple[Array, Array]:
+    """psi and its per-row gradient at the aggregated Tweedie estimate.
 
-    The aggregate routes dY to agent i as dY * mask_i, so this is
-    masks * grad psi(Y0_hat), shape (N, B, d), from one sub-tape on a
-    detached Y0_hat leaf. The result is a plain array, which consumers
-    treat as a constant. Per-sample gradients are independent, so one
-    backward from the batch sum yields all rows.
+    One sub-tape on a detached Y0_hat leaf gives both psi(Y0_hat), shape
+    (B, 1), and grad psi(Y0_hat), shape (B, d), as plain arrays. Rows are
+    independent, so one backward from the batch sum yields every row's
+    gradient. The aggregate routes dY to agent i as dY * mask_i, so the
+    learned control's guidance is ``scatter_adjoint(agg, grad)`` =
+    masks * grad psi(Y0_hat); the rollout's running cost takes the same
+    gradient as its VJP.
     """
     with tape.grad_enabled():
         y0 = tape.leaf(tape.as_node(y0_hat).value)
-        tape.backward(tape.reduce_sum(psi(y0)))
+        psi_y0 = psi(y0)
+        tape.backward(tape.reduce_sum(psi_y0))
     grad = y0.grad if y0.grad is not None else np.zeros_like(y0.value)
-    return agg.masks[:, None, :] * grad
+    return psi_y0.value, grad
 
 
 def state_guidance(

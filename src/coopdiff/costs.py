@@ -235,13 +235,8 @@ def seam_loss(y, agg: MaskAggregator, cfg: SocConfig) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# running cost and objective recomputation
+# objective recomputation
 # ---------------------------------------------------------------------------
-
-def running_cost(y0_hat, t: float, psi, cfg: SocConfig) -> Node:
-    """alpha_t * psi evaluated at the aggregated Tweedie estimate."""
-    return tape.scale(psi(tape.as_node(y0_hat)), cfg.running_weight(t))
-
 
 def soc_objective(record, cfg: SocConfig, psi) -> float:
     """Recompute hat-J from a stored rollout, tape-free.

@@ -286,8 +286,8 @@ def _closest(key: str) -> str:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     return parse_config_text(text)
 

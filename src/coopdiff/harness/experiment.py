@@ -16,6 +16,7 @@ Outputs per run directory:
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,7 +124,12 @@ def build_assets(
     classifier: Mlp | None = None,
     dataset: ShapesDataset | None = None,
 ) -> TaskAssets:
-    """Construct (or load, or accept pre-built) task components."""
+    """Construct (or load, or accept pre-built) task components.
+
+    A score network or classifier trained or loaded here is returned
+    frozen: the pretrained agents are fixed, and only the control policies
+    are learned.
+    """
     schedule = config.schedule()
     agg = config.aggregator()
     dim = agg.dim
@@ -167,6 +173,7 @@ def build_assets(
                 max_steps=config.classifier_max_steps,
                 target_accuracy=config.classifier_target_accuracy,
             )
+        tape.freeze(classifier.params())
     if score_fn is None:
         if config.score_checkpoint:
             score_fn = MlpScore(
@@ -179,6 +186,7 @@ def build_assets(
             score_fn.load_state_dict(load_checkpoint(config.score_checkpoint)[0])
         else:
             score_fn = train_score_model(config, dataset)
+        tape.freeze(score_fn.params())
     label = CLASS_NAMES.index(config.soc_target_class)
     psi = with_seam(ClassifierNll(classifier, label), agg, config.soc())
 
@@ -333,13 +341,16 @@ def run_experiment(config: ExperimentConfig, assets: TaskAssets | None = None) -
         policies = make_policies(config, assets.dim)
         plan = config.plan()
 
+        applied = itertools.count(1)
+
         def checkpoint_cb(update, pols):
-            if plan.checkpoint_every and (update + 1) % plan.checkpoint_every == 0:
+            done = next(applied)          # updates applied so far
+            if (update + 1) % plan.checkpoint_every == 0:
                 for pol in pols:
                     save_checkpoint(
                         out / f"policy_agent{pol.agent_index}.npz",
                         pol.state_dict(),
-                        meta={"update": update + 1},
+                        meta={"update": done},
                     )
 
         trainer = joint_ido if config.method == "joint" else controlwise_ido

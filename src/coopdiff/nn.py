@@ -105,14 +105,3 @@ class Mlp:
                     f"checkpoint {arr.shape} vs model {p.value.shape}"
                 )
             p.value = arr
-
-
-def forward_plain(mlp: Mlp, x: Array) -> Array:
-    """Tape-free duplicate of ``Mlp.__call__`` used as a cross-check."""
-    h = np.asarray(x, dtype=np.float64)
-    n_layers = len(mlp.weights)
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        h = h @ w.value + b.value
-        if i < n_layers - 1:
-            h = np.tanh(h)
-    return h

@@ -8,7 +8,7 @@ reverse-time SDEs on a shared time grid. The agents' states are one
     S     = S(X, t_k)                          shared score model, N*B rows
     Xh    = tweedie(X, t_k, S)                 denoised look-ahead
     Y, Yh = aggregate(X), aggregate(Xh)        joint state and Tweedie estimate
-    U     = controls(k, t_k, X, Y, Yh)         (N, B, d), one slice per agent
+    U     = controls(k, t_k, X, Y, grad psi(Yh))   (N, B, d), one per agent
     mu    = 0.5 b X + b S                      reverse drift
     X    <- X + (mu + g U) dt + g sqrt(dt) xi
 
@@ -16,13 +16,17 @@ accumulating the control energy and the running cost; the terminal cost is
 evaluated on the aggregate of the final states. The rollout is recorded on
 the tape end to end (score evaluations included).
 
-A control source computes whatever guidance it consumes. The learned
-control computes G = masks * grad psi(Yh) from a detached Yh leaf in a
-nested backward pass; G enters the graph as a constant, so adjoints never
-flow from the controls back into the score model through it. Each agent
-keeps its own policy, so the learned control is the one place that loops
-over agents. The training-free baseline differentiates psi through the
-score model instead, and the zero control computes nothing.
+psi is evaluated once per step. When the step needs grad psi(Yh) -- the
+learned control consumes it, or the rollout is recorded and Yh requires
+grad -- one sub-tape on a detached Yh leaf (``tweedie_guidance``) returns
+both psi(Yh) and its per-row gradient. The running cost enters the main
+tape as one node with that value and the VJP g * grad psi(Yh), and the
+learned control reads G = masks * grad psi(Yh) from the same pass. G
+enters the graph as a constant, so adjoints never flow from the controls
+back into the score model through it. Each agent keeps its own policy,
+so the learned control is the one place that loops over agents. The
+training-free baseline differentiates psi through the score model
+instead, and the zero control uses no gradient.
 
 Both trainers run one update loop and differ only in their schedule of
 (update index, agents to step): joint training steps every agent at every
@@ -42,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tape
-from .aggregation import MaskAggregator, aggregate
+from .aggregation import MaskAggregator, aggregate, scatter_adjoint
 from .control import (
     ControlPolicy,
     cdps_control,
@@ -140,35 +144,27 @@ class TrainPlan:
         if self.lr <= 0:
             raise ValueError("the learning rate must be positive")
 
-    def planned_updates(self, num_agents: int) -> int:
-        """Gradient updates the plan will execute.
-
-        Control-wise sweeps visit every agent each outer iteration, so the
-        total is outer_iters * num_agents * inner_steps.
-        """
-        if self.mode == "joint":
-            return self.updates
-        return self.outer_iters * num_agents * self.inner_steps
-
 
 # ---------------------------------------------------------------------------
 # control sources
 # ---------------------------------------------------------------------------
-# A control source maps the per-step context (k, t, X, Y, Y0_hat) to one
-# (N, B, d) control node, computing any guidance it needs itself. Keeping
-# zero controls and learned controls on the same arithmetic path makes
-# "zero policy" and "uncontrolled" runs bit-identical.
+# A control source maps the per-step context (k, t, X, Y, grad psi(Y0_hat))
+# to one (N, B, d) control node. The rollout computes the cost gradient
+# only for sources with ``uses_guidance`` (otherwise it passes None).
+# Keeping zero controls and learned controls on the same arithmetic path
+# makes "zero policy" and "uncontrolled" runs bit-identical.
 
 class PolicyControls:
     """Learned controls fed the cost gradient at the Tweedie aggregate."""
 
-    def __init__(self, policies: Sequence[ControlPolicy], psi, agg):
+    uses_guidance = True
+
+    def __init__(self, policies: Sequence[ControlPolicy], agg):
         self.policies = list(policies)
-        self.psi = psi
         self.agg = agg
 
-    def __call__(self, k, t, xs, y, y0_hat):
-        guidance = tweedie_guidance(self.psi, self.agg, y0_hat)
+    def __call__(self, k, t, xs, y, grad_psi):
+        guidance = scatter_adjoint(self.agg, grad_psi)
         return tape.stack([
             eval_control(p, tape.index(xs, i), y, t, guidance[i])
             for i, p in enumerate(self.policies)
@@ -176,12 +172,16 @@ class PolicyControls:
 
 
 class ZeroControls:
-    def __call__(self, k, t, xs, y, y0_hat):
+    uses_guidance = False
+
+    def __call__(self, k, t, xs, y, grad_psi):
         return tape.constant(np.zeros_like(xs.value))
 
 
 class CdpsControls:
     """Training-free guidance: scaled cost gradient w.r.t. the states."""
+
+    uses_guidance = False
 
     def __init__(self, alpha_guid, score_fn, agg, psi, schedule):
         self.alpha_guid = float(alpha_guid)
@@ -190,7 +190,7 @@ class CdpsControls:
         self.psi = psi
         self.schedule = schedule
 
-    def __call__(self, k, t, xs, y, y0_hat):
+    def __call__(self, k, t, xs, y, grad_psi):
         grads = state_guidance(
             self.score_fn, self.agg, self.psi, self.schedule, xs.value, t
         )
@@ -252,13 +252,19 @@ def coupled_rollout(
         x0_hats = tweedie(xs, t, scores, schedule)
         y0_hat = aggregate(agg, x0_hats)
 
-        psi_hat = psi(y0_hat)                      # (B, 1), on the tape
+        # one psi pass: the guidance sub-tape also yields psi, and the
+        # running cost reuses its gradient as VJP
+        if control_fn.uses_guidance or y0_hat.requires_grad:
+            psi_value, grad_psi = tweedie_guidance(psi, y0_hat)
+            psi_hat = tape.rowwise(y0_hat, psi_value, grad_psi)
+        else:
+            psi_hat, grad_psi = psi(y0_hat), None  # (B, 1)
         step_cost = _batch_mean(psi_hat, batch)
         loss_c += float(step_cost.value) * dt
         weighted = tape.scale(step_cost, cfg.running_weight(t) * dt)
         running_node = weighted if running_node is None else tape.add(running_node, weighted)
 
-        controls = control_fn(k, t, xs, y_k, y0_hat)
+        controls = control_fn(k, t, xs, y_k, grad_psi)
 
         # per-agent batch means of ||u_i||^2, shape (N,)
         sq = tape.scale(tape.reduce_sum(tape.square_norm(controls, axis=2),
@@ -321,7 +327,7 @@ def bptt_rollout(
             f"{len(policies)} policies for {agg.num_agents} agents"
         )
     return coupled_rollout(
-        PolicyControls(policies, psi, agg),
+        PolicyControls(policies, agg),
         score_fn,
         agg,
         cfg,
@@ -355,7 +361,7 @@ class CurvePoint:
 class TrainingResult:
     policies: list
     curve: list
-    total_updates: int
+    total_updates: int          # updates applied (skipped ones excluded)
 
 
 def joint_ido(
@@ -433,9 +439,10 @@ def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
     update: rollout, backward, one Adam step per active policy, a curve
     point and ``on_update``. The update index keys the noise stream, so
     joint and control-wise runs with the same seed consume identical noise
-    at the same update. A diverged rollout skips the update and halves
-    every learning rate once; a second divergence aborts with the partial
-    curve attached.
+    at the same update. A diverged rollout or a non-finite gradient of an
+    active policy skips the update and halves every learning rate once; a
+    second one aborts with the partial curve attached. ``total_updates``
+    counts the updates applied, one per curve point.
     """
     if not any(policy.params() for policy in policies):
         raise ValueError("no learnable parameters; use the cdps sampler instead")
@@ -446,29 +453,35 @@ def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
     curve: list[CurvePoint] = []
     lr_halved = False
     for n, active in updates:
+        cause = None
         try:
             objective, rec = bptt_rollout(
                 policies, score_fn, agg, cfg, grid, psi, schedule, noise,
                 plan.batch, update_index=n,
             )
         except DivergedRolloutError as err:
+            failure, cause = str(err), err
+        else:
+            tape.backward(objective)
+            grads = {i: [p.grad for p in policies[i].params()] for i in active}
+            finite = all(np.isfinite(g).all() for gs in grads.values() for g in gs)
+            failure = None if finite else "non-finite policy gradient"
+        if failure is not None:
             if lr_halved:
                 raise TrainingDivergedError(
-                    f"update {n}: {err} (after halving the learning rate)",
+                    f"update {n}: {failure} (after halving the learning rate)",
                     [c.row() for c in curve],
-                ) from err
+                ) from cause
             lr_halved = True
             for adam in adams:
                 adam.lr = adam.lr / 2.0
             continue
-        tape.backward(objective)
         for i in active:
-            params = policies[i].params()
-            adam_step(params, [p.grad for p in params], adams[i])
+            adam_step(policies[i].params(), grads[i], adams[i])
         curve.append(CurvePoint(n, rec.loss_u, rec.loss_c, rec.loss_psi, rec.objective))
         if on_update is not None:
             on_update(n, policies)
-    return TrainingResult(policies, curve, plan.planned_updates(len(policies)))
+    return TrainingResult(policies, curve, len(curve))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,14 @@
 
 A computation graph is built by calling the op functions below on ``Node``
 objects (raw arrays and floats are wrapped as constants). Every op computes
-its value eagerly and records its parents together with one vector-Jacobian
-product per parent; ``backward`` on a scalar root then fills ``.grad`` on
-the leaves of the graph (interior adjoints are dropped once propagated).
+its value eagerly. A node requires grad if it is a ``leaf`` that has not
+been frozen, or if any of its parents requires grad; an op records only
+the parents that require grad, together with one vector-Jacobian product
+per recorded parent. So ``constant`` inputs, ``stopgrad`` outputs and
+``freeze``-d leaves (the pretrained networks) end the graph: they get no
+VJP and no ``.grad``, and an op on them alone is itself a constant.
+``backward`` on a scalar root then fills ``.grad`` on the leaves that
+require grad (interior adjoints are dropped once propagated).
 
 Design constraints:
   * values are float64 throughout, so central finite differences are a
@@ -53,7 +58,7 @@ def grad_enabled():
 class Node:
     """One recorded value. Treat ``.value`` as immutable once created."""
 
-    __slots__ = ("value", "parents", "vjps", "grad", "name")
+    __slots__ = ("value", "parents", "vjps", "grad", "name", "requires_grad")
 
     def __init__(self, value, parents=(), vjps=(), name: str | None = None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -61,6 +66,7 @@ class Node:
         self.vjps: tuple[Callable[[Array], Array], ...] = vjps
         self.grad: Array | None = None
         self.name = name
+        self.requires_grad = bool(parents)
 
     @property
     def shape(self):
@@ -104,8 +110,20 @@ def constant(value, name: str | None = None) -> Node:
 
 
 def leaf(value, name: str | None = None) -> Node:
-    """A differentiation leaf; identical to ``constant`` but reads better."""
-    return Node(value, name=name)
+    """A differentiation leaf: a parentless node that requires grad."""
+    node = Node(value, name=name)
+    node.requires_grad = True
+    return node
+
+
+def freeze(leaves: Sequence[Node]) -> None:
+    """Turn leaves into constants: later ops record no edge into them.
+
+    A stale ``.grad`` from earlier training is dropped as well.
+    """
+    for node in leaves:
+        node.requires_grad = False
+        node.grad = None
 
 
 def as_node(x) -> Node:
@@ -113,9 +131,19 @@ def as_node(x) -> Node:
 
 
 def _make(value: Array, parents: tuple[Node, ...], vjps: tuple) -> Node:
-    if _GRAD_ENABLED:
+    """The op's output, recording the parents that require grad."""
+    if not _GRAD_ENABLED:
+        return Node(value)
+    live = [p.requires_grad for p in parents]
+    if all(live):
         return Node(value, parents, vjps)
-    return Node(value)
+    if not any(live):
+        return Node(value)
+    return Node(
+        value,
+        tuple(p for p, keep in zip(parents, live) if keep),
+        tuple(f for f, keep in zip(vjps, live) if keep),
+    )
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -324,6 +352,14 @@ def logsumexp(a, axis: int = 1, keepdims: bool = True) -> Node:
     return _make(y, (a,), (vjp,))
 
 
+def rowwise(x, value, grad) -> Node:
+    """A per-row scalar function of ``x`` whose value and gradient are
+    already known: ``value`` has shape (rows, 1), ``grad`` the shape of
+    ``x``, and the VJP is ``g * grad``."""
+    x = as_node(x)
+    return _make(value, (x,), (lambda g: g * grad,))
+
+
 def stopgrad(a) -> Node:
     """Same forward value, zero adjoint flow: the result is a constant."""
     a = as_node(a)
@@ -355,17 +391,22 @@ def _toposort(root: Node) -> list[Node]:
 
 
 def backward(root: Node) -> None:
-    """Fill ``.grad`` on every leaf reachable from a scalar ``root``.
+    """Fill ``.grad`` on every leaf that requires grad and is reachable
+    from a scalar ``root``; a root that requires no grad is a no-op.
 
-    Interior adjoints are dropped once propagated, so interior nodes keep
-    ``.grad = None`` and a finished pass pins no second graph-sized set of
-    arrays. Accumulation happens in a fixed topological order, so gradients
-    are bit-reproducible for identical graphs.
+    Only edges into nodes that require grad were recorded, so every VJP
+    run here feeds some such leaf. Interior adjoints are dropped once
+    propagated, so interior nodes keep ``.grad = None`` and a finished pass
+    pins no second graph-sized set of arrays. Accumulation happens in a
+    fixed topological order, so gradients are bit-reproducible for
+    identical graphs.
     """
     if root.value.size != 1:
         raise ValueError(
             f"backward needs a scalar root, got shape {root.value.shape}"
         )
+    if not root.requires_grad:
+        return
     grads: dict[int, Array] = {id(root): np.ones_like(root.value)}
     for node in reversed(_toposort(root)):
         g = grads.pop(id(node))       # every reachable node has an adjoint
@@ -379,15 +420,6 @@ def backward(root: Node) -> None:
                 grads[pid] = grads[pid] + contrib
             else:
                 grads[pid] = contrib
-
-
-def value_and_grad(f: Callable[..., Node], params: Sequence[Node]):
-    """Convenience wrapper: run ``f()``, backprop, return value and grads."""
-    root = f()
-    backward(root)
-    return root.value.item(), [
-        p.grad if p.grad is not None else np.zeros_like(p.value) for p in params
-    ]
 
 
 def graph_nbytes(root: Node) -> int:

@@ -1,10 +1,11 @@
-"""Hold the learned control's guidance at recorded values.
+"""Hold the learned control's guidance input at recorded values.
 
-The guidance enters a rollout as a stopgrad constant, so the function
-``tape.backward`` differentiates is the rollout with the guidance frozen at
-its base-point values. Finite-difference checks reproduce that function by
-recording what ``optimize.tweedie_guidance`` returns during one production
-``bptt_rollout`` and replaying those arrays in later rollouts.
+The guidance enters each policy as a stopgrad constant, so the function
+``tape.backward`` differentiates is the rollout with the policies'
+guidance inputs frozen at their base-point values; the running cost stays
+live. Finite-difference checks reproduce that function by recording the
+``guidance`` argument of every ``optimize.eval_control`` call during one
+production ``bptt_rollout`` and passing those arrays in later rollouts.
 """
 import itertools
 
@@ -12,28 +13,29 @@ from coopdiff import optimize
 
 
 def record_guidance(monkeypatch) -> list:
-    """Keep every result of ``optimize.tweedie_guidance``, in call order."""
+    """Keep the guidance input of every ``optimize.eval_control`` call."""
     calls = []
-    real = optimize.tweedie_guidance
+    real = optimize.eval_control
 
-    def recording(psi, agg, y0_hat):
-        guidances = real(psi, agg, y0_hat)
-        calls.append([g.copy() for g in guidances])
-        return guidances
+    def recording(policy, x, y, t, guidance):
+        calls.append(guidance.copy())
+        return real(policy, x, y, t, guidance)
 
-    monkeypatch.setattr(optimize, "tweedie_guidance", recording)
+    monkeypatch.setattr(optimize, "eval_control", recording)
     return calls
 
 
 def replay_guidance(monkeypatch, calls: list) -> None:
-    """Return the recorded guidance instead of computing it.
+    """Feed the policies the recorded guidance instead of the live one.
 
-    ``calls`` holds one rollout's steps; call n replays step n mod K, so
-    every later rollout on the same grid starts again from step 0.
+    ``calls`` holds one rollout's calls; call n replays entry n mod len, so
+    every later rollout on the same grid and policies starts again from
+    its first step.
     """
+    real = optimize.eval_control
     step = itertools.count()
 
-    def replaying(psi, agg, y0_hat):
-        return calls[next(step) % len(calls)]
+    def replaying(policy, x, y, t, guidance):
+        return real(policy, x, y, t, calls[next(step) % len(calls)])
 
-    monkeypatch.setattr(optimize, "tweedie_guidance", replaying)
+    monkeypatch.setattr(optimize, "eval_control", replaying)

@@ -36,6 +36,7 @@ from coopdiff.aggregation import (
     aggregate_np,
     make_mask,
     masked_control_energy,
+    scatter_adjoint,
 )
 from coopdiff.control import eval_control, make_policy, tweedie_guidance
 from coopdiff.costs import QuadraticWell, SocConfig
@@ -114,8 +115,6 @@ def test_criterion1_gmm_score_vs_finite_differences():
 
 
 def test_criterion1_mask_orthogonality_and_adjoint_identity():
-    from coopdiff.aggregation import scatter_adjoint
-
     for preset, n, d, hw in (("h-stripes", 3, 256, (16, 16)),
                              ("halves", 2, 10, None),
                              ("v-stripes", 4, 64, (8, 8))):
@@ -240,8 +239,8 @@ def test_criterion2_stopgrad_isolates_score_network(monkeypatch):
     xs = [tape.constant(rng.standard_normal((3, 2))) for _ in range(2)]
     scores = [net(x, 0.5) for x in xs]
     x0h = [tweedie(x, 0.5, s, SCHEDULE) for x, s in zip(xs, scores)]
-    guidance = tweedie_guidance(psi, agg, aggregate(agg, tape.stack(x0h)))
-    u = eval_control(policy, xs[0], xs[1], 0.5, guidance[0])
+    _, grad = tweedie_guidance(psi, aggregate(agg, tape.stack(x0h)))
+    u = eval_control(policy, xs[0], xs[1], 0.5, scatter_adjoint(agg, grad)[0])
     tape.backward(tape.reduce_sum(tape.mul(u, u)))
     assert all(p.grad is None or np.all(p.grad == 0.0) for p in net.params())
     assert any(np.any(p.grad != 0.0) for p in policy.params()

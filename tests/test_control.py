@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from coopdiff import tape
-from coopdiff.aggregation import aggregate, aggregate_np, make_mask
+from coopdiff.aggregation import (
+    aggregate,
+    aggregate_np,
+    make_mask,
+    scatter_adjoint,
+)
 from coopdiff.control import (
     cdps_control,
     eval_control,
@@ -116,13 +121,16 @@ def test_state_guidance_matches_finite_differences():
 
 def test_tweedie_guidance_equals_masked_cost_gradient():
     # linear selection: grad wrt each agent's estimate is the masked
-    # gradient of psi at the aggregate
+    # gradient of psi at the aggregate; the same pass returns psi itself
     agg = make_mask("halves", 2, 4)
     psi = QuadraticWell(np.zeros(4))
     rng = derive_rng(1, 1)
     x0h = [rng.standard_normal((3, 4)) for _ in range(2)]
-    grads = tweedie_guidance(psi, agg, aggregate_np(agg, x0h))
+    value, grad = tweedie_guidance(psi, aggregate_np(agg, x0h))
+    grads = scatter_adjoint(agg, grad)
     y0 = sum(x * m for x, m in zip(x0h, agg.masks))
+    np.testing.assert_allclose(value, (y0 * y0).sum(axis=1, keepdims=True),
+                               rtol=1e-14)
     full = 2.0 * y0
     for i in range(2):
         np.testing.assert_allclose(grads[i], full * agg.masks[i], atol=1e-12)
@@ -143,7 +151,7 @@ def test_score_params_perturbation_changes_cdps_not_stopgrad_guidance():
     with tape.no_grad():
         x0h_before = [tweedie(x, t, net(tape.constant(x), t), SCHEDULE).value
                       for x in xs]
-    tg_before = tweedie_guidance(psi, agg, aggregate_np(agg, x0h_before))
+    tg_before = tweedie_guidance(psi, aggregate_np(agg, x0h_before))
 
     for p in net.params():
         p.value = p.value + 0.05
@@ -151,7 +159,7 @@ def test_score_params_perturbation_changes_cdps_not_stopgrad_guidance():
     after = state_guidance(net, agg, psi, SCHEDULE, xs, t)
     assert any(not np.array_equal(a, b) for a, b in zip(before, after))
     # holding the Tweedie estimates fixed, the guidance is untouched
-    tg_after = tweedie_guidance(psi, agg, aggregate_np(agg, x0h_before))
+    tg_after = tweedie_guidance(psi, aggregate_np(agg, x0h_before))
     for a, b in zip(tg_before, tg_after):
         np.testing.assert_array_equal(a, b)
 
@@ -171,8 +179,8 @@ def test_guidance_path_gives_zero_gradient_to_score_params():
 
     scores = [net(x, t) for x in xs]
     x0h = [tweedie(x, t, s, SCHEDULE) for x, s in zip(xs, scores)]
-    guidance = tweedie_guidance(psi, agg, aggregate(agg, tape.stack(x0h)))
-    u = eval_control(policy, xs[0], xs[1], t, guidance[0])
+    _, grad = tweedie_guidance(psi, aggregate(agg, tape.stack(x0h)))
+    u = eval_control(policy, xs[0], xs[1], t, scatter_adjoint(agg, grad)[0])
     tape.backward(tape.reduce_sum(tape.mul(u, u)))
 
     assert all(p.grad is None or np.all(p.grad == 0.0) for p in net.params())

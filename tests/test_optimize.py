@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from coopdiff import tape
+from coopdiff import optimize, tape
 from coopdiff.aggregation import aggregate, make_mask
 from coopdiff.control import make_policy
 from coopdiff.costs import QuadraticWell, SocConfig, ZeroCost, soc_objective
@@ -208,9 +208,6 @@ def test_plan_validation_and_counting():
         TrainPlan(inner_steps=0)
     with pytest.raises(ValueError):
         TrainPlan(lr=0.0)
-    plan = TrainPlan(mode="controlwise", outer_iters=300, inner_steps=5)
-    assert plan.planned_updates(num_agents=3) == 4500
-    assert TrainPlan(mode="joint", updates=1000).planned_updates(3) == 1000
 
 
 def test_controlwise_freezes_inactive_agents():
@@ -227,7 +224,8 @@ def test_controlwise_freezes_inactive_agents():
 
     res = controlwise_ido(plan, policies, score, agg, cfg, grid, psi,
                           SCHEDULE, seed=2, on_update=on_update)
-    assert res.total_updates == plan.planned_updates(2) == 12
+    # control-wise sweeps run outer_iters * N * inner_steps updates
+    assert res.total_updates == len(res.curve) == 2 * 2 * 3
     # agent schedule: updates 0-2 train agent 0, 3-5 agent 1, 6-8 agent 0, ...
     m = plan.inner_steps
     for (u_prev, params_prev), (u_next, params_next) in zip(snapshots,
@@ -345,6 +343,59 @@ def test_second_divergence_aborts_with_the_partial_curve(trainer, mode):
     assert err.value.curve == []
 
 
+def fail_updates(monkeypatch, updates, how):
+    """Make the trainers' rollouts fail at the given update indices: either
+    the rollout diverges, or the objective gains a zero term whose gradient
+    into the first policy weight is NaN."""
+    real = optimize.bptt_rollout
+
+    def failing(policies, *args, update_index=0, **kwargs):
+        if update_index in updates and how == "rollout":
+            raise DivergedRolloutError(step=0, agent=0)
+        objective, rec = real(policies, *args, update_index=update_index,
+                              **kwargs)
+        if update_index in updates:
+            # sqrt at 0: the VJP 0.5 / 0 is inf, times the zero scale NaN
+            w = policies[0].params()[0]
+            poison = tape.reduce_sum(tape.sqrt(tape.scale(w, 0.0)))
+            objective = tape.add(objective, poison)
+        return objective, rec
+
+    monkeypatch.setattr(optimize, "bptt_rollout", failing)
+
+
+@pytest.mark.parametrize("how", ["rollout", "gradient"])
+def test_a_failed_update_is_skipped_and_halves_the_learning_rate(
+        monkeypatch, how):
+    score, agg, cfg, psi, grid = make_setup(steps=6)
+    plan = TrainPlan(mode="joint", updates=4, batch=2, lr=1e-2)
+    fail_updates(monkeypatch, {1}, how)
+    lrs = []
+    real_adam = optimize.adam_step
+    monkeypatch.setattr(optimize, "adam_step", lambda params, grads, state:
+                        lrs.append(state.lr) or real_adam(params, grads, state))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = joint_ido(plan, make_policies(2, c0=-0.2), score, agg, cfg,
+                        grid, psi, SCHEDULE, seed=3)
+    assert [c.update for c in res.curve] == [0, 2, 3]
+    assert res.total_updates == 3   # the updates applied, not planned
+    assert lrs == [1e-2] * 2 + [5e-3] * 4   # two policies per update
+
+
+def test_a_second_nonfinite_gradient_aborts_with_the_partial_curve(
+        monkeypatch):
+    score, agg, cfg, psi, grid = make_setup(steps=6)
+    plan = TrainPlan(mode="joint", updates=5, batch=2, lr=1e-2)
+    fail_updates(monkeypatch, {1, 3}, "gradient")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError) as err:
+            joint_ido(plan, make_policies(2, c0=-0.2), score, agg, cfg,
+                      grid, psi, SCHEDULE, seed=3)
+    assert str(err.value) == ("update 3: non-finite policy gradient "
+                              "(after halving the learning rate)")
+    assert [row[0] for row in err.value.curve] == [0, 2]
+
+
 def test_shuffled_sweeps_follow_the_derived_permutation():
     gmm = GaussianMixture(weights=[1.0], means=[[0.0, 0.0, 0.0]],
                           variances=[1.0])
@@ -382,7 +433,10 @@ def test_shuffled_sweeps_follow_the_derived_permutation():
 
 def test_only_the_learned_control_computes_tweedie_guidance(monkeypatch):
     score, agg, cfg, psi, grid = make_setup(steps=6)
-    calls = record_guidance(monkeypatch)
+    calls = []
+    real = optimize.tweedie_guidance
+    monkeypatch.setattr(optimize, "tweedie_guidance",
+                        lambda *args: calls.append(args) or real(*args))
     sample_uncontrolled(score, agg, cfg, grid, psi, SCHEDULE, seed=2, batch=3)
     sample_cdps(score, agg, cfg, grid, psi, SCHEDULE, seed=2, batch=3,
                 alpha_guid=2.0)
@@ -432,3 +486,59 @@ def test_stacked_aggregate_matches_the_per_agent_mask_sum():
     np.testing.assert_array_equal(y.value, expected)
     for i in range(3):
         np.testing.assert_array_equal(xs.grad[i], weights * agg.masks[i])
+
+
+def test_recorded_rollout_evaluates_psi_once_per_step_and_at_the_end():
+    # the guidance pass yields psi(Y0_hat) for the running cost as well, so
+    # a K-step rollout calls psi K + 1 times, recorded or not
+    score, agg, cfg, psi, grid = make_setup(steps=6)
+    shapes = []
+
+    def counting_psi(y):
+        shapes.append(y.value.shape)
+        return psi(y)
+
+    policies = make_policies(2, c0=-0.5)
+    J, _ = bptt_rollout(policies, score, agg, cfg, grid, counting_psi,
+                        SCHEDULE, NoiseStream(2), batch=3)
+    tape.backward(J)
+    assert shapes == [(3, 2)] * grid.steps
+    shapes.clear()
+    sample_controlled(policies, score, agg, cfg, grid, counting_psi,
+                      SCHEDULE, seed=2, batch=3)
+    assert len(shapes) == grid.steps
+
+
+def test_running_cost_adjoint_into_y0_hat_is_the_rowwise_psi_gradient(
+        monkeypatch):
+    # make each step's Tweedie estimates a leaf: its adjoint, summed over
+    # the agents, is the adjoint of the running cost into Y0_hat
+    score, agg, cfg, psi, grid = make_setup(steps=5)
+    leaves, grads = [], []
+    real_tweedie = optimize.tweedie
+    real_guidance = optimize.tweedie_guidance
+
+    def leaf_tweedie(*args):
+        leaves.append(tape.leaf(real_tweedie(*args).value))
+        return leaves[-1]
+
+    def recording_guidance(psi, y0_hat):
+        value, grad = real_guidance(psi, y0_hat)
+        grads.append(grad)
+        return value, grad
+
+    monkeypatch.setattr(optimize, "tweedie", leaf_tweedie)
+    monkeypatch.setattr(optimize, "tweedie_guidance", recording_guidance)
+    batch = 3
+    J, rec = bptt_rollout(make_policies(2, c0=-0.4), score, agg, cfg, grid,
+                          psi, SCHEDULE, NoiseStream(5), batch=batch,
+                          record_history=True)
+    tape.backward(J)
+    assert len(leaves) == len(grads) == grid.steps - 1
+    for k, (leaf, grad) in enumerate(zip(leaves, grads)):
+        # psi = ||Y - target||^2, so grad psi = 2 (Y0_hat - target) per row
+        np.testing.assert_allclose(grad, 2.0 * (rec.y0_hats[k] - psi.target),
+                                   rtol=1e-12)
+        weight = cfg.running_weight(grid.times[k]) * grid.dts[k] / batch
+        np.testing.assert_allclose(leaf.grad.sum(axis=0), weight * grad,
+                                   rtol=1e-14, atol=0)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopdiff import tape
-from coopdiff.nn import Mlp, forward_plain
+from coopdiff.nn import Mlp
 from coopdiff.sde import derive_rng
+from untaped import forward_plain
 
 
 def finite_diff(f, x, h=1e-5):
@@ -22,6 +23,16 @@ def finite_diff(f, x, h=1e-5):
         xm.reshape(-1)[i] -= h
         flat[i] = (f(xp) - f(xm)) / (2 * h)
     return grad
+
+
+def value_and_grad(f, params):
+    """Run ``f()``, backprop, return its value and the grads of ``params``
+    (zeros where no gradient arrived)."""
+    root = f()
+    tape.backward(root)
+    return root.value.item(), [
+        p.grad if p.grad is not None else np.zeros_like(p.value) for p in params
+    ]
 
 
 def max_rel_err(a, b, floor=1e-8):
@@ -59,7 +70,7 @@ def test_backward_quadratic():
 
 def test_backward_gradient_of_constant_is_zero():
     w = tape.leaf(np.array([1.0, 2.0]))
-    value, grads = tape.value_and_grad(
+    value, grads = value_and_grad(
         lambda: tape.reduce_sum(tape.constant(np.array([4.0]))), [w]
     )
     assert value == 4.0
@@ -82,7 +93,7 @@ def test_mlp_gradient_matches_finite_differences():
         resid = tape.sub(mlp(x), tape.constant(target))
         return tape.reduce_sum(tape.mul(resid, resid))
 
-    _, grads = tape.value_and_grad(loss_node, mlp.params())
+    _, grads = value_and_grad(loss_node, mlp.params())
     for p, g in zip(mlp.params(), grads):
         orig = p.value.copy()
 
@@ -124,7 +135,7 @@ def test_gradients_are_deterministic():
         rng = derive_rng(7, 3)
         mlp = Mlp([4, 12, 1], rng)
         x = rng.standard_normal((6, 4))
-        _, grads = tape.value_and_grad(
+        _, grads = value_and_grad(
             lambda: tape.reduce_sum(mlp(x)), mlp.params()
         )
         return grads
@@ -231,3 +242,45 @@ def test_backward_keeps_gradients_on_leaves_only():
     dz = dh * (1.0 - np.tanh(w.value * x.value) ** 2)
     np.testing.assert_array_equal(w.grad, dz * x.value)
     np.testing.assert_array_equal(x.grad, dz * w.value)
+
+
+def test_constant_and_frozen_leaves_get_no_vjp_and_no_grad():
+    xv = derive_rng(8, 0).standard_normal((4, 3))
+
+    def build(freeze):
+        pretrained = Mlp([3, 6, 3], derive_rng(8, 1), name="pretrained")
+        policy = Mlp([3, 5, 3], derive_rng(8, 2), name="policy")
+        if freeze:
+            tape.freeze(pretrained.params())
+        x = tape.constant(xv)
+        # pretrained(x) touches no node that requires grad once frozen
+        out = pretrained(tape.add(pretrained(x), policy(x)))
+        root = tape.reduce_sum(tape.mul(out, out))
+        tape.backward(root)
+        return pretrained, policy, x, tape._toposort(root)
+
+    pretrained, policy, x, graph = build(freeze=True)
+    dead = [x, *pretrained.params()]
+    assert all(n.grad is None for n in dead)
+    in_graph = {id(n) for n in graph}
+    assert not any(id(n) in in_graph for n in dead)  # no edge, so no VJP
+    assert all(p.requires_grad for n in graph for p in n.parents)
+    assert all(p.grad is not None for p in policy.params())
+
+    live_pretrained, live_policy, live_x, live_graph = build(freeze=False)
+    assert live_x.grad is None       # a constant stays one
+    assert all(p.grad is not None for p in live_pretrained.params())
+    assert sum(len(n.vjps) for n in graph) < sum(len(n.vjps) for n in live_graph)
+    for frozen_run, live_run in zip(policy.params(), live_policy.params()):
+        assert np.array_equal(frozen_run.grad, live_run.grad)  # bit-equal
+
+
+def test_rowwise_node_takes_the_given_gradient_as_its_vjp():
+    x = tape.leaf(np.arange(6.0).reshape(3, 2))
+    grad = np.array([[1.0, -1.0], [0.5, 2.0], [3.0, 0.0]])
+    node = tape.rowwise(x, np.ones((3, 1)), grad)
+    weights = np.array([[2.0], [-1.0], [4.0]])
+    tape.backward(tape.reduce_sum(tape.mul(node, weights)))
+    np.testing.assert_array_equal(x.grad, weights * grad)
+    with tape.no_grad():
+        assert tape.rowwise(x, np.ones((3, 1)), grad).is_leaf
