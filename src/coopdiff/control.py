@@ -14,10 +14,14 @@ NN2_const * g_i, and exactly zero for the default constant 0.
 The baseline control instead scales the gradient of the same cost with
 respect to the *state*, which differentiates through the Tweedie map and
 the score model (the expensive path the learned parametrisation avoids).
+``state_guidance`` computes it in one sub-tape that also returns the
+step's scores, Tweedie aggregate and psi, so a baseline rollout step runs
+the score model and psi once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,6 +146,15 @@ def tweedie_guidance(psi, y0_hat) -> tuple[Array, Array]:
     return psi_y0.value, grad
 
 
+class StateGuidance(NamedTuple):
+    """One step's values from the state-gradient pass, as plain arrays."""
+
+    scores: Array    # (N, B, d) score model at the states
+    y0_hat: Array    # (B, d) aggregated Tweedie estimate
+    psi: Array       # (B, 1) psi(Y0_hat)
+    grad: Array      # (N, B, d) grad of psi(Y0_hat) w.r.t. the states
+
+
 def state_guidance(
     score_fn,
     agg: MaskAggregator,
@@ -149,15 +162,22 @@ def state_guidance(
     schedule: NoiseSchedule,
     x_values,
     t: float,
-) -> Array:
+) -> StateGuidance:
     """grad of psi(aggregate(tweedie(x, score(x)))) w.r.t. the (N, B, d)
-    agent states.
+    agent states, with the forward values it passes through.
 
     Unlike ``tweedie_guidance`` this differentiates through the score model
     and the Tweedie map; it is the gradient the training-free baseline uses.
+    The one sub-tape on a detached state leaf also yields the step's
+    scores, Y0_hat and psi(Y0_hat), so the baseline's rollout evaluates
+    the score model and psi once per step. Only arrays are returned, so
+    the sub-tape is freed when this returns.
     """
     with tape.grad_enabled():
         xs = tape.leaf(tape.as_node(x_values).value)
-        x0_hats = tweedie(xs, t, stacked_score(score_fn, xs, t), schedule)
-        tape.backward(tape.reduce_sum(psi(aggregate(agg, x0_hats))))
-    return xs.grad if xs.grad is not None else np.zeros_like(xs.value)
+        scores = stacked_score(score_fn, xs, t)
+        y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
+        psi_y0 = psi(y0_hat)
+        tape.backward(tape.reduce_sum(psi_y0))
+    grad = xs.grad if xs.grad is not None else np.zeros_like(xs.value)
+    return StateGuidance(scores.value, y0_hat.value, psi_y0.value, grad)

@@ -8,6 +8,7 @@ is what gets written next to run outputs as the config snapshot.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -47,11 +48,18 @@ def _parse_ints(raw: str) -> tuple:
     return tuple(int(p) for p in raw.replace(",", " ").split())
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw.strip()!r}")
+    return value
+
+
 def _parse_floats(raw: str) -> tuple:
     raw = raw.strip()
     if not raw:
         return ()
-    return tuple(float(p) for p in raw.replace(",", " ").split())
+    return tuple(_parse_float(p) for p in raw.replace(",", " ").split())
 
 
 @dataclass(frozen=True)
@@ -203,44 +211,44 @@ _SCHEMA: dict = {
     "eval_samples": ("eval_samples", int),
     "eval_chunk": ("eval_chunk", int),
     "output_dir": ("output_dir", str.strip),
-    "schedule.beta_min": ("schedule_beta_min", float),
-    "schedule.beta_max": ("schedule_beta_max", float),
+    "schedule.beta_min": ("schedule_beta_min", _parse_float),
+    "schedule.beta_max": ("schedule_beta_max", _parse_float),
     "grid.steps": ("grid_steps", int),
-    "grid.eps": ("grid_eps", float),
-    "soc.control_weight": ("soc_control_weight", float),
-    "soc.running_scale": ("soc_running_scale", float),
+    "grid.eps": ("grid_eps", _parse_float),
+    "soc.control_weight": ("soc_control_weight", _parse_float),
+    "soc.running_scale": ("soc_running_scale", _parse_float),
     "soc.running_ramp": ("soc_running_ramp", str.strip),
-    "soc.seam_beta": ("soc_seam_beta", float),
-    "soc.seam_gamma": ("soc_seam_gamma", float),
-    "soc.charbonnier_eps": ("soc_charbonnier_eps", float),
+    "soc.seam_beta": ("soc_seam_beta", _parse_float),
+    "soc.seam_gamma": ("soc_seam_gamma", _parse_float),
+    "soc.charbonnier_eps": ("soc_charbonnier_eps", _parse_float),
     "soc.target_class": ("soc_target_class", str.strip),
     "soc.target": ("soc_target", _parse_floats),
     "plan.updates": ("plan_updates", int),
     "plan.outer_iters": ("plan_outer_iters", int),
     "plan.inner_steps": ("plan_inner_steps", int),
     "plan.batch": ("plan_batch", int),
-    "plan.lr": ("plan_lr", float),
+    "plan.lr": ("plan_lr", _parse_float),
     "plan.shuffle_agents": ("plan_shuffle_agents", _parse_bool),
     "plan.checkpoint_every": ("plan_checkpoint_every", int),
-    "cdps.alpha_guid": ("cdps_alpha_guid", float),
+    "cdps.alpha_guid": ("cdps_alpha_guid", _parse_float),
     "policy.hidden": ("policy_hidden", _parse_ints),
     "policy.gain_hidden": ("policy_gain_hidden", _parse_ints),
     "policy.temb_width": ("policy_temb_width", int),
-    "policy.guidance_gain_init": ("policy_guidance_gain_init", float),
+    "policy.guidance_gain_init": ("policy_guidance_gain_init", _parse_float),
     "score.hidden": ("score_hidden", _parse_ints),
     "score.temb_width": ("score_temb_width", int),
     "score.train_steps": ("score_train_steps", int),
-    "score.lr": ("score_lr", float),
+    "score.lr": ("score_lr", _parse_float),
     "score.batch": ("score_batch", int),
     "score.checkpoint": ("score_checkpoint", str.strip),
     "classifier.hidden": ("classifier_hidden", _parse_ints),
-    "classifier.lr": ("classifier_lr", float),
+    "classifier.lr": ("classifier_lr", _parse_float),
     "classifier.max_steps": ("classifier_max_steps", int),
-    "classifier.target_accuracy": ("classifier_target_accuracy", float),
+    "classifier.target_accuracy": ("classifier_target_accuracy", _parse_float),
     "classifier.checkpoint": ("classifier_checkpoint", str.strip),
     "shapes.per_class": ("shapes_per_class", int),
-    "gmm.separation": ("gmm_separation", float),
-    "gmm.component_var": ("gmm_component_var", float),
+    "gmm.separation": ("gmm_separation", _parse_float),
+    "gmm.component_var": ("gmm_component_var", _parse_float),
 }
 
 _FIELD_TO_KEY = {field: key for key, (field, _) in _SCHEMA.items()}

@@ -1,5 +1,10 @@
 """Small tanh MLPs with sinusoidal time features, built on the tape.
 
+One call of an ``Mlp`` is one fused tape node. Its forward keeps only the
+hidden activations, and its VJP runs the layer-by-layer backward in plain
+numpy for the parents that require grad: frozen weights get no weight
+gradient, and a constant input no input adjoint.
+
 Two construction modes matter for control policies:
   * ``zero_final=True`` zero-initialises the last linear layer, so the
     network output is exactly 0 at construction;
@@ -74,13 +79,43 @@ class Mlp:
         return self.sizes[-1]
 
     def __call__(self, x) -> Node:
-        h = tape.as_node(x)
+        x = tape.as_node(x)
+        inputs = [x, *self.params()]     # x, w0, b0, w1, b1, ...
+        live = tape.live(inputs)
         n_layers = len(self.weights)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = tape.add(tape.matmul(h, w), b)
+        ws = [w.value for w in self.weights]
+        # acts[i] is the input of layer i: x, then each tanh output
+        acts = [x.value]
+        h = x.value
+        for i, (w, b) in enumerate(zip(ws, self.biases)):
+            h = h @ w
+            h += b.value
             if i < n_layers - 1:
-                h = tape.tanh(h)
-        return h
+                np.tanh(h, out=h)
+                acts.append(h)
+        if not any(live):
+            return tape.constant(h)
+        # the lowest layer the adjoint has to reach
+        bottom = 0 if live[0] else (live.index(True, 1) - 1) // 2
+
+        def vjp(g):
+            grads = [None] * len(live)
+            for i in range(n_layers - 1, bottom - 1, -1):
+                a = acts[i]
+                if live[1 + 2 * i]:
+                    grads[1 + 2 * i] = a.T @ g
+                if live[2 + 2 * i]:
+                    grads[2 + 2 * i] = g.sum(axis=0)
+                if i > bottom or live[0]:
+                    g = g @ ws[i].T
+                    if i > 0:
+                        d = a * a
+                        np.subtract(1.0, d, out=d)
+                        g *= d
+            grads[0] = g
+            return tuple(gr for gr, keep in zip(grads, live) if keep)
+
+        return tape.fused(h, [n for n, keep in zip(inputs, live) if keep], vjp)
 
     def params(self) -> list[Node]:
         out = []

@@ -16,17 +16,20 @@ accumulating the control energy and the running cost; the terminal cost is
 evaluated on the aggregate of the final states. The rollout is recorded on
 the tape end to end (score evaluations included).
 
-psi is evaluated once per step. When the step needs grad psi(Yh) -- the
-learned control consumes it, or the rollout is recorded and Yh requires
-grad -- one sub-tape on a detached Yh leaf (``tweedie_guidance``) returns
-both psi(Yh) and its per-row gradient. The running cost enters the main
-tape as one node with that value and the VJP g * grad psi(Yh), and the
-learned control reads G = masks * grad psi(Yh) from the same pass. G
-enters the graph as a constant, so adjoints never flow from the controls
-back into the score model through it. Each agent keeps its own policy,
-so the learned control is the one place that loops over agents. The
-training-free baseline differentiates psi through the score model
-instead, and the zero control uses no gradient.
+The score model and psi are evaluated once per step, for every control
+source. When the step needs grad psi(Yh) -- the learned control consumes
+it, or the rollout is recorded and Yh requires grad -- one sub-tape on a
+detached Yh leaf (``tweedie_guidance``) returns both psi(Yh) and its
+per-row gradient. The running cost enters the main tape as one node with
+that value and the VJP g * grad psi(Yh), and the learned control reads
+G = masks * grad psi(Yh) from the same pass. G enters the graph as a
+constant, so adjoints never flow from the controls back into the score
+model through it. Each agent keeps its own policy, so the learned control
+is the one place that loops over agents. The training-free baseline
+differentiates psi through the score model instead: its step is one
+sub-tape on a detached X leaf (``state_guidance``) that yields S, Yh,
+psi(Yh) and grad_X psi(Yh), and the rollout takes them as constants (the
+baseline has no parameters to train). The zero control uses no gradient.
 
 Both trainers run one update loop and differ only in their schedule of
 (update index, agents to step): joint training steps every agent at every
@@ -148,16 +151,18 @@ class TrainPlan:
 # ---------------------------------------------------------------------------
 # control sources
 # ---------------------------------------------------------------------------
-# A control source maps the per-step context (k, t, X, Y, grad psi(Y0_hat))
-# to one (N, B, d) control node. The rollout computes the cost gradient
-# only for sources with ``uses_guidance`` (otherwise it passes None).
-# Keeping zero controls and learned controls on the same arithmetic path
-# makes "zero policy" and "uncontrolled" runs bit-identical.
+# A control source maps the per-step context (k, t, X, Y, G) to one
+# (N, B, d) control node. Its ``guidance`` names the cost gradient G the
+# rollout computes for it: "tweedie" for grad psi(Y0_hat), "state" for
+# grad_X psi(Y0_hat) through the score model, None for no gradient (the
+# rollout then passes None). Keeping zero controls and learned controls
+# on the same arithmetic path makes "zero policy" and "uncontrolled" runs
+# bit-identical.
 
 class PolicyControls:
     """Learned controls fed the cost gradient at the Tweedie aggregate."""
 
-    uses_guidance = True
+    guidance = "tweedie"
 
     def __init__(self, policies: Sequence[ControlPolicy], agg):
         self.policies = list(policies)
@@ -172,7 +177,7 @@ class PolicyControls:
 
 
 class ZeroControls:
-    uses_guidance = False
+    guidance = None
 
     def __call__(self, k, t, xs, y, grad_psi):
         return tape.constant(np.zeros_like(xs.value))
@@ -181,20 +186,13 @@ class ZeroControls:
 class CdpsControls:
     """Training-free guidance: scaled cost gradient w.r.t. the states."""
 
-    uses_guidance = False
+    guidance = "state"
 
-    def __init__(self, alpha_guid, score_fn, agg, psi, schedule):
+    def __init__(self, alpha_guid):
         self.alpha_guid = float(alpha_guid)
-        self.score_fn = score_fn
-        self.agg = agg
-        self.psi = psi
-        self.schedule = schedule
 
-    def __call__(self, k, t, xs, y, grad_psi):
-        grads = state_guidance(
-            self.score_fn, self.agg, self.psi, self.schedule, xs.value, t
-        )
-        return cdps_control(xs, t, tape.constant(grads), self.alpha_guid)
+    def __call__(self, k, t, xs, y, grad_x):
+        return cdps_control(xs, t, tape.constant(grad_x), self.alpha_guid)
 
 
 # ---------------------------------------------------------------------------
@@ -248,23 +246,29 @@ def coupled_rollout(
             record.states.append(xs.value)
 
         y_k = aggregate(agg, xs)
-        scores = stacked_score(score_fn, xs, t)
-        x0_hats = tweedie(xs, t, scores, schedule)
-        y0_hat = aggregate(agg, x0_hats)
-
-        # one psi pass: the guidance sub-tape also yields psi, and the
-        # running cost reuses its gradient as VJP
-        if control_fn.uses_guidance or y0_hat.requires_grad:
-            psi_value, grad_psi = tweedie_guidance(psi, y0_hat)
-            psi_hat = tape.rowwise(y0_hat, psi_value, grad_psi)
+        if control_fn.guidance == "state":
+            # one sub-tape gives the step's scores, Y0_hat, psi and the
+            # state gradient; the rollout reuses them as constants
+            step = state_guidance(score_fn, agg, psi, schedule, xs.value, t)
+            scores = tape.constant(step.scores)
+            y0_hat = tape.constant(step.y0_hat)
+            psi_hat, grad = tape.constant(step.psi), step.grad
         else:
-            psi_hat, grad_psi = psi(y0_hat), None  # (B, 1)
+            scores = stacked_score(score_fn, xs, t)
+            y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
+            # one psi pass: the guidance sub-tape also yields psi, and the
+            # running cost reuses its gradient as VJP
+            if control_fn.guidance == "tweedie" or y0_hat.requires_grad:
+                psi_value, grad = tweedie_guidance(psi, y0_hat)
+                psi_hat = tape.rowwise(y0_hat, psi_value, grad)
+            else:
+                psi_hat, grad = psi(y0_hat), None  # (B, 1)
         step_cost = _batch_mean(psi_hat, batch)
         loss_c += float(step_cost.value) * dt
         weighted = tape.scale(step_cost, cfg.running_weight(t) * dt)
         running_node = weighted if running_node is None else tape.add(running_node, weighted)
 
-        controls = control_fn(k, t, xs, y_k, grad_psi)
+        controls = control_fn(k, t, xs, y_k, grad)
 
         # per-agent batch means of ||u_i||^2, shape (N,)
         sq = tape.scale(tape.reduce_sum(tape.square_norm(controls, axis=2),
@@ -547,7 +551,7 @@ def sample_cdps(
     noise_index: int = 0,
 ) -> RolloutRecord:
     """Training-free baseline: per-step scaled cost gradients as controls."""
-    control_fn = CdpsControls(alpha_guid, score_fn, agg, psi, schedule)
+    control_fn = CdpsControls(alpha_guid)
     with tape.no_grad():
         _, record = coupled_rollout(
             control_fn, score_fn, agg, cfg, grid, psi, schedule,

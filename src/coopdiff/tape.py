@@ -11,6 +11,11 @@ VJP and no ``.grad``, and an op on them alone is itself a constant.
 ``backward`` on a scalar root then fills ``.grad`` on the leaves that
 require grad (interior adjoints are dropped once propagated).
 
+An op is one node with one VJP per recorded parent, except a ``fused``
+node: a whole sub-computation (a tanh MLP) recorded as one node whose
+single VJP returns the adjoints of all its parents at once, the
+``jax.custom_vjp`` idiom.
+
 Design constraints:
   * values are float64 throughout, so central finite differences are a
     usable oracle for the whole graph;
@@ -128,6 +133,11 @@ def freeze(leaves: Sequence[Node]) -> None:
 
 def as_node(x) -> Node:
     return x if isinstance(x, Node) else Node(x)
+
+
+def live(nodes: Sequence[Node]) -> list[bool]:
+    """Per node, whether an op recorded now would keep it as a parent."""
+    return [_GRAD_ENABLED and n.requires_grad for n in nodes]
 
 
 def _make(value: Array, parents: tuple[Node, ...], vjps: tuple) -> Node:
@@ -360,6 +370,24 @@ def rowwise(x, value, grad) -> Node:
     return _make(value, (x,), (lambda g: g * grad,))
 
 
+class _Fused(Node):
+    """A node whose one VJP maps g to the tuple of its parents' adjoints."""
+
+    __slots__ = ()
+
+
+def fused(value, parents: Sequence[Node], vjp) -> Node:
+    """One node for a sub-computation with a hand-written VJP.
+
+    ``parents`` are the inputs that require grad (see ``live``) and
+    ``vjp(g)`` returns one adjoint per parent, in order. With no parents
+    the result is a constant.
+    """
+    if not parents:
+        return Node(value)
+    return _Fused(value, tuple(parents), (vjp,))
+
+
 def stopgrad(a) -> Node:
     """Same forward value, zero adjoint flow: the result is a constant."""
     a = as_node(a)
@@ -413,15 +441,14 @@ def backward(root: Node) -> None:
         if node.is_leaf:
             node.grad = g
             continue
-        for parent, vjp in zip(node.parents, node.vjps):
-            contrib = vjp(g)
+        if type(node) is _Fused:
+            contribs = node.vjps[0](g)
+        else:
+            contribs = [vjp(g) for vjp in node.vjps]
+        for parent, contrib in zip(node.parents, contribs):
             pid = id(parent)
             if pid in grads:
                 grads[pid] = grads[pid] + contrib
             else:
                 grads[pid] = contrib
 
-
-def graph_nbytes(root: Node) -> int:
-    """Total bytes held by forward values reachable from ``root``."""
-    return sum(n.value.nbytes for n in _toposort(root))

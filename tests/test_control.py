@@ -96,7 +96,7 @@ def test_state_guidance_matches_finite_differences():
     t = 0.35
     rng = derive_rng(1, 0)
     xs = [rng.standard_normal((2, 2)) for _ in range(2)]
-    grads = state_guidance(score_fn, agg, psi, SCHEDULE, xs, t)
+    grads = state_guidance(score_fn, agg, psi, SCHEDULE, xs, t).grad
 
     def forward(xs_val):
         with tape.no_grad():
@@ -147,7 +147,7 @@ def test_score_params_perturbation_changes_cdps_not_stopgrad_guidance():
     xs = [rng.standard_normal((2, 2)) for _ in range(2)]
     t = 0.5
 
-    before = state_guidance(net, agg, psi, SCHEDULE, xs, t)
+    before = state_guidance(net, agg, psi, SCHEDULE, xs, t).grad
     with tape.no_grad():
         x0h_before = [tweedie(x, t, net(tape.constant(x), t), SCHEDULE).value
                       for x in xs]
@@ -156,7 +156,7 @@ def test_score_params_perturbation_changes_cdps_not_stopgrad_guidance():
     for p in net.params():
         p.value = p.value + 0.05
 
-    after = state_guidance(net, agg, psi, SCHEDULE, xs, t)
+    after = state_guidance(net, agg, psi, SCHEDULE, xs, t).grad
     assert any(not np.array_equal(a, b) for a, b in zip(before, after))
     # holding the Tweedie estimates fixed, the guidance is untouched
     tg_after = tweedie_guidance(psi, aggregate_np(agg, x0h_before))

@@ -1,6 +1,7 @@
 """Dataset generation, classifier training, configs, grid export, runs, CLI."""
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -445,7 +446,8 @@ config_values = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["", "true", "no", "gmm2d", "shapes16", "joint", "poe",
                      "cdps", "halves", "h-stripes", "identity", "cross",
-                     "linear", "16 16", "2.0 -1.5", "1e400", "-0"]),
+                     "linear", "16 16", "2.0 -1.5", "1e400", "-0", "nan",
+                     "-nan", "NaN", "inf", "-inf", "Infinity", "1.0 nan"]),
     st.text(alphabet="0123456789.-e, xyz=#", max_size=3),
 )
 config_lines = st.one_of(
@@ -465,10 +467,14 @@ def fuzz_dir(tmp_path_factory):
 def test_any_config_text_is_accepted_or_rejected_with_exit_2(fuzz_dir, lines):
     text = "\n".join(lines)
     try:
-        parse_config_text(text)     # parsing and validation
+        config = parse_config_text(text)     # parsing and validation
     except ConfigError:
         pass
     else:
+        # an accepted config holds finite numbers only
+        for value in vars(config).values():
+            for v in value if isinstance(value, tuple) else (value,):
+                assert not isinstance(v, float) or math.isfinite(v)
         return
     path = fuzz_dir / "fuzz.cfg"
     path.write_text(text, encoding="utf-8")
@@ -477,3 +483,16 @@ def test_any_config_text_is_accepted_or_rejected_with_exit_2(fuzz_dir, lines):
         code = cli_main(["run", "--config", str(path)])
     assert code == 2
     assert err.getvalue().startswith("config error: ")
+
+
+FLOAT_KEYS = [key for key in CONFIG_KEYS
+              if isinstance(getattr(parse_config_text(""),
+                                    key.replace(".", "_")), float)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_values_are_config_errors(value):
+    assert "plan.lr" in FLOAT_KEYS and "gmm.component_var" in FLOAT_KEYS
+    for key in [*FLOAT_KEYS, "soc.target"]:
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config_text(f"{key} = {value}")

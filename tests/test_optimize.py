@@ -164,6 +164,12 @@ def test_rollout_gradient_matches_finite_differences(monkeypatch):
     assert worst < 1e-3
 
 
+def graph_nbytes(root) -> int:
+    """Bytes of the node values reachable from ``root`` (a fused MLP node
+    counts its output, not the hidden activations its VJP keeps)."""
+    return sum(n.value.nbytes for n in tape._toposort(root))
+
+
 def test_rollout_memory_contract():
     # K = 500 steps, N = 3 agents, d = 256: the stored forward values of a
     # full differentiable rollout stay far below 2 GB
@@ -179,7 +185,7 @@ def test_rollout_memory_contract():
     ]
     J, _ = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
                         NoiseStream(2), batch=1)
-    total = tape.graph_nbytes(J)
+    total = graph_nbytes(J)
     assert total < 2 * 1024 ** 3, f"rollout tape holds {total / 1e9:.2f} GB"
     # backward still runs on the full-length tape
     tape.backward(J)
@@ -489,24 +495,39 @@ def test_stacked_aggregate_matches_the_per_agent_mask_sum():
 
 
 def test_recorded_rollout_evaluates_psi_once_per_step_and_at_the_end():
-    # the guidance pass yields psi(Y0_hat) for the running cost as well, so
-    # a K-step rollout calls psi K + 1 times, recorded or not
+    # the guidance pass yields psi(Y0_hat) for the running cost as well, and
+    # the baseline's state-gradient pass yields the scores too, so every
+    # K-step rollout calls the score model K times and psi K + 1 times
     score, agg, cfg, psi, grid = make_setup(steps=6)
-    shapes = []
+    steps = grid.steps - 1
+    shapes, score_rows = [], []
 
     def counting_psi(y):
         shapes.append(y.value.shape)
         return psi(y)
 
+    def counting_score(x, t):
+        score_rows.append(x.value.shape[0])
+        return score(x, t)
+
     policies = make_policies(2, c0=-0.5)
-    J, _ = bptt_rollout(policies, score, agg, cfg, grid, counting_psi,
-                        SCHEDULE, NoiseStream(2), batch=3)
+    J, _ = bptt_rollout(policies, counting_score, agg, cfg, grid,
+                        counting_psi, SCHEDULE, NoiseStream(2), batch=3)
     tape.backward(J)
-    assert shapes == [(3, 2)] * grid.steps
-    shapes.clear()
-    sample_controlled(policies, score, agg, cfg, grid, counting_psi,
-                      SCHEDULE, seed=2, batch=3)
-    assert len(shapes) == grid.steps
+    assert shapes == [(3, 2)] * (steps + 1)
+    assert score_rows == [2 * 3] * steps
+    samplers = (
+        lambda: sample_controlled(policies, counting_score, agg, cfg, grid,
+                                  counting_psi, SCHEDULE, seed=2, batch=3),
+        lambda: sample_cdps(counting_score, agg, cfg, grid, counting_psi,
+                            SCHEDULE, seed=2, batch=3, alpha_guid=1.0),
+    )
+    for sample in samplers:
+        shapes.clear()
+        score_rows.clear()
+        sample()
+        assert shapes == [(3, 2)] * (steps + 1)
+        assert score_rows == [2 * 3] * steps
 
 
 def test_running_cost_adjoint_into_y0_hat_is_the_rowwise_psi_gradient(

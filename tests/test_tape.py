@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from coopdiff import tape
 from coopdiff.nn import Mlp
 from coopdiff.sde import derive_rng
-from untaped import forward_plain
+from untaped import backward_plain, forward_plain
 
 
 def finite_diff(f, x, h=1e-5):
@@ -284,3 +284,88 @@ def test_rowwise_node_takes_the_given_gradient_as_its_vjp():
     np.testing.assert_array_equal(x.grad, weights * grad)
     with tape.no_grad():
         assert tape.rowwise(x, np.ones((3, 1)), grad).is_leaf
+
+
+def test_mlp_call_is_one_fused_node_with_edges_only_into_live_inputs():
+    rng = derive_rng(9, 0)
+    mlp = Mlp([3, 7, 5, 2], rng)
+    x = tape.leaf(rng.standard_normal((4, 3)))
+    out = mlp(x)
+    assert out.parents == (x, *mlp.params()) and len(out.vjps) == 1
+    root = tape.reduce_sum(out)
+    assert len(tape._toposort(root)) == 2 + 1 + len(mlp.params())
+    np.testing.assert_array_equal(out.value, forward_plain(mlp, x.value))
+
+    assert mlp(tape.constant(x.value)).parents == tuple(mlp.params())
+    tape.freeze(mlp.params())
+    assert mlp(x).parents == (x,)              # no edge into frozen weights
+    assert mlp(tape.constant(x.value)).is_leaf
+    tape.freeze([x])
+    with tape.no_grad():
+        assert Mlp([3, 2], rng)(rng.standard_normal((4, 3))).is_leaf
+
+
+@pytest.mark.parametrize("input_live", [True, False])
+@pytest.mark.parametrize("frozen", [(), ("w0", "b0"), ("w1", "b2"),
+                                    ("w0", "b0", "w1", "b1", "w2", "b2")])
+def test_fused_mlp_gradients_match_plain_backprop_and_fd(frozen, input_live):
+    rng = derive_rng(9, 1)
+    mlp = Mlp([3, 6, 5, 2], rng, name="m")
+    xv = rng.standard_normal((4, 3))
+    weights = rng.standard_normal((4, 2))
+    tape.freeze([p for p in mlp.params() if p.name[2:] in frozen])
+    live = [p for p in mlp.params() if p.requires_grad]
+
+    def loss(x):
+        return tape.reduce_sum(tape.mul(tape.tanh(mlp(x)), weights))
+
+    x = tape.leaf(xv) if input_live else tape.constant(xv)
+    root = loss(x)
+    if not (live or input_live):
+        assert root.is_leaf
+        return
+    tape.backward(root)
+    g_out = weights * (1.0 - np.tanh(forward_plain(mlp, xv)) ** 2)
+    g_in, plain = backward_plain(mlp, xv, g_out)
+    for p, ref in zip(mlp.params(), plain):
+        if p.requires_grad:
+            np.testing.assert_allclose(p.grad, ref, rtol=0, atol=1e-12)
+            orig = p.value.copy()
+
+            def f(v, p=p):
+                p.value = v
+                out = float(loss(tape.constant(xv)).value)
+                p.value = orig
+                return out
+
+            assert max_rel_err(finite_diff(f, orig), p.grad) < 1e-4, p.name
+        else:
+            assert p.grad is None
+    if input_live:
+        np.testing.assert_allclose(x.grad, g_in, rtol=0, atol=1e-12)
+        fd = finite_diff(lambda v: float(loss(tape.constant(v)).value), xv)
+        assert max_rel_err(fd, x.grad) < 1e-4
+    else:
+        assert x.grad is None
+
+
+def test_a_second_backward_through_a_fused_mlp_gives_the_same_gradients():
+    # the fused VJP keeps no adjoint between calls: a second pass over the
+    # same graph repeats the first bit for bit, and a pass from another
+    # root over the same node sees only that root's adjoint
+    rng = derive_rng(9, 2)
+    mlp = Mlp([3, 8, 8, 2], rng)
+    x = tape.leaf(rng.standard_normal((5, 3)))
+    out = mlp(x)
+    leaves = [x, *mlp.params()]
+
+    root = tape.reduce_sum(tape.mul(out, out))
+    tape.backward(root)
+    first = [n.grad for n in leaves]
+    tape.backward(root)
+    for n, g in zip(leaves, first):
+        assert np.array_equal(n.grad, g)
+
+    tape.backward(tape.scale(tape.reduce_sum(tape.mul(out, out)), 2.0))
+    for n, g in zip(leaves, first):
+        assert np.array_equal(n.grad, 2.0 * g)
