@@ -8,8 +8,8 @@ construction and is re-validated from the index sets exactly.
 
 Masks are stored as index sets, with their (N, d) 0/1 indicator rows
 precomputed; no dense M is built outside tests. The N agent states travel
-as one (N, batch, d) array, so ``aggregate`` is one multiply by
-``masks[:, None, :]`` and one sum over the agent axis. The aggregator has
+as one (N, batch, d) array, so ``aggregate`` is one tape node: a multiply
+by ``masks[:, None, :]`` and a sum over the agent axis. The aggregator has
 no learnable parameters: training updates the control policies only.
 """
 from __future__ import annotations
@@ -74,8 +74,8 @@ def aggregate(agg: MaskAggregator, states) -> Node:
     """Y with Y[j] copied from the agent whose index set contains j.
 
     ``states`` is an (N, batch, dim) node or array holding one slice per
-    agent. Linear, so it is recorded as one multiply by the masks and one
-    sum over the agent axis; the adjoint routes dY to agent i as
+    agent. Linear, so it is one node: a multiply by the masks and a sum
+    over the agent axis, whose adjoint routes dY to agent i as
     dY * mask_i.
     """
     states = tape.as_node(states)
@@ -85,8 +85,9 @@ def aggregate(agg: MaskAggregator, states) -> Node:
             f"states of shape {shape} do not match "
             f"({agg.num_agents}, batch, {agg.dim})"
         )
-    masked = tape.mul(states, tape.constant(agg.masks[:, None, :]))
-    return tape.reduce_sum(masked, axis=0)
+    masks = agg.masks[:, None, :]
+    return tape.op((states.value * masks).sum(axis=0), (states,),
+                   (lambda g: g * masks,))
 
 
 def aggregate_np(agg: MaskAggregator, states) -> Array:

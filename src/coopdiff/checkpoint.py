@@ -10,6 +10,7 @@ Arrays are stored uncompressed and loaded with ``allow_pickle=False``.
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,21 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    with np.load(path, allow_pickle=False) as data:
+    """(tensors, meta) of a checkpoint; ``ValueError`` for a file that is
+    not one (a missing file raises ``OSError``)."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as err:
+        raise ValueError(f"{path}: not a checkpoint ({err})") from err
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not a checkpoint (a bare array)")
+    with data:
         if "__format_version__" not in data:
             raise ValueError(f"{path}: not a checkpoint (missing version tag)")
-        version = int(data["__format_version__"])
+        version = data["__format_version__"]
+        if version.shape != ():
+            raise ValueError(f"{path}: not a checkpoint (bad version tag)")
+        version = int(version)
         if version != FORMAT_VERSION:
             raise ValueError(
                 f"{path}: checkpoint format version {version} not supported "

@@ -101,9 +101,17 @@ def eval_control(policy: ControlPolicy, x, y, t: float, guidance) -> Node:
             )
     batch = x.value.shape[0]
     feats = time_features(t, policy.temb_width, batch=batch)
-    z = tape.concat([x, y, guidance, tape.constant(feats)], axis=1)
-    gain = policy.nn2(tape.constant(feats[:1]))  # (1, 1), shared across the batch
-    return tape.add(policy.nn1(z), tape.mul(gain, guidance))
+    drift = policy.nn1(x, y, guidance, feats)
+    gain = policy.nn2(feats[:1])      # (1, 1), shared across the batch
+    gv = guidance.value
+    # one node for drift + gain * g; the gain's adjoint sums over the batch,
+    # then the coordinates
+    return tape.op(
+        drift.value + gain.value * gv,
+        (drift, gain),
+        (lambda g: g,
+         lambda g: (g * gv).sum(axis=0, keepdims=True).sum(axis=1, keepdims=True)),
+    )
 
 
 def cdps_control(x_i, t: float, guidance_wrt_state, alpha_guid: float) -> Node:

@@ -12,6 +12,11 @@ Objective layout (hat-J for one batch):
           + psi(Y_terminal)                                (terminal cost)
 
 with lambda_i = control_weight / N unless per-agent weights are given.
+
+Each terminal-cost piece is one tape node with its closed-form gradient:
+the quadratic well, the classifier NLL (VJP g * (softmax - onehot)) and
+the seam loss (rho'(x) = x / rho(x)). Their values repeat the per-op
+arithmetic in the same order, so they are bit-identical to it.
 """
 from __future__ import annotations
 
@@ -94,8 +99,10 @@ class QuadraticWell:
         self.target = np.asarray(target, dtype=np.float64).reshape(-1)
 
     def __call__(self, y) -> Node:
-        diff = tape.sub(y, tape.constant(self.target))
-        return tape.square_norm(diff, axis=1, keepdims=True)
+        y = tape.as_node(y)
+        diff = y.value - self.target
+        return tape.rowwise(y, (diff * diff).sum(axis=1, keepdims=True),
+                            2.0 * diff)
 
 
 class GaussianNll:
@@ -135,15 +142,22 @@ class ClassifierNll:
 
 
 def classifier_nll(logits, label: int) -> Node:
-    """-log softmax(logits)[label] = logsumexp(logits) - logits[label]."""
+    """-log softmax(logits)[label] = logsumexp(logits) - logits[label],
+    one node with the gradient softmax - onehot."""
     logits = tape.as_node(logits)
-    n_classes = logits.value.shape[1]
+    lv = logits.value
+    n_classes = lv.shape[1]
     if not (0 <= int(label) < n_classes):
         raise ValueError(f"label {label} outside [0, {n_classes})")
-    return tape.sub(
-        tape.logsumexp(logits, axis=1, keepdims=True),
-        tape.gather_cols(logits, [int(label)]),
-    )
+    label = int(label)
+    amax = np.max(lv, axis=1, keepdims=True)
+    lse = np.log(np.sum(np.exp(lv - amax), axis=1, keepdims=True)) + amax
+    value = lse - lv[:, [label]]
+    if not tape.live([logits])[0]:
+        return tape.constant(value)
+    grad = np.exp(lv - lse)
+    grad[:, label] -= 1.0
+    return tape.rowwise(logits, value, grad)
 
 
 class SeamAugmented:
@@ -171,14 +185,6 @@ def with_seam(base, agg: MaskAggregator, cfg: SocConfig):
 # seam-continuity loss
 # ---------------------------------------------------------------------------
 
-def _charbonnier(x, eps: float) -> Node:
-    return tape.sqrt(tape.add(tape.mul(x, x), tape.constant(eps * eps)))
-
-
-def _row(y: Node, r: int, width: int) -> Node:
-    return tape.gather_cols(y, np.arange(r * width, (r + 1) * width))
-
-
 def seam_loss(y, agg: MaskAggregator, cfg: SocConfig) -> Node:
     """Charbonnier intensity and vertical-gradient mismatch across seams.
 
@@ -192,6 +198,9 @@ def seam_loss(y, agg: MaskAggregator, cfg: SocConfig) -> Node:
     stripe (grad(r_p) = Y[r_p] - Y[r_p - 1], grad(r_q) = Y[r_q + 1] -
     Y[r_q]), clamped to zero at the image border. Comparing interior
     slopes avoids counting the seam jump twice.
+
+    One ``rowwise`` node: the gradient is accumulated in closed form,
+    rho'(x) = x / rho(x), into the rows each term reads.
     """
     if agg.image_hw is None:
         raise ValueError("seam loss needs an image layout")
@@ -203,35 +212,41 @@ def seam_loss(y, agg: MaskAggregator, cfg: SocConfig) -> Node:
             f"{h}x{w}"
         )
     batch = y.value.shape[0]
-    eps = cfg.charbonnier_eps
-    total = tape.constant(np.zeros((batch, 1)))
+    # rows[r] is image row r as a (w, batch) block: the columns are summed
+    # one after another, in the order of the per-op graph this node
+    # replaced, so the value is bit-identical to it
+    rows = np.ascontiguousarray(y.value.T).reshape(h, w, batch)
+    eps2 = cfg.charbonnier_eps * cfg.charbonnier_eps
+    live = tape.live([y])[0]
+    grad = np.zeros((h, w, batch)) if live else None
+    border = np.zeros((w, batch))
+    total = np.zeros((batch, 1))
     for (rp, rq) in agg.seam_pairs:
         if rq != rp + 1:
             raise ValueError(f"seam pair {(rp, rq)} is not adjacent")
-        upper = _row(y, rp, w)
-        lower = _row(y, rq, w)
-        intensity = tape.reduce_sum(
-            _charbonnier(tape.sub(upper, lower), eps), axis=1, keepdims=True
-        )
-        if rp >= 1:
-            grad_p = tape.sub(upper, _row(y, rp - 1, w))
-        else:
-            grad_p = tape.constant(np.zeros((batch, w)))
-        if rq + 1 <= h - 1:
-            grad_q = tape.sub(_row(y, rq + 1, w), lower)
-        else:
-            grad_q = tape.constant(np.zeros((batch, w)))
-        grad_term = tape.reduce_sum(
-            _charbonnier(tape.sub(grad_p, grad_q), eps), axis=1, keepdims=True
-        )
-        total = tape.add(
-            total,
-            tape.add(
-                tape.scale(intensity, cfg.seam_beta),
-                tape.scale(grad_term, cfg.seam_gamma),
-            ),
-        )
-    return total
+        upper, lower = rows[rp], rows[rq]
+        jump = upper - lower
+        rho_jump = np.sqrt(jump * jump + eps2)
+        grad_p = upper - rows[rp - 1] if rp >= 1 else border
+        grad_q = rows[rq + 1] - lower if rq + 1 <= h - 1 else border
+        kink = grad_p - grad_q
+        rho_kink = np.sqrt(kink * kink + eps2)
+        total = total + (rho_jump.sum(axis=0)[:, None] * cfg.seam_beta
+                         + rho_kink.sum(axis=0)[:, None] * cfg.seam_gamma)
+        if live:
+            d_jump = cfg.seam_beta * jump / rho_jump
+            grad[rp] += d_jump
+            grad[rq] -= d_jump
+            d_kink = cfg.seam_gamma * kink / rho_kink
+            if rp >= 1:
+                grad[rp] += d_kink
+                grad[rp - 1] -= d_kink
+            if rq + 1 <= h - 1:
+                grad[rq + 1] -= d_kink
+                grad[rq] += d_kink
+    if not live:
+        return tape.constant(total)
+    return tape.rowwise(y, total, grad.reshape(h * w, batch).T)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ import sys
 from pathlib import Path
 
 
-from ..checkpoint import load_checkpoint, save_checkpoint
+from ..checkpoint import save_checkpoint
 from ..optimize import DivergedRolloutError, TrainingDivergedError
 from .classifier import ClassifierTrainingError, train_classifier
 from .config import ConfigError, load_config, with_overrides
 from .experiment import (
     build_assets,
+    load_weights,
     make_policies,
     run_experiment,
     train_score_model,
@@ -138,12 +139,7 @@ def _cmd_sample(args) -> int:
         policies = make_policies(config, assets.dim)
         for pol in policies:
             path = Path(args.policies) / f"policy_agent{pol.agent_index}.npz"
-            try:
-                pol.load_state_dict(load_checkpoint(path)[0])
-            except (KeyError, ValueError) as err:
-                raise ConfigError(
-                    f"{path} does not fit the configured policy: {err}"
-                ) from err
+            load_weights(pol, path, "policy")
     from .experiment import _evaluate_method
 
     evals = _evaluate_method(config, assets, policies)
@@ -165,7 +161,10 @@ def _cmd_report(args) -> int:
     metrics = Path(args.run) / "metrics.csv"
     if not metrics.exists():
         raise FileNotFoundError(f"no metrics.csv under {args.run}")
-    header, row = metrics.read_text().strip().splitlines()[:2]
+    try:
+        header, row = metrics.read_text(encoding="utf-8").strip().splitlines()[:2]
+    except ValueError as err:      # not UTF-8, or no header and value row
+        raise OSError(f"{metrics} is not a metrics file: {err}") from err
     for key, value in zip(header.split(","), row.split(",")):
         print(f"{key:>14}: {value}")
     return EXIT_OK

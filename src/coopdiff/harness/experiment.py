@@ -118,6 +118,17 @@ def train_score_model(config: ExperimentConfig, dataset: ShapesDataset) -> MlpSc
     return score
 
 
+def load_weights(model, path, what: str) -> None:
+    """Load the checkpoint at ``path`` into ``model``; a file that is not a
+    checkpoint, or whose tensors do not fit the model, is a config error."""
+    try:
+        model.load_state_dict(load_checkpoint(path)[0])
+    except (KeyError, ValueError) as err:
+        raise ConfigError(
+            f"{path} does not fit the configured {what}: {err}"
+        ) from err
+
+
 def build_assets(
     config: ExperimentConfig,
     score_fn=None,
@@ -161,9 +172,8 @@ def build_assets(
                 derive_rng(config.seed, 42),
                 name="classifier",
             )
-            classifier.load_state_dict(
-                load_checkpoint(config.classifier_checkpoint)[0]
-            )
+            load_weights(classifier, config.classifier_checkpoint,
+                         "classifier")
         else:
             classifier = train_classifier(
                 dataset,
@@ -183,7 +193,7 @@ def build_assets(
                 derive_rng(config.seed, _KEY_SCORE_INIT),
                 schedule=config.schedule(),
             )
-            score_fn.load_state_dict(load_checkpoint(config.score_checkpoint)[0])
+            load_weights(score_fn, config.score_checkpoint, "score network")
         else:
             score_fn = train_score_model(config, dataset)
         tape.freeze(score_fn.params())

@@ -1,9 +1,10 @@
 """Small tanh MLPs with sinusoidal time features, built on the tape.
 
-One call of an ``Mlp`` is one fused tape node. Its forward keeps only the
-hidden activations, and its VJP runs the layer-by-layer backward in plain
-numpy for the parents that require grad: frozen weights get no weight
-gradient, and a constant input no input adjoint.
+One call of an ``Mlp`` is one fused tape node, on the column concatenation
+of its inputs. Its forward keeps only the hidden activations, and its VJP
+runs the layer-by-layer backward in plain numpy for the parents that
+require grad: frozen weights get no weight gradient, and a constant input
+part no input adjoint.
 
 Two construction modes matter for control policies:
   * ``zero_final=True`` zero-initialises the last linear layer, so the
@@ -13,6 +14,9 @@ Two construction modes matter for control policies:
 """
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
 from . import tape
@@ -21,23 +25,33 @@ from .tape import Node
 Array = np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
+def _frequencies(half: int) -> Array:
+    freqs = np.exp(np.linspace(np.log(1.0), np.log(400.0), half))
+    freqs.setflags(write=False)
+    return freqs
+
+
 def time_features(t, width: int, batch: int = 1) -> Array:
     """Sinusoidal features of diffusion time, shape (batch, width).
 
     ``t`` may be a scalar (shared across the batch) or a length-``batch``
-    vector. Frequencies are geometric in [1, 400], covering t in [0, 1].
+    vector. Frequencies are geometric in [1, 400], covering t in [0, 1];
+    they are computed once per width, and a scalar time's sin/cos row
+    once per call.
     """
     if width % 2 != 0:
         raise ValueError(f"time feature width must be even, got {width}")
-    half = width // 2
-    freqs = np.exp(np.linspace(np.log(1.0), np.log(400.0), half))
+    freqs = _frequencies(width // 2)
     tt = np.atleast_1d(np.asarray(t, dtype=np.float64)).reshape(-1, 1)
-    if tt.shape[0] == 1 and batch > 1:
-        tt = np.repeat(tt, batch, axis=0)
-    if tt.shape[0] != batch:
+    shared = tt.shape[0] == 1 and batch >= 1
+    if not shared and tt.shape[0] != batch:
         raise ValueError(f"got {tt.shape[0]} times for batch {batch}")
     ang = tt * freqs
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    if shared and batch > 1:
+        return np.repeat(feats, batch, axis=0)
+    return feats
 
 
 class Mlp:
@@ -78,15 +92,21 @@ class Mlp:
     def out_dim(self) -> int:
         return self.sizes[-1]
 
-    def __call__(self, x) -> Node:
-        x = tape.as_node(x)
-        inputs = [x, *self.params()]     # x, w0, b0, w1, b1, ...
+    def __call__(self, *xs) -> Node:
+        """The network on the column concatenation of ``xs`` (nodes or
+        arrays): one fused node, so a constant part (time features, say)
+        costs no concat node and gets no adjoint."""
+        xs = [tape.as_node(x) for x in xs]
+        inputs = [*xs, *self.params()]   # x parts, w0, b0, w1, b1, ...
         live = tape.live(inputs)
+        n_in = len(xs)
+        x_live = any(live[:n_in])
         n_layers = len(self.weights)
         ws = [w.value for w in self.weights]
         # acts[i] is the input of layer i: x, then each tanh output
-        acts = [x.value]
-        h = x.value
+        h = xs[0].value if n_in == 1 else np.concatenate(
+            [x.value for x in xs], axis=1)
+        acts = [h]
         for i, (w, b) in enumerate(zip(ws, self.biases)):
             h = h @ w
             h += b.value
@@ -96,23 +116,27 @@ class Mlp:
         if not any(live):
             return tape.constant(h)
         # the lowest layer the adjoint has to reach
-        bottom = 0 if live[0] else (live.index(True, 1) - 1) // 2
+        bottom = 0 if x_live else (live.index(True, n_in) - n_in) // 2
+        cols = list(itertools.accumulate((x.value.shape[1] for x in xs),
+                                         initial=0))
 
         def vjp(g):
             grads = [None] * len(live)
             for i in range(n_layers - 1, bottom - 1, -1):
                 a = acts[i]
-                if live[1 + 2 * i]:
-                    grads[1 + 2 * i] = a.T @ g
-                if live[2 + 2 * i]:
-                    grads[2 + 2 * i] = g.sum(axis=0)
-                if i > bottom or live[0]:
+                if live[n_in + 2 * i]:
+                    grads[n_in + 2 * i] = a.T @ g
+                if live[n_in + 2 * i + 1]:
+                    grads[n_in + 2 * i + 1] = g.sum(axis=0)
+                if i > bottom or x_live:
                     g = g @ ws[i].T
                     if i > 0:
                         d = a * a
                         np.subtract(1.0, d, out=d)
                         g *= d
-            grads[0] = g
+            for j in range(n_in):
+                if live[j]:
+                    grads[j] = g if n_in == 1 else g[:, cols[j]:cols[j + 1]]
             return tuple(gr for gr, keep in zip(grads, live) if keep)
 
         return tape.fused(h, [n for n, keep in zip(inputs, live) if keep], vjp)

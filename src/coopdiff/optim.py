@@ -36,9 +36,13 @@ def adam_step(
     state: AdamState,
     lr: float | None = None,
 ) -> AdamState:
-    """One Adam update; rebinds each parameter's ``.value`` in place.
+    """One Adam update; rebinds each parameter's ``.value``.
 
     update = lr * m_hat / (sqrt(v_hat) + eps)
+
+    The moment buffers are updated in place, and the update is formed in
+    two scratch buffers, in the textbook's op order. ``.value`` is rebound
+    to a new array, so a graph that holds the old weights stays valid.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError(
@@ -49,16 +53,25 @@ def adam_step(
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
+    for p, g, m, v in zip(params, grads, state.m, state.v):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.value.shape:
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter "
                 f"shape {p.value.shape}"
             )
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p.value = p.value - step_lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        num = np.multiply(g, 1.0 - state.beta1)
+        m *= state.beta1
+        m += num                                 # beta1 m + (1 - beta1) g
+        den = np.multiply(g, g)
+        den *= 1.0 - state.beta2
+        v *= state.beta2
+        v += den                                 # beta2 v + (1 - beta2) g^2
+        np.divide(m, bc1, out=num)
+        num *= step_lr                           # lr * m_hat
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += state.eps                         # sqrt(v_hat) + eps
+        num /= den
+        p.value = p.value - num
     return state

@@ -14,7 +14,12 @@ reverse-time SDEs on a shared time grid. The agents' states are one
 
 accumulating the control energy and the running cost; the terminal cost is
 evaluated on the aggregate of the final states. The rollout is recorded on
-the tape end to end (score evaluations included).
+the tape end to end (score evaluations included), one node per piece: the
+score call (two, plus the reshapes of ``stacked_score``), ``tweedie``, each
+``aggregate``, the drift, the EM step with its g U term, the control
+energy and the running cost (time weight and batch mean folded in). The
+objective is one node over the terminal cost and every step's terms,
+summed in the order of the running and energy accumulators.
 
 The score model and psi are evaluated once per step, for every control
 source. When the step needs grad psi(Yh) -- the learned control consumes
@@ -203,6 +208,20 @@ def _batch_mean(per_sample: Node, batch: int) -> Node:
     return tape.scale(tape.reduce_sum(per_sample), 1.0 / batch)
 
 
+def _control_energy(controls: Node, weights: Array, batch: int):
+    """One node for sum_i weights_i mean_B ||u_i||^2, and the per-agent
+    batch means of ||u_i||^2, shape (N,)."""
+    u = controls.value
+    sq = (u * u).sum(axis=2).sum(axis=1) * (1.0 / batch)
+
+    def vjp(g):
+        coef = (g * weights) * (1.0 / batch)
+        half = u * coef[:, None, None]
+        return half + half
+
+    return tape.op((sq * weights).sum(), (controls,), (vjp,)), sq
+
+
 def coupled_rollout(
     control_fn: Callable,
     score_fn,
@@ -232,8 +251,10 @@ def coupled_rollout(
     init = noise.normal((STREAM_INIT, update_index, 0), (n_agents, batch, dim))
     xs = tape.constant(sigma0 * init)              # (N, B, d)
 
-    control_node: Node | None = None
-    running_node: Node | None = None
+    # the objective's per-step terms; their sums keep the order of the
+    # running and the control-energy accumulators
+    terms: list[Node] = []
+    running_sum = control_sum = 0.0
     loss_u = 0.0
     loss_c = 0.0
 
@@ -252,7 +273,7 @@ def coupled_rollout(
             step = state_guidance(score_fn, agg, psi, schedule, xs.value, t)
             scores = tape.constant(step.scores)
             y0_hat = tape.constant(step.y0_hat)
-            psi_hat, grad = tape.constant(step.psi), step.grad
+            psi_value, grad = step.psi, step.grad
         else:
             scores = stacked_score(score_fn, xs, t)
             y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
@@ -260,22 +281,25 @@ def coupled_rollout(
             # running cost reuses its gradient as VJP
             if control_fn.guidance == "tweedie" or y0_hat.requires_grad:
                 psi_value, grad = tweedie_guidance(psi, y0_hat)
-                psi_hat = tape.rowwise(y0_hat, psi_value, grad)
             else:
-                psi_hat, grad = psi(y0_hat), None  # (B, 1)
-        step_cost = _batch_mean(psi_hat, batch)
-        loss_c += float(step_cost.value) * dt
-        weighted = tape.scale(step_cost, cfg.running_weight(t) * dt)
-        running_node = weighted if running_node is None else tape.add(running_node, weighted)
+                psi_value, grad = psi(y0_hat).value, None  # (B, 1)
+        step_cost = psi_value.sum() * (1.0 / batch)
+        loss_c += float(step_cost) * dt
+        weight = cfg.running_weight(t) * dt
+        running = step_cost * weight
+        running_sum = running_sum + running
+        if y0_hat.requires_grad:
+            # grad is grad psi(Y0_hat) here; the time weight and the batch
+            # mean are folded into the one node
+            terms.append(tape.rowwise(y0_hat, running,
+                                      grad * (weight * (1.0 / batch))))
 
         controls = control_fn(k, t, xs, y_k, grad)
 
-        # per-agent batch means of ||u_i||^2, shape (N,)
-        sq = tape.scale(tape.reduce_sum(tape.square_norm(controls, axis=2),
-                                        axis=1), 1.0 / batch)
-        term = tape.reduce_sum(tape.mul(sq, tape.constant(lambdas * dt)))
-        control_node = term if control_node is None else tape.add(control_node, term)
-        loss_u += float((sq.value / n_agents).sum()) * dt
+        energy, sq = _control_energy(controls, lambdas * dt, batch)
+        control_sum = control_sum + energy.value
+        terms.append(energy)
+        loss_u += float((sq / n_agents).sum()) * dt
 
         if record_history:
             record.controls.append(controls.value)
@@ -283,8 +307,7 @@ def coupled_rollout(
 
         xi = noise.normal((STREAM_STEP, update_index, k), (n_agents, batch, dim))
         mu = reverse_drift(xs, t, scores, schedule)
-        drift = tape.add(mu, tape.scale(controls, g_k))
-        xs = em_step(xs, t, dt, drift, g_k, xi)
+        xs = em_step(xs, t, dt, mu, g_k, xi, control=controls)
         finite = np.isfinite(xs.value).all(axis=(1, 2))
         if not finite.all():
             raise DivergedRolloutError(step=k, agent=int(np.argmin(finite)))
@@ -296,11 +319,10 @@ def coupled_rollout(
     psi_term = psi(y_term)                         # (B, 1)
     terminal_node = _batch_mean(psi_term, batch)
 
-    objective = terminal_node
-    if running_node is not None:
-        objective = tape.add(objective, running_node)
-    if control_node is not None:
-        objective = tape.add(objective, control_node)
+    # one node for terminal + sum of running terms + sum of energy terms
+    value = terminal_node.value + running_sum + control_sum
+    parents = [n for n in (terminal_node, *terms) if n.requires_grad]
+    objective = tape.fused(value, parents, lambda g: (g,) * len(parents))
 
     record.loss_u = loss_u
     record.loss_c = loss_c

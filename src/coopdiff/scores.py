@@ -5,6 +5,10 @@ A diffused isotropic GMM is again a GMM: component i with weight w_i, mean
 mu_i and variance s_i^2 becomes, at diffusion time t, a component with mean
 alpha(t) mu_i and variance alpha(t)^2 s_i^2 + sigma(t)^2. Its score is exact
 and is used as the oracle-grade score model for low-dimensional tasks.
+
+On the tape, the mixture score is one node whose VJP is the Hessian-vector
+product of the diffused log density, a score network call is two (the
+fused Mlp and its residual/affine tail), and ``tweedie`` is one.
 """
 from __future__ import annotations
 
@@ -82,31 +86,45 @@ class GaussianMixture:
 def gmm_score(gmm: GaussianMixture, x, t: float, schedule: NoiseSchedule) -> Node:
     """Exact score of the time-t diffused mixture, recorded on the tape.
 
-    Built from elementary ops so BPTT can differentiate through it.
+    One node whose VJP is the closed-form Hessian-vector product of the
+    diffused log density: with responsibilities r_i, component scores
+    s_i = -(x - m_i) / v_i and the score s_bar = sum_i r_i s_i, the
+    Jacobian is the symmetric
+    J = sum_i r_i (-I / v_i) + sum_i r_i s_i s_i^T - s_bar s_bar^T.
     """
     mix = gmm.diffused(t, schedule)
     x = tape.as_node(x)
+    xv = x.value
     d = mix.dim
     log_w = np.log(mix.weights) - 0.5 * d * np.log(2.0 * np.pi * mix.variances)
-
-    diffs = []
-    logits = []
-    for i in range(mix.num_components):
-        diff = tape.sub(x, tape.constant(mix.means[i]))
-        diffs.append(diff)
-        sq = tape.square_norm(diff, axis=1, keepdims=True)  # (B, 1)
-        logits.append(tape.add(tape.scale(sq, -0.5 / mix.variances[i]),
-                               tape.constant(np.array([log_w[i]]))))
+    diffs = [xv - mix.means[i] for i in range(mix.num_components)]
     if mix.num_components == 1:
-        return tape.scale(diffs[0], -1.0 / mix.variances[0])
-    logit_mat = tape.concat(logits, axis=1)                     # (B, C)
-    resp = tape.exp(tape.sub(logit_mat, tape.logsumexp(logit_mat)))  # (B, C)
-    out = None
-    for i, diff in enumerate(diffs):
-        term = tape.mul(tape.gather_cols(resp, [i]),
-                        tape.scale(diff, -1.0 / mix.variances[i]))
-        out = term if out is None else tape.add(out, term)
-    return out
+        c = float(-1.0 / mix.variances[0])
+        return tape.op(diffs[0] * c, (x,), (lambda g: g * c,))
+
+    logits = [
+        (diff * diff).sum(axis=1, keepdims=True) * float(-0.5 / v)
+        + np.array([lw])
+        for diff, v, lw in zip(diffs, mix.variances, log_w)
+    ]
+    logit_mat = np.concatenate(logits, axis=1)                  # (B, C)
+    amax = np.max(logit_mat, axis=1, keepdims=True)
+    lse = np.log(np.sum(np.exp(logit_mat - amax), axis=1, keepdims=True)) + amax
+    resp = np.exp(logit_mat - lse)                              # (B, C)
+    comp = [diff * float(-1.0 / v) for diff, v in zip(diffs, mix.variances)]
+    out = resp[:, [0]] * comp[0]
+    for i in range(1, len(comp)):
+        out = out + resp[:, [i]] * comp[i]
+
+    def vjp(g):
+        # J g, with J symmetric
+        jg = g * (resp @ (-1.0 / mix.variances))[:, None]
+        for i, s_i in enumerate(comp):
+            jg += (resp[:, i] * (s_i * g).sum(axis=1))[:, None] * s_i
+        jg -= (out * g).sum(axis=1, keepdims=True) * out
+        return jg
+
+    return tape.op(out, (x,), (vjp,))
 
 
 def gmm_score_np(gmm: GaussianMixture, x: Array, t, schedule: NoiseSchedule) -> Array:
@@ -184,24 +202,29 @@ class MlpScore:
 
     def denoiser_head(self, x, t) -> Node:
         x = tape.as_node(x)
-        batch = x.value.shape[0]
-        feats = time_features(t, self.temb_width, batch=batch)
-        return tape.add(x, self.mlp(tape.concat([x, tape.constant(feats)], axis=1)))
+        feats = time_features(t, self.temb_width, batch=x.value.shape[0])
+        return tape.add(x, self.mlp(x, feats))
 
     def __call__(self, x, t) -> Node:
+        """Two nodes: the fused Mlp on [x, time features], and the
+        residual/affine tail (alpha (x + r) - x) / sigma^2."""
         x = tape.as_node(x)
-        m = self.denoiser_head(x, t)
+        feats = time_features(t, self.temb_width, batch=x.value.shape[0])
+        r = self.mlp(x, feats)
         alpha, sigma = marginal_coeffs(self.schedule, t)
         sig2 = np.maximum(np.asarray(sigma) ** 2, 1e-8)
         if np.ndim(alpha) == 0:
-            return tape.scale(tape.sub(tape.scale(m, float(alpha)), x),
-                              1.0 / float(sig2))
-        a_col = np.asarray(alpha).reshape(-1, 1)
-        inv_col = (1.0 / sig2).reshape(-1, 1)
-        return tape.mul(
-            tape.sub(tape.mul(m, tape.constant(a_col)), x),
-            tape.constant(inv_col),
-        )
+            a, inv = float(alpha), 1.0 / float(sig2)
+        else:
+            a = np.asarray(alpha).reshape(-1, 1)
+            inv = (1.0 / sig2).reshape(-1, 1)
+        value = ((x.value + r.value) * a - x.value) * inv
+
+        def vjp_x(g):
+            g = g * inv
+            return g * a - g
+
+        return tape.op(value, (x, r), (vjp_x, lambda g: (g * inv) * a))
 
     def params(self) -> list[Node]:
         return self.mlp.params()
@@ -270,7 +293,8 @@ def stacked_score(score_fn, xs, t: float) -> Node:
 
 
 def tweedie(x, t: float, score, schedule: NoiseSchedule) -> Node:
-    """Posterior-mean denoiser x0_hat = (x + sigma(t)^2 score) / alpha(t)."""
+    """Posterior-mean denoiser x0_hat = (x + sigma(t)^2 score) / alpha(t),
+    one node with parents ``x`` and ``score``."""
     alpha, sigma = marginal_coeffs(schedule, t)
     alpha = float(alpha)
     if alpha < ALPHA_FLOOR:
@@ -280,6 +304,9 @@ def tweedie(x, t: float, score, schedule: NoiseSchedule) -> Node:
         )
     x = tape.as_node(x)
     score = tape.as_node(score)
-    return tape.scale(
-        tape.add(x, tape.scale(score, float(sigma) ** 2)), 1.0 / alpha
+    s2, inv = float(sigma) ** 2, 1.0 / alpha
+    return tape.op(
+        (x.value + score.value * s2) * inv,
+        (x, score),
+        (lambda g: g * inv, lambda g: (g * inv) * s2),
     )

@@ -112,21 +112,35 @@ def reverse_drift(x, t: float, score, schedule: NoiseSchedule) -> Node:
     if not (0.0 < t <= 1.0):
         raise ValueError(f"reverse drift needs t in (0, 1], got {t}")
     b = float(schedule.beta(t))
-    return tape.add(tape.scale(x, 0.5 * b), tape.scale(score, b))
+    half = 0.5 * b
+    return tape.op(x.value * half + score.value * b, (x, score),
+                   (lambda g: g * half, lambda g: g * b))
 
 
-def em_step(x, t: float, dt: float, drift, g: float, noise: Array) -> Node:
-    """x' = x + drift * dt + g * sqrt(dt) * noise (noise supplied by caller)."""
+def em_step(x, t: float, dt: float, drift, g: float, noise: Array,
+            control=None) -> Node:
+    """x' = x + (drift + g * control) * dt + g * sqrt(dt) * noise, one node
+    (noise supplied by the caller; no control term when ``control`` is
+    None)."""
     if dt <= 0.0:
         raise ValueError(f"EM step size must be positive, got {dt}")
     x = tape.as_node(x)
     drift = tape.as_node(drift)
     noise = np.asarray(noise, dtype=np.float64)
-    out = tape.add(x, tape.scale(drift, dt))
-    kick = float(g) * np.sqrt(dt)
+    g = float(g)
+    total = drift.value
+    parents = [x, drift]
+    vjps = [lambda a: a, lambda a: a * dt]
+    if control is not None:
+        control = tape.as_node(control)
+        total = total + control.value * g
+        parents.append(control)
+        vjps.append(lambda a: (a * dt) * g)
+    out = x.value + total * dt
+    kick = g * np.sqrt(dt)
     if kick != 0.0:
-        out = tape.add(out, tape.constant(kick * noise))
-    return out
+        out = out + kick * noise
+    return tape.op(out, parents, vjps)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,14 @@ VJP and no ``.grad``, and an op on them alone is itself a constant.
 ``backward`` on a scalar root then fills ``.grad`` on the leaves that
 require grad (interior adjoints are dropped once propagated).
 
-An op is one node with one VJP per recorded parent, except a ``fused``
-node: a whole sub-computation (a tanh MLP) recorded as one node whose
-single VJP returns the adjoints of all its parents at once, the
-``jax.custom_vjp`` idiom.
+An op is one node with one VJP per recorded parent. ``op`` records a
+value computed outside the tape that way, so a fixed-shape piece of a
+rollout step (Tweedie, aggregation, drift, EM step) is one node with
+hand-written VJPs, the ``jax.custom_vjp`` idiom; ``rowwise`` records a
+function whose gradient is already known (the classifier NLL, the seam
+loss). A ``fused`` node is a whole sub-computation (a tanh MLP, the
+objective's sum) whose single VJP returns the adjoints of all its
+parents at once.
 
 Design constraints:
   * values are float64 throughout, so central finite differences are a
@@ -140,8 +144,12 @@ def live(nodes: Sequence[Node]) -> list[bool]:
     return [_GRAD_ENABLED and n.requires_grad for n in nodes]
 
 
-def _make(value: Array, parents: tuple[Node, ...], vjps: tuple) -> Node:
-    """The op's output, recording the parents that require grad."""
+def op(value, parents: Sequence[Node], vjps: Sequence) -> Node:
+    """One node for a value computed outside the tape, with one VJP per
+    parent; only the parents that require grad are recorded. Every
+    elementary op below is one call of it, and so is each fixed-shape
+    piece of a rollout step (Tweedie, aggregation, drift, EM step)."""
+    parents, vjps = tuple(parents), tuple(vjps)
     if not _GRAD_ENABLED:
         return Node(value)
     live = [p.requires_grad for p in parents]
@@ -172,7 +180,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a, b) -> Node:
     a, b = as_node(a), as_node(b)
-    return _make(
+    return op(
         a.value + b.value,
         (a, b),
         (lambda g: _unbroadcast(g, a.value.shape),
@@ -182,7 +190,7 @@ def add(a, b) -> Node:
 
 def sub(a, b) -> Node:
     a, b = as_node(a), as_node(b)
-    return _make(
+    return op(
         a.value - b.value,
         (a, b),
         (lambda g: _unbroadcast(g, a.value.shape),
@@ -192,14 +200,14 @@ def sub(a, b) -> Node:
 
 def neg(a) -> Node:
     a = as_node(a)
-    return _make(-a.value, (a,), (lambda g: -g,))
+    return op(-a.value, (a,), (lambda g: -g,))
 
 
 def mul(a, b) -> Node:
     """Elementwise product with numpy broadcasting."""
     a, b = as_node(a), as_node(b)
     av, bv = a.value, b.value
-    return _make(
+    return op(
         av * bv,
         (a, b),
         (lambda g: _unbroadcast(g * bv, av.shape),
@@ -211,13 +219,13 @@ def scale(a, c: float) -> Node:
     """Multiply by a python float (no node is created for the scalar)."""
     a = as_node(a)
     c = float(c)
-    return _make(a.value * c, (a,), (lambda g: g * c,))
+    return op(a.value * c, (a,), (lambda g: g * c,))
 
 
 def matmul(a, b) -> Node:
     a, b = as_node(a), as_node(b)
     av, bv = a.value, b.value
-    return _make(
+    return op(
         av @ bv,
         (a, b),
         (lambda g: g @ bv.T, lambda g: av.T @ g),
@@ -227,25 +235,25 @@ def matmul(a, b) -> Node:
 def tanh(a) -> Node:
     a = as_node(a)
     y = np.tanh(a.value)
-    return _make(y, (a,), (lambda g: g * (1.0 - y * y),))
+    return op(y, (a,), (lambda g: g * (1.0 - y * y),))
 
 
 def exp(a) -> Node:
     a = as_node(a)
     y = np.exp(a.value)
-    return _make(y, (a,), (lambda g: g * y,))
+    return op(y, (a,), (lambda g: g * y,))
 
 
 def log(a) -> Node:
     a = as_node(a)
     av = a.value
-    return _make(np.log(av), (a,), (lambda g: g / av,))
+    return op(np.log(av), (a,), (lambda g: g / av,))
 
 
 def sqrt(a) -> Node:
     a = as_node(a)
     y = np.sqrt(a.value)
-    return _make(y, (a,), (lambda g: g * (0.5 / y),))
+    return op(y, (a,), (lambda g: g * (0.5 / y),))
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Node:
@@ -259,7 +267,7 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Node:
         gg = g if keepdims else np.expand_dims(g, axis)
         return np.broadcast_to(gg, av.shape).copy()
 
-    return _make(y, (a,), (vjp,))
+    return op(y, (a,), (vjp,))
 
 
 def square_norm(a, axis=None, keepdims: bool = False) -> Node:
@@ -283,14 +291,14 @@ def concat(nodes: Sequence, axis: int = 1) -> Node:
 
         return vjp
 
-    return _make(y, tuple(nodes), tuple(make_vjp(i) for i in range(len(nodes))))
+    return op(y, tuple(nodes), tuple(make_vjp(i) for i in range(len(nodes))))
 
 
 def stack(nodes: Sequence) -> Node:
     """Stack same-shape nodes along a new leading axis."""
     nodes = [as_node(n) for n in nodes]
     vjps = tuple((lambda g, i=i: g[i]) for i in range(len(nodes)))
-    return _make(np.stack([n.value for n in nodes]), tuple(nodes), vjps)
+    return op(np.stack([n.value for n in nodes]), tuple(nodes), vjps)
 
 
 def index(a, i: int) -> Node:
@@ -302,14 +310,14 @@ def index(a, i: int) -> Node:
         out[i] = g
         return out
 
-    return _make(a.value[i], (a,), (vjp,))
+    return op(a.value[i], (a,), (vjp,))
 
 
 def reshape(a, shape) -> Node:
     """``a`` with the same entries in a new shape."""
     a = as_node(a)
     av = a.value
-    return _make(av.reshape(shape), (a,), (lambda g: g.reshape(av.shape),))
+    return op(av.reshape(shape), (a,), (lambda g: g.reshape(av.shape),))
 
 
 def gather_cols(a, idx) -> Node:
@@ -324,7 +332,7 @@ def gather_cols(a, idx) -> Node:
         np.add.at(out, (slice(None), idx), g)
         return out
 
-    return _make(y, (a,), (vjp,))
+    return op(y, (a,), (vjp,))
 
 
 def gather_rowwise(a, idx) -> Node:
@@ -342,7 +350,7 @@ def gather_rowwise(a, idx) -> Node:
         out[rows, idx] = g[:, 0]
         return out
 
-    return _make(y, (a,), (vjp,))
+    return op(y, (a,), (vjp,))
 
 
 def logsumexp(a, axis: int = 1, keepdims: bool = True) -> Node:
@@ -359,15 +367,15 @@ def logsumexp(a, axis: int = 1, keepdims: bool = True) -> Node:
         gg = g if keepdims else np.expand_dims(g, axis)
         return gg * softmax
 
-    return _make(y, (a,), (vjp,))
+    return op(y, (a,), (vjp,))
 
 
 def rowwise(x, value, grad) -> Node:
-    """A per-row scalar function of ``x`` whose value and gradient are
-    already known: ``value`` has shape (rows, 1), ``grad`` the shape of
-    ``x``, and the VJP is ``g * grad``."""
+    """A function of ``x`` whose value and gradient are already known:
+    per row (``value`` of shape (rows, 1)) or a scalar, with ``grad`` of
+    the shape of ``x`` and the VJP ``g * grad``."""
     x = as_node(x)
-    return _make(value, (x,), (lambda g: g * grad,))
+    return op(value, (x,), (lambda g: g * grad,))
 
 
 class _Fused(Node):
@@ -427,7 +435,11 @@ def backward(root: Node) -> None:
     propagated, so interior nodes keep ``.grad = None`` and a finished pass
     pins no second graph-sized set of arrays. Accumulation happens in a
     fixed topological order, so gradients are bit-reproducible for
-    identical graphs.
+    identical graphs. A node's first contribution is kept as the VJP
+    returned it (it may be shared); the second makes a new sum array that
+    later contributions are added into in place, which gives the same
+    sums without an allocation per contribution (a policy weight gets one
+    per rollout step).
     """
     if root.value.size != 1:
         raise ValueError(
@@ -436,6 +448,7 @@ def backward(root: Node) -> None:
     if not root.requires_grad:
         return
     grads: dict[int, Array] = {id(root): np.ones_like(root.value)}
+    owned: set[int] = set()           # ids whose adjoint array is ours
     for node in reversed(_toposort(root)):
         g = grads.pop(id(node))       # every reachable node has an adjoint
         if node.is_leaf:
@@ -447,8 +460,11 @@ def backward(root: Node) -> None:
             contribs = [vjp(g) for vjp in node.vjps]
         for parent, contrib in zip(node.parents, contribs):
             pid = id(parent)
-            if pid in grads:
-                grads[pid] = grads[pid] + contrib
-            else:
+            if pid not in grads:
                 grads[pid] = contrib
+            elif pid in owned and grads[pid].shape == np.shape(contrib):
+                grads[pid] += contrib
+            else:
+                grads[pid] = grads[pid] + contrib
+                owned.add(pid)
 

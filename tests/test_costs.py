@@ -19,6 +19,7 @@ from coopdiff.costs import (
 )
 from coopdiff.nn import Mlp
 from coopdiff.sde import derive_rng
+from opgraphs import classifier_nll_ops, seam_loss_ops
 
 H = W = 8
 DIM = H * W
@@ -197,3 +198,59 @@ def test_cost_gradients_match_finite_differences():
     clf = Mlp([DIM, 16, 4], derive_rng(1, 1))
     _fd_check(ClassifierNll(clf, 2), y0)
     _fd_check(with_seam(ClassifierNll(clf, 1), stripes(), cfg), y0)
+
+
+def _full_fd(f, y0, h=1e-6):
+    grad = np.zeros_like(y0)
+    for i in range(y0.size):
+        yp, ym = y0.copy(), y0.copy()
+        yp.reshape(-1)[i] += h
+        ym.reshape(-1)[i] -= h
+        grad.reshape(-1)[i] = (f(yp) - f(ym)) / (2 * h)
+    return grad
+
+
+@pytest.mark.parametrize("agents", [2, 3, 8])
+def test_seam_loss_is_one_node_with_the_closed_form_gradient(agents):
+    # 8 agents on 8x8 are 1-row stripes: the seams touch both image
+    # borders, and neighbouring seam pairs read and write the same rows
+    agg = stripes(agents)
+    if agents == 8:
+        assert agg.seam_pairs[0] == (0, 1) and agg.seam_pairs[-1] == (6, 7)
+    cfg = SocConfig(seam_beta=0.3, seam_gamma=0.7, charbonnier_eps=0.05)
+    y0 = derive_rng(2, agents).standard_normal((3, DIM))
+    y = tape.leaf(y0)
+    out = seam_loss(y, agg, cfg)
+    assert out.parents == (y,)
+    weights = np.array([[1.0], [-2.0], [0.5]])
+    tape.backward(tape.reduce_sum(tape.mul(out, weights)))
+
+    def f(v):
+        with tape.no_grad():
+            return float((seam_loss(v, agg, cfg).value * weights).sum())
+
+    fd = _full_fd(f, y0)
+    np.testing.assert_allclose(y.grad, fd, rtol=1e-6, atol=1e-7)
+    # the value repeats the per-op graph bit for bit, the gradient to
+    # rounding
+    ref_y = tape.leaf(y0)
+    ref = seam_loss_ops(ref_y, agg, cfg)
+    assert np.array_equal(out.value, ref.value)
+    tape.backward(tape.reduce_sum(tape.mul(ref, weights)))
+    np.testing.assert_allclose(y.grad, ref_y.grad, rtol=1e-12, atol=1e-15)
+
+
+def test_classifier_nll_gradient_is_softmax_minus_onehot():
+    lv = derive_rng(3, 0).standard_normal((6, 5)) * 4.0
+    logits = tape.leaf(lv)
+    out = classifier_nll(logits, 2)
+    assert out.parents == (logits,)
+    assert np.array_equal(out.value, classifier_nll_ops(lv, 2).value)
+    tape.backward(tape.reduce_sum(out))
+    softmax = np.exp(lv - lv.max(axis=1, keepdims=True))
+    softmax /= softmax.sum(axis=1, keepdims=True)
+    onehot = np.eye(5)[[2] * 6]
+    np.testing.assert_allclose(logits.grad, softmax - onehot, rtol=0,
+                               atol=1e-15)
+    with tape.no_grad():
+        assert classifier_nll(logits, 2).is_leaf

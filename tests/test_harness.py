@@ -343,6 +343,35 @@ def test_build_assets_returns_the_pretrained_networks_frozen(source, tmp_path):
     assert all(p.grad is None for p in pretrained)
 
 
+@pytest.mark.parametrize("key", ["score.checkpoint",
+                                 "classifier.checkpoint"])
+@pytest.mark.parametrize("bad", ["text", "bare-array", "empty",
+                                 "wrong-widths"])
+def test_a_foreign_pretrained_checkpoint_is_a_config_error(key, bad, tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    monkeypatch.setenv("COOPDIFF_OUTPUT_ROOT", str(tmp_path))
+    path = tmp_path / "weights.npz"
+    if bad == "text":
+        path.write_text("not a checkpoint\n")
+    elif bad == "bare-array":
+        with open(path, "wb") as fh:
+            np.save(fh, np.ones(3))
+    elif bad == "empty":
+        path.write_bytes(b"")
+    else:       # the score net misses its tensors, the classifier's are 5 wide
+        other = Mlp([IMAGE_H * IMAGE_W, 5, len(CLASS_NAMES)],
+                    derive_rng(0, 2), name="classifier")
+        save_checkpoint(path, other.state_dict())
+    text = SHAPES_TINY + f"{key} = {path}\n"
+    with pytest.raises(ConfigError, match="does not fit the configured"):
+        build_assets(parse_config_text(text))
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(text)
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -356,6 +385,17 @@ def test_cli_run_and_report(tmp_path, monkeypatch, capsys):
     assert "cdps on gmm2d" in out
     assert cli_main(["report", "--run", str(tmp_path / "cli")]) == 0
     assert "mean_psi" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [b"", b"method,task,seed\n",
+                                     b"method,task\n\xff\xfe,gmm2d\n"],
+                         ids=["empty", "header-only", "not-utf8"])
+def test_cli_report_on_a_malformed_metrics_file_exits_4(content, tmp_path,
+                                                        capsys):
+    (tmp_path / "metrics.csv").write_bytes(content)
+    assert cli_main(["report", "--run", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "not a metrics file" in err and len(err.splitlines()) == 1
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -7,7 +7,7 @@ from coopdiff.checkpoint import load_checkpoint, save_checkpoint
 from coopdiff.nn import Mlp, time_features
 from coopdiff.optim import AdamState, adam_step
 from coopdiff.sde import derive_rng
-from untaped import forward_plain
+from untaped import adam_plain, forward_plain
 
 
 def test_zero_final_gives_exact_zero_output():
@@ -33,6 +33,8 @@ def test_time_features_shapes_and_errors():
     f = time_features(0.5, 8, batch=3)
     assert f.shape == (3, 8)
     assert np.array_equal(f[0], f[2])  # scalar t is shared
+    # one shared row, bit-identical to the features of a per-row time
+    assert np.array_equal(f, time_features(np.full(3, 0.5), 8, batch=3))
     f2 = time_features([0.1, 0.2, 0.3], 8, batch=3)
     assert f2.shape == (3, 8)
     assert not np.array_equal(f2[0], f2[1])
@@ -50,6 +52,23 @@ def test_adam_first_step_hand_computed():
     expected = -0.1 / (1.0 + state.eps)
     np.testing.assert_allclose(p.value, [expected], rtol=1e-12)
     assert state.step == 1
+
+
+def test_adam_is_the_textbook_update_bit_for_bit():
+    rng = derive_rng(0, 5)
+    start = rng.standard_normal((4, 3))
+    grads = [rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-6, 2)
+             for _ in range(20)]
+    p = tape.leaf(start.copy())
+    state = AdamState.for_params([p], lr=3e-3)
+    held = []
+    for g in grads:
+        held.append(p.value)
+        adam_step([p], [g], state)
+    assert np.array_equal(p.value, adam_plain(start, grads, lr=3e-3))
+    # each step rebinds the value: an array a graph holds is not changed
+    assert np.array_equal(held[0], start)
+    assert all(a is not b for a, b in zip(held, held[1:]))
 
 
 def test_adam_zero_gradient_keeps_params():
@@ -98,6 +117,9 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     path = tmp_path / "junk.npz"
     np.savez(path, a=np.zeros(3))
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+    np.savez(path, __format_version__=np.array([1, 1]), __meta__=np.str_("{}"))
+    with pytest.raises(ValueError, match="bad version tag"):
         load_checkpoint(path)
 
 

@@ -5,7 +5,15 @@ import pytest
 from coopdiff import optimize, tape
 from coopdiff.aggregation import aggregate, make_mask
 from coopdiff.control import make_policy
-from coopdiff.costs import QuadraticWell, SocConfig, ZeroCost, soc_objective
+from coopdiff.costs import (
+    ClassifierNll,
+    QuadraticWell,
+    SocConfig,
+    ZeroCost,
+    soc_objective,
+    with_seam,
+)
+from coopdiff.nn import Mlp
 from coopdiff.optimize import (
     DivergedRolloutError,
     TrainingDivergedError,
@@ -19,7 +27,7 @@ from coopdiff.optimize import (
     sample_reverse_sde,
     sample_uncontrolled,
 )
-from coopdiff.scores import AnalyticGmmScore, GaussianMixture
+from coopdiff.scores import AnalyticGmmScore, GaussianMixture, MlpScore
 from coopdiff.sde import NoiseSchedule, NoiseStream, derive_rng, make_time_grid
 from guidance_replay import record_guidance, replay_guidance
 
@@ -563,3 +571,30 @@ def test_running_cost_adjoint_into_y0_hat_is_the_rowwise_psi_gradient(
         weight = cfg.running_weight(grid.times[k]) * grid.dts[k] / batch
         np.testing.assert_allclose(leaf.grad.sum(axis=0), weight * grad,
                                    rtol=1e-14, atol=0)
+
+
+def test_a_rollout_step_records_at_most_25_tape_nodes():
+    # N = 2 agents on 16x16 h-stripes (d = 256) with random frozen score
+    # and classifier nets and the seam loss on: each step is a handful of
+    # fused nodes (score, Tweedie, aggregates, controls, costs, EM step)
+    dim = 256
+    agg = make_mask("h-stripes", 2, dim, image_hw=(16, 16))
+    cfg = SocConfig(control_weight=1e-3, running_scale=1.0,
+                    seam_beta=0.05, seam_gamma=0.05)
+    score = MlpScore(dim, (32,), 16, derive_rng(8, 0), schedule=SCHEDULE)
+    clf = Mlp([dim, 16, 4], derive_rng(8, 1))
+    tape.freeze(score.params() + clf.params())
+    psi = with_seam(ClassifierNll(clf, 1), agg, cfg)
+    policies = [make_policy(dim, i, derive_rng(8, 2 + i), hidden=(16,),
+                            gain_hidden=(8,), guidance_gain_init=-1.0)
+                for i in range(2)]
+
+    def nodes(steps):
+        J, _ = bptt_rollout(policies, score, agg, cfg,
+                            make_time_grid(steps, 0.02), psi, SCHEDULE,
+                            NoiseStream(1), batch=4)
+        return len(tape._toposort(J))
+
+    per_step = (nodes(9) - nodes(5)) / 4
+    assert per_step <= 25, per_step
+    assert nodes(9) <= 25 * 8 + 40     # plus the leaves and the terminal cost

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from coopdiff import tape
+from coopdiff.nn import time_features
 from coopdiff.optim import AdamState, adam_step
 from coopdiff.scores import (
     AnalyticGmmScore,
@@ -207,3 +208,62 @@ def test_trained_score_net_approaches_analytic_dsm_loss():
         net_loss = float(dsm_loss(net, x0, t, eps, SCHEDULE).value)
         ana_loss = float(dsm_loss(analytic, x0, t, eps, SCHEDULE).value)
     assert net_loss <= 1.10 * ana_loss, (net_loss, ana_loss)
+
+
+@pytest.mark.parametrize("components,dim", [(1, 2), (2, 2), (3, 3)])
+def test_gmm_score_is_one_node_whose_vjp_is_the_hessian_vector_product(
+        components, dim):
+    rng = derive_rng(6, components)
+    gmm = GaussianMixture(
+        weights=np.full(components, 1.0 / components),
+        means=rng.standard_normal((components, dim)) * 1.5,
+        variances=rng.uniform(0.2, 1.2, components),
+    )
+    x0 = rng.standard_normal((5, dim)) * 1.5
+    g = rng.standard_normal((5, dim))
+    h = 1e-6
+    for t in (0.05, 0.4, 0.9):
+        x = tape.leaf(x0)
+        out = gmm_score(gmm, x, t, SCHEDULE)
+        assert out.parents == (x,)
+        tape.backward(tape.reduce_sum(tape.mul(out, g)))
+        fd = np.zeros_like(x0)
+        for idx in np.ndindex(*x0.shape):
+            xp, xm = x0.copy(), x0.copy()
+            xp[idx] += h
+            xm[idx] -= h
+            fd[idx] = ((gmm_score_np(gmm, xp, t, SCHEDULE) * g).sum()
+                       - (gmm_score_np(gmm, xm, t, SCHEDULE) * g).sum()) / (2 * h)
+        np.testing.assert_allclose(x.grad, fd, rtol=1e-6, atol=1e-7)
+
+
+def test_score_net_call_and_tweedie_are_three_nodes():
+    net = MlpScore(4, (8,), 6, derive_rng(6, 9), schedule=SCHEDULE)
+    tape.freeze(net.params())
+    x = tape.leaf(derive_rng(6, 10).standard_normal((3, 4)))
+    score = net(x, 0.3)
+    out = tweedie(x, 0.3, score, SCHEDULE)
+    nodes = tape._toposort(tape.reduce_sum(out))
+    assert len(nodes) == 5      # x, fused Mlp, tail, tweedie, sum
+    assert out.parents == (x, score)
+    # the same values as the per-op composition
+    alpha, sigma = marginal_coeffs(SCHEDULE, 0.3)
+    m = x.value + net.mlp(np.concatenate(
+        [x.value, time_features(0.3, 6, batch=3)], axis=1)).value
+    assert np.array_equal(score.value,
+                          (m * float(alpha) - x.value) * (1.0 / sigma ** 2))
+    # and its input gradient, through the tail and the Mlp, is the FD one
+    w = derive_rng(6, 11).standard_normal((3, 4))
+    tape.backward(tape.reduce_sum(tape.mul(out, w)))
+
+    def f(v):
+        with tape.no_grad():
+            return float((tweedie(v, 0.3, net(v, 0.3), SCHEDULE).value * w).sum())
+
+    fd = np.zeros((3, 4))
+    for idx in np.ndindex(3, 4):
+        xp, xm = x.value.copy(), x.value.copy()
+        xp[idx] += 1e-6
+        xm[idx] -= 1e-6
+        fd[idx] = (f(xp) - f(xm)) / 2e-6
+    np.testing.assert_allclose(x.grad, fd, rtol=1e-6, atol=1e-7)

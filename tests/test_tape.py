@@ -369,3 +369,34 @@ def test_a_second_backward_through_a_fused_mlp_gives_the_same_gradients():
     tape.backward(tape.scale(tape.reduce_sum(tape.mul(out, out)), 2.0))
     for n, g in zip(leaves, first):
         assert np.array_equal(n.grad, 2.0 * g)
+
+
+def test_mlp_on_column_parts_is_the_mlp_on_their_concatenation():
+    rng = derive_rng(9, 3)
+    mlp = Mlp([7, 6, 2], rng)
+    tape.freeze(mlp.params())
+    a = tape.leaf(rng.standard_normal((4, 3)))
+    c = rng.standard_normal((4, 2))             # a constant part
+    b = tape.leaf(rng.standard_normal((4, 2)))
+    out = mlp(a, c, b)
+    assert out.parents == (a, b)
+    whole = tape.leaf(np.concatenate([a.value, c, b.value], axis=1))
+    ref = mlp(whole)
+    assert np.array_equal(out.value, ref.value)
+    weights = rng.standard_normal((4, 2))
+    tape.backward(tape.reduce_sum(tape.mul(out, weights)))
+    tape.backward(tape.reduce_sum(tape.mul(ref, weights)))
+    assert np.array_equal(a.grad, whole.grad[:, :3])
+    assert np.array_equal(b.grad, whole.grad[:, 5:])
+
+
+def test_adjoint_sums_leave_the_arrays_vjps_return_untouched():
+    # three contributions into one leaf: the sum is formed in an array of
+    # backward's own, never in the (here shared) arrays the VJP returned
+    x = tape.leaf(np.arange(3.0))
+    shared = np.full(3, 2.0)
+    root = tape.fused(np.zeros(()), [x, x, x],
+                      lambda g: (shared, shared, shared))
+    tape.backward(root)
+    np.testing.assert_array_equal(x.grad, [6.0, 6.0, 6.0])
+    np.testing.assert_array_equal(shared, [2.0, 2.0, 2.0])

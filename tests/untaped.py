@@ -28,3 +28,17 @@ def backward_plain(mlp, x, g):
         grads[:0] = [hs[i].T @ g, g.sum(axis=0)]
         g = g @ mlp.weights[i].value.T
     return g, grads
+
+
+def adam_plain(value, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The textbook Adam update of one array over a sequence of gradients,
+    with fresh arrays at every step; returns the final value."""
+    m = np.zeros_like(value)
+    v = np.zeros_like(value)
+    for step, g in enumerate(grads, start=1):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1 ** step)
+        v_hat = v / (1.0 - beta2 ** step)
+        value = value - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return value
