@@ -79,10 +79,12 @@ def train_classifier(
         pick = data_rng.integers(0, x_train.shape[0], size=batch)
         loss = cross_entropy(model(x_train[pick]), y_train[pick])
         tape.backward(loss)
+        loss_value = float(loss.value)
+        del loss                 # one graph alive: drop it before the next
         adam_step(model.params(), [p.grad for p in model.params()], adam)
         if (step + 1) % check_every == 0 or step == max_steps - 1:
             acc = accuracy(model, x_held, y_held)
-            curve.append((step + 1, float(loss.value), acc))
+            curve.append((step + 1, loss_value, acc))
             if acc >= target_accuracy:
                 return model
     raise ClassifierTrainingError(

@@ -146,6 +146,20 @@ class ExperimentConfig:
             raise ConfigError("poe is a method, not a task")
         if self.method == "poe" and self.task != "gmm2d":
             raise ConfigError("the poe baseline is defined for the gmm2d task")
+        for name in ("policy_hidden", "policy_gain_hidden", "score_hidden",
+                     "classifier_hidden"):
+            widths = getattr(self, name)
+            if any(w < 1 for w in widths):
+                raise ConfigError(f"{_FIELD_TO_KEY[name]} widths must be >= 1, "
+                                  f"got {_format_value(widths)!r}")
+        for name in ("policy_temb_width", "score_temb_width"):
+            width = getattr(self, name)
+            if width < 2 or width % 2:
+                raise ConfigError(f"{_FIELD_TO_KEY[name]} must be even and "
+                                  f">= 2, got {width}")
+        if self.gmm_component_var <= 0:
+            raise ConfigError(f"gmm.component_var must be > 0, got "
+                              f"{self.gmm_component_var!r}")
         # build every derived object once, so a bad value fails here and
         # not in the middle of a run
         try:

@@ -114,6 +114,7 @@ def train_score_model(config: ExperimentConfig, dataset: ShapesDataset) -> MlpSc
         eps = rng.standard_normal(x0.shape)
         loss = denoiser_loss(score, x0, t, eps, schedule, eps=config.grid_eps)
         tape.backward(loss)
+        del loss                 # one graph alive: drop it before the next
         adam_step(score.params(), [p.grad for p in score.params()], adam)
     return score
 

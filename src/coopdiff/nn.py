@@ -1,7 +1,9 @@
 """Small tanh MLPs with sinusoidal time features, built on the tape.
 
 One call of an ``Mlp`` is one fused tape node, on the column concatenation
-of its inputs. Its forward keeps only the hidden activations, and its VJP
+of its inputs. The node keeps the hidden activations and no copy of its
+input: the parts are held by their own nodes, and the VJP concatenates
+them again only to form a trained first-layer weight's gradient. The VJP
 runs the layer-by-layer backward in plain numpy for the parents that
 require grad: frozen weights get no weight gradient, and a constant input
 part no input adjoint.
@@ -54,6 +56,11 @@ def time_features(t, width: int, batch: int = 1) -> Array:
     return feats
 
 
+def _columns(parts: list[Array]) -> Array:
+    """The column concatenation of 2-D ``parts`` (a lone part as is)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
 class Mlp:
     """Fully connected network, tanh hidden activations, linear output."""
 
@@ -95,7 +102,17 @@ class Mlp:
     def __call__(self, *xs) -> Node:
         """The network on the column concatenation of ``xs`` (nodes or
         arrays): one fused node, so a constant part (time features, say)
-        costs no concat node and gets no adjoint."""
+        costs no concat node and gets no adjoint.
+
+        The node keeps the hidden activations its VJP reads and no copy of
+        the concatenated input. With the first-layer weight frozen (the
+        pretrained networks) it keeps nothing of the input. With that
+        weight trained it keeps references to the part arrays, and the VJP
+        concatenates them again to form the weight's gradient: the same
+        concatenation and the same ``a.T @ g``, so the gradient is the one
+        a kept copy would give. Node values are immutable, so the parts
+        cannot change under the reference.
+        """
         xs = [tape.as_node(x) for x in xs]
         inputs = [*xs, *self.params()]   # x parts, w0, b0, w1, b1, ...
         live = tape.live(inputs)
@@ -103,18 +120,19 @@ class Mlp:
         x_live = any(live[:n_in])
         n_layers = len(self.weights)
         ws = [w.value for w in self.weights]
-        # acts[i] is the input of layer i: x, then each tanh output
-        h = xs[0].value if n_in == 1 else np.concatenate(
-            [x.value for x in xs], axis=1)
-        acts = [h]
+        parts = [x.value for x in xs]
+        h = _columns(parts)
+        hidden = []                      # hidden[i] is the input of layer i + 1
         for i, (w, b) in enumerate(zip(ws, self.biases)):
             h = h @ w
             h += b.value
             if i < n_layers - 1:
                 np.tanh(h, out=h)
-                acts.append(h)
+                hidden.append(h)
         if not any(live):
             return tape.constant(h)
+        if not live[n_in]:
+            parts = None                 # only the w0 gradient reads the input
         # the lowest layer the adjoint has to reach
         bottom = 0 if x_live else (live.index(True, n_in) - n_in) // 2
         cols = list(itertools.accumulate((x.value.shape[1] for x in xs),
@@ -123,15 +141,15 @@ class Mlp:
         def vjp(g):
             grads = [None] * len(live)
             for i in range(n_layers - 1, bottom - 1, -1):
-                a = acts[i]
                 if live[n_in + 2 * i]:
+                    a = hidden[i - 1] if i > 0 else _columns(parts)
                     grads[n_in + 2 * i] = a.T @ g
                 if live[n_in + 2 * i + 1]:
                     grads[n_in + 2 * i + 1] = g.sum(axis=0)
                 if i > bottom or x_live:
                     g = g @ ws[i].T
                     if i > 0:
-                        d = a * a
+                        d = hidden[i - 1] * hidden[i - 1]
                         np.subtract(1.0, d, out=d)
                         g *= d
             for j in range(n_in):

@@ -38,7 +38,9 @@ baseline has no parameters to train). The zero control uses no gradient.
 
 Both trainers run one update loop and differ only in their schedule of
 (update index, agents to step): joint training steps every agent at every
-update, control-wise training one agent per block of updates.
+update, control-wise training one agent per block of updates. An update
+drops its graph right after backward, so training holds one rollout's
+graph at a time.
 
 All noise is drawn from a ``NoiseStream`` keyed by (stream, update, step),
 so runs sharing a seed are pairable draw by draw: joint and control-wise
@@ -463,12 +465,15 @@ def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
 
     ``updates`` yields (update index, indices of the agents to step). Per
     update: rollout, backward, one Adam step per active policy, a curve
-    point and ``on_update``. The update index keys the noise stream, so
-    joint and control-wise runs with the same seed consume identical noise
-    at the same update. A diverged rollout or a non-finite gradient of an
-    active policy skips the update and halves every learning rate once; a
-    second one aborts with the partial curve attached. ``total_updates``
-    counts the updates applied, one per curve point.
+    point and ``on_update``. The update's graph is dropped right after
+    backward, before the Adam step and the next rollout, so an update
+    holds one rollout's graph at its peak, not two. The update index keys
+    the noise stream, so joint and control-wise runs with the same seed
+    consume identical noise at the same update. A diverged rollout or a
+    non-finite gradient of an active policy skips the update and halves
+    every learning rate once; a second one aborts with the partial curve
+    attached. ``total_updates`` counts the updates applied, one per curve
+    point.
     """
     if not any(policy.params() for policy in policies):
         raise ValueError("no learnable parameters; use the cdps sampler instead")
@@ -489,6 +494,7 @@ def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
             failure, cause = str(err), err
         else:
             tape.backward(objective)
+            del objective        # one graph alive: drop it before the next
             grads = {i: [p.grad for p in policies[i].params()] for i in active}
             finite = all(np.isfinite(g).all() for gs in grads.values() for g in gs)
             failure = None if finite else "non-finite policy gradient"

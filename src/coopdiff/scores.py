@@ -61,12 +61,17 @@ class GaussianMixture:
         eps = rng.standard_normal((n, self.dim))
         return self.means[comp] + np.sqrt(self.variances[comp])[:, None] * eps
 
-    def diffused(self, t: float, schedule: NoiseSchedule) -> "GaussianMixture":
+    def diffused_params(self, t: float, schedule: NoiseSchedule):
+        """(means, variances) of the time-t diffused mixture; its weights
+        are this mixture's. No mixture is built, so nothing is validated
+        again on the hot path."""
         alpha, sigma = marginal_coeffs(schedule, t)
+        return alpha * self.means, alpha * alpha * self.variances + sigma * sigma
+
+    def diffused(self, t: float, schedule: NoiseSchedule) -> "GaussianMixture":
+        means, variances = self.diffused_params(t, schedule)
         return GaussianMixture(
-            weights=self.weights,
-            means=alpha * self.means,
-            variances=alpha * alpha * self.variances + sigma * sigma,
+            weights=self.weights, means=means, variances=variances
         )
 
     def log_density(self, x: Array) -> Array:
@@ -92,33 +97,33 @@ def gmm_score(gmm: GaussianMixture, x, t: float, schedule: NoiseSchedule) -> Nod
     Jacobian is the symmetric
     J = sum_i r_i (-I / v_i) + sum_i r_i s_i s_i^T - s_bar s_bar^T.
     """
-    mix = gmm.diffused(t, schedule)
+    means, variances = gmm.diffused_params(t, schedule)
     x = tape.as_node(x)
     xv = x.value
-    d = mix.dim
-    log_w = np.log(mix.weights) - 0.5 * d * np.log(2.0 * np.pi * mix.variances)
-    diffs = [xv - mix.means[i] for i in range(mix.num_components)]
-    if mix.num_components == 1:
-        c = float(-1.0 / mix.variances[0])
+    d = gmm.dim
+    log_w = np.log(gmm.weights) - 0.5 * d * np.log(2.0 * np.pi * variances)
+    diffs = [xv - means[i] for i in range(gmm.num_components)]
+    if gmm.num_components == 1:
+        c = float(-1.0 / variances[0])
         return tape.op(diffs[0] * c, (x,), (lambda g: g * c,))
 
     logits = [
         (diff * diff).sum(axis=1, keepdims=True) * float(-0.5 / v)
         + np.array([lw])
-        for diff, v, lw in zip(diffs, mix.variances, log_w)
+        for diff, v, lw in zip(diffs, variances, log_w)
     ]
     logit_mat = np.concatenate(logits, axis=1)                  # (B, C)
     amax = np.max(logit_mat, axis=1, keepdims=True)
     lse = np.log(np.sum(np.exp(logit_mat - amax), axis=1, keepdims=True)) + amax
     resp = np.exp(logit_mat - lse)                              # (B, C)
-    comp = [diff * float(-1.0 / v) for diff, v in zip(diffs, mix.variances)]
+    comp = [diff * float(-1.0 / v) for diff, v in zip(diffs, variances)]
     out = resp[:, [0]] * comp[0]
     for i in range(1, len(comp)):
         out = out + resp[:, [i]] * comp[i]
 
     def vjp(g):
         # J g, with J symmetric
-        jg = g * (resp @ (-1.0 / mix.variances))[:, None]
+        jg = g * (resp @ (-1.0 / variances))[:, None]
         for i, s_i in enumerate(comp):
             jg += (resp[:, i] * (s_i * g).sum(axis=1))[:, None] * s_i
         jg -= (out * g).sum(axis=1, keepdims=True) * out

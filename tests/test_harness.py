@@ -536,3 +536,105 @@ def test_non_finite_float_values_are_config_errors(value):
     for key in [*FLOAT_KEYS, "soc.target"]:
         with pytest.raises(ConfigError, match="finite"):
             parse_config_text(f"{key} = {value}")
+
+
+def config_with(text: str, lines: dict) -> str:
+    """``text`` with its ``key = value`` lines for the keys of ``lines``
+    replaced by those of ``lines``."""
+    kept = [line for line in text.splitlines()
+            if line.split(" = ")[0] not in lines]
+    return "\n".join([*kept, *(f"{k} = {v}" for k, v in lines.items())]) + "\n"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("policy.hidden", "-3"), ("policy.hidden", "16 0"),
+    ("policy.gain_hidden", "0"), ("score.hidden", "0 8"),
+    ("classifier.hidden", "-1"), ("policy.temb_width", "-2"),
+    ("policy.temb_width", "3"), ("policy.temb_width", "0"),
+    ("score.temb_width", "5"), ("gmm.component_var", "0"),
+])
+def test_bad_widths_and_mixture_variance_exit_2(key, value, tmp_path,
+                                                monkeypatch, capsys):
+    monkeypatch.setenv("COOPDIFF_OUTPUT_ROOT", str(tmp_path))
+    cfg_path = tmp_path / "widths.cfg"
+    cfg_path.write_text(config_with(GMM_SMOKE.format(out="widths"), {
+        "method": "joint", "plan.updates": 2, key: value}))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert not (tmp_path / "widths").exists()
+
+
+def test_empty_hidden_lists_are_allowed():
+    config = parse_config_text("policy.hidden =\npolicy.gain_hidden =\n"
+                               "score.hidden =\nclassifier.hidden =\n")
+    assert config.policy_hidden == config.score_hidden == ()
+
+
+@pytest.fixture(scope="module")
+def run_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz-runs")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COOPDIFF_OUTPUT_ROOT", str(root))
+        yield root
+
+
+def numbers(*extra):
+    return st.one_of(st.integers(-2, 4).map(str),
+                     st.sampled_from(["0.0", "-1.0", "1e-9", "0.5", "3.0",
+                                      "1e3", "1e300", *extra]))
+
+
+# gmm2d runs of 1-3 updates on 2-4 step grids, with the numeric and
+# network-width keys drawn from small and extreme values
+RUN_KEYS = {
+    "method": st.sampled_from(["joint", "controlwise", "cdps",
+                               "uncontrolled", "poe"]),
+    "num_agents": st.sampled_from(["1", "2", "3"]),
+    "mask": st.sampled_from(["halves", "identity"]),
+    "grid.steps": st.integers(1, 4).map(str),
+    "grid.eps": numbers("0.001", "0.99"),
+    "schedule.beta_min": numbers(),
+    "schedule.beta_max": numbers("20.0"),
+    "soc.control_weight": numbers(),
+    "soc.running_scale": numbers(),
+    "soc.running_ramp": st.sampled_from(["constant", "linear"]),
+    "soc.target": st.sampled_from(["2.0 -1.5", "1e300 0", "0", "1 2 3"]),
+    "plan.updates": st.integers(1, 3).map(str),
+    "plan.outer_iters": st.integers(0, 2).map(str),
+    "plan.inner_steps": st.integers(0, 2).map(str),
+    "plan.batch": st.integers(0, 3).map(str),
+    "plan.lr": numbers(),
+    "plan.checkpoint_every": st.integers(-1, 2).map(str),
+    "cdps.alpha_guid": numbers(),
+    "policy.hidden": st.sampled_from(["", "0", "-1", "4", "4 3"]),
+    "policy.gain_hidden": st.sampled_from(["", "0", "2"]),
+    "policy.temb_width": st.integers(-2, 5).map(str),
+    "policy.guidance_gain_init": numbers(),
+    "gmm.separation": numbers(),
+    "gmm.component_var": numbers(),
+    "eval_samples": st.integers(0, 5).map(str),
+    "eval_chunk": st.integers(0, 3).map(str),
+}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.dictionaries(st.sampled_from(sorted(RUN_KEYS)), st.just(None),
+                       max_size=6).flatmap(
+    lambda keys: st.fixed_dictionaries({k: RUN_KEYS[k] for k in keys})))
+def test_a_small_gmm2d_run_exits_0_2_or_3(run_root, drawn):
+    lines = {"task": "gmm2d", "method": "joint", "grid.steps": "3",
+             "plan.updates": "2", "plan.outer_iters": "1",
+             "plan.inner_steps": "1", "plan.batch": "2",
+             "policy.hidden": "4", "policy.gain_hidden": "2",
+             "policy.temb_width": "2", "eval_samples": "4",
+             "eval_chunk": "4", "output_dir": "fuzz", **drawn}
+    path = run_root / "fuzz.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["run", "--config", str(path)])
+    assert code in (0, 2, 3), err.getvalue()
+    if code:      # one message line, after any numpy warnings
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith(("config error: ", "diverged: ")), last

@@ -1,4 +1,6 @@
 """MLP construction modes, time features, Adam, checkpoints."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,33 @@ def test_time_features_shapes_and_errors():
         time_features(0.5, 7)
     with pytest.raises(ValueError):
         time_features([0.1, 0.2], 8, batch=3)
+
+
+@pytest.mark.parametrize("trained", ["none", "above-w0", "all"])
+def test_an_mlp_node_keeps_its_activations_and_no_input_copy(trained):
+    # an (8, 4096) input in two parts: the node keeps its output and hidden
+    # activations (a few KB); a copy of the concatenated input would be
+    # 256 KiB. "none" is the cdps sub-tape (frozen net, state leaf);
+    # "above-w0" a frozen first layer under trained ones; "all" a policy
+    rng = derive_rng(5, 0)
+    mlp = Mlp([4096, 16, 8, 2], rng)
+    frozen = {"none": mlp.params(), "above-w0": mlp.params()[:2],
+              "all": []}[trained]
+    tape.freeze(frozen)
+    x = tape.leaf(rng.standard_normal((8, 2048)))
+    c = rng.standard_normal((8, 2048))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = mlp(x, c)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.parents                  # recorded, so its VJP state is alive
+    activations = 8 * (16 + 8 + 2) * 8  # bytes of the hidden and output rows
+    assert kept < activations + 8 * 1024, kept
+    tape.backward(tape.reduce_sum(out))
+    assert x.grad.shape == x.value.shape
 
 
 def test_adam_first_step_hand_computed():

@@ -1,4 +1,6 @@
 """Rollout engine, training loops, samplers: pairing, freezing, gradients."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,46 @@ def test_rollout_memory_contract():
     assert total < 2 * 1024 ** 3, f"rollout tape holds {total / 1e9:.2f} GB"
     # backward still runs on the full-length tape
     tape.backward(J)
+
+
+def traced_bytes(fn):
+    """(bytes ``fn``'s result keeps allocated, peak bytes while it ran),
+    both over the allocations alive before the call, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return kept - before, peak - before
+
+
+@pytest.mark.parametrize("mode", ["joint", "controlwise"])
+def test_training_holds_one_rollout_graph_at_a_time(mode):
+    # an update drops its graph after backward, so the next rollout builds
+    # its own into the room that graph leaves: the traced peak of four
+    # updates stays below 1.6 rollout graphs (two graphs alive is >= 2)
+    dim = 64
+    gmm = GaussianMixture(weights=[1.0], means=[np.zeros(dim)],
+                          variances=[1.0])
+    score = AnalyticGmmScore(gmm, SCHEDULE)
+    agg = make_mask("h-stripes", 2, dim, image_hw=(8, 8))
+    cfg = SocConfig(control_weight=1.0, running_scale=1.0)
+    psi = QuadraticWell(np.zeros(dim))
+    grid = make_time_grid(40, 1e-3)
+    policies = [make_policy(dim, i, derive_rng(3, i), hidden=(32,),
+                            gain_hidden=(8,)) for i in range(2)]
+    graph, _ = traced_bytes(lambda: bptt_rollout(
+        policies, score, agg, cfg, grid, psi, SCHEDULE, NoiseStream(4),
+        batch=8))
+    plan = TrainPlan(mode=mode, updates=4, outer_iters=2, inner_steps=2,
+                     batch=8, lr=1e-3)
+    trainer = joint_ido if mode == "joint" else controlwise_ido
+    _, peak = traced_bytes(lambda: trainer(
+        plan, policies, score, agg, cfg, grid, psi, SCHEDULE, seed=4))
+    assert peak < 1.6 * graph, (peak / graph, graph)
 
 
 def test_joint_ido_requires_learnable_parameters():

@@ -390,6 +390,31 @@ def test_mlp_on_column_parts_is_the_mlp_on_their_concatenation():
     assert np.array_equal(b.grad, whole.grad[:, 5:])
 
 
+def test_a_trained_mlp_on_column_parts_has_its_concatenations_gradients():
+    # trained weights on array, node and constant-node parts: the VJP
+    # concatenates the parts again for the first-layer weight's gradient,
+    # which is then the one the pre-concatenated input gives, bit for bit
+    rng = derive_rng(9, 4)
+    mlp = Mlp([9, 6, 5, 2], rng)
+    a = tape.leaf(rng.standard_normal((4, 3)))
+    c = rng.standard_normal((4, 2))                     # an array part
+    k = tape.constant(rng.standard_normal((4, 1)))      # a constant node
+    b = tape.leaf(rng.standard_normal((4, 3)))
+    weights = rng.standard_normal((4, 2))
+    out = mlp(a, c, k, b)
+    assert out.parents == (a, b, *mlp.params())
+    tape.backward(tape.reduce_sum(tape.mul(out, weights)))
+    grads = [p.grad for p in mlp.params()]
+    whole = tape.leaf(np.concatenate([a.value, c, k.value, b.value], axis=1))
+    ref = mlp(whole)
+    assert np.array_equal(out.value, ref.value)
+    tape.backward(tape.reduce_sum(tape.mul(ref, weights)))
+    for got, p in zip(grads, mlp.params()):
+        assert np.array_equal(got, p.grad), p.name
+    assert np.array_equal(a.grad, whole.grad[:, :3])
+    assert np.array_equal(b.grad, whole.grad[:, 6:])
+
+
 def test_adjoint_sums_leave_the_arrays_vjps_return_untouched():
     # three contributions into one leaf: the sum is formed in an array of
     # backward's own, never in the (here shared) arrays the VJP returned
