@@ -30,7 +30,6 @@ from .optimize import (
     sample_cdps,
     sample_controlled,
     sample_poe_naive,
-    sample_reverse_sde,
     sample_uncontrolled,
 )
 from .scores import (

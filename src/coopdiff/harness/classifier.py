@@ -38,19 +38,6 @@ def accuracy(classifier: Mlp, images: Array, labels: Array) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
 
-def predict(classifier: Mlp, images: Array) -> Array:
-    with tape.no_grad():
-        return classifier(images).value.argmax(axis=1)
-
-
-def confusion_matrix(classifier: Mlp, images: Array, labels: Array) -> Array:
-    pred = predict(classifier, images)
-    n = classifier.out_dim
-    out = np.zeros((n, n), dtype=np.int64)
-    np.add.at(out, (labels, pred), 1)
-    return out
-
-
 def train_classifier(
     dataset: ShapesDataset,
     seed: int = 0,

@@ -16,6 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
 
 from ..checkpoint import save_checkpoint
 from ..optimize import DivergedRolloutError, TrainingDivergedError
@@ -182,7 +183,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.verb](args)
+        # non-finite states are detected and reported as divergence (exit
+        # 3), so numpy's floating-point warnings would only repeat that
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.verb](args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,7 +6,12 @@ input: the parts are held by their own nodes, and the VJP concatenates
 them again only to form a trained first-layer weight's gradient. The VJP
 runs the layer-by-layer backward in plain numpy for the parents that
 require grad: frozen weights get no weight gradient, and a constant input
-part no input adjoint.
+part no input adjoint; the input adjoint is formed only over the column
+block that spans the live parts. A trained weight's gradient ``a.T @ g``
+is returned as a ``tape.OuterSum`` term, so a weight used at every
+rollout step is summed with one gemm per block of steps (see
+``tape.OuterSum``): exactly ``a.T @ g`` for a single use, and a
+summation-order difference in the last bits for many.
 
 Two construction modes matter for control policies:
   * ``zero_final=True`` zero-initialises the last linear layer, so the
@@ -34,24 +39,39 @@ def _frequencies(half: int) -> Array:
     return freqs
 
 
+def _features(tt: Array, width: int) -> Array:
+    """The sin/cos features of the (rows, 1) times ``tt``."""
+    ang = tt * _frequencies(width // 2)
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+
+
+@functools.lru_cache(maxsize=4096)
+def _time_row(t: float, width: int) -> Array:
+    row = _features(np.array([[t]]), width)
+    row.setflags(write=False)
+    return row
+
+
 def time_features(t, width: int, batch: int = 1) -> Array:
     """Sinusoidal features of diffusion time, shape (batch, width).
 
     ``t`` may be a scalar (shared across the batch) or a length-``batch``
     vector. Frequencies are geometric in [1, 400], covering t in [0, 1];
-    they are computed once per width, and a scalar time's sin/cos row
-    once per call.
+    they are computed once per width. The row of a float time is memoised
+    per (t, width), so the calls of one rollout step (each policy and the
+    score net) share it; with ``batch = 1`` that read-only row is the
+    result.
     """
     if width % 2 != 0:
         raise ValueError(f"time feature width must be even, got {width}")
-    freqs = _frequencies(width // 2)
-    tt = np.atleast_1d(np.asarray(t, dtype=np.float64)).reshape(-1, 1)
-    shared = tt.shape[0] == 1 and batch >= 1
-    if not shared and tt.shape[0] != batch:
-        raise ValueError(f"got {tt.shape[0]} times for batch {batch}")
-    ang = tt * freqs
-    feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
-    if shared and batch > 1:
+    if isinstance(t, float) and batch >= 1:
+        feats = _time_row(t, width)
+    else:
+        tt = np.atleast_1d(np.asarray(t, dtype=np.float64)).reshape(-1, 1)
+        if tt.shape[0] != batch and not (tt.shape[0] == 1 and batch >= 1):
+            raise ValueError(f"got {tt.shape[0]} times for batch {batch}")
+        feats = _features(tt, width)
+    if feats.shape[0] == 1 and batch > 1:
         return np.repeat(feats, batch, axis=0)
     return feats
 
@@ -108,10 +128,10 @@ class Mlp:
         the concatenated input. With the first-layer weight frozen (the
         pretrained networks) it keeps nothing of the input. With that
         weight trained it keeps references to the part arrays, and the VJP
-        concatenates them again to form the weight's gradient: the same
-        concatenation and the same ``a.T @ g``, so the gradient is the one
-        a kept copy would give. Node values are immutable, so the parts
-        cannot change under the reference.
+        concatenates them again to form the weight's gradient term: the
+        same concatenation, so the gradient is the one a kept copy would
+        give. Node values are immutable, so the parts cannot change under
+        the reference.
         """
         xs = [tape.as_node(x) for x in xs]
         inputs = [*xs, *self.params()]   # x parts, w0, b0, w1, b1, ...
@@ -137,24 +157,31 @@ class Mlp:
         bottom = 0 if x_live else (live.index(True, n_in) - n_in) // 2
         cols = list(itertools.accumulate((x.value.shape[1] for x in xs),
                                          initial=0))
+        # the input adjoint is formed only over the column block that
+        # spans the live parts
+        parts_live = [j for j in range(n_in) if live[j]]
+        lo = cols[parts_live[0]] if x_live else 0
+        hi = cols[parts_live[-1] + 1] if x_live else 0
+        w_in = ws[0][lo:hi]
 
         def vjp(g):
             grads = [None] * len(live)
             for i in range(n_layers - 1, bottom - 1, -1):
                 if live[n_in + 2 * i]:
                     a = hidden[i - 1] if i > 0 else _columns(parts)
-                    grads[n_in + 2 * i] = a.T @ g
+                    grads[n_in + 2 * i] = tape.OuterSum(a, g)
                 if live[n_in + 2 * i + 1]:
                     grads[n_in + 2 * i + 1] = g.sum(axis=0)
-                if i > bottom or x_live:
+                if i > bottom:
                     g = g @ ws[i].T
-                    if i > 0:
-                        d = hidden[i - 1] * hidden[i - 1]
-                        np.subtract(1.0, d, out=d)
-                        g *= d
+                    d = hidden[i - 1] * hidden[i - 1]
+                    np.subtract(1.0, d, out=d)
+                    g *= d
+                elif x_live:
+                    g = g @ w_in.T
             for j in range(n_in):
                 if live[j]:
-                    grads[j] = g if n_in == 1 else g[:, cols[j]:cols[j + 1]]
+                    grads[j] = g[:, cols[j] - lo:cols[j + 1] - lo]
             return tuple(gr for gr, keep in zip(grads, live) if keep)
 
         return tape.fused(h, [n for n, keep in zip(inputs, live) if keep], vjp)

@@ -309,7 +309,7 @@ def coupled_rollout(
 
         xi = noise.normal((STREAM_STEP, update_index, k), (n_agents, batch, dim))
         mu = reverse_drift(xs, t, scores, schedule)
-        xs = em_step(xs, t, dt, mu, g_k, xi, control=controls)
+        xs = em_step(xs, dt, mu, g_k, xi, control=controls)
         finite = np.isfinite(xs.value).all(axis=(1, 2))
         if not finite.all():
             raise DivergedRolloutError(step=k, agent=int(np.argmin(finite)))
@@ -625,19 +625,7 @@ def sample_poe_naive(
                 total = s if total is None else tape.add(total, s)
             mu = reverse_drift(x_node, t, total, schedule)
             xi = noise.normal((STREAM_STEP, noise_index, k), (1, batch, dim))[0]
-            x = em_step(x_node, t, dt, mu, g_k, xi).value
+            x = em_step(x_node, dt, mu, g_k, xi).value
             if not np.all(np.isfinite(x)):
                 raise DivergedRolloutError(step=k, agent=0)
     return x
-
-
-def sample_reverse_sde(
-    score_fn,
-    grid: TimeGrid,
-    schedule: NoiseSchedule,
-    seed: int,
-    batch: int,
-    dim: int,
-) -> Array:
-    """Ordinary single-model sampling (one-expert case of the above)."""
-    return sample_poe_naive([score_fn], grid, schedule, seed, batch, dim)

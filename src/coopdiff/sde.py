@@ -16,6 +16,7 @@ Conventions used everywhere in this package:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,11 +61,26 @@ class NoiseSchedule:
 
 
 def marginal_coeffs(schedule: NoiseSchedule, t):
-    """(alpha(t), sigma(t)) with alpha^2 + sigma^2 = 1; t must lie in [0, 1]."""
+    """(alpha(t), sigma(t)) with alpha^2 + sigma^2 = 1; t must lie in [0, 1].
+
+    For a float ``t`` the pair (two numpy scalars) is memoised per
+    (schedule, t), so the calls of one rollout step share it.
+    """
+    if isinstance(t, float):
+        return _scalar_coeffs(schedule, t)
+    return _coeffs(schedule, t)
+
+
+def _coeffs(schedule: NoiseSchedule, t):
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
         raise ValueError(f"diffusion time outside [0, 1]: {t!r}")
     return schedule.alpha(t_arr), schedule.sigma(t_arr)
+
+
+@functools.lru_cache(maxsize=4096)
+def _scalar_coeffs(schedule: NoiseSchedule, t: float):
+    return _coeffs(schedule, t)
 
 
 @dataclass(frozen=True)
@@ -117,7 +133,7 @@ def reverse_drift(x, t: float, score, schedule: NoiseSchedule) -> Node:
                    (lambda g: g * half, lambda g: g * b))
 
 
-def em_step(x, t: float, dt: float, drift, g: float, noise: Array,
+def em_step(x, dt: float, drift, g: float, noise: Array,
             control=None) -> Node:
     """x' = x + (drift + g * control) * dt + g * sqrt(dt) * noise, one node
     (noise supplied by the caller; no control term when ``control`` is

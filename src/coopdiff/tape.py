@@ -18,7 +18,9 @@ hand-written VJPs, the ``jax.custom_vjp`` idiom; ``rowwise`` records a
 function whose gradient is already known (the classifier NLL, the seam
 loss). A ``fused`` node is a whole sub-computation (a tanh MLP, the
 objective's sum) whose single VJP returns the adjoints of all its
-parents at once.
+parents at once. A VJP may return a weight's adjoint ``a.T @ g`` unformed,
+as an ``OuterSum`` term; ``backward`` then sums a weight used at many
+steps in blocks of steps, with one gemm per block.
 
 Design constraints:
   * values are float64 throughout, so central finite differences are a
@@ -396,6 +398,66 @@ def fused(value, parents: Sequence[Node], vjp) -> Node:
     return _Fused(value, tuple(parents), (vjp,))
 
 
+class OuterSum:
+    """The lazy weight adjoint sum_k a_k.T @ g_k.
+
+    A weight used at K steps of a rollout gets one ``a_k.T @ g_k`` per
+    step, each a skinny gemm (inner dimension = the batch) followed by a
+    full-size add. A VJP instead returns ``OuterSum(a, g)``, and
+    ``backward`` adds the terms of later contributions into the first with
+    ``add``: the pending (a_k, g_k) pairs are folded into a dense sum with
+    one ``concatenate(a).T @ concatenate(g)`` whenever their rows reach
+    the weight's column count. Pending rows thus stay below the column
+    count (the pending ``a_k`` hold fewer bytes than the dense sum), and
+    the weight costs one well-shaped gemm and one add per block of steps.
+    A single term folds to exactly ``a.T @ g``; a longer sum differs from
+    the step-by-step one only in summation order. The ``a_k`` and ``g_k``
+    are only read, never written.
+    """
+
+    __slots__ = ("pairs", "rows", "cols", "dense")
+
+    def __init__(self, a: Array, g: Array):
+        self.pairs: list[tuple[Array, Array]] = []   # pending (a_k, g_k)
+        self.rows = 0                                 # rows of the pending a_k
+        self.cols = g.shape[1]
+        self.dense: Array | None = None               # the folded terms
+        self._push(a, g)
+
+    def add(self, other: "OuterSum") -> None:
+        """Add the terms of ``other`` into this sum, taking ``other`` over
+        (its dense part may become this sum's)."""
+        if other.dense is not None:
+            self._fold_in(other.dense)
+        for a, g in other.pairs:
+            self._push(a, g)
+
+    def array(self) -> Array:
+        """The sum as an array (folds what is pending)."""
+        if self.pairs:
+            if len(self.pairs) == 1:
+                a, g = self.pairs[0]
+                part = a.T @ g
+            else:
+                a_k, g_k = zip(*self.pairs)
+                part = np.concatenate(a_k).T @ np.concatenate(g_k)
+            self.pairs, self.rows = [], 0
+            self._fold_in(part)
+        return self.dense
+
+    def _push(self, a: Array, g: Array) -> None:
+        self.pairs.append((a, g))
+        self.rows += a.shape[0]
+        if self.rows >= self.cols:
+            self.array()
+
+    def _fold_in(self, part: Array) -> None:
+        if self.dense is None:
+            self.dense = part
+        else:
+            self.dense += part
+
+
 def stopgrad(a) -> Node:
     """Same forward value, zero adjoint flow: the result is a constant."""
     a = as_node(a)
@@ -438,8 +500,11 @@ def backward(root: Node) -> None:
     identical graphs. A node's first contribution is kept as the VJP
     returned it (it may be shared); the second makes a new sum array that
     later contributions are added into in place, which gives the same
-    sums without an allocation per contribution (a policy weight gets one
-    per rollout step).
+    sums without an allocation per contribution. Weight adjoints a VJP
+    returns as ``OuterSum`` terms (a policy weight gets one per rollout
+    step) are added lazily and folded blockwise (see ``OuterSum``); a sum
+    that mixes them with array contributions is made an array before
+    adding, and ``.grad`` is always an array.
     """
     if root.value.size != 1:
         raise ValueError(
@@ -447,10 +512,12 @@ def backward(root: Node) -> None:
         )
     if not root.requires_grad:
         return
-    grads: dict[int, Array] = {id(root): np.ones_like(root.value)}
+    grads: dict[int, Array | OuterSum] = {id(root): np.ones_like(root.value)}
     owned: set[int] = set()           # ids whose adjoint array is ours
     for node in reversed(_toposort(root)):
         g = grads.pop(id(node))       # every reachable node has an adjoint
+        if type(g) is OuterSum:
+            g = g.array()
         if node.is_leaf:
             node.grad = g
             continue
@@ -460,11 +527,22 @@ def backward(root: Node) -> None:
             contribs = [vjp(g) for vjp in node.vjps]
         for parent, contrib in zip(node.parents, contribs):
             pid = id(parent)
-            if pid not in grads:
+            acc = grads.get(pid)
+            if acc is None:
                 grads[pid] = contrib
-            elif pid in owned and grads[pid].shape == np.shape(contrib):
-                grads[pid] += contrib
-            else:
-                grads[pid] = grads[pid] + contrib
+                continue
+            if type(acc) is OuterSum:
+                if type(contrib) is OuterSum:
+                    acc.add(contrib)
+                    continue
+                acc = acc.array()     # a mixed sum is made dense first
                 owned.add(pid)
+            if type(contrib) is OuterSum:
+                contrib = contrib.array()
+            if pid in owned and acc.shape == np.shape(contrib):
+                acc += contrib
+            else:
+                acc = acc + contrib
+                owned.add(pid)
+            grads[pid] = acc
 

@@ -47,7 +47,6 @@ from coopdiff.optimize import (
     controlwise_ido,
     joint_ido,
     sample_poe_naive,
-    sample_reverse_sde,
     sample_uncontrolled,
 )
 from coopdiff.scores import (
@@ -71,6 +70,7 @@ from coopdiff.harness import (
     with_overrides,
 )
 from guidance_replay import record_guidance, replay_guidance
+from oracles import sample_reverse_sde
 
 SCHEDULE = NoiseSchedule()
 

@@ -8,7 +8,12 @@ from coopdiff import tape
 from coopdiff.checkpoint import load_checkpoint, save_checkpoint
 from coopdiff.nn import Mlp, time_features
 from coopdiff.optim import AdamState, adam_step
-from coopdiff.sde import derive_rng
+from coopdiff.sde import (
+    NoiseSchedule,
+    derive_rng,
+    make_time_grid,
+    marginal_coeffs,
+)
 from untaped import adam_plain, forward_plain
 
 
@@ -44,6 +49,34 @@ def test_time_features_shapes_and_errors():
         time_features(0.5, 7)
     with pytest.raises(ValueError):
         time_features([0.1, 0.2], 8, batch=3)
+
+
+def test_memoised_time_features_and_coefficients_are_the_uncached_ones():
+    # a float time hits the caches; a 0-d array or a per-row vector of the
+    # same time takes the uncached path
+    schedule = NoiseSchedule()
+    for t in make_time_grid(80, 0.02).times:
+        alpha, sigma = marginal_coeffs(schedule, float(t))
+        assert (alpha, sigma) == marginal_coeffs(schedule, float(t))
+        assert alpha == marginal_coeffs(schedule, np.asarray(t))[0]
+        assert sigma == marginal_coeffs(schedule, np.asarray(t))[1]
+        for batch in (1, 2, 3, 16, 64, 256):
+            per_row = marginal_coeffs(schedule, np.full(batch, t))
+            assert np.all(per_row[0] == alpha) and np.all(per_row[1] == sigma)
+            for width in (2, 16):
+                feats = time_features(float(t), width, batch=batch)
+                assert feats.shape == (batch, width)
+                assert np.array_equal(
+                    feats, time_features(np.full(batch, t), width, batch=batch))
+                assert np.array_equal(
+                    feats, time_features(np.asarray(t), width, batch=batch))
+    row = time_features(0.5, 16)
+    assert row is time_features(0.5, 16) and not row.flags.writeable
+    with pytest.raises(ValueError):
+        row[0, 0] = 1.0
+    assert time_features(0.5, 16, batch=2).flags.writeable   # a fresh copy
+    with pytest.raises(ValueError):
+        marginal_coeffs(schedule, 1.5)
 
 
 @pytest.mark.parametrize("trained", ["none", "above-w0", "all"])

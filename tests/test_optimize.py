@@ -26,12 +26,12 @@ from coopdiff.optimize import (
     sample_cdps,
     sample_controlled,
     sample_poe_naive,
-    sample_reverse_sde,
     sample_uncontrolled,
 )
 from coopdiff.scores import AnalyticGmmScore, GaussianMixture, MlpScore
 from coopdiff.sde import NoiseSchedule, NoiseStream, derive_rng, make_time_grid
 from guidance_replay import record_guidance, replay_guidance
+from oracles import sample_reverse_sde
 
 SCHEDULE = NoiseSchedule()
 

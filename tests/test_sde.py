@@ -108,19 +108,19 @@ def test_reverse_drift_time_domain():
 
 def test_em_step_frozen_dynamics():
     x = np.array([[1.0, 2.0]])
-    out = em_step(x, 0.5, 0.1, np.zeros((1, 2)), 0.0, np.ones((1, 2)))
+    out = em_step(x, 0.1, np.zeros((1, 2)), 0.0, np.ones((1, 2)))
     np.testing.assert_array_equal(out.value, x)
 
 
 def test_em_step_deterministic_euler():
-    out = em_step(np.array([[1.0]]), 0.5, 0.5, np.array([[2.0]]), 0.0,
+    out = em_step(np.array([[1.0]]), 0.5, np.array([[2.0]]), 0.0,
                   np.zeros((1, 1)))
     np.testing.assert_array_equal(out.value, [[2.0]])
 
 
 def test_em_step_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        em_step(np.ones((1, 1)), 0.5, 0.0, np.ones((1, 1)), 1.0, np.ones((1, 1)))
+        em_step(np.ones((1, 1)), 0.0, np.ones((1, 1)), 1.0, np.ones((1, 1)))
 
 
 def test_em_variance_growth_matches_brownian_motion():
@@ -130,7 +130,7 @@ def test_em_variance_growth_matches_brownian_motion():
     stream = NoiseStream(123)
     x = np.zeros((paths, 1))
     for k in range(steps):
-        x = em_step(x, 0.5, dt, np.zeros((paths, 1)), 1.0,
+        x = em_step(x, dt, np.zeros((paths, 1)), 1.0,
                     stream.normal((1, 0, k), (paths, 1))).value
     var = x.var()
     se = total * np.sqrt(2.0 / (paths - 1))  # sd of a chi^2-based estimate
@@ -175,7 +175,7 @@ def test_em_trajectory_bit_reproducible():
         x = stream.normal((0, 0, 0), (8, 2))
         for k in range(50):
             drift = -0.5 * x
-            x = em_step(x, 0.5, 0.01, drift, 1.3,
+            x = em_step(x, 0.01, drift, 1.3,
                         stream.normal((1, 0, k), (8, 2))).value
         return x
 

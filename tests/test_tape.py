@@ -425,3 +425,150 @@ def test_adjoint_sums_leave_the_arrays_vjps_return_untouched():
     tape.backward(root)
     np.testing.assert_array_equal(x.grad, [6.0, 6.0, 6.0])
     np.testing.assert_array_equal(shared, [2.0, 2.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# lazy weight adjoints and the live-column input adjoint
+# ---------------------------------------------------------------------------
+
+def _recurrent_loss(mlp, x0, steps, per_op=False):
+    """x_{k+1} = x_k + 0.05 * mlp(x_k) for ``steps`` steps, loss sum x_K^2:
+    every weight is used at every step. ``per_op`` builds the same net
+    from elementary ops, whose matmul VJP forms each step's ``a.T @ g``."""
+    x = tape.constant(x0)
+    for _ in range(steps):
+        if per_op:
+            h = x
+            for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+                h = tape.add(tape.matmul(h, w), b)
+                if i < len(mlp.weights) - 1:
+                    h = tape.tanh(h)
+        else:
+            h = mlp(x)
+        x = tape.add(x, tape.scale(h, 0.05))
+    return tape.reduce_sum(tape.mul(x, x))
+
+
+def test_a_weight_used_at_200_steps_gets_the_per_step_sum():
+    # 3 rows per step and 8 or 3 columns: partial blocks fold every few
+    # steps, and the sum differs from the per-step one in order only
+    rng = derive_rng(9, 5)
+    mlp = Mlp([3, 8, 3], rng)
+    x0 = rng.standard_normal((3, 3))
+    tape.backward(_recurrent_loss(mlp, x0, 200))
+    lazy = [p.grad for p in mlp.params()]
+    assert all(type(g) is np.ndarray for g in lazy)
+    tape.backward(_recurrent_loss(mlp, x0, 200, per_op=True))
+    for got, p in zip(lazy, mlp.params()):
+        scale = np.abs(p.grad).max()
+        assert np.abs(got - p.grad).max() <= 1e-14 * scale, p.name
+    w = mlp.weights[0]
+    orig = w.value.copy()
+
+    def f(v):
+        w.value = v
+        out = float(_recurrent_loss(mlp, x0, 200).value)
+        w.value = orig
+        return out
+
+    assert max_rel_err(finite_diff(f, orig), lazy[0]) < 1e-6
+
+
+def test_a_second_backward_repeats_the_lazy_sums():
+    rng = derive_rng(9, 6)
+    mlp = Mlp([3, 8, 3], rng)
+    root = _recurrent_loss(mlp, rng.standard_normal((3, 3)), 50)
+    tape.backward(root)
+    first = [p.grad for p in mlp.params()]
+    tape.backward(root)
+    for g, p in zip(first, mlp.params()):
+        assert np.array_equal(g, p.grad), p.name
+
+
+@pytest.mark.parametrize("rows", [3, 8, 40])
+def test_a_single_use_weight_gets_exactly_a_T_g(rows):
+    # fewer, as many and more rows than the weight has columns
+    rng = derive_rng(9, 7)
+    mlp = Mlp([5, 8], rng)
+    x = rng.standard_normal((rows, 5))
+    c = rng.standard_normal((rows, 8))
+    tape.backward(tape.reduce_sum(tape.mul(mlp(x), c)))
+    assert np.array_equal(mlp.weights[0].grad, x.T @ c)
+    assert np.array_equal(tape.OuterSum(x, c).array(), x.T @ c)
+
+
+@pytest.mark.parametrize("order", ["dense-first", "lazy-first", "interleaved"])
+def test_mixed_dense_and_lazy_adjoints_sum_and_leave_their_arrays_untouched(
+        order):
+    rng = derive_rng(9, 8)
+    terms = [(rng.standard_normal((4, 6)), rng.standard_normal((4, 5)))
+             for _ in range(5)]
+    dense = [rng.standard_normal((6, 5)) for _ in range(2)]
+    kinds = {"dense-first": "ddlllll", "lazy-first": "llllldd",
+             "interleaved": "ldllldl"}[order]
+    copies = [a.copy() for pair in terms for a in pair] + [d.copy() for d in dense]
+    w = tape.leaf(np.zeros((6, 5)))
+
+    def vjp(g):
+        lazy, arrays = iter(terms), iter(dense)
+        return tuple(tape.OuterSum(*next(lazy)) if k == "l" else next(arrays)
+                     for k in kinds)
+
+    root = tape.fused(np.zeros(()), [w] * len(kinds), vjp)
+    tape.backward(root)
+    ref = sum(a.T @ g for a, g in terms) + sum(dense)
+    assert type(w.grad) is np.ndarray
+    np.testing.assert_allclose(w.grad, ref, rtol=0,
+                               atol=1e-14 * np.abs(ref).max())
+    for orig, now in zip(copies, [a for pair in terms for a in pair] + dense):
+        assert np.array_equal(orig, now)
+
+
+def test_pending_rows_stay_below_the_weight_column_count():
+    rng = derive_rng(9, 9)
+    cols = 16
+    acc = None
+    ref = np.zeros((7, cols))
+    for k in range(300):
+        rows = int(rng.integers(1, 2 * cols))
+        a, g = rng.standard_normal((rows, 7)), rng.standard_normal((rows, cols))
+        ref += a.T @ g
+        term = tape.OuterSum(a, g)
+        if acc is None:
+            acc = term
+        else:
+            acc.add(term)
+        assert acc.rows < acc.cols == cols
+        assert sum(a.shape[0] for a, _ in acc.pairs) == acc.rows
+    np.testing.assert_allclose(acc.array(), ref, rtol=0,
+                               atol=1e-14 * np.abs(ref).max())
+    assert acc.rows == 0 and not acc.pairs
+
+
+@pytest.mark.parametrize("sizes, live", [
+    ((3, 2, 4, 2, 3), (False, True, False, True, False)),
+    ((256, 256, 256, 16), (True, True, False, False)),
+], ids=["small", "policy-sized"])
+def test_the_input_adjoint_over_live_columns_is_the_full_products_slice(
+        sizes, live):
+    # a constant part on either side of the live block (small), or the
+    # policy's x, Y, guidance and time features: the live parts' adjoints
+    # are bit-equal to slicing the full g @ W0.T
+    rng = derive_rng(9, 10)
+    mlp = Mlp([sum(sizes), 12, 5], rng)
+    tape.freeze(mlp.params())
+    rows = 16
+    values = [rng.standard_normal((rows, n)) for n in sizes]
+    parts = [tape.leaf(v) if keep else tape.constant(v)
+             for v, keep in zip(values, live)]
+    weights = rng.standard_normal((rows, 5))
+    tape.backward(tape.reduce_sum(tape.mul(mlp(*parts), weights)))
+    whole = tape.leaf(np.concatenate(values, axis=1))
+    tape.backward(tape.reduce_sum(tape.mul(mlp(whole), weights)))
+    offsets = np.cumsum([0, *sizes])
+    for i, part in enumerate(parts):
+        if live[i]:
+            assert np.array_equal(
+                part.grad, whole.grad[:, offsets[i]:offsets[i + 1]])
+        else:
+            assert part.grad is None
