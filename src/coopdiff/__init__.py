@@ -36,7 +36,6 @@ from .scores import (
     AnalyticGmmScore,
     GaussianMixture,
     MlpScore,
-    dsm_loss,
     gmm_score,
     tweedie,
 )

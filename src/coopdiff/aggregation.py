@@ -61,14 +61,6 @@ class MaskAggregator:
             masks[i, list(s)] = 1.0
         object.__setattr__(self, "masks", masks)
 
-    def selection_matrix(self) -> Array:
-        """Dense M of shape (d, N*d); for tests and documentation only."""
-        m = np.zeros((self.dim, self.num_agents * self.dim))
-        for i, s in enumerate(self.index_sets):
-            for j in s:
-                m[j, i * self.dim + j] = 1.0
-        return m
-
 
 def aggregate(agg: MaskAggregator, states) -> Node:
     """Y with Y[j] copied from the agent whose index set contains j.
@@ -90,11 +82,6 @@ def aggregate(agg: MaskAggregator, states) -> Node:
                    (lambda g: g * masks,))
 
 
-def aggregate_np(agg: MaskAggregator, states) -> Array:
-    with tape.no_grad():
-        return aggregate(agg, states).value
-
-
 def scatter_adjoint(agg: MaskAggregator, grad_y) -> Array:
     """Transpose of ``aggregate``: route a (batch, dim) dY to each agent's
     own coordinates, giving (N, batch, dim)."""
@@ -104,12 +91,6 @@ def scatter_adjoint(agg: MaskAggregator, grad_y) -> Array:
             f"gradient has dimension {grad_y.shape[-1]}, expected {agg.dim}"
         )
     return grad_y * agg.masks[:, None, :]
-
-
-def masked_control_energy(agg: MaskAggregator, controls) -> float:
-    """|| M vec(u) ||^2: the energy the aggregate actually sees."""
-    y = aggregate_np(agg, controls)
-    return float((y * y).sum())
 
 
 # ---------------------------------------------------------------------------

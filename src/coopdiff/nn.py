@@ -2,15 +2,15 @@
 
 One call of an ``Mlp`` is one fused tape node, on the column concatenation
 of its inputs. The node keeps the hidden activations and no copy of its
-input: the parts are held by their own nodes, and the VJP concatenates
-them again only to form a trained first-layer weight's gradient. The VJP
-runs the layer-by-layer backward in plain numpy for the parents that
-require grad: frozen weights get no weight gradient, and a constant input
-part no input adjoint; the input adjoint is formed only over the column
-block that spans the live parts. A trained weight's gradient ``a.T @ g``
-is returned as a ``tape.OuterSum`` term, so a weight used at every
-rollout step is summed with one gemm per block of steps (see
-``tape.OuterSum``): exactly ``a.T @ g`` for a single use, and a
+input: a trained first-layer weight's gradient term keeps references to
+the input parts, which the fold of that weight's terms reads directly
+(see ``tape.OuterSum``). The VJP runs the layer-by-layer backward in
+plain numpy for the parents that require grad: frozen weights get no
+weight gradient, and a constant input part no input adjoint; the input
+adjoint is formed only over the column block that spans the live parts.
+A trained weight's gradient ``a.T @ g`` is returned as a ``tape.OuterSum``
+term, so a weight used at every rollout step is summed with one gemm per
+block of steps: exactly ``a.T @ g`` for a single use, and a
 summation-order difference in the last bits for many.
 
 Two construction modes matter for control policies:
@@ -127,11 +127,11 @@ class Mlp:
         The node keeps the hidden activations its VJP reads and no copy of
         the concatenated input. With the first-layer weight frozen (the
         pretrained networks) it keeps nothing of the input. With that
-        weight trained it keeps references to the part arrays, and the VJP
-        concatenates them again to form the weight's gradient term: the
-        same concatenation, so the gradient is the one a kept copy would
-        give. Node values are immutable, so the parts cannot change under
-        the reference.
+        weight trained it keeps references to the part arrays, and the
+        weight's gradient term hands them to the fold, which fills the same
+        block of rows a kept copy would give. The part arrays are never
+        written, so they cannot change under the reference, and releasing
+        a part's node (``tape.release``) drops only the node's reference.
         """
         xs = [tape.as_node(x) for x in xs]
         inputs = [*xs, *self.params()]   # x parts, w0, b0, w1, b1, ...
@@ -168,7 +168,7 @@ class Mlp:
             grads = [None] * len(live)
             for i in range(n_layers - 1, bottom - 1, -1):
                 if live[n_in + 2 * i]:
-                    a = hidden[i - 1] if i > 0 else _columns(parts)
+                    a = hidden[i - 1] if i > 0 else parts
                     grads[n_in + 2 * i] = tape.OuterSum(a, g)
                 if live[n_in + 2 * i + 1]:
                     grads[n_in + 2 * i + 1] = g.sum(axis=0)

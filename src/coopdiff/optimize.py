@@ -19,7 +19,11 @@ score call (two, plus the reshapes of ``stacked_score``), ``tweedie``, each
 ``aggregate``, the drift, the EM step with its g U term, the control
 energy and the running cost (time weight and batch mean folded in). The
 objective is one node over the terminal cost and every step's terms,
-summed in the order of the running and energy accumulators.
+summed in the order of the running and energy accumulators; it lists the
+terms last step first, so backward reaches each step's terms next to
+that step. At the end of a step, ``tape.release`` drops the values of the
+nodes it recorded, all but the next state's: the VJPs keep what backward
+reads, so the graph holds nothing else.
 
 The score model and psi are evaluated once per step, for every control
 source. When the step needs grad psi(Yh) -- the learned control consumes
@@ -253,8 +257,8 @@ def coupled_rollout(
     init = noise.normal((STREAM_INIT, update_index, 0), (n_agents, batch, dim))
     xs = tape.constant(sigma0 * init)              # (N, B, d)
 
-    # the objective's per-step terms; their sums keep the order of the
-    # running and the control-energy accumulators
+    # the objective's per-step terms, in step order; their sums keep the
+    # order of the running and the control-energy accumulators
     terms: list[Node] = []
     running_sum = control_sum = 0.0
     loss_u = 0.0
@@ -268,51 +272,57 @@ def coupled_rollout(
         if record_history:
             record.states.append(xs.value)
 
-        y_k = aggregate(agg, xs)
-        if control_fn.guidance == "state":
-            # one sub-tape gives the step's scores, Y0_hat, psi and the
-            # state gradient; the rollout reuses them as constants
-            step = state_guidance(score_fn, agg, psi, schedule, xs.value, t)
-            scores = tape.constant(step.scores)
-            y0_hat = tape.constant(step.y0_hat)
-            psi_value, grad = step.psi, step.grad
-        else:
-            scores = stacked_score(score_fn, xs, t)
-            y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
-            # one psi pass: the guidance sub-tape also yields psi, and the
-            # running cost reuses its gradient as VJP
-            if control_fn.guidance == "tweedie" or y0_hat.requires_grad:
-                psi_value, grad = tweedie_guidance(psi, y0_hat)
+        # the step's nodes, all but the next state released at its end
+        with tape.scope() as recorded:
+            y_k = aggregate(agg, xs)
+            if control_fn.guidance == "state":
+                # one sub-tape gives the step's scores, Y0_hat, psi and the
+                # state gradient; the rollout reuses them as constants
+                step = state_guidance(score_fn, agg, psi, schedule,
+                                      xs.value, t)
+                scores = tape.constant(step.scores)
+                y0_hat = tape.constant(step.y0_hat)
+                psi_value, grad = step.psi, step.grad
             else:
-                psi_value, grad = psi(y0_hat).value, None  # (B, 1)
-        step_cost = psi_value.sum() * (1.0 / batch)
-        loss_c += float(step_cost) * dt
-        weight = cfg.running_weight(t) * dt
-        running = step_cost * weight
-        running_sum = running_sum + running
-        if y0_hat.requires_grad:
-            # grad is grad psi(Y0_hat) here; the time weight and the batch
-            # mean are folded into the one node
-            terms.append(tape.rowwise(y0_hat, running,
-                                      grad * (weight * (1.0 / batch))))
+                scores = stacked_score(score_fn, xs, t)
+                y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
+                # one psi pass: the guidance sub-tape also yields psi, and
+                # the running cost reuses its gradient as VJP
+                if control_fn.guidance == "tweedie" or y0_hat.requires_grad:
+                    psi_value, grad = tweedie_guidance(psi, y0_hat)
+                else:
+                    psi_value, grad = psi(y0_hat).value, None  # (B, 1)
+            step_cost = psi_value.sum() * (1.0 / batch)
+            loss_c += float(step_cost) * dt
+            weight = cfg.running_weight(t) * dt
+            running = step_cost * weight
+            running_sum = running_sum + running
+            if y0_hat.requires_grad:
+                # grad is grad psi(Y0_hat) here; the time weight and the
+                # batch mean are folded into the one node
+                terms.append(tape.rowwise(y0_hat, running,
+                                          grad * (weight * (1.0 / batch))))
 
-        controls = control_fn(k, t, xs, y_k, grad)
+            controls = control_fn(k, t, xs, y_k, grad)
 
-        energy, sq = _control_energy(controls, lambdas * dt, batch)
-        control_sum = control_sum + energy.value
-        terms.append(energy)
-        loss_u += float((sq / n_agents).sum()) * dt
+            energy, sq = _control_energy(controls, lambdas * dt, batch)
+            control_sum = control_sum + energy.value
+            terms.append(energy)
+            loss_u += float((sq / n_agents).sum()) * dt
 
-        if record_history:
-            record.controls.append(controls.value)
-            record.y0_hats.append(y0_hat.value)
+            if record_history:
+                record.controls.append(controls.value)
+                record.y0_hats.append(y0_hat.value)
 
-        xi = noise.normal((STREAM_STEP, update_index, k), (n_agents, batch, dim))
-        mu = reverse_drift(xs, t, scores, schedule)
-        xs = em_step(xs, dt, mu, g_k, xi, control=controls)
-        finite = np.isfinite(xs.value).all(axis=(1, 2))
-        if not finite.all():
-            raise DivergedRolloutError(step=k, agent=int(np.argmin(finite)))
+            xi = noise.normal((STREAM_STEP, update_index, k),
+                              (n_agents, batch, dim))
+            mu = reverse_drift(xs, t, scores, schedule)
+            xs = em_step(xs, dt, mu, g_k, xi, control=controls)
+            finite = np.isfinite(xs.value).all(axis=(1, 2))
+            if not finite.all():
+                raise DivergedRolloutError(step=k,
+                                           agent=int(np.argmin(finite)))
+        tape.release(n for n in recorded if n is not xs)
 
     if record_history:
         record.states.append(xs.value)
@@ -321,9 +331,12 @@ def coupled_rollout(
     psi_term = psi(y_term)                         # (B, 1)
     terminal_node = _batch_mean(psi_term, batch)
 
-    # one node for terminal + sum of running terms + sum of energy terms
+    # one node for terminal + sum of running terms + sum of energy terms.
+    # Its parents list the terms last step first, so backward's topological
+    # order reaches each step's terms next to that step, and the adjoints
+    # they send into the step are not all alive at once.
     value = terminal_node.value + running_sum + control_sum
-    parents = [n for n in (terminal_node, *terms) if n.requires_grad]
+    parents = [n for n in (terminal_node, *reversed(terms)) if n.requires_grad]
     objective = tape.fused(value, parents, lambda g: (g,) * len(parents))
 
     record.loss_u = loss_u

@@ -266,30 +266,6 @@ def denoiser_loss(score_net: MlpScore, batch: Array, times: Array,
     return tape.scale(tape.reduce_sum(per_sample), 1.0 / x0.shape[0])
 
 
-def dsm_loss(score_fn, batch: Array, times: Array, noises: Array,
-             schedule: NoiseSchedule, eps: float = 1e-3) -> Node:
-    """Monte Carlo denoising score-matching loss.
-
-    mean over the batch of || -noise/sigma(t) - S(x_t, t) ||^2 where
-    x_t = alpha(t) x_0 + sigma(t) noise. Times are clamped to [eps, 1]
-    to avoid the sigma -> 0 singularity of the conditional score.
-    """
-    x0 = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if x0.shape[0] == 0:
-        raise ValueError("dsm_loss needs a non-empty batch")
-    t = np.clip(np.asarray(times, dtype=np.float64).reshape(-1), eps, 1.0)
-    eps_arr = np.asarray(noises, dtype=np.float64)
-    if eps_arr.shape != x0.shape or t.size != x0.shape[0]:
-        raise ValueError("batch, times and noises must agree in length/shape")
-    alpha, sigma = marginal_coeffs(schedule, t)
-    x_t = alpha[:, None] * x0 + sigma[:, None] * eps_arr
-    target = -eps_arr / sigma[:, None]
-    pred = score_fn(tape.constant(x_t), t)
-    resid = tape.sub(pred, tape.constant(target))
-    per_sample = tape.square_norm(resid, axis=1, keepdims=True)
-    return tape.scale(tape.reduce_sum(per_sample), 1.0 / x0.shape[0])
-
-
 def stacked_score(score_fn, xs, t: float) -> Node:
     """One call of a shared score model on (N, B, d) states as N*B rows."""
     xs = tape.as_node(xs)

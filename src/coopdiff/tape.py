@@ -22,6 +22,14 @@ parents at once. A VJP may return a weight's adjoint ``a.T @ g`` unformed,
 as an ``OuterSum`` term; ``backward`` then sums a weight used at many
 steps in blocks of steps, with one gemm per block.
 
+No VJP reads a ``Node.value`` at backward time, except the root's: an op
+records the shapes it needs when it is recorded, and its closure keeps
+the arrays its VJP reads. So a graph needs no interior value once it is
+built. ``scope`` lists the nodes recorded inside it, and ``release``
+replaces their values with the shared, zero-length ``RELEASED`` array, on
+which any arithmetic raises; a rollout releases each step's nodes but the
+next state, and its graph then holds only what backward reads.
+
 Design constraints:
   * values are float64 throughout, so central finite differences are a
     usable oracle for the whole graph;
@@ -33,13 +41,14 @@ Design constraints:
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 Array = np.ndarray
 
 _GRAD_ENABLED = True
+_SCOPE: list | None = None       # the open ``scope``'s list, if any
 
 
 @contextlib.contextmanager
@@ -56,18 +65,35 @@ def no_grad():
 
 @contextlib.contextmanager
 def grad_enabled():
-    """Force recording back on inside a ``no_grad`` region (sub-graphs)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = True
+    """Force recording back on inside a ``no_grad`` region (sub-graphs).
+
+    A sub-graph is not part of the graph around it, so an open ``scope``
+    does not list the nodes recorded inside."""
+    global _GRAD_ENABLED, _SCOPE
+    prev, prev_scope = _GRAD_ENABLED, _SCOPE
+    _GRAD_ENABLED, _SCOPE = True, None
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_ENABLED, _SCOPE = prev, prev_scope
+
+
+@contextlib.contextmanager
+def scope():
+    """Yield a list of the nodes with parents that ``op`` and ``fused``
+    record inside, in recording order (for ``release``)."""
+    global _SCOPE
+    prev = _SCOPE
+    _SCOPE = recorded = []
+    try:
+        yield recorded
+    finally:
+        _SCOPE = prev
 
 
 class Node:
-    """One recorded value. Treat ``.value`` as immutable once created."""
+    """One recorded value. Treat ``.value`` as immutable once created;
+    ``release`` may replace it with ``RELEASED``, never write into it."""
 
     __slots__ = ("value", "parents", "vjps", "grad", "name", "requires_grad")
 
@@ -155,15 +181,18 @@ def op(value, parents: Sequence[Node], vjps: Sequence) -> Node:
     if not _GRAD_ENABLED:
         return Node(value)
     live = [p.requires_grad for p in parents]
-    if all(live):
-        return Node(value, parents, vjps)
-    if not any(live):
-        return Node(value)
-    return Node(
-        value,
-        tuple(p for p, keep in zip(parents, live) if keep),
-        tuple(f for f, keep in zip(vjps, live) if keep),
-    )
+    if not all(live):
+        if not any(live):
+            return Node(value)
+        parents = tuple(p for p, keep in zip(parents, live) if keep)
+        vjps = tuple(f for f, keep in zip(vjps, live) if keep)
+    return _record(Node(value, parents, vjps))
+
+
+def _record(node: Node) -> Node:
+    if _SCOPE is not None:
+        _SCOPE.append(node)
+    return node
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -182,21 +211,21 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a, b) -> Node:
     a, b = as_node(a), as_node(b)
+    sa, sb = a.value.shape, b.value.shape
     return op(
         a.value + b.value,
         (a, b),
-        (lambda g: _unbroadcast(g, a.value.shape),
-         lambda g: _unbroadcast(g, b.value.shape)),
+        (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb)),
     )
 
 
 def sub(a, b) -> Node:
     a, b = as_node(a), as_node(b)
+    sa, sb = a.value.shape, b.value.shape
     return op(
         a.value - b.value,
         (a, b),
-        (lambda g: _unbroadcast(g, a.value.shape),
-         lambda g: _unbroadcast(-g, b.value.shape)),
+        (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb)),
     )
 
 
@@ -260,14 +289,14 @@ def sqrt(a) -> Node:
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Node:
     a = as_node(a)
-    av = a.value
-    y = av.sum(axis=axis, keepdims=keepdims)
+    shape = a.value.shape
+    y = a.value.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g: Array) -> Array:
         if axis is None:
-            return np.broadcast_to(g, av.shape).copy()
+            return np.broadcast_to(g, shape).copy()
         gg = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, av.shape).copy()
+        return np.broadcast_to(gg, shape).copy()
 
     return op(y, (a,), (vjp,))
 
@@ -306,9 +335,10 @@ def stack(nodes: Sequence) -> Node:
 def index(a, i: int) -> Node:
     """The slice ``a[i]`` along the leading axis."""
     a = as_node(a)
+    shape = a.value.shape
 
     def vjp(g: Array) -> Array:
-        out = np.zeros_like(a.value)
+        out = np.zeros(shape)
         out[i] = g
         return out
 
@@ -318,19 +348,19 @@ def index(a, i: int) -> Node:
 def reshape(a, shape) -> Node:
     """``a`` with the same entries in a new shape."""
     a = as_node(a)
-    av = a.value
-    return op(av.reshape(shape), (a,), (lambda g: g.reshape(av.shape),))
+    old = a.value.shape
+    return op(a.value.reshape(shape), (a,), (lambda g: g.reshape(old),))
 
 
 def gather_cols(a, idx) -> Node:
     """Select columns ``a[:, idx]`` of a 2-D node."""
     a = as_node(a)
     idx = np.asarray(idx, dtype=np.intp)
-    av = a.value
-    y = av[:, idx]
+    shape = a.value.shape
+    y = a.value[:, idx]
 
     def vjp(g: Array) -> Array:
-        out = np.zeros_like(av)
+        out = np.zeros(shape)
         np.add.at(out, (slice(None), idx), g)
         return out
 
@@ -346,9 +376,10 @@ def gather_rowwise(a, idx) -> Node:
         raise ValueError(f"got {idx.size} indices for {av.shape[0]} rows")
     rows = np.arange(av.shape[0])
     y = av[rows, idx][:, None]
+    shape = av.shape
 
     def vjp(g: Array) -> Array:
-        out = np.zeros_like(av)
+        out = np.zeros(shape)
         out[rows, idx] = g[:, 0]
         return out
 
@@ -395,7 +426,7 @@ def fused(value, parents: Sequence[Node], vjp) -> Node:
     """
     if not parents:
         return Node(value)
-    return _Fused(value, tuple(parents), (vjp,))
+    return _record(_Fused(value, tuple(parents), (vjp,)))
 
 
 class OuterSum:
@@ -410,15 +441,19 @@ class OuterSum:
     the weight's column count. Pending rows thus stay below the column
     count (the pending ``a_k`` hold fewer bytes than the dense sum), and
     the weight costs one well-shaped gemm and one add per block of steps.
-    A single term folds to exactly ``a.T @ g``; a longer sum differs from
-    the step-by-step one only in summation order. The ``a_k`` and ``g_k``
-    are only read, never written.
+
+    ``a`` is an array or a sequence of 2-D column parts whose column
+    concatenation is ``a`` (an ``Mlp``'s input parts): a term keeps
+    references to the parts, and the fold fills its block of rows straight
+    from them, so no term copies its input. A single term folds to exactly
+    ``a.T @ g``; a longer sum differs from the step-by-step one only in
+    summation order. The ``a_k`` and ``g_k`` are only read, never written.
     """
 
     __slots__ = ("pairs", "rows", "cols", "dense")
 
-    def __init__(self, a: Array, g: Array):
-        self.pairs: list[tuple[Array, Array]] = []   # pending (a_k, g_k)
+    def __init__(self, a, g: Array):
+        self.pairs: list[tuple] = []                  # pending (a_k, g_k)
         self.rows = 0                                 # rows of the pending a_k
         self.cols = g.shape[1]
         self.dense: Array | None = None               # the folded terms
@@ -437,17 +472,28 @@ class OuterSum:
         if self.pairs:
             if len(self.pairs) == 1:
                 a, g = self.pairs[0]
+                parts = _parts(a)
+                a = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
                 part = a.T @ g
             else:
-                a_k, g_k = zip(*self.pairs)
-                part = np.concatenate(a_k).T @ np.concatenate(g_k)
+                # the pending a_k as one block, filled from their parts
+                width = sum(p.shape[1] for p in _parts(self.pairs[0][0]))
+                block = np.empty((self.rows, width))
+                r = 0
+                for a, g in self.pairs:
+                    c = 0
+                    for p in _parts(a):
+                        block[r:r + g.shape[0], c:c + p.shape[1]] = p
+                        c += p.shape[1]
+                    r += g.shape[0]
+                part = block.T @ np.concatenate([g for _, g in self.pairs])
             self.pairs, self.rows = [], 0
             self._fold_in(part)
         return self.dense
 
-    def _push(self, a: Array, g: Array) -> None:
+    def _push(self, a, g: Array) -> None:
         self.pairs.append((a, g))
-        self.rows += a.shape[0]
+        self.rows += g.shape[0]
         if self.rows >= self.cols:
             self.array()
 
@@ -456,6 +502,41 @@ class OuterSum:
             self.dense = part
         else:
             self.dense += part
+
+
+def _parts(a) -> tuple[Array, ...]:
+    """The column parts of an ``OuterSum`` term's ``a``."""
+    return (a,) if isinstance(a, np.ndarray) else tuple(a)
+
+
+class ReleasedValueError(RuntimeError):
+    """Arithmetic on the value of a node that ``release`` emptied."""
+
+
+class _Released(np.ndarray):
+    """The value of a released node: zero-length and read-only, and any
+    numpy function or ufunc applied to it raises."""
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise ReleasedValueError("read the value of a released tape node")
+
+    def __array_function__(self, *args, **kwargs):
+        raise ReleasedValueError("read the value of a released tape node")
+
+
+RELEASED = np.empty(0).view(_Released)
+RELEASED.setflags(write=False)
+
+
+def release(nodes: Iterable[Node]) -> None:
+    """Drop the values of finished interior nodes: each ``.value`` becomes
+    the shared ``RELEASED`` array, which holds no bytes. Backward reads no
+    interior value (the VJPs keep what they need), so a released graph
+    still back-propagates. Leaves and parentless nodes keep their values.
+    """
+    for node in nodes:
+        if node.parents:
+            node.value = RELEASED
 
 
 def stopgrad(a) -> Node:

@@ -31,13 +31,7 @@ import numpy as np
 import pytest
 
 from coopdiff import tape
-from coopdiff.aggregation import (
-    aggregate,
-    aggregate_np,
-    make_mask,
-    masked_control_energy,
-    scatter_adjoint,
-)
+from coopdiff.aggregation import aggregate, make_mask, scatter_adjoint
 from coopdiff.control import eval_control, make_policy, tweedie_guidance
 from coopdiff.costs import QuadraticWell, SocConfig
 from coopdiff.nn import Mlp
@@ -70,7 +64,12 @@ from coopdiff.harness import (
     with_overrides,
 )
 from guidance_replay import record_guidance, replay_guidance
-from oracles import sample_reverse_sde
+from oracles import (
+    aggregate_np,
+    masked_control_energy,
+    sample_reverse_sde,
+    selection_matrix,
+)
 
 SCHEDULE = NoiseSchedule()
 
@@ -119,7 +118,7 @@ def test_criterion1_mask_orthogonality_and_adjoint_identity():
                              ("halves", 2, 10, None),
                              ("v-stripes", 4, 64, (8, 8))):
         agg = make_mask(preset, n, d, image_hw=hw)
-        m = agg.selection_matrix()
+        m = selection_matrix(agg)
         assert np.array_equal(m @ m.T, np.eye(d))  # exact, integer entries
         rng = derive_rng(100, 2)
         xs = [rng.standard_normal((5, d)) for _ in range(n)]

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from coopdiff import tape
-from coopdiff.aggregation import (
-    aggregate,
-    aggregate_np,
-    make_mask,
-    scatter_adjoint,
-)
+from coopdiff.aggregation import aggregate, make_mask, scatter_adjoint
 from coopdiff.control import (
     cdps_control,
     eval_control,
@@ -20,6 +15,7 @@ from coopdiff.control import (
 from coopdiff.costs import QuadraticWell
 from coopdiff.scores import GaussianMixture, MlpScore, gmm_score, tweedie
 from coopdiff.sde import NoiseSchedule, derive_rng
+from oracles import aggregate_np
 
 SCHEDULE = NoiseSchedule()
 

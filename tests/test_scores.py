@@ -10,12 +10,12 @@ from coopdiff.scores import (
     GaussianMixture,
     MlpScore,
     denoiser_loss,
-    dsm_loss,
     gmm_score,
     gmm_score_np,
     tweedie,
 )
 from coopdiff.sde import NoiseSchedule, derive_rng, marginal_coeffs
+from oracles import dsm_loss
 
 SCHEDULE = NoiseSchedule()
 

@@ -572,3 +572,87 @@ def test_the_input_adjoint_over_live_columns_is_the_full_products_slice(
                 part.grad, whole.grad[:, offsets[i]:offsets[i + 1]])
         else:
             assert part.grad is None
+
+
+def test_terms_on_column_parts_fold_to_the_terms_on_their_concatenation():
+    # one term, and blocks of many: filling the fold's block from the parts
+    # gives the array concatenating them would, so the sums are bit-equal
+    rng = derive_rng(9, 11)
+    for steps in (1, 3, 20):
+        terms = [([rng.standard_normal((4, n)) for n in (5, 1, 3)],
+                  rng.standard_normal((4, 6))) for _ in range(steps)]
+        lazy = tape.OuterSum(*terms[0])
+        whole = tape.OuterSum(np.concatenate(terms[0][0], axis=1), terms[0][1])
+        for parts, g in terms[1:]:
+            lazy.add(tape.OuterSum(parts, g))
+            whole.add(tape.OuterSum(np.concatenate(parts, axis=1), g))
+        assert np.array_equal(lazy.array(), whole.array())
+
+
+
+def _every_op_graph(x, w, mlp):
+    """A scalar built with every elementary op, a rowwise node and a fused
+    Mlp call, from the leaves ``x`` (3, 4) and ``w`` (4, 2)."""
+    h = tape.tanh(tape.matmul(x, w))                                # (3, 2)
+    h = tape.add(tape.sub(tape.mul(h, h), h), 1.0)
+    h = tape.concat([h, tape.neg(tape.scale(h, 0.5))], axis=1)      # (3, 4)
+    norm = tape.add(tape.square_norm(x, axis=1, keepdims=True), 1.0)
+    h = tape.add(h, tape.sqrt(tape.exp(tape.log(norm))))
+    s = tape.stack([h, tape.reshape(tape.reshape(h, (4, 3)), (3, 4))])
+    h = tape.add(tape.index(s, 1), tape.gather_cols(h, [0, 0, 3, 1]))
+    h = mlp(tape.add(h, tape.logsumexp(h)), x)                      # (3, 2)
+    r = tape.rowwise(h, (h.value ** 2).sum(axis=1, keepdims=True),
+                     2.0 * h.value)
+    return tape.reduce_sum(tape.add(tape.gather_rowwise(h, [0, 1, 1]), r))
+
+
+def test_a_released_graph_backpropagates_the_same_gradients():
+    # no VJP reads an interior node's value at backward time: with every
+    # interior value released, a second backward is bit-equal to the first
+    rng = derive_rng(9, 12)
+    x = tape.leaf(rng.standard_normal((3, 4)))
+    w = tape.leaf(rng.standard_normal((4, 2)))
+    mlp = Mlp([8, 5, 2], rng)
+    leaves = [x, w, *mlp.params()]
+    root = _every_op_graph(x, w, mlp)
+    tape.backward(root)
+    first = [p.grad for p in leaves]
+    interior = [n for n in tape._toposort(root) if n.parents]
+    tape.release(n for n in interior if n is not root)
+    assert all(n.value.nbytes == 0 for n in interior if n is not root)
+    tape.backward(root)
+    for g, p in zip(first, leaves):
+        assert np.array_equal(g, p.grad), p.name
+
+
+def test_a_released_value_holds_no_bytes_and_refuses_arithmetic():
+    x = tape.leaf(np.ones((2, 3)))
+    c = tape.constant(np.ones((2, 3)))
+    y = tape.tanh(tape.add(x, c))
+    free = tape.stopgrad(y)
+    tape.release([x, c, y, free])
+    # leaves and parentless nodes keep their values
+    for node in (x, c, free):
+        assert node.value.shape == (2, 3)
+    assert y.value is tape.RELEASED and y.value.nbytes == 0
+    assert not y.value.flags.writeable
+    for read in (lambda v: v + 1.0, lambda v: v * np.ones(3),
+                 lambda v: v.sum(), lambda v: np.tanh(v),
+                 lambda v: np.concatenate([v, v]), lambda v: v @ v):
+        with pytest.raises(tape.ReleasedValueError):
+            read(y.value)
+
+
+def test_a_scope_lists_the_nodes_recorded_inside_but_no_subgraphs():
+    x = tape.leaf(np.ones((2, 2)))
+    with tape.scope() as recorded:
+        a = tape.tanh(x)
+        tape.constant(np.ones(2))
+        tape.add(tape.constant(np.ones(2)), 1.0)     # a constant: no parents
+        with tape.grad_enabled():
+            tape.exp(tape.leaf(np.ones(2)))          # a sub-graph
+        b = Mlp([2, 3, 1], derive_rng(9, 13))(a)
+        with tape.no_grad():
+            tape.exp(x)
+    tape.tanh(x)                                     # after the scope
+    assert recorded == [a, b]
