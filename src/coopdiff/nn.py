@@ -168,7 +168,7 @@ class Mlp:
             grads = [None] * len(live)
             for i in range(n_layers - 1, bottom - 1, -1):
                 if live[n_in + 2 * i]:
-                    a = hidden[i - 1] if i > 0 else parts
+                    a = (hidden[i - 1],) if i > 0 else parts
                     grads[n_in + 2 * i] = tape.OuterSum(a, g)
                 if live[n_in + 2 * i + 1]:
                     grads[n_in + 2 * i + 1] = g.sum(axis=0)

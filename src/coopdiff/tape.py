@@ -26,9 +26,10 @@ No VJP reads a ``Node.value`` at backward time, except the root's: an op
 records the shapes it needs when it is recorded, and its closure keeps
 the arrays its VJP reads. So a graph needs no interior value once it is
 built. ``scope`` lists the nodes recorded inside it, and ``release``
-replaces their values with the shared, zero-length ``RELEASED`` array, on
-which any arithmetic raises; a rollout releases each step's nodes but the
-next state, and its graph then holds only what backward reads.
+replaces their values with the shared ``RELEASED`` marker, which holds
+no bytes and raises on any arithmetic or conversion to an array; a
+rollout releases each step's nodes but the next state, and its graph
+then holds only what backward reads.
 
 Design constraints:
   * values are float64 throughout, so central finite differences are a
@@ -442,17 +443,18 @@ class OuterSum:
     count (the pending ``a_k`` hold fewer bytes than the dense sum), and
     the weight costs one well-shaped gemm and one add per block of steps.
 
-    ``a`` is an array or a sequence of 2-D column parts whose column
-    concatenation is ``a`` (an ``Mlp``'s input parts): a term keeps
-    references to the parts, and the fold fills its block of rows straight
-    from them, so no term copies its input. A single term folds to exactly
-    ``a.T @ g``; a longer sum differs from the step-by-step one only in
-    summation order. The ``a_k`` and ``g_k`` are only read, never written.
+    ``a`` is given as its column parts, a sequence of 2-D arrays whose
+    column concatenation is ``a`` (an ``Mlp``'s input parts, or one hidden
+    layer): a term keeps references to the parts, and the fold fills its
+    block of rows straight from them, so no term copies its input. A
+    single one-part term folds to exactly ``a.T @ g``; a longer sum
+    differs from the step-by-step one only in summation order. The parts
+    and the ``g_k`` are only read, never written.
     """
 
     __slots__ = ("pairs", "rows", "cols", "dense")
 
-    def __init__(self, a, g: Array):
+    def __init__(self, a: Sequence[Array], g: Array):
         self.pairs: list[tuple] = []                  # pending (a_k, g_k)
         self.rows = 0                                 # rows of the pending a_k
         self.cols = g.shape[1]
@@ -470,28 +472,27 @@ class OuterSum:
     def array(self) -> Array:
         """The sum as an array (folds what is pending)."""
         if self.pairs:
-            if len(self.pairs) == 1:
-                a, g = self.pairs[0]
-                parts = _parts(a)
-                a = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-                part = a.T @ g
+            parts, g = self.pairs[0]
+            if len(self.pairs) == 1 and len(parts) == 1:
+                part = parts[0].T @ g
             else:
                 # the pending a_k as one block, filled from their parts
-                width = sum(p.shape[1] for p in _parts(self.pairs[0][0]))
-                block = np.empty((self.rows, width))
+                block = np.empty((self.rows, sum(p.shape[1] for p in parts)))
                 r = 0
-                for a, g in self.pairs:
+                for parts, g in self.pairs:
                     c = 0
-                    for p in _parts(a):
+                    for p in parts:
                         block[r:r + g.shape[0], c:c + p.shape[1]] = p
                         c += p.shape[1]
                     r += g.shape[0]
-                part = block.T @ np.concatenate([g for _, g in self.pairs])
+                gs = [g for _, g in self.pairs]
+                g = gs[0] if len(gs) == 1 else np.concatenate(gs)
+                part = block.T @ g
             self.pairs, self.rows = [], 0
             self._fold_in(part)
         return self.dense
 
-    def _push(self, a, g: Array) -> None:
+    def _push(self, a: Sequence[Array], g: Array) -> None:
         self.pairs.append((a, g))
         self.rows += g.shape[0]
         if self.rows >= self.cols:
@@ -504,33 +505,42 @@ class OuterSum:
             self.dense += part
 
 
-def _parts(a) -> tuple[Array, ...]:
-    """The column parts of an ``OuterSum`` term's ``a``."""
-    return (a,) if isinstance(a, np.ndarray) else tuple(a)
-
-
 class ReleasedValueError(RuntimeError):
-    """Arithmetic on the value of a node that ``release`` emptied."""
+    """A read of the value of a node that ``release`` emptied."""
 
 
-class _Released(np.ndarray):
-    """The value of a released node: zero-length and read-only, and any
-    numpy function or ufunc applied to it raises."""
+class _Released:
+    """The value of a released node. It holds no bytes (its ``shape`` is
+    ``(0,)``), and arithmetic on it, conversion to an array, indexing,
+    iteration and any other attribute raise ``ReleasedValueError``."""
 
-    def __array_ufunc__(self, *args, **kwargs):
+    __slots__ = ()
+    shape, ndim, size, nbytes = (0,), 1, 0, 0
+
+    def _refuse(self, *args, **kwargs):
         raise ReleasedValueError("read the value of a released tape node")
 
-    def __array_function__(self, *args, **kwargs):
-        raise ReleasedValueError("read the value of a released tape node")
+    def __getattr__(self, name):
+        if name.startswith("__"):         # protocol probes see no attribute
+            raise AttributeError(name)
+        self._refuse()
+
+    def __repr__(self):
+        return "RELEASED"
+
+    __array__ = __array_ufunc__ = __array_function__ = _refuse
+    __iter__ = __len__ = __getitem__ = __bool__ = __float__ = _refuse
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __truediv__ = __rtruediv__ = __pow__ = __rpow__ = __neg__ = _refuse
+    __matmul__ = __rmatmul__ = _refuse
 
 
-RELEASED = np.empty(0).view(_Released)
-RELEASED.setflags(write=False)
+RELEASED = _Released()
 
 
 def release(nodes: Iterable[Node]) -> None:
     """Drop the values of finished interior nodes: each ``.value`` becomes
-    the shared ``RELEASED`` array, which holds no bytes. Backward reads no
+    the shared ``RELEASED`` marker, which holds no bytes. Backward reads no
     interior value (the VJPs keep what they need), so a released graph
     still back-propagates. Leaves and parentless nodes keep their values.
     """

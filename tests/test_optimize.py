@@ -1,5 +1,6 @@
 """Rollout engine, training loops, samplers: pairing, freezing, gradients."""
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -174,15 +175,44 @@ def test_rollout_gradient_matches_finite_differences(monkeypatch):
     assert worst < 1e-3
 
 
+def _base(a):
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a
+
+
+def vjp_arrays(nodes) -> dict:
+    """The distinct arrays (by base, id -> base) that the VJP closures of
+    ``nodes`` reference: through their cells and defaults, lists, tuples
+    and nested functions (a fused MLP node's hidden activations, say)."""
+    found, seen = {}, set()
+    stack = [f for n in nodes for f in n.vjps]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, np.ndarray):
+            found[id(_base(v))] = _base(v)
+        elif isinstance(v, (list, tuple)):
+            stack.extend(v)
+        elif isinstance(v, types.FunctionType) and id(v) not in seen:
+            seen.add(id(v))
+            stack.extend(c.cell_contents for c in v.__closure__ or ())
+            stack.extend(v.__defaults__ or ())
+    return found
+
+
 def graph_nbytes(root) -> int:
-    """Bytes of the node values reachable from ``root`` (a fused MLP node
-    counts its output, not the hidden activations its VJP keeps)."""
-    return sum(n.value.nbytes for n in tape._toposort(root))
+    """Bytes of the distinct arrays ``root``'s graph holds: the node values
+    and the arrays the VJP closures keep, each buffer counted once."""
+    nodes = tape._toposort(root)
+    held = vjp_arrays(nodes)
+    held.update((id(_base(n.value)), _base(n.value)) for n in nodes)
+    return sum(a.nbytes for a in held.values())
 
 
 def test_rollout_memory_contract():
-    # K = 500 steps, N = 3 agents, d = 256: the stored forward values of a
-    # full differentiable rollout stay far below 2 GB
+    # K = 500 steps, N = 3 agents, d = 256: the arrays a full
+    # differentiable rollout's graph holds, node values and what the VJP
+    # closures keep, stay far below 2 GB
     gmm = GaussianMixture(weights=[1.0], means=[np.zeros(256)], variances=[1.0])
     score = AnalyticGmmScore(gmm, SCHEDULE)
     agg = make_mask("h-stripes", 3, 256, image_hw=(16, 16))
@@ -667,26 +697,11 @@ def shapes16_sized_rollout(steps):
     return J, policies
 
 
-def _base(a):
-    while isinstance(a, np.ndarray) and a.base is not None:
-        a = a.base
-    return a
-
-
 def unread_bytes(root) -> int:
     """Bytes of the distinct arrays that the nodes of ``root``'s graph
     (the root aside) hold as values and that no VJP closure references."""
     nodes = [n for n in tape._toposort(root) if n is not root]
-    read = set()
-    for fn in (f for n in nodes for f in n.vjps):
-        cells = [c.cell_contents for c in fn.__closure__ or ()]
-        stack = cells + list(fn.__defaults__ or ())
-        while stack:
-            v = stack.pop()
-            if isinstance(v, np.ndarray):
-                read.add(id(_base(v)))
-            elif isinstance(v, (list, tuple)):
-                stack.extend(v)
+    read = vjp_arrays(nodes)
     held = {id(_base(n.value)): _base(n.value).nbytes for n in nodes}
     return sum(b for i, b in held.items() if i not in read)
 

@@ -494,7 +494,7 @@ def test_a_single_use_weight_gets_exactly_a_T_g(rows):
     c = rng.standard_normal((rows, 8))
     tape.backward(tape.reduce_sum(tape.mul(mlp(x), c)))
     assert np.array_equal(mlp.weights[0].grad, x.T @ c)
-    assert np.array_equal(tape.OuterSum(x, c).array(), x.T @ c)
+    assert np.array_equal(tape.OuterSum((x,), c).array(), x.T @ c)
 
 
 @pytest.mark.parametrize("order", ["dense-first", "lazy-first", "interleaved"])
@@ -510,7 +510,7 @@ def test_mixed_dense_and_lazy_adjoints_sum_and_leave_their_arrays_untouched(
     w = tape.leaf(np.zeros((6, 5)))
 
     def vjp(g):
-        lazy, arrays = iter(terms), iter(dense)
+        lazy, arrays = iter([((a,), g) for a, g in terms]), iter(dense)
         return tuple(tape.OuterSum(*next(lazy)) if k == "l" else next(arrays)
                      for k in kinds)
 
@@ -533,13 +533,13 @@ def test_pending_rows_stay_below_the_weight_column_count():
         rows = int(rng.integers(1, 2 * cols))
         a, g = rng.standard_normal((rows, 7)), rng.standard_normal((rows, cols))
         ref += a.T @ g
-        term = tape.OuterSum(a, g)
+        term = tape.OuterSum((a,), g)
         if acc is None:
             acc = term
         else:
             acc.add(term)
         assert acc.rows < acc.cols == cols
-        assert sum(a.shape[0] for a, _ in acc.pairs) == acc.rows
+        assert sum(g.shape[0] for _, g in acc.pairs) == acc.rows
     np.testing.assert_allclose(acc.array(), ref, rtol=0,
                                atol=1e-14 * np.abs(ref).max())
     assert acc.rows == 0 and not acc.pairs
@@ -582,10 +582,11 @@ def test_terms_on_column_parts_fold_to_the_terms_on_their_concatenation():
         terms = [([rng.standard_normal((4, n)) for n in (5, 1, 3)],
                   rng.standard_normal((4, 6))) for _ in range(steps)]
         lazy = tape.OuterSum(*terms[0])
-        whole = tape.OuterSum(np.concatenate(terms[0][0], axis=1), terms[0][1])
+        whole = tape.OuterSum((np.concatenate(terms[0][0], axis=1),),
+                              terms[0][1])
         for parts, g in terms[1:]:
             lazy.add(tape.OuterSum(parts, g))
-            whole.add(tape.OuterSum(np.concatenate(parts, axis=1), g))
+            whole.add(tape.OuterSum((np.concatenate(parts, axis=1),), g))
         assert np.array_equal(lazy.array(), whole.array())
 
 
@@ -625,7 +626,7 @@ def test_a_released_graph_backpropagates_the_same_gradients():
         assert np.array_equal(g, p.grad), p.name
 
 
-def test_a_released_value_holds_no_bytes_and_refuses_arithmetic():
+def test_a_released_value_holds_no_bytes_and_refuses_every_read():
     x = tape.leaf(np.ones((2, 3)))
     c = tape.constant(np.ones((2, 3)))
     y = tape.tanh(tape.add(x, c))
@@ -635,12 +636,18 @@ def test_a_released_value_holds_no_bytes_and_refuses_arithmetic():
     for node in (x, c, free):
         assert node.value.shape == (2, 3)
     assert y.value is tape.RELEASED and y.value.nbytes == 0
-    assert not y.value.flags.writeable
+    # arithmetic, and conversions that would give a silent empty array
+    # (which broadcasts against a (B, 1) operand) raise alike
     for read in (lambda v: v + 1.0, lambda v: v * np.ones(3),
-                 lambda v: v.sum(), lambda v: np.tanh(v),
-                 lambda v: np.concatenate([v, v]), lambda v: v @ v):
+                 lambda v: np.ones((2, 1)) * v, lambda v: v.sum(),
+                 lambda v: np.tanh(v), lambda v: np.concatenate([v, v]),
+                 lambda v: v @ v, lambda v: np.asarray(v), lambda v: list(v),
+                 lambda v: v[0], lambda v: tape.constant(v),
+                 lambda v: tape.leaf(v), lambda v: tape.add(v, 1.0)):
         with pytest.raises(tape.ReleasedValueError):
             read(y.value)
+    with pytest.raises(tape.ReleasedValueError):
+        tape.tanh(y)
 
 
 def test_a_scope_lists_the_nodes_recorded_inside_but_no_subgraphs():
