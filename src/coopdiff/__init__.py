@@ -11,11 +11,9 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .control import ControlPolicy, cdps_control, eval_control, make_policy
 from .costs import (
     ClassifierNll,
-    GaussianNll,
     QuadraticWell,
     SocConfig,
     seam_loss,
-    soc_objective,
 )
 from .nn import Mlp, time_features
 from .optim import AdamState, adam_step

@@ -17,6 +17,8 @@ Each terminal-cost piece is one tape node with its closed-form gradient:
 the quadratic well, the classifier NLL (VJP g * (softmax - onehot)) and
 the seam loss (rho'(x) = x / rho(x)). Their values repeat the per-op
 arithmetic in the same order, so they are bit-identical to it.
+``classifier_nll`` takes one label for every row (the terminal cost) or
+one label per row (the classifier's training loss).
 """
 from __future__ import annotations
 
@@ -84,14 +86,6 @@ class SocConfig:
 # terminal costs
 # ---------------------------------------------------------------------------
 
-class ZeroCost:
-    """psi identically zero (place-holder for cost-free dynamics)."""
-
-    def __call__(self, y) -> Node:
-        y = tape.as_node(y)
-        return tape.constant(np.zeros((y.value.shape[0], 1)))
-
-
 class QuadraticWell:
     """psi(Y) = || Y - target ||^2, per sample."""
 
@@ -103,25 +97,6 @@ class QuadraticWell:
         diff = y.value - self.target
         return tape.rowwise(y, (diff * diff).sum(axis=1, keepdims=True),
                             2.0 * diff)
-
-
-class GaussianNll:
-    """Negative log density of an isotropic target Gaussian."""
-
-    def __init__(self, mean: Array, variance: float):
-        self.mean = np.asarray(mean, dtype=np.float64).reshape(-1)
-        if variance <= 0:
-            raise ValueError("variance must be positive")
-        self.variance = float(variance)
-
-    def __call__(self, y) -> Node:
-        d = self.mean.size
-        diff = tape.sub(y, tape.constant(self.mean))
-        quad = tape.scale(
-            tape.square_norm(diff, axis=1, keepdims=True), 0.5 / self.variance
-        )
-        log_norm = 0.5 * d * np.log(2.0 * np.pi * self.variance)
-        return tape.add(quad, tape.constant(np.array([log_norm])))
 
 
 class ClassifierNll:
@@ -141,22 +116,24 @@ class ClassifierNll:
         return classifier_nll(logits, self.label)
 
 
-def classifier_nll(logits, label: int) -> Node:
-    """-log softmax(logits)[label] = logsumexp(logits) - logits[label],
-    one node with the gradient softmax - onehot."""
+def classifier_nll(logits, labels) -> Node:
+    """-log softmax(logits)[label] = logsumexp(logits) - logits[label] per
+    row, for one label (an int) or one label per row; one node with the
+    gradient softmax - onehot."""
     logits = tape.as_node(logits)
     lv = logits.value
-    n_classes = lv.shape[1]
-    if not (0 <= int(label) < n_classes):
-        raise ValueError(f"label {label} outside [0, {n_classes})")
-    label = int(label)
+    rows, n_classes = lv.shape
+    labels = np.asarray(labels, dtype=np.intp)
+    if np.any((labels < 0) | (labels >= n_classes)):
+        raise ValueError(f"labels outside [0, {n_classes})")
+    picked = (np.arange(rows), labels)       # one label broadcasts
     amax = np.max(lv, axis=1, keepdims=True)
     lse = np.log(np.sum(np.exp(lv - amax), axis=1, keepdims=True)) + amax
-    value = lse - lv[:, [label]]
+    value = lse - lv[picked][:, None]
     if not tape.live([logits])[0]:
         return tape.constant(value)
     grad = np.exp(lv - lse)
-    grad[:, label] -= 1.0
+    grad[picked] -= 1.0
     return tape.rowwise(logits, value, grad)
 
 
@@ -247,29 +224,3 @@ def seam_loss(y, agg: MaskAggregator, cfg: SocConfig) -> Node:
     if not live:
         return tape.constant(total)
     return tape.rowwise(y, total, grad.reshape(h * w, batch).T)
-
-
-# ---------------------------------------------------------------------------
-# objective recomputation
-# ---------------------------------------------------------------------------
-
-def soc_objective(record, cfg: SocConfig, psi) -> float:
-    """Recompute hat-J from a stored rollout, tape-free.
-
-    ``record`` must expose dts, times, controls[k] (N, B, d), y0_hats[k],
-    terminal_y and batch (see optimize.RolloutRecord). Used to cross-check
-    the fused objective assembled during the differentiable rollout.
-    """
-    if record.batch == 0:
-        raise ValueError("empty batch")
-    lambdas = cfg.lambda_weights(record.num_agents)
-    with tape.no_grad():
-        control_term = 0.0
-        run_term = 0.0
-        for k, dt in enumerate(record.dts):
-            u = np.asarray(record.controls[k])
-            control_term += float(lambdas @ (u * u).sum(axis=2).mean(axis=1)) * dt
-            psi_hat = psi(tape.constant(record.y0_hats[k])).value
-            run_term += cfg.running_weight(record.times[k]) * float(psi_hat.mean()) * dt
-        term = float(psi(tape.constant(record.terminal_y)).value.mean())
-    return control_term + run_term + term

@@ -1,13 +1,15 @@
 """Classifier training for the terminal cost.
 
-A small tanh MLP trained with softmax cross-entropy; the trained network
-feeds the negative log-likelihood terminal cost and the accuracy metric.
+A small tanh MLP trained with the batch mean of ``costs.classifier_nll``
+(softmax cross-entropy); the trained network feeds the same negative
+log-likelihood as the terminal cost, and the accuracy metric.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .. import tape
+from ..costs import classifier_nll
 from ..nn import Mlp
 from ..optim import AdamState, adam_step
 from ..sde import derive_rng
@@ -22,14 +24,6 @@ class ClassifierTrainingError(RuntimeError):
     def __init__(self, message: str, curve: list):
         super().__init__(message)
         self.curve = curve
-
-
-def cross_entropy(logits, labels: Array):
-    """mean over rows of  logsumexp(logits) - logits[label]."""
-    lse = tape.logsumexp(logits, axis=1, keepdims=True)
-    picked = tape.gather_rowwise(logits, labels)
-    per_row = tape.sub(lse, picked)
-    return tape.scale(tape.reduce_sum(per_row), 1.0 / labels.shape[0])
 
 
 def accuracy(classifier: Mlp, images: Array, labels: Array) -> float:
@@ -64,7 +58,8 @@ def train_classifier(
     check_every = 200
     for step in range(max_steps):
         pick = data_rng.integers(0, x_train.shape[0], size=batch)
-        loss = cross_entropy(model(x_train[pick]), y_train[pick])
+        per_row = classifier_nll(model(x_train[pick]), y_train[pick])
+        loss = tape.scale(tape.reduce_sum(per_row), 1.0 / batch)
         tape.backward(loss)
         loss_value = float(loss.value)
         del loss                 # one graph alive: drop it before the next

@@ -152,6 +152,10 @@ class ExperimentConfig:
             if any(w < 1 for w in widths):
                 raise ConfigError(f"{_FIELD_TO_KEY[name]} widths must be >= 1, "
                                   f"got {_format_value(widths)!r}")
+        for name in ("score_batch", "shapes_per_class"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{_FIELD_TO_KEY[name]} must be >= 1, "
+                                  f"got {getattr(self, name)}")
         for name in ("policy_temb_width", "score_temb_width"):
             width = getattr(self, name)
             if width < 2 or width % 2:
@@ -195,9 +199,7 @@ class ExperimentConfig:
         )
 
     def plan(self) -> TrainPlan:
-        mode = self.method if self.method in ("joint", "controlwise") else "joint"
         return TrainPlan(
-            mode=mode,
             updates=self.plan_updates,
             outer_iters=self.plan_outer_iters,
             inner_steps=self.plan_inner_steps,

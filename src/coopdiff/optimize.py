@@ -23,11 +23,13 @@ summed in the order of the running and energy accumulators; it lists the
 terms last step first, so backward reaches each step's terms next to
 that step. At the end of a step, ``tape.release`` drops the values of the
 nodes it recorded, all but the next state's: the VJPs keep what backward
-reads, so the graph holds nothing else.
+reads, so the graph holds nothing else. A rollout returns the objective
+node and a ``RolloutRecord`` of its detached outputs (the loss parts,
+terminal states and costs); it keeps no per-step history.
 
 The score model and psi are evaluated once per step, for every control
 source. When the step needs grad psi(Yh) -- the learned control consumes
-it, or the rollout is recorded and Yh requires grad -- one sub-tape on a
+it, or the rollout is on the tape and Yh requires grad -- one sub-tape on a
 detached Yh leaf (``tweedie_guidance``) returns both psi(Yh) and its
 per-row gradient. The running cost enters the main tape as one node with
 that value and the VJP g * grad psi(Yh), and the learned control reads
@@ -54,7 +56,7 @@ at evaluation time are paired.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,7 +111,7 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class RolloutRecord:
-    """Detached per-rollout bookkeeping.
+    """Detached per-rollout outputs.
 
     ``loss_u`` is the unweighted control accumulator
     sum_k dt_k (1/N) sum_i mean_B ||u_i_k||^2, ``loss_c`` the unscaled
@@ -118,29 +120,23 @@ class RolloutRecord:
     weights  hat_J = lambda loss_u + alpha loss_c + loss_psi.
     """
 
-    times: Array
-    dts: Array
-    batch: int
-    num_agents: int
-    loss_u: float = 0.0
-    loss_c: float = 0.0
-    loss_psi: float = 0.0
-    objective: float = 0.0
-    per_sample_psi: Array | None = None
-    terminal_y: Array | None = None
-    terminal_states: Array | None = None            # (N, B, d)
-    states: list = field(default_factory=list)      # [k] -> (N, B, d)
-    controls: list = field(default_factory=list)    # [k] -> (N, B, d)
-    y0_hats: list = field(default_factory=list)     # [k] -> (B, d)
+    loss_u: float
+    loss_c: float
+    loss_psi: float
+    objective: float
+    per_sample_psi: Array        # (B,) terminal psi per sample
+    terminal_y: Array            # (B, d)
+    terminal_states: Array       # (N, B, d)
 
 
 @dataclass(frozen=True)
 class TrainPlan:
-    """Iteration budgets and step sizes for control optimisation."""
+    """Iteration budgets and step sizes for control optimisation. The
+    trainer a caller picks, ``joint_ido`` or ``controlwise_ido``, sets the
+    schedule; each reads only its own budget fields."""
 
-    mode: str = "joint"              # "joint", "controlwise" or "cdps"
-    updates: int = 1000              # gradient updates (joint mode)
-    outer_iters: int = 300           # outer sweeps (control-wise mode)
+    updates: int = 1000              # gradient updates (joint training)
+    outer_iters: int = 300           # outer sweeps (control-wise training)
     inner_steps: int = 5             # updates per agent per sweep
     batch: int = 16
     lr: float = 1e-4
@@ -148,15 +144,13 @@ class TrainPlan:
     checkpoint_every: int = 0        # 0 disables periodic checkpoints
 
     def __post_init__(self):
-        if self.mode not in ("joint", "controlwise", "cdps"):
-            raise ValueError(
-                f"mode must be joint, controlwise or cdps, got {self.mode!r}"
-            )
         for name in ("updates", "outer_iters", "inner_steps", "batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.lr <= 0:
             raise ValueError("the learning rate must be positive")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +233,6 @@ def coupled_rollout(
     noise: NoiseStream,
     batch: int,
     update_index: int = 0,
-    record_history: bool = False,
 ) -> tuple[Node, RolloutRecord]:
     """Simulate the coupled controlled system and assemble hat-J."""
     if batch < 1:
@@ -249,9 +242,6 @@ def coupled_rollout(
     times = grid.times
     dts = grid.dts
     lambdas = cfg.lambda_weights(n_agents)
-    record = RolloutRecord(
-        times=times, dts=dts, batch=batch, num_agents=n_agents
-    )
 
     sigma0 = float(schedule.sigma(times[0]))
     init = noise.normal((STREAM_INIT, update_index, 0), (n_agents, batch, dim))
@@ -268,9 +258,6 @@ def coupled_rollout(
         t = float(times[k])
         dt = float(dts[k])
         g_k = float(schedule.g(t))
-
-        if record_history:
-            record.states.append(xs.value)
 
         # the step's nodes, all but the next state released at its end
         with tape.scope() as recorded:
@@ -310,10 +297,6 @@ def coupled_rollout(
             terms.append(energy)
             loss_u += float((sq / n_agents).sum()) * dt
 
-            if record_history:
-                record.controls.append(controls.value)
-                record.y0_hats.append(y0_hat.value)
-
             xi = noise.normal((STREAM_STEP, update_index, k),
                               (n_agents, batch, dim))
             mu = reverse_drift(xs, t, scores, schedule)
@@ -323,9 +306,6 @@ def coupled_rollout(
                 raise DivergedRolloutError(step=k,
                                            agent=int(np.argmin(finite)))
         tape.release(n for n in recorded if n is not xs)
-
-    if record_history:
-        record.states.append(xs.value)
 
     y_term = aggregate(agg, xs)
     psi_term = psi(y_term)                         # (B, 1)
@@ -339,14 +319,15 @@ def coupled_rollout(
     parents = [n for n in (terminal_node, *reversed(terms)) if n.requires_grad]
     objective = tape.fused(value, parents, lambda g: (g,) * len(parents))
 
-    record.loss_u = loss_u
-    record.loss_c = loss_c
-    record.loss_psi = float(terminal_node.value)
-    record.objective = float(objective.value)
-    record.per_sample_psi = psi_term.value[:, 0].copy()
-    record.terminal_y = y_term.value
-    record.terminal_states = xs.value
-    return objective, record
+    return objective, RolloutRecord(
+        loss_u=loss_u,
+        loss_c=loss_c,
+        loss_psi=float(terminal_node.value),
+        objective=float(objective.value),
+        per_sample_psi=psi_term.value[:, 0].copy(),
+        terminal_y=y_term.value,
+        terminal_states=xs.value,
+    )
 
 
 def bptt_rollout(
@@ -360,7 +341,6 @@ def bptt_rollout(
     noise: NoiseStream,
     batch: int,
     update_index: int = 0,
-    record_history: bool = False,
 ) -> tuple[Node, RolloutRecord]:
     """Differentiable rollout under the learned per-agent controls."""
     if len(policies) != agg.num_agents:
@@ -378,7 +358,6 @@ def bptt_rollout(
         noise,
         batch,
         update_index=update_index,
-        record_history=record_history,
     )
 
 
@@ -419,8 +398,6 @@ def joint_ido(
 ) -> TrainingResult:
     """Simultaneous gradient descent on every agent's control parameters:
     each of the ``plan.updates`` updates steps every policy."""
-    if plan.mode != "joint":
-        raise ValueError(f"joint_ido needs mode='joint', got {plan.mode!r}")
     policies = list(policies)
     every = range(len(policies))
     return _train(
@@ -449,10 +426,6 @@ def controlwise_ido(
     advances). With ``shuffle_agents`` sweep ``outer`` visits the agents in
     the order ``derive_rng(seed, 9, outer).permutation(N)``.
     """
-    if plan.mode != "controlwise":
-        raise ValueError(
-            f"controlwise_ido needs mode='controlwise', got {plan.mode!r}"
-        )
     policies = list(policies)
 
     def blocks():
@@ -543,7 +516,6 @@ def sample_controlled(
     schedule: NoiseSchedule,
     seed: int,
     batch: int,
-    record_history: bool = False,
     noise_index: int = 0,
 ) -> RolloutRecord:
     """Draw samples under trained policies (no parameter updates)."""
@@ -551,7 +523,6 @@ def sample_controlled(
         _, record = bptt_rollout(
             policies, score_fn, agg, cfg, grid, psi, schedule,
             NoiseStream(seed), batch, update_index=noise_index,
-            record_history=record_history,
         )
     return record
 
@@ -565,7 +536,6 @@ def sample_uncontrolled(
     schedule: NoiseSchedule,
     seed: int,
     batch: int,
-    record_history: bool = False,
     noise_index: int = 0,
 ) -> RolloutRecord:
     """The coupled system with zero control everywhere."""
@@ -573,7 +543,6 @@ def sample_uncontrolled(
         _, record = coupled_rollout(
             ZeroControls(), score_fn, agg, cfg, grid, psi, schedule,
             NoiseStream(seed), batch, update_index=noise_index,
-            record_history=record_history,
         )
     return record
 
@@ -588,7 +557,6 @@ def sample_cdps(
     seed: int,
     batch: int,
     alpha_guid: float = 100.0,
-    record_history: bool = False,
     noise_index: int = 0,
 ) -> RolloutRecord:
     """Training-free baseline: per-step scaled cost gradients as controls."""
@@ -597,7 +565,6 @@ def sample_cdps(
         _, record = coupled_rollout(
             control_fn, score_fn, agg, cfg, grid, psi, schedule,
             NoiseStream(seed), batch, update_index=noise_index,
-            record_history=record_history,
         )
     return record
 

@@ -34,7 +34,7 @@ then holds only what backward reads.
 Design constraints:
   * values are float64 throughout, so central finite differences are a
     usable oracle for the whole graph;
-  * only smooth ops are provided (tanh, exp, log, sqrt, logsumexp, ...),
+  * only smooth ops are provided (tanh, exp, log, sqrt, ...),
     no relu / abs / max, keeping gradients well defined everywhere;
   * graph construction inside ``no_grad()`` produces parentless nodes, so
     long sampling loops do not retain history.
@@ -364,42 +364,6 @@ def gather_cols(a, idx) -> Node:
         out = np.zeros(shape)
         np.add.at(out, (slice(None), idx), g)
         return out
-
-    return op(y, (a,), (vjp,))
-
-
-def gather_rowwise(a, idx) -> Node:
-    """Per-row column pick ``a[r, idx[r]]`` of a 2-D node, shape (rows, 1)."""
-    a = as_node(a)
-    idx = np.asarray(idx, dtype=np.intp).reshape(-1)
-    av = a.value
-    if idx.size != av.shape[0]:
-        raise ValueError(f"got {idx.size} indices for {av.shape[0]} rows")
-    rows = np.arange(av.shape[0])
-    y = av[rows, idx][:, None]
-    shape = av.shape
-
-    def vjp(g: Array) -> Array:
-        out = np.zeros(shape)
-        out[rows, idx] = g[:, 0]
-        return out
-
-    return op(y, (a,), (vjp,))
-
-
-def logsumexp(a, axis: int = 1, keepdims: bool = True) -> Node:
-    """Numerically stable log-sum-exp along one axis."""
-    a = as_node(a)
-    av = a.value
-    amax = np.max(av, axis=axis, keepdims=True)
-    y = np.log(np.sum(np.exp(av - amax), axis=axis, keepdims=True)) + amax
-    softmax = np.exp(av - y)
-    if not keepdims:
-        y = np.squeeze(y, axis=axis)
-
-    def vjp(g: Array) -> Array:
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return gg * softmax
 
     return op(y, (a,), (vjp,))
 

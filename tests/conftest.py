@@ -1,5 +1,25 @@
 """Shared test configuration; prints one line per acceptance criterion."""
 import re
+import shutil
+import tempfile
+
+from hypothesis import configuration, settings
+
+# A test run writes nothing into the repository: Hypothesis keeps no
+# example database, and its other storage (the constants it collects from
+# local modules) goes to a temporary directory removed at the end.
+settings.register_profile("no-database", database=None)
+settings.load_profile("no-database")
+
+
+def pytest_configure(config):
+    config.hypothesis_home = tempfile.mkdtemp(prefix="hypothesis-")
+    configuration.set_hypothesis_home_dir(config.hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.hypothesis_home, ignore_errors=True)
+
 
 CRITERIA = {
     "criterion1": "1 oracle suite",

@@ -1,16 +1,38 @@
 """The terminal-cost pieces as compositions of elementary tape ops: the
 graphs the fused nodes replace, kept as references for their values and
-gradients."""
+gradients, with the one non-elementary op they use, ``logsumexp``."""
 import numpy as np
 
 from coopdiff import tape
 
 
-def classifier_nll_ops(logits, label):
-    """logsumexp(logits) - logits[label], one elementary op at a time."""
+def logsumexp(a, axis: int = 1, keepdims: bool = True):
+    """Numerically stable log-sum-exp along one axis, one op."""
+    a = tape.as_node(a)
+    av = a.value
+    amax = np.max(av, axis=axis, keepdims=True)
+    y = np.log(np.sum(np.exp(av - amax), axis=axis, keepdims=True)) + amax
+    softmax = np.exp(av - y)
+    if not keepdims:
+        y = np.squeeze(y, axis=axis)
+
+    def vjp(g):
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return gg * softmax
+
+    return tape.op(y, (a,), (vjp,))
+
+
+def classifier_nll_ops(logits, labels):
+    """logsumexp(logits) - logits[label] per row, for one label or one
+    label per row, one elementary op at a time. The label's logit is the
+    row sum of logits * onehot, which adds zeros to it and so is exact."""
     logits = tape.as_node(logits)
-    return tape.sub(tape.logsumexp(logits, axis=1, keepdims=True),
-                    tape.gather_cols(logits, [label]))
+    rows, n_classes = logits.value.shape
+    onehot = np.eye(n_classes)[np.broadcast_to(labels, (rows,))]
+    picked = tape.reduce_sum(tape.mul(logits, tape.constant(onehot)),
+                             axis=1, keepdims=True)
+    return tape.sub(logsumexp(logits, axis=1, keepdims=True), picked)
 
 
 def seam_loss_ops(y, agg, cfg):

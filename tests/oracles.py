@@ -3,6 +3,7 @@ import numpy as np
 
 from coopdiff import tape
 from coopdiff.aggregation import aggregate
+from coopdiff.costs import SocConfig
 from coopdiff.optimize import sample_poe_naive
 from coopdiff.sde import marginal_coeffs
 
@@ -65,3 +66,53 @@ def masked_control_energy(agg, controls):
     """|| M vec(u) ||^2: the energy the aggregate actually sees."""
     y = aggregate_np(agg, controls)
     return float((y * y).sum())
+
+
+class ZeroCost:
+    """psi identically zero (place-holder for cost-free dynamics)."""
+
+    def __call__(self, y):
+        y = tape.as_node(y)
+        return tape.constant(np.zeros((y.value.shape[0], 1)))
+
+
+class GaussianNll:
+    """Negative log density of an isotropic target Gaussian."""
+
+    def __init__(self, mean, variance: float):
+        self.mean = np.asarray(mean, dtype=np.float64).reshape(-1)
+        if variance <= 0:
+            raise ValueError("variance must be positive")
+        self.variance = float(variance)
+
+    def __call__(self, y):
+        d = self.mean.size
+        diff = tape.sub(y, tape.constant(self.mean))
+        quad = tape.scale(
+            tape.square_norm(diff, axis=1, keepdims=True), 0.5 / self.variance
+        )
+        log_norm = 0.5 * d * np.log(2.0 * np.pi * self.variance)
+        return tape.add(quad, tape.constant(np.array([log_norm])))
+
+
+def soc_objective(record, cfg: SocConfig, psi) -> float:
+    """Recompute hat-J from a stored rollout, tape-free.
+
+    ``record`` must expose dts, times, controls[k] (N, B, d), y0_hats[k],
+    terminal_y, batch and num_agents (see ``rollout_history.History``).
+    Used to cross-check the fused objective assembled during the
+    differentiable rollout.
+    """
+    if record.batch == 0:
+        raise ValueError("empty batch")
+    lambdas = cfg.lambda_weights(record.num_agents)
+    with tape.no_grad():
+        control_term = 0.0
+        run_term = 0.0
+        for k, dt in enumerate(record.dts):
+            u = np.asarray(record.controls[k])
+            control_term += float(lambdas @ (u * u).sum(axis=2).mean(axis=1)) * dt
+            psi_hat = psi(tape.constant(record.y0_hats[k])).value
+            run_term += cfg.running_weight(record.times[k]) * float(psi_hat.mean()) * dt
+        term = float(psi(tape.constant(record.terminal_y)).value.mean())
+    return control_term + run_term + term

@@ -70,6 +70,7 @@ from oracles import (
     sample_reverse_sde,
     selection_matrix,
 )
+from rollout_history import recorded
 
 SCHEDULE = NoiseSchedule()
 
@@ -199,8 +200,8 @@ def test_criterion2_rollout_backward_vs_finite_differences(monkeypatch):
     ]
     noise = NoiseStream(7)
     frozen = record_guidance(monkeypatch)
-    root, rec = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
-                             noise, batch=2, record_history=True)
+    root, _ = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
+                           noise, batch=2)
     tape.backward(root)
     params = [p for pol in policies for p in pol.params()]
     grads = [p.grad.copy() for p in params]
@@ -258,8 +259,8 @@ def test_criterion2_stopgrad_isolates_score_network(monkeypatch):
     ]
     noise = NoiseStream(8)
     captured = record_guidance(monkeypatch)
-    root, rec = bptt_rollout(policies, net, agg1, cfg, grid, psi, SCHEDULE,
-                             noise, batch=2, record_history=True)
+    root, _ = bptt_rollout(policies, net, agg1, cfg, grid, psi, SCHEDULE,
+                           noise, batch=2)
     tape.backward(root)
     live_grads = [p.grad.copy() for p in net.params()]
     replay_guidance(monkeypatch, captured)
@@ -298,13 +299,13 @@ def test_criterion3_zero_control_is_bit_exact_uncontrolled():
         make_policy(2, i, derive_rng(102, i), guidance_gain_init=0.0)
         for i in range(2)
     ]
-    with tape.no_grad():
-        _, controlled = bptt_rollout(policies, score, agg, cfg, grid, psi,
-                                     SCHEDULE, NoiseStream(12), batch=64,
-                                     record_history=True)
-    uncontrolled = sample_uncontrolled(score, agg, cfg, grid, psi, SCHEDULE,
-                                       seed=12, batch=64, record_history=True)
-    assert len(controlled.states) == len(uncontrolled.states)
+    with tape.no_grad(), recorded(grid) as controlled:
+        bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
+                     NoiseStream(12), batch=64)
+    with recorded(grid) as uncontrolled:
+        sample_uncontrolled(score, agg, cfg, grid, psi, SCHEDULE, seed=12,
+                            batch=64)
+    assert len(controlled.states) == len(uncontrolled.states) == grid.steps
     for k in range(len(controlled.states)):
         for i in range(2):
             assert np.array_equal(controlled.states[k][i],
@@ -346,7 +347,7 @@ def _reduction(curve):
 
 def test_criterion4_joint_ido_halves_objective():
     score, agg, cfg, psi, grid = _smoke_setup()
-    plan = TrainPlan(mode="joint", updates=200, batch=48, lr=4e-2)
+    plan = TrainPlan(updates=200, batch=48, lr=4e-2)
     res = joint_ido(plan, _smoke_policies(), score, agg, cfg, grid, psi,
                     SCHEDULE, seed=SMOKE_SEED)
     initial, final = _reduction(res.curve)
@@ -359,7 +360,7 @@ def test_criterion4_joint_ido_halves_objective():
 
 def test_criterion4_controlwise_ido_halves_objective_and_freezes():
     score, agg, cfg, psi, grid = _smoke_setup()
-    plan = TrainPlan(mode="controlwise", outer_iters=20, inner_steps=5,
+    plan = TrainPlan(outer_iters=20, inner_steps=5,
                      batch=48, lr=4e-2)
     policies = _smoke_policies()
     snapshots = []

@@ -7,19 +7,17 @@ from coopdiff import tape
 from coopdiff.aggregation import make_mask
 from coopdiff.costs import (
     ClassifierNll,
-    GaussianNll,
     QuadraticWell,
     SeamAugmented,
     SocConfig,
-    ZeroCost,
     classifier_nll,
     seam_loss,
-    soc_objective,
     with_seam,
 )
 from coopdiff.nn import Mlp
 from coopdiff.sde import derive_rng
 from opgraphs import classifier_nll_ops, seam_loss_ops
+from oracles import GaussianNll, ZeroCost, soc_objective
 
 H = W = 8
 DIM = H * W
@@ -242,15 +240,17 @@ def test_seam_loss_is_one_node_with_the_closed_form_gradient(agents):
 
 def test_classifier_nll_gradient_is_softmax_minus_onehot():
     lv = derive_rng(3, 0).standard_normal((6, 5)) * 4.0
-    logits = tape.leaf(lv)
-    out = classifier_nll(logits, 2)
-    assert out.parents == (logits,)
-    assert np.array_equal(out.value, classifier_nll_ops(lv, 2).value)
-    tape.backward(tape.reduce_sum(out))
     softmax = np.exp(lv - lv.max(axis=1, keepdims=True))
     softmax /= softmax.sum(axis=1, keepdims=True)
-    onehot = np.eye(5)[[2] * 6]
-    np.testing.assert_allclose(logits.grad, softmax - onehot, rtol=0,
-                               atol=1e-15)
-    with tape.no_grad():
-        assert classifier_nll(logits, 2).is_leaf
+    # one label for every row, and one label per row
+    for labels in (2, np.array([2, 0, 4, 4, 1, 3])):
+        logits = tape.leaf(lv)
+        out = classifier_nll(logits, labels)
+        assert out.parents == (logits,)
+        assert np.array_equal(out.value, classifier_nll_ops(lv, labels).value)
+        tape.backward(tape.reduce_sum(out))
+        onehot = np.eye(5)[np.broadcast_to(labels, (6,))]
+        np.testing.assert_allclose(logits.grad, softmax - onehot, rtol=0,
+                                   atol=1e-15)
+        with tape.no_grad():
+            assert classifier_nll(logits, labels).is_leaf

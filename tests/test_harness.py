@@ -550,6 +550,7 @@ def config_with(text: str, lines: dict) -> str:
     ("classifier.hidden", "-1"), ("policy.temb_width", "-2"),
     ("policy.temb_width", "3"), ("policy.temb_width", "0"),
     ("score.temb_width", "5"), ("gmm.component_var", "0"),
+    ("score.batch", "0"), ("shapes.per_class", "0"),
 ])
 def test_bad_widths_and_mixture_variance_exit_2(key, value, tmp_path,
                                                 monkeypatch, capsys):

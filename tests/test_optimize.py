@@ -8,14 +8,7 @@ import pytest
 from coopdiff import optimize, tape
 from coopdiff.aggregation import aggregate, make_mask
 from coopdiff.control import make_policy
-from coopdiff.costs import (
-    ClassifierNll,
-    QuadraticWell,
-    SocConfig,
-    ZeroCost,
-    soc_objective,
-    with_seam,
-)
+from coopdiff.costs import ClassifierNll, QuadraticWell, SocConfig, with_seam
 from coopdiff.nn import Mlp
 from coopdiff.optimize import (
     DivergedRolloutError,
@@ -32,7 +25,8 @@ from coopdiff.optimize import (
 from coopdiff.scores import AnalyticGmmScore, GaussianMixture, MlpScore
 from coopdiff.sde import NoiseSchedule, NoiseStream, derive_rng, make_time_grid
 from guidance_replay import record_guidance, replay_guidance
-from oracles import sample_reverse_sde
+from oracles import ZeroCost, sample_reverse_sde, soc_objective
+from rollout_history import recorded
 
 SCHEDULE = NoiseSchedule()
 
@@ -67,11 +61,14 @@ def test_zero_policy_rollout_is_zero_objective_and_uncontrolled():
     psi = ZeroCost()
     policies = make_policies(2)
     noise = NoiseStream(3)
-    J, rec = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
-                          noise, batch=4, record_history=True)
+    with recorded(grid) as rec:
+        J, _ = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
+                            noise, batch=4)
     assert J.value.item() == 0.0
-    un = sample_uncontrolled(score, agg, cfg, grid, psi, SCHEDULE, seed=3,
-                             batch=4, record_history=True)
+    with recorded(grid) as un:
+        sample_uncontrolled(score, agg, cfg, grid, psi, SCHEDULE, seed=3,
+                            batch=4)
+    assert len(rec.states) == len(un.states) == grid.steps
     for k in range(len(rec.states)):
         for i in range(2):
             assert np.array_equal(rec.states[k][i], un.states[k][i])
@@ -80,22 +77,23 @@ def test_zero_policy_rollout_is_zero_objective_and_uncontrolled():
 def test_cdps_zero_scale_matches_uncontrolled_bitwise():
     score, agg, cfg, psi, grid = make_setup()
     a = sample_cdps(score, agg, cfg, grid, psi, SCHEDULE, seed=5, batch=4,
-                    alpha_guid=0.0, record_history=True)
+                    alpha_guid=0.0)
     b = sample_uncontrolled(score, agg, cfg, grid, psi, SCHEDULE, seed=5,
-                            batch=4, record_history=True)
+                            batch=4)
     assert np.array_equal(a.terminal_y, b.terminal_y)
 
 
 def test_control_energy_term_recomputable_from_record():
     score, agg, cfg, psi, grid = make_setup()
     policies = make_policies(2, c0=-0.5)
-    J, rec = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
-                          NoiseStream(11), batch=3, record_history=True)
+    with recorded(grid) as history:
+        J, rec = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
+                              NoiseStream(11), batch=3)
     lambdas = cfg.lambda_weights(2)
     recomputed = sum(
-        lambdas[i] * float((u * u).sum(axis=1).mean()) * rec.dts[k]
-        for k in range(len(rec.controls))
-        for i, u in enumerate(rec.controls[k])
+        lambdas[i] * float((u * u).sum(axis=1).mean()) * history.dts[k]
+        for k in range(len(history.controls))
+        for i, u in enumerate(history.controls[k])
     )
     default_form = cfg.control_weight * rec.loss_u
     np.testing.assert_allclose(recomputed, default_form, rtol=1e-10)
@@ -111,10 +109,11 @@ def test_control_energy_term_recomputable_from_record():
 def test_soc_objective_matches_taped_rollout():
     score, agg, cfg, psi, grid = make_setup()
     policies = make_policies(2, c0=-0.4)
-    J, rec = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
-                          NoiseStream(13), batch=5, record_history=True)
+    with recorded(grid, psi) as history:
+        J, _ = bptt_rollout(policies, score, agg, cfg, grid, history.psi,
+                            SCHEDULE, NoiseStream(13), batch=5)
     np.testing.assert_allclose(
-        soc_objective(rec, cfg, psi), J.value.item(), rtol=1e-10
+        soc_objective(history, cfg, psi), J.value.item(), rtol=1e-10
     )
 
 
@@ -138,8 +137,8 @@ def test_rollout_gradient_matches_finite_differences(monkeypatch):
     noise = NoiseStream(17)
 
     frozen = record_guidance(monkeypatch)
-    J, rec = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
-                          noise, batch=1, record_history=True)
+    J, _ = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
+                        noise, batch=1)
     tape.backward(J)
     params = policies[0].params()
     grads = [p.grad.copy() for p in params]
@@ -263,7 +262,7 @@ def test_training_holds_one_rollout_graph_at_a_time(mode):
     graph, _ = traced_bytes(lambda: bptt_rollout(
         policies, score, agg, cfg, grid, psi, SCHEDULE, NoiseStream(4),
         batch=8))
-    plan = TrainPlan(mode=mode, updates=4, outer_iters=2, inner_steps=2,
+    plan = TrainPlan(updates=4, outer_iters=2, inner_steps=2,
                      batch=8, lr=1e-3)
     trainer = joint_ido if mode == "joint" else controlwise_ido
     _, peak = traced_bytes(lambda: trainer(
@@ -273,14 +272,14 @@ def test_training_holds_one_rollout_graph_at_a_time(mode):
 
 def test_joint_ido_requires_learnable_parameters():
     score, agg, cfg, psi, grid = make_setup()
-    plan = TrainPlan(mode="joint", updates=2, batch=2, lr=1e-3)
+    plan = TrainPlan(updates=2, batch=2, lr=1e-3)
     with pytest.raises(ValueError):
         joint_ido(plan, [], score, agg, cfg, grid, psi, SCHEDULE, seed=0)
 
 
 def test_curve_length_equals_updates():
     score, agg, cfg, psi, grid = make_setup(steps=6)
-    plan = TrainPlan(mode="joint", updates=7, batch=2, lr=1e-3)
+    plan = TrainPlan(updates=7, batch=2, lr=1e-3)
     res = joint_ido(plan, make_policies(2), score, agg, cfg, grid, psi,
                     SCHEDULE, seed=1)
     assert len(res.curve) == 7
@@ -289,7 +288,7 @@ def test_curve_length_equals_updates():
 
 def test_plan_validation_and_counting():
     with pytest.raises(ValueError):
-        TrainPlan(mode="freeform")
+        TrainPlan(checkpoint_every=-1)
     with pytest.raises(ValueError):
         TrainPlan(inner_steps=0)
     with pytest.raises(ValueError):
@@ -299,7 +298,7 @@ def test_plan_validation_and_counting():
 def test_controlwise_freezes_inactive_agents():
     score, agg, cfg, psi, grid = make_setup(steps=6)
     policies = make_policies(2, c0=-0.2)
-    plan = TrainPlan(mode="controlwise", outer_iters=2, inner_steps=3,
+    plan = TrainPlan(outer_iters=2, inner_steps=3,
                      batch=2, lr=1e-2)
     snapshots = []
 
@@ -331,12 +330,12 @@ def test_controlwise_single_agent_reduces_to_joint_updates():
     agg = make_mask("identity", 1, 2)
 
     joint_pols = make_policies(1, c0=-0.2)
-    plan_j = TrainPlan(mode="joint", updates=6, batch=2, lr=1e-2)
+    plan_j = TrainPlan(updates=6, batch=2, lr=1e-2)
     res_j = joint_ido(plan_j, joint_pols, score, agg, cfg, grid, psi,
                       SCHEDULE, seed=5)
 
     cw_pols = make_policies(1, c0=-0.2)
-    plan_c = TrainPlan(mode="controlwise", outer_iters=2, inner_steps=3,
+    plan_c = TrainPlan(outer_iters=2, inner_steps=3,
                        batch=2, lr=1e-2)
     res_c = controlwise_ido(plan_c, cw_pols, score, agg, cfg, grid, psi,
                             SCHEDULE, seed=5)
@@ -353,17 +352,17 @@ def test_controlwise_single_agent_reduces_to_joint_updates():
 def test_joint_and_controlwise_share_noise_at_same_update():
     # the initial states of update n depend only on (seed, n)
     score, agg, cfg, psi, grid = make_setup(steps=6)
-    a = bptt_rollout(make_policies(2, seed=1, c0=-0.5), score, agg, cfg, grid,
-                     psi, SCHEDULE, NoiseStream(9), batch=3,
-                     update_index=4, record_history=True)[1]
-    b = bptt_rollout(make_policies(2, seed=2, c0=0.0), score, agg, cfg, grid,
-                     psi, SCHEDULE, NoiseStream(9), batch=3,
-                     update_index=4, record_history=True)[1]
+    with recorded(grid) as a:
+        bptt_rollout(make_policies(2, seed=1, c0=-0.5), score, agg, cfg, grid,
+                     psi, SCHEDULE, NoiseStream(9), batch=3, update_index=4)
+    with recorded(grid) as b:
+        bptt_rollout(make_policies(2, seed=2, c0=0.0), score, agg, cfg, grid,
+                     psi, SCHEDULE, NoiseStream(9), batch=3, update_index=4)
     for i in range(2):
         assert np.array_equal(a.states[0][i], b.states[0][i])
-    c = bptt_rollout(make_policies(2, seed=1, c0=-0.5), score, agg, cfg, grid,
-                     psi, SCHEDULE, NoiseStream(9), batch=3,
-                     update_index=5, record_history=True)[1]
+    with recorded(grid) as c:
+        bptt_rollout(make_policies(2, seed=1, c0=-0.5), score, agg, cfg, grid,
+                     psi, SCHEDULE, NoiseStream(9), batch=3, update_index=5)
     assert not np.array_equal(a.states[0][0], c.states[0][0])
 
 
@@ -419,7 +418,7 @@ def test_second_divergence_aborts_with_the_partial_curve(trainer, mode):
     # every rollout diverges: update 0 is skipped and halves the learning
     # rate, update 1 aborts the run
     score, agg, cfg, psi, grid = make_setup(steps=30)
-    plan = TrainPlan(mode=mode, updates=3, outer_iters=2, inner_steps=2,
+    plan = TrainPlan(updates=3, outer_iters=2, inner_steps=2,
                      batch=2, lr=1e-3)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError) as err:
@@ -454,7 +453,7 @@ def fail_updates(monkeypatch, updates, how):
 def test_a_failed_update_is_skipped_and_halves_the_learning_rate(
         monkeypatch, how):
     score, agg, cfg, psi, grid = make_setup(steps=6)
-    plan = TrainPlan(mode="joint", updates=4, batch=2, lr=1e-2)
+    plan = TrainPlan(updates=4, batch=2, lr=1e-2)
     fail_updates(monkeypatch, {1}, how)
     lrs = []
     real_adam = optimize.adam_step
@@ -471,7 +470,7 @@ def test_a_failed_update_is_skipped_and_halves_the_learning_rate(
 def test_a_second_nonfinite_gradient_aborts_with_the_partial_curve(
         monkeypatch):
     score, agg, cfg, psi, grid = make_setup(steps=6)
-    plan = TrainPlan(mode="joint", updates=5, batch=2, lr=1e-2)
+    plan = TrainPlan(updates=5, batch=2, lr=1e-2)
     fail_updates(monkeypatch, {1, 3}, "gradient")
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError) as err:
@@ -495,7 +494,7 @@ def test_shuffled_sweeps_follow_the_derived_permutation():
                     gain_hidden=(4,), guidance_gain_init=-0.2)
         for i in range(3)
     ]
-    plan = TrainPlan(mode="controlwise", outer_iters=3, inner_steps=2,
+    plan = TrainPlan(outer_iters=3, inner_steps=2,
                      batch=2, lr=1e-2, shuffle_agents=True)
     snapshot = [[p.value.copy() for p in pol.params()] for pol in policies]
     moved = []
@@ -631,14 +630,15 @@ def test_running_cost_adjoint_into_y0_hat_is_the_rowwise_psi_gradient(
     monkeypatch.setattr(optimize, "tweedie", leaf_tweedie)
     monkeypatch.setattr(optimize, "tweedie_guidance", recording_guidance)
     batch = 3
-    J, rec = bptt_rollout(make_policies(2, c0=-0.4), score, agg, cfg, grid,
-                          psi, SCHEDULE, NoiseStream(5), batch=batch,
-                          record_history=True)
+    with recorded(grid, psi) as history:
+        J, _ = bptt_rollout(make_policies(2, c0=-0.4), score, agg, cfg, grid,
+                            history.psi, SCHEDULE, NoiseStream(5), batch=batch)
     tape.backward(J)
     assert len(leaves) == len(grads) == grid.steps - 1
     for k, (leaf, grad) in enumerate(zip(leaves, grads)):
         # psi = ||Y - target||^2, so grad psi = 2 (Y0_hat - target) per row
-        np.testing.assert_allclose(grad, 2.0 * (rec.y0_hats[k] - psi.target),
+        y0_hat = history.y0_hats[k]
+        np.testing.assert_allclose(grad, 2.0 * (y0_hat - psi.target),
                                    rtol=1e-12)
         weight = cfg.running_weight(grid.times[k]) * grid.dts[k] / batch
         np.testing.assert_allclose(leaf.grad.sum(axis=0), weight * grad,
