@@ -77,14 +77,13 @@ def aggregate(agg: MaskAggregator, states) -> Node:
             f"states of shape {shape} do not match "
             f"({agg.num_agents}, batch, {agg.dim})"
         )
-    masks = agg.masks[:, None, :]
-    return tape.op((states.value * masks).sum(axis=0), (states,),
-                   (lambda g: g * masks,))
+    return tape.op((states.value * agg.masks[:, None, :]).sum(axis=0),
+                   (states,), (lambda g: scatter_adjoint(agg, g),))
 
 
 def scatter_adjoint(agg: MaskAggregator, grad_y) -> Array:
-    """Transpose of ``aggregate``: route a (batch, dim) dY to each agent's
-    own coordinates, giving (N, batch, dim)."""
+    """Transpose of ``aggregate``, its adjoint: route a (batch, dim) dY to
+    each agent's own coordinates, giving (N, batch, dim)."""
     grad_y = np.asarray(grad_y, dtype=np.float64)
     if grad_y.shape[-1] != agg.dim:
         raise ValueError(

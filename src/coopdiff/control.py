@@ -61,6 +61,31 @@ class ControlPolicy:
         self.nn1.load_state_dict(state)
         self.nn2.load_state_dict(state)
 
+    def forward(self, x: Array, y: Array, guidance: Array, t: float):
+        """u = NN1([x, Y, g, feats]) + NN2(feats) * g on (B, d) arrays, and
+        both networks' caches (what ``backward`` reads besides the
+        inputs)."""
+        feats = time_features(t, self.temb_width, batch=x.shape[0])
+        drift, cache1 = self.nn1.forward([x, y, guidance, feats])
+        gain, cache2 = self.nn2.forward([feats[:1]])    # (1, 1), one per batch
+        return drift + gain * guidance, (cache1, cache2)
+
+    def backward(self, cache, x, y, guidance, t: float, g, live, span=None):
+        """Adjoints of a ``forward`` call given the control adjoint ``g``,
+        with the same inputs: one per parameter of ``params()`` (None where
+        ``live`` is False) and, with ``span``, the input adjoint over those
+        columns of [x, Y] (the guidance is held constant). The gain's
+        adjoint sums over the batch, then the coordinates."""
+        cache1, cache2 = cache
+        feats = time_features(t, self.temb_width, batch=x.shape[0])
+        n1 = 2 * len(self.nn1.weights)
+        grads, g_in = Mlp.backward(cache1, [x, y, guidance, feats], g,
+                                   live[:n1], span)
+        g_gain = (g * guidance).sum(axis=0, keepdims=True).sum(
+            axis=1, keepdims=True)
+        grads += Mlp.backward(cache2, [feats[:1]], g_gain, live[n1:])[0]
+        return grads, g_in
+
 
 def make_policy(
     dim: int,
@@ -89,29 +114,23 @@ def make_policy(
 
 
 def eval_control(policy: ControlPolicy, x, y, t: float, guidance) -> Node:
-    """u_i = NN1([x, Y, g, feats]) + NN2(t) * g, with g held constant."""
-    x = tape.as_node(x)
-    y = tape.as_node(y)
-    guidance = tape.stopgrad(tape.as_node(guidance))
+    """u_i = NN1([x, Y, g, feats]) + NN2(t) * g as one fused node over x,
+    Y and the policy's weights, with g held constant: ``forward``, with
+    ``backward`` as its VJP. The training rollout calls those two
+    directly."""
+    x, y = tape.as_node(x), tape.as_node(y)
+    g = tape.as_node(guidance).value
+    inputs = [x, y, *policy.params()]
+    live = tape.live(inputs)
+    u, cache = policy.forward(x.value, y.value, g, t)
     d = policy.dim
-    for name, v in (("state", x), ("aggregate", y), ("guidance", guidance)):
-        if v.value.shape[-1] != d:
-            raise ValueError(
-                f"{name} has dimension {v.value.shape[-1]}, policy expects {d}"
-            )
-    batch = x.value.shape[0]
-    feats = time_features(t, policy.temb_width, batch=batch)
-    drift = policy.nn1(x, y, guidance, feats)
-    gain = policy.nn2(feats[:1])      # (1, 1), shared across the batch
-    gv = guidance.value
-    # one node for drift + gain * g; the gain's adjoint sums over the batch,
-    # then the coordinates
-    return tape.op(
-        drift.value + gain.value * gv,
-        (drift, gain),
-        (lambda g: g,
-         lambda g: (g * gv).sum(axis=0, keepdims=True).sum(axis=1, keepdims=True)),
-    )
+
+    def vjp(a):
+        grads, g_in = policy.backward(cache, x.value, y.value, g, t, a,
+                                      live[2:], (0, 2 * d))
+        return [g_in[:, :d], g_in[:, d:], *grads]
+
+    return tape.fused(u, inputs, vjp)
 
 
 def cdps_control(x_i, t: float, guidance_wrt_state, alpha_guid: float) -> Node:
@@ -136,22 +155,18 @@ def cdps_control(x_i, t: float, guidance_wrt_state, alpha_guid: float) -> Node:
 # ---------------------------------------------------------------------------
 
 def tweedie_guidance(psi, y0_hat) -> tuple[Array, Array]:
-    """psi and its per-row gradient at the aggregated Tweedie estimate.
-
-    One sub-tape on a detached Y0_hat leaf gives both psi(Y0_hat), shape
-    (B, 1), and grad psi(Y0_hat), shape (B, d), as plain arrays. Rows are
-    independent, so one backward from the batch sum yields every row's
-    gradient. The aggregate routes dY to agent i as dY * mask_i, so the
-    learned control's guidance is ``scatter_adjoint(agg, grad)`` =
-    masks * grad psi(Y0_hat); the rollout's running cost takes the same
-    gradient as its VJP.
-    """
+    """psi(Y0_hat), shape (B, 1), and grad psi(Y0_hat), shape (B, d), as
+    plain arrays: a cost is one op node on its input (each cost in
+    ``costs`` is a ``rowwise`` node), so the gradient is that node's VJP
+    at a unit adjoint per row. The learned control's guidance is
+    ``scatter_adjoint(agg, grad)`` = masks * grad psi(Y0_hat)."""
     with tape.grad_enabled():
         y0 = tape.leaf(tape.as_node(y0_hat).value)
         psi_y0 = psi(y0)
-        tape.backward(tape.reduce_sum(psi_y0))
-    grad = y0.grad if y0.grad is not None else np.zeros_like(y0.value)
-    return psi_y0.value, grad
+    if type(psi_y0) is not Node or psi_y0.parents != (y0,):
+        raise TypeError("a cost must return one op node on its input, such "
+                        "as a rowwise node (see costs)")
+    return psi_y0.value, psi_y0.vjps[0](np.ones_like(psi_y0.value))
 
 
 class StateGuidance(NamedTuple):

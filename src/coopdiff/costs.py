@@ -13,12 +13,13 @@ Objective layout (hat-J for one batch):
 
 with lambda_i = control_weight / N unless per-agent weights are given.
 
-Each terminal-cost piece is one tape node with its closed-form gradient:
-the quadratic well, the classifier NLL (VJP g * (softmax - onehot)) and
-the seam loss (rho'(x) = x / rho(x)). Their values repeat the per-op
-arithmetic in the same order, so they are bit-identical to it.
-``classifier_nll`` takes one label for every row (the terminal cost) or
-one label per row (the classifier's training loss).
+Each terminal cost is one ``rowwise`` tape node on its input, from its
+closed-form ``value_and_grad``: the quadratic well, the classifier NLL
+(softmax - onehot pushed through the frozen classifier's backward pass)
+and the seam loss (rho'(x) = x / rho(x)); ``SeamAugmented`` sums a base
+cost's and the seam loss's. So grad psi is the node's one VJP. The
+values repeat the per-op arithmetic in order, so they are bit-identical
+to it. ``classifier_nll`` is the classifier's training loss.
 """
 from __future__ import annotations
 
@@ -47,12 +48,14 @@ class SocConfig:
     charbonnier_eps: float = 1e-3
 
     def __post_init__(self):
-        if self.control_weight < 0 or self.running_scale < 0:
-            raise ValueError("cost weights must be non-negative")
-        if self.seam_beta < 0 or self.seam_gamma < 0:
-            raise ValueError("seam weights must be non-negative")
+        for name in ("control_weight", "running_scale", "seam_beta",
+                     "seam_gamma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got "
+                                 f"{getattr(self, name)!r}")
         if self.charbonnier_eps <= 0:
-            raise ValueError("charbonnier_eps must be positive")
+            raise ValueError(f"charbonnier_eps must be > 0, got "
+                             f"{self.charbonnier_eps!r}")
         if self.running_ramp not in ("constant", "linear"):
             raise ValueError(
                 f"running_ramp must be 'constant' or 'linear', got "
@@ -86,21 +89,32 @@ class SocConfig:
 # terminal costs
 # ---------------------------------------------------------------------------
 
+def _rowwise(y, value_and_grad) -> Node:
+    """One ``rowwise`` node on ``y`` from a cost's closed-form
+    ``value_and_grad(y_array, grad)``; no gradient is formed when ``y``
+    requires none."""
+    y = tape.as_node(y)
+    return tape.rowwise(y, *value_and_grad(y.value, tape.live([y])[0]))
+
+
 class QuadraticWell:
     """psi(Y) = || Y - target ||^2, per sample."""
 
     def __init__(self, target: Array):
         self.target = np.asarray(target, dtype=np.float64).reshape(-1)
 
+    def value_and_grad(self, y: Array, grad: bool = True):
+        diff = y - self.target
+        return (diff * diff).sum(axis=1, keepdims=True), (
+            2.0 * diff if grad else None)
+
     def __call__(self, y) -> Node:
-        y = tape.as_node(y)
-        diff = y.value - self.target
-        return tape.rowwise(y, (diff * diff).sum(axis=1, keepdims=True),
-                            2.0 * diff)
+        return _rowwise(y, self.value_and_grad)
 
 
 class ClassifierNll:
-    """Softmax cross-entropy of a classifier at a fixed target label."""
+    """Softmax cross-entropy of a frozen classifier at a fixed target
+    label; the classifier's weights get no gradient through it."""
 
     def __init__(self, classifier: Mlp, label: int):
         self.classifier = classifier
@@ -111,17 +125,25 @@ class ClassifierNll:
             )
         self.label = int(label)
 
+    def value_and_grad(self, y: Array, grad: bool = True):
+        """The NLL per row and, with ``grad``, softmax - onehot pushed
+        through the classifier's own backward pass to its input."""
+        logits, cache = self.classifier.forward([y])
+        value, d_logits = _nll(logits, self.label)
+        if not grad:
+            return value, None
+        frozen = [False] * len(self.classifier.params())
+        return value, Mlp.backward(cache, None, d_logits, frozen,
+                                   (0, y.shape[1]))[1]
+
     def __call__(self, y) -> Node:
-        logits = self.classifier(y)
-        return classifier_nll(logits, self.label)
+        return _rowwise(y, self.value_and_grad)
 
 
-def classifier_nll(logits, labels) -> Node:
-    """-log softmax(logits)[label] = logsumexp(logits) - logits[label] per
-    row, for one label (an int) or one label per row; one node with the
-    gradient softmax - onehot."""
-    logits = tape.as_node(logits)
-    lv = logits.value
+def _nll(lv: Array, labels):
+    """-log softmax(lv)[label] = logsumexp(lv) - lv[label] per row, for one
+    label (an int) or one label per row, and its gradient softmax -
+    onehot."""
     rows, n_classes = lv.shape
     labels = np.asarray(labels, dtype=np.intp)
     if np.any((labels < 0) | (labels >= n_classes)):
@@ -129,16 +151,21 @@ def classifier_nll(logits, labels) -> Node:
     picked = (np.arange(rows), labels)       # one label broadcasts
     amax = np.max(lv, axis=1, keepdims=True)
     lse = np.log(np.sum(np.exp(lv - amax), axis=1, keepdims=True)) + amax
-    value = lse - lv[picked][:, None]
-    if not tape.live([logits])[0]:
-        return tape.constant(value)
     grad = np.exp(lv - lse)
     grad[picked] -= 1.0
-    return tape.rowwise(logits, value, grad)
+    return lse - lv[picked][:, None], grad
+
+
+def classifier_nll(logits, labels) -> Node:
+    """The softmax cross-entropy of ``logits`` (see ``_nll``) as one node
+    with the gradient softmax - onehot."""
+    logits = tape.as_node(logits)
+    return tape.rowwise(logits, *_nll(logits.value, labels))
 
 
 class SeamAugmented:
-    """base cost plus the seam-continuity loss of the same image layout."""
+    """base cost plus the seam-continuity loss of the same image layout,
+    one node: their values and gradients are summed."""
 
     def __init__(self, base, agg: MaskAggregator, cfg: SocConfig):
         if agg.image_hw is None:
@@ -147,8 +174,13 @@ class SeamAugmented:
         self.agg = agg
         self.cfg = cfg
 
+    def value_and_grad(self, y: Array, grad: bool = True):
+        value, d_base = self.base.value_and_grad(y, grad)
+        seam, d_seam = _seam(y, self.agg, self.cfg, grad)
+        return value + seam, (d_base + d_seam if grad else None)
+
     def __call__(self, y) -> Node:
-        return tape.add(self.base(y), seam_loss(y, self.agg, self.cfg))
+        return _rowwise(y, self.value_and_grad)
 
 
 def with_seam(base, agg: MaskAggregator, cfg: SocConfig):
@@ -179,22 +211,25 @@ def seam_loss(y, agg: MaskAggregator, cfg: SocConfig) -> Node:
     One ``rowwise`` node: the gradient is accumulated in closed form,
     rho'(x) = x / rho(x), into the rows each term reads.
     """
+    return _rowwise(y, lambda v, grad: _seam(v, agg, cfg, grad))
+
+
+def _seam(y: Array, agg: MaskAggregator, cfg: SocConfig, live: bool):
+    """``seam_loss`` on an array: the value and, with ``live``, the
+    gradient."""
     if agg.image_hw is None:
         raise ValueError("seam loss needs an image layout")
     h, w = agg.image_hw
-    y = tape.as_node(y)
-    if y.value.shape[1] != h * w:
+    if y.shape[1] != h * w:
         raise ValueError(
-            f"state dimension {y.value.shape[1]} does not match image "
-            f"{h}x{w}"
+            f"state dimension {y.shape[1]} does not match image {h}x{w}"
         )
-    batch = y.value.shape[0]
+    batch = y.shape[0]
     # rows[r] is image row r as a (w, batch) block: the columns are summed
     # one after another, in the order of the per-op graph this node
     # replaced, so the value is bit-identical to it
-    rows = np.ascontiguousarray(y.value.T).reshape(h, w, batch)
+    rows = np.ascontiguousarray(y.T).reshape(h, w, batch)
     eps2 = cfg.charbonnier_eps * cfg.charbonnier_eps
-    live = tape.live([y])[0]
     grad = np.zeros((h, w, batch)) if live else None
     border = np.zeros((w, batch))
     total = np.zeros((batch, 1))
@@ -221,6 +256,4 @@ def seam_loss(y, agg: MaskAggregator, cfg: SocConfig) -> Node:
             if rq + 1 <= h - 1:
                 grad[rq + 1] -= d_kink
                 grad[rq] += d_kink
-    if not live:
-        return tape.constant(total)
-    return tape.rowwise(y, total, grad.reshape(h * w, batch).T)
+    return total, (grad.reshape(h * w, batch).T if live else None)

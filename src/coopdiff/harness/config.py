@@ -161,21 +161,29 @@ class ExperimentConfig:
             if width < 2 or width % 2:
                 raise ConfigError(f"{_FIELD_TO_KEY[name]} must be even and "
                                   f">= 2, got {width}")
-        if self.gmm_component_var <= 0:
-            raise ConfigError(f"gmm.component_var must be > 0, got "
-                              f"{self.gmm_component_var!r}")
+        for name in ("gmm_component_var", "score_lr", "classifier_lr"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{_FIELD_TO_KEY[name]} must be > 0, got "
+                                  f"{getattr(self, name)!r}")
+        if not 0 < self.classifier_target_accuracy <= 1:
+            raise ConfigError(f"classifier.target_accuracy must lie in "
+                              f"(0, 1], got "
+                              f"{self.classifier_target_accuracy!r}")
         # build every derived object once, so a bad value fails here and
-        # not in the middle of a run
-        try:
-            if self.schedule().alpha(1.0) < ALPHA_FLOOR:
-                raise ValueError(f"alpha(1) is below the Tweedie floor "
-                                 f"{ALPHA_FLOOR:g}; lower schedule.beta_max")
-            make_time_grid(self.grid_steps, self.grid_eps)
-            self.aggregator()
-            self.soc()
-            self.plan()
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        # not in the middle of a run; the errors of the grid, cost and
+        # plan name their field, which the prefix makes the config key
+        for prefix, build in (
+                ("", self.schedule), ("", self.aggregator), ("soc.", self.soc),
+                ("plan.", self.plan),
+                ("grid.", lambda: make_time_grid(self.grid_steps,
+                                                 self.grid_eps))):
+            try:
+                build()
+            except ValueError as err:
+                raise ConfigError(prefix + str(err)) from err
+        if self.schedule().alpha(1.0) < ALPHA_FLOOR:
+            raise ConfigError(f"alpha(1) is below the Tweedie floor "
+                              f"{ALPHA_FLOOR:g}; lower schedule.beta_max")
 
     # -- derived objects ---------------------------------------------------
 

@@ -1,17 +1,20 @@
 """Small tanh MLPs with sinusoidal time features, built on the tape.
 
-One call of an ``Mlp`` is one fused tape node, on the column concatenation
-of its inputs. The node keeps the hidden activations and no copy of its
-input: a trained first-layer weight's gradient term keeps references to
-the input parts, which the fold of that weight's terms reads directly
-(see ``tape.OuterSum``). The VJP runs the layer-by-layer backward in
-plain numpy for the parents that require grad: frozen weights get no
-weight gradient, and a constant input part no input adjoint; the input
-adjoint is formed only over the column block that spans the live parts.
-A trained weight's gradient ``a.T @ g`` is returned as a ``tape.OuterSum``
-term, so a weight used at every rollout step is summed with one gemm per
-block of steps: exactly ``a.T @ g`` for a single use, and a
-summation-order difference in the last bits for many.
+An ``Mlp`` has two plain-numpy halves: ``forward`` returns the output and
+a cache (the weights it read, the hidden activations), and ``backward``
+runs the layer-by-layer reverse pass from it for the parameters flagged
+live, and for the input columns asked for. A training rollout calls the
+two directly and keeps the caches in its step records. Calling
+the ``Mlp`` records one fused tape node on the column concatenation of
+its inputs, whose VJP is ``backward``: frozen weights get no weight
+gradient, a constant input part no input adjoint, and the input adjoint
+is formed only over the column block that spans the live parts. The
+node keeps no copy of its input: a trained first-layer weight's gradient
+term keeps references to the input parts, which the fold of that
+weight's terms reads directly. A trained weight's gradient ``a.T @ g``
+is a ``tape.OuterSum`` term, so a weight used at every rollout step is
+summed with one gemm per block of steps: exactly ``a.T @ g`` for a
+single use, and a summation-order difference in the last bits for many.
 
 Two construction modes matter for control policies:
   * ``zero_final=True`` zero-initialises the last linear layer, so the
@@ -119,72 +122,84 @@ class Mlp:
     def out_dim(self) -> int:
         return self.sizes[-1]
 
+    def forward(self, parts: list[Array]) -> tuple[Array, tuple]:
+        """The network on the column concatenation of the 2-D arrays
+        ``parts``: the output, and the cache ``backward`` reads besides
+        the parts, (the weights read, the hidden activations), where
+        ``hidden[i]`` is the input of layer i + 1."""
+        ws = [w.value for w in self.weights]
+        h = _columns(parts)
+        hidden = []
+        for i, (w, b) in enumerate(zip(ws, self.biases)):
+            h = h @ w
+            h += b.value
+            if i < len(ws) - 1:
+                np.tanh(h, out=h)
+                hidden.append(h)
+        return h, (ws, hidden)
+
+    @staticmethod
+    def backward(cache, parts, g, live, span=None):
+        """Adjoints of a ``forward`` call, from its cache and parts, given
+        its output adjoint ``g``; ``live`` flags the parameters (w0, b0,
+        w1, ...) that get one. Returns those adjoints (None where not
+        live) and, with ``span = (lo, hi)``, the input adjoint over input
+        columns lo:hi (else None). A weight's adjoint is a ``tape.OuterSum``
+        term, or ``a.T @ g`` if ``g`` has no fewer rows than columns (the
+        term would fold at once); the first layer's reads ``parts``. The
+        pass stops at the lowest layer it has to reach."""
+        ws, hidden = cache
+        grads = [None] * len(live)
+        if not (span or any(live)):
+            return grads, None
+        bottom = 0 if span else live.index(True) // 2
+        for i in range(len(ws) - 1, bottom - 1, -1):
+            if live[2 * i]:          # folded at once when as tall as wide
+                a = [hidden[i - 1]] if i > 0 else parts
+                grads[2 * i] = (tape.OuterSum(a, g) if len(g) < g.shape[1]
+                                else _columns(a).T @ g)
+            if live[2 * i + 1]:
+                grads[2 * i + 1] = g.sum(axis=0)
+            if i > bottom:
+                g = g @ ws[i].T
+                d = hidden[i - 1] * hidden[i - 1]
+                np.subtract(1.0, d, out=d)
+                g *= d
+            elif span:
+                g = g @ ws[0][span[0]:span[1]].T
+        return grads, (g if span else None)
+
     def __call__(self, *xs) -> Node:
         """The network on the column concatenation of ``xs`` (nodes or
         arrays): one fused node, so a constant part (time features, say)
-        costs no concat node and gets no adjoint.
-
-        The node keeps the hidden activations its VJP reads and no copy of
-        the concatenated input. With the first-layer weight frozen (the
-        pretrained networks) it keeps nothing of the input. With that
-        weight trained it keeps references to the part arrays, and the
-        weight's gradient term hands them to the fold, which fills the same
-        block of rows a kept copy would give. The part arrays are never
-        written, so they cannot change under the reference, and releasing
-        a part's node (``tape.release``) drops only the node's reference.
-        """
+        costs no concat node and gets no adjoint. It keeps what its VJP
+        reads (see the module notes); the part arrays are never written."""
         xs = [tape.as_node(x) for x in xs]
         inputs = [*xs, *self.params()]   # x parts, w0, b0, w1, b1, ...
         live = tape.live(inputs)
         n_in = len(xs)
-        x_live = any(live[:n_in])
-        n_layers = len(self.weights)
-        ws = [w.value for w in self.weights]
         parts = [x.value for x in xs]
-        h = _columns(parts)
-        hidden = []                      # hidden[i] is the input of layer i + 1
-        for i, (w, b) in enumerate(zip(ws, self.biases)):
-            h = h @ w
-            h += b.value
-            if i < n_layers - 1:
-                np.tanh(h, out=h)
-                hidden.append(h)
+        h, cache = self.forward(parts)
         if not any(live):
             return tape.constant(h)
-        if not live[n_in]:
+        p_live = live[n_in:]
+        if not p_live[0]:
             parts = None                 # only the w0 gradient reads the input
-        # the lowest layer the adjoint has to reach
-        bottom = 0 if x_live else (live.index(True, n_in) - n_in) // 2
         cols = list(itertools.accumulate((x.value.shape[1] for x in xs),
                                          initial=0))
         # the input adjoint is formed only over the column block that
         # spans the live parts
         parts_live = [j for j in range(n_in) if live[j]]
-        lo = cols[parts_live[0]] if x_live else 0
-        hi = cols[parts_live[-1] + 1] if x_live else 0
-        w_in = ws[0][lo:hi]
+        span = ((cols[parts_live[0]], cols[parts_live[-1] + 1])
+                if parts_live else None)
 
         def vjp(g):
-            grads = [None] * len(live)
-            for i in range(n_layers - 1, bottom - 1, -1):
-                if live[n_in + 2 * i]:
-                    a = (hidden[i - 1],) if i > 0 else parts
-                    grads[n_in + 2 * i] = tape.OuterSum(a, g)
-                if live[n_in + 2 * i + 1]:
-                    grads[n_in + 2 * i + 1] = g.sum(axis=0)
-                if i > bottom:
-                    g = g @ ws[i].T
-                    d = hidden[i - 1] * hidden[i - 1]
-                    np.subtract(1.0, d, out=d)
-                    g *= d
-                elif x_live:
-                    g = g @ w_in.T
-            for j in range(n_in):
-                if live[j]:
-                    grads[j] = g[:, cols[j] - lo:cols[j + 1] - lo]
-            return tuple(gr for gr, keep in zip(grads, live) if keep)
+            grads, g_in = self.backward(cache, parts, g, p_live, span)
+            ins = [g_in[:, cols[j] - span[0]:cols[j + 1] - span[0]]
+                   if live[j] else None for j in range(n_in)]
+            return ins + grads
 
-        return tape.fused(h, [n for n, keep in zip(inputs, live) if keep], vjp)
+        return tape.fused(h, inputs, vjp)
 
     def params(self) -> list[Node]:
         out = []

@@ -3,7 +3,7 @@ loops, and baseline samplers.
 
 One rollout simulates B trajectories of the N coupled controlled
 reverse-time SDEs on a shared time grid. The agents' states are one
-(N, B, d) node X, so every step below is one op on the whole stack:
+(N, B, d) array X, so every step below is one op on the whole stack:
 
     S     = S(X, t_k)                          shared score model, N*B rows
     Xh    = tweedie(X, t_k, S)                 denoised look-ahead
@@ -13,34 +13,32 @@ reverse-time SDEs on a shared time grid. The agents' states are one
     X    <- X + (mu + g U) dt + g sqrt(dt) xi
 
 accumulating the control energy and the running cost; the terminal cost is
-evaluated on the aggregate of the final states. The rollout is recorded on
-the tape end to end (score evaluations included), one node per piece: the
-score call (two, plus the reshapes of ``stacked_score``), ``tweedie``, each
-``aggregate``, the drift, the EM step with its g U term, the control
-energy and the running cost (time weight and batch mean folded in). The
-objective is one node over the terminal cost and every step's terms,
-summed in the order of the running and energy accumulators; it lists the
-terms last step first, so backward reaches each step's terms next to
-that step. At the end of a step, ``tape.release`` drops the values of the
-nodes it recorded, all but the next state's: the VJPs keep what backward
-reads, so the graph holds nothing else. A rollout returns the objective
-node and a ``RolloutRecord`` of its detached outputs (the loss parts,
-terminal states and costs); it keeps no per-step history.
+evaluated on the aggregate of the final states. Every step runs in plain
+arrays, for training and sampling alike. A training rollout (grad enabled,
+some policy weight trained) also appends one record per step holding only
+what its backward reads: X_k, U_k, grad psi(Yh_k), the policies' caches
+(weights, hidden activations) and the step's score call's pullback. It
+returns hat-J as one ``tape.fused`` node over the trained weights, whose
+VJP is the BPTT reverse sweep k = K-1, ..., 0: it carries the adjoint of
+X_k through the pieces' adjoint helpers (the ones their tape nodes use),
+adds the step's energy and running-cost adjoints, rebuilds Y_k, the
+guidance and the time features with the forward's ops, and hands each
+weight's ``a.T @ g`` terms to one ``tape.OuterSum``. The sweep frees each
+record once past it, so it runs once. A rollout also returns a
+``RolloutRecord`` of its detached outputs (the loss parts, terminal
+states and costs).
 
 The score model and psi are evaluated once per step, for every control
-source. When the step needs grad psi(Yh) -- the learned control consumes
-it, or the rollout is on the tape and Yh requires grad -- one sub-tape on a
-detached Yh leaf (``tweedie_guidance``) returns both psi(Yh) and its
-per-row gradient. The running cost enters the main tape as one node with
-that value and the VJP g * grad psi(Yh), and the learned control reads
-G = masks * grad psi(Yh) from the same pass. G enters the graph as a
-constant, so adjoints never flow from the controls back into the score
-model through it. Each agent keeps its own policy, so the learned control
-is the one place that loops over agents. The training-free baseline
+source; both are only called, as plain callables. When the step needs
+grad psi(Yh) (the learned control), ``tweedie_guidance`` gives psi(Yh) and
+its per-row gradient from the cost node's VJP; the sweep reuses that
+gradient for the running cost, and the learned control reads G = masks *
+grad psi(Yh) from it as a constant, so no adjoint flows from the controls
+back into the score model through it. The training-free baseline
 differentiates psi through the score model instead: its step is one
 sub-tape on a detached X leaf (``state_guidance``) that yields S, Yh,
-psi(Yh) and grad_X psi(Yh), and the rollout takes them as constants (the
-baseline has no parameters to train). The zero control uses no gradient.
+psi(Yh) and grad_X psi(Yh) (the baseline has no parameters to train).
+The zero control uses no gradient.
 
 Both trainers run one update loop and differ only in their schedule of
 (update index, agents to step): joint training steps every agent at every
@@ -66,13 +64,13 @@ from .aggregation import MaskAggregator, aggregate, scatter_adjoint
 from .control import (
     ControlPolicy,
     cdps_control,
-    eval_control,
+    eval_control,  # noqa: F401  (bench/tracing.py times it under this name)
     state_guidance,
     tweedie_guidance,
 )
 from .costs import SocConfig
 from .optim import AdamState, adam_step
-from .scores import stacked_score, tweedie
+from .scores import stacked_score, tweedie, tweedie_adjoint
 from .sde import (
     STREAM_INIT,
     STREAM_STEP,
@@ -81,7 +79,9 @@ from .sde import (
     TimeGrid,
     derive_rng,
     em_step,
+    em_step_adjoint,
     reverse_drift,
+    reverse_drift_adjoint,
 )
 from .tape import Node
 
@@ -146,11 +146,13 @@ class TrainPlan:
     def __post_init__(self):
         for name in ("updates", "outer_iters", "inner_steps", "batch"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{name} must be >= 1, got "
+                                 f"{getattr(self, name)}")
         if self.lr <= 0:
-            raise ValueError("the learning rate must be positive")
+            raise ValueError(f"lr must be > 0, got {self.lr!r}")
         if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
+            raise ValueError(f"checkpoint_every must be >= 0, got "
+                             f"{self.checkpoint_every}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +174,48 @@ class PolicyControls:
     def __init__(self, policies: Sequence[ControlPolicy], agg):
         self.policies = list(policies)
         self.agg = agg
+        self.sizes = [len(policy.params()) for policy in self.policies]
+
+    def params(self) -> list[Node]:
+        return [p for policy in self.policies for p in policy.params()]
 
     def __call__(self, k, t, xs, y, grad_psi):
+        """The (N, B, d) controls and each policy's forward cache."""
         guidance = scatter_adjoint(self.agg, grad_psi)
-        return tape.stack([
-            eval_control(p, tape.index(xs, i), y, t, guidance[i])
-            for i, p in enumerate(self.policies)
-        ])
+        us = np.empty_like(xs)
+        caches = []
+        for i, policy in enumerate(self.policies):
+            us[i], cache = policy.forward(xs[i], y, guidance[i], t)
+            caches.append(cache)
+        return us, caches
+
+    def backward(self, caches, t, xs, y, grad_psi, a_u, live, a_x=None):
+        """The parameter adjoints (one per ``params()`` entry, None where
+        not ``live``) given the controls' adjoint ``a_u``, from the step's
+        inputs rebuilt with the forward's ops; with the states' adjoint
+        ``a_x``, the state parts are added into it and the aggregate
+        input's adjoint is returned too."""
+        guidance = scatter_adjoint(self.agg, grad_psi)
+        d = self.agg.dim
+        span = (0, 2 * d) if a_x is not None else None
+        grads, a_y = [], None
+        for i, (policy, cache) in enumerate(zip(self.policies, caches)):
+            flags = live[len(grads):len(grads) + self.sizes[i]]
+            g, g_in = policy.backward(cache, xs[i], y, guidance[i], t,
+                                      a_u[i], flags, span)
+            grads += g
+            if span:
+                a_x[i] += g_in[:, :d]
+                a_y = g_in[:, d:] if a_y is None else a_y + g_in[:, d:]
+        return grads, a_y
 
 
 class ZeroControls:
     guidance = None
+    params = list            # no parameters: params() is []
 
     def __call__(self, k, t, xs, y, grad_psi):
-        return tape.constant(np.zeros_like(xs.value))
+        return np.zeros_like(xs), None
 
 
 class CdpsControls:
@@ -193,33 +223,29 @@ class CdpsControls:
 
     guidance = "state"
 
+    params = list            # no parameters: params() is []
+
     def __init__(self, alpha_guid):
         self.alpha_guid = float(alpha_guid)
 
     def __call__(self, k, t, xs, y, grad_x):
-        return cdps_control(xs, t, tape.constant(grad_x), self.alpha_guid)
+        return cdps_control(xs, t, grad_x, self.alpha_guid).value, None
 
 
 # ---------------------------------------------------------------------------
 # the rollout
 # ---------------------------------------------------------------------------
 
-def _batch_mean(per_sample: Node, batch: int) -> Node:
-    return tape.scale(tape.reduce_sum(per_sample), 1.0 / batch)
-
-
-def _control_energy(controls: Node, weights: Array, batch: int):
-    """One node for sum_i weights_i mean_B ||u_i||^2, and the per-agent
-    batch means of ||u_i||^2, shape (N,)."""
-    u = controls.value
-    sq = (u * u).sum(axis=2).sum(axis=1) * (1.0 / batch)
-
-    def vjp(g):
-        coef = (g * weights) * (1.0 / batch)
-        half = u * coef[:, None, None]
-        return half + half
-
-    return tape.op((sq * weights).sum(), (controls,), (vjp,)), sq
+def _score_pullback(score_fn, xs: Array, t: float, k: int):
+    """The step's scores and, when they depend on a leaf that requires
+    grad, their pullback with its leaves (the state as None). X_0 is
+    drawn, so step 0's differentiates only trained score weights."""
+    rows = xs.reshape(-1, xs.shape[2])            # N*B rows, as stacked
+    x = tape.leaf(rows) if k > 0 else tape.constant(rows)
+    scores = score_fn(x, t)
+    leaves, vjp = tape.pullback(scores)
+    pull = (vjp, [None if n is x else n for n in leaves]) if leaves else None
+    return scores.value.reshape(xs.shape), pull
 
 
 def coupled_rollout(
@@ -234,7 +260,9 @@ def coupled_rollout(
     batch: int,
     update_index: int = 0,
 ) -> tuple[Node, RolloutRecord]:
-    """Simulate the coupled controlled system and assemble hat-J."""
+    """Simulate the coupled controlled system and assemble hat-J: one
+    node over the leaves that require grad, whose VJP is the reverse
+    sweep over the step records (a constant when nothing is trained)."""
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     n_agents = agg.num_agents
@@ -242,91 +270,125 @@ def coupled_rollout(
     times = grid.times
     dts = grid.dts
     lambdas = cfg.lambda_weights(n_agents)
+    params = control_fn.params()
+    live = tape.live(params)
+    records = [] if any(live) else None
+    extra: dict = {}                  # a score model's trained weights
 
     sigma0 = float(schedule.sigma(times[0]))
     init = noise.normal((STREAM_INIT, update_index, 0), (n_agents, batch, dim))
-    xs = tape.constant(sigma0 * init)              # (N, B, d)
+    xs = sigma0 * init                             # (N, B, d)
 
-    # the objective's per-step terms, in step order; their sums keep the
-    # order of the running and the control-energy accumulators
-    terms: list[Node] = []
-    running_sum = control_sum = 0.0
-    loss_u = 0.0
-    loss_c = 0.0
-
+    running_sum = control_sum = loss_u = loss_c = 0.0
     for k in range(times.size - 1):
-        t = float(times[k])
-        dt = float(dts[k])
+        t, dt = float(times[k]), float(dts[k])
         g_k = float(schedule.g(t))
 
-        # the step's nodes, all but the next state released at its end
-        with tape.scope() as recorded:
-            y_k = aggregate(agg, xs)
-            if control_fn.guidance == "state":
-                # one sub-tape gives the step's scores, Y0_hat, psi and the
-                # state gradient; the rollout reuses them as constants
-                step = state_guidance(score_fn, agg, psi, schedule,
-                                      xs.value, t)
-                scores = tape.constant(step.scores)
-                y0_hat = tape.constant(step.y0_hat)
-                psi_value, grad = step.psi, step.grad
+        y_k = aggregate(agg, xs).value
+        pull = None
+        if control_fn.guidance == "state":
+            # one sub-tape gives the step's scores, Y0_hat, psi and the
+            # state gradient
+            scores, _, psi_value, grad = state_guidance(
+                score_fn, agg, psi, schedule, xs, t)
+        else:
+            if records is None:
+                scores = stacked_score(score_fn, xs, t).value
             else:
-                scores = stacked_score(score_fn, xs, t)
-                y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
-                # one psi pass: the guidance sub-tape also yields psi, and
-                # the running cost reuses its gradient as VJP
-                if control_fn.guidance == "tweedie" or y0_hat.requires_grad:
-                    psi_value, grad = tweedie_guidance(psi, y0_hat)
-                else:
-                    psi_value, grad = psi(y0_hat).value, None  # (B, 1)
-            step_cost = psi_value.sum() * (1.0 / batch)
-            loss_c += float(step_cost) * dt
-            weight = cfg.running_weight(t) * dt
-            running = step_cost * weight
-            running_sum = running_sum + running
-            if y0_hat.requires_grad:
-                # grad is grad psi(Y0_hat) here; the time weight and the
-                # batch mean are folded into the one node
-                terms.append(tape.rowwise(y0_hat, running,
-                                          grad * (weight * (1.0 / batch))))
+                scores, pull = _score_pullback(score_fn, xs, t, k)
+                if pull is not None:
+                    extra.update((id(n), n) for n in pull[1] if n is not None)
+            y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
+            # one psi pass: the guidance also yields psi, and the sweep
+            # reuses its gradient for the running cost
+            if control_fn.guidance == "tweedie":
+                psi_value, grad = tweedie_guidance(psi, y0_hat)
+            else:
+                psi_value, grad = psi(y0_hat).value, None  # (B, 1)
+        step_cost = psi_value.sum() * (1.0 / batch)
+        loss_c += float(step_cost) * dt
+        running_sum = running_sum + step_cost * (cfg.running_weight(t) * dt)
 
-            controls = control_fn(k, t, xs, y_k, grad)
+        us, caches = control_fn(k, t, xs, y_k, grad)
+        sq = (us * us).sum(axis=2).sum(axis=1) * (1.0 / batch)
+        control_sum = control_sum + (sq * (lambdas * dt)).sum()
+        loss_u += float((sq / n_agents).sum()) * dt
 
-            energy, sq = _control_energy(controls, lambdas * dt, batch)
-            control_sum = control_sum + energy.value
-            terms.append(energy)
-            loss_u += float((sq / n_agents).sum()) * dt
-
-            xi = noise.normal((STREAM_STEP, update_index, k),
-                              (n_agents, batch, dim))
-            mu = reverse_drift(xs, t, scores, schedule)
-            xs = em_step(xs, dt, mu, g_k, xi, control=controls)
-            finite = np.isfinite(xs.value).all(axis=(1, 2))
-            if not finite.all():
-                raise DivergedRolloutError(step=k,
-                                           agent=int(np.argmin(finite)))
-        tape.release(n for n in recorded if n is not xs)
+        xi = noise.normal((STREAM_STEP, update_index, k),
+                          (n_agents, batch, dim))
+        mu = reverse_drift(xs, t, scores, schedule)
+        x_next = em_step(xs, dt, mu, g_k, xi, control=us).value
+        if records is not None:
+            records.append((xs, us, grad, caches, pull))
+        xs = x_next
+        finite = np.isfinite(xs).all(axis=(1, 2))
+        if not finite.all():
+            raise DivergedRolloutError(step=k, agent=int(np.argmin(finite)))
 
     y_term = aggregate(agg, xs)
-    psi_term = psi(y_term)                         # (B, 1)
-    terminal_node = _batch_mean(psi_term, batch)
+    if records is None:
+        psi_term, grad_term = psi(y_term).value, None  # (B, 1)
+    else:
+        psi_term, grad_term = tweedie_guidance(psi, y_term)
+    terminal = psi_term.sum() * (1.0 / batch)
+    parents = [p for p, keep in zip(params, live) if keep] + [*extra.values()]
 
-    # one node for terminal + sum of running terms + sum of energy terms.
-    # Its parents list the terms last step first, so backward's topological
-    # order reaches each step's terms next to that step, and the adjoints
-    # they send into the step are not all alive at once.
-    value = terminal_node.value + running_sum + control_sum
-    parents = [n for n in (terminal_node, *reversed(terms)) if n.requires_grad]
-    objective = tape.fused(value, parents, lambda g: (g,) * len(parents))
+    def sweep(g):
+        """BPTT: the adjoint of X_k, carried from k = K down to 0; each
+        step's record is freed once passed, so it runs once."""
+        if not records:
+            raise RuntimeError("a rollout's reverse sweep runs once: it "
+                               "frees the step records as it goes")
+        grads, owned = {}, set()
+        a_x = scatter_adjoint(agg, (g * (1.0 / batch)) * grad_term)
+        for k in range(len(records) - 1, -1, -1):
+            xs_k, us, grad, caches, pull = records.pop()
+            t, dt = float(times[k]), float(dts[k])
+            # EM step: the drift's and the control's adjoints, plus the
+            # control energy's
+            _, a_mu, a_u = em_step_adjoint(a_x, dt, float(schedule.g(t)))
+            half = us * ((g * (lambdas * dt)) * (1.0 / batch))[:, None, None]
+            a_u += half + half
+            # the drift's parts; X_0 is drawn, so it gets none
+            a_x_mu, a_s = reverse_drift_adjoint(a_mu, t, schedule)
+            a_x = a_x + a_x_mu if k > 0 else None
+            p_grads, a_y = control_fn.backward(
+                caches, t, xs_k, aggregate(agg, xs_k).value, grad, a_u, live,
+                a_x)
+            for p, a in zip(params, p_grads):
+                if a is not None:
+                    tape.accumulate(grads, owned, id(p), a)
+            if a_x is None and pull is None:
+                continue
+            # Tweedie's, from the running cost at Y0_hat =
+            # aggregate(tweedie(X, S))
+            weight = cfg.running_weight(t) * dt
+            a_xh, a_s_xh = tweedie_adjoint(
+                scatter_adjoint(agg, grad * (weight * (1.0 / batch))), t,
+                schedule)
+            a_s += a_s_xh
+            if a_x is not None:
+                a_x += a_xh
+                a_x += scatter_adjoint(agg, a_y)
+            if pull is not None:
+                vjp, leaves = pull
+                for leaf, a in zip(leaves, vjp(a_s.reshape(-1, dim))):
+                    if leaf is not None:
+                        tape.accumulate(grads, owned, id(leaf), a)
+                    elif a_x is not None:
+                        a_x += a.reshape(a_x.shape)
+        return tuple(grads[id(p)] for p in parents)
 
+    value = terminal + running_sum + control_sum
+    objective = tape.fused(value, parents, sweep)
     return objective, RolloutRecord(
         loss_u=loss_u,
         loss_c=loss_c,
-        loss_psi=float(terminal_node.value),
-        objective=float(objective.value),
-        per_sample_psi=psi_term.value[:, 0].copy(),
+        loss_psi=float(terminal),
+        objective=float(value),
+        per_sample_psi=psi_term[:, 0].copy(),
         terminal_y=y_term.value,
-        terminal_states=xs.value,
+        terminal_states=xs,
     )
 
 
@@ -469,8 +531,11 @@ def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
     noise = NoiseStream(seed)
     curve: list[CurvePoint] = []
     lr_halved = False
+    params = [p for policy in policies for p in policy.params()]
     for n, active in updates:
-        cause = None
+        cause = grads = None
+        for p in params:         # the last update's gradients are done with
+            p.grad = None
         try:
             objective, rec = bptt_rollout(
                 policies, score_fn, agg, cfg, grid, psi, schedule, noise,

@@ -276,6 +276,21 @@ def stacked_score(score_fn, xs, t: float) -> Node:
 def tweedie(x, t: float, score, schedule: NoiseSchedule) -> Node:
     """Posterior-mean denoiser x0_hat = (x + sigma(t)^2 score) / alpha(t),
     one node with parents ``x`` and ``score``."""
+    inv, s2 = _tweedie_coeffs(t, schedule)
+    x, score = tape.as_node(x), tape.as_node(score)
+    return tape.fused((x.value + score.value * s2) * inv, (x, score),
+                      lambda g: tweedie_adjoint(g, t, schedule))
+
+
+def tweedie_adjoint(g: Array, t: float, schedule: NoiseSchedule):
+    """The adjoints of ``tweedie``'s x and score given x0_hat's ``g``."""
+    inv, s2 = _tweedie_coeffs(t, schedule)
+    g_x = g * inv
+    return g_x, g_x * s2
+
+
+def _tweedie_coeffs(t: float, schedule: NoiseSchedule):
+    """(1 / alpha(t), sigma(t)^2) as floats."""
     alpha, sigma = marginal_coeffs(schedule, t)
     alpha = float(alpha)
     if alpha < ALPHA_FLOOR:
@@ -283,11 +298,4 @@ def tweedie(x, t: float, score, schedule: NoiseSchedule) -> Node:
             f"alpha(t) = {alpha} below floor at t = {t}; increase the "
             "terminal cutoff"
         )
-    x = tape.as_node(x)
-    score = tape.as_node(score)
-    s2, inv = float(sigma) ** 2, 1.0 / alpha
-    return tape.op(
-        (x.value + score.value * s2) * inv,
-        (x, score),
-        (lambda g: g * inv, lambda g: (g * inv) * s2),
-    )
+    return 1.0 / alpha, float(sigma) ** 2

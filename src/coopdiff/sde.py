@@ -110,9 +110,9 @@ class TimeGrid:
 def make_time_grid(steps: int, eps: float = 1e-3) -> TimeGrid:
     """``steps`` linearly spaced times from 1 down to ``eps``."""
     if steps < 2:
-        raise ValueError(f"need at least 2 grid points, got {steps}")
+        raise ValueError(f"steps must be >= 2, got {steps}")
     if not (0.0 < eps < 1.0):
-        raise ValueError(f"terminal cutoff must lie in (0, 1), got {eps}")
+        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
     return TimeGrid(times=np.linspace(1.0, eps, steps), eps=float(eps))
 
 
@@ -128,9 +128,14 @@ def reverse_drift(x, t: float, score, schedule: NoiseSchedule) -> Node:
     if not (0.0 < t <= 1.0):
         raise ValueError(f"reverse drift needs t in (0, 1], got {t}")
     b = float(schedule.beta(t))
-    half = 0.5 * b
-    return tape.op(x.value * half + score.value * b, (x, score),
-                   (lambda g: g * half, lambda g: g * b))
+    return tape.fused(x.value * (0.5 * b) + score.value * b, (x, score),
+                      lambda g: reverse_drift_adjoint(g, t, schedule))
+
+
+def reverse_drift_adjoint(g: Array, t: float, schedule: NoiseSchedule):
+    """``reverse_drift``'s adjoints of x and score, given the drift's."""
+    b = float(schedule.beta(t))
+    return g * (0.5 * b), g * b
 
 
 def em_step(x, dt: float, drift, g: float, noise: Array,
@@ -146,17 +151,22 @@ def em_step(x, dt: float, drift, g: float, noise: Array,
     g = float(g)
     total = drift.value
     parents = [x, drift]
-    vjps = [lambda a: a, lambda a: a * dt]
     if control is not None:
         control = tape.as_node(control)
         total = total + control.value * g
         parents.append(control)
-        vjps.append(lambda a: (a * dt) * g)
     out = x.value + total * dt
     kick = g * np.sqrt(dt)
     if kick != 0.0:
         out = out + kick * noise
-    return tape.op(out, parents, vjps)
+    return tape.fused(out, parents,
+                      lambda a: em_step_adjoint(a, dt, g)[:len(parents)])
+
+
+def em_step_adjoint(a: Array, dt: float, g: float):
+    """``em_step``'s adjoints of x, drift and control, given the new x's."""
+    a_drift = a * dt
+    return a, a_drift, a_drift * g
 
 
 # ---------------------------------------------------------------------------

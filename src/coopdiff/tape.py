@@ -12,44 +12,45 @@ VJP and no ``.grad``, and an op on them alone is itself a constant.
 require grad (interior adjoints are dropped once propagated).
 
 An op is one node with one VJP per recorded parent. ``op`` records a
-value computed outside the tape that way, so a fixed-shape piece of a
-rollout step (Tweedie, aggregation, drift, EM step) is one node with
-hand-written VJPs, the ``jax.custom_vjp`` idiom; ``rowwise`` records a
-function whose gradient is already known (the classifier NLL, the seam
-loss). A ``fused`` node is a whole sub-computation (a tanh MLP, the
-objective's sum) whose single VJP returns the adjoints of all its
-parents at once. A VJP may return a weight's adjoint ``a.T @ g`` unformed,
-as an ``OuterSum`` term; ``backward`` then sums a weight used at many
-steps in blocks of steps, with one gemm per block.
+value computed outside the tape that way, the ``jax.custom_vjp`` idiom
+(the aggregation is one); ``rowwise`` records a function whose gradient
+is already known (each terminal cost is one). A ``fused`` node is a
+sub-computation whose single VJP returns the adjoints of all its parents
+at once: a tanh MLP, a training rollout, and each fixed-shape piece of a
+rollout step (Tweedie, drift, EM step), whose VJP is the plain-array
+adjoint helper beside its forward that the rollout's reverse sweep calls
+too. A VJP may return a weight's adjoint ``a.T @ g`` unformed, as an
+``OuterSum`` term; ``accumulate`` then sums a weight used at many steps
+in blocks of steps, with one gemm per block.
 
 No VJP reads a ``Node.value`` at backward time, except the root's: an op
 records the shapes it needs when it is recorded, and its closure keeps
-the arrays its VJP reads. So a graph needs no interior value once it is
-built. ``scope`` lists the nodes recorded inside it, and ``release``
-replaces their values with the shared ``RELEASED`` marker, which holds
-no bytes and raises on any arithmetic or conversion to an array; a
-rollout releases each step's nodes but the next state, and its graph
-then holds only what backward reads.
+the arrays its VJP reads. So ``pullback`` can turn a graph into a
+function of the root's adjoint that keeps the VJPs and no node, hence no
+node value; ``backward`` is that function applied to a unit adjoint.
+A training rollout keeps no graph of its steps: it records its own lean
+step list and is one ``fused`` node over the policy leaves (see
+``optimize``).
 
 Design constraints:
   * values are float64 throughout, so central finite differences are a
     usable oracle for the whole graph;
-  * only smooth ops are provided (tanh, exp, log, sqrt, ...),
-    no relu / abs / max, keeping gradients well defined everywhere;
+  * only smooth ops are provided (the elementwise ones that only tests
+    build graphs from live beside the tests), no relu / abs / max,
+    keeping gradients well defined everywhere;
   * graph construction inside ``no_grad()`` produces parentless nodes, so
     long sampling loops do not retain history.
 """
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 Array = np.ndarray
 
 _GRAD_ENABLED = True
-_SCOPE: list | None = None       # the open ``scope``'s list, if any
 
 
 @contextlib.contextmanager
@@ -66,35 +67,18 @@ def no_grad():
 
 @contextlib.contextmanager
 def grad_enabled():
-    """Force recording back on inside a ``no_grad`` region (sub-graphs).
-
-    A sub-graph is not part of the graph around it, so an open ``scope``
-    does not list the nodes recorded inside."""
-    global _GRAD_ENABLED, _SCOPE
-    prev, prev_scope = _GRAD_ENABLED, _SCOPE
-    _GRAD_ENABLED, _SCOPE = True, None
+    """Force recording back on inside a ``no_grad`` region (sub-graphs)."""
+    global _GRAD_ENABLED
+    prev = _GRAD_ENABLED
+    _GRAD_ENABLED = True
     try:
         yield
     finally:
-        _GRAD_ENABLED, _SCOPE = prev, prev_scope
-
-
-@contextlib.contextmanager
-def scope():
-    """Yield a list of the nodes with parents that ``op`` and ``fused``
-    record inside, in recording order (for ``release``)."""
-    global _SCOPE
-    prev = _SCOPE
-    _SCOPE = recorded = []
-    try:
-        yield recorded
-    finally:
-        _SCOPE = prev
+        _GRAD_ENABLED = prev
 
 
 class Node:
-    """One recorded value. Treat ``.value`` as immutable once created;
-    ``release`` may replace it with ``RELEASED``, never write into it."""
+    """One recorded value. Treat ``.value`` as immutable once created."""
 
     __slots__ = ("value", "parents", "vjps", "grad", "name", "requires_grad")
 
@@ -117,29 +101,6 @@ class Node:
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"Node{tag}(shape={self.value.shape}, leaf={self.is_leaf})"
-
-    # Operator sugar; everything routes through the op functions below.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def constant(value, name: str | None = None) -> Node:
@@ -176,8 +137,7 @@ def live(nodes: Sequence[Node]) -> list[bool]:
 def op(value, parents: Sequence[Node], vjps: Sequence) -> Node:
     """One node for a value computed outside the tape, with one VJP per
     parent; only the parents that require grad are recorded. Every
-    elementary op below is one call of it, and so is each fixed-shape
-    piece of a rollout step (Tweedie, aggregation, drift, EM step)."""
+    elementary op below is one call of it, and so is the aggregation."""
     parents, vjps = tuple(parents), tuple(vjps)
     if not _GRAD_ENABLED:
         return Node(value)
@@ -187,13 +147,7 @@ def op(value, parents: Sequence[Node], vjps: Sequence) -> Node:
             return Node(value)
         parents = tuple(p for p, keep in zip(parents, live) if keep)
         vjps = tuple(f for f, keep in zip(vjps, live) if keep)
-    return _record(Node(value, parents, vjps))
-
-
-def _record(node: Node) -> Node:
-    if _SCOPE is not None:
-        _SCOPE.append(node)
-    return node
+    return Node(value, parents, vjps)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -230,11 +184,6 @@ def sub(a, b) -> Node:
     )
 
 
-def neg(a) -> Node:
-    a = as_node(a)
-    return op(-a.value, (a,), (lambda g: -g,))
-
-
 def mul(a, b) -> Node:
     """Elementwise product with numpy broadcasting."""
     a, b = as_node(a), as_node(b)
@@ -252,40 +201,6 @@ def scale(a, c: float) -> Node:
     a = as_node(a)
     c = float(c)
     return op(a.value * c, (a,), (lambda g: g * c,))
-
-
-def matmul(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    av, bv = a.value, b.value
-    return op(
-        av @ bv,
-        (a, b),
-        (lambda g: g @ bv.T, lambda g: av.T @ g),
-    )
-
-
-def tanh(a) -> Node:
-    a = as_node(a)
-    y = np.tanh(a.value)
-    return op(y, (a,), (lambda g: g * (1.0 - y * y),))
-
-
-def exp(a) -> Node:
-    a = as_node(a)
-    y = np.exp(a.value)
-    return op(y, (a,), (lambda g: g * y,))
-
-
-def log(a) -> Node:
-    a = as_node(a)
-    av = a.value
-    return op(np.log(av), (a,), (lambda g: g / av,))
-
-
-def sqrt(a) -> Node:
-    a = as_node(a)
-    y = np.sqrt(a.value)
-    return op(y, (a,), (lambda g: g * (0.5 / y),))
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Node:
@@ -307,65 +222,11 @@ def square_norm(a, axis=None, keepdims: bool = False) -> Node:
     return reduce_sum(mul(a, a), axis=axis, keepdims=keepdims)
 
 
-def concat(nodes: Sequence, axis: int = 1) -> Node:
-    nodes = [as_node(n) for n in nodes]
-    values = [n.value for n in nodes]
-    y = np.concatenate(values, axis=axis)
-    offsets = np.cumsum([0] + [v.shape[axis] for v in values])
-
-    def make_vjp(i):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def vjp(g: Array) -> Array:
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            return g[tuple(index)]
-
-        return vjp
-
-    return op(y, tuple(nodes), tuple(make_vjp(i) for i in range(len(nodes))))
-
-
-def stack(nodes: Sequence) -> Node:
-    """Stack same-shape nodes along a new leading axis."""
-    nodes = [as_node(n) for n in nodes]
-    vjps = tuple((lambda g, i=i: g[i]) for i in range(len(nodes)))
-    return op(np.stack([n.value for n in nodes]), tuple(nodes), vjps)
-
-
-def index(a, i: int) -> Node:
-    """The slice ``a[i]`` along the leading axis."""
-    a = as_node(a)
-    shape = a.value.shape
-
-    def vjp(g: Array) -> Array:
-        out = np.zeros(shape)
-        out[i] = g
-        return out
-
-    return op(a.value[i], (a,), (vjp,))
-
-
 def reshape(a, shape) -> Node:
     """``a`` with the same entries in a new shape."""
     a = as_node(a)
     old = a.value.shape
     return op(a.value.reshape(shape), (a,), (lambda g: g.reshape(old),))
-
-
-def gather_cols(a, idx) -> Node:
-    """Select columns ``a[:, idx]`` of a 2-D node."""
-    a = as_node(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    shape = a.value.shape
-    y = a.value[:, idx]
-
-    def vjp(g: Array) -> Array:
-        out = np.zeros(shape)
-        np.add.at(out, (slice(None), idx), g)
-        return out
-
-    return op(y, (a,), (vjp,))
 
 
 def rowwise(x, value, grad) -> Node:
@@ -385,13 +246,18 @@ class _Fused(Node):
 def fused(value, parents: Sequence[Node], vjp) -> Node:
     """One node for a sub-computation with a hand-written VJP.
 
-    ``parents`` are the inputs that require grad (see ``live``) and
-    ``vjp(g)`` returns one adjoint per parent, in order. With no parents
-    the result is a constant.
+    ``vjp(g)`` returns one adjoint per entry of ``parents``, in order (any
+    placeholder, such as None, for a parent that requires no grad); only
+    the parents that require grad (see ``live``) are recorded, with their
+    adjoints. With none of them the result is a constant.
     """
-    if not parents:
+    keep = live(parents)
+    if not any(keep):
         return Node(value)
-    return _record(_Fused(value, tuple(parents), (vjp,)))
+    if all(keep):
+        return _Fused(value, tuple(parents), (vjp,))
+    return _Fused(value, tuple(p for p, k in zip(parents, keep) if k),
+                  (lambda g: tuple(a for a, k in zip(vjp(g), keep) if k),))
 
 
 class OuterSum:
@@ -400,7 +266,7 @@ class OuterSum:
     A weight used at K steps of a rollout gets one ``a_k.T @ g_k`` per
     step, each a skinny gemm (inner dimension = the batch) followed by a
     full-size add. A VJP instead returns ``OuterSum(a, g)``, and
-    ``backward`` adds the terms of later contributions into the first with
+    ``accumulate`` adds the terms of later contributions into the first with
     ``add``: the pending (a_k, g_k) pairs are folded into a dense sum with
     one ``concatenate(a).T @ concatenate(g)`` whenever their rows reach
     the weight's column count. Pending rows thus stay below the column
@@ -469,56 +335,6 @@ class OuterSum:
             self.dense += part
 
 
-class ReleasedValueError(RuntimeError):
-    """A read of the value of a node that ``release`` emptied."""
-
-
-class _Released:
-    """The value of a released node. It holds no bytes (its ``shape`` is
-    ``(0,)``), and arithmetic on it, conversion to an array, indexing,
-    iteration and any other attribute raise ``ReleasedValueError``."""
-
-    __slots__ = ()
-    shape, ndim, size, nbytes = (0,), 1, 0, 0
-
-    def _refuse(self, *args, **kwargs):
-        raise ReleasedValueError("read the value of a released tape node")
-
-    def __getattr__(self, name):
-        if name.startswith("__"):         # protocol probes see no attribute
-            raise AttributeError(name)
-        self._refuse()
-
-    def __repr__(self):
-        return "RELEASED"
-
-    __array__ = __array_ufunc__ = __array_function__ = _refuse
-    __iter__ = __len__ = __getitem__ = __bool__ = __float__ = _refuse
-    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
-    __truediv__ = __rtruediv__ = __pow__ = __rpow__ = __neg__ = _refuse
-    __matmul__ = __rmatmul__ = _refuse
-
-
-RELEASED = _Released()
-
-
-def release(nodes: Iterable[Node]) -> None:
-    """Drop the values of finished interior nodes: each ``.value`` becomes
-    the shared ``RELEASED`` marker, which holds no bytes. Backward reads no
-    interior value (the VJPs keep what they need), so a released graph
-    still back-propagates. Leaves and parentless nodes keep their values.
-    """
-    for node in nodes:
-        if node.parents:
-            node.value = RELEASED
-
-
-def stopgrad(a) -> Node:
-    """Same forward value, zero adjoint flow: the result is a constant."""
-    a = as_node(a)
-    return Node(a.value)
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 # ---------------------------------------------------------------------------
@@ -543,23 +359,78 @@ def _toposort(root: Node) -> list[Node]:
     return order
 
 
+def accumulate(grads: dict, owned: set, key, contrib) -> None:
+    """Add the adjoint contribution ``contrib`` into ``grads[key]``.
+
+    The first contribution is kept as given (it may be shared); the second
+    makes a new sum array that later ones are added into in place (``owned``
+    holds the keys whose array is the caller's), so the sums need no
+    allocation per contribution and never write into an array a VJP
+    returned. ``OuterSum`` terms are added lazily and folded blockwise; a
+    sum that mixes them with arrays is made an array first.
+    """
+    acc = grads.get(key)
+    if acc is None:
+        grads[key] = contrib
+        return
+    if type(acc) is OuterSum:
+        if type(contrib) is OuterSum:
+            acc.add(contrib)
+            return
+        acc = acc.array()             # a mixed sum is made dense first
+        owned.add(key)
+    if type(contrib) is OuterSum:
+        contrib = contrib.array()
+    if key in owned and acc.shape == contrib.shape:
+        acc += contrib
+    else:
+        acc = acc + contrib
+        owned.add(key)
+    grads[key] = acc
+
+
+def pullback(root: Node):
+    """Reverse mode over ``root``'s graph, as a function of its adjoint.
+
+    Returns ``(leaves, vjp)``: the graph's leaves that require grad, and
+    ``vjp(g)``, their adjoints (arrays, or ``OuterSum`` terms) given the
+    adjoint ``g`` of ``root``. ``vjp`` keeps the nodes' VJPs and no node,
+    so it holds no node value, and it may be called any number of times.
+    Adjoints are accumulated in a fixed topological order, so they are
+    bit-reproducible for identical graphs; interior adjoints are dropped
+    once propagated.
+    """
+    order = _toposort(root)
+    pos = {id(n): i for i, n in enumerate(order)}
+    leaves = [n for n in order if not n.parents and n.requires_grad]
+    ends = [pos[id(n)] for n in leaves]
+    steps = [(pos[id(n)], n.vjps, type(n) is _Fused,
+              [pos[id(p)] for p in n.parents])
+             for n in reversed(order) if n.parents]
+    top = len(order) - 1
+
+    def vjp(g):
+        grads, owned = {top: g}, set()
+        for i, vjps, is_fused, parents in steps:
+            gi = grads.pop(i)         # every node reaches the root
+            if type(gi) is OuterSum:
+                gi = gi.array()
+            contribs = vjps[0](gi) if is_fused else [f(gi) for f in vjps]
+            for p, c in zip(parents, contribs):
+                accumulate(grads, owned, p, c)
+        return [grads[i] for i in ends]
+
+    return leaves, vjp
+
+
 def backward(root: Node) -> None:
     """Fill ``.grad`` on every leaf that requires grad and is reachable
     from a scalar ``root``; a root that requires no grad is a no-op.
 
     Only edges into nodes that require grad were recorded, so every VJP
-    run here feeds some such leaf. Interior adjoints are dropped once
-    propagated, so interior nodes keep ``.grad = None`` and a finished pass
-    pins no second graph-sized set of arrays. Accumulation happens in a
-    fixed topological order, so gradients are bit-reproducible for
-    identical graphs. A node's first contribution is kept as the VJP
-    returned it (it may be shared); the second makes a new sum array that
-    later contributions are added into in place, which gives the same
-    sums without an allocation per contribution. Weight adjoints a VJP
-    returns as ``OuterSum`` terms (a policy weight gets one per rollout
-    step) are added lazily and folded blockwise (see ``OuterSum``); a sum
-    that mixes them with array contributions is made an array before
-    adding, and ``.grad`` is always an array.
+    run here feeds some such leaf. It is ``pullback`` applied to a unit
+    adjoint: interior nodes keep ``.grad = None``, and ``.grad`` is always
+    an array (``OuterSum`` sums are folded).
     """
     if root.value.size != 1:
         raise ValueError(
@@ -567,37 +438,6 @@ def backward(root: Node) -> None:
         )
     if not root.requires_grad:
         return
-    grads: dict[int, Array | OuterSum] = {id(root): np.ones_like(root.value)}
-    owned: set[int] = set()           # ids whose adjoint array is ours
-    for node in reversed(_toposort(root)):
-        g = grads.pop(id(node))       # every reachable node has an adjoint
-        if type(g) is OuterSum:
-            g = g.array()
-        if node.is_leaf:
-            node.grad = g
-            continue
-        if type(node) is _Fused:
-            contribs = node.vjps[0](g)
-        else:
-            contribs = [vjp(g) for vjp in node.vjps]
-        for parent, contrib in zip(node.parents, contribs):
-            pid = id(parent)
-            acc = grads.get(pid)
-            if acc is None:
-                grads[pid] = contrib
-                continue
-            if type(acc) is OuterSum:
-                if type(contrib) is OuterSum:
-                    acc.add(contrib)
-                    continue
-                acc = acc.array()     # a mixed sum is made dense first
-                owned.add(pid)
-            if type(contrib) is OuterSum:
-                contrib = contrib.array()
-            if pid in owned and acc.shape == np.shape(contrib):
-                acc += contrib
-            else:
-                acc = acc + contrib
-                owned.add(pid)
-            grads[pid] = acc
-
+    leaves, vjp = pullback(root)
+    for leaf, g in zip(leaves, vjp(np.ones_like(root.value))):
+        leaf.grad = g.array() if type(g) is OuterSum else g

@@ -1,9 +1,110 @@
-"""The terminal-cost pieces as compositions of elementary tape ops: the
+"""Elementary tape ops that no production module builds graphs from, and
+the terminal-cost pieces as compositions of elementary tape ops: the
 graphs the fused nodes replace, kept as references for their values and
-gradients, with the one non-elementary op they use, ``logsumexp``."""
+gradients, with the one non-elementary op they use, ``logsumexp``. The
+tape's own tests use the elementary ops as finite-difference oracles."""
 import numpy as np
 
 from coopdiff import tape
+
+
+def neg(a) -> tape.Node:
+    a = tape.as_node(a)
+    return tape.op(-a.value, (a,), (lambda g: -g,))
+
+
+def matmul(a, b) -> tape.Node:
+    a, b = tape.as_node(a), tape.as_node(b)
+    av, bv = a.value, b.value
+    return tape.op(
+        av @ bv,
+        (a, b),
+        (lambda g: g @ bv.T, lambda g: av.T @ g),
+    )
+
+
+def tanh(a) -> tape.Node:
+    a = tape.as_node(a)
+    y = np.tanh(a.value)
+    return tape.op(y, (a,), (lambda g: g * (1.0 - y * y),))
+
+
+def exp(a) -> tape.Node:
+    a = tape.as_node(a)
+    y = np.exp(a.value)
+    return tape.op(y, (a,), (lambda g: g * y,))
+
+
+def log(a) -> tape.Node:
+    a = tape.as_node(a)
+    av = a.value
+    return tape.op(np.log(av), (a,), (lambda g: g / av,))
+
+
+def sqrt(a) -> tape.Node:
+    a = tape.as_node(a)
+    y = np.sqrt(a.value)
+    return tape.op(y, (a,), (lambda g: g * (0.5 / y),))
+
+
+def concat(nodes, axis: int = 1) -> tape.Node:
+    nodes = [tape.as_node(n) for n in nodes]
+    values = [n.value for n in nodes]
+    y = np.concatenate(values, axis=axis)
+    offsets = np.cumsum([0] + [v.shape[axis] for v in values])
+
+    def make_vjp(i):
+        lo, hi = offsets[i], offsets[i + 1]
+
+        def vjp(g):
+            index = [slice(None)] * g.ndim
+            index[axis] = slice(lo, hi)
+            return g[tuple(index)]
+
+        return vjp
+
+    return tape.op(y, tuple(nodes), tuple(make_vjp(i) for i in range(len(nodes))))
+
+
+def stack(nodes) -> tape.Node:
+    """Stack same-shape nodes along a new leading axis."""
+    nodes = [tape.as_node(n) for n in nodes]
+    vjps = tuple((lambda g, i=i: g[i]) for i in range(len(nodes)))
+    return tape.op(np.stack([n.value for n in nodes]), tuple(nodes), vjps)
+
+
+def index(a, i: int) -> tape.Node:
+    """The slice ``a[i]`` along the leading axis."""
+    a = tape.as_node(a)
+    shape = a.value.shape
+
+    def vjp(g):
+        out = np.zeros(shape)
+        out[i] = g
+        return out
+
+    return tape.op(a.value[i], (a,), (vjp,))
+
+
+def gather_cols(a, idx) -> tape.Node:
+    """Select columns ``a[:, idx]`` of a 2-D node."""
+    a = tape.as_node(a)
+    idx = np.asarray(idx, dtype=np.intp)
+    shape = a.value.shape
+    y = a.value[:, idx]
+
+    def vjp(g):
+        out = np.zeros(shape)
+        np.add.at(out, (slice(None), idx), g)
+        return out
+
+    return tape.op(y, (a,), (vjp,))
+
+
+def stopgrad(a) -> tape.Node:
+    """Same forward value, zero adjoint flow: the result is a constant."""
+    a = tape.as_node(a)
+    return tape.constant(a.value)
 
 
 def logsumexp(a, axis: int = 1, keepdims: bool = True):
@@ -43,10 +144,10 @@ def seam_loss_ops(y, agg, cfg):
     eps = cfg.charbonnier_eps
 
     def row(r):
-        return tape.gather_cols(y, np.arange(r * w, (r + 1) * w))
+        return gather_cols(y, np.arange(r * w, (r + 1) * w))
 
     def rho_sum(x):
-        rho = tape.sqrt(tape.add(tape.mul(x, x), tape.constant(eps * eps)))
+        rho = sqrt(tape.add(tape.mul(x, x), tape.constant(eps * eps)))
         return tape.reduce_sum(rho, axis=1, keepdims=True)
 
     zeros = tape.constant(np.zeros((batch, w)))

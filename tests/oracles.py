@@ -1,11 +1,22 @@
-"""Reference samplers, losses and metrics that only tests use."""
+"""Reference samplers, losses, metrics and rollouts that only tests use."""
 import numpy as np
 
 from coopdiff import tape
-from coopdiff.aggregation import aggregate
-from coopdiff.costs import SocConfig
+from coopdiff.aggregation import aggregate, scatter_adjoint
+from coopdiff.control import tweedie_guidance
+from coopdiff.costs import ClassifierNll, QuadraticWell, SeamAugmented, SocConfig
+from coopdiff.nn import time_features
 from coopdiff.optimize import sample_poe_naive
-from coopdiff.sde import marginal_coeffs
+from coopdiff.scores import stacked_score, tweedie
+from coopdiff.sde import (
+    STREAM_INIT,
+    STREAM_STEP,
+    em_step,
+    marginal_coeffs,
+    reverse_drift,
+)
+import opgraphs as ops
+from opgraphs import classifier_nll_ops, seam_loss_ops
 
 
 def sample_reverse_sde(score_fn, grid, schedule, seed, batch, dim):
@@ -69,15 +80,18 @@ def masked_control_energy(agg, controls):
 
 
 class ZeroCost:
-    """psi identically zero (place-holder for cost-free dynamics)."""
+    """psi identically zero (place-holder for cost-free dynamics), one
+    ``rowwise`` node with a zero gradient."""
 
     def __call__(self, y):
         y = tape.as_node(y)
-        return tape.constant(np.zeros((y.value.shape[0], 1)))
+        return tape.rowwise(y, np.zeros((y.value.shape[0], 1)),
+                            np.zeros_like(y.value))
 
 
 class GaussianNll:
-    """Negative log density of an isotropic target Gaussian."""
+    """Negative log density of an isotropic target Gaussian, one
+    ``rowwise`` node with the gradient (y - mean) / variance."""
 
     def __init__(self, mean, variance: float):
         self.mean = np.asarray(mean, dtype=np.float64).reshape(-1)
@@ -86,13 +100,12 @@ class GaussianNll:
         self.variance = float(variance)
 
     def __call__(self, y):
-        d = self.mean.size
-        diff = tape.sub(y, tape.constant(self.mean))
-        quad = tape.scale(
-            tape.square_norm(diff, axis=1, keepdims=True), 0.5 / self.variance
-        )
-        log_norm = 0.5 * d * np.log(2.0 * np.pi * self.variance)
-        return tape.add(quad, tape.constant(np.array([log_norm])))
+        y = tape.as_node(y)
+        diff = y.value - self.mean
+        log_norm = 0.5 * self.mean.size * np.log(2.0 * np.pi * self.variance)
+        value = ((diff * diff).sum(axis=1, keepdims=True)
+                 * (0.5 / self.variance) + np.array([log_norm]))
+        return tape.rowwise(y, value, diff * (1.0 / self.variance))
 
 
 def soc_objective(record, cfg: SocConfig, psi) -> float:
@@ -116,3 +129,73 @@ def soc_objective(record, cfg: SocConfig, psi) -> float:
             run_term += cfg.running_weight(record.times[k]) * float(psi_hat.mean()) * dt
         term = float(psi(tape.constant(record.terminal_y)).value.mean())
     return control_term + run_term + term
+
+
+def taped_control(policy, x, y, t, guidance):
+    """u = NN1([x, Y, g, feats]) + NN2(feats) * g from tape nodes (the two
+    ``Mlp`` calls, a ``mul`` and an ``add``), with g a constant."""
+    g = tape.constant(guidance)
+    feats = time_features(t, policy.temb_width, batch=g.value.shape[0])
+    drift = policy.nn1(x, y, g, feats)
+    return tape.add(drift, tape.mul(policy.nn2(feats[:1]), g))
+
+
+def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
+                  batch):
+    """hat-J of a learned-control rollout (update 0) built on the generic
+    tape, one node per piece, as the rollout was before it kept its own
+    step records: the reference its reverse sweep is checked against.
+
+    The forward arithmetic is the rollout's, so the objective is
+    bit-equal to it; the gradients come from the pieces' own VJPs, the
+    control's and the energy's from elementary ops.
+    """
+    n, d = agg.num_agents, agg.dim
+    lambdas = cfg.lambda_weights(n)
+    sigma0 = float(schedule.sigma(grid.times[0]))
+    xs = tape.constant(sigma0 * noise.normal((STREAM_INIT, 0, 0), (n, batch, d)))
+    terms, running_sum, control_sum = [], 0.0, 0.0
+    for k in range(grid.times.size - 1):
+        t, dt = float(grid.times[k]), float(grid.dts[k])
+        y = aggregate(agg, xs)
+        scores = stacked_score(score_fn, xs, t)
+        y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
+        psi_value, grad = tweedie_guidance(psi, y0_hat)
+        weight = cfg.running_weight(t) * dt
+        running = psi_value.sum() * (1.0 / batch) * weight
+        running_sum = running_sum + running
+        terms.append(tape.rowwise(y0_hat, running,
+                                  grad * (weight * (1.0 / batch))))
+        guidance = scatter_adjoint(agg, grad)
+        controls = ops.stack([
+            taped_control(p, ops.index(xs, i), y, t, guidance[i])
+            for i, p in enumerate(policies)])
+        u = controls.value
+        control_sum = control_sum + (
+            (u * u).sum(axis=2).sum(axis=1) * (1.0 / batch)
+            * (lambdas * dt)).sum()
+        scale = (lambdas * dt / batch)[:, None, None]
+        terms.append(tape.reduce_sum(tape.mul(tape.mul(controls, controls),
+                                              scale)))
+        xi = noise.normal((STREAM_STEP, 0, k), (n, batch, d))
+        mu = reverse_drift(xs, t, scores, schedule)
+        xs = em_step(xs, dt, mu, float(schedule.g(t)), xi, control=controls)
+    psi_term = psi(aggregate(agg, xs))
+    terminal = tape.scale(tape.reduce_sum(psi_term), 1.0 / batch)
+    parents = [p for p in (terminal, *terms) if p.requires_grad]
+    return tape.fused(terminal.value + running_sum + control_sum, parents,
+                      lambda g: (g,) * len(parents))
+
+
+def taped_cost(psi):
+    """A cost from ``costs`` as a graph of elementary tape ops and ``Mlp``
+    calls: the reference for its closed-form value and gradient."""
+    if isinstance(psi, SeamAugmented):
+        base = taped_cost(psi.base)
+        return lambda y: tape.add(base(y), seam_loss_ops(y, psi.agg, psi.cfg))
+    if isinstance(psi, ClassifierNll):
+        return lambda y: classifier_nll_ops(psi.classifier(y), psi.label)
+    if isinstance(psi, QuadraticWell):
+        return lambda y: tape.square_norm(
+            tape.sub(y, tape.constant(psi.target)), axis=1, keepdims=True)
+    raise TypeError(f"no tape reference for {type(psi).__name__}")

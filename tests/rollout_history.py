@@ -58,9 +58,9 @@ def recorded(grid, psi=None):
     def recording(xs, *args, control):
         out = real(xs, *args, control=control)
         if not history.states:
-            history.states.append(xs.value)
+            history.states.append(tape.as_node(xs).value)
         history.states.append(out.value)
-        history.controls.append(control.value)
+        history.controls.append(tape.as_node(control).value)
         return out
 
     optimize.em_step = recording

@@ -64,6 +64,7 @@ from coopdiff.harness import (
     with_overrides,
 )
 from guidance_replay import record_guidance, replay_guidance
+import opgraphs as ops
 from oracles import (
     aggregate_np,
     masked_control_energy,
@@ -239,7 +240,7 @@ def test_criterion2_stopgrad_isolates_score_network(monkeypatch):
     xs = [tape.constant(rng.standard_normal((3, 2))) for _ in range(2)]
     scores = [net(x, 0.5) for x in xs]
     x0h = [tweedie(x, 0.5, s, SCHEDULE) for x, s in zip(xs, scores)]
-    _, grad = tweedie_guidance(psi, aggregate(agg, tape.stack(x0h)))
+    _, grad = tweedie_guidance(psi, aggregate(agg, ops.stack(x0h)))
     u = eval_control(policy, xs[0], xs[1], 0.5, scatter_adjoint(agg, grad)[0])
     tape.backward(tape.reduce_sum(tape.mul(u, u)))
     assert all(p.grad is None or np.all(p.grad == 0.0) for p in net.params())

@@ -15,7 +15,8 @@ from coopdiff.control import (
 from coopdiff.costs import QuadraticWell
 from coopdiff.scores import GaussianMixture, MlpScore, gmm_score, tweedie
 from coopdiff.sde import NoiseSchedule, derive_rng
-from oracles import aggregate_np
+import opgraphs as ops
+from oracles import aggregate_np, taped_cost
 
 SCHEDULE = NoiseSchedule()
 
@@ -98,7 +99,7 @@ def test_state_guidance_matches_finite_differences():
         with tape.no_grad():
             x0h = [tweedie(x, t, score_fn(tape.constant(x), t), SCHEDULE)
                    for x in xs_val]
-            y0 = aggregate(agg, tape.stack(x0h))
+            y0 = aggregate(agg, ops.stack(x0h))
             return float(tape.reduce_sum(psi(y0)).value)
 
     h = 1e-6
@@ -130,6 +131,17 @@ def test_tweedie_guidance_equals_masked_cost_gradient():
     full = 2.0 * y0
     for i in range(2):
         np.testing.assert_allclose(grads[i], full * agg.masks[i], atol=1e-12)
+
+
+def test_tweedie_guidance_takes_a_cost_that_is_one_node_on_its_input():
+    # grad psi is the cost node's one VJP: a cost built as a graph of
+    # several ops is refused, not differentiated another way
+    psi = QuadraticWell(np.array([1.0, -1.0]))
+    y = derive_rng(1, 2).standard_normal((3, 2))
+    value, grad = tweedie_guidance(psi, y)
+    assert np.array_equal(grad, 2.0 * (y - psi.target))
+    with pytest.raises(TypeError, match="one op node"):
+        tweedie_guidance(taped_cost(psi), y)
 
 
 def test_score_params_perturbation_changes_cdps_not_stopgrad_guidance():
@@ -175,7 +187,7 @@ def test_guidance_path_gives_zero_gradient_to_score_params():
 
     scores = [net(x, t) for x in xs]
     x0h = [tweedie(x, t, s, SCHEDULE) for x, s in zip(xs, scores)]
-    _, grad = tweedie_guidance(psi, aggregate(agg, tape.stack(x0h)))
+    _, grad = tweedie_guidance(psi, aggregate(agg, ops.stack(x0h)))
     u = eval_control(policy, xs[0], xs[1], t, scatter_adjoint(agg, grad)[0])
     tape.backward(tape.reduce_sum(tape.mul(u, u)))
 

@@ -5,6 +5,7 @@ import pytest
 
 from coopdiff import tape
 from coopdiff.aggregation import make_mask
+from coopdiff.control import tweedie_guidance
 from coopdiff.costs import (
     ClassifierNll,
     QuadraticWell,
@@ -17,7 +18,7 @@ from coopdiff.costs import (
 from coopdiff.nn import Mlp
 from coopdiff.sde import derive_rng
 from opgraphs import classifier_nll_ops, seam_loss_ops
-from oracles import GaussianNll, ZeroCost, soc_objective
+from oracles import GaussianNll, ZeroCost, soc_objective, taped_cost
 
 H = W = 8
 DIM = H * W
@@ -119,6 +120,11 @@ def test_gaussian_nll_and_zero_cost():
     val = psi(np.zeros((1, 2))).value.item()
     np.testing.assert_allclose(val, np.log(2 * np.pi), rtol=1e-12)
     assert np.all(ZeroCost()(np.ones((3, 2))).value == 0.0)
+    # both are one node on their input, as the rollout's guidance needs
+    value, grad = tweedie_guidance(ZeroCost(), np.ones((3, 2)))
+    assert np.all(value == 0.0) and np.all(grad == 0.0)
+    _, grad = tweedie_guidance(GaussianNll(np.ones(2), 0.5), np.zeros((1, 2)))
+    np.testing.assert_allclose(grad, -2.0 * np.ones((1, 2)), rtol=1e-15)
     with pytest.raises(ValueError):
         GaussianNll(np.zeros(2), 0.0)
 
@@ -254,3 +260,29 @@ def test_classifier_nll_gradient_is_softmax_minus_onehot():
                                    atol=1e-15)
         with tape.no_grad():
             assert classifier_nll(logits, labels).is_leaf
+
+
+@pytest.mark.parametrize("name", ["quadratic", "classifier", "classifier+seam"])
+def test_each_cost_is_one_node_with_its_tape_references_gradient(name):
+    # the terminal cost is one rowwise node on its input, so the guidance
+    # reads grad psi from its one VJP; value and gradient against the
+    # cost built from elementary ops and a taped classifier call
+    rng = derive_rng(4, 0)
+    clf = Mlp([DIM, 16, 4], derive_rng(4, 1))
+    tape.freeze(clf.params())
+    cfg = SocConfig(seam_beta=0.3, seam_gamma=0.2)
+    psi = {"quadratic": QuadraticWell(rng.standard_normal(DIM)),
+           "classifier": ClassifierNll(clf, 2),
+           "classifier+seam": with_seam(ClassifierNll(clf, 1), stripes(),
+                                        cfg)}[name]
+    y0 = rng.standard_normal((5, DIM))
+    y = tape.leaf(y0)
+    node = psi(y)
+    assert node.parents == (y,) and len(node.vjps) == 1
+    value, grad = tweedie_guidance(psi, y0)
+    ref_y = tape.leaf(y0)
+    ref = taped_cost(psi)(ref_y)
+    assert np.array_equal(value, ref.value)
+    tape.backward(tape.reduce_sum(ref))
+    np.testing.assert_allclose(grad, ref_y.grad, rtol=1e-12,
+                               atol=1e-14 * np.abs(ref_y.grad).max())

@@ -314,7 +314,7 @@ score.hidden = 8
 score.train_steps = 1
 classifier.hidden = 8
 classifier.max_steps = 1
-classifier.target_accuracy = 0.0
+classifier.target_accuracy = 0.01
 """
 
 
@@ -551,6 +551,9 @@ def config_with(text: str, lines: dict) -> str:
     ("policy.temb_width", "3"), ("policy.temb_width", "0"),
     ("score.temb_width", "5"), ("gmm.component_var", "0"),
     ("score.batch", "0"), ("shapes.per_class", "0"),
+    ("score.lr", "0"), ("score.lr", "-1e-3"), ("classifier.lr", "0"),
+    ("classifier.target_accuracy", "0"),
+    ("classifier.target_accuracy", "1.5"),
 ])
 def test_bad_widths_and_mixture_variance_exit_2(key, value, tmp_path,
                                                 monkeypatch, capsys):
@@ -561,6 +564,22 @@ def test_bad_widths_and_mixture_variance_exit_2(key, value, tmp_path,
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}")
     assert not (tmp_path / "widths").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("plan.checkpoint_every", "-1", "must be >= 0, got -1"),
+    ("plan.inner_steps", "0", "must be >= 1, got 0"),
+    ("grid.steps", "1", "must be >= 2, got 1"),
+    ("soc.seam_beta", "-1", "must be >= 0, got -1.0"),
+])
+def test_errors_of_the_plan_grid_and_cost_name_their_key(
+        key, value, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COOPDIFF_OUTPUT_ROOT", str(tmp_path))
+    cfg_path = tmp_path / "keyed.cfg"
+    cfg_path.write_text(config_with(GMM_SMOKE.format(out="keyed"), {
+        "method": "joint", "plan.updates": 2, key: value}))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {key} {message}\n"
 
 
 def test_empty_hidden_lists_are_allowed():

@@ -1,6 +1,7 @@
 """Rollout engine, training loops, samplers: pairing, freezing, gradients."""
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from coopdiff.optimize import (
 from coopdiff.scores import AnalyticGmmScore, GaussianMixture, MlpScore
 from coopdiff.sde import NoiseSchedule, NoiseStream, derive_rng, make_time_grid
 from guidance_replay import record_guidance, replay_guidance
-from oracles import ZeroCost, sample_reverse_sde, soc_objective
+import opgraphs as ops
+from oracles import ZeroCost, sample_reverse_sde, soc_objective, taped_rollout
 from rollout_history import recorded
 
 SCHEDULE = NoiseSchedule()
@@ -182,16 +184,23 @@ def _base(a):
 
 def vjp_arrays(nodes) -> dict:
     """The distinct arrays (by base, id -> base) that the VJP closures of
-    ``nodes`` reference: through their cells and defaults, lists, tuples
-    and nested functions (a fused MLP node's hidden activations, say)."""
+    ``nodes`` reference: through their cells and defaults, lists, tuples,
+    dicts, nested functions and the values of nodes they hold (a fused
+    MLP node's hidden activations, say, or a rollout node's step
+    records: states, controls, psi gradients, the networks' caches and
+    the scores' pullbacks)."""
     found, seen = {}, set()
     stack = [f for n in nodes for f in n.vjps]
     while stack:
         v = stack.pop()
+        if isinstance(v, tape.Node):
+            v = v.value
         if isinstance(v, np.ndarray):
             found[id(_base(v))] = _base(v)
         elif isinstance(v, (list, tuple)):
             stack.extend(v)
+        elif isinstance(v, dict):
+            stack.extend(v.values())
         elif isinstance(v, types.FunctionType) and id(v) not in seen:
             seen.add(id(v))
             stack.extend(c.cell_contents for c in v.__closure__ or ())
@@ -230,9 +239,10 @@ def test_rollout_memory_contract():
     tape.backward(J)
 
 
-def traced_bytes(fn):
+def traced_bytes(fn, keep=False):
     """(bytes ``fn``'s result keeps allocated, peak bytes while it ran),
-    both over the allocations alive before the call, by tracemalloc."""
+    both over the allocations alive before the call, by tracemalloc; with
+    ``keep``, (the result, the bytes it keeps) instead."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -240,15 +250,20 @@ def traced_bytes(fn):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    if keep:
+        return result, kept - before
     del result
     return kept - before, peak - before
 
 
 @pytest.mark.parametrize("mode", ["joint", "controlwise"])
-def test_training_holds_one_rollout_graph_at_a_time(mode):
+def test_training_holds_one_rollout_graph_at_a_time(mode, monkeypatch):
     # an update drops its graph after backward, so the next rollout builds
-    # its own into the room that graph leaves: the traced peak of four
-    # updates stays below 1.6 rollout graphs (two graphs alive is >= 2)
+    # its own into the room that graph leaves: no rollout node is alive
+    # when the next rollout starts, and the traced peak of a run (4 joint
+    # or 8 control-wise updates) exceeds that of one update by less than
+    # a quarter of a rollout's graph (a second graph alive would add a
+    # whole one)
     dim = 64
     gmm = GaussianMixture(weights=[1.0], means=[np.zeros(dim)],
                           variances=[1.0])
@@ -257,17 +272,33 @@ def test_training_holds_one_rollout_graph_at_a_time(mode):
     cfg = SocConfig(control_weight=1.0, running_scale=1.0)
     psi = QuadraticWell(np.zeros(dim))
     grid = make_time_grid(40, 1e-3)
-    policies = [make_policy(dim, i, derive_rng(3, i), hidden=(32,),
-                            gain_hidden=(8,)) for i in range(2)]
+
+    policies = [[make_policy(dim, i, derive_rng(3, i), hidden=(32,),
+                             gain_hidden=(8,)) for i in range(2)]
+                for _ in range(3)]
     graph, _ = traced_bytes(lambda: bptt_rollout(
-        policies, score, agg, cfg, grid, psi, SCHEDULE, NoiseStream(4),
+        policies[0], score, agg, cfg, grid, psi, SCHEDULE, NoiseStream(4),
         batch=8))
+    _, one = traced_bytes(lambda: joint_ido(
+        TrainPlan(updates=1, batch=8, lr=1e-3), policies[1], score, agg,
+        cfg, grid, psi, SCHEDULE, seed=4))
+    sweeps = []
+    real = optimize.bptt_rollout
+
+    def tracked(*args, **kwargs):
+        assert all(sweep() is None for sweep in sweeps)
+        objective, record = real(*args, **kwargs)
+        sweeps.append(weakref.ref(objective.vjps[0]))
+        return objective, record
+
+    monkeypatch.setattr(optimize, "bptt_rollout", tracked)
     plan = TrainPlan(updates=4, outer_iters=2, inner_steps=2,
                      batch=8, lr=1e-3)
     trainer = joint_ido if mode == "joint" else controlwise_ido
     _, peak = traced_bytes(lambda: trainer(
-        plan, policies, score, agg, cfg, grid, psi, SCHEDULE, seed=4))
-    assert peak < 1.6 * graph, (peak / graph, graph)
+        plan, policies[2], score, agg, cfg, grid, psi, SCHEDULE, seed=4))
+    assert len(sweeps) == (4 if mode == "joint" else 8)
+    assert peak - one < 0.25 * graph, ((peak - one) / graph, graph)
 
 
 def test_joint_ido_requires_learnable_parameters():
@@ -442,7 +473,7 @@ def fail_updates(monkeypatch, updates, how):
         if update_index in updates:
             # sqrt at 0: the VJP 0.5 / 0 is inf, times the zero scale NaN
             w = policies[0].params()[0]
-            poison = tape.reduce_sum(tape.sqrt(tape.scale(w, 0.0)))
+            poison = tape.reduce_sum(ops.sqrt(tape.scale(w, 0.0)))
             objective = tape.add(objective, poison)
         return objective, rec
 
@@ -609,46 +640,105 @@ def test_recorded_rollout_evaluates_psi_once_per_step_and_at_the_end():
         assert score_rows == [2 * 3] * steps
 
 
-def test_running_cost_adjoint_into_y0_hat_is_the_rowwise_psi_gradient(
-        monkeypatch):
-    # make each step's Tweedie estimates a leaf: its adjoint, summed over
-    # the agents, is the adjoint of the running cost into Y0_hat
-    score, agg, cfg, psi, grid = make_setup(steps=5)
-    leaves, grads = [], []
-    real_tweedie = optimize.tweedie
-    real_guidance = optimize.tweedie_guidance
+def sweep_setups():
+    """(name, rollout arguments, the extra leaves to compare): the 2-D
+    mixture task; shapes16 widths with the classifier NLL and the seam
+    loss; a trained score network, whose weights get gradients too."""
+    score, agg, cfg, psi, grid = make_setup(steps=8)
+    policies = make_policies(2, c0=-0.4)
+    for p in (p for policy in policies for p in policy.params()):
+        p.value = p.value + 0.1 * derive_rng(6, 0).standard_normal(
+            p.value.shape)
+    yield "gmm2d", (policies, score, agg, cfg, grid, psi), []
+    args = shapes16_sized_args(steps=6, batch=4)
+    yield "shapes16", args, []
+    net = MlpScore(2, (16,), 8, derive_rng(101, 20), schedule=SCHEDULE)
+    yield ("trained-score", (make_policies(2, c0=-0.5), net, agg, cfg,
+                             make_time_grid(5, 1e-2), psi), net.params())
 
-    def leaf_tweedie(*args):
-        leaves.append(tape.leaf(real_tweedie(*args).value))
-        return leaves[-1]
 
-    def recording_guidance(psi, y0_hat):
-        value, grad = real_guidance(psi, y0_hat)
-        grads.append(grad)
-        return value, grad
-
-    monkeypatch.setattr(optimize, "tweedie", leaf_tweedie)
-    monkeypatch.setattr(optimize, "tweedie_guidance", recording_guidance)
-    batch = 3
-    with recorded(grid, psi) as history:
-        J, _ = bptt_rollout(make_policies(2, c0=-0.4), score, agg, cfg, grid,
-                            history.psi, SCHEDULE, NoiseStream(5), batch=batch)
+@pytest.mark.parametrize("name", ["gmm2d", "shapes16", "trained-score"])
+def test_the_reverse_sweep_matches_the_taped_reference(name):
+    # the rollout's one-node objective and its sweep against the same
+    # rollout built on the generic tape, one node per piece: the objective
+    # is bit-equal, and every gradient (the running cost's adjoint into
+    # Y0_hat and the score model's included) agrees to summation order
+    _, args, extra = next(s for s in sweep_setups() if s[0] == name)
+    policies, batch = args[0], 3
+    leaves = [p for policy in policies for p in policy.params()] + extra
+    J, _ = bptt_rollout(*args, SCHEDULE, NoiseStream(5), batch=batch)
+    assert sorted(map(id, J.parents)) == sorted(map(id, leaves))
     tape.backward(J)
-    assert len(leaves) == len(grads) == grid.steps - 1
-    for k, (leaf, grad) in enumerate(zip(leaves, grads)):
-        # psi = ||Y - target||^2, so grad psi = 2 (Y0_hat - target) per row
-        y0_hat = history.y0_hats[k]
-        np.testing.assert_allclose(grad, 2.0 * (y0_hat - psi.target),
-                                   rtol=1e-12)
-        weight = cfg.running_weight(grid.times[k]) * grid.dts[k] / batch
-        np.testing.assert_allclose(leaf.grad.sum(axis=0), weight * grad,
-                                   rtol=1e-14, atol=0)
+    got = [p.grad for p in leaves]
+    ref = taped_rollout(*args, SCHEDULE, NoiseStream(5), batch)
+    assert J.value == ref.value
+    tape.backward(ref)
+    for g, p in zip(got, leaves):
+        scale = np.abs(p.grad).max()
+        assert np.abs(g - p.grad).max() <= 1e-14 * scale, p.name
+
+
+def test_a_rollout_node_has_the_trained_leaves_as_parents():
+    # frozen policy weights get no adjoint and are no parent; without a
+    # trained leaf, or under no_grad, the objective is a constant
+    score, agg, cfg, psi, grid = make_setup(steps=5)
+    policies = make_policies(2, c0=-0.4)
+    tape.freeze(policies[1].nn2.params())
+    J, _ = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
+                        NoiseStream(1), batch=2)
+    assert J.parents == tuple(policies[0].params() + policies[1].nn1.params())
+    tape.backward(J)
+    assert all(p.grad is None for p in policies[1].nn2.params())
+    with tape.no_grad():
+        J, _ = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
+                            NoiseStream(1), batch=2)
+    assert J.is_leaf and not J.requires_grad
+
+
+def test_a_rollout_node_sweeps_once_and_frees_its_records():
+    # the sweep frees each step's record once it has passed it, so the
+    # graph holds only the leaves afterwards, and a second backward raises
+    # instead of returning a partial gradient
+    J, policies = shapes16_sized_rollout(6)
+    leaves = sum(p.value.nbytes for policy in policies
+                 for p in policy.params())
+    assert graph_nbytes(J) > 2 * leaves
+    tape.backward(J)
+    assert graph_nbytes(J) < leaves + 4 * 2 * 16 * 256 * 8
+    with pytest.raises(RuntimeError, match="runs once"):
+        tape.backward(J)
+
+
+def test_an_update_makes_one_backward_and_no_psi_subtape(monkeypatch):
+    # K = 80 grid points: per update one top-level backward (the rollout
+    # node's sweep), 79 score calls and 80 psi calls (79 at the Tweedie
+    # estimates, one terminal), and the psi gradients come from the cost
+    # node's own VJP, with no backward of their own
+    score, agg, cfg, psi, grid = make_setup(steps=80)
+    calls = {"backward": 0, "score": 0, "psi": 0}
+    real_backward = tape.backward
+
+    def counting_backward(root):
+        calls["backward"] += 1
+        return real_backward(root)
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(tape, "backward", counting_backward)
+    joint_ido(TrainPlan(updates=2, batch=2, lr=1e-3), make_policies(2),
+              counting("score", score), agg, cfg, grid,
+              counting("psi", psi), SCHEDULE, seed=1)
+    assert calls == {"backward": 2, "score": 2 * 79, "psi": 2 * 80}
 
 
 def test_a_rollout_step_records_at_most_25_tape_nodes():
     # N = 2 agents on 16x16 h-stripes (d = 256) with random frozen score
-    # and classifier nets and the seam loss on: each step is a handful of
-    # fused nodes (score, Tweedie, aggregates, controls, costs, EM step)
+    # and classifier nets and the seam loss on: the steps record no tape
+    # node at all, so the graph is the rollout node and its leaves at any K
     dim = 256
     agg = make_mask("h-stripes", 2, dim, image_hw=(16, 16))
     cfg = SocConfig(control_weight=1e-3, running_scale=1.0,
@@ -668,15 +758,15 @@ def test_a_rollout_step_records_at_most_25_tape_nodes():
         return len(tape._toposort(J))
 
     per_step = (nodes(9) - nodes(5)) / 4
-    assert per_step <= 25, per_step
-    assert nodes(9) <= 25 * 8 + 40     # plus the leaves and the terminal cost
+    assert per_step == 0, per_step
+    assert nodes(9) == 1 + sum(len(p.params()) for p in policies)
 
 
-def shapes16_sized_rollout(steps):
-    """A ``bptt_rollout`` at shapes16's sizes (N = 2, B = 16, 16x16
+def shapes16_sized_args(steps, batch=16):
+    """``bptt_rollout`` arguments at shapes16's sizes (N = 2, 16x16
     h-stripes, the criterion-5 network widths and seam loss) on random
     frozen score and classifier nets, with the policies' weights moved off
-    their zero final layer; returns the objective and the policies."""
+    their zero final layer, up to the noise and the batch."""
     dim = 256
     agg = make_mask("h-stripes", 2, dim, image_hw=(16, 16))
     cfg = SocConfig(control_weight=1e-5, running_scale=1.0,
@@ -691,38 +781,48 @@ def shapes16_sized_rollout(steps):
     rng = derive_rng(5, 20)
     for p in (p for policy in policies for p in policy.params()):
         p.value = p.value + 0.05 * rng.standard_normal(p.value.shape)
-    J, _ = bptt_rollout(policies, score, agg, cfg,
-                        make_time_grid(steps, 0.02), psi, SCHEDULE,
-                        NoiseStream(1), batch=16)
-    return J, policies
+    return policies, score, agg, cfg, make_time_grid(steps, 0.02), psi
+
+
+def shapes16_sized_rollout(steps):
+    """A B = 16 ``bptt_rollout`` on ``shapes16_sized_args``; returns the
+    objective and the policies."""
+    args = shapes16_sized_args(steps)
+    J, _ = bptt_rollout(*args, SCHEDULE, NoiseStream(1), batch=16)
+    return J, args[0]
+
+
+def test_a_k80_training_rollout_holds_at_most_30_mb():
+    # what the step records of a K = 80 shapes16-sized rollout hold,
+    # counted by walking the rollout node's VJP, is what building the
+    # rollout left allocated (tracemalloc), up to the record it returns and
+    # the Python objects around the arrays; and it is at most 30 MB
+    args = shapes16_sized_args(80)
+    (J, _), kept = traced_bytes(lambda: bptt_rollout(
+        *args, SCHEDULE, NoiseStream(1), batch=16), keep=True)
+    weights = [p for policy in args[0] for p in policy.params()]
+    older = {id(_base(p.value)) for p in weights + args[1].params()}
+    counted = sum(a.nbytes for i, a in vjp_arrays([J]).items()
+                  if i not in older)
+    assert 0.95 * kept < counted <= kept, (counted, kept)
+    total = graph_nbytes(J)
+    assert total <= 30e6, total
 
 
 def unread_bytes(root) -> int:
     """Bytes of the distinct arrays that the nodes of ``root``'s graph
     (the root aside) hold as values and that no VJP closure references."""
-    nodes = [n for n in tape._toposort(root) if n is not root]
+    nodes = tape._toposort(root)
     read = vjp_arrays(nodes)
-    held = {id(_base(n.value)): _base(n.value).nbytes for n in nodes}
+    held = {id(_base(n.value)): _base(n.value).nbytes
+            for n in nodes if n is not root}
     return sum(b for i, b in held.items() if i not in read)
 
 
 def test_a_rollout_graph_holds_only_values_its_vjps_read():
-    # every step releases its nodes but the next state, so what no VJP
-    # reads is the final state, the terminal cost's nodes and the leaves:
-    # the same at K = 80 as after one step (28.3 MB when steps kept them)
+    # what the rollout node's VJP does not read is the biases (the sweep
+    # reads the weights it ran with from the networks' caches): the same
+    # at K = 80 as after one step
     unread = unread_bytes(shapes16_sized_rollout(80)[0])
     assert unread == unread_bytes(shapes16_sized_rollout(2)[0])
     assert unread < 4 * 2 * 16 * 256 * 8, unread
-
-
-def test_a_second_backward_on_a_released_rollout_graph_is_bit_equal():
-    # the steps' values are gone; releasing the terminal cost's too leaves
-    # only the root, and backward still gives the same gradients
-    J, policies = shapes16_sized_rollout(80)
-    params = [p for policy in policies for p in policy.params()]
-    tape.backward(J)
-    first = [p.grad for p in params]
-    tape.release(n for n in tape._toposort(J) if n is not J)
-    tape.backward(J)
-    for g, p in zip(first, params):
-        assert np.array_equal(g, p.grad), p.name
