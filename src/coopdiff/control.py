@@ -14,9 +14,10 @@ NN2_const * g_i, and exactly zero for the default constant 0.
 The baseline control instead scales the gradient of the same cost with
 respect to the *state*, which differentiates through the Tweedie map and
 the score model (the expensive path the learned parametrisation avoids).
-``state_guidance`` computes it in one sub-tape that also returns the
-step's scores, Tweedie aggregate and psi, so a baseline rollout step runs
-the score model and psi once.
+``state_guidance`` computes it on plain arrays, from the score call's
+pullback and the adjoints of the aggregate and of Tweedie, and also
+returns the step's scores, Tweedie aggregate and psi, so a baseline
+rollout step runs the score model and psi once and keeps no graph.
 """
 from __future__ import annotations
 
@@ -26,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tape
-from .aggregation import MaskAggregator, aggregate
+from .aggregation import MaskAggregator, aggregate, scatter_adjoint
 from .nn import Mlp, time_features
-from .scores import stacked_score, tweedie
+from .scores import score_pullback, tweedie, tweedie_adjoint
 from .sde import NoiseSchedule
 from .tape import Node
 
@@ -191,16 +192,20 @@ def state_guidance(
 
     Unlike ``tweedie_guidance`` this differentiates through the score model
     and the Tweedie map; it is the gradient the training-free baseline uses.
-    The one sub-tape on a detached state leaf also yields the step's
-    scores, Y0_hat and psi(Y0_hat), so the baseline's rollout evaluates
-    the score model and psi once per step. Only arrays are returned, so
-    the sub-tape is freed when this returns.
+    It runs on plain arrays: the score call's pullback, psi and its gradient
+    from ``tweedie_guidance``, then the adjoints of the aggregate and of
+    Tweedie. So the baseline's rollout evaluates the score model and psi
+    once per step and keeps no graph; the score call's nodes and the
+    Tweedie estimate are gone before the backward pass.
     """
-    with tape.grad_enabled():
-        xs = tape.leaf(tape.as_node(x_values).value)
-        scores = stacked_score(score_fn, xs, t)
-        y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
-        psi_y0 = psi(y0_hat)
-        tape.backward(tape.reduce_sum(psi_y0))
-    grad = xs.grad if xs.grad is not None else np.zeros_like(xs.value)
-    return StateGuidance(scores.value, y0_hat.value, psi_y0.value, grad)
+    xs = tape.as_node(x_values).value
+    scores, pull = score_pullback(score_fn, xs, t)
+    y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule)).value
+    psi_value, grad_y = tweedie_guidance(psi, y0_hat)
+    grad, a_s = tweedie_adjoint(scatter_adjoint(agg, grad_y), t, schedule)
+    if pull is not None:             # the score model reads the states
+        vjp, leaves = pull
+        for leaf, a in zip(leaves, vjp(a_s.reshape(-1, xs.shape[2]))):
+            if leaf is None:
+                grad += a.reshape(grad.shape)
+    return StateGuidance(scores, y0_hat, psi_value, grad)

@@ -137,6 +137,8 @@ class ExperimentConfig:
             raise ConfigError("eval_chunk must be >= 1")
         if self.num_agents < 1:
             raise ConfigError("num_agents must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.task == "shapes16" and self.soc_target_class not in CLASS_NAMES:
             raise ConfigError(
                 f"soc.target_class must be one of {CLASS_NAMES}, got "

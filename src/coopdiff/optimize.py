@@ -35,10 +35,12 @@ its per-row gradient from the cost node's VJP; the sweep reuses that
 gradient for the running cost, and the learned control reads G = masks *
 grad psi(Yh) from it as a constant, so no adjoint flows from the controls
 back into the score model through it. The training-free baseline
-differentiates psi through the score model instead: its step is one
-sub-tape on a detached X leaf (``state_guidance``) that yields S, Yh,
-psi(Yh) and grad_X psi(Yh) (the baseline has no parameters to train).
-The zero control uses no gradient.
+differentiates psi through the score model instead: ``state_guidance``
+gives S, Yh, psi(Yh) and grad_X psi(Yh) on plain arrays, from the score
+call's pullback (the baseline has no parameters to train). The zero
+control uses no gradient. Each step's arrays are released before the
+next step allocates, so a sampling chunk holds one step's arrays at a
+time.
 
 Both trainers run one update loop and differ only in their schedule of
 (update index, agents to step): joint training steps every agent at every
@@ -70,7 +72,7 @@ from .control import (
 )
 from .costs import SocConfig
 from .optim import AdamState, adam_step
-from .scores import stacked_score, tweedie, tweedie_adjoint
+from .scores import score_pullback, stacked_score, tweedie, tweedie_adjoint
 from .sde import (
     STREAM_INIT,
     STREAM_STEP,
@@ -236,18 +238,6 @@ class CdpsControls:
 # the rollout
 # ---------------------------------------------------------------------------
 
-def _score_pullback(score_fn, xs: Array, t: float, k: int):
-    """The step's scores and, when they depend on a leaf that requires
-    grad, their pullback with its leaves (the state as None). X_0 is
-    drawn, so step 0's differentiates only trained score weights."""
-    rows = xs.reshape(-1, xs.shape[2])            # N*B rows, as stacked
-    x = tape.leaf(rows) if k > 0 else tape.constant(rows)
-    scores = score_fn(x, t)
-    leaves, vjp = tape.pullback(scores)
-    pull = (vjp, [None if n is x else n for n in leaves]) if leaves else None
-    return scores.value.reshape(xs.shape), pull
-
-
 def coupled_rollout(
     control_fn: Callable,
     score_fn,
@@ -276,26 +266,24 @@ def coupled_rollout(
     extra: dict = {}                  # a score model's trained weights
 
     sigma0 = float(schedule.sigma(times[0]))
-    init = noise.normal((STREAM_INIT, update_index, 0), (n_agents, batch, dim))
-    xs = sigma0 * init                             # (N, B, d)
+    xs = sigma0 * noise.normal((STREAM_INIT, update_index, 0),
+                               (n_agents, batch, dim))     # (N, B, d)
 
     running_sum = control_sum = loss_u = loss_c = 0.0
     for k in range(times.size - 1):
         t, dt = float(times[k]), float(dts[k])
-        g_k = float(schedule.g(t))
-
-        y_k = aggregate(agg, xs).value
         pull = None
         if control_fn.guidance == "state":
-            # one sub-tape gives the step's scores, Y0_hat, psi and the
-            # state gradient
+            # the step's scores, Y0_hat, psi and the state gradient
             scores, _, psi_value, grad = state_guidance(
                 score_fn, agg, psi, schedule, xs, t)
         else:
             if records is None:
                 scores = stacked_score(score_fn, xs, t).value
             else:
-                scores, pull = _score_pullback(score_fn, xs, t, k)
+                # X_0 is drawn: step 0 differentiates only trained
+                # score weights
+                scores, pull = score_pullback(score_fn, xs, t, wrt_x=k > 0)
                 if pull is not None:
                     extra.update((id(n), n) for n in pull[1] if n is not None)
             y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
@@ -305,11 +293,12 @@ def coupled_rollout(
                 psi_value, grad = tweedie_guidance(psi, y0_hat)
             else:
                 psi_value, grad = psi(y0_hat).value, None  # (B, 1)
+            del y0_hat
         step_cost = psi_value.sum() * (1.0 / batch)
         loss_c += float(step_cost) * dt
         running_sum = running_sum + step_cost * (cfg.running_weight(t) * dt)
 
-        us, caches = control_fn(k, t, xs, y_k, grad)
+        us, caches = control_fn(k, t, xs, aggregate(agg, xs).value, grad)
         sq = (us * us).sum(axis=2).sum(axis=1) * (1.0 / batch)
         control_sum = control_sum + (sq * (lambdas * dt)).sum()
         loss_u += float((sq / n_agents).sum()) * dt
@@ -317,9 +306,12 @@ def coupled_rollout(
         xi = noise.normal((STREAM_STEP, update_index, k),
                           (n_agents, batch, dim))
         mu = reverse_drift(xs, t, scores, schedule)
-        x_next = em_step(xs, dt, mu, g_k, xi, control=us).value
+        x_next = em_step(xs, dt, mu, float(schedule.g(t)), xi,
+                         control=us).value
         if records is not None:
             records.append((xs, us, grad, caches, pull))
+        # the step's arrays go before the next step allocates its own
+        del scores, grad, us, caches, pull, xi, mu
         xs = x_next
         finite = np.isfinite(xs).all(axis=(1, 2))
         if not finite.all():

@@ -8,7 +8,9 @@ and is used as the oracle-grade score model for low-dimensional tasks.
 
 On the tape, the mixture score is one node whose VJP is the Hessian-vector
 product of the diffused log density, a score network call is two (the
-fused Mlp and its residual/affine tail), and ``tweedie`` is one.
+fused Mlp and its residual/affine tail), and ``tweedie`` is one. The
+rollouts call the score model through ``score_pullback``, which keeps the
+call's VJP and no node.
 """
 from __future__ import annotations
 
@@ -132,34 +134,9 @@ def gmm_score(gmm: GaussianMixture, x, t: float, schedule: NoiseSchedule) -> Nod
     return tape.op(out, (x,), (vjp,))
 
 
-def gmm_score_np(gmm: GaussianMixture, x: Array, t, schedule: NoiseSchedule) -> Array:
-    """Tape-free diffused-mixture score, vectorised over per-row times."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), (x.shape[0],))
-    alpha, sigma = marginal_coeffs(schedule, t)
-    d = gmm.dim
-    means = alpha[:, None, None] * gmm.means[None, :, :]          # (B, C, d)
-    var = alpha[:, None] ** 2 * gmm.variances[None, :] + sigma[:, None] ** 2
-    diff = x[:, None, :] - means                                  # (B, C, d)
-    sq = (diff * diff).sum(axis=2)                                # (B, C)
-    log_comp = (
-        np.log(gmm.weights)[None, :]
-        - 0.5 * d * np.log(2.0 * np.pi * var)
-        - 0.5 * sq / var
-    )
-    lmax = log_comp.max(axis=1, keepdims=True)
-    resp = np.exp(log_comp - lmax)
-    resp /= resp.sum(axis=1, keepdims=True)
-    return (resp[:, :, None] * (-diff / var[:, :, None])).sum(axis=1)
-
-
 class AnalyticGmmScore:
-    """Score provider backed by a closed-form mixture.
-
-    With a scalar time the score is recorded on the tape (BPTT needs the
-    dependence on x); with per-row times (score-matching evaluation) it is
-    computed tape-free and returned as a constant.
-    """
+    """Score provider backed by a closed-form mixture, recorded on the
+    tape at a scalar time (BPTT needs the dependence on x)."""
 
     def __init__(self, gmm: GaussianMixture, schedule: NoiseSchedule):
         self.gmm = gmm
@@ -170,11 +147,8 @@ class AnalyticGmmScore:
         return self.gmm.dim
 
     def __call__(self, x, t) -> Node:
-        if np.ndim(t) > 0 and np.asarray(t).size > 1:
-            x = tape.as_node(x)
-            return tape.constant(gmm_score_np(self.gmm, x.value, t, self.schedule))
-        t = float(np.asarray(t).reshape(()))
-        return gmm_score(self.gmm, x, t, self.schedule)
+        return gmm_score(self.gmm, x, float(np.asarray(t).reshape(())),
+                         self.schedule)
 
     def params(self) -> list[Node]:
         return []
@@ -271,6 +245,21 @@ def stacked_score(score_fn, xs, t: float) -> Node:
     xs = tape.as_node(xs)
     n, b, d = xs.value.shape
     return tape.reshape(score_fn(tape.reshape(xs, (n * b, d)), t), (n, b, d))
+
+
+def score_pullback(score_fn, xs: Array, t: float, wrt_x: bool = True):
+    """One call of a shared score model on (N, B, d) state arrays as N*B
+    rows: the scores, as an array, and their pullback ``(vjp, leaves)``
+    (see ``tape.pullback``), with the states' leaf given as None, or None
+    when nothing the call read requires grad. The states are a leaf with
+    ``wrt_x``, else only trained score weights are differentiated."""
+    rows = xs.reshape(-1, xs.shape[2])
+    with tape.grad_enabled():
+        x = tape.leaf(rows) if wrt_x else tape.constant(rows)
+        scores = score_fn(x, t)
+    leaves, vjp = tape.pullback(scores)
+    pull = (vjp, [None if n is x else n for n in leaves]) if leaves else None
+    return scores.value.reshape(xs.shape), pull
 
 
 def tweedie(x, t: float, score, schedule: NoiseSchedule) -> Node:

@@ -3,7 +3,7 @@ import numpy as np
 
 from coopdiff import tape
 from coopdiff.aggregation import aggregate, scatter_adjoint
-from coopdiff.control import tweedie_guidance
+from coopdiff.control import StateGuidance, tweedie_guidance
 from coopdiff.costs import ClassifierNll, QuadraticWell, SeamAugmented, SocConfig
 from coopdiff.nn import time_features
 from coopdiff.optimize import sample_poe_naive
@@ -56,6 +56,35 @@ def dsm_loss(score_fn, batch, times, noises, schedule, eps=1e-3):
     resid = tape.sub(pred, tape.constant(target))
     per_sample = tape.square_norm(resid, axis=1, keepdims=True)
     return tape.scale(tape.reduce_sum(per_sample), 1.0 / x0.shape[0])
+
+
+def gmm_score_np(gmm, x, t, schedule):
+    """Tape-free diffused-mixture score, vectorised over per-row times:
+    the reference for ``scores.gmm_score``."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), (x.shape[0],))
+    alpha, sigma = marginal_coeffs(schedule, t)
+    d = gmm.dim
+    means = alpha[:, None, None] * gmm.means[None, :, :]          # (B, C, d)
+    var = alpha[:, None] ** 2 * gmm.variances[None, :] + sigma[:, None] ** 2
+    diff = x[:, None, :] - means                                  # (B, C, d)
+    sq = (diff * diff).sum(axis=2)                                # (B, C)
+    log_comp = (
+        np.log(gmm.weights)[None, :]
+        - 0.5 * d * np.log(2.0 * np.pi * var)
+        - 0.5 * sq / var
+    )
+    lmax = log_comp.max(axis=1, keepdims=True)
+    resp = np.exp(log_comp - lmax)
+    resp /= resp.sum(axis=1, keepdims=True)
+    return (resp[:, :, None] * (-diff / var[:, :, None])).sum(axis=1)
+
+
+def row_time_gmm_score(gmm, schedule):
+    """The mixture's score model at one time per row (score-matching
+    evaluation): ``gmm_score_np`` as a constant node."""
+    return lambda x, t: tape.constant(
+        gmm_score_np(gmm, tape.as_node(x).value, t, schedule))
 
 
 def selection_matrix(agg):
@@ -185,6 +214,20 @@ def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
     parents = [p for p in (terminal, *terms) if p.requires_grad]
     return tape.fused(terminal.value + running_sum + control_sum, parents,
                       lambda g: (g,) * len(parents))
+
+
+def taped_state_guidance(score_fn, agg, psi, schedule, x_values, t):
+    """``control.state_guidance`` as one sub-tape on a detached state leaf
+    and ``tape.backward``, as it was before it ran on plain arrays: the
+    reference it is checked against."""
+    with tape.grad_enabled():
+        xs = tape.leaf(tape.as_node(x_values).value)
+        scores = stacked_score(score_fn, xs, t)
+        y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
+        psi_y0 = psi(y0_hat)
+        tape.backward(tape.reduce_sum(psi_y0))
+    grad = xs.grad if xs.grad is not None else np.zeros_like(xs.value)
+    return StateGuidance(scores.value, y0_hat.value, psi_y0.value, grad)
 
 
 def taped_cost(psi):

@@ -12,11 +12,18 @@ from coopdiff.control import (
     state_guidance,
     tweedie_guidance,
 )
-from coopdiff.costs import QuadraticWell
-from coopdiff.scores import GaussianMixture, MlpScore, gmm_score, tweedie
+from coopdiff.costs import ClassifierNll, QuadraticWell, SocConfig, with_seam
+from coopdiff.nn import Mlp
+from coopdiff.scores import (
+    AnalyticGmmScore,
+    GaussianMixture,
+    MlpScore,
+    gmm_score,
+    tweedie,
+)
 from coopdiff.sde import NoiseSchedule, derive_rng
 import opgraphs as ops
-from oracles import aggregate_np, taped_cost
+from oracles import aggregate_np, taped_cost, taped_state_guidance
 
 SCHEDULE = NoiseSchedule()
 
@@ -114,6 +121,53 @@ def test_state_guidance_matches_finite_differences():
             an = grads[i].reshape(-1)[idx]
             worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-9))
     assert worst < 1e-4
+
+
+def state_guidance_setups():
+    """(name, score, aggregator, cost, states) for the state gradient:
+    gmm2d's analytic mixture score, a frozen random score net and
+    classifier at shapes16's sizes with the seam loss, and a score net
+    whose weights are trained (they require grad)."""
+    rng = derive_rng(4, 0)
+    gmm = GaussianMixture(weights=[0.5, 0.5], means=[[-1.0, 0.0], [1.0, 0.0]],
+                          variances=[0.25, 0.25])
+    yield ("gmm2d", AnalyticGmmScore(gmm, SCHEDULE), make_mask("halves", 2, 2),
+           QuadraticWell(np.array([2.0, -1.5])), rng.standard_normal((2, 5, 2)))
+    agg = make_mask("h-stripes", 4, 256, image_hw=(16, 16))
+    score = MlpScore(256, (192, 192), 16, derive_rng(4, 1), schedule=SCHEDULE)
+    clf = Mlp([256, 64, 4], derive_rng(4, 2))
+    tape.freeze(score.params() + clf.params())
+    cfg = SocConfig(seam_beta=0.05, seam_gamma=0.05)
+    yield ("shapes16", score, agg, with_seam(ClassifierNll(clf, 1), agg, cfg),
+           rng.standard_normal((4, 3, 256)))
+    net = MlpScore(2, (16,), 8, derive_rng(4, 3), schedule=SCHEDULE)
+    for p in net.params():
+        p.value = p.value + 0.1 * rng.standard_normal(p.value.shape)
+    yield ("trained-score", net, make_mask("halves", 2, 2),
+           QuadraticWell(np.array([0.5, -1.0])), rng.standard_normal((2, 4, 2)))
+
+
+@pytest.mark.parametrize("name", ["gmm2d", "shapes16", "trained-score"])
+def test_state_guidance_matches_the_taped_reference(name, monkeypatch):
+    # the plain-array pass (the score call's pullback, then the adjoints
+    # of psi, the aggregate and Tweedie) against the same gradient from
+    # one sub-tape and its backward: every output is bit-equal, and only
+    # the reference calls backward
+    _, score, agg, psi, xs = next(s for s in state_guidance_setups()
+                                  if s[0] == name)
+    roots = []
+    real_backward = tape.backward
+    monkeypatch.setattr(tape, "backward",
+                        lambda root: roots.append(root) or real_backward(root))
+    for t in (0.9, 0.3, 0.05):
+        with tape.no_grad():
+            got = state_guidance(score, agg, psi, SCHEDULE, xs, t)
+        assert not roots
+        ref = taped_state_guidance(score, agg, psi, SCHEDULE, xs, t)
+        assert len(roots) == 1
+        roots.clear()
+        for field, a, b in zip(got._fields, got, ref):
+            assert np.array_equal(a, b), (name, t, field)
 
 
 def test_tweedie_guidance_equals_masked_cost_gradient():

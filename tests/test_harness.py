@@ -553,7 +553,7 @@ def config_with(text: str, lines: dict) -> str:
     ("score.batch", "0"), ("shapes.per_class", "0"),
     ("score.lr", "0"), ("score.lr", "-1e-3"), ("classifier.lr", "0"),
     ("classifier.target_accuracy", "0"),
-    ("classifier.target_accuracy", "1.5"),
+    ("classifier.target_accuracy", "1.5"), ("seed", "-1"),
 ])
 def test_bad_widths_and_mixture_variance_exit_2(key, value, tmp_path,
                                                 monkeypatch, capsys):
@@ -586,6 +586,16 @@ def test_empty_hidden_lists_are_allowed():
     config = parse_config_text("policy.hidden =\npolicy.gain_hidden =\n"
                                "score.hidden =\nclassifier.hidden =\n")
     assert config.policy_hidden == config.score_hidden == ()
+
+
+def test_every_shipped_example_config_loads():
+    # README's quick-start commands run these files, so a renamed or
+    # retired key must fail here rather than in a first run
+    examples = sorted((Path(__file__).resolve().parents[1]
+                       / "examples-configs").glob("*.cfg"))
+    assert {p.name for p in examples} >= {"gmm2d.cfg", "shapes16.cfg"}
+    for path in examples:
+        load_config(path)            # raises ConfigError on a bad key
 
 
 @pytest.fixture(scope="module")
@@ -632,6 +642,7 @@ RUN_KEYS = {
     "gmm.component_var": numbers(),
     "eval_samples": st.integers(0, 5).map(str),
     "eval_chunk": st.integers(0, 3).map(str),
+    "seed": st.integers(-2, 4).map(str),
 }
 
 
@@ -640,6 +651,7 @@ RUN_KEYS = {
                        max_size=6).flatmap(
     lambda keys: st.fixed_dictionaries({k: RUN_KEYS[k] for k in keys})))
 @example({"gmm.separation": "1e300", "plan.updates": "3", "grid.steps": "4"})
+@example({"seed": "-1"})
 def test_a_small_gmm2d_run_exits_0_2_or_3(run_root, drawn):
     lines = {"task": "gmm2d", "method": "joint", "grid.steps": "3",
              "plan.updates": "2", "plan.outer_iters": "1",

@@ -83,7 +83,7 @@ def test_memoised_time_features_and_coefficients_are_the_uncached_ones():
 def test_an_mlp_node_keeps_its_activations_and_no_input_copy(trained):
     # an (8, 4096) input in two parts: the node keeps its output and hidden
     # activations (a few KB); a copy of the concatenated input would be
-    # 256 KiB. "none" is the cdps sub-tape (frozen net, state leaf);
+    # 256 KiB. "none" is the cdps score pullback (frozen net, state leaf);
     # "above-w0" a frozen first layer under trained ones; "all" a policy
     rng = derive_rng(5, 0)
     mlp = Mlp([4096, 16, 8, 2], rng)

@@ -809,6 +809,39 @@ def test_a_k80_training_rollout_holds_at_most_30_mb():
     assert total <= 30e6, total
 
 
+@pytest.mark.parametrize("sampler, units", [
+    ("uncontrolled", 9.0), ("controlled", 10.5), ("cdps", 12.0)])
+def test_a_sampling_chunk_peaks_at_one_steps_arrays(sampler, units,
+                                                    monkeypatch):
+    # one chunk at N = 4 agents, B = 64, d = 256 with shapes16's network
+    # widths: its traced peak, in units of one (N, B, d) array, is what one
+    # step needs. A step holds X, the scores, the controls, the noise, the
+    # drift and the EM step's temporaries (8 units); the learned control
+    # adds the policies' activations, and cdps peaks in the state
+    # gradient's pass back through the score net. A step whose arrays
+    # are still alive while the next one allocates, or an initial draw
+    # held for the whole rollout, reads about 9.5, 11.5 and 18 units. No
+    # sampler calls backward.
+    n, batch, dim = 4, 64, 256
+    agg = make_mask("h-stripes", n, dim, image_hw=(16, 16))
+    cfg = SocConfig(control_weight=1e-5, running_scale=1.0,
+                    seam_beta=0.05, seam_gamma=0.05)
+    score = MlpScore(dim, (192, 192), 16, derive_rng(9, 1), schedule=SCHEDULE)
+    clf = Mlp([dim, 64, 4], derive_rng(9, 2))
+    tape.freeze(score.params() + clf.params())
+    psi = with_seam(ClassifierNll(clf, 1), agg, cfg)
+    policies = [make_policy(dim, i, derive_rng(9, 10 + i), hidden=(128, 128),
+                            gain_hidden=(32,), guidance_gain_init=-100.0)
+                for i in range(n)]
+    args = (agg, cfg, make_time_grid(6, 0.02), psi, SCHEDULE, 1, batch)
+    run = {"uncontrolled": lambda: sample_uncontrolled(score, *args),
+           "controlled": lambda: sample_controlled(policies, score, *args),
+           "cdps": lambda: sample_cdps(score, *args)}[sampler]
+    monkeypatch.setattr(tape, "backward", None)      # a call would raise
+    _, peak = traced_bytes(run)
+    assert peak <= units * n * batch * dim * 8, peak / (n * batch * dim * 8)
+
+
 def unread_bytes(root) -> int:
     """Bytes of the distinct arrays that the nodes of ``root``'s graph
     (the root aside) hold as values and that no VJP closure references."""

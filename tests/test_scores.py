@@ -6,16 +6,14 @@ from coopdiff import tape
 from coopdiff.nn import time_features
 from coopdiff.optim import AdamState, adam_step
 from coopdiff.scores import (
-    AnalyticGmmScore,
     GaussianMixture,
     MlpScore,
     denoiser_loss,
     gmm_score,
-    gmm_score_np,
     tweedie,
 )
 from coopdiff.sde import NoiseSchedule, derive_rng, marginal_coeffs
-from oracles import dsm_loss
+from oracles import dsm_loss, gmm_score_np, row_time_gmm_score
 
 SCHEDULE = NoiseSchedule()
 
@@ -185,7 +183,7 @@ def test_trained_score_net_approaches_analytic_dsm_loss():
     # 10% of the analytic score's held-out score-matching loss
     gmm = GaussianMixture(weights=[0.5, 0.5], means=[[-1.0, 0.0], [1.0, 0.0]],
                           variances=[0.25, 0.25])
-    analytic = AnalyticGmmScore(gmm, SCHEDULE)
+    analytic = row_time_gmm_score(gmm, SCHEDULE)
     net = MlpScore(2, (64, 64), 16, derive_rng(6, 0), schedule=SCHEDULE)
     adam = AdamState.for_params(net.params(), lr=2e-3)
     rng = derive_rng(6, 1)
