@@ -8,7 +8,7 @@ guidance and score-summing baselines it is compared against.
 
 from .aggregation import MaskAggregator, aggregate, make_mask, scatter_adjoint
 from .checkpoint import load_checkpoint, save_checkpoint
-from .control import ControlPolicy, cdps_control, eval_control, make_policy
+from .control import ControlPolicy, eval_control, make_policy
 from .costs import (
     ClassifierNll,
     QuadraticWell,

@@ -8,18 +8,17 @@ construction and is re-validated from the index sets exactly.
 
 Masks are stored as index sets, with their (N, d) 0/1 indicator rows
 precomputed; no dense M is built outside tests. The N agent states travel
-as one (N, batch, d) array, so ``aggregate`` is one tape node: a multiply
-by ``masks[:, None, :]`` and a sum over the agent axis. The aggregator has
-no learnable parameters: training updates the control policies only.
+as one (N, batch, d) array, so ``aggregate`` is a multiply by
+``masks[:, None, :]`` and a sum over the agent axis, on arrays; its
+adjoint is ``scatter_adjoint``, which the training rollout's reverse sweep
+calls. The aggregator has no learnable parameters: training updates the
+control policies only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import tape
-from .tape import Node
 
 Array = np.ndarray
 
@@ -62,23 +61,21 @@ class MaskAggregator:
         object.__setattr__(self, "masks", masks)
 
 
-def aggregate(agg: MaskAggregator, states) -> Node:
+def aggregate(agg: MaskAggregator, states) -> Array:
     """Y with Y[j] copied from the agent whose index set contains j.
 
-    ``states`` is an (N, batch, dim) node or array holding one slice per
-    agent. Linear, so it is one node: a multiply by the masks and a sum
-    over the agent axis, whose adjoint routes dY to agent i as
-    dY * mask_i.
+    ``states`` is an (N, batch, dim) array holding one slice per agent.
+    Linear: a multiply by the masks and a sum over the agent axis, whose
+    adjoint ``scatter_adjoint`` routes dY to agent i as dY * mask_i.
     """
-    states = tape.as_node(states)
-    shape = states.value.shape
+    states = np.asarray(states, dtype=np.float64)
+    shape = states.shape
     if len(shape) != 3 or shape[0] != agg.num_agents or shape[2] != agg.dim:
         raise ValueError(
             f"states of shape {shape} do not match "
             f"({agg.num_agents}, batch, {agg.dim})"
         )
-    return tape.op((states.value * agg.masks[:, None, :]).sum(axis=0),
-                   (states,), (lambda g: scatter_adjoint(agg, g),))
+    return (states * agg.masks[:, None, :]).sum(axis=0)
 
 
 def scatter_adjoint(agg: MaskAggregator, grad_y) -> Array:

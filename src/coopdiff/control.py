@@ -1,4 +1,4 @@
-"""Per-agent control policies and the training-free gradient baseline.
+"""Per-agent control policies and the guidance gradients.
 
 A learned control combines a free-form drift correction with an explicit
 reward-gradient term:
@@ -11,9 +11,10 @@ input (no adjoint flows through it). NN1 is zero-initialised in its final
 layer and NN2 starts as a constant, so a fresh policy is exactly
 NN2_const * g_i, and exactly zero for the default constant 0.
 
-The baseline control instead scales the gradient of the same cost with
-respect to the *state*, which differentiates through the Tweedie map and
-the score model (the expensive path the learned parametrisation avoids).
+The training-free baseline (``optimize.CdpsControls``) instead scales the
+gradient of the same cost with respect to the *state*, which
+differentiates through the Tweedie map and the score model (the
+expensive path the learned parametrisation avoids).
 ``state_guidance`` computes it on plain arrays, from the score call's
 pullback and the adjoints of the aggregate and of Tweedie, and also
 returns the step's scores, Tweedie aggregate and psi, so a baseline
@@ -134,23 +135,6 @@ def eval_control(policy: ControlPolicy, x, y, t: float, guidance) -> Node:
     return tape.fused(u, inputs, vjp)
 
 
-def cdps_control(x_i, t: float, guidance_wrt_state, alpha_guid: float) -> Node:
-    """u_hat = -alpha_guid * grad_x psi(Y0_hat); no learnable parameters.
-
-    ``guidance_wrt_state`` is the gradient of the cost psi, so with
-    alpha_guid > 0 the control pushes the state DOWN the cost (classifier
-    guidance semantics); the scale alone sets the strength.
-    """
-    x_i = tape.as_node(x_i)
-    guidance_wrt_state = tape.as_node(guidance_wrt_state)
-    if x_i.value.shape != guidance_wrt_state.value.shape:
-        raise ValueError(
-            f"guidance shape {guidance_wrt_state.value.shape} does not match "
-            f"state shape {x_i.value.shape}"
-        )
-    return tape.scale(guidance_wrt_state, -float(alpha_guid))
-
-
 # ---------------------------------------------------------------------------
 # guidance gradients
 # ---------------------------------------------------------------------------
@@ -198,9 +182,9 @@ def state_guidance(
     once per step and keeps no graph; the score call's nodes and the
     Tweedie estimate are gone before the backward pass.
     """
-    xs = tape.as_node(x_values).value
+    xs = np.asarray(x_values, dtype=np.float64)
     scores, pull = score_pullback(score_fn, xs, t)
-    y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule)).value
+    y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
     psi_value, grad_y = tweedie_guidance(psi, y0_hat)
     grad, a_s = tweedie_adjoint(scatter_adjoint(agg, grad_y), t, schedule)
     if pull is not None:             # the score model reads the states

@@ -223,4 +223,6 @@ class Mlp:
                     f"shape mismatch for {name!r}: "
                     f"checkpoint {arr.shape} vs model {p.value.shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise ValueError(f"tensor {name!r} holds non-finite values")
             p.value = arr

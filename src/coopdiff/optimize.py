@@ -20,7 +20,8 @@ what its backward reads: X_k, U_k, grad psi(Yh_k), the policies' caches
 (weights, hidden activations) and the step's score call's pullback. It
 returns hat-J as one ``tape.fused`` node over the trained weights, whose
 VJP is the BPTT reverse sweep k = K-1, ..., 0: it carries the adjoint of
-X_k through the pieces' adjoint helpers (the ones their tape nodes use),
+X_k through the pieces' plain-array adjoint helpers (``em_step_adjoint``,
+``reverse_drift_adjoint``, ``tweedie_adjoint``, ``scatter_adjoint``),
 adds the step's energy and running-cost adjoints, rebuilds Y_k, the
 guidance and the time features with the forward's ops, and hands each
 weight's ``a.T @ g`` terms to one ``tape.OuterSum``. The sweep frees each
@@ -29,7 +30,9 @@ record once past it, so it runs once. A rollout also returns a
 states and costs).
 
 The score model and psi are evaluated once per step, for every control
-source; both are only called, as plain callables. When the step needs
+source; both are only called, on a ``Node`` as the ``costs`` and
+``scores`` contracts promise. The pieces between them (Tweedie, the
+aggregate, the drift, the EM step) map arrays to arrays. When the step needs
 grad psi(Yh) (the learned control), ``tweedie_guidance`` gives psi(Yh) and
 its per-row gradient from the cost node's VJP; the sweep reuses that
 gradient for the running cost, and the learned control reads G = masks *
@@ -65,14 +68,13 @@ from . import tape
 from .aggregation import MaskAggregator, aggregate, scatter_adjoint
 from .control import (
     ControlPolicy,
-    cdps_control,
     eval_control,  # noqa: F401  (bench/tracing.py times it under this name)
     state_guidance,
     tweedie_guidance,
 )
 from .costs import SocConfig
 from .optim import AdamState, adam_step
-from .scores import score_pullback, stacked_score, tweedie, tweedie_adjoint
+from .scores import score_pullback, tweedie, tweedie_adjoint
 from .sde import (
     STREAM_INIT,
     STREAM_STEP,
@@ -231,7 +233,9 @@ class CdpsControls:
         self.alpha_guid = float(alpha_guid)
 
     def __call__(self, k, t, xs, y, grad_x):
-        return cdps_control(xs, t, grad_x, self.alpha_guid).value, None
+        """u = -alpha_guid * grad_X psi(Y0_hat): with alpha_guid > 0 the
+        control pushes the states down the cost."""
+        return grad_x * -self.alpha_guid, None
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +283,9 @@ def coupled_rollout(
                 score_fn, agg, psi, schedule, xs, t)
         else:
             if records is None:
-                scores = stacked_score(score_fn, xs, t).value
+                # a score model is called with a node; N*B rows
+                rows = tape.constant(xs.reshape(-1, dim))
+                scores = score_fn(rows, t).value.reshape(xs.shape)
             else:
                 # X_0 is drawn: step 0 differentiates only trained
                 # score weights
@@ -292,13 +298,13 @@ def coupled_rollout(
             if control_fn.guidance == "tweedie":
                 psi_value, grad = tweedie_guidance(psi, y0_hat)
             else:
-                psi_value, grad = psi(y0_hat).value, None  # (B, 1)
+                psi_value, grad = psi(tape.constant(y0_hat)).value, None
             del y0_hat
         step_cost = psi_value.sum() * (1.0 / batch)
         loss_c += float(step_cost) * dt
         running_sum = running_sum + step_cost * (cfg.running_weight(t) * dt)
 
-        us, caches = control_fn(k, t, xs, aggregate(agg, xs).value, grad)
+        us, caches = control_fn(k, t, xs, aggregate(agg, xs), grad)
         sq = (us * us).sum(axis=2).sum(axis=1) * (1.0 / batch)
         control_sum = control_sum + (sq * (lambdas * dt)).sum()
         loss_u += float((sq / n_agents).sum()) * dt
@@ -306,8 +312,7 @@ def coupled_rollout(
         xi = noise.normal((STREAM_STEP, update_index, k),
                           (n_agents, batch, dim))
         mu = reverse_drift(xs, t, scores, schedule)
-        x_next = em_step(xs, dt, mu, float(schedule.g(t)), xi,
-                         control=us).value
+        x_next = em_step(xs, dt, mu, float(schedule.g(t)), xi, control=us)
         if records is not None:
             records.append((xs, us, grad, caches, pull))
         # the step's arrays go before the next step allocates its own
@@ -319,7 +324,7 @@ def coupled_rollout(
 
     y_term = aggregate(agg, xs)
     if records is None:
-        psi_term, grad_term = psi(y_term).value, None  # (B, 1)
+        psi_term, grad_term = psi(tape.constant(y_term)).value, None  # (B, 1)
     else:
         psi_term, grad_term = tweedie_guidance(psi, y_term)
     terminal = psi_term.sum() * (1.0 / batch)
@@ -345,7 +350,7 @@ def coupled_rollout(
             a_x_mu, a_s = reverse_drift_adjoint(a_mu, t, schedule)
             a_x = a_x + a_x_mu if k > 0 else None
             p_grads, a_y = control_fn.backward(
-                caches, t, xs_k, aggregate(agg, xs_k).value, grad, a_u, live,
+                caches, t, xs_k, aggregate(agg, xs_k), grad, a_u, live,
                 a_x)
             for p, a in zip(params, p_grads):
                 if a is not None:
@@ -379,7 +384,7 @@ def coupled_rollout(
         loss_psi=float(terminal),
         objective=float(value),
         per_sample_psi=psi_term[:, 0].copy(),
-        terminal_y=y_term.value,
+        terminal_y=y_term,
         terminal_states=xs,
     )
 
@@ -658,11 +663,11 @@ def sample_poe_naive(
             x_node = tape.constant(x)
             total = None
             for fn in score_fns:
-                s = fn(x_node, t)
-                total = s if total is None else tape.add(total, s)
-            mu = reverse_drift(x_node, t, total, schedule)
+                s = fn(x_node, t).value
+                total = s if total is None else total + s
+            mu = reverse_drift(x, t, total, schedule)
             xi = noise.normal((STREAM_STEP, noise_index, k), (1, batch, dim))[0]
-            x = em_step(x_node, dt, mu, g_k, xi).value
+            x = em_step(x, dt, mu, g_k, xi)
             if not np.all(np.isfinite(x)):
                 raise DivergedRolloutError(step=k, agent=0)
     return x

@@ -7,10 +7,11 @@ alpha(t) mu_i and variance alpha(t)^2 s_i^2 + sigma(t)^2. Its score is exact
 and is used as the oracle-grade score model for low-dimensional tasks.
 
 On the tape, the mixture score is one node whose VJP is the Hessian-vector
-product of the diffused log density, a score network call is two (the
-fused Mlp and its residual/affine tail), and ``tweedie`` is one. The
-rollouts call the score model through ``score_pullback``, which keeps the
-call's VJP and no node.
+product of the diffused log density, and a score network call is two (the
+fused Mlp and its residual/affine tail): a score model is called with a
+``Node``. The rollouts call it through ``score_pullback``, which keeps the
+call's VJP and no node. ``tweedie`` maps arrays to an array; its adjoint
+is ``tweedie_adjoint``.
 """
 from __future__ import annotations
 
@@ -240,13 +241,6 @@ def denoiser_loss(score_net: MlpScore, batch: Array, times: Array,
     return tape.scale(tape.reduce_sum(per_sample), 1.0 / x0.shape[0])
 
 
-def stacked_score(score_fn, xs, t: float) -> Node:
-    """One call of a shared score model on (N, B, d) states as N*B rows."""
-    xs = tape.as_node(xs)
-    n, b, d = xs.value.shape
-    return tape.reshape(score_fn(tape.reshape(xs, (n * b, d)), t), (n, b, d))
-
-
 def score_pullback(score_fn, xs: Array, t: float, wrt_x: bool = True):
     """One call of a shared score model on (N, B, d) state arrays as N*B
     rows: the scores, as an array, and their pullback ``(vjp, leaves)``
@@ -262,13 +256,11 @@ def score_pullback(score_fn, xs: Array, t: float, wrt_x: bool = True):
     return scores.value.reshape(xs.shape), pull
 
 
-def tweedie(x, t: float, score, schedule: NoiseSchedule) -> Node:
-    """Posterior-mean denoiser x0_hat = (x + sigma(t)^2 score) / alpha(t),
-    one node with parents ``x`` and ``score``."""
+def tweedie(x: Array, t: float, score: Array,
+            schedule: NoiseSchedule) -> Array:
+    """Posterior-mean denoiser x0_hat = (x + sigma(t)^2 score) / alpha(t)."""
     inv, s2 = _tweedie_coeffs(t, schedule)
-    x, score = tape.as_node(x), tape.as_node(score)
-    return tape.fused((x.value + score.value * s2) * inv, (x, score),
-                      lambda g: tweedie_adjoint(g, t, schedule))
+    return (x + score * s2) * inv
 
 
 def tweedie_adjoint(g: Array, t: float, schedule: NoiseSchedule):

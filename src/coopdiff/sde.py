@@ -9,6 +9,8 @@ Conventions used everywhere in this package:
     positive step sizes dt_k = t_k - t_{k+1}; the reverse drift at a state x
     with score s is  mu = 0.5 * beta(t) * x + beta(t) * s  and one EM step is
     x' = x + (mu + g u) dt + g sqrt(dt) xi  with g(t) = sqrt(beta(t)).
+    ``reverse_drift`` and ``em_step`` map arrays to arrays; their adjoints
+    are ``reverse_drift_adjoint`` and ``em_step_adjoint``.
   * all stochasticity is drawn from ``NoiseStream``, which hashes an integer
     key into a counter-based Philox generator: identical (seed, key) pairs
     give identical draws, which is how paired-noise comparisons between
@@ -20,9 +22,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import tape
-from .tape import Node
 
 Array = np.ndarray
 
@@ -116,20 +115,17 @@ def make_time_grid(steps: int, eps: float = 1e-3) -> TimeGrid:
     return TimeGrid(times=np.linspace(1.0, eps, steps), eps=float(eps))
 
 
-def reverse_drift(x, t: float, score, schedule: NoiseSchedule) -> Node:
+def reverse_drift(x: Array, t: float, score: Array,
+                  schedule: NoiseSchedule) -> Array:
     """mu = -f(x, t) + g(t)^2 * score = 0.5 beta(t) x + beta(t) score."""
-    x = tape.as_node(x)
-    score = tape.as_node(score)
-    if x.value.shape != score.value.shape:
+    if x.shape != score.shape:
         raise ValueError(
-            f"score shape {score.value.shape} does not match state "
-            f"shape {x.value.shape}"
+            f"score shape {score.shape} does not match state shape {x.shape}"
         )
     if not (0.0 < t <= 1.0):
         raise ValueError(f"reverse drift needs t in (0, 1], got {t}")
     b = float(schedule.beta(t))
-    return tape.fused(x.value * (0.5 * b) + score.value * b, (x, score),
-                      lambda g: reverse_drift_adjoint(g, t, schedule))
+    return x * (0.5 * b) + score * b
 
 
 def reverse_drift_adjoint(g: Array, t: float, schedule: NoiseSchedule):
@@ -138,29 +134,19 @@ def reverse_drift_adjoint(g: Array, t: float, schedule: NoiseSchedule):
     return g * (0.5 * b), g * b
 
 
-def em_step(x, dt: float, drift, g: float, noise: Array,
-            control=None) -> Node:
-    """x' = x + (drift + g * control) * dt + g * sqrt(dt) * noise, one node
-    (noise supplied by the caller; no control term when ``control`` is
-    None)."""
+def em_step(x: Array, dt: float, drift: Array, g: float, noise: Array,
+            control: Array | None = None) -> Array:
+    """x' = x + (drift + g * control) * dt + g * sqrt(dt) * noise (noise
+    supplied by the caller; no control term when ``control`` is None)."""
     if dt <= 0.0:
         raise ValueError(f"EM step size must be positive, got {dt}")
-    x = tape.as_node(x)
-    drift = tape.as_node(drift)
-    noise = np.asarray(noise, dtype=np.float64)
     g = float(g)
-    total = drift.value
-    parents = [x, drift]
-    if control is not None:
-        control = tape.as_node(control)
-        total = total + control.value * g
-        parents.append(control)
-    out = x.value + total * dt
+    total = drift if control is None else drift + control * g
+    out = x + total * dt
     kick = g * np.sqrt(dt)
     if kick != 0.0:
         out = out + kick * noise
-    return tape.fused(out, parents,
-                      lambda a: em_step_adjoint(a, dt, g)[:len(parents)])
+    return out
 
 
 def em_step_adjoint(a: Array, dt: float, g: float):

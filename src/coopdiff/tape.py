@@ -13,15 +13,15 @@ require grad (interior adjoints are dropped once propagated).
 
 An op is one node with one VJP per recorded parent. ``op`` records a
 value computed outside the tape that way, the ``jax.custom_vjp`` idiom
-(the aggregation is one); ``rowwise`` records a function whose gradient
-is already known (each terminal cost is one). A ``fused`` node is a
-sub-computation whose single VJP returns the adjoints of all its parents
-at once: a tanh MLP, a training rollout, and each fixed-shape piece of a
-rollout step (Tweedie, drift, EM step), whose VJP is the plain-array
-adjoint helper beside its forward that the rollout's reverse sweep calls
-too. A VJP may return a weight's adjoint ``a.T @ g`` unformed, as an
-``OuterSum`` term; ``accumulate`` then sums a weight used at many steps
-in blocks of steps, with one gemm per block.
+(the analytic mixture score is one); ``rowwise`` records a function whose
+gradient is already known (each terminal cost is one). A ``fused`` node
+is a sub-computation whose single VJP returns the adjoints of all its
+parents at once: a tanh MLP call and a training rollout. The pieces of a
+rollout step (Tweedie, aggregation, drift, EM step) are not nodes: they
+map arrays to arrays, and the rollout's reverse sweep calls their
+plain-array adjoint helpers. A VJP may return a weight's adjoint
+``a.T @ g`` unformed, as an ``OuterSum`` term; ``accumulate`` then sums a
+weight used at many steps in blocks of steps, with one gemm per block.
 
 No VJP reads a ``Node.value`` at backward time, except the root's: an op
 records the shapes it needs when it is recorded, and its closure keeps
@@ -220,13 +220,6 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Node:
 def square_norm(a, axis=None, keepdims: bool = False) -> Node:
     """Sum of squares, optionally along one axis (per-row norms)."""
     return reduce_sum(mul(a, a), axis=axis, keepdims=keepdims)
-
-
-def reshape(a, shape) -> Node:
-    """``a`` with the same entries in a new shape."""
-    a = as_node(a)
-    old = a.value.shape
-    return op(a.value.reshape(shape), (a,), (lambda g: g.reshape(old),))
 
 
 def rowwise(x, value, grad) -> Node:

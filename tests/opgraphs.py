@@ -1,11 +1,19 @@
-"""Elementary tape ops that no production module builds graphs from, and
-the terminal-cost pieces as compositions of elementary tape ops: the
-graphs the fused nodes replace, kept as references for their values and
-gradients, with the one non-elementary op they use, ``logsumexp``. The
-tape's own tests use the elementary ops as finite-difference oracles."""
+"""Tape ops that no production module builds graphs from.
+
+* Elementary ops, which the tape's own tests use as finite-difference
+  oracles, and the terminal-cost pieces as compositions of them: the
+  graphs the fused nodes replace, kept as references for their values and
+  gradients, with the one non-elementary op they use, ``logsumexp``.
+* The pieces of a rollout step as tape nodes: ``tweedie``, ``aggregate``,
+  ``reverse_drift`` and ``em_step`` are each one node over the array
+  function of the same name in ``coopdiff``, with that function's
+  plain-array adjoint helper as its VJP, and ``stacked_score`` is one
+  call of a shared score model on (N, B, d) states. ``oracles`` builds
+  its taped reference rollouts from them.
+"""
 import numpy as np
 
-from coopdiff import tape
+from coopdiff import aggregation, scores, sde, tape
 
 
 def neg(a) -> tape.Node:
@@ -160,3 +168,58 @@ def seam_loss_ops(y, agg, cfg):
             tape.scale(rho_sum(tape.sub(upper, lower)), cfg.seam_beta),
             tape.scale(rho_sum(tape.sub(grad_p, grad_q)), cfg.seam_gamma)))
     return total
+
+
+def reshape(a, shape) -> tape.Node:
+    """``a`` with the same entries in a new shape."""
+    a = tape.as_node(a)
+    old = a.value.shape
+    return tape.op(a.value.reshape(shape), (a,), (lambda g: g.reshape(old),))
+
+
+# ---------------------------------------------------------------------------
+# the pieces of a rollout step as tape nodes
+# ---------------------------------------------------------------------------
+
+def stacked_score(score_fn, xs, t: float) -> tape.Node:
+    """One call of a shared score model on (N, B, d) states as N*B rows."""
+    xs = tape.as_node(xs)
+    n, b, d = xs.value.shape
+    return reshape(score_fn(reshape(xs, (n * b, d)), t), (n, b, d))
+
+
+def tweedie(x, t: float, score, schedule) -> tape.Node:
+    """``scores.tweedie`` as one node with parents ``x`` and ``score``."""
+    x, score = tape.as_node(x), tape.as_node(score)
+    return tape.fused(scores.tweedie(x.value, t, score.value, schedule),
+                      (x, score),
+                      lambda g: scores.tweedie_adjoint(g, t, schedule))
+
+
+def aggregate(agg, states) -> tape.Node:
+    """``aggregation.aggregate`` as one node; its VJP is the scatter."""
+    states = tape.as_node(states)
+    return tape.op(aggregation.aggregate(agg, states.value), (states,),
+                   (lambda g: aggregation.scatter_adjoint(agg, g),))
+
+
+def reverse_drift(x, t: float, score, schedule) -> tape.Node:
+    """``sde.reverse_drift`` as one node with parents ``x`` and ``score``."""
+    x, score = tape.as_node(x), tape.as_node(score)
+    return tape.fused(sde.reverse_drift(x.value, t, score.value, schedule),
+                      (x, score),
+                      lambda g: sde.reverse_drift_adjoint(g, t, schedule))
+
+
+def em_step(x, dt: float, drift, g: float, noise, control=None) -> tape.Node:
+    """``sde.em_step`` as one node over x, the drift and the control (when
+    there is one)."""
+    x, drift = tape.as_node(x), tape.as_node(drift)
+    parents, u = [x, drift], None
+    if control is not None:
+        control = tape.as_node(control)
+        parents.append(control)
+        u = control.value
+    out = sde.em_step(x.value, dt, drift.value, g, noise, control=u)
+    return tape.fused(out, parents,
+                      lambda a: sde.em_step_adjoint(a, dt, g)[:len(parents)])

@@ -7,14 +7,7 @@ from coopdiff.control import StateGuidance, tweedie_guidance
 from coopdiff.costs import ClassifierNll, QuadraticWell, SeamAugmented, SocConfig
 from coopdiff.nn import time_features
 from coopdiff.optimize import sample_poe_naive
-from coopdiff.scores import stacked_score, tweedie
-from coopdiff.sde import (
-    STREAM_INIT,
-    STREAM_STEP,
-    em_step,
-    marginal_coeffs,
-    reverse_drift,
-)
+from coopdiff.sde import STREAM_INIT, STREAM_STEP, marginal_coeffs
 import opgraphs as ops
 from opgraphs import classifier_nll_ops, seam_loss_ops
 
@@ -96,15 +89,9 @@ def selection_matrix(agg):
     return m
 
 
-def aggregate_np(agg, states):
-    """``aggregate`` on arrays, as an array."""
-    with tape.no_grad():
-        return aggregate(agg, states).value
-
-
 def masked_control_energy(agg, controls):
     """|| M vec(u) ||^2: the energy the aggregate actually sees."""
-    y = aggregate_np(agg, controls)
+    y = aggregate(agg, controls)
     return float((y * y).sum())
 
 
@@ -186,9 +173,9 @@ def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
     terms, running_sum, control_sum = [], 0.0, 0.0
     for k in range(grid.times.size - 1):
         t, dt = float(grid.times[k]), float(grid.dts[k])
-        y = aggregate(agg, xs)
-        scores = stacked_score(score_fn, xs, t)
-        y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
+        y = ops.aggregate(agg, xs)
+        scores = ops.stacked_score(score_fn, xs, t)
+        y0_hat = ops.aggregate(agg, ops.tweedie(xs, t, scores, schedule))
         psi_value, grad = tweedie_guidance(psi, y0_hat)
         weight = cfg.running_weight(t) * dt
         running = psi_value.sum() * (1.0 / batch) * weight
@@ -207,9 +194,10 @@ def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
         terms.append(tape.reduce_sum(tape.mul(tape.mul(controls, controls),
                                               scale)))
         xi = noise.normal((STREAM_STEP, 0, k), (n, batch, d))
-        mu = reverse_drift(xs, t, scores, schedule)
-        xs = em_step(xs, dt, mu, float(schedule.g(t)), xi, control=controls)
-    psi_term = psi(aggregate(agg, xs))
+        mu = ops.reverse_drift(xs, t, scores, schedule)
+        xs = ops.em_step(xs, dt, mu, float(schedule.g(t)), xi,
+                         control=controls)
+    psi_term = psi(ops.aggregate(agg, xs))
     terminal = tape.scale(tape.reduce_sum(psi_term), 1.0 / batch)
     parents = [p for p in (terminal, *terms) if p.requires_grad]
     return tape.fused(terminal.value + running_sum + control_sum, parents,
@@ -222,8 +210,8 @@ def taped_state_guidance(score_fn, agg, psi, schedule, x_values, t):
     reference it is checked against."""
     with tape.grad_enabled():
         xs = tape.leaf(tape.as_node(x_values).value)
-        scores = stacked_score(score_fn, xs, t)
-        y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
+        scores = ops.stacked_score(score_fn, xs, t)
+        y0_hat = ops.aggregate(agg, ops.tweedie(xs, t, scores, schedule))
         psi_y0 = psi(y0_hat)
         tape.backward(tape.reduce_sum(psi_y0))
     grad = xs.grad if xs.grad is not None else np.zeros_like(xs.value)

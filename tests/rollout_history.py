@@ -58,9 +58,9 @@ def recorded(grid, psi=None):
     def recording(xs, *args, control):
         out = real(xs, *args, control=control)
         if not history.states:
-            history.states.append(tape.as_node(xs).value)
-        history.states.append(out.value)
-        history.controls.append(tape.as_node(control).value)
+            history.states.append(xs)
+        history.states.append(out)
+        history.controls.append(control)
         return out
 
     optimize.em_step = recording

@@ -66,7 +66,6 @@ from coopdiff.harness import (
 from guidance_replay import record_guidance, replay_guidance
 import opgraphs as ops
 from oracles import (
-    aggregate_np,
     masked_control_energy,
     sample_reverse_sde,
     selection_matrix,
@@ -87,8 +86,8 @@ def test_criterion1_tweedie_matches_conjugate_posterior_mean():
     for t in rng.uniform(0.01, 1.0, size=25):
         alpha, sigma = marginal_coeffs(SCHEDULE, t)
         x = rng.standard_normal((16, 2)) * 2.0
-        score = gmm_score(gmm, x, float(t), SCHEDULE)
-        got = tweedie(x, float(t), score, SCHEDULE).value
+        score = gmm_score(gmm, x, float(t), SCHEDULE).value
+        got = tweedie(x, float(t), score, SCHEDULE)
         want = alpha * x + sigma ** 2 * mu0  # conjugate-Gaussian E[x0 | x_t]
         assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -125,7 +124,7 @@ def test_criterion1_mask_orthogonality_and_adjoint_identity():
         rng = derive_rng(100, 2)
         xs = [rng.standard_normal((5, d)) for _ in range(n)]
         g = rng.standard_normal((5, d))
-        lhs = float((aggregate_np(agg, xs) * g).sum())
+        lhs = float((aggregate(agg, xs) * g).sum())
         rhs = float(sum((x * s).sum()
                         for x, s in zip(xs, scatter_adjoint(agg, g))))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
@@ -239,8 +238,8 @@ def test_criterion2_stopgrad_isolates_score_network(monkeypatch):
     rng = derive_rng(101, 22)
     xs = [tape.constant(rng.standard_normal((3, 2))) for _ in range(2)]
     scores = [net(x, 0.5) for x in xs]
-    x0h = [tweedie(x, 0.5, s, SCHEDULE) for x, s in zip(xs, scores)]
-    _, grad = tweedie_guidance(psi, aggregate(agg, ops.stack(x0h)))
+    x0h = [ops.tweedie(x, 0.5, s, SCHEDULE) for x, s in zip(xs, scores)]
+    _, grad = tweedie_guidance(psi, ops.aggregate(agg, ops.stack(x0h)))
     u = eval_control(policy, xs[0], xs[1], 0.5, scatter_adjoint(agg, grad)[0])
     tape.backward(tape.reduce_sum(tape.mul(u, u)))
     assert all(p.grad is None or np.all(p.grad == 0.0) for p in net.params())

@@ -10,7 +10,7 @@ from coopdiff.aggregation import (
     make_mask,
     scatter_adjoint,
 )
-from oracles import aggregate_np, masked_control_energy, selection_matrix
+from oracles import masked_control_energy, selection_matrix
 
 
 def two_agent_split():
@@ -19,14 +19,14 @@ def two_agent_split():
 
 def test_two_agent_selection_example():
     agg = two_agent_split()
-    y = aggregate_np(agg, [np.array([[1.0, 2, 3, 4]]), np.array([[5.0, 6, 7, 8]])])
+    y = aggregate(agg, [np.array([[1.0, 2, 3, 4]]), np.array([[5.0, 6, 7, 8]])])
     np.testing.assert_array_equal(y, [[1.0, 2.0, 7.0, 8.0]])
 
 
 def test_identity_mask_single_agent():
     agg = make_mask("identity", 1, 3)
     x = np.array([[0.5, -1.0, 2.0]])
-    np.testing.assert_array_equal(aggregate_np(agg, [x]), x)
+    np.testing.assert_array_equal(aggregate(agg, [x]), x)
 
 
 def test_hstripes_16x16_three_agents_ceil_split():
@@ -91,7 +91,7 @@ def test_scatter_roundtrip_on_basis_vectors():
         e = np.zeros((1, 6))
         e[0, j] = 1.0
         parts = scatter_adjoint(agg, e)
-        y = aggregate_np(agg, parts)
+        y = aggregate(agg, parts)
         np.testing.assert_array_equal(y, e)
         # exactly one agent receives the coordinate
         holders = [i for i, p in enumerate(parts) if p.sum() != 0]
@@ -106,7 +106,7 @@ def test_adjoint_identity(seed):
     agg = make_mask("explicit", 2, 5, index_sets=[(0, 2, 4), (1, 3)])
     xs = [rng.standard_normal((3, 5)) for _ in range(2)]
     g = rng.standard_normal((3, 5))
-    lhs = float((aggregate_np(agg, xs) * g).sum())
+    lhs = float((aggregate(agg, xs) * g).sum())
     rhs = float(sum((x * s).sum() for x, s in zip(xs, scatter_adjoint(agg, g))))
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
@@ -117,8 +117,8 @@ def test_aggregate_linearity():
     xs = [rng.standard_normal((2, 4)) for _ in range(2)]
     ys = [rng.standard_normal((2, 4)) for _ in range(2)]
     a, b = 1.7, -0.3
-    lhs = aggregate_np(agg, [a * x + b * y for x, y in zip(xs, ys)])
-    rhs = a * aggregate_np(agg, xs) + b * aggregate_np(agg, ys)
+    lhs = aggregate(agg, [a * x + b * y for x, y in zip(xs, ys)])
+    rhs = a * aggregate(agg, xs) + b * aggregate(agg, ys)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 

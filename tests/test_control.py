@@ -6,7 +6,6 @@ import pytest
 from coopdiff import tape
 from coopdiff.aggregation import aggregate, make_mask, scatter_adjoint
 from coopdiff.control import (
-    cdps_control,
     eval_control,
     make_policy,
     state_guidance,
@@ -14,6 +13,7 @@ from coopdiff.control import (
 )
 from coopdiff.costs import ClassifierNll, QuadraticWell, SocConfig, with_seam
 from coopdiff.nn import Mlp
+from coopdiff.optimize import CdpsControls
 from coopdiff.scores import (
     AnalyticGmmScore,
     GaussianMixture,
@@ -23,7 +23,7 @@ from coopdiff.scores import (
 )
 from coopdiff.sde import NoiseSchedule, derive_rng
 import opgraphs as ops
-from oracles import aggregate_np, taped_cost, taped_state_guidance
+from oracles import taped_cost, taped_state_guidance
 
 SCHEDULE = NoiseSchedule()
 
@@ -78,16 +78,16 @@ def test_eval_control_dimension_mismatch():
 
 
 def test_cdps_zero_scale_gives_zero_control():
-    u = cdps_control(np.ones((2, 3)), 0.5, np.ones((2, 3)), 0.0).value
+    xs = np.ones((2, 2, 3))
+    u, _ = CdpsControls(0.0)(0, 0.5, xs, xs[0], np.ones((2, 2, 3)))
     assert np.all(u == 0.0)
 
 
 def test_cdps_control_is_descent_scaled_gradient():
-    g = np.array([[1.0, -2.0]])
-    u = cdps_control(np.zeros((1, 2)), 0.5, g, 10.0).value
+    g = np.array([[[1.0, -2.0]], [[0.5, 3.0]]])
+    xs = np.zeros((2, 1, 2))
+    u, _ = CdpsControls(10.0)(0, 0.5, xs, xs[0], g)
     np.testing.assert_array_equal(u, -10.0 * g)
-    with pytest.raises(ValueError):
-        cdps_control(np.zeros((1, 3)), 0.5, g, 1.0)
 
 
 def test_state_guidance_matches_finite_differences():
@@ -104,10 +104,11 @@ def test_state_guidance_matches_finite_differences():
 
     def forward(xs_val):
         with tape.no_grad():
-            x0h = [tweedie(x, t, score_fn(tape.constant(x), t), SCHEDULE)
+            x0h = [tweedie(x, t, score_fn(tape.constant(x), t).value,
+                           SCHEDULE)
                    for x in xs_val]
-            y0 = aggregate(agg, ops.stack(x0h))
-            return float(tape.reduce_sum(psi(y0)).value)
+            y0 = aggregate(agg, x0h)
+            return float(psi(tape.constant(y0)).value.sum())
 
     h = 1e-6
     worst = 0.0
@@ -177,7 +178,7 @@ def test_tweedie_guidance_equals_masked_cost_gradient():
     psi = QuadraticWell(np.zeros(4))
     rng = derive_rng(1, 1)
     x0h = [rng.standard_normal((3, 4)) for _ in range(2)]
-    value, grad = tweedie_guidance(psi, aggregate_np(agg, x0h))
+    value, grad = tweedie_guidance(psi, aggregate(agg, x0h))
     grads = scatter_adjoint(agg, grad)
     y0 = sum(x * m for x, m in zip(x0h, agg.masks))
     np.testing.assert_allclose(value, (y0 * y0).sum(axis=1, keepdims=True),
@@ -211,9 +212,9 @@ def test_score_params_perturbation_changes_cdps_not_stopgrad_guidance():
 
     before = state_guidance(net, agg, psi, SCHEDULE, xs, t).grad
     with tape.no_grad():
-        x0h_before = [tweedie(x, t, net(tape.constant(x), t), SCHEDULE).value
+        x0h_before = [tweedie(x, t, net(tape.constant(x), t).value, SCHEDULE)
                       for x in xs]
-    tg_before = tweedie_guidance(psi, aggregate_np(agg, x0h_before))
+    tg_before = tweedie_guidance(psi, aggregate(agg, x0h_before))
 
     for p in net.params():
         p.value = p.value + 0.05
@@ -221,7 +222,7 @@ def test_score_params_perturbation_changes_cdps_not_stopgrad_guidance():
     after = state_guidance(net, agg, psi, SCHEDULE, xs, t).grad
     assert any(not np.array_equal(a, b) for a, b in zip(before, after))
     # holding the Tweedie estimates fixed, the guidance is untouched
-    tg_after = tweedie_guidance(psi, aggregate_np(agg, x0h_before))
+    tg_after = tweedie_guidance(psi, aggregate(agg, x0h_before))
     for a, b in zip(tg_before, tg_after):
         np.testing.assert_array_equal(a, b)
 
@@ -240,8 +241,8 @@ def test_guidance_path_gives_zero_gradient_to_score_params():
     t = 0.4
 
     scores = [net(x, t) for x in xs]
-    x0h = [tweedie(x, t, s, SCHEDULE) for x, s in zip(xs, scores)]
-    _, grad = tweedie_guidance(psi, aggregate(agg, ops.stack(x0h)))
+    x0h = [ops.tweedie(x, t, s, SCHEDULE) for x, s in zip(xs, scores)]
+    _, grad = tweedie_guidance(psi, ops.aggregate(agg, ops.stack(x0h)))
     u = eval_control(policy, xs[0], xs[1], t, scatter_adjoint(agg, grad)[0])
     tape.backward(tape.reduce_sum(tape.mul(u, u)))
 

@@ -23,6 +23,7 @@ from coopdiff.harness import (
     build_assets,
     generate_shapes,
     load_config,
+    make_policies,
     normalized_text,
     parse_config_text,
     run_experiment,
@@ -344,7 +345,7 @@ def test_build_assets_returns_the_pretrained_networks_frozen(source, tmp_path):
 @pytest.mark.parametrize("key", ["score.checkpoint",
                                  "classifier.checkpoint"])
 @pytest.mark.parametrize("bad", ["text", "bare-array", "empty",
-                                 "wrong-widths"])
+                                 "wrong-widths", "non-finite"])
 def test_a_foreign_pretrained_checkpoint_is_a_config_error(key, bad, tmp_path,
                                                            monkeypatch,
                                                            capsys):
@@ -357,17 +358,52 @@ def test_a_foreign_pretrained_checkpoint_is_a_config_error(key, bad, tmp_path,
             np.save(fh, np.ones(3))
     elif bad == "empty":
         path.write_bytes(b"")
-    else:       # the score net misses its tensors, the classifier's are 5 wide
+    elif bad == "wrong-widths":
+        # the score net misses its tensors, the classifier's are 5 wide
         other = Mlp([IMAGE_H * IMAGE_W, 5, len(CLASS_NAMES)],
                     derive_rng(0, 2), name="classifier")
         save_checkpoint(path, other.state_dict())
+    else:       # the configured widths, with one weight NaN
+        dim = IMAGE_H * IMAGE_W
+        net = (MlpScore(dim, (8,), 16, derive_rng(0, 1))
+               if key == "score.checkpoint" else
+               Mlp([dim, 8, len(CLASS_NAMES)], derive_rng(0, 2),
+                   name="classifier"))
+        state = net.state_dict()
+        tensor = key.split(".")[0] + ".w1"
+        state[tensor][3, 2] = np.nan
+        save_checkpoint(path, state)
     text = SHAPES_TINY + f"{key} = {path}\n"
     with pytest.raises(ConfigError, match="does not fit the configured"):
         build_assets(parse_config_text(text))
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text(text)
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if bad == "non-finite":
+        assert f"tensor {tensor!r} holds non-finite values" in err
+    assert not list(tmp_path.rglob("metrics.csv"))
+
+
+def test_a_policy_checkpoint_with_a_nan_weight_exits_2(tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.setenv("COOPDIFF_OUTPUT_ROOT", str(tmp_path))
+    text = GMM_SMOKE.format(out="nan").replace("method = uncontrolled",
+                                               "method = joint")
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text)
+    for policy in make_policies(parse_config_text(text), 2):
+        state = policy.state_dict()
+        if policy.agent_index == 1:
+            state["agent1.nn2.b1"][0] = np.nan
+        save_checkpoint(tmp_path / "pols"
+                        / f"policy_agent{policy.agent_index}.npz", state)
+    assert cli_main(["sample", "--config", str(cfg_path), "--policies",
+                     str(tmp_path / "pols")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'agent1.nn2.b1'" in err
+    assert not list(tmp_path.rglob("samples.csv"))
 
 
 # ---------------------------------------------------------------------------

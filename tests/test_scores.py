@@ -1,6 +1,8 @@
 """Analytic mixture scores, the Tweedie denoiser, score-matching losses."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopdiff import tape
 from coopdiff.nn import time_features
@@ -11,8 +13,10 @@ from coopdiff.scores import (
     denoiser_loss,
     gmm_score,
     tweedie,
+    tweedie_adjoint,
 )
 from coopdiff.sde import NoiseSchedule, derive_rng, marginal_coeffs
+import opgraphs as ops
 from oracles import dsm_loss, gmm_score_np, row_time_gmm_score
 
 SCHEDULE = NoiseSchedule()
@@ -104,7 +108,7 @@ def test_gmm_sampling_moments():
 def test_tweedie_identity_at_data_time():
     x = np.array([[0.3, -0.4]])
     out = tweedie(x, 0.0, np.zeros((1, 2)), SCHEDULE)
-    np.testing.assert_array_equal(out.value, x)
+    np.testing.assert_array_equal(out, x)
 
 
 def test_tweedie_matches_conjugate_posterior_mean():
@@ -116,8 +120,8 @@ def test_tweedie_matches_conjugate_posterior_mean():
     for t in (0.05, 0.3, 0.8, 1.0):
         alpha, sigma = marginal_coeffs(SCHEDULE, t)
         x = rng.standard_normal((8, 2)) * 1.5
-        score = gmm_score(gmm, x, t, SCHEDULE)
-        got = tweedie(x, t, score, SCHEDULE).value
+        score = gmm_score(gmm, x, t, SCHEDULE).value
+        got = tweedie(x, t, score, SCHEDULE)
         want = alpha * x + sigma ** 2 * mu0
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -126,9 +130,25 @@ def test_tweedie_is_affine_in_state_and_score():
     x = derive_rng(4, 1).standard_normal((3, 2))
     s = derive_rng(4, 2).standard_normal((3, 2))
     a = 2.5
-    lhs = tweedie(a * x, 0.4, a * s, SCHEDULE).value
-    rhs = a * tweedie(x, 0.4, s, SCHEDULE).value
+    lhs = tweedie(a * x, 0.4, a * s, SCHEDULE)
+    rhs = a * tweedie(x, 0.4, s, SCHEDULE)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_tweedie_adjoint_identity(seed):
+    # <a, tweedie(x, s)> = <a_x, x> + <a_s, s> for the helper's (a_x, a_s)
+    rng = np.random.default_rng(seed)
+    t = float(rng.uniform(1e-3, 1.0))
+    x, s, a = (rng.standard_normal((2, 3, 5)) for _ in range(3))
+    out = tweedie(x, t, s, SCHEDULE)
+    lhs = float((a * out).sum())
+    a_x, a_s = tweedie_adjoint(a, t, SCHEDULE)
+    rhs = float((a_x * x).sum() + (a_s * s).sum())
+    scale = float(np.abs(a * out).sum() + np.abs(a_x * x).sum()
+                  + np.abs(a_s * s).sum())
+    assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 def test_dsm_loss_zero_for_conditional_score():
@@ -240,7 +260,7 @@ def test_score_net_call_and_tweedie_are_three_nodes():
     tape.freeze(net.params())
     x = tape.leaf(derive_rng(6, 10).standard_normal((3, 4)))
     score = net(x, 0.3)
-    out = tweedie(x, 0.3, score, SCHEDULE)
+    out = ops.tweedie(x, 0.3, score, SCHEDULE)
     nodes = tape._toposort(tape.reduce_sum(out))
     assert len(nodes) == 5      # x, fused Mlp, tail, tweedie, sum
     assert out.parents == (x, score)
@@ -256,7 +276,7 @@ def test_score_net_call_and_tweedie_are_three_nodes():
 
     def f(v):
         with tape.no_grad():
-            return float((tweedie(v, 0.3, net(v, 0.3), SCHEDULE).value * w).sum())
+            return float((tweedie(v, 0.3, net(v, 0.3).value, SCHEDULE) * w).sum())
 
     fd = np.zeros((3, 4))
     for idx in np.ndindex(3, 4):

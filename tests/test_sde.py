@@ -9,9 +9,11 @@ from coopdiff.sde import (
     NoiseSchedule,
     NoiseStream,
     em_step,
+    em_step_adjoint,
     make_time_grid,
     marginal_coeffs,
     reverse_drift,
+    reverse_drift_adjoint,
 )
 
 SCHEDULE = NoiseSchedule()
@@ -69,7 +71,7 @@ def test_schedule_validation():
 
 def test_reverse_drift_zero_state_zero_score():
     mu = reverse_drift(np.zeros((1, 2)), 0.3, np.zeros((1, 2)), SCHEDULE)
-    np.testing.assert_array_equal(mu.value, np.zeros((1, 2)))
+    np.testing.assert_array_equal(mu, np.zeros((1, 2)))
 
 
 def test_reverse_drift_hand_formula():
@@ -77,7 +79,7 @@ def test_reverse_drift_hand_formula():
     c = float(SCHEDULE.beta(0.5))
     mu = reverse_drift(np.array([[1.0, 0.0]]), 0.5,
                        np.array([[-1.0, 0.0]]), SCHEDULE)
-    np.testing.assert_allclose(mu.value, [[-0.5 * c, 0.0]], rtol=1e-14)
+    np.testing.assert_allclose(mu, [[-0.5 * c, 0.0]], rtol=1e-14)
 
 
 def test_reverse_drift_score_is_log_density_gradient():
@@ -106,16 +108,48 @@ def test_reverse_drift_time_domain():
         reverse_drift(np.zeros((1, 2)), 0.0, np.zeros((1, 2)), SCHEDULE)
 
 
+def dot(pairs) -> tuple[float, float]:
+    """sum <a, b> over the (a, b) pairs, and the sum of |a * b|, the
+    scale a rounding error of the sum is relative to."""
+    return (float(sum((a * b).sum() for a, b in pairs)),
+            float(sum(np.abs(a * b).sum() for a, b in pairs)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_reverse_drift_adjoint_identity(seed):
+    # <a, mu(x, s)> = <a_x, x> + <a_s, s> for the helper's (a_x, a_s)
+    rng = np.random.default_rng(seed)
+    t = float(rng.uniform(1e-3, 1.0))
+    x, s, a = (rng.standard_normal((2, 3, 5)) for _ in range(3))
+    lhs, lhs_scale = dot([(a, reverse_drift(x, t, s, SCHEDULE))])
+    rhs, rhs_scale = dot(zip(reverse_drift_adjoint(a, t, SCHEDULE), (x, s)))
+    assert abs(lhs - rhs) <= 1e-12 * (lhs_scale + rhs_scale)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_em_step_adjoint_identity(seed):
+    # with zero noise the step is linear in (x, drift, control)
+    rng = np.random.default_rng(seed)
+    dt, g = float(rng.uniform(1e-3, 0.1)), float(rng.uniform(0.1, 5.0))
+    x, mu, u, a = (rng.standard_normal((2, 3, 5)) for _ in range(4))
+    out = em_step(x, dt, mu, g, np.zeros_like(x), control=u)
+    lhs, lhs_scale = dot([(a, out)])
+    rhs, rhs_scale = dot(zip(em_step_adjoint(a, dt, g), (x, mu, u)))
+    assert abs(lhs - rhs) <= 1e-12 * (lhs_scale + rhs_scale)
+
+
 def test_em_step_frozen_dynamics():
     x = np.array([[1.0, 2.0]])
     out = em_step(x, 0.1, np.zeros((1, 2)), 0.0, np.ones((1, 2)))
-    np.testing.assert_array_equal(out.value, x)
+    np.testing.assert_array_equal(out, x)
 
 
 def test_em_step_deterministic_euler():
     out = em_step(np.array([[1.0]]), 0.5, np.array([[2.0]]), 0.0,
                   np.zeros((1, 1)))
-    np.testing.assert_array_equal(out.value, [[2.0]])
+    np.testing.assert_array_equal(out, [[2.0]])
 
 
 def test_em_step_rejects_bad_inputs():
@@ -131,7 +165,7 @@ def test_em_variance_growth_matches_brownian_motion():
     x = np.zeros((paths, 1))
     for k in range(steps):
         x = em_step(x, dt, np.zeros((paths, 1)), 1.0,
-                    stream.normal((1, 0, k), (paths, 1))).value
+                    stream.normal((1, 0, k), (paths, 1)))
     var = x.var()
     se = total * np.sqrt(2.0 / (paths - 1))  # sd of a chi^2-based estimate
     assert abs(var - total) < 3 * se
@@ -176,7 +210,7 @@ def test_em_trajectory_bit_reproducible():
         for k in range(50):
             drift = -0.5 * x
             x = em_step(x, 0.01, drift, 1.3,
-                        stream.normal((1, 0, k), (8, 2))).value
+                        stream.normal((1, 0, k), (8, 2)))
         return x
 
     np.testing.assert_array_equal(run(), run())

@@ -596,7 +596,7 @@ def _every_op_graph(x, w, mlp):
     h = ops.concat([h, ops.neg(tape.scale(h, 0.5))], axis=1)      # (3, 4)
     norm = tape.add(tape.square_norm(x, axis=1, keepdims=True), 1.0)
     h = tape.add(h, ops.sqrt(ops.exp(ops.log(norm))))
-    s = ops.stack([h, tape.reshape(tape.reshape(h, (4, 3)), (3, 4))])
+    s = ops.stack([h, ops.reshape(ops.reshape(h, (4, 3)), (3, 4))])
     h = tape.add(ops.index(s, 1), ops.gather_cols(h, [0, 0, 3, 1]))
     h = mlp(tape.add(h, logsumexp(h)), x)                           # (3, 2)
     r = tape.rowwise(h, (h.value ** 2).sum(axis=1, keepdims=True),
