@@ -10,6 +10,7 @@ Arrays are stored uncompressed and loaded with ``allow_pickle=False``.
 from __future__ import annotations
 
 import json
+import os
 import zipfile
 from pathlib import Path
 
@@ -26,9 +27,18 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
     payload = {k: np.asarray(v, dtype=np.float64) for k, v in tensors.items()}
     payload["__format_version__"] = np.int64(FORMAT_VERSION)
     payload["__meta__"] = np.str_(json.dumps(meta or {}, sort_keys=True))
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        np.savez(fh, **payload)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # written beside the target and moved over it, so a write that fails
+    # or is killed partway leaves the previous checkpoint whole
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

@@ -72,6 +72,16 @@ class ControlPolicy:
         gain, cache2 = self.nn2.forward([feats[:1]])    # (1, 1), one per batch
         return drift + gain * guidance, (cache1, cache2)
 
+    def control(self, cache, x, y, guidance, t: float) -> Array:
+        """The control a ``forward`` call returned for these inputs,
+        rebuilt from its cache with the forward's ops: NN1's and NN2's
+        last layers, then drift + gain * g."""
+        cache1, cache2 = cache
+        feats = time_features(t, self.temb_width, batch=x.shape[0])
+        drift = self.nn1.output(cache1, [x, y, guidance, feats])
+        gain = self.nn2.output(cache2, [feats[:1]])
+        return drift + gain * guidance
+
     def backward(self, cache, x, y, guidance, t: float, g, live, span=None):
         """Adjoints of a ``forward`` call given the control adjoint ``g``,
         with the same inputs: one per parameter of ``params()`` (None where

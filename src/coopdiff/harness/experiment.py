@@ -64,7 +64,6 @@ class TaskAssets:
     psi: object
     accuracy_fn: object
     classifier: Mlp | None = None
-    dataset: ShapesDataset | None = None
 
     def image_hw(self):
         return self.agg.image_hw
@@ -140,7 +139,8 @@ def build_assets(
 
     A score network or classifier trained or loaded here is returned
     frozen: the pretrained agents are fixed, and only the control policies
-    are learned.
+    are learned. The shapes16 ``dataset`` (generated from the config when
+    not given) is read only to train them; the assets do not keep it.
     """
     schedule = config.schedule()
     agg = config.aggregator()
@@ -206,7 +206,7 @@ def build_assets(
             logits = classifier(np.clip(y, -1.0, 1.0)).value
         return (logits.argmax(axis=1) == label).astype(np.float64)
 
-    return TaskAssets(dim, agg, score_fn, psi, accuracy_fn, classifier, dataset)
+    return TaskAssets(dim, agg, score_fn, psi, accuracy_fn, classifier)
 
 
 def make_policies(config: ExperimentConfig, dim: int):

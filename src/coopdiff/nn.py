@@ -138,6 +138,16 @@ class Mlp:
                 hidden.append(h)
         return h, (ws, hidden)
 
+    def output(self, cache, parts: list[Array]) -> Array:
+        """A ``forward`` call's output rebuilt from its cache with the
+        forward's last-layer ops, so bit for bit; ``parts`` are read only
+        by a network without hidden layers. The bias is the network's own,
+        which is the one the forward read until a parameter is rebound."""
+        ws, hidden = cache
+        h = (hidden[-1] if hidden else _columns(parts)) @ ws[-1]
+        h += self.biases[-1].value
+        return h
+
     @staticmethod
     def backward(cache, parts, g, live, span=None):
         """Adjoints of a ``forward`` call, from its cache and parts, given

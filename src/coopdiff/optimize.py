@@ -16,18 +16,19 @@ accumulating the control energy and the running cost; the terminal cost is
 evaluated on the aggregate of the final states. Every step runs in plain
 arrays, for training and sampling alike. A training rollout (grad enabled,
 some policy weight trained) also appends one record per step holding only
-what its backward reads: X_k, U_k, grad psi(Yh_k), the policies' caches
-(weights, hidden activations) and the step's score call's pullback. It
-returns hat-J as one ``tape.fused`` node over the trained weights, whose
-VJP is the BPTT reverse sweep k = K-1, ..., 0: it carries the adjoint of
-X_k through the pieces' plain-array adjoint helpers (``em_step_adjoint``,
-``reverse_drift_adjoint``, ``tweedie_adjoint``, ``scatter_adjoint``),
-adds the step's energy and running-cost adjoints, rebuilds Y_k, the
-guidance and the time features with the forward's ops, and hands each
-weight's ``a.T @ g`` terms to one ``tape.OuterSum``. The sweep frees each
-record once past it, so it runs once. A rollout also returns a
-``RolloutRecord`` of its detached outputs (the loss parts, terminal
-states and costs).
+what its backward reads and cannot rebuild: X_k, grad psi(Yh_k), the
+policies' caches (weights, hidden activations) and the step's score
+call's pullback. It returns hat-J as one ``tape.fused`` node over the
+trained weights, whose VJP is the BPTT reverse sweep k = K-1, ..., 0: it
+carries the adjoint of X_k through the pieces' plain-array adjoint
+helpers (``em_step_adjoint``, ``reverse_drift_adjoint``,
+``tweedie_adjoint``, ``scatter_adjoint``), adds the step's energy and
+running-cost adjoints, rebuilds Y_k, the guidance, the time features and
+the controls U_k (each policy's last layers from its cache) with the
+forward's ops, so bit for bit, and hands each weight's ``a.T @ g`` terms
+to one ``tape.OuterSum``. The sweep frees each record once past it, so it
+runs once. A rollout also returns a ``RolloutRecord`` of its detached
+outputs (the loss parts, terminal states and costs).
 
 The score model and psi are evaluated once per step, for every control
 source; both are only called, on a ``Node`` as the ``costs`` and
@@ -193,17 +194,22 @@ class PolicyControls:
             caches.append(cache)
         return us, caches
 
-    def backward(self, caches, t, xs, y, grad_psi, a_u, live, a_x=None):
+    def backward(self, caches, t, xs, y, grad_psi, a_u, energy, live,
+                 a_x=None):
         """The parameter adjoints (one per ``params()`` entry, None where
-        not ``live``) given the controls' adjoint ``a_u``, from the step's
-        inputs rebuilt with the forward's ops; with the states' adjoint
-        ``a_x``, the state parts are added into it and the aggregate
-        input's adjoint is returned too."""
+        not ``live``) given the controls' adjoint ``a_u`` from the EM step,
+        from the step's inputs rebuilt with the forward's ops. The control
+        energy sum_i energy_i ||U_i||^2 adds its adjoint 2 energy_i U_i
+        into ``a_u``, each U_i rebuilt from its policy's cache. With the
+        states' adjoint ``a_x``, the state parts are added into it and the
+        aggregate input's adjoint is returned too."""
         guidance = scatter_adjoint(self.agg, grad_psi)
         d = self.agg.dim
         span = (0, 2 * d) if a_x is not None else None
         grads, a_y = [], None
         for i, (policy, cache) in enumerate(zip(self.policies, caches)):
+            half = policy.control(cache, xs[i], y, guidance[i], t) * energy[i]
+            a_u[i] += half + half
             flags = live[len(grads):len(grads) + self.sizes[i]]
             g, g_in = policy.backward(cache, xs[i], y, guidance[i], t,
                                       a_u[i], flags, span)
@@ -314,7 +320,7 @@ def coupled_rollout(
         mu = reverse_drift(xs, t, scores, schedule)
         x_next = em_step(xs, dt, mu, float(schedule.g(t)), xi, control=us)
         if records is not None:
-            records.append((xs, us, grad, caches, pull))
+            records.append((xs, grad, caches, pull))
         # the step's arrays go before the next step allocates its own
         del scores, grad, us, caches, pull, xi, mu
         xs = x_next
@@ -339,19 +345,17 @@ def coupled_rollout(
         grads, owned = {}, set()
         a_x = scatter_adjoint(agg, (g * (1.0 / batch)) * grad_term)
         for k in range(len(records) - 1, -1, -1):
-            xs_k, us, grad, caches, pull = records.pop()
+            xs_k, grad, caches, pull = records.pop()
             t, dt = float(times[k]), float(dts[k])
-            # EM step: the drift's and the control's adjoints, plus the
-            # control energy's
+            # EM step: the drift's and the control's adjoints
             _, a_mu, a_u = em_step_adjoint(a_x, dt, float(schedule.g(t)))
-            half = us * ((g * (lambdas * dt)) * (1.0 / batch))[:, None, None]
-            a_u += half + half
             # the drift's parts; X_0 is drawn, so it gets none
             a_x_mu, a_s = reverse_drift_adjoint(a_mu, t, schedule)
             a_x = a_x + a_x_mu if k > 0 else None
+            # the controls', the control energy's included
             p_grads, a_y = control_fn.backward(
-                caches, t, xs_k, aggregate(agg, xs_k), grad, a_u, live,
-                a_x)
+                caches, t, xs_k, aggregate(agg, xs_k), grad, a_u,
+                (g * (lambdas * dt)) * (1.0 / batch), live, a_x)
             for p, a in zip(params, p_grads):
                 if a is not None:
                     tape.accumulate(grads, owned, id(p), a)

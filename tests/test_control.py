@@ -77,6 +77,21 @@ def test_eval_control_dimension_mismatch():
                      np.ones((1, 3)))
 
 
+@pytest.mark.parametrize("hidden, gain_hidden", [((8, 8), (4,)), ((), ())])
+def test_a_control_rebuilt_from_its_cache_is_the_forwards(hidden,
+                                                          gain_hidden):
+    # every weight off zero, with and without hidden layers (without, the
+    # last layer reads the input parts)
+    policy = make_policy(3, 0, derive_rng(0, 16), hidden=hidden,
+                         gain_hidden=gain_hidden)
+    rng = derive_rng(0, 17)
+    for p in policy.params():
+        p.value = rng.standard_normal(p.value.shape) * 0.3
+    x, y, g = (rng.standard_normal((5, 3)) for _ in range(3))
+    u, cache = policy.forward(x, y, g, 0.37)
+    assert np.array_equal(policy.control(cache, x, y, g, 0.37), u)
+
+
 def test_cdps_zero_scale_gives_zero_control():
     xs = np.ones((2, 2, 3))
     u, _ = CdpsControls(0.0)(0, 0.5, xs, xs[0], np.ones((2, 2, 3)))

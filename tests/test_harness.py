@@ -342,6 +342,13 @@ def test_build_assets_returns_the_pretrained_networks_frozen(source, tmp_path):
     assert all(p.grad is None for p in pretrained)
 
 
+def test_the_task_assets_keep_no_dataset():
+    # the images train the score net and the classifier and are then
+    # dropped: no run reads them again
+    assets = build_assets(parse_config_text(SHAPES_TINY))
+    assert not hasattr(assets, "dataset")
+
+
 @pytest.mark.parametrize("key", ["score.checkpoint",
                                  "classifier.checkpoint"])
 @pytest.mark.parametrize("bad", ["text", "bare-array", "empty",

@@ -175,6 +175,26 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(mlp(x).value, clone(x).value)
 
 
+def test_a_failed_checkpoint_write_keeps_the_previous_one(tmp_path,
+                                                         monkeypatch):
+    # a write that fails partway (a killed run, a full disk) leaves the
+    # last good checkpoint loadable and no temporary file behind
+    path = tmp_path / "policy_agent0.npz"
+    save_checkpoint(path, {"w": np.ones(3)}, meta={"update": 1})
+
+    def failing_savez(fh, **payload):
+        fh.write(b"PK\x03\x04 a truncated archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", failing_savez)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"w": np.zeros(3)}, meta={"update": 2})
+    tensors, meta = load_checkpoint(path)
+    assert meta == {"update": 1}
+    np.testing.assert_array_equal(tensors["w"], np.ones(3))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
 def test_checkpoint_rejects_bad_files(tmp_path):
     path = tmp_path / "junk.npz"
     np.savez(path, a=np.zeros(3))

@@ -8,7 +8,7 @@ import pytest
 
 from coopdiff import optimize, tape
 from coopdiff.aggregation import aggregate, make_mask, scatter_adjoint
-from coopdiff.control import make_policy
+from coopdiff.control import ControlPolicy, make_policy
 from coopdiff.costs import ClassifierNll, QuadraticWell, SocConfig, with_seam
 from coopdiff.nn import Mlp
 from coopdiff.optimize import (
@@ -698,7 +698,7 @@ def test_a_rollout_node_sweeps_once_and_frees_its_records():
     # the sweep frees each step's record once it has passed it, so the
     # graph holds only the leaves afterwards, and a second backward raises
     # instead of returning a partial gradient
-    J, policies = shapes16_sized_rollout(6)
+    J, policies = shapes16_sized_rollout(8)
     leaves = sum(p.value.nbytes for policy in policies
                  for p in policy.params())
     assert graph_nbytes(J) > 2 * leaves
@@ -791,11 +791,11 @@ def shapes16_sized_rollout(steps):
     return J, args[0]
 
 
-def test_a_k80_training_rollout_holds_at_most_30_mb():
+def test_a_k80_training_rollout_holds_at_most_26_mb():
     # what the step records of a K = 80 shapes16-sized rollout hold,
     # counted by walking the rollout node's VJP, is what building the
     # rollout left allocated (tracemalloc), up to the record it returns and
-    # the Python objects around the arrays; and it is at most 30 MB
+    # the Python objects around the arrays; and it is at most 26 MB
     args = shapes16_sized_args(80)
     (J, _), kept = traced_bytes(lambda: bptt_rollout(
         *args, SCHEDULE, NoiseStream(1), batch=16), keep=True)
@@ -805,7 +805,53 @@ def test_a_k80_training_rollout_holds_at_most_30_mb():
                   if i not in older)
     assert 0.95 * kept < counted <= kept, (counted, kept)
     total = graph_nbytes(J)
-    assert total <= 30e6, total
+    assert total <= 26e6, total
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("mode", ["joint", "controlwise"])
+def test_the_sweep_rebuilds_each_steps_controls_bit_for_bit(mode,
+                                                            monkeypatch):
+    # the step records keep no controls: for the control energy's adjoint
+    # the sweep rebuilds U_k from the policies' caches, and that is the
+    # forward's U_k exactly, at every step and for every agent. Both
+    # networks' final layers are off zero, so the drift and the gain both
+    # enter. The control-wise update steps agent 0 with agent 1 frozen.
+    policies, score, agg, cfg, grid, psi = shapes16_sized_args(6)
+    for policy in policies:
+        assert np.all(policy.nn1.weights[-1].value != 0)
+        assert np.all(policy.nn2.weights[-1].value != 0)
+    rebuilt = {}
+    real = ControlPolicy.control
+
+    def recording(self, cache, x, y, guidance, t):
+        u = real(self, cache, x, y, guidance, t)
+        rebuilt[(t, self.agent_index)] = u.copy()
+        return u
+
+    def stop(update, pols):
+        raise _Stop
+
+    monkeypatch.setattr(ControlPolicy, "control", recording)
+    trainer = joint_ido
+    if mode == "controlwise":
+        trainer = controlwise_ido
+        tape.freeze(policies[1].params())
+    plan = TrainPlan(updates=1, outer_iters=1, inner_steps=1, batch=16,
+                     lr=1e-3)
+    with recorded(grid) as history, pytest.raises(_Stop):
+        trainer(plan, policies, score, agg, cfg, grid, psi, SCHEDULE,
+                seed=1, on_update=stop)
+    steps = len(history.controls)
+    assert steps == grid.times.size - 1
+    assert len(rebuilt) == steps * len(policies)
+    for k in range(steps):
+        for i in range(len(policies)):
+            u = rebuilt[(float(grid.times[k]), i)]
+            assert np.array_equal(u, history.controls[k][i]), (k, i)
 
 
 @pytest.mark.parametrize("sampler, units", [
