@@ -19,7 +19,8 @@ closed-form ``value_and_grad``: the quadratic well, the classifier NLL
 and the seam loss (rho'(x) = x / rho(x)); ``SeamAugmented`` sums a base
 cost's and the seam loss's. So grad psi is the node's one VJP. The
 values repeat the per-op arithmetic in order, so they are bit-identical
-to it. ``classifier_nll`` is the classifier's training loss.
+to it. ``_nll`` (the softmax cross-entropy and its gradient softmax -
+onehot) is also the classifier's training loss, on arrays.
 """
 from __future__ import annotations
 
@@ -154,13 +155,6 @@ def _nll(lv: Array, labels):
     grad = np.exp(lv - lse)
     grad[picked] -= 1.0
     return lse - lv[picked][:, None], grad
-
-
-def classifier_nll(logits, labels) -> Node:
-    """The softmax cross-entropy of ``logits`` (see ``_nll``) as one node
-    with the gradient softmax - onehot."""
-    logits = tape.as_node(logits)
-    return tape.rowwise(logits, *_nll(logits.value, labels))
 
 
 class SeamAugmented:

@@ -1,15 +1,17 @@
 """Classifier training for the terminal cost.
 
-A small tanh MLP trained with the batch mean of ``costs.classifier_nll``
-(softmax cross-entropy); the trained network feeds the same negative
-log-likelihood as the terminal cost, and the accuracy metric.
+A small tanh MLP trained with the batch mean of ``costs._nll`` (softmax
+cross-entropy) on arrays: ``batch_loss`` pushes its gradient softmax -
+onehot through ``Mlp.backward``, and no graph is built. The trained
+network feeds the same negative log-likelihood as the terminal cost, and
+the accuracy metric.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .. import tape
-from ..costs import classifier_nll
+from ..costs import _nll
 from ..nn import Mlp
 from ..optim import AdamState, adam_step
 from ..sde import derive_rng
@@ -27,9 +29,21 @@ class ClassifierTrainingError(RuntimeError):
 
 
 def accuracy(classifier: Mlp, images: Array, labels: Array) -> float:
-    with tape.no_grad():
-        logits = classifier(images).value
+    logits = classifier.forward([images])[0]
     return float((logits.argmax(axis=1) == labels).mean())
+
+
+def batch_loss(model: Mlp, images: Array, labels: Array):
+    """The batch mean of the softmax cross-entropy, and one gradient per
+    ``model.params()`` entry: (softmax - onehot) / batch pushed through
+    the network's backward pass."""
+    parts = [images]
+    logits, cache = model.forward(parts)
+    per_row, d_logits = _nll(logits, labels)
+    scale = 1.0 / images.shape[0]
+    grads, _ = Mlp.backward(cache, parts, d_logits * scale,
+                            [True] * len(model.params()))
+    return float(per_row.sum() * scale), [tape.dense(g) for g in grads]
 
 
 def train_classifier(
@@ -58,12 +72,8 @@ def train_classifier(
     check_every = 200
     for step in range(max_steps):
         pick = data_rng.integers(0, x_train.shape[0], size=batch)
-        per_row = classifier_nll(model(x_train[pick]), y_train[pick])
-        loss = tape.scale(tape.reduce_sum(per_row), 1.0 / batch)
-        tape.backward(loss)
-        loss_value = float(loss.value)
-        del loss                 # one graph alive: drop it before the next
-        adam_step(model.params(), [p.grad for p in model.params()], adam)
+        loss_value, grads = batch_loss(model, x_train[pick], y_train[pick])
+        adam_step(model.params(), grads, adam)
         if (step + 1) % check_every == 0 or step == max_steps - 1:
             acc = accuracy(model, x_held, y_held)
             curve.append((step + 1, loss_value, acc))

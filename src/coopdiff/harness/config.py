@@ -154,7 +154,8 @@ class ExperimentConfig:
             if any(w < 1 for w in widths):
                 raise ConfigError(f"{_FIELD_TO_KEY[name]} widths must be >= 1, "
                                   f"got {_format_value(widths)!r}")
-        for name in ("score_batch", "shapes_per_class"):
+        for name in ("score_batch", "score_train_steps",
+                     "classifier_max_steps", "shapes_per_class"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{_FIELD_TO_KEY[name]} must be >= 1, "
                                   f"got {getattr(self, name)}")

@@ -12,7 +12,8 @@ Outputs per run directory:
   samples.pgm   8x8-style grid of terminal aggregated samples (image tasks)
   samples.csv   terminal aggregated samples as rows (gmm2d)
   agent<i>.pgm  per-agent terminal states, controlled region outlined
-  policy_agent<i>.npz / score.npz / classifier.npz checkpoints as produced
+  policy_agent<i>.npz  policy checkpoints (learned methods); score.npz and
+                classifier.npz come from train-score / train-classifier
 """
 from __future__ import annotations
 
@@ -111,10 +112,9 @@ def train_score_model(config: ExperimentConfig, dataset: ShapesDataset) -> MlpSc
         x0 = x_train[pick]
         t = rng.uniform(config.grid_eps, 1.0, size=config.score_batch)
         eps = rng.standard_normal(x0.shape)
-        loss = denoiser_loss(score, x0, t, eps, schedule, eps=config.grid_eps)
-        tape.backward(loss)
-        del loss                 # one graph alive: drop it before the next
-        adam_step(score.params(), [p.grad for p in score.params()], adam)
+        _, grads = denoiser_loss(score, x0, t, eps, schedule,
+                                 eps=config.grid_eps)
+        adam_step(score.params(), grads, adam)
     return score
 
 
@@ -202,8 +202,7 @@ def build_assets(
     psi = with_seam(ClassifierNll(classifier, label), agg, config.soc())
 
     def accuracy_fn(y: Array) -> Array:
-        with tape.no_grad():
-            logits = classifier(np.clip(y, -1.0, 1.0)).value
+        logits = classifier.forward([np.clip(y, -1.0, 1.0)])[0]
         return (logits.argmax(axis=1) == label).astype(np.float64)
 
     return TaskAssets(dim, agg, score_fn, psi, accuracy_fn, classifier)

@@ -1,20 +1,24 @@
-"""Small tanh MLPs with sinusoidal time features, built on the tape.
+"""Small tanh MLPs with sinusoidal time features.
 
 An ``Mlp`` has two plain-numpy halves: ``forward`` returns the output and
 a cache (the weights it read, the hidden activations), and ``backward``
 runs the layer-by-layer reverse pass from it for the parameters flagged
 live, and for the input columns asked for. A training rollout calls the
-two directly and keeps the caches in its step records. Calling
-the ``Mlp`` records one fused tape node on the column concatenation of
-its inputs, whose VJP is ``backward``: frozen weights get no weight
-gradient, a constant input part no input adjoint, and the input adjoint
-is formed only over the column block that spans the live parts. The
-node keeps no copy of its input: a trained first-layer weight's gradient
-term keeps references to the input parts, which the fold of that
-weight's terms reads directly. A trained weight's gradient ``a.T @ g``
-is a ``tape.OuterSum`` term, so a weight used at every rollout step is
-summed with one gemm per block of steps: exactly ``a.T @ g`` for a
-single use, and a summation-order difference in the last bits for many.
+two directly and keeps the caches in its step records; the score and
+classifier fits call them with their losses' closed-form output
+adjoints. The weights are tape leaves, because a training rollout is one
+tape node over its policies' weights and a score model is called on a
+``Node``. Calling the ``Mlp`` records one fused tape node on the column
+concatenation of its inputs, whose VJP is ``backward``: frozen weights
+get no weight gradient, a constant input part no input adjoint, and the
+input adjoint is formed only over the column block that spans the live
+parts. The node keeps no copy of its input: a trained first-layer
+weight's gradient term keeps references to the input parts, which the
+fold of that weight's terms reads directly. A trained weight's gradient
+``a.T @ g`` is a ``tape.OuterSum`` term, so a weight used at every
+rollout step is summed with one gemm per block of steps: exactly
+``a.T @ g`` for a single use (``tape.dense`` folds it), and a
+summation-order difference in the last bits for many.
 
 Two construction modes matter for control policies:
   * ``zero_final=True`` zero-initialises the last linear layer, so the
@@ -113,10 +117,6 @@ class Mlp:
                 b = np.zeros(n)
             self.weights.append(tape.leaf(w, name=f"{name}.w{i}"))
             self.biases.append(tape.leaf(b, name=f"{name}.b{i}"))
-
-    @property
-    def in_dim(self) -> int:
-        return self.sizes[0]
 
     @property
     def out_dim(self) -> int:

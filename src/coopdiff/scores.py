@@ -11,7 +11,9 @@ product of the diffused log density, and a score network call is two (the
 fused Mlp and its residual/affine tail): a score model is called with a
 ``Node``. The rollouts call it through ``score_pullback``, which keeps the
 call's VJP and no node. ``tweedie`` maps arrays to an array; its adjoint
-is ``tweedie_adjoint``.
+is ``tweedie_adjoint``. The score network's fit builds no graph:
+``denoiser_loss`` returns the loss and its weight gradients, the loss's
+closed-form adjoint pushed through ``Mlp.backward``.
 """
 from __future__ import annotations
 
@@ -154,9 +156,6 @@ class AnalyticGmmScore:
     def params(self) -> list[Node]:
         return []
 
-    def log_density(self, x: Array, t: float) -> Array:
-        return self.gmm.diffused(t, self.schedule).log_density(x)
-
 
 class MlpScore:
     """Trainable score network with a denoiser head.
@@ -179,11 +178,6 @@ class MlpScore:
         self.temb_width = int(temb_width)
         self.schedule = schedule if schedule is not None else NoiseSchedule()
         self.mlp = Mlp([dim + temb_width, *hidden, dim], rng, name=name)
-
-    def denoiser_head(self, x, t) -> Node:
-        x = tape.as_node(x)
-        feats = time_features(t, self.temb_width, batch=x.value.shape[0])
-        return tape.add(x, self.mlp(x, feats))
 
     def __call__(self, x, t) -> Node:
         """Two nodes: the fused Mlp on [x, time features], and the
@@ -209,9 +203,6 @@ class MlpScore:
     def params(self) -> list[Node]:
         return self.mlp.params()
 
-    def named_params(self):
-        return self.mlp.named_params()
-
     def state_dict(self):
         return self.mlp.state_dict()
 
@@ -221,12 +212,14 @@ class MlpScore:
 
 def denoiser_loss(score_net: MlpScore, batch: Array, times: Array,
                   noises: Array, schedule: NoiseSchedule,
-                  eps: float = 1e-3) -> Node:
-    """Denoising regression, mean ||m(x_t, t) - x_0||^2.
+                  eps: float = 1e-3) -> tuple[float, list[Array]]:
+    """Denoising regression, mean ||m(x_t, t) - x_0||^2, and its gradient.
 
     A signal-to-noise reweighting of the score-matching objective; O(1)
     across t, which keeps training well conditioned where the raw
-    score-matching integrand diverges like 1/sigma^2.
+    score-matching integrand diverges like 1/sigma^2. Returns the loss and
+    one gradient per ``score_net.params()`` entry: the loss's closed-form
+    adjoint 2 (m - x_0) / B through the network's backward pass.
     """
     x0 = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if x0.shape[0] == 0:
@@ -235,10 +228,14 @@ def denoiser_loss(score_net: MlpScore, batch: Array, times: Array,
     eps_arr = np.asarray(noises, dtype=np.float64)
     alpha, sigma = marginal_coeffs(schedule, t)
     x_t = alpha[:, None] * x0 + sigma[:, None] * eps_arr
-    resid = tape.sub(score_net.denoiser_head(tape.constant(x_t), t),
-                     tape.constant(x0))
-    per_sample = tape.square_norm(resid, axis=1, keepdims=True)
-    return tape.scale(tape.reduce_sum(per_sample), 1.0 / x0.shape[0])
+    parts = [x_t, time_features(t, score_net.temb_width, batch=x0.shape[0])]
+    r, cache = score_net.mlp.forward(parts)
+    resid = (x_t + r) - x0
+    rows = x0.shape[0]
+    loss = (resid * resid).sum(axis=1, keepdims=True).sum() * (1.0 / rows)
+    grads, _ = Mlp.backward(cache, parts, resid * (2.0 / rows),
+                            [True] * len(score_net.params()))
+    return float(loss), [tape.dense(g) for g in grads]
 
 
 def score_pullback(score_fn, xs: Array, t: float, wrt_x: bool = True):

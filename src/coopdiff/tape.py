@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A computation graph is built by calling the op functions below on ``Node``
-objects (raw arrays and floats are wrapped as constants). Every op computes
-its value eagerly. A node requires grad if it is a ``leaf`` that has not
-been frozen, or if any of its parents requires grad; an op records only
-the parents that require grad, together with one vector-Jacobian product
-per recorded parent. So ``constant`` inputs, ``stopgrad`` outputs and
+A computation graph is built by calling the node constructors below on
+``Node`` objects (raw arrays are wrapped as constants); every node holds
+its value, computed eagerly. A node requires grad if it is a ``leaf``
+that has not been frozen, or if any of its parents requires grad; an op
+records only the parents that require grad, together with one
+vector-Jacobian product per recorded parent. So ``constant`` inputs and
 ``freeze``-d leaves (the pretrained networks) end the graph: they get no
 VJP and no ``.grad``, and an op on them alone is itself a constant.
 ``backward`` on a scalar root then fills ``.grad`` on the leaves that
@@ -21,7 +21,10 @@ rollout step (Tweedie, aggregation, drift, EM step) are not nodes: they
 map arrays to arrays, and the rollout's reverse sweep calls their
 plain-array adjoint helpers. A VJP may return a weight's adjoint
 ``a.T @ g`` unformed, as an ``OuterSum`` term; ``accumulate`` then sums a
-weight used at many steps in blocks of steps, with one gemm per block.
+weight used at many steps in blocks of steps, with one gemm per block,
+and ``dense`` folds a term into an array. The pretrained networks' fits
+build no graph: they call ``Mlp.backward`` with their losses'
+closed-form gradients and fold its terms with ``dense``.
 
 No VJP reads a ``Node.value`` at backward time, except the root's: an op
 records the shapes it needs when it is recorded, and its closure keeps
@@ -35,9 +38,11 @@ step list and is one ``fused`` node over the policy leaves (see
 Design constraints:
   * values are float64 throughout, so central finite differences are a
     usable oracle for the whole graph;
-  * only smooth ops are provided (the elementwise ones that only tests
-    build graphs from live beside the tests), no relu / abs / max,
-    keeping gradients well defined everywhere;
+  * ``src`` builds no elementwise op nodes: each node is a function with
+    a closed-form gradient or a hand-written VJP (the elementwise ops
+    that the tests build reference graphs from live beside the tests),
+    and none is a relu / abs / max, keeping gradients well defined
+    everywhere;
   * graph construction inside ``no_grad()`` produces parentless nodes, so
     long sampling loops do not retain history.
 """
@@ -136,8 +141,9 @@ def live(nodes: Sequence[Node]) -> list[bool]:
 
 def op(value, parents: Sequence[Node], vjps: Sequence) -> Node:
     """One node for a value computed outside the tape, with one VJP per
-    parent; only the parents that require grad are recorded. Every
-    elementary op below is one call of it, and so is the aggregation."""
+    parent; only the parents that require grad are recorded. The mixture
+    score is one call of it, and so is each elementary op of the tests'
+    reference graphs."""
     parents, vjps = tuple(parents), tuple(vjps)
     if not _GRAD_ENABLED:
         return Node(value)
@@ -148,78 +154,6 @@ def op(value, parents: Sequence[Node], vjps: Sequence) -> Node:
         parents = tuple(p for p, keep in zip(parents, live) if keep)
         vjps = tuple(f for f, keep in zip(vjps, live) if keep)
     return Node(value, parents, vjps)
-
-
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
-# ---------------------------------------------------------------------------
-# elementary ops
-# ---------------------------------------------------------------------------
-
-def add(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    sa, sb = a.value.shape, b.value.shape
-    return op(
-        a.value + b.value,
-        (a, b),
-        (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb)),
-    )
-
-
-def sub(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    sa, sb = a.value.shape, b.value.shape
-    return op(
-        a.value - b.value,
-        (a, b),
-        (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb)),
-    )
-
-
-def mul(a, b) -> Node:
-    """Elementwise product with numpy broadcasting."""
-    a, b = as_node(a), as_node(b)
-    av, bv = a.value, b.value
-    return op(
-        av * bv,
-        (a, b),
-        (lambda g: _unbroadcast(g * bv, av.shape),
-         lambda g: _unbroadcast(g * av, bv.shape)),
-    )
-
-
-def scale(a, c: float) -> Node:
-    """Multiply by a python float (no node is created for the scalar)."""
-    a = as_node(a)
-    c = float(c)
-    return op(a.value * c, (a,), (lambda g: g * c,))
-
-
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Node:
-    a = as_node(a)
-    shape = a.value.shape
-    y = a.value.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g: Array) -> Array:
-        if axis is None:
-            return np.broadcast_to(g, shape).copy()
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, shape).copy()
-
-    return op(y, (a,), (vjp,))
-
-
-def square_norm(a, axis=None, keepdims: bool = False) -> Node:
-    """Sum of squares, optionally along one axis (per-row norms)."""
-    return reduce_sum(mul(a, a), axis=axis, keepdims=keepdims)
 
 
 def rowwise(x, value, grad) -> Node:
@@ -352,6 +286,12 @@ def _toposort(root: Node) -> list[Node]:
     return order
 
 
+def dense(g):
+    """An adjoint as an array: an ``OuterSum`` term folded, an array as
+    is."""
+    return g.array() if type(g) is OuterSum else g
+
+
 def accumulate(grads: dict, owned: set, key, contrib) -> None:
     """Add the adjoint contribution ``contrib`` into ``grads[key]``.
 
@@ -405,9 +345,7 @@ def pullback(root: Node):
     def vjp(g):
         grads, owned = {top: g}, set()
         for i, vjps, is_fused, parents in steps:
-            gi = grads.pop(i)         # every node reaches the root
-            if type(gi) is OuterSum:
-                gi = gi.array()
+            gi = dense(grads.pop(i))  # every node reaches the root
             contribs = vjps[0](gi) if is_fused else [f(gi) for f in vjps]
             for p, c in zip(parents, contribs):
                 accumulate(grads, owned, p, c)
@@ -433,4 +371,4 @@ def backward(root: Node) -> None:
         return
     leaves, vjp = pullback(root)
     for leaf, g in zip(leaves, vjp(np.ones_like(root.value))):
-        leaf.grad = g.array() if type(g) is OuterSum else g
+        leaf.grad = dense(g)

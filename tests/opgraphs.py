@@ -1,9 +1,12 @@
 """Tape ops that no production module builds graphs from.
 
-* Elementary ops, which the tape's own tests use as finite-difference
-  oracles, and the terminal-cost pieces as compositions of them: the
-  graphs the fused nodes replace, kept as references for their values and
-  gradients, with the one non-elementary op they use, ``logsumexp``.
+* Elementary ops (``add``, ``sub``, ``mul``, ``scale``, the sums, ...),
+  which the tape's own tests use as finite-difference oracles, and the
+  terminal-cost pieces as compositions of them: the graphs the fused
+  nodes replace, kept as references for their values and gradients, with
+  the one non-elementary op they use, ``logsumexp``. ``classifier_nll``
+  is the softmax cross-entropy as one ``rowwise`` node, the classifier
+  fit's per-row loss as the tape reference of its array gradient.
 * The pieces of a rollout step as tape nodes: ``tweedie``, ``aggregate``,
   ``reverse_drift`` and ``em_step`` are each one node over the array
   function of the same name in ``coopdiff``, with that function's
@@ -13,7 +16,75 @@
 """
 import numpy as np
 
-from coopdiff import aggregation, scores, sde, tape
+from coopdiff import aggregation, costs, scores, sde, tape
+
+
+def _unbroadcast(grad, shape):
+    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, n in enumerate(shape):
+        if n == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
+def add(a, b) -> tape.Node:
+    a, b = tape.as_node(a), tape.as_node(b)
+    sa, sb = a.value.shape, b.value.shape
+    return tape.op(
+        a.value + b.value,
+        (a, b),
+        (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb)),
+    )
+
+
+def sub(a, b) -> tape.Node:
+    a, b = tape.as_node(a), tape.as_node(b)
+    sa, sb = a.value.shape, b.value.shape
+    return tape.op(
+        a.value - b.value,
+        (a, b),
+        (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb)),
+    )
+
+
+def mul(a, b) -> tape.Node:
+    """Elementwise product with numpy broadcasting."""
+    a, b = tape.as_node(a), tape.as_node(b)
+    av, bv = a.value, b.value
+    return tape.op(
+        av * bv,
+        (a, b),
+        (lambda g: _unbroadcast(g * bv, av.shape),
+         lambda g: _unbroadcast(g * av, bv.shape)),
+    )
+
+
+def scale(a, c: float) -> tape.Node:
+    """Multiply by a python float (no node is created for the scalar)."""
+    a = tape.as_node(a)
+    c = float(c)
+    return tape.op(a.value * c, (a,), (lambda g: g * c,))
+
+
+def reduce_sum(a, axis=None, keepdims: bool = False) -> tape.Node:
+    a = tape.as_node(a)
+    shape = a.value.shape
+    y = a.value.sum(axis=axis, keepdims=keepdims)
+
+    def vjp(g):
+        if axis is None:
+            return np.broadcast_to(g, shape).copy()
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return np.broadcast_to(gg, shape).copy()
+
+    return tape.op(y, (a,), (vjp,))
+
+
+def square_norm(a, axis=None, keepdims: bool = False) -> tape.Node:
+    """Sum of squares, optionally along one axis (per-row norms)."""
+    return reduce_sum(mul(a, a), axis=axis, keepdims=keepdims)
 
 
 def neg(a) -> tape.Node:
@@ -132,6 +203,13 @@ def logsumexp(a, axis: int = 1, keepdims: bool = True):
     return tape.op(y, (a,), (vjp,))
 
 
+def classifier_nll(logits, labels) -> tape.Node:
+    """The softmax cross-entropy of ``logits`` (see ``costs._nll``) as one
+    node with the gradient softmax - onehot."""
+    logits = tape.as_node(logits)
+    return tape.rowwise(logits, *costs._nll(logits.value, labels))
+
+
 def classifier_nll_ops(logits, labels):
     """logsumexp(logits) - logits[label] per row, for one label or one
     label per row, one elementary op at a time. The label's logit is the
@@ -139,9 +217,9 @@ def classifier_nll_ops(logits, labels):
     logits = tape.as_node(logits)
     rows, n_classes = logits.value.shape
     onehot = np.eye(n_classes)[np.broadcast_to(labels, (rows,))]
-    picked = tape.reduce_sum(tape.mul(logits, tape.constant(onehot)),
+    picked = reduce_sum(mul(logits, tape.constant(onehot)),
                              axis=1, keepdims=True)
-    return tape.sub(logsumexp(logits, axis=1, keepdims=True), picked)
+    return sub(logsumexp(logits, axis=1, keepdims=True), picked)
 
 
 def seam_loss_ops(y, agg, cfg):
@@ -155,18 +233,18 @@ def seam_loss_ops(y, agg, cfg):
         return gather_cols(y, np.arange(r * w, (r + 1) * w))
 
     def rho_sum(x):
-        rho = sqrt(tape.add(tape.mul(x, x), tape.constant(eps * eps)))
-        return tape.reduce_sum(rho, axis=1, keepdims=True)
+        rho = sqrt(add(mul(x, x), tape.constant(eps * eps)))
+        return reduce_sum(rho, axis=1, keepdims=True)
 
     zeros = tape.constant(np.zeros((batch, w)))
     total = tape.constant(np.zeros((batch, 1)))
     for rp, rq in agg.seam_pairs:
         upper, lower = row(rp), row(rq)
-        grad_p = tape.sub(upper, row(rp - 1)) if rp >= 1 else zeros
-        grad_q = tape.sub(row(rq + 1), lower) if rq + 1 <= h - 1 else zeros
-        total = tape.add(total, tape.add(
-            tape.scale(rho_sum(tape.sub(upper, lower)), cfg.seam_beta),
-            tape.scale(rho_sum(tape.sub(grad_p, grad_q)), cfg.seam_gamma)))
+        grad_p = sub(upper, row(rp - 1)) if rp >= 1 else zeros
+        grad_q = sub(row(rq + 1), lower) if rq + 1 <= h - 1 else zeros
+        total = add(total, add(
+            scale(rho_sum(sub(upper, lower)), cfg.seam_beta),
+            scale(rho_sum(sub(grad_p, grad_q)), cfg.seam_gamma)))
     return total
 
 

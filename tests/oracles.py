@@ -46,9 +46,33 @@ def dsm_loss(score_fn, batch, times, noises, schedule, eps=1e-3):
     x_t = alpha[:, None] * x0 + sigma[:, None] * eps_arr
     target = -eps_arr / sigma[:, None]
     pred = score_fn(tape.constant(x_t), t)
-    resid = tape.sub(pred, tape.constant(target))
-    per_sample = tape.square_norm(resid, axis=1, keepdims=True)
-    return tape.scale(tape.reduce_sum(per_sample), 1.0 / x0.shape[0])
+    resid = ops.sub(pred, tape.constant(target))
+    per_sample = ops.square_norm(resid, axis=1, keepdims=True)
+    return ops.scale(ops.reduce_sum(per_sample), 1.0 / x0.shape[0])
+
+
+def taped_denoiser_loss(score_net, batch, times, noises, schedule,
+                        eps=1e-3):
+    """``scores.denoiser_loss`` as a tape graph: the denoiser head x_t + r
+    on the fused Mlp call, and the batch mean of ||head - x_0||^2 from
+    elementary ops. ``tape.backward`` on it fills the weights' ``.grad``."""
+    x0 = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    t = np.clip(np.asarray(times, dtype=np.float64).reshape(-1), eps, 1.0)
+    alpha, sigma = marginal_coeffs(schedule, t)
+    x_t = tape.constant(alpha[:, None] * x0
+                        + sigma[:, None] * np.asarray(noises, dtype=np.float64))
+    feats = time_features(t, score_net.temb_width, batch=x0.shape[0])
+    resid = ops.sub(ops.add(x_t, score_net.mlp(x_t, feats)),
+                    tape.constant(x0))
+    per_sample = ops.square_norm(resid, axis=1, keepdims=True)
+    return ops.scale(ops.reduce_sum(per_sample), 1.0 / x0.shape[0])
+
+
+def taped_classifier_loss(model, images, labels):
+    """``classifier.batch_loss`` as a tape graph: the batch mean of
+    ``opgraphs.classifier_nll`` on the fused Mlp call."""
+    per_row = ops.classifier_nll(model(images), labels)
+    return ops.scale(ops.reduce_sum(per_row), 1.0 / images.shape[0])
 
 
 def gmm_score_np(gmm, x, t, schedule):
@@ -153,7 +177,7 @@ def taped_control(policy, x, y, t, guidance):
     g = tape.constant(guidance)
     feats = time_features(t, policy.temb_width, batch=g.value.shape[0])
     drift = policy.nn1(x, y, g, feats)
-    return tape.add(drift, tape.mul(policy.nn2(feats[:1]), g))
+    return ops.add(drift, ops.mul(policy.nn2(feats[:1]), g))
 
 
 def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
@@ -191,14 +215,14 @@ def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
             (u * u).sum(axis=2).sum(axis=1) * (1.0 / batch)
             * (lambdas * dt)).sum()
         scale = (lambdas * dt / batch)[:, None, None]
-        terms.append(tape.reduce_sum(tape.mul(tape.mul(controls, controls),
+        terms.append(ops.reduce_sum(ops.mul(ops.mul(controls, controls),
                                               scale)))
         xi = noise.normal((STREAM_STEP, 0, k), (n, batch, d))
         mu = ops.reverse_drift(xs, t, scores, schedule)
         xs = ops.em_step(xs, dt, mu, float(schedule.g(t)), xi,
                          control=controls)
     psi_term = psi(ops.aggregate(agg, xs))
-    terminal = tape.scale(tape.reduce_sum(psi_term), 1.0 / batch)
+    terminal = ops.scale(ops.reduce_sum(psi_term), 1.0 / batch)
     parents = [p for p in (terminal, *terms) if p.requires_grad]
     return tape.fused(terminal.value + running_sum + control_sum, parents,
                       lambda g: (g,) * len(parents))
@@ -213,7 +237,7 @@ def taped_state_guidance(score_fn, agg, psi, schedule, x_values, t):
         scores = ops.stacked_score(score_fn, xs, t)
         y0_hat = ops.aggregate(agg, ops.tweedie(xs, t, scores, schedule))
         psi_y0 = psi(y0_hat)
-        tape.backward(tape.reduce_sum(psi_y0))
+        tape.backward(ops.reduce_sum(psi_y0))
     grad = xs.grad if xs.grad is not None else np.zeros_like(xs.value)
     return StateGuidance(scores.value, y0_hat.value, psi_y0.value, grad)
 
@@ -223,10 +247,10 @@ def taped_cost(psi):
     calls: the reference for its closed-form value and gradient."""
     if isinstance(psi, SeamAugmented):
         base = taped_cost(psi.base)
-        return lambda y: tape.add(base(y), seam_loss_ops(y, psi.agg, psi.cfg))
+        return lambda y: ops.add(base(y), seam_loss_ops(y, psi.agg, psi.cfg))
     if isinstance(psi, ClassifierNll):
         return lambda y: classifier_nll_ops(psi.classifier(y), psi.label)
     if isinstance(psi, QuadraticWell):
-        return lambda y: tape.square_norm(
-            tape.sub(y, tape.constant(psi.target)), axis=1, keepdims=True)
+        return lambda y: ops.square_norm(
+            ops.sub(y, tape.constant(psi.target)), axis=1, keepdims=True)
     raise TypeError(f"no tape reference for {type(psi).__name__}")

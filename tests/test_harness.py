@@ -30,7 +30,11 @@ from coopdiff.harness import (
     train_classifier,
     with_overrides,
 )
-from coopdiff.harness.classifier import ClassifierTrainingError, accuracy
+from coopdiff.harness.classifier import (
+    ClassifierTrainingError,
+    accuracy,
+    batch_loss,
+)
 from coopdiff.harness.gridio import (
     annotate_region,
     export_grid,
@@ -44,7 +48,8 @@ from coopdiff.harness.cli import main as cli_main
 from coopdiff.nn import Mlp
 from coopdiff.scores import MlpScore
 from coopdiff.sde import derive_rng
-from oracles import confusion_matrix
+import opgraphs as ops
+from oracles import confusion_matrix, taped_classifier_loss
 
 
 GMM_SMOKE = """
@@ -117,6 +122,30 @@ def test_label_permutation_permutes_confusion(small_dataset, trained_classifier)
     perm = np.array([2, 0, 3, 1])
     cm_perm = confusion_matrix(trained_classifier, x, perm[y])
     np.testing.assert_array_equal(cm_perm, cm[np.argsort(perm), :])
+
+
+@pytest.mark.parametrize("rows", [16, 48])
+def test_classifier_batch_loss_equals_its_tape_reference_bit_for_bit(
+        rows, small_dataset, monkeypatch):
+    # the array fit's step against the taped batch loss of the same
+    # network: loss and every weight and bias gradient are bit-equal, for
+    # a batch narrower than the 32-wide hidden layer (an OuterSum term
+    # folded by tape.dense) and for a wider one
+    model = Mlp([IMAGE_H * IMAGE_W, 32, 4], derive_rng(8, 0))
+    x, y = small_dataset.train()
+    pick = derive_rng(8, rows).integers(0, x.shape[0], size=rows)
+    folds = []
+    fold = tape.OuterSum.array
+    monkeypatch.setattr(tape.OuterSum, "array",
+                        lambda self: folds.append(self) or fold(self))
+    loss, grads = batch_loss(model, x[pick], y[pick])
+    assert bool(folds) == (rows < 32)
+    ref = taped_classifier_loss(model, x[pick], y[pick])
+    tape.backward(ref)
+    assert loss == float(ref.value)
+    assert len(grads) == len(model.params())
+    for p, g in zip(model.params(), grads):
+        assert type(g) is np.ndarray and np.array_equal(g, p.grad), p.name
 
 
 def test_degenerate_dataset_fails_training():
@@ -337,7 +366,7 @@ def test_build_assets_returns_the_pretrained_networks_frozen(source, tmp_path):
     assert all(not p.requires_grad and p.grad is None for p in pretrained)
     # the cost still differentiates in its input, and only there
     y = tape.leaf(np.zeros((3, IMAGE_H * IMAGE_W)))
-    tape.backward(tape.reduce_sum(assets.psi(y)))
+    tape.backward(ops.reduce_sum(assets.psi(y)))
     assert y.grad is not None and np.all(np.isfinite(y.grad))
     assert all(p.grad is None for p in pretrained)
 
@@ -597,6 +626,8 @@ def config_with(text: str, lines: dict) -> str:
     ("score.lr", "0"), ("score.lr", "-1e-3"), ("classifier.lr", "0"),
     ("classifier.target_accuracy", "0"),
     ("classifier.target_accuracy", "1.5"), ("seed", "-1"),
+    ("score.train_steps", "0"), ("score.train_steps", "-3"),
+    ("classifier.max_steps", "0"),
 ])
 def test_bad_widths_and_mixture_variance_exit_2(key, value, tmp_path,
                                                 monkeypatch, capsys):

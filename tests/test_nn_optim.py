@@ -14,6 +14,7 @@ from coopdiff.sde import (
     make_time_grid,
     marginal_coeffs,
 )
+import opgraphs as ops
 from untaped import adam_plain, forward_plain
 
 
@@ -102,7 +103,7 @@ def test_an_mlp_node_keeps_its_activations_and_no_input_copy(trained):
     assert out.parents                  # recorded, so its VJP state is alive
     activations = 8 * (16 + 8 + 2) * 8  # bytes of the hidden and output rows
     assert kept < activations + 8 * 1024, kept
-    tape.backward(tape.reduce_sum(out))
+    tape.backward(ops.reduce_sum(out))
     assert x.grad.shape == x.value.shape
 
 

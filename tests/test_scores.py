@@ -17,7 +17,12 @@ from coopdiff.scores import (
 )
 from coopdiff.sde import NoiseSchedule, derive_rng, marginal_coeffs
 import opgraphs as ops
-from oracles import dsm_loss, gmm_score_np, row_time_gmm_score
+from oracles import (
+    dsm_loss,
+    gmm_score_np,
+    row_time_gmm_score,
+    taped_denoiser_loss,
+)
 
 SCHEDULE = NoiseSchedule()
 
@@ -186,16 +191,28 @@ def test_dsm_loss_empty_batch_raises():
 
 
 def test_denoiser_loss_zero_when_head_returns_data():
+    # a network whose residual is x_0 - x_t: with zero noise and
+    # alpha(t) >= 1/2, x_t = alpha x_0 lies within a factor 2 of x_0, so
+    # the residual is exact (Sterbenz) and the head x_t + r is x_0 exactly
     rng = derive_rng(5, 2)
     x0 = rng.standard_normal((8, 2))
+    t = rng.uniform(0.02, 0.3, 8)
+    assert np.all(marginal_coeffs(SCHEDULE, t)[0] >= 0.5)
 
     class Oracle:
-        def denoiser_head(self, x, t):
-            return tape.constant(x0)
+        temb_width = 2
 
-    loss = denoiser_loss(Oracle(), x0, rng.uniform(0.1, 1, 8),
-                         rng.standard_normal((8, 2)), SCHEDULE)
-    assert float(loss.value) == 0.0
+        class mlp:
+            @staticmethod
+            def forward(parts):
+                return x0 - parts[0], ([], [])
+
+        @staticmethod
+        def params():
+            return []
+
+    loss, grads = denoiser_loss(Oracle(), x0, t, np.zeros((8, 2)), SCHEDULE)
+    assert loss == 0.0 and grads == []
 
 
 def test_trained_score_net_approaches_analytic_dsm_loss():
@@ -211,9 +228,8 @@ def test_trained_score_net_approaches_analytic_dsm_loss():
         x0 = gmm.sample(rng, 128)
         t = rng.uniform(0.02, 1.0, size=128)
         eps = rng.standard_normal((128, 2))
-        loss = denoiser_loss(net, x0, t, eps, SCHEDULE)
-        tape.backward(loss)
-        adam_step(net.params(), [p.grad for p in net.params()], adam)
+        _, grads = denoiser_loss(net, x0, t, eps, SCHEDULE)
+        adam_step(net.params(), grads, adam)
 
     # held-out protocol: times in [0.1, 1], where the score-matching loss
     # compares model structure instead of the 1/sigma^2 conditional-score
@@ -226,6 +242,32 @@ def test_trained_score_net_approaches_analytic_dsm_loss():
         net_loss = float(dsm_loss(net, x0, t, eps, SCHEDULE).value)
         ana_loss = float(dsm_loss(analytic, x0, t, eps, SCHEDULE).value)
     assert net_loss <= 1.10 * ana_loss, (net_loss, ana_loss)
+
+
+@pytest.mark.parametrize("rows", [12, 40])
+def test_denoiser_loss_equals_its_tape_reference_bit_for_bit(rows,
+                                                             monkeypatch):
+    # the array fit against the taped loss of the same network: loss and
+    # every weight and bias gradient are bit-equal, both for a batch
+    # narrower than the 24-wide hidden layers (whose weight gradients are
+    # OuterSum terms, folded by tape.dense) and for a wider one
+    net = MlpScore(3, (24, 24), 8, derive_rng(7, 0), schedule=SCHEDULE)
+    rng = derive_rng(7, rows)
+    x0 = rng.standard_normal((rows, 3))
+    t = rng.uniform(0.0, 1.0, rows)
+    eps = rng.standard_normal((rows, 3))
+    folds = []
+    fold = tape.OuterSum.array
+    monkeypatch.setattr(tape.OuterSum, "array",
+                        lambda self: folds.append(self) or fold(self))
+    loss, grads = denoiser_loss(net, x0, t, eps, SCHEDULE, eps=0.02)
+    assert bool(folds) == (rows < 24)
+    ref = taped_denoiser_loss(net, x0, t, eps, SCHEDULE, eps=0.02)
+    tape.backward(ref)
+    assert loss == float(ref.value)
+    assert len(grads) == len(net.params())
+    for p, g in zip(net.params(), grads):
+        assert type(g) is np.ndarray and np.array_equal(g, p.grad), p.name
 
 
 @pytest.mark.parametrize("components,dim", [(1, 2), (2, 2), (3, 3)])
@@ -244,7 +286,7 @@ def test_gmm_score_is_one_node_whose_vjp_is_the_hessian_vector_product(
         x = tape.leaf(x0)
         out = gmm_score(gmm, x, t, SCHEDULE)
         assert out.parents == (x,)
-        tape.backward(tape.reduce_sum(tape.mul(out, g)))
+        tape.backward(ops.reduce_sum(ops.mul(out, g)))
         fd = np.zeros_like(x0)
         for idx in np.ndindex(*x0.shape):
             xp, xm = x0.copy(), x0.copy()
@@ -261,7 +303,7 @@ def test_score_net_call_and_tweedie_are_three_nodes():
     x = tape.leaf(derive_rng(6, 10).standard_normal((3, 4)))
     score = net(x, 0.3)
     out = ops.tweedie(x, 0.3, score, SCHEDULE)
-    nodes = tape._toposort(tape.reduce_sum(out))
+    nodes = tape._toposort(ops.reduce_sum(out))
     assert len(nodes) == 5      # x, fused Mlp, tail, tweedie, sum
     assert out.parents == (x, score)
     # the same values as the per-op composition
@@ -272,7 +314,7 @@ def test_score_net_call_and_tweedie_are_three_nodes():
                           (m * float(alpha) - x.value) * (1.0 / sigma ** 2))
     # and its input gradient, through the tail and the Mlp, is the FD one
     w = derive_rng(6, 11).standard_normal((3, 4))
-    tape.backward(tape.reduce_sum(tape.mul(out, w)))
+    tape.backward(ops.reduce_sum(ops.mul(out, w)))
 
     def f(v):
         with tape.no_grad():

@@ -47,7 +47,7 @@ def max_rel_err(a, b, floor=1e-8):
 
 def test_value_matches_untaped_dot():
     w = tape.leaf(np.array([[3.0, 4.0]]))
-    y = tape.reduce_sum(tape.mul(w, w))
+    y = ops.reduce_sum(ops.mul(w, w))
     assert float(y.value) == 25.0
 
 
@@ -62,12 +62,12 @@ def test_value_matches_untaped_mlp():
 
 def test_constant_program_is_the_constant():
     c = tape.constant(np.array([[7.5]]))
-    assert float(tape.reduce_sum(c).value) == 7.5
+    assert float(ops.reduce_sum(c).value) == 7.5
 
 
 def test_backward_quadratic():
     w = tape.leaf(np.array([3.0, 4.0]))
-    y = tape.reduce_sum(tape.mul(w, w))
+    y = ops.reduce_sum(ops.mul(w, w))
     tape.backward(y)
     np.testing.assert_allclose(w.grad, [6.0, 8.0])
 
@@ -75,7 +75,7 @@ def test_backward_quadratic():
 def test_backward_gradient_of_constant_is_zero():
     w = tape.leaf(np.array([1.0, 2.0]))
     value, grads = value_and_grad(
-        lambda: tape.reduce_sum(tape.constant(np.array([4.0]))), [w]
+        lambda: ops.reduce_sum(tape.constant(np.array([4.0]))), [w]
     )
     assert value == 4.0
     np.testing.assert_array_equal(grads[0], np.zeros(2))
@@ -84,7 +84,7 @@ def test_backward_gradient_of_constant_is_zero():
 def test_backward_requires_scalar_root():
     w = tape.leaf(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        tape.backward(tape.mul(w, w))
+        tape.backward(ops.mul(w, w))
 
 
 def test_mlp_gradient_matches_finite_differences():
@@ -94,8 +94,8 @@ def test_mlp_gradient_matches_finite_differences():
     target = rng.standard_normal((3, 2))
 
     def loss_node():
-        resid = tape.sub(mlp(x), tape.constant(target))
-        return tape.reduce_sum(tape.mul(resid, resid))
+        resid = ops.sub(mlp(x), tape.constant(target))
+        return ops.reduce_sum(ops.mul(resid, resid))
 
     _, grads = value_and_grad(loss_node, mlp.params())
     for p, g in zip(mlp.params(), grads):
@@ -113,7 +113,7 @@ def test_mlp_gradient_matches_finite_differences():
 
 def test_stopgrad_definition():
     w = tape.leaf(np.array([3.0]))
-    y = tape.reduce_sum(tape.mul(w, ops.stopgrad(w)))
+    y = ops.reduce_sum(ops.mul(w, ops.stopgrad(w)))
     tape.backward(y)
     np.testing.assert_allclose(w.grad, [3.0])  # not 6
 
@@ -126,11 +126,11 @@ def test_stopgrad_preserves_forward_value():
 def test_no_grad_builds_parentless_nodes():
     w = tape.leaf(np.ones(3))
     with tape.no_grad():
-        y = tape.mul(w, w)
+        y = ops.mul(w, w)
     assert y.is_leaf
     with tape.no_grad():
         with tape.grad_enabled():
-            z = tape.mul(w, w)
+            z = ops.mul(w, w)
     assert not z.is_leaf
 
 
@@ -140,7 +140,7 @@ def test_gradients_are_deterministic():
         mlp = Mlp([4, 12, 1], rng)
         x = rng.standard_normal((6, 4))
         _, grads = value_and_grad(
-            lambda: tape.reduce_sum(mlp(x)), mlp.params()
+            lambda: ops.reduce_sum(mlp(x)), mlp.params()
         )
         return grads
 
@@ -151,7 +151,7 @@ def test_gradients_are_deterministic():
 def test_broadcasting_add_bias_grad():
     x = tape.leaf(np.ones((4, 3)))
     b = tape.leaf(np.arange(3.0))
-    y = tape.reduce_sum(tape.add(x, b))
+    y = ops.reduce_sum(ops.add(x, b))
     tape.backward(y)
     np.testing.assert_array_equal(b.grad, [4.0, 4.0, 4.0])
     np.testing.assert_array_equal(x.grad, np.ones((4, 3)))
@@ -159,7 +159,7 @@ def test_broadcasting_add_bias_grad():
 
 def test_gather_cols():
     a = tape.leaf(np.arange(12.0).reshape(3, 4))
-    y = tape.reduce_sum(ops.gather_cols(a, [1, 3]))
+    y = ops.reduce_sum(ops.gather_cols(a, [1, 3]))
     tape.backward(y)
     expected = np.zeros((3, 4))
     expected[:, [1, 3]] = 1.0
@@ -176,8 +176,8 @@ def test_elementwise_op_gradients_match_fd(rows, cols, seed):
     def build(v):
         x = tape.leaf(v)
         y = tape.constant(yv)
-        expr = tape.add(tape.mul(ops.tanh(x), y), ops.exp(tape.scale(x, 0.3)))
-        root = tape.reduce_sum(tape.mul(expr, expr))
+        expr = ops.add(ops.mul(ops.tanh(x), y), ops.exp(ops.scale(x, 0.3)))
+        root = ops.reduce_sum(ops.mul(expr, expr))
         return x, root
 
     x, root = build(xv)
@@ -194,7 +194,7 @@ def test_logsumexp_gradient_matches_fd(rows, cols, seed):
 
     def build(v):
         x = tape.leaf(v)
-        return x, tape.reduce_sum(logsumexp(x, axis=1, keepdims=True))
+        return x, ops.reduce_sum(logsumexp(x, axis=1, keepdims=True))
 
     x, root = build(xv)
     tape.backward(root)
@@ -213,9 +213,9 @@ def test_matmul_concat_sqrt_gradients_match_fd():
     def build(a_in, b_in):
         a, b = tape.leaf(a_in), tape.leaf(b_in)
         prod = ops.matmul(a, b)
-        cat = ops.concat([prod, tape.scale(prod, -0.5)], axis=1)
-        root = tape.reduce_sum(
-            ops.sqrt(tape.add(tape.mul(cat, cat), tape.constant(0.1)))
+        cat = ops.concat([prod, ops.scale(prod, -0.5)], axis=1)
+        root = ops.reduce_sum(
+            ops.sqrt(ops.add(ops.mul(cat, cat), tape.constant(0.1)))
         )
         return a, b, root
 
@@ -230,8 +230,8 @@ def test_matmul_concat_sqrt_gradients_match_fd():
 def test_backward_keeps_gradients_on_leaves_only():
     w = tape.leaf(np.array([1.5, -2.0]))
     x = tape.leaf(np.array([0.5, 3.0]))
-    hidden = ops.tanh(tape.mul(w, x))
-    root = tape.reduce_sum(tape.mul(hidden, hidden))
+    hidden = ops.tanh(ops.mul(w, x))
+    root = ops.reduce_sum(ops.mul(hidden, hidden))
     tape.backward(root)
     assert hidden.grad is None and root.grad is None
     dh = 2.0 * np.tanh(w.value * x.value)
@@ -250,8 +250,8 @@ def test_constant_and_frozen_leaves_get_no_vjp_and_no_grad():
             tape.freeze(pretrained.params())
         x = tape.constant(xv)
         # pretrained(x) touches no node that requires grad once frozen
-        out = pretrained(tape.add(pretrained(x), policy(x)))
-        root = tape.reduce_sum(tape.mul(out, out))
+        out = pretrained(ops.add(pretrained(x), policy(x)))
+        root = ops.reduce_sum(ops.mul(out, out))
         tape.backward(root)
         return pretrained, policy, x, tape._toposort(root)
 
@@ -276,7 +276,7 @@ def test_rowwise_node_takes_the_given_gradient_as_its_vjp():
     grad = np.array([[1.0, -1.0], [0.5, 2.0], [3.0, 0.0]])
     node = tape.rowwise(x, np.ones((3, 1)), grad)
     weights = np.array([[2.0], [-1.0], [4.0]])
-    tape.backward(tape.reduce_sum(tape.mul(node, weights)))
+    tape.backward(ops.reduce_sum(ops.mul(node, weights)))
     np.testing.assert_array_equal(x.grad, weights * grad)
     with tape.no_grad():
         assert tape.rowwise(x, np.ones((3, 1)), grad).is_leaf
@@ -288,7 +288,7 @@ def test_mlp_call_is_one_fused_node_with_edges_only_into_live_inputs():
     x = tape.leaf(rng.standard_normal((4, 3)))
     out = mlp(x)
     assert out.parents == (x, *mlp.params()) and len(out.vjps) == 1
-    root = tape.reduce_sum(out)
+    root = ops.reduce_sum(out)
     assert len(tape._toposort(root)) == 2 + 1 + len(mlp.params())
     np.testing.assert_array_equal(out.value, forward_plain(mlp, x.value))
 
@@ -313,7 +313,7 @@ def test_fused_mlp_gradients_match_plain_backprop_and_fd(frozen, input_live):
     live = [p for p in mlp.params() if p.requires_grad]
 
     def loss(x):
-        return tape.reduce_sum(tape.mul(ops.tanh(mlp(x)), weights))
+        return ops.reduce_sum(ops.mul(ops.tanh(mlp(x)), weights))
 
     x = tape.leaf(xv) if input_live else tape.constant(xv)
     root = loss(x)
@@ -355,14 +355,14 @@ def test_a_second_backward_through_a_fused_mlp_gives_the_same_gradients():
     out = mlp(x)
     leaves = [x, *mlp.params()]
 
-    root = tape.reduce_sum(tape.mul(out, out))
+    root = ops.reduce_sum(ops.mul(out, out))
     tape.backward(root)
     first = [n.grad for n in leaves]
     tape.backward(root)
     for n, g in zip(leaves, first):
         assert np.array_equal(n.grad, g)
 
-    tape.backward(tape.scale(tape.reduce_sum(tape.mul(out, out)), 2.0))
+    tape.backward(ops.scale(ops.reduce_sum(ops.mul(out, out)), 2.0))
     for n, g in zip(leaves, first):
         assert np.array_equal(n.grad, 2.0 * g)
 
@@ -380,8 +380,8 @@ def test_mlp_on_column_parts_is_the_mlp_on_their_concatenation():
     ref = mlp(whole)
     assert np.array_equal(out.value, ref.value)
     weights = rng.standard_normal((4, 2))
-    tape.backward(tape.reduce_sum(tape.mul(out, weights)))
-    tape.backward(tape.reduce_sum(tape.mul(ref, weights)))
+    tape.backward(ops.reduce_sum(ops.mul(out, weights)))
+    tape.backward(ops.reduce_sum(ops.mul(ref, weights)))
     assert np.array_equal(a.grad, whole.grad[:, :3])
     assert np.array_equal(b.grad, whole.grad[:, 5:])
 
@@ -399,12 +399,12 @@ def test_a_trained_mlp_on_column_parts_has_its_concatenations_gradients():
     weights = rng.standard_normal((4, 2))
     out = mlp(a, c, k, b)
     assert out.parents == (a, b, *mlp.params())
-    tape.backward(tape.reduce_sum(tape.mul(out, weights)))
+    tape.backward(ops.reduce_sum(ops.mul(out, weights)))
     grads = [p.grad for p in mlp.params()]
     whole = tape.leaf(np.concatenate([a.value, c, k.value, b.value], axis=1))
     ref = mlp(whole)
     assert np.array_equal(out.value, ref.value)
-    tape.backward(tape.reduce_sum(tape.mul(ref, weights)))
+    tape.backward(ops.reduce_sum(ops.mul(ref, weights)))
     for got, p in zip(grads, mlp.params()):
         assert np.array_equal(got, p.grad), p.name
     assert np.array_equal(a.grad, whole.grad[:, :3])
@@ -436,13 +436,13 @@ def _recurrent_loss(mlp, x0, steps, per_op=False):
         if per_op:
             h = x
             for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-                h = tape.add(ops.matmul(h, w), b)
+                h = ops.add(ops.matmul(h, w), b)
                 if i < len(mlp.weights) - 1:
                     h = ops.tanh(h)
         else:
             h = mlp(x)
-        x = tape.add(x, tape.scale(h, 0.05))
-    return tape.reduce_sum(tape.mul(x, x))
+        x = ops.add(x, ops.scale(h, 0.05))
+    return ops.reduce_sum(ops.mul(x, x))
 
 
 def test_a_weight_used_at_200_steps_gets_the_per_step_sum():
@@ -488,7 +488,7 @@ def test_a_single_use_weight_gets_exactly_a_T_g(rows):
     mlp = Mlp([5, 8], rng)
     x = rng.standard_normal((rows, 5))
     c = rng.standard_normal((rows, 8))
-    tape.backward(tape.reduce_sum(tape.mul(mlp(x), c)))
+    tape.backward(ops.reduce_sum(ops.mul(mlp(x), c)))
     assert np.array_equal(mlp.weights[0].grad, x.T @ c)
     assert np.array_equal(tape.OuterSum((x,), c).array(), x.T @ c)
 
@@ -558,9 +558,9 @@ def test_the_input_adjoint_over_live_columns_is_the_full_products_slice(
     parts = [tape.leaf(v) if keep else tape.constant(v)
              for v, keep in zip(values, live)]
     weights = rng.standard_normal((rows, 5))
-    tape.backward(tape.reduce_sum(tape.mul(mlp(*parts), weights)))
+    tape.backward(ops.reduce_sum(ops.mul(mlp(*parts), weights)))
     whole = tape.leaf(np.concatenate(values, axis=1))
-    tape.backward(tape.reduce_sum(tape.mul(mlp(whole), weights)))
+    tape.backward(ops.reduce_sum(ops.mul(mlp(whole), weights)))
     offsets = np.cumsum([0, *sizes])
     for i, part in enumerate(parts):
         if live[i]:
@@ -592,16 +592,16 @@ def _every_op_graph(x, w, mlp):
     a rowwise node and a fused Mlp call, from the leaves ``x`` (3, 4) and
     ``w`` (4, 2)."""
     h = ops.tanh(ops.matmul(x, w))                                # (3, 2)
-    h = tape.add(tape.sub(tape.mul(h, h), h), 1.0)
-    h = ops.concat([h, ops.neg(tape.scale(h, 0.5))], axis=1)      # (3, 4)
-    norm = tape.add(tape.square_norm(x, axis=1, keepdims=True), 1.0)
-    h = tape.add(h, ops.sqrt(ops.exp(ops.log(norm))))
+    h = ops.add(ops.sub(ops.mul(h, h), h), 1.0)
+    h = ops.concat([h, ops.neg(ops.scale(h, 0.5))], axis=1)       # (3, 4)
+    norm = ops.add(ops.square_norm(x, axis=1, keepdims=True), 1.0)
+    h = ops.add(h, ops.sqrt(ops.exp(ops.log(norm))))
     s = ops.stack([h, ops.reshape(ops.reshape(h, (4, 3)), (3, 4))])
-    h = tape.add(ops.index(s, 1), ops.gather_cols(h, [0, 0, 3, 1]))
-    h = mlp(tape.add(h, logsumexp(h)), x)                           # (3, 2)
+    h = ops.add(ops.index(s, 1), ops.gather_cols(h, [0, 0, 3, 1]))
+    h = mlp(ops.add(h, logsumexp(h)), x)                          # (3, 2)
     r = tape.rowwise(h, (h.value ** 2).sum(axis=1, keepdims=True),
                      2.0 * h.value)
-    return tape.reduce_sum(tape.add(ops.gather_cols(h, [1]), r))
+    return ops.reduce_sum(ops.add(ops.gather_cols(h, [1]), r))
 
 
 def _closure_objects(fn) -> list:

@@ -3,8 +3,11 @@
 Runs ``coopdiff run --config C --method m`` for each listed method, from
 the ``src`` of the checkout this script lives in, under a temporary
 ``COOPDIFF_OUTPUT_ROOT``, and prints one ``sha256  method/file`` line per
-file the runs wrote, sorted. Two checkouts that write byte-identical
-artifacts print the same lines, so comparing them is a ``diff``:
+file the runs wrote, sorted. For a shapes16 config it also runs
+``train-score`` and ``train-classifier``, whose checkpoints print as
+``fits/score.npz`` and ``fits/classifier.npz``. Two checkouts that write
+byte-identical artifacts print the same lines, so comparing them is a
+``diff``:
 
     python3 tools/artifact_digests.py --config examples-configs/gmm2d.cfg \\
         --methods joint,controlwise,uncontrolled,cdps,poe > after.txt
@@ -33,6 +36,15 @@ def with_overrides(text: str, overrides: dict) -> str:
              if line.split("#", 1)[0].split("=", 1)[0].strip() not in overrides]
     lines += [f"{key} = {value}" for key, value in overrides.items()]
     return "\n".join(lines) + "\n"
+
+
+def task_of(text: str) -> str:
+    """The ``task`` a config text sets (the default is gmm2d)."""
+    for line in text.splitlines():
+        key, sep, value = line.split("#", 1)[0].partition("=")
+        if sep and key.strip() == "task":
+            return value.strip()
+    return "gmm2d"
 
 
 def digests(root: Path) -> list[str]:
@@ -65,11 +77,17 @@ def main(argv=None) -> int:
             config.write_text(with_overrides(Path(args.config).read_text(),
                                              overrides))
         env["COOPDIFF_OUTPUT_ROOT"] = str(root)
-        for method in args.methods.split(","):
-            proc = subprocess.run(
-                [sys.executable, "-m", "coopdiff", "run", "--config",
-                 str(config), "--method", method, "--output-dir", method],
-                env=env, capture_output=True, text=True)
+        verbs = [["run", "--config", str(config), "--method", method,
+                  "--output-dir", method]
+                 for method in args.methods.split(",")]
+        if task_of(config.read_text()) == "shapes16":
+            verbs += [[verb, "--config", str(config), "--out",
+                       str(root / "fits" / f"{name}.npz")]
+                      for verb, name in (("train-score", "score"),
+                                         ("train-classifier", "classifier"))]
+        for verb in verbs:
+            proc = subprocess.run([sys.executable, "-m", "coopdiff", *verb],
+                                  env=env, capture_output=True, text=True)
             if proc.returncode != 0:
                 sys.stderr.write(proc.stderr)
                 return proc.returncode
