@@ -15,10 +15,12 @@ The training-free baseline (``optimize.CdpsControls``) instead scales the
 gradient of the same cost with respect to the *state*, which
 differentiates through the Tweedie map and the score model (the
 expensive path the learned parametrisation avoids).
-``state_guidance`` computes it on plain arrays, from the score call's
-pullback and the adjoints of the aggregate and of Tweedie, and also
-returns the step's scores, Tweedie aggregate and psi, so a baseline
-rollout step runs the score model and psi once and keeps no graph.
+``state_guidance`` computes it on arrays, from the score call's pullback
+and the adjoints of the aggregate and of Tweedie, and also returns the
+step's scores, Tweedie aggregate and psi, so a baseline rollout step runs
+the score model and psi once and keeps no graph. ``eval_control`` is the
+one tape form left: a learned control as one fused node over its policy's
+weights, for the tests' reference graphs.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ import numpy as np
 from . import tape
 from .aggregation import MaskAggregator, aggregate, scatter_adjoint
 from .nn import Mlp, time_features
-from .scores import score_pullback, tweedie, tweedie_adjoint
+from .scores import tweedie, tweedie_adjoint
 from .sde import NoiseSchedule
 from .tape import Node
 
@@ -68,8 +70,8 @@ class ControlPolicy:
         both networks' caches (what ``backward`` reads besides the
         inputs)."""
         feats = time_features(t, self.temb_width, batch=x.shape[0])
-        drift, cache1 = self.nn1.forward([x, y, guidance, feats])
-        gain, cache2 = self.nn2.forward([feats[:1]])    # (1, 1), one per batch
+        drift, cache1 = self.nn1([x, y, guidance, feats])
+        gain, cache2 = self.nn2([feats[:1]])    # (1, 1), one per batch
         return drift + gain * guidance, (cache1, cache2)
 
     def control(self, cache, x, y, guidance, t: float) -> Array:
@@ -149,19 +151,11 @@ def eval_control(policy: ControlPolicy, x, y, t: float, guidance) -> Node:
 # guidance gradients
 # ---------------------------------------------------------------------------
 
-def tweedie_guidance(psi, y0_hat) -> tuple[Array, Array]:
-    """psi(Y0_hat), shape (B, 1), and grad psi(Y0_hat), shape (B, d), as
-    plain arrays: a cost is one op node on its input (each cost in
-    ``costs`` is a ``rowwise`` node), so the gradient is that node's VJP
-    at a unit adjoint per row. The learned control's guidance is
+def tweedie_guidance(psi, y0_hat: Array) -> tuple[Array, Array]:
+    """psi(Y0_hat), shape (B, 1), and grad psi(Y0_hat), shape (B, d): one
+    call of the cost. The learned control's guidance is
     ``scatter_adjoint(agg, grad)`` = masks * grad psi(Y0_hat)."""
-    with tape.grad_enabled():
-        y0 = tape.leaf(tape.as_node(y0_hat).value)
-        psi_y0 = psi(y0)
-    if type(psi_y0) is not Node or psi_y0.parents != (y0,):
-        raise TypeError("a cost must return one op node on its input, such "
-                        "as a rowwise node (see costs)")
-    return psi_y0.value, psi_y0.vjps[0](np.ones_like(psi_y0.value))
+    return psi(y0_hat)
 
 
 class StateGuidance(NamedTuple):
@@ -186,20 +180,18 @@ def state_guidance(
 
     Unlike ``tweedie_guidance`` this differentiates through the score model
     and the Tweedie map; it is the gradient the training-free baseline uses.
-    It runs on plain arrays: the score call's pullback, psi and its gradient
-    from ``tweedie_guidance``, then the adjoints of the aggregate and of
-    Tweedie. So the baseline's rollout evaluates the score model and psi
-    once per step and keeps no graph; the score call's nodes and the
-    Tweedie estimate are gone before the backward pass.
+    It runs on arrays: the score call on the N*B rows and its pullback, psi
+    and its gradient from ``tweedie_guidance``, then the adjoints of the
+    aggregate and of Tweedie and the pullback's states' adjoint. So the
+    baseline's rollout evaluates the score model and psi once per step and
+    keeps no graph.
     """
     xs = np.asarray(x_values, dtype=np.float64)
-    scores, pull = score_pullback(score_fn, xs, t)
+    dim = xs.shape[2]
+    scores, (vjp, _) = score_fn(xs.reshape(-1, dim), t)
+    scores = scores.reshape(xs.shape)
     y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
     psi_value, grad_y = tweedie_guidance(psi, y0_hat)
     grad, a_s = tweedie_adjoint(scatter_adjoint(agg, grad_y), t, schedule)
-    if pull is not None:             # the score model reads the states
-        vjp, leaves = pull
-        for leaf, a in zip(leaves, vjp(a_s.reshape(-1, xs.shape[2]))):
-            if leaf is None:
-                grad += a.reshape(grad.shape)
+    grad += vjp(a_s.reshape(-1, dim))[0].reshape(grad.shape)
     return StateGuidance(scores, y0_hat, psi_value, grad)

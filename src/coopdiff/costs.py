@@ -1,9 +1,10 @@
 """Cost terms for the control objective.
 
-A terminal cost is any callable mapping a (batch, dim) node Y to a
-(batch, 1) node of per-sample costs; the objective averages over the batch.
-The running cost re-uses the terminal cost, evaluated at the aggregated
-Tweedie estimate and scaled by a time weight.
+A terminal cost is any callable ``psi(y, grad=True)`` mapping a
+(batch, dim) array Y to its per-sample costs, shape (batch, 1), and, with
+``grad``, their gradient, shape (batch, dim) (else None); the objective
+averages over the batch. The running cost re-uses the terminal cost,
+evaluated at the aggregated Tweedie estimate and scaled by a time weight.
 
 Objective layout (hat-J for one batch):
 
@@ -13,14 +14,13 @@ Objective layout (hat-J for one batch):
 
 with lambda_i = control_weight / N unless per-agent weights are given.
 
-Each terminal cost is one ``rowwise`` tape node on its input, from its
-closed-form ``value_and_grad``: the quadratic well, the classifier NLL
-(softmax - onehot pushed through the frozen classifier's backward pass)
-and the seam loss (rho'(x) = x / rho(x)); ``SeamAugmented`` sums a base
-cost's and the seam loss's. So grad psi is the node's one VJP. The
-values repeat the per-op arithmetic in order, so they are bit-identical
-to it. ``_nll`` (the softmax cross-entropy and its gradient softmax -
-onehot) is also the classifier's training loss, on arrays.
+Each terminal cost forms its gradient in closed form: the quadratic well,
+the classifier NLL (softmax - onehot pushed through the frozen
+classifier's backward pass) and the seam loss (rho'(x) = x / rho(x));
+``SeamAugmented`` sums a base cost's and the seam loss's. The values
+repeat the per-op arithmetic of the tests' reference graphs in order, so
+they are bit-identical to them. ``_nll`` (the softmax cross-entropy and
+its gradient softmax - onehot) is also the classifier's training loss.
 """
 from __future__ import annotations
 
@@ -28,10 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tape
 from .aggregation import MaskAggregator
 from .nn import Mlp
-from .tape import Node
 
 Array = np.ndarray
 
@@ -90,27 +88,16 @@ class SocConfig:
 # terminal costs
 # ---------------------------------------------------------------------------
 
-def _rowwise(y, value_and_grad) -> Node:
-    """One ``rowwise`` node on ``y`` from a cost's closed-form
-    ``value_and_grad(y_array, grad)``; no gradient is formed when ``y``
-    requires none."""
-    y = tape.as_node(y)
-    return tape.rowwise(y, *value_and_grad(y.value, tape.live([y])[0]))
-
-
 class QuadraticWell:
     """psi(Y) = || Y - target ||^2, per sample."""
 
     def __init__(self, target: Array):
         self.target = np.asarray(target, dtype=np.float64).reshape(-1)
 
-    def value_and_grad(self, y: Array, grad: bool = True):
+    def __call__(self, y: Array, grad: bool = True):
         diff = y - self.target
         return (diff * diff).sum(axis=1, keepdims=True), (
             2.0 * diff if grad else None)
-
-    def __call__(self, y) -> Node:
-        return _rowwise(y, self.value_and_grad)
 
 
 class ClassifierNll:
@@ -126,19 +113,16 @@ class ClassifierNll:
             )
         self.label = int(label)
 
-    def value_and_grad(self, y: Array, grad: bool = True):
+    def __call__(self, y: Array, grad: bool = True):
         """The NLL per row and, with ``grad``, softmax - onehot pushed
         through the classifier's own backward pass to its input."""
-        logits, cache = self.classifier.forward([y])
+        logits, cache = self.classifier([y])
         value, d_logits = _nll(logits, self.label)
         if not grad:
             return value, None
         frozen = [False] * len(self.classifier.params())
         return value, Mlp.backward(cache, None, d_logits, frozen,
                                    (0, y.shape[1]))[1]
-
-    def __call__(self, y) -> Node:
-        return _rowwise(y, self.value_and_grad)
 
 
 def _nll(lv: Array, labels):
@@ -158,8 +142,8 @@ def _nll(lv: Array, labels):
 
 
 class SeamAugmented:
-    """base cost plus the seam-continuity loss of the same image layout,
-    one node: their values and gradients are summed."""
+    """base cost plus the seam-continuity loss of the same image layout:
+    their values and gradients are summed."""
 
     def __init__(self, base, agg: MaskAggregator, cfg: SocConfig):
         if agg.image_hw is None:
@@ -168,13 +152,10 @@ class SeamAugmented:
         self.agg = agg
         self.cfg = cfg
 
-    def value_and_grad(self, y: Array, grad: bool = True):
-        value, d_base = self.base.value_and_grad(y, grad)
-        seam, d_seam = _seam(y, self.agg, self.cfg, grad)
+    def __call__(self, y: Array, grad: bool = True):
+        value, d_base = self.base(y, grad)
+        seam, d_seam = seam_loss(y, self.agg, self.cfg, grad)
         return value + seam, (d_base + d_seam if grad else None)
-
-    def __call__(self, y) -> Node:
-        return _rowwise(y, self.value_and_grad)
 
 
 def with_seam(base, agg: MaskAggregator, cfg: SocConfig):
@@ -188,7 +169,8 @@ def with_seam(base, agg: MaskAggregator, cfg: SocConfig):
 # seam-continuity loss
 # ---------------------------------------------------------------------------
 
-def seam_loss(y, agg: MaskAggregator, cfg: SocConfig) -> Node:
+def seam_loss(y: Array, agg: MaskAggregator, cfg: SocConfig,
+              grad: bool = True):
     """Charbonnier intensity and vertical-gradient mismatch across seams.
 
     For each seam pair (r_p, r_q) with r_q = r_p + 1 the loss adds, summed
@@ -202,15 +184,9 @@ def seam_loss(y, agg: MaskAggregator, cfg: SocConfig) -> Node:
     Y[r_q]), clamped to zero at the image border. Comparing interior
     slopes avoids counting the seam jump twice.
 
-    One ``rowwise`` node: the gradient is accumulated in closed form,
-    rho'(x) = x / rho(x), into the rows each term reads.
+    Returns the value and, with ``grad``, the gradient, accumulated in
+    closed form, rho'(x) = x / rho(x), into the rows each term reads.
     """
-    return _rowwise(y, lambda v, grad: _seam(v, agg, cfg, grad))
-
-
-def _seam(y: Array, agg: MaskAggregator, cfg: SocConfig, live: bool):
-    """``seam_loss`` on an array: the value and, with ``live``, the
-    gradient."""
     if agg.image_hw is None:
         raise ValueError("seam loss needs an image layout")
     h, w = agg.image_hw
@@ -220,11 +196,11 @@ def _seam(y: Array, agg: MaskAggregator, cfg: SocConfig, live: bool):
         )
     batch = y.shape[0]
     # rows[r] is image row r as a (w, batch) block: the columns are summed
-    # one after another, in the order of the per-op graph this node
-    # replaced, so the value is bit-identical to it
+    # one after another, in the order of the per-op reference graph, so
+    # the value is bit-identical to it
     rows = np.ascontiguousarray(y.T).reshape(h, w, batch)
     eps2 = cfg.charbonnier_eps * cfg.charbonnier_eps
-    grad = np.zeros((h, w, batch)) if live else None
+    d_y = np.zeros((h, w, batch)) if grad else None
     border = np.zeros((w, batch))
     total = np.zeros((batch, 1))
     for (rp, rq) in agg.seam_pairs:
@@ -239,15 +215,15 @@ def _seam(y: Array, agg: MaskAggregator, cfg: SocConfig, live: bool):
         rho_kink = np.sqrt(kink * kink + eps2)
         total = total + (rho_jump.sum(axis=0)[:, None] * cfg.seam_beta
                          + rho_kink.sum(axis=0)[:, None] * cfg.seam_gamma)
-        if live:
+        if grad:
             d_jump = cfg.seam_beta * jump / rho_jump
-            grad[rp] += d_jump
-            grad[rq] -= d_jump
+            d_y[rp] += d_jump
+            d_y[rq] -= d_jump
             d_kink = cfg.seam_gamma * kink / rho_kink
             if rp >= 1:
-                grad[rp] += d_kink
-                grad[rp - 1] -= d_kink
+                d_y[rp] += d_kink
+                d_y[rp - 1] -= d_kink
             if rq + 1 <= h - 1:
-                grad[rq + 1] -= d_kink
-                grad[rq] += d_kink
-    return total, (grad.reshape(h * w, batch).T if live else None)
+                d_y[rq + 1] -= d_kink
+                d_y[rq] += d_kink
+    return total, (d_y.reshape(h * w, batch).T if grad else None)

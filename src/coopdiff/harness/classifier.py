@@ -29,7 +29,7 @@ class ClassifierTrainingError(RuntimeError):
 
 
 def accuracy(classifier: Mlp, images: Array, labels: Array) -> float:
-    logits = classifier.forward([images])[0]
+    logits = classifier([images])[0]
     return float((logits.argmax(axis=1) == labels).mean())
 
 
@@ -38,7 +38,7 @@ def batch_loss(model: Mlp, images: Array, labels: Array):
     ``model.params()`` entry: (softmax - onehot) / batch pushed through
     the network's backward pass."""
     parts = [images]
-    logits, cache = model.forward(parts)
+    logits, cache = model(parts)
     per_row, d_logits = _nll(logits, labels)
     scale = 1.0 / images.shape[0]
     grads, _ = Mlp.backward(cache, parts, d_logits * scale,

@@ -3,7 +3,9 @@
 A run is fully determined by its config and seed: datasets, network inits,
 training noise and evaluation noise all derive from the config seed
 through keyed generators, so re-running a config reproduces every output
-file byte for byte.
+file byte for byte at a fixed BLAS thread count (a different thread count
+can move the learned methods' files in the last bits; ROADMAP direction
+5).
 
 Outputs per run directory:
   config.txt    normalised config snapshot
@@ -202,7 +204,7 @@ def build_assets(
     psi = with_seam(ClassifierNll(classifier, label), agg, config.soc())
 
     def accuracy_fn(y: Array) -> Array:
-        logits = classifier.forward([np.clip(y, -1.0, 1.0)])[0]
+        logits = classifier([np.clip(y, -1.0, 1.0)])[0]
         return (logits.argmax(axis=1) == label).astype(np.float64)
 
     return TaskAssets(dim, agg, score_fn, psi, accuracy_fn, classifier)
@@ -247,8 +249,7 @@ def _evaluate_method(config: ExperimentConfig, assets: TaskAssets, policies):
                 mixtures, grid, schedule, eval_seed, batch, assets.dim,
                 noise_index=chunk_idx,
             )
-            with tape.no_grad():
-                psi_vals = assets.psi(tape.constant(y)).value[:, 0]
+            psi_vals = assets.psi(y, grad=False)[0][:, 0]
             rec_states = None
         else:
             if config.method == "uncontrolled":

@@ -1,24 +1,22 @@
 """Small tanh MLPs with sinusoidal time features.
 
-An ``Mlp`` has two plain-numpy halves: ``forward`` returns the output and
+An ``Mlp`` has two plain-numpy halves: calling it returns the output and
 a cache (the weights it read, the hidden activations), and ``backward``
-runs the layer-by-layer reverse pass from it for the parameters flagged
-live, and for the input columns asked for. A training rollout calls the
-two directly and keeps the caches in its step records; the score and
-classifier fits call them with their losses' closed-form output
-adjoints. The weights are tape leaves, because a training rollout is one
-tape node over its policies' weights and a score model is called on a
-``Node``. Calling the ``Mlp`` records one fused tape node on the column
-concatenation of its inputs, whose VJP is ``backward``: frozen weights
-get no weight gradient, a constant input part no input adjoint, and the
-input adjoint is formed only over the column block that spans the live
-parts. The node keeps no copy of its input: a trained first-layer
-weight's gradient term keeps references to the input parts, which the
-fold of that weight's terms reads directly. A trained weight's gradient
+runs the layer-by-layer reverse pass from that cache for the parameters
+flagged live, and for the input columns asked for. Every network call
+goes through them: a training rollout keeps the policies' caches in its
+step records, a score model's pullback and a cost's gradient call
+``backward`` with their output adjoints, and the score and classifier
+fits with their losses' closed-form ones. A call takes its input as
+column parts, and a cache keeps no copy of them: a first-layer weight's
+gradient term keeps references to the parts, which the fold of that
+weight's terms reads directly. A trained weight's gradient
 ``a.T @ g`` is a ``tape.OuterSum`` term, so a weight used at every
 rollout step is summed with one gemm per block of steps: exactly
 ``a.T @ g`` for a single use (``tape.dense`` folds it), and a
-summation-order difference in the last bits for many.
+summation-order difference in the last bits for many. The weights are
+tape leaves, because the training objective is one tape node over the
+policies' weights.
 
 Two construction modes matter for control policies:
   * ``zero_final=True`` zero-initialises the last linear layer, so the
@@ -29,7 +27,6 @@ Two construction modes matter for control policies:
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -122,7 +119,7 @@ class Mlp:
     def out_dim(self) -> int:
         return self.sizes[-1]
 
-    def forward(self, parts: list[Array]) -> tuple[Array, tuple]:
+    def __call__(self, parts: list[Array]) -> tuple[Array, tuple]:
         """The network on the column concatenation of the 2-D arrays
         ``parts``: the output, and the cache ``backward`` reads besides
         the parts, (the weights read, the hidden activations), where
@@ -139,10 +136,10 @@ class Mlp:
         return h, (ws, hidden)
 
     def output(self, cache, parts: list[Array]) -> Array:
-        """A ``forward`` call's output rebuilt from its cache with the
-        forward's last-layer ops, so bit for bit; ``parts`` are read only
-        by a network without hidden layers. The bias is the network's own,
-        which is the one the forward read until a parameter is rebound."""
+        """A call's output rebuilt from its cache with the call's
+        last-layer ops, so bit for bit; ``parts`` are read only by a
+        network without hidden layers. The bias is the network's own,
+        which is the one the call read until a parameter is rebound."""
         ws, hidden = cache
         h = (hidden[-1] if hidden else _columns(parts)) @ ws[-1]
         h += self.biases[-1].value
@@ -150,8 +147,8 @@ class Mlp:
 
     @staticmethod
     def backward(cache, parts, g, live, span=None):
-        """Adjoints of a ``forward`` call, from its cache and parts, given
-        its output adjoint ``g``; ``live`` flags the parameters (w0, b0,
+        """Adjoints of a call, from its cache and parts, given its
+        output adjoint ``g``; ``live`` flags the parameters (w0, b0,
         w1, ...) that get one. Returns those adjoints (None where not
         live) and, with ``span = (lo, hi)``, the input adjoint over input
         columns lo:hi (else None). A weight's adjoint is a ``tape.OuterSum``
@@ -178,38 +175,6 @@ class Mlp:
             elif span:
                 g = g @ ws[0][span[0]:span[1]].T
         return grads, (g if span else None)
-
-    def __call__(self, *xs) -> Node:
-        """The network on the column concatenation of ``xs`` (nodes or
-        arrays): one fused node, so a constant part (time features, say)
-        costs no concat node and gets no adjoint. It keeps what its VJP
-        reads (see the module notes); the part arrays are never written."""
-        xs = [tape.as_node(x) for x in xs]
-        inputs = [*xs, *self.params()]   # x parts, w0, b0, w1, b1, ...
-        live = tape.live(inputs)
-        n_in = len(xs)
-        parts = [x.value for x in xs]
-        h, cache = self.forward(parts)
-        if not any(live):
-            return tape.constant(h)
-        p_live = live[n_in:]
-        if not p_live[0]:
-            parts = None                 # only the w0 gradient reads the input
-        cols = list(itertools.accumulate((x.value.shape[1] for x in xs),
-                                         initial=0))
-        # the input adjoint is formed only over the column block that
-        # spans the live parts
-        parts_live = [j for j in range(n_in) if live[j]]
-        span = ((cols[parts_live[0]], cols[parts_live[-1] + 1])
-                if parts_live else None)
-
-        def vjp(g):
-            grads, g_in = self.backward(cache, parts, g, p_live, span)
-            ins = [g_in[:, cols[j] - span[0]:cols[j + 1] - span[0]]
-                   if live[j] else None for j in range(n_in)]
-            return ins + grads
-
-        return tape.fused(h, inputs, vjp)
 
     def params(self) -> list[Node]:
         out = []

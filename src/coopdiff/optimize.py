@@ -31,20 +31,23 @@ runs once. A rollout also returns a ``RolloutRecord`` of its detached
 outputs (the loss parts, terminal states and costs).
 
 The score model and psi are evaluated once per step, for every control
-source; both are only called, on a ``Node`` as the ``costs`` and
-``scores`` contracts promise. The pieces between them (Tweedie, the
-aggregate, the drift, the EM step) map arrays to arrays. When the step needs
-grad psi(Yh) (the learned control), ``tweedie_guidance`` gives psi(Yh) and
-its per-row gradient from the cost node's VJP; the sweep reuses that
-gradient for the running cost, and the learned control reads G = masks *
-grad psi(Yh) from it as a constant, so no adjoint flows from the controls
-back into the score model through it. The training-free baseline
-differentiates psi through the score model instead: ``state_guidance``
-gives S, Yh, psi(Yh) and grad_X psi(Yh) on plain arrays, from the score
-call's pullback (the baseline has no parameters to train). The zero
-control uses no gradient. Each step's arrays are released before the
-next step allocates, so a sampling chunk holds one step's arrays at a
-time.
+source; both are only called, on arrays, as the ``scores`` and ``costs``
+contracts promise: ``score_fn(x, t)`` returns the scores and their
+pullback, ``psi(y, grad)`` the costs and their gradient. A rollout keeps
+a step's pullback only to run it in the sweep: a sampler drops it at
+once, and so does step 0 of a training rollout (X_0 is drawn) unless the
+score model has trained weights. The pieces between them (Tweedie, the
+aggregate, the drift, the EM step) map arrays to arrays. When the step
+needs grad psi(Yh) (the learned control), ``tweedie_guidance`` gives
+psi(Yh) and its per-row gradient; the sweep reuses that gradient for the
+running cost, and the learned control reads G = masks * grad psi(Yh)
+from it as a constant, so no adjoint flows from the controls back into
+the score model through it. The training-free baseline differentiates
+psi through the score model instead: ``state_guidance`` gives S, Yh,
+psi(Yh) and grad_X psi(Yh) on arrays, from the score call's pullback
+(the baseline has no parameters to train). The zero control uses no
+gradient. Each step's arrays are released before the next step
+allocates, so a sampling chunk holds one step's arrays at a time.
 
 Both trainers run one update loop and differ only in their schedule of
 (update index, agents to step): joint training steps every agent at every
@@ -75,7 +78,7 @@ from .control import (
 )
 from .costs import SocConfig
 from .optim import AdamState, adam_step
-from .scores import score_pullback, tweedie, tweedie_adjoint
+from .scores import tweedie, tweedie_adjoint
 from .sde import (
     STREAM_INIT,
     STREAM_STEP,
@@ -163,13 +166,13 @@ class TrainPlan:
 # ---------------------------------------------------------------------------
 # control sources
 # ---------------------------------------------------------------------------
-# A control source maps the per-step context (k, t, X, Y, G) to one
-# (N, B, d) control node. Its ``guidance`` names the cost gradient G the
-# rollout computes for it: "tweedie" for grad psi(Y0_hat), "state" for
-# grad_X psi(Y0_hat) through the score model, None for no gradient (the
-# rollout then passes None). Keeping zero controls and learned controls
-# on the same arithmetic path makes "zero policy" and "uncontrolled" runs
-# bit-identical.
+# A control source maps the per-step context (k, t, X, Y, G) to the
+# (N, B, d) controls and the caches its backward reads. Its ``guidance``
+# names the cost gradient G the rollout computes for it: "tweedie" for
+# grad psi(Y0_hat), "state" for grad_X psi(Y0_hat) through the score
+# model, None for no gradient (the rollout then passes None). Keeping
+# zero controls and learned controls on the same arithmetic path makes
+# "zero policy" and "uncontrolled" runs bit-identical.
 
 class PolicyControls:
     """Learned controls fed the cost gradient at the Tweedie aggregate."""
@@ -288,23 +291,22 @@ def coupled_rollout(
             scores, _, psi_value, grad = state_guidance(
                 score_fn, agg, psi, schedule, xs, t)
         else:
-            if records is None:
-                # a score model is called with a node; N*B rows
-                rows = tape.constant(xs.reshape(-1, dim))
-                scores = score_fn(rows, t).value.reshape(xs.shape)
+            # one call of the shared score model on the N*B rows
+            scores, pull = score_fn(xs.reshape(-1, dim), t)
+            scores = scores.reshape(xs.shape)
+            # X_0 is drawn: step 0 keeps the pullback only for trained
+            # score weights
+            if records is not None and (k > 0 or pull[1]):
+                extra.update((id(n), n) for n in pull[1])
             else:
-                # X_0 is drawn: step 0 differentiates only trained
-                # score weights
-                scores, pull = score_pullback(score_fn, xs, t, wrt_x=k > 0)
-                if pull is not None:
-                    extra.update((id(n), n) for n in pull[1] if n is not None)
+                pull = None
             y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
             # one psi pass: the guidance also yields psi, and the sweep
             # reuses its gradient for the running cost
             if control_fn.guidance == "tweedie":
                 psi_value, grad = tweedie_guidance(psi, y0_hat)
             else:
-                psi_value, grad = psi(tape.constant(y0_hat)).value, None
+                psi_value, grad = psi(y0_hat, grad=False)
             del y0_hat
         step_cost = psi_value.sum() * (1.0 / batch)
         loss_c += float(step_cost) * dt
@@ -330,7 +332,7 @@ def coupled_rollout(
 
     y_term = aggregate(agg, xs)
     if records is None:
-        psi_term, grad_term = psi(tape.constant(y_term)).value, None  # (B, 1)
+        psi_term, grad_term = psi(y_term, grad=False)          # (B, 1)
     else:
         psi_term, grad_term = tweedie_guidance(psi, y_term)
     terminal = psi_term.sum() * (1.0 / batch)
@@ -373,11 +375,11 @@ def coupled_rollout(
                 a_x += scatter_adjoint(agg, a_y)
             if pull is not None:
                 vjp, leaves = pull
-                for leaf, a in zip(leaves, vjp(a_s.reshape(-1, dim))):
-                    if leaf is not None:
-                        tape.accumulate(grads, owned, id(leaf), a)
-                    elif a_x is not None:
-                        a_x += a.reshape(a_x.shape)
+                a_x_s, a_leaves = vjp(a_s.reshape(-1, dim))
+                for leaf, a in zip(leaves, a_leaves):
+                    tape.accumulate(grads, owned, id(leaf), a)
+                if a_x is not None:
+                    a_x += a_x_s.reshape(a_x.shape)
         return tuple(grads[id(p)] for p in parents)
 
     value = terminal + running_sum + control_sum
@@ -656,22 +658,18 @@ def sample_poe_naive(
     if not score_fns:
         raise ValueError("need at least one score model")
     noise = NoiseStream(seed)
-    times = grid.times
+    times, dts = grid.times, grid.dts
     sigma0 = float(schedule.sigma(times[0]))
     x = sigma0 * noise.normal((STREAM_INIT, noise_index, 0), (1, batch, dim))[0]
-    with tape.no_grad():
-        for k in range(times.size - 1):
-            t = float(times[k])
-            dt = float(times[k] - times[k + 1])
-            g_k = float(schedule.g(t))
-            x_node = tape.constant(x)
-            total = None
-            for fn in score_fns:
-                s = fn(x_node, t).value
-                total = s if total is None else total + s
-            mu = reverse_drift(x, t, total, schedule)
-            xi = noise.normal((STREAM_STEP, noise_index, k), (1, batch, dim))[0]
-            x = em_step(x, dt, mu, g_k, xi)
-            if not np.all(np.isfinite(x)):
-                raise DivergedRolloutError(step=k, agent=0)
+    for k in range(times.size - 1):
+        t, dt = float(times[k]), float(dts[k])
+        total = None
+        for fn in score_fns:
+            s = fn(x, t)[0]             # the pullback goes unused
+            total = s if total is None else total + s
+        mu = reverse_drift(x, t, total, schedule)
+        xi = noise.normal((STREAM_STEP, noise_index, k), (1, batch, dim))[0]
+        x = em_step(x, dt, mu, float(schedule.g(t)), xi)
+        if not np.all(np.isfinite(x)):
+            raise DivergedRolloutError(step=k, agent=0)
     return x

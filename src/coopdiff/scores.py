@@ -6,14 +6,17 @@ mu_i and variance s_i^2 becomes, at diffusion time t, a component with mean
 alpha(t) mu_i and variance alpha(t)^2 s_i^2 + sigma(t)^2. Its score is exact
 and is used as the oracle-grade score model for low-dimensional tasks.
 
-On the tape, the mixture score is one node whose VJP is the Hessian-vector
-product of the diffused log density, and a score network call is two (the
-fused Mlp and its residual/affine tail): a score model is called with a
-``Node``. The rollouts call it through ``score_pullback``, which keeps the
-call's VJP and no node. ``tweedie`` maps arrays to an array; its adjoint
-is ``tweedie_adjoint``. The score network's fit builds no graph:
-``denoiser_loss`` returns the loss and its weight gradients, the loss's
-closed-form adjoint pushed through ``Mlp.backward``.
+A score model is called on a (rows, d) array of states at one time,
+``score_fn(x, t)``, and returns the scores and their pullback, in the
+``jax.vjp`` idiom: ``(vjp, leaves)``, where ``leaves`` are the model's
+weights that require grad (none for the analytic mixture and for a frozen
+network) and ``vjp(g)`` returns the states' adjoint and one adjoint per
+leaf. The mixture's ``vjp`` is the Hessian-vector product of the diffused
+log density; the network's pushes ``g`` through its residual/affine tail
+and ``Mlp.backward``. ``tweedie`` maps arrays to an array; its adjoint is
+``tweedie_adjoint``. The score network's fit calls the network the same
+way: ``denoiser_loss`` returns the loss and its weight gradients, the
+loss's closed-form adjoint pushed through ``Mlp.backward``.
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ import numpy as np
 from . import tape
 from .nn import Mlp, time_features
 from .sde import NoiseSchedule, marginal_coeffs
-from .tape import Node
 
 Array = np.ndarray
 
@@ -93,24 +95,22 @@ class GaussianMixture:
         return (np.log(np.exp(log_comp - lmax).sum(axis=1, keepdims=True)) + lmax)[:, 0]
 
 
-def gmm_score(gmm: GaussianMixture, x, t: float, schedule: NoiseSchedule) -> Node:
-    """Exact score of the time-t diffused mixture, recorded on the tape.
-
-    One node whose VJP is the closed-form Hessian-vector product of the
-    diffused log density: with responsibilities r_i, component scores
-    s_i = -(x - m_i) / v_i and the score s_bar = sum_i r_i s_i, the
-    Jacobian is the symmetric
+def gmm_score(gmm: GaussianMixture, x: Array, t: float,
+              schedule: NoiseSchedule):
+    """Exact score of the time-t diffused mixture at the rows of ``x``,
+    and its Hessian-vector product ``hvp(g)`` = J g, the closed form of
+    the VJP of the diffused log density's gradient: with responsibilities
+    r_i, component scores s_i = -(x - m_i) / v_i and the score
+    s_bar = sum_i r_i s_i, the Jacobian is the symmetric
     J = sum_i r_i (-I / v_i) + sum_i r_i s_i s_i^T - s_bar s_bar^T.
     """
     means, variances = gmm.diffused_params(t, schedule)
-    x = tape.as_node(x)
-    xv = x.value
     d = gmm.dim
     log_w = np.log(gmm.weights) - 0.5 * d * np.log(2.0 * np.pi * variances)
-    diffs = [xv - means[i] for i in range(gmm.num_components)]
+    diffs = [x - means[i] for i in range(gmm.num_components)]
     if gmm.num_components == 1:
         c = float(-1.0 / variances[0])
-        return tape.op(diffs[0] * c, (x,), (lambda g: g * c,))
+        return diffs[0] * c, lambda g: g * c
 
     logits = [
         (diff * diff).sum(axis=1, keepdims=True) * float(-0.5 / v)
@@ -126,7 +126,7 @@ def gmm_score(gmm: GaussianMixture, x, t: float, schedule: NoiseSchedule) -> Nod
     for i in range(1, len(comp)):
         out = out + resp[:, [i]] * comp[i]
 
-    def vjp(g):
+    def hvp(g):
         # J g, with J symmetric
         jg = g * (resp @ (-1.0 / variances))[:, None]
         for i, s_i in enumerate(comp):
@@ -134,27 +134,21 @@ def gmm_score(gmm: GaussianMixture, x, t: float, schedule: NoiseSchedule) -> Nod
         jg -= (out * g).sum(axis=1, keepdims=True) * out
         return jg
 
-    return tape.op(out, (x,), (vjp,))
+    return out, hvp
 
 
 class AnalyticGmmScore:
-    """Score provider backed by a closed-form mixture, recorded on the
-    tape at a scalar time (BPTT needs the dependence on x)."""
+    """Score model backed by a closed-form mixture, at a scalar time; it
+    has no weights, so its pullback has no leaves."""
 
     def __init__(self, gmm: GaussianMixture, schedule: NoiseSchedule):
         self.gmm = gmm
         self.schedule = schedule
 
-    @property
-    def dim(self) -> int:
-        return self.gmm.dim
-
-    def __call__(self, x, t) -> Node:
-        return gmm_score(self.gmm, x, float(np.asarray(t).reshape(())),
-                         self.schedule)
-
-    def params(self) -> list[Node]:
-        return []
+    def __call__(self, x: Array, t):
+        scores, hvp = gmm_score(self.gmm, x, float(np.asarray(t).reshape(())),
+                                self.schedule)
+        return scores, (lambda g: (hvp(g), []), [])
 
 
 class MlpScore:
@@ -174,17 +168,19 @@ class MlpScore:
 
     def __init__(self, dim: int, hidden, temb_width: int, rng: np.random.Generator,
                  schedule: NoiseSchedule | None = None, name: str = "score"):
-        self.dim = int(dim)
         self.temb_width = int(temb_width)
         self.schedule = schedule if schedule is not None else NoiseSchedule()
         self.mlp = Mlp([dim + temb_width, *hidden, dim], rng, name=name)
 
-    def __call__(self, x, t) -> Node:
-        """Two nodes: the fused Mlp on [x, time features], and the
-        residual/affine tail (alpha (x + r) - x) / sigma^2."""
-        x = tape.as_node(x)
-        feats = time_features(t, self.temb_width, batch=x.value.shape[0])
-        r = self.mlp(x, feats)
+    def __call__(self, x: Array, t):
+        """The scores (alpha (x + r) - x) / sigma^2, r = Mlp([x, time
+        features]), and their pullback. ``vjp(g)`` forms the states'
+        adjoint (g inv) a - g inv plus the network's input adjoint of
+        (g inv) a, and the trained weights' adjoints; it keeps the
+        network's cache, and the input parts only when the first-layer
+        weight is trained."""
+        parts = [x, time_features(t, self.temb_width, batch=x.shape[0])]
+        r, cache = self.mlp(parts)
         alpha, sigma = marginal_coeffs(self.schedule, t)
         sig2 = np.maximum(np.asarray(sigma) ** 2, 1e-8)
         if np.ndim(alpha) == 0:
@@ -192,15 +188,24 @@ class MlpScore:
         else:
             a = np.asarray(alpha).reshape(-1, 1)
             inv = (1.0 / sig2).reshape(-1, 1)
-        value = ((x.value + r.value) * a - x.value) * inv
+        value = ((x + r) * a - x) * inv
+        params = self.mlp.params()
+        live = [p.requires_grad for p in params]
+        leaves = [p for p, keep in zip(params, live) if keep]
+        kept = parts if live[0] else None   # only w0's gradient reads them
+        span = (0, x.shape[1])
 
-        def vjp_x(g):
+        def vjp(g):
             g = g * inv
-            return g * a - g
+            g_r = g * a
+            np.subtract(g_r, g, out=g)          # the tail's own part
+            grads, g_in = Mlp.backward(cache, kept, g_r, live, span)
+            g += g_in
+            return g, [w for w, keep in zip(grads, live) if keep]
 
-        return tape.op(value, (x, r), (vjp_x, lambda g: (g * inv) * a))
+        return value, (vjp, leaves)
 
-    def params(self) -> list[Node]:
+    def params(self):
         return self.mlp.params()
 
     def state_dict(self):
@@ -229,28 +234,13 @@ def denoiser_loss(score_net: MlpScore, batch: Array, times: Array,
     alpha, sigma = marginal_coeffs(schedule, t)
     x_t = alpha[:, None] * x0 + sigma[:, None] * eps_arr
     parts = [x_t, time_features(t, score_net.temb_width, batch=x0.shape[0])]
-    r, cache = score_net.mlp.forward(parts)
+    r, cache = score_net.mlp(parts)
     resid = (x_t + r) - x0
     rows = x0.shape[0]
     loss = (resid * resid).sum(axis=1, keepdims=True).sum() * (1.0 / rows)
     grads, _ = Mlp.backward(cache, parts, resid * (2.0 / rows),
                             [True] * len(score_net.params()))
     return float(loss), [tape.dense(g) for g in grads]
-
-
-def score_pullback(score_fn, xs: Array, t: float, wrt_x: bool = True):
-    """One call of a shared score model on (N, B, d) state arrays as N*B
-    rows: the scores, as an array, and their pullback ``(vjp, leaves)``
-    (see ``tape.pullback``), with the states' leaf given as None, or None
-    when nothing the call read requires grad. The states are a leaf with
-    ``wrt_x``, else only trained score weights are differentiated."""
-    rows = xs.reshape(-1, xs.shape[2])
-    with tape.grad_enabled():
-        x = tape.leaf(rows) if wrt_x else tape.constant(rows)
-        scores = score_fn(x, t)
-    leaves, vjp = tape.pullback(scores)
-    pull = (vjp, [None if n is x else n for n in leaves]) if leaves else None
-    return scores.value.reshape(xs.shape), pull
 
 
 def tweedie(x: Array, t: float, score: Array,

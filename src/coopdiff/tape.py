@@ -1,50 +1,39 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A computation graph is built by calling the node constructors below on
-``Node`` objects (raw arrays are wrapped as constants); every node holds
-its value, computed eagerly. A node requires grad if it is a ``leaf``
-that has not been frozen, or if any of its parents requires grad; an op
-records only the parents that require grad, together with one
-vector-Jacobian product per recorded parent. So ``constant`` inputs and
-``freeze``-d leaves (the pretrained networks) end the graph: they get no
-VJP and no ``.grad``, and an op on them alone is itself a constant.
-``backward`` on a scalar root then fills ``.grad`` on the leaves that
-require grad (interior adjoints are dropped once propagated).
+A graph holds the policy weights (``leaf`` nodes, whose ``.grad``
+``backward`` fills) and the training objective over them: one ``fused``
+node, a sub-computation whose single VJP returns the adjoints of all its
+parents at once. A node requires grad if it is a leaf that has not been
+frozen, or if any of its parents requires grad; a fused node records only
+the parents that require grad (``live``), so ``freeze``-d leaves (the
+pretrained networks) get no ``.grad``, and a node over none of them is a
+constant. ``backward`` on a scalar root fills ``.grad`` on the leaves that
+require grad.
 
-An op is one node with one VJP per recorded parent. ``op`` records a
-value computed outside the tape that way, the ``jax.custom_vjp`` idiom
-(the analytic mixture score is one); ``rowwise`` records a function whose
-gradient is already known (each terminal cost is one). A ``fused`` node
-is a sub-computation whose single VJP returns the adjoints of all its
-parents at once: a tanh MLP call and a training rollout. The pieces of a
-rollout step (Tweedie, aggregation, drift, EM step) are not nodes: they
-map arrays to arrays, and the rollout's reverse sweep calls their
-plain-array adjoint helpers. A VJP may return a weight's adjoint
-``a.T @ g`` unformed, as an ``OuterSum`` term; ``accumulate`` then sums a
-weight used at many steps in blocks of steps, with one gemm per block,
-and ``dense`` folds a term into an array. The pretrained networks' fits
-build no graph: they call ``Mlp.backward`` with their losses'
-closed-form gradients and fold its terms with ``dense``.
+Everything else runs on arrays. A network call returns its output and a
+cache (``nn``), a score model call its scores and their pullback
+(``scores``), a cost its value and gradient (``costs``), and the pieces
+of a rollout step map arrays to arrays with plain-array adjoint helpers.
+The training rollout records its own lean step list and is one fused
+node whose VJP is its reverse sweep (see ``optimize``). A VJP may return
+a weight's adjoint ``a.T @ g`` unformed, as an ``OuterSum`` term;
+``accumulate`` then sums a weight used at many steps in blocks of steps,
+with one gemm per block, and ``dense`` folds a term into an array (the
+pretrained networks' fits fold their weight gradients with it).
 
-No VJP reads a ``Node.value`` at backward time, except the root's: an op
+No VJP reads a ``Node.value`` at backward time, except the root's: a node
 records the shapes it needs when it is recorded, and its closure keeps
 the arrays its VJP reads. So ``pullback`` can turn a graph into a
 function of the root's adjoint that keeps the VJPs and no node, hence no
-node value; ``backward`` is that function applied to a unit adjoint.
-A training rollout keeps no graph of its steps: it records its own lean
-step list and is one ``fused`` node over the policy leaves (see
-``optimize``).
+node value; ``backward`` is that function applied to a unit adjoint. The
+tests build reference graphs from the elementary ops beside them
+(``tests/opgraphs.py``), on this same core.
 
 Design constraints:
   * values are float64 throughout, so central finite differences are a
     usable oracle for the whole graph;
-  * ``src`` builds no elementwise op nodes: each node is a function with
-    a closed-form gradient or a hand-written VJP (the elementwise ops
-    that the tests build reference graphs from live beside the tests),
-    and none is a relu / abs / max, keeping gradients well defined
-    everywhere;
-  * graph construction inside ``no_grad()`` produces parentless nodes, so
-    long sampling loops do not retain history.
+  * a node inside ``no_grad()`` records no parents, so sampling loops
+    keep no history.
 """
 from __future__ import annotations
 
@@ -70,18 +59,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-@contextlib.contextmanager
-def grad_enabled():
-    """Force recording back on inside a ``no_grad`` region (sub-graphs)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = True
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
-
-
 class Node:
     """One recorded value. Treat ``.value`` as immutable once created."""
 
@@ -96,21 +73,12 @@ class Node:
         self.requires_grad = bool(parents)
 
     @property
-    def shape(self):
-        return self.value.shape
-
-    @property
     def is_leaf(self) -> bool:
         return not self.parents
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"Node{tag}(shape={self.value.shape}, leaf={self.is_leaf})"
-
-
-def constant(value, name: str | None = None) -> Node:
-    """Wrap an array as a parentless node (no gradient flows into it)."""
-    return Node(value, name=name)
 
 
 def leaf(value, name: str | None = None) -> Node:
@@ -121,7 +89,7 @@ def leaf(value, name: str | None = None) -> Node:
 
 
 def freeze(leaves: Sequence[Node]) -> None:
-    """Turn leaves into constants: later ops record no edge into them.
+    """Turn leaves into constants: later nodes record no edge into them.
 
     A stale ``.grad`` from earlier training is dropped as well.
     """
@@ -135,33 +103,8 @@ def as_node(x) -> Node:
 
 
 def live(nodes: Sequence[Node]) -> list[bool]:
-    """Per node, whether an op recorded now would keep it as a parent."""
+    """Per node, whether a node recorded now would keep it as a parent."""
     return [_GRAD_ENABLED and n.requires_grad for n in nodes]
-
-
-def op(value, parents: Sequence[Node], vjps: Sequence) -> Node:
-    """One node for a value computed outside the tape, with one VJP per
-    parent; only the parents that require grad are recorded. The mixture
-    score is one call of it, and so is each elementary op of the tests'
-    reference graphs."""
-    parents, vjps = tuple(parents), tuple(vjps)
-    if not _GRAD_ENABLED:
-        return Node(value)
-    live = [p.requires_grad for p in parents]
-    if not all(live):
-        if not any(live):
-            return Node(value)
-        parents = tuple(p for p, keep in zip(parents, live) if keep)
-        vjps = tuple(f for f, keep in zip(vjps, live) if keep)
-    return Node(value, parents, vjps)
-
-
-def rowwise(x, value, grad) -> Node:
-    """A function of ``x`` whose value and gradient are already known:
-    per row (``value`` of shape (rows, 1)) or a scalar, with ``grad`` of
-    the shape of ``x`` and the VJP ``g * grad``."""
-    x = as_node(x)
-    return op(value, (x,), (lambda g: g * grad,))
 
 
 class _Fused(Node):

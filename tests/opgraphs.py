@@ -1,22 +1,69 @@
 """Tape ops that no production module builds graphs from.
 
+* The generic node constructors: ``constant``, ``op`` (one node for a
+  value computed outside the tape, with one VJP per parent), ``rowwise``
+  (a per-row value with a known gradient) and ``grad_enabled`` (recording
+  forced on inside ``no_grad``).
 * Elementary ops (``add``, ``sub``, ``mul``, ``scale``, the sums, ...),
   which the tape's own tests use as finite-difference oracles, and the
-  terminal-cost pieces as compositions of them: the graphs the fused
-  nodes replace, kept as references for their values and gradients, with
+  terminal-cost pieces as compositions of them: the graphs the closed
+  forms replace, kept as references for their values and gradients, with
   the one non-elementary op they use, ``logsumexp``. ``classifier_nll``
   is the softmax cross-entropy as one ``rowwise`` node, the classifier
   fit's per-row loss as the tape reference of its array gradient.
-* The pieces of a rollout step as tape nodes: ``tweedie``, ``aggregate``,
-  ``reverse_drift`` and ``em_step`` are each one node over the array
-  function of the same name in ``coopdiff``, with that function's
-  plain-array adjoint helper as its VJP, and ``stacked_score`` is one
-  call of a shared score model on (N, B, d) states. ``oracles`` builds
-  its taped reference rollouts from them.
+* The array calls of ``coopdiff`` as tape nodes: ``mlp_node`` (a network
+  call as one fused node, with ``Mlp.backward`` as its VJP),
+  ``score_node`` (a score model call, with its pullback as its VJP) and
+  ``cost_node`` (a cost, with its gradient as its VJP); and the pieces of
+  a rollout step: ``tweedie``, ``aggregate``, ``reverse_drift`` and
+  ``em_step`` are each one node over the array function of the same name,
+  with that function's plain-array adjoint helper as its VJP, and
+  ``stacked_score`` is one call of a shared score model on (N, B, d)
+  states. ``oracles`` builds its taped reference rollouts from them.
 """
+import contextlib
+import itertools
+
 import numpy as np
 
 from coopdiff import aggregation, costs, scores, sde, tape
+
+
+def constant(value, name=None) -> tape.Node:
+    """Wrap an array as a parentless node (no gradient flows into it)."""
+    return tape.Node(value, name=name)
+
+
+@contextlib.contextmanager
+def grad_enabled():
+    """Force recording back on inside a ``no_grad`` region (sub-graphs)."""
+    prev = tape._GRAD_ENABLED
+    tape._GRAD_ENABLED = True
+    try:
+        yield
+    finally:
+        tape._GRAD_ENABLED = prev
+
+
+def op(value, parents, vjps) -> tape.Node:
+    """One node for a value computed outside the tape, with one VJP per
+    parent; only the parents that require grad are recorded."""
+    parents, vjps = tuple(parents), tuple(vjps)
+    live = tape.live(parents)
+    if not any(live):
+        return tape.Node(value)
+    if not all(live):
+        parents = tuple(p for p, keep in zip(parents, live) if keep)
+        vjps = tuple(f for f, keep in zip(vjps, live) if keep)
+    return tape.Node(value, parents, vjps)
+
+
+def rowwise(x, value, grad) -> tape.Node:
+    """A function of ``x`` whose value and gradient are already known:
+    per row (``value`` of shape (rows, 1)) or a scalar, with ``grad`` of
+    the shape of ``x`` and the VJP ``g * grad``."""
+    x = tape.as_node(x)
+    return op(value, (x,), (lambda g: g * grad,))
 
 
 def _unbroadcast(grad, shape):
@@ -32,7 +79,7 @@ def _unbroadcast(grad, shape):
 def add(a, b) -> tape.Node:
     a, b = tape.as_node(a), tape.as_node(b)
     sa, sb = a.value.shape, b.value.shape
-    return tape.op(
+    return op(
         a.value + b.value,
         (a, b),
         (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb)),
@@ -42,7 +89,7 @@ def add(a, b) -> tape.Node:
 def sub(a, b) -> tape.Node:
     a, b = tape.as_node(a), tape.as_node(b)
     sa, sb = a.value.shape, b.value.shape
-    return tape.op(
+    return op(
         a.value - b.value,
         (a, b),
         (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb)),
@@ -53,7 +100,7 @@ def mul(a, b) -> tape.Node:
     """Elementwise product with numpy broadcasting."""
     a, b = tape.as_node(a), tape.as_node(b)
     av, bv = a.value, b.value
-    return tape.op(
+    return op(
         av * bv,
         (a, b),
         (lambda g: _unbroadcast(g * bv, av.shape),
@@ -65,7 +112,7 @@ def scale(a, c: float) -> tape.Node:
     """Multiply by a python float (no node is created for the scalar)."""
     a = tape.as_node(a)
     c = float(c)
-    return tape.op(a.value * c, (a,), (lambda g: g * c,))
+    return op(a.value * c, (a,), (lambda g: g * c,))
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> tape.Node:
@@ -79,7 +126,7 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> tape.Node:
         gg = g if keepdims else np.expand_dims(g, axis)
         return np.broadcast_to(gg, shape).copy()
 
-    return tape.op(y, (a,), (vjp,))
+    return op(y, (a,), (vjp,))
 
 
 def square_norm(a, axis=None, keepdims: bool = False) -> tape.Node:
@@ -89,13 +136,13 @@ def square_norm(a, axis=None, keepdims: bool = False) -> tape.Node:
 
 def neg(a) -> tape.Node:
     a = tape.as_node(a)
-    return tape.op(-a.value, (a,), (lambda g: -g,))
+    return op(-a.value, (a,), (lambda g: -g,))
 
 
 def matmul(a, b) -> tape.Node:
     a, b = tape.as_node(a), tape.as_node(b)
     av, bv = a.value, b.value
-    return tape.op(
+    return op(
         av @ bv,
         (a, b),
         (lambda g: g @ bv.T, lambda g: av.T @ g),
@@ -105,25 +152,25 @@ def matmul(a, b) -> tape.Node:
 def tanh(a) -> tape.Node:
     a = tape.as_node(a)
     y = np.tanh(a.value)
-    return tape.op(y, (a,), (lambda g: g * (1.0 - y * y),))
+    return op(y, (a,), (lambda g: g * (1.0 - y * y),))
 
 
 def exp(a) -> tape.Node:
     a = tape.as_node(a)
     y = np.exp(a.value)
-    return tape.op(y, (a,), (lambda g: g * y,))
+    return op(y, (a,), (lambda g: g * y,))
 
 
 def log(a) -> tape.Node:
     a = tape.as_node(a)
     av = a.value
-    return tape.op(np.log(av), (a,), (lambda g: g / av,))
+    return op(np.log(av), (a,), (lambda g: g / av,))
 
 
 def sqrt(a) -> tape.Node:
     a = tape.as_node(a)
     y = np.sqrt(a.value)
-    return tape.op(y, (a,), (lambda g: g * (0.5 / y),))
+    return op(y, (a,), (lambda g: g * (0.5 / y),))
 
 
 def concat(nodes, axis: int = 1) -> tape.Node:
@@ -142,14 +189,14 @@ def concat(nodes, axis: int = 1) -> tape.Node:
 
         return vjp
 
-    return tape.op(y, tuple(nodes), tuple(make_vjp(i) for i in range(len(nodes))))
+    return op(y, tuple(nodes), tuple(make_vjp(i) for i in range(len(nodes))))
 
 
 def stack(nodes) -> tape.Node:
     """Stack same-shape nodes along a new leading axis."""
     nodes = [tape.as_node(n) for n in nodes]
     vjps = tuple((lambda g, i=i: g[i]) for i in range(len(nodes)))
-    return tape.op(np.stack([n.value for n in nodes]), tuple(nodes), vjps)
+    return op(np.stack([n.value for n in nodes]), tuple(nodes), vjps)
 
 
 def index(a, i: int) -> tape.Node:
@@ -162,7 +209,7 @@ def index(a, i: int) -> tape.Node:
         out[i] = g
         return out
 
-    return tape.op(a.value[i], (a,), (vjp,))
+    return op(a.value[i], (a,), (vjp,))
 
 
 def gather_cols(a, idx) -> tape.Node:
@@ -177,13 +224,13 @@ def gather_cols(a, idx) -> tape.Node:
         np.add.at(out, (slice(None), idx), g)
         return out
 
-    return tape.op(y, (a,), (vjp,))
+    return op(y, (a,), (vjp,))
 
 
 def stopgrad(a) -> tape.Node:
     """Same forward value, zero adjoint flow: the result is a constant."""
     a = tape.as_node(a)
-    return tape.constant(a.value)
+    return constant(a.value)
 
 
 def logsumexp(a, axis: int = 1, keepdims: bool = True):
@@ -200,14 +247,14 @@ def logsumexp(a, axis: int = 1, keepdims: bool = True):
         gg = g if keepdims else np.expand_dims(g, axis)
         return gg * softmax
 
-    return tape.op(y, (a,), (vjp,))
+    return op(y, (a,), (vjp,))
 
 
 def classifier_nll(logits, labels) -> tape.Node:
     """The softmax cross-entropy of ``logits`` (see ``costs._nll``) as one
     node with the gradient softmax - onehot."""
     logits = tape.as_node(logits)
-    return tape.rowwise(logits, *costs._nll(logits.value, labels))
+    return rowwise(logits, *costs._nll(logits.value, labels))
 
 
 def classifier_nll_ops(logits, labels):
@@ -217,8 +264,7 @@ def classifier_nll_ops(logits, labels):
     logits = tape.as_node(logits)
     rows, n_classes = logits.value.shape
     onehot = np.eye(n_classes)[np.broadcast_to(labels, (rows,))]
-    picked = reduce_sum(mul(logits, tape.constant(onehot)),
-                             axis=1, keepdims=True)
+    picked = reduce_sum(mul(logits, constant(onehot)), axis=1, keepdims=True)
     return sub(logsumexp(logits, axis=1, keepdims=True), picked)
 
 
@@ -233,11 +279,11 @@ def seam_loss_ops(y, agg, cfg):
         return gather_cols(y, np.arange(r * w, (r + 1) * w))
 
     def rho_sum(x):
-        rho = sqrt(add(mul(x, x), tape.constant(eps * eps)))
+        rho = sqrt(add(mul(x, x), constant(eps * eps)))
         return reduce_sum(rho, axis=1, keepdims=True)
 
-    zeros = tape.constant(np.zeros((batch, w)))
-    total = tape.constant(np.zeros((batch, 1)))
+    zeros = constant(np.zeros((batch, w)))
+    total = constant(np.zeros((batch, 1)))
     for rp, rq in agg.seam_pairs:
         upper, lower = row(rp), row(rq)
         grad_p = sub(upper, row(rp - 1)) if rp >= 1 else zeros
@@ -252,18 +298,74 @@ def reshape(a, shape) -> tape.Node:
     """``a`` with the same entries in a new shape."""
     a = tape.as_node(a)
     old = a.value.shape
-    return tape.op(a.value.reshape(shape), (a,), (lambda g: g.reshape(old),))
+    return op(a.value.reshape(shape), (a,), (lambda g: g.reshape(old),))
 
 
 # ---------------------------------------------------------------------------
-# the pieces of a rollout step as tape nodes
+# the array calls of coopdiff, and the pieces of a rollout step, as nodes
 # ---------------------------------------------------------------------------
+
+def mlp_node(mlp, *xs) -> tape.Node:
+    """``mlp`` on the column concatenation of ``xs`` (nodes or arrays) as
+    one fused node whose VJP is ``Mlp.backward``: a constant part (time
+    features, say) costs no concat node and gets no adjoint, frozen
+    weights get no weight gradient, and the input adjoint is formed only
+    over the column block that spans the live parts. The node keeps the
+    call's cache and, for a trained first-layer weight, references to the
+    parts; the part arrays are never written."""
+    xs = [tape.as_node(x) for x in xs]
+    inputs = [*xs, *mlp.params()]   # x parts, w0, b0, w1, b1, ...
+    live = tape.live(inputs)
+    n_in = len(xs)
+    parts = [x.value for x in xs]
+    h, cache = mlp(parts)
+    if not any(live):
+        return constant(h)
+    p_live = live[n_in:]
+    if not p_live[0]:
+        parts = None                 # only the w0 gradient reads the input
+    cols = list(itertools.accumulate((x.value.shape[1] for x in xs),
+                                     initial=0))
+    parts_live = [j for j in range(n_in) if live[j]]
+    span = ((cols[parts_live[0]], cols[parts_live[-1] + 1])
+            if parts_live else None)
+
+    def vjp(g):
+        grads, g_in = mlp.backward(cache, parts, g, p_live, span)
+        ins = [g_in[:, cols[j] - span[0]:cols[j + 1] - span[0]]
+               if live[j] else None for j in range(n_in)]
+        return ins + grads
+
+    return tape.fused(h, inputs, vjp)
+
+
+def score_node(score_fn, x, t) -> tape.Node:
+    """One call of a score model on the rows of ``x`` as one fused node
+    over ``x`` and the model's trained weights, whose VJP is the call's
+    pullback."""
+    x = tape.as_node(x)
+    scores, (vjp, leaves) = score_fn(x.value, t)
+
+    def node_vjp(g):
+        a_x, a_leaves = vjp(g)
+        return [a_x, *a_leaves]
+
+    return tape.fused(scores, [x, *leaves], node_vjp)
+
+
+def cost_node(psi, y) -> tape.Node:
+    """A cost ``psi(y, grad)`` as one ``rowwise`` node on ``y``; no
+    gradient is formed when ``y`` requires none."""
+    y = tape.as_node(y)
+    return rowwise(y, *psi(y.value, tape.live([y])[0]))
+
 
 def stacked_score(score_fn, xs, t: float) -> tape.Node:
     """One call of a shared score model on (N, B, d) states as N*B rows."""
     xs = tape.as_node(xs)
     n, b, d = xs.value.shape
-    return reshape(score_fn(reshape(xs, (n * b, d)), t), (n, b, d))
+    return reshape(score_node(score_fn, reshape(xs, (n * b, d)), t),
+                   (n, b, d))
 
 
 def tweedie(x, t: float, score, schedule) -> tape.Node:
@@ -277,7 +379,7 @@ def tweedie(x, t: float, score, schedule) -> tape.Node:
 def aggregate(agg, states) -> tape.Node:
     """``aggregation.aggregate`` as one node; its VJP is the scatter."""
     states = tape.as_node(states)
-    return tape.op(aggregation.aggregate(agg, states.value), (states,),
+    return op(aggregation.aggregate(agg, states.value), (states,),
                    (lambda g: aggregation.scatter_adjoint(agg, g),))
 
 

@@ -20,8 +20,7 @@ def sample_reverse_sde(score_fn, grid, schedule, seed, batch, dim):
 
 def confusion_matrix(classifier, images, labels):
     """Counts of (true label, predicted label) pairs, shape (C, C)."""
-    with tape.no_grad():
-        pred = classifier(images).value.argmax(axis=1)
+    pred = classifier([images])[0].argmax(axis=1)
     n = classifier.out_dim
     out = np.zeros((n, n), dtype=np.int64)
     np.add.at(out, (labels, pred), 1)
@@ -29,7 +28,7 @@ def confusion_matrix(classifier, images, labels):
 
 
 def dsm_loss(score_fn, batch, times, noises, schedule, eps=1e-3):
-    """Monte Carlo denoising score-matching loss.
+    """Monte Carlo denoising score-matching loss, a float.
 
     mean over the batch of || -noise/sigma(t) - S(x_t, t) ||^2 where
     x_t = alpha(t) x_0 + sigma(t) noise. Times are clamped to [eps, 1]
@@ -45,10 +44,9 @@ def dsm_loss(score_fn, batch, times, noises, schedule, eps=1e-3):
     alpha, sigma = marginal_coeffs(schedule, t)
     x_t = alpha[:, None] * x0 + sigma[:, None] * eps_arr
     target = -eps_arr / sigma[:, None]
-    pred = score_fn(tape.constant(x_t), t)
-    resid = ops.sub(pred, tape.constant(target))
-    per_sample = ops.square_norm(resid, axis=1, keepdims=True)
-    return ops.scale(ops.reduce_sum(per_sample), 1.0 / x0.shape[0])
+    resid = score_fn(x_t, t)[0] - target
+    return float((resid * resid).sum(axis=1, keepdims=True).sum()
+                 * (1.0 / x0.shape[0]))
 
 
 def taped_denoiser_loss(score_net, batch, times, noises, schedule,
@@ -59,11 +57,11 @@ def taped_denoiser_loss(score_net, batch, times, noises, schedule,
     x0 = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     t = np.clip(np.asarray(times, dtype=np.float64).reshape(-1), eps, 1.0)
     alpha, sigma = marginal_coeffs(schedule, t)
-    x_t = tape.constant(alpha[:, None] * x0
-                        + sigma[:, None] * np.asarray(noises, dtype=np.float64))
+    x_t = ops.constant(alpha[:, None] * x0
+                       + sigma[:, None] * np.asarray(noises, dtype=np.float64))
     feats = time_features(t, score_net.temb_width, batch=x0.shape[0])
-    resid = ops.sub(ops.add(x_t, score_net.mlp(x_t, feats)),
-                    tape.constant(x0))
+    resid = ops.sub(ops.add(x_t, ops.mlp_node(score_net.mlp, x_t, feats)),
+                    ops.constant(x0))
     per_sample = ops.square_norm(resid, axis=1, keepdims=True)
     return ops.scale(ops.reduce_sum(per_sample), 1.0 / x0.shape[0])
 
@@ -71,7 +69,7 @@ def taped_denoiser_loss(score_net, batch, times, noises, schedule,
 def taped_classifier_loss(model, images, labels):
     """``classifier.batch_loss`` as a tape graph: the batch mean of
     ``opgraphs.classifier_nll`` on the fused Mlp call."""
-    per_row = ops.classifier_nll(model(images), labels)
+    per_row = ops.classifier_nll(ops.mlp_node(model, images), labels)
     return ops.scale(ops.reduce_sum(per_row), 1.0 / images.shape[0])
 
 
@@ -97,11 +95,54 @@ def gmm_score_np(gmm, x, t, schedule):
     return (resp[:, :, None] * (-diff / var[:, :, None])).sum(axis=1)
 
 
+def taped_mlp_score(net, x, t):
+    """``MlpScore``'s call at a scalar time as two tape nodes: the fused
+    Mlp on [x, time features] and the residual/affine tail
+    (alpha (x + r) - x) / sigma^2 as one op on x and r. Its
+    ``tape.pullback`` is the reference for the call's pullback."""
+    x = tape.as_node(x)
+    feats = time_features(t, net.temb_width, batch=x.value.shape[0])
+    r = ops.mlp_node(net.mlp, x, feats)
+    alpha, sigma = marginal_coeffs(net.schedule, t)
+    a, inv = float(alpha), 1.0 / float(max(sigma ** 2, 1e-8))
+    value = ((x.value + r.value) * a - x.value) * inv
+
+    def vjp_x(g):
+        g = g * inv
+        return g * a - g
+
+    return ops.op(value, (x, r), (vjp_x, lambda g: (g * inv) * a))
+
+
+def taped_gmm_score(gmm, x, t, schedule):
+    """The diffused mixture's score at one time from elementary ops, in
+    ``scores.gmm_score``'s order of operations, so its value is bit-equal.
+    Its tape adjoint is autodiff's J^T g, which the symmetric Jacobian
+    makes the closed-form J g of the score's pullback, up to rounding."""
+    alpha, sigma = marginal_coeffs(schedule, t)
+    means = alpha * gmm.means
+    variances = alpha * alpha * gmm.variances + sigma * sigma
+    log_w = (np.log(gmm.weights)
+             - 0.5 * gmm.dim * np.log(2.0 * np.pi * variances))
+    diffs = [ops.sub(x, m) for m in means]
+    comp = [ops.scale(diff, -1.0 / v) for diff, v in zip(diffs, variances)]
+    if gmm.num_components == 1:
+        return comp[0]
+    logits = ops.concat([
+        ops.add(ops.scale(ops.square_norm(diff, axis=1, keepdims=True),
+                          -0.5 / v), np.array([lw]))
+        for diff, v, lw in zip(diffs, variances, log_w)], axis=1)
+    resp = ops.exp(ops.sub(logits, ops.logsumexp(logits)))
+    out = ops.mul(ops.gather_cols(resp, [0]), comp[0])
+    for i in range(1, len(comp)):
+        out = ops.add(out, ops.mul(ops.gather_cols(resp, [i]), comp[i]))
+    return out
+
+
 def row_time_gmm_score(gmm, schedule):
     """The mixture's score model at one time per row (score-matching
-    evaluation): ``gmm_score_np`` as a constant node."""
-    return lambda x, t: tape.constant(
-        gmm_score_np(gmm, tape.as_node(x).value, t, schedule))
+    evaluation): ``gmm_score_np``, with no pullback."""
+    return lambda x, t: (gmm_score_np(gmm, x, t, schedule), None)
 
 
 def selection_matrix(agg):
@@ -120,18 +161,16 @@ def masked_control_energy(agg, controls):
 
 
 class ZeroCost:
-    """psi identically zero (place-holder for cost-free dynamics), one
-    ``rowwise`` node with a zero gradient."""
+    """psi identically zero (place-holder for cost-free dynamics), with a
+    zero gradient."""
 
-    def __call__(self, y):
-        y = tape.as_node(y)
-        return tape.rowwise(y, np.zeros((y.value.shape[0], 1)),
-                            np.zeros_like(y.value))
+    def __call__(self, y, grad=True):
+        return np.zeros((y.shape[0], 1)), (np.zeros_like(y) if grad else None)
 
 
 class GaussianNll:
-    """Negative log density of an isotropic target Gaussian, one
-    ``rowwise`` node with the gradient (y - mean) / variance."""
+    """Negative log density of an isotropic target Gaussian, with the
+    gradient (y - mean) / variance."""
 
     def __init__(self, mean, variance: float):
         self.mean = np.asarray(mean, dtype=np.float64).reshape(-1)
@@ -139,13 +178,12 @@ class GaussianNll:
             raise ValueError("variance must be positive")
         self.variance = float(variance)
 
-    def __call__(self, y):
-        y = tape.as_node(y)
-        diff = y.value - self.mean
+    def __call__(self, y, grad=True):
+        diff = y - self.mean
         log_norm = 0.5 * self.mean.size * np.log(2.0 * np.pi * self.variance)
         value = ((diff * diff).sum(axis=1, keepdims=True)
                  * (0.5 / self.variance) + np.array([log_norm]))
-        return tape.rowwise(y, value, diff * (1.0 / self.variance))
+        return value, (diff * (1.0 / self.variance) if grad else None)
 
 
 def soc_objective(record, cfg: SocConfig, psi) -> float:
@@ -159,25 +197,25 @@ def soc_objective(record, cfg: SocConfig, psi) -> float:
     if record.batch == 0:
         raise ValueError("empty batch")
     lambdas = cfg.lambda_weights(record.num_agents)
-    with tape.no_grad():
-        control_term = 0.0
-        run_term = 0.0
-        for k, dt in enumerate(record.dts):
-            u = np.asarray(record.controls[k])
-            control_term += float(lambdas @ (u * u).sum(axis=2).mean(axis=1)) * dt
-            psi_hat = psi(tape.constant(record.y0_hats[k])).value
-            run_term += cfg.running_weight(record.times[k]) * float(psi_hat.mean()) * dt
-        term = float(psi(tape.constant(record.terminal_y)).value.mean())
+    control_term = 0.0
+    run_term = 0.0
+    for k, dt in enumerate(record.dts):
+        u = np.asarray(record.controls[k])
+        control_term += float(lambdas @ (u * u).sum(axis=2).mean(axis=1)) * dt
+        psi_hat = psi(record.y0_hats[k], grad=False)[0]
+        run_term += (cfg.running_weight(record.times[k])
+                     * float(psi_hat.mean()) * dt)
+    term = float(psi(record.terminal_y, grad=False)[0].mean())
     return control_term + run_term + term
 
 
 def taped_control(policy, x, y, t, guidance):
     """u = NN1([x, Y, g, feats]) + NN2(feats) * g from tape nodes (the two
     ``Mlp`` calls, a ``mul`` and an ``add``), with g a constant."""
-    g = tape.constant(guidance)
+    g = ops.constant(guidance)
     feats = time_features(t, policy.temb_width, batch=g.value.shape[0])
-    drift = policy.nn1(x, y, g, feats)
-    return ops.add(drift, ops.mul(policy.nn2(feats[:1]), g))
+    drift = ops.mlp_node(policy.nn1, x, y, g, feats)
+    return ops.add(drift, ops.mul(ops.mlp_node(policy.nn2, feats[:1]), g))
 
 
 def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
@@ -193,19 +231,20 @@ def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
     n, d = agg.num_agents, agg.dim
     lambdas = cfg.lambda_weights(n)
     sigma0 = float(schedule.sigma(grid.times[0]))
-    xs = tape.constant(sigma0 * noise.normal((STREAM_INIT, 0, 0), (n, batch, d)))
+    xs = ops.constant(sigma0 * noise.normal((STREAM_INIT, 0, 0),
+                                            (n, batch, d)))
     terms, running_sum, control_sum = [], 0.0, 0.0
     for k in range(grid.times.size - 1):
         t, dt = float(grid.times[k]), float(grid.dts[k])
         y = ops.aggregate(agg, xs)
         scores = ops.stacked_score(score_fn, xs, t)
         y0_hat = ops.aggregate(agg, ops.tweedie(xs, t, scores, schedule))
-        psi_value, grad = tweedie_guidance(psi, y0_hat)
+        psi_value, grad = tweedie_guidance(psi, y0_hat.value)
         weight = cfg.running_weight(t) * dt
         running = psi_value.sum() * (1.0 / batch) * weight
         running_sum = running_sum + running
-        terms.append(tape.rowwise(y0_hat, running,
-                                  grad * (weight * (1.0 / batch))))
+        terms.append(ops.rowwise(y0_hat, running,
+                                 grad * (weight * (1.0 / batch))))
         guidance = scatter_adjoint(agg, grad)
         controls = ops.stack([
             taped_control(p, ops.index(xs, i), y, t, guidance[i])
@@ -221,7 +260,7 @@ def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
         mu = ops.reverse_drift(xs, t, scores, schedule)
         xs = ops.em_step(xs, dt, mu, float(schedule.g(t)), xi,
                          control=controls)
-    psi_term = psi(ops.aggregate(agg, xs))
+    psi_term = ops.cost_node(psi, ops.aggregate(agg, xs))
     terminal = ops.scale(ops.reduce_sum(psi_term), 1.0 / batch)
     parents = [p for p in (terminal, *terms) if p.requires_grad]
     return tape.fused(terminal.value + running_sum + control_sum, parents,
@@ -232,11 +271,11 @@ def taped_state_guidance(score_fn, agg, psi, schedule, x_values, t):
     """``control.state_guidance`` as one sub-tape on a detached state leaf
     and ``tape.backward``, as it was before it ran on plain arrays: the
     reference it is checked against."""
-    with tape.grad_enabled():
+    with ops.grad_enabled():
         xs = tape.leaf(tape.as_node(x_values).value)
         scores = ops.stacked_score(score_fn, xs, t)
         y0_hat = ops.aggregate(agg, ops.tweedie(xs, t, scores, schedule))
-        psi_y0 = psi(y0_hat)
+        psi_y0 = ops.cost_node(psi, y0_hat)
         tape.backward(ops.reduce_sum(psi_y0))
     grad = xs.grad if xs.grad is not None else np.zeros_like(xs.value)
     return StateGuidance(scores.value, y0_hat.value, psi_y0.value, grad)
@@ -249,8 +288,9 @@ def taped_cost(psi):
         base = taped_cost(psi.base)
         return lambda y: ops.add(base(y), seam_loss_ops(y, psi.agg, psi.cfg))
     if isinstance(psi, ClassifierNll):
-        return lambda y: classifier_nll_ops(psi.classifier(y), psi.label)
+        return lambda y: classifier_nll_ops(ops.mlp_node(psi.classifier, y),
+                                            psi.label)
     if isinstance(psi, QuadraticWell):
         return lambda y: ops.square_norm(
-            ops.sub(y, tape.constant(psi.target)), axis=1, keepdims=True)
+            ops.sub(y, ops.constant(psi.target)), axis=1, keepdims=True)
     raise TypeError(f"no tape reference for {type(psi).__name__}")

@@ -11,7 +11,7 @@ states.
 """
 import contextlib
 
-from coopdiff import optimize, tape
+from coopdiff import optimize
 
 
 class History:
@@ -26,9 +26,9 @@ class History:
         self.controls = []      # [k] -> (N, B, d)
         self.psi_inputs = []    # [k] -> (B, d), K + 1 of them
 
-        def recording_psi(y):
-            self.psi_inputs.append(tape.as_node(y).value)
-            return psi(y)
+        def recording_psi(y, grad=True):
+            self.psi_inputs.append(y)
+            return psi(y, grad)
 
         self.psi = recording_psi
 

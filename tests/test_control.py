@@ -18,12 +18,11 @@ from coopdiff.scores import (
     AnalyticGmmScore,
     GaussianMixture,
     MlpScore,
-    gmm_score,
     tweedie,
 )
 from coopdiff.sde import NoiseSchedule, derive_rng
 import opgraphs as ops
-from oracles import taped_cost, taped_state_guidance
+from oracles import taped_state_guidance
 
 SCHEDULE = NoiseSchedule()
 
@@ -109,7 +108,7 @@ def test_state_guidance_matches_finite_differences():
     # quadratic psi and an analytic Gaussian score: differentiate
     # psi(aggregate(tweedie(x, score(x)))) w.r.t. the agent states by hand
     gmm = GaussianMixture(weights=[1.0], means=[[0.5, -0.5]], variances=[0.8])
-    score_fn = lambda x, t: gmm_score(gmm, x, t, SCHEDULE)
+    score_fn = AnalyticGmmScore(gmm, SCHEDULE)
     agg = make_mask("halves", 2, 2)
     psi = QuadraticWell(np.array([1.0, 2.0]))
     t = 0.35
@@ -118,12 +117,9 @@ def test_state_guidance_matches_finite_differences():
     grads = state_guidance(score_fn, agg, psi, SCHEDULE, xs, t).grad
 
     def forward(xs_val):
-        with tape.no_grad():
-            x0h = [tweedie(x, t, score_fn(tape.constant(x), t).value,
-                           SCHEDULE)
-                   for x in xs_val]
-            y0 = aggregate(agg, x0h)
-            return float(psi(tape.constant(y0)).value.sum())
+        x0h = [tweedie(x, t, score_fn(x, t)[0], SCHEDULE) for x in xs_val]
+        y0 = aggregate(agg, x0h)
+        return float(psi(y0, grad=False)[0].sum())
 
     h = 1e-6
     worst = 0.0
@@ -203,15 +199,22 @@ def test_tweedie_guidance_equals_masked_cost_gradient():
         np.testing.assert_allclose(grads[i], full * agg.masks[i], atol=1e-12)
 
 
-def test_tweedie_guidance_takes_a_cost_that_is_one_node_on_its_input():
-    # grad psi is the cost node's one VJP: a cost built as a graph of
-    # several ops is refused, not differentiated another way
+def test_tweedie_guidance_is_one_call_of_the_cost():
+    # psi and grad psi come from the cost's own call, with its gradient
+    # asked for, and from nowhere else: a plain function is a cost too
     psi = QuadraticWell(np.array([1.0, -1.0]))
     y = derive_rng(1, 2).standard_normal((3, 2))
-    value, grad = tweedie_guidance(psi, y)
+    calls = []
+
+    def counting_psi(v, grad=True):
+        calls.append(grad)
+        return psi(v, grad)
+
+    value, grad = tweedie_guidance(counting_psi, y)
+    assert calls == [True]
+    assert np.array_equal(value, ((y - psi.target) ** 2).sum(axis=1,
+                                                            keepdims=True))
     assert np.array_equal(grad, 2.0 * (y - psi.target))
-    with pytest.raises(TypeError, match="one op node"):
-        tweedie_guidance(taped_cost(psi), y)
 
 
 def test_score_params_perturbation_changes_cdps_not_stopgrad_guidance():
@@ -226,9 +229,7 @@ def test_score_params_perturbation_changes_cdps_not_stopgrad_guidance():
     t = 0.5
 
     before = state_guidance(net, agg, psi, SCHEDULE, xs, t).grad
-    with tape.no_grad():
-        x0h_before = [tweedie(x, t, net(tape.constant(x), t).value, SCHEDULE)
-                      for x in xs]
+    x0h_before = [tweedie(x, t, net(x, t)[0], SCHEDULE) for x in xs]
     tg_before = tweedie_guidance(psi, aggregate(agg, x0h_before))
 
     for p in net.params():
@@ -252,12 +253,12 @@ def test_guidance_path_gives_zero_gradient_to_score_params():
     policy = make_policy(2, 0, derive_rng(3, 1), hidden=(8,),
                          guidance_gain_init=-1.0)
     rng = derive_rng(3, 2)
-    xs = [tape.constant(rng.standard_normal((2, 2))) for _ in range(2)]
+    xs = [ops.constant(rng.standard_normal((2, 2))) for _ in range(2)]
     t = 0.4
 
-    scores = [net(x, t) for x in xs]
+    scores = [ops.score_node(net, x, t) for x in xs]
     x0h = [ops.tweedie(x, t, s, SCHEDULE) for x, s in zip(xs, scores)]
-    _, grad = tweedie_guidance(psi, ops.aggregate(agg, ops.stack(x0h)))
+    _, grad = tweedie_guidance(psi, ops.aggregate(agg, ops.stack(x0h)).value)
     u = eval_control(policy, xs[0], xs[1], t, scatter_adjoint(agg, grad)[0])
     tape.backward(ops.reduce_sum(ops.mul(u, u)))
 

@@ -49,7 +49,7 @@ def test_soc_config_validation():
 def test_seam_loss_zero_weights():
     cfg = SocConfig(seam_beta=0.0, seam_gamma=0.0)
     y = derive_rng(0, 0).standard_normal((3, DIM))
-    assert np.all(seam_loss(y, stripes(), cfg).value == 0.0)
+    assert np.all(seam_loss(y, stripes(), cfg)[0] == 0.0)
 
 
 def test_seam_loss_constant_image_floor():
@@ -60,7 +60,7 @@ def test_seam_loss_constant_image_floor():
     y = np.full((2, DIM), 0.37)
     expected = len(agg.seam_pairs) * (0.4 + 0.7) * eps * W
     np.testing.assert_allclose(
-        seam_loss(y, agg, cfg).value, expected, rtol=1e-12
+        seam_loss(y, agg, cfg)[0], expected, rtol=1e-12
     )
 
 
@@ -72,7 +72,7 @@ def test_seam_loss_monotone_in_step_height():
     for h in (0.0, 0.5, 1.0):
         img = np.zeros((H, W))
         img[rq:, :] = h  # step discontinuity exactly at the seam
-        losses.append(seam_loss(img.reshape(1, -1), agg, cfg).value.item())
+        losses.append(seam_loss(img.reshape(1, -1), agg, cfg)[0].item())
     assert losses[0] < losses[1] < losses[2]
 
 
@@ -96,7 +96,7 @@ def test_with_seam_only_when_active():
 def running_cost(y0_hat, t, psi, cfg):
     """alpha_t * psi at the aggregated Tweedie estimate, as the rollout
     weighs each step's running cost."""
-    return cfg.running_weight(t) * psi(tape.constant(y0_hat)).value.item()
+    return cfg.running_weight(t) * psi(y0_hat, grad=False)[0].item()
 
 
 def test_running_cost_cases():
@@ -118,10 +118,10 @@ def test_running_cost_cases():
 
 def test_gaussian_nll_and_zero_cost():
     psi = GaussianNll(np.zeros(2), 1.0)
-    val = psi(np.zeros((1, 2))).value.item()
+    val = psi(np.zeros((1, 2)))[0].item()
     np.testing.assert_allclose(val, np.log(2 * np.pi), rtol=1e-12)
-    assert np.all(ZeroCost()(np.ones((3, 2))).value == 0.0)
-    # both are one node on their input, as the rollout's guidance needs
+    assert np.all(ZeroCost()(np.ones((3, 2)), grad=False)[0] == 0.0)
+    # both give their gradient with their value, as the guidance reads it
     value, grad = tweedie_guidance(ZeroCost(), np.ones((3, 2)))
     assert np.all(value == 0.0) and np.all(grad == 0.0)
     _, grad = tweedie_guidance(GaussianNll(np.ones(2), 0.5), np.zeros((1, 2)))
@@ -175,9 +175,7 @@ def test_soc_objective_empty_batch():
 
 
 def _fd_check(cost, y0, tol=1e-4):
-    y = tape.leaf(y0)
-    tape.backward(ops.reduce_sum(cost(y)))
-    grad = y.grad
+    grad = cost(y0)[1]
     h = 1e-5
     worst = 0.0
     rng = np.random.default_rng(0)
@@ -185,9 +183,8 @@ def _fd_check(cost, y0, tol=1e-4):
         yp, ym = y0.copy(), y0.copy()
         yp.reshape(-1)[idx] += h
         ym.reshape(-1)[idx] -= h
-        with tape.no_grad():
-            fd = (float(ops.reduce_sum(cost(tape.constant(yp))).value)
-                  - float(ops.reduce_sum(cost(tape.constant(ym))).value)) / (2 * h)
+        fd = (float(cost(yp, grad=False)[0].sum())
+              - float(cost(ym, grad=False)[0].sum())) / (2 * h)
         an = grad.reshape(-1)[idx]
         worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-8))
     assert worst < tol
@@ -199,7 +196,7 @@ def test_cost_gradients_match_finite_differences():
     _fd_check(QuadraticWell(rng.standard_normal(DIM)), y0)
     _fd_check(GaussianNll(rng.standard_normal(DIM), 0.7), y0)
     cfg = SocConfig(seam_beta=0.3, seam_gamma=0.2)
-    _fd_check(lambda y: seam_loss(y, stripes(), cfg), y0)
+    _fd_check(lambda y, grad=True: seam_loss(y, stripes(), cfg, grad), y0)
     clf = Mlp([DIM, 16, 4], derive_rng(1, 1))
     _fd_check(ClassifierNll(clf, 2), y0)
     _fd_check(with_seam(ClassifierNll(clf, 1), stripes(), cfg), y0)
@@ -225,14 +222,13 @@ def test_seam_loss_is_one_node_with_the_closed_form_gradient(agents):
     cfg = SocConfig(seam_beta=0.3, seam_gamma=0.7, charbonnier_eps=0.05)
     y0 = derive_rng(2, agents).standard_normal((3, DIM))
     y = tape.leaf(y0)
-    out = seam_loss(y, agg, cfg)
+    out = ops.cost_node(lambda v, grad: seam_loss(v, agg, cfg, grad), y)
     assert out.parents == (y,)
     weights = np.array([[1.0], [-2.0], [0.5]])
     tape.backward(ops.reduce_sum(ops.mul(out, weights)))
 
     def f(v):
-        with tape.no_grad():
-            return float((seam_loss(v, agg, cfg).value * weights).sum())
+        return float((seam_loss(v, agg, cfg, grad=False)[0] * weights).sum())
 
     fd = _full_fd(f, y0)
     np.testing.assert_allclose(y.grad, fd, rtol=1e-6, atol=1e-7)
@@ -267,9 +263,11 @@ def test_classifier_nll_gradient_is_softmax_minus_onehot():
 
 @pytest.mark.parametrize("name", ["quadratic", "classifier", "classifier+seam"])
 def test_each_cost_is_one_node_with_its_tape_references_gradient(name):
-    # the terminal cost is one rowwise node on its input, so the guidance
-    # reads grad psi from its one VJP; value and gradient against the
-    # cost built from elementary ops and a taped classifier call
+    # a cost's (value, grad) against the cost built from elementary ops and
+    # a taped classifier call: the values are bit-equal, and so are the
+    # quadratic's and the classifier's gradients (the seam loss's agrees
+    # to rounding). As a tape node (``opgraphs.cost_node``, how the taped
+    # reference rollouts hold a cost) its one VJP is that gradient.
     rng = derive_rng(4, 0)
     clf = Mlp([DIM, 16, 4], derive_rng(4, 1))
     tape.freeze(clf.params())
@@ -279,13 +277,20 @@ def test_each_cost_is_one_node_with_its_tape_references_gradient(name):
            "classifier+seam": with_seam(ClassifierNll(clf, 1), stripes(),
                                         cfg)}[name]
     y0 = rng.standard_normal((5, DIM))
+    value, grad = psi(y0)
+    assert np.array_equal(psi(y0, grad=False)[0], value)
+    assert psi(y0, grad=False)[1] is None
     y = tape.leaf(y0)
-    node = psi(y)
+    node = ops.cost_node(psi, y)
     assert node.parents == (y,) and len(node.vjps) == 1
-    value, grad = tweedie_guidance(psi, y0)
+    tape.backward(ops.reduce_sum(node))
+    assert np.array_equal(y.grad, grad)
     ref_y = tape.leaf(y0)
     ref = taped_cost(psi)(ref_y)
     assert np.array_equal(value, ref.value)
     tape.backward(ops.reduce_sum(ref))
-    np.testing.assert_allclose(grad, ref_y.grad, rtol=1e-12,
-                               atol=1e-14 * np.abs(ref_y.grad).max())
+    if name == "classifier+seam":
+        np.testing.assert_allclose(grad, ref_y.grad, rtol=1e-12,
+                                   atol=1e-14 * np.abs(ref_y.grad).max())
+    else:
+        assert np.array_equal(grad, ref_y.grad)

@@ -48,7 +48,6 @@ from coopdiff.harness.cli import main as cli_main
 from coopdiff.nn import Mlp
 from coopdiff.scores import MlpScore
 from coopdiff.sde import derive_rng
-import opgraphs as ops
 from oracles import confusion_matrix, taped_classifier_loss
 
 
@@ -364,10 +363,15 @@ def test_build_assets_returns_the_pretrained_networks_frozen(source, tmp_path):
     pretrained = assets.score_fn.params() + assets.classifier.params()
     assert pretrained
     assert all(not p.requires_grad and p.grad is None for p in pretrained)
-    # the cost still differentiates in its input, and only there
-    y = tape.leaf(np.zeros((3, IMAGE_H * IMAGE_W)))
-    tape.backward(ops.reduce_sum(assets.psi(y)))
-    assert y.grad is not None and np.all(np.isfinite(y.grad))
+    # the cost still differentiates in its input, and the score model's
+    # pullback in its states, and only there: it has no leaves
+    y = np.zeros((3, IMAGE_H * IMAGE_W))
+    _, grad = assets.psi(y)
+    assert grad.shape == y.shape and np.all(np.isfinite(grad))
+    _, (vjp, leaves) = assets.score_fn(y, 0.5)
+    assert leaves == []
+    a_x, a_leaves = vjp(np.ones_like(y))
+    assert a_leaves == [] and np.all(np.isfinite(a_x))
     assert all(p.grad is None for p in pretrained)
 
 

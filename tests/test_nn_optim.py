@@ -21,20 +21,20 @@ from untaped import adam_plain, forward_plain
 def test_zero_final_gives_exact_zero_output():
     mlp = Mlp([3, 8, 2], derive_rng(0, 0), zero_final=True)
     x = derive_rng(0, 1).standard_normal((10, 3))
-    assert np.all(mlp(x).value == 0.0)
+    assert np.all(mlp([x])[0] == 0.0)
 
 
 def test_constant_final_bias_gives_exact_constant():
     mlp = Mlp([4, 8, 1], derive_rng(0, 2), zero_final=True, final_bias=-2.5)
     for seed in range(5):
         x = derive_rng(seed, 3).standard_normal((7, 4))
-        assert np.all(mlp(x).value == -2.5)
+        assert np.all(mlp([x])[0] == -2.5)
 
 
 def test_forward_matches_plain_duplicate():
     mlp = Mlp([5, 16, 16, 3], derive_rng(1, 0))
     x = derive_rng(1, 1).standard_normal((9, 5))
-    np.testing.assert_allclose(mlp(x).value, forward_plain(mlp, x), atol=1e-12)
+    np.testing.assert_allclose(mlp([x])[0], forward_plain(mlp, x), atol=1e-12)
 
 
 def test_time_features_shapes_and_errors():
@@ -84,8 +84,9 @@ def test_memoised_time_features_and_coefficients_are_the_uncached_ones():
 def test_an_mlp_node_keeps_its_activations_and_no_input_copy(trained):
     # an (8, 4096) input in two parts: the node keeps its output and hidden
     # activations (a few KB); a copy of the concatenated input would be
-    # 256 KiB. "none" is the cdps score pullback (frozen net, state leaf);
-    # "above-w0" a frozen first layer under trained ones; "all" a policy
+    # 256 KiB. "none" is a frozen net on a live input (the cdps state
+    # gradient's case); "above-w0" a frozen first layer under trained
+    # ones; "all" a policy
     rng = derive_rng(5, 0)
     mlp = Mlp([4096, 16, 8, 2], rng)
     frozen = {"none": mlp.params(), "above-w0": mlp.params()[:2],
@@ -96,7 +97,7 @@ def test_an_mlp_node_keeps_its_activations_and_no_input_copy(trained):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = mlp(x, c)
+        out = ops.mlp_node(mlp, x, c)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -173,7 +174,7 @@ def test_checkpoint_round_trip(tmp_path):
     clone = Mlp([3, 6, 2], derive_rng(99, 99), name="net")
     clone.load_state_dict(tensors)
     x = derive_rng(2, 1).standard_normal((4, 3))
-    np.testing.assert_array_equal(mlp(x).value, clone(x).value)
+    np.testing.assert_array_equal(mlp([x])[0], clone([x])[0])
 
 
 def test_a_failed_checkpoint_write_keeps_the_previous_one(tmp_path,

@@ -570,7 +570,7 @@ def test_rollout_calls_the_shared_score_model_once_per_step():
     calls = []
 
     def counting_score(x, t):
-        calls.append(x.value.shape)
+        calls.append(x.shape)
         return score(x, t)
 
     agg = make_mask("halves", 3, 3)
@@ -611,12 +611,12 @@ def test_recorded_rollout_evaluates_psi_once_per_step_and_at_the_end():
     steps = grid.steps - 1
     shapes, score_rows = [], []
 
-    def counting_psi(y):
-        shapes.append(y.value.shape)
-        return psi(y)
+    def counting_psi(y, grad=True):
+        shapes.append(y.shape)
+        return psi(y, grad)
 
     def counting_score(x, t):
-        score_rows.append(x.value.shape[0])
+        score_rows.append(x.shape[0])
         return score(x, t)
 
     policies = make_policies(2, c0=-0.5)
@@ -711,8 +711,8 @@ def test_a_rollout_node_sweeps_once_and_frees_its_records():
 def test_an_update_makes_one_backward_and_no_psi_subtape(monkeypatch):
     # K = 80 grid points: per update one top-level backward (the rollout
     # node's sweep), 79 score calls and 80 psi calls (79 at the Tweedie
-    # estimates, one terminal), and the psi gradients come from the cost
-    # node's own VJP, with no backward of their own
+    # estimates, one terminal), and the psi gradients come from the cost's
+    # own call, with no backward of their own
     score, agg, cfg, psi, grid = make_setup(steps=80)
     calls = {"backward": 0, "score": 0, "psi": 0}
     real_backward = tape.backward
@@ -722,9 +722,9 @@ def test_an_update_makes_one_backward_and_no_psi_subtape(monkeypatch):
         return real_backward(root)
 
     def counting(name, fn):
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return counted
 
     monkeypatch.setattr(tape, "backward", counting_backward)

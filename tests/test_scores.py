@@ -8,6 +8,7 @@ from coopdiff import tape
 from coopdiff.nn import time_features
 from coopdiff.optim import AdamState, adam_step
 from coopdiff.scores import (
+    AnalyticGmmScore,
     GaussianMixture,
     MlpScore,
     denoiser_loss,
@@ -22,6 +23,8 @@ from oracles import (
     gmm_score_np,
     row_time_gmm_score,
     taped_denoiser_loss,
+    taped_gmm_score,
+    taped_mlp_score,
 )
 
 SCHEDULE = NoiseSchedule()
@@ -43,7 +46,7 @@ def test_std_normal_score_is_minus_x():
     rng = derive_rng(0, 0)
     for t in (0.0, 0.2, 0.7, 1.0):
         x = rng.standard_normal((5, 2))
-        s = gmm_score(gmm, x, t, SCHEDULE).value
+        s = gmm_score(gmm, x, t, SCHEDULE)[0]
         np.testing.assert_allclose(s, -x, rtol=0, atol=1e-12)
 
 
@@ -56,14 +59,14 @@ def test_shifted_gaussian_score_hand_formula():
     for t in (0.1, 0.5, 0.9):
         alpha, _ = marginal_coeffs(SCHEDULE, t)
         x = rng.standard_normal((4, 2))
-        s = gmm_score(gmm, x, t, SCHEDULE).value
+        s = gmm_score(gmm, x, t, SCHEDULE)[0]
         np.testing.assert_allclose(s, -(x - alpha * mu0), atol=1e-12)
 
 
 def test_symmetric_mixture_score_vanishes_at_origin():
     gmm = GaussianMixture(weights=[0.5, 0.5], means=[[2.0, 0.0], [-2.0, 0.0]],
                           variances=[0.5, 0.5])
-    s = gmm_score(gmm, np.zeros((1, 2)), 0.4, SCHEDULE).value
+    s = gmm_score(gmm, np.zeros((1, 2)), 0.4, SCHEDULE)[0]
     np.testing.assert_allclose(s, np.zeros((1, 2)), atol=1e-14)
 
 
@@ -80,7 +83,7 @@ def test_gmm_score_matches_log_density_fd():
         t = float(rng.uniform(0.0, 1.0))
         x = rng.standard_normal(2) * 2.5
         mix = gmm.diffused(t, SCHEDULE)
-        s = gmm_score(gmm, x[None, :], t, SCHEDULE).value[0]
+        s = gmm_score(gmm, x[None, :], t, SCHEDULE)[0][0]
         for i in range(2):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
@@ -97,7 +100,7 @@ def test_gmm_score_taped_equals_vectorised():
                           variances=[0.4, 0.9])
     x = derive_rng(2, 0).standard_normal((6, 2))
     t = 0.37
-    a = gmm_score(gmm, x, t, SCHEDULE).value
+    a = gmm_score(gmm, x, t, SCHEDULE)[0]
     b = gmm_score_np(gmm, x, np.full(6, t), SCHEDULE)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -125,7 +128,7 @@ def test_tweedie_matches_conjugate_posterior_mean():
     for t in (0.05, 0.3, 0.8, 1.0):
         alpha, sigma = marginal_coeffs(SCHEDULE, t)
         x = rng.standard_normal((8, 2)) * 1.5
-        score = gmm_score(gmm, x, t, SCHEDULE).value
+        score = gmm_score(gmm, x, t, SCHEDULE)[0]
         got = tweedie(x, t, score, SCHEDULE)
         want = alpha * x + sigma ** 2 * mu0
         assert np.max(np.abs(got - want)) < 1e-10
@@ -164,8 +167,8 @@ def test_dsm_loss_zero_for_conditional_score():
     _, sigma = marginal_coeffs(SCHEDULE, t)
     target = -noise / sigma[:, None]
 
-    loss = dsm_loss(lambda x, tt: tape.constant(target), x0, t, noise, SCHEDULE)
-    assert float(loss.value) == 0.0
+    loss = dsm_loss(lambda x, tt: (target, None), x0, t, noise, SCHEDULE)
+    assert loss == 0.0
 
 
 def test_dsm_loss_for_zero_model_and_nonnegativity():
@@ -177,11 +180,11 @@ def test_dsm_loss_for_zero_model_and_nonnegativity():
     expected = np.mean(np.sum((noise / sigma[:, None]) ** 2, axis=1))
 
     def zero_model(x, tt):
-        return tape.constant(np.zeros_like(x.value))
+        return np.zeros_like(x), None
 
     loss = dsm_loss(zero_model, x0, t, noise, SCHEDULE)
-    np.testing.assert_allclose(float(loss.value), expected, rtol=1e-12)
-    assert float(loss.value) >= 0.0
+    np.testing.assert_allclose(loss, expected, rtol=1e-12)
+    assert loss >= 0.0
 
 
 def test_dsm_loss_empty_batch_raises():
@@ -202,10 +205,9 @@ def test_denoiser_loss_zero_when_head_returns_data():
     class Oracle:
         temb_width = 2
 
-        class mlp:
-            @staticmethod
-            def forward(parts):
-                return x0 - parts[0], ([], [])
+        @staticmethod
+        def mlp(parts):
+            return x0 - parts[0], ([], [])
 
         @staticmethod
         def params():
@@ -238,9 +240,8 @@ def test_trained_score_net_approaches_analytic_dsm_loss():
     x0 = gmm.sample(held_rng, 4096)
     t = held_rng.uniform(0.1, 1.0, size=4096)
     eps = held_rng.standard_normal((4096, 2))
-    with tape.no_grad():
-        net_loss = float(dsm_loss(net, x0, t, eps, SCHEDULE).value)
-        ana_loss = float(dsm_loss(analytic, x0, t, eps, SCHEDULE).value)
+    net_loss = dsm_loss(net, x0, t, eps, SCHEDULE)
+    ana_loss = dsm_loss(analytic, x0, t, eps, SCHEDULE)
     assert net_loss <= 1.10 * ana_loss, (net_loss, ana_loss)
 
 
@@ -270,21 +271,28 @@ def test_denoiser_loss_equals_its_tape_reference_bit_for_bit(rows,
         assert type(g) is np.ndarray and np.array_equal(g, p.grad), p.name
 
 
-@pytest.mark.parametrize("components,dim", [(1, 2), (2, 2), (3, 3)])
-def test_gmm_score_is_one_node_whose_vjp_is_the_hessian_vector_product(
-        components, dim):
-    rng = derive_rng(6, components)
-    gmm = GaussianMixture(
+def _mixture(components, dim, rng):
+    return GaussianMixture(
         weights=np.full(components, 1.0 / components),
         means=rng.standard_normal((components, dim)) * 1.5,
         variances=rng.uniform(0.2, 1.2, components),
     )
+
+
+@pytest.mark.parametrize("components,dim", [(1, 2), (2, 2), (3, 3)])
+def test_gmm_score_is_one_node_whose_vjp_is_the_hessian_vector_product(
+        components, dim):
+    # the analytic score's call as a tape node, with its pullback as the
+    # VJP: the pullback's states' adjoint is the finite-difference one
+    rng = derive_rng(6, components)
+    gmm = _mixture(components, dim, rng)
+    score = AnalyticGmmScore(gmm, SCHEDULE)
     x0 = rng.standard_normal((5, dim)) * 1.5
     g = rng.standard_normal((5, dim))
     h = 1e-6
     for t in (0.05, 0.4, 0.9):
         x = tape.leaf(x0)
-        out = gmm_score(gmm, x, t, SCHEDULE)
+        out = ops.score_node(score, x, t)
         assert out.parents == (x,)
         tape.backward(ops.reduce_sum(ops.mul(out, g)))
         fd = np.zeros_like(x0)
@@ -297,19 +305,81 @@ def test_gmm_score_is_one_node_whose_vjp_is_the_hessian_vector_product(
         np.testing.assert_allclose(x.grad, fd, rtol=1e-6, atol=1e-7)
 
 
+@pytest.mark.parametrize("components,dim", [(1, 3), (3, 3)])
+def test_gmm_score_pullback_equals_its_tape_reference(components, dim):
+    # the array call against the score built from elementary ops: the
+    # value is bit-equal, and so is the states' adjoint for one component
+    # (g * c either way); for several, the closed-form J g and autodiff's
+    # J^T g of the symmetric Jacobian agree to rounding. No leaves.
+    rng = derive_rng(6, 10 + components)
+    gmm = _mixture(components, dim, rng)
+    x0 = rng.standard_normal((7, dim)) * 1.5
+    g = rng.standard_normal((7, dim))
+    for t in (0.05, 0.4, 0.9):
+        value, (vjp, leaves) = AnalyticGmmScore(gmm, SCHEDULE)(x0, t)
+        assert leaves == []
+        a_x, a_leaves = vjp(g)
+        assert a_leaves == []
+        x = tape.leaf(x0)
+        ref = taped_gmm_score(gmm, x, t, SCHEDULE)
+        assert np.array_equal(value, ref.value)
+        ref_leaves, ref_vjp = tape.pullback(ref)
+        assert ref_leaves == [x]
+        (ref_a_x,) = ref_vjp(g)
+        if components == 1:
+            assert np.array_equal(a_x, ref_a_x)
+        else:
+            np.testing.assert_allclose(a_x, ref_a_x, rtol=1e-12,
+                                       atol=1e-14 * np.abs(ref_a_x).max())
+
+
+@pytest.mark.parametrize("trained", [False, True], ids=["frozen", "trained"])
+@pytest.mark.parametrize("rows", [8, 40])
+def test_mlp_score_pullback_equals_its_tape_reference_bit_for_bit(rows,
+                                                                  trained):
+    # the array call and its pullback against the two-node taped call
+    # and ``tape.pullback``: the scores, the states' adjoint and, for a
+    # trained net, every weight adjoint are bit-equal, for a batch
+    # narrower than the 24-wide hidden layers and for a wider one; a
+    # frozen net's pullback has no leaves
+    net = MlpScore(5, (24, 24), 8, derive_rng(7, 1), schedule=SCHEDULE)
+    if not trained:
+        tape.freeze(net.params())
+    rng = derive_rng(7, 100 + rows)
+    x0 = rng.standard_normal((rows, 5))
+    g = rng.standard_normal((rows, 5))
+    for t in (0.05, 0.6):
+        value, (vjp, leaves) = net(x0, t)
+        assert leaves == (net.params() if trained else [])
+        a_x, a_leaves = vjp(g)
+        x = tape.leaf(x0)
+        ref = taped_mlp_score(net, x, t)
+        assert np.array_equal(value, ref.value)
+        ref_leaves, ref_vjp = tape.pullback(ref)
+        ref_grads = dict(zip(map(id, ref_leaves), ref_vjp(g)))
+        assert np.array_equal(a_x, ref_grads.pop(id(x)))
+        assert len(a_leaves) == len(leaves) == len(ref_grads)
+        for leaf, a in zip(leaves, a_leaves):
+            ref_a = tape.dense(ref_grads[id(leaf)])
+            assert np.array_equal(tape.dense(a), ref_a), leaf.name
+
+
 def test_score_net_call_and_tweedie_are_three_nodes():
+    # the score net's tape reference: the fused Mlp and the tail, then
+    # Tweedie; the array call gives its value bit for bit
     net = MlpScore(4, (8,), 6, derive_rng(6, 9), schedule=SCHEDULE)
     tape.freeze(net.params())
     x = tape.leaf(derive_rng(6, 10).standard_normal((3, 4)))
-    score = net(x, 0.3)
+    score = taped_mlp_score(net, x, 0.3)
     out = ops.tweedie(x, 0.3, score, SCHEDULE)
     nodes = tape._toposort(ops.reduce_sum(out))
     assert len(nodes) == 5      # x, fused Mlp, tail, tweedie, sum
     assert out.parents == (x, score)
+    assert np.array_equal(score.value, net(x.value, 0.3)[0])
     # the same values as the per-op composition
     alpha, sigma = marginal_coeffs(SCHEDULE, 0.3)
-    m = x.value + net.mlp(np.concatenate(
-        [x.value, time_features(0.3, 6, batch=3)], axis=1)).value
+    m = x.value + net.mlp([np.concatenate(
+        [x.value, time_features(0.3, 6, batch=3)], axis=1)])[0]
     assert np.array_equal(score.value,
                           (m * float(alpha) - x.value) * (1.0 / sigma ** 2))
     # and its input gradient, through the tail and the Mlp, is the FD one
@@ -317,8 +387,7 @@ def test_score_net_call_and_tweedie_are_three_nodes():
     tape.backward(ops.reduce_sum(ops.mul(out, w)))
 
     def f(v):
-        with tape.no_grad():
-            return float((tweedie(v, 0.3, net(v, 0.3).value, SCHEDULE) * w).sum())
+        return float((tweedie(v, 0.3, net(v, 0.3)[0], SCHEDULE) * w).sum())
 
     fd = np.zeros((3, 4))
     for idx in np.ndindex(3, 4):

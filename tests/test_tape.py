@@ -55,13 +55,13 @@ def test_value_matches_untaped_mlp():
     rng = derive_rng(0, 1)
     mlp = Mlp([3, 8, 2], rng)
     x = rng.standard_normal((5, 3))
-    taped = mlp(x).value
+    taped = ops.mlp_node(mlp, x).value
     plain = forward_plain(mlp, x)
     np.testing.assert_allclose(taped, plain, rtol=0, atol=1e-12)
 
 
 def test_constant_program_is_the_constant():
-    c = tape.constant(np.array([[7.5]]))
+    c = ops.constant(np.array([[7.5]]))
     assert float(ops.reduce_sum(c).value) == 7.5
 
 
@@ -75,7 +75,7 @@ def test_backward_quadratic():
 def test_backward_gradient_of_constant_is_zero():
     w = tape.leaf(np.array([1.0, 2.0]))
     value, grads = value_and_grad(
-        lambda: ops.reduce_sum(tape.constant(np.array([4.0]))), [w]
+        lambda: ops.reduce_sum(ops.constant(np.array([4.0]))), [w]
     )
     assert value == 4.0
     np.testing.assert_array_equal(grads[0], np.zeros(2))
@@ -94,7 +94,7 @@ def test_mlp_gradient_matches_finite_differences():
     target = rng.standard_normal((3, 2))
 
     def loss_node():
-        resid = ops.sub(mlp(x), tape.constant(target))
+        resid = ops.sub(ops.mlp_node(mlp, x), ops.constant(target))
         return ops.reduce_sum(ops.mul(resid, resid))
 
     _, grads = value_and_grad(loss_node, mlp.params())
@@ -119,7 +119,7 @@ def test_stopgrad_definition():
 
 
 def test_stopgrad_preserves_forward_value():
-    x = tape.constant(np.array([1.0, -2.0]))
+    x = ops.constant(np.array([1.0, -2.0]))
     np.testing.assert_array_equal(ops.stopgrad(x).value, x.value)
 
 
@@ -129,7 +129,7 @@ def test_no_grad_builds_parentless_nodes():
         y = ops.mul(w, w)
     assert y.is_leaf
     with tape.no_grad():
-        with tape.grad_enabled():
+        with ops.grad_enabled():
             z = ops.mul(w, w)
     assert not z.is_leaf
 
@@ -140,7 +140,7 @@ def test_gradients_are_deterministic():
         mlp = Mlp([4, 12, 1], rng)
         x = rng.standard_normal((6, 4))
         _, grads = value_and_grad(
-            lambda: ops.reduce_sum(mlp(x)), mlp.params()
+            lambda: ops.reduce_sum(ops.mlp_node(mlp, x)), mlp.params()
         )
         return grads
 
@@ -175,7 +175,7 @@ def test_elementwise_op_gradients_match_fd(rows, cols, seed):
 
     def build(v):
         x = tape.leaf(v)
-        y = tape.constant(yv)
+        y = ops.constant(yv)
         expr = ops.add(ops.mul(ops.tanh(x), y), ops.exp(ops.scale(x, 0.3)))
         root = ops.reduce_sum(ops.mul(expr, expr))
         return x, root
@@ -215,7 +215,7 @@ def test_matmul_concat_sqrt_gradients_match_fd():
         prod = ops.matmul(a, b)
         cat = ops.concat([prod, ops.scale(prod, -0.5)], axis=1)
         root = ops.reduce_sum(
-            ops.sqrt(ops.add(ops.mul(cat, cat), tape.constant(0.1)))
+            ops.sqrt(ops.add(ops.mul(cat, cat), ops.constant(0.1)))
         )
         return a, b, root
 
@@ -248,9 +248,10 @@ def test_constant_and_frozen_leaves_get_no_vjp_and_no_grad():
         policy = Mlp([3, 5, 3], derive_rng(8, 2), name="policy")
         if freeze:
             tape.freeze(pretrained.params())
-        x = tape.constant(xv)
+        x = ops.constant(xv)
         # pretrained(x) touches no node that requires grad once frozen
-        out = pretrained(ops.add(pretrained(x), policy(x)))
+        out = ops.mlp_node(pretrained, ops.add(ops.mlp_node(pretrained, x),
+                                               ops.mlp_node(policy, x)))
         root = ops.reduce_sum(ops.mul(out, out))
         tape.backward(root)
         return pretrained, policy, x, tape._toposort(root)
@@ -274,31 +275,33 @@ def test_constant_and_frozen_leaves_get_no_vjp_and_no_grad():
 def test_rowwise_node_takes_the_given_gradient_as_its_vjp():
     x = tape.leaf(np.arange(6.0).reshape(3, 2))
     grad = np.array([[1.0, -1.0], [0.5, 2.0], [3.0, 0.0]])
-    node = tape.rowwise(x, np.ones((3, 1)), grad)
+    node = ops.rowwise(x, np.ones((3, 1)), grad)
     weights = np.array([[2.0], [-1.0], [4.0]])
     tape.backward(ops.reduce_sum(ops.mul(node, weights)))
     np.testing.assert_array_equal(x.grad, weights * grad)
     with tape.no_grad():
-        assert tape.rowwise(x, np.ones((3, 1)), grad).is_leaf
+        assert ops.rowwise(x, np.ones((3, 1)), grad).is_leaf
 
 
 def test_mlp_call_is_one_fused_node_with_edges_only_into_live_inputs():
     rng = derive_rng(9, 0)
     mlp = Mlp([3, 7, 5, 2], rng)
     x = tape.leaf(rng.standard_normal((4, 3)))
-    out = mlp(x)
+    out = ops.mlp_node(mlp, x)
     assert out.parents == (x, *mlp.params()) and len(out.vjps) == 1
     root = ops.reduce_sum(out)
     assert len(tape._toposort(root)) == 2 + 1 + len(mlp.params())
     np.testing.assert_array_equal(out.value, forward_plain(mlp, x.value))
 
-    assert mlp(tape.constant(x.value)).parents == tuple(mlp.params())
+    assert (ops.mlp_node(mlp, ops.constant(x.value)).parents
+            == tuple(mlp.params()))
     tape.freeze(mlp.params())
-    assert mlp(x).parents == (x,)              # no edge into frozen weights
-    assert mlp(tape.constant(x.value)).is_leaf
+    assert ops.mlp_node(mlp, x).parents == (x,)   # no edge into frozen weights
+    assert ops.mlp_node(mlp, ops.constant(x.value)).is_leaf
     tape.freeze([x])
     with tape.no_grad():
-        assert Mlp([3, 2], rng)(rng.standard_normal((4, 3))).is_leaf
+        assert ops.mlp_node(Mlp([3, 2], rng),
+                            rng.standard_normal((4, 3))).is_leaf
 
 
 @pytest.mark.parametrize("input_live", [True, False])
@@ -313,9 +316,10 @@ def test_fused_mlp_gradients_match_plain_backprop_and_fd(frozen, input_live):
     live = [p for p in mlp.params() if p.requires_grad]
 
     def loss(x):
-        return ops.reduce_sum(ops.mul(ops.tanh(mlp(x)), weights))
+        return ops.reduce_sum(ops.mul(ops.tanh(ops.mlp_node(mlp, x)),
+                                      weights))
 
-    x = tape.leaf(xv) if input_live else tape.constant(xv)
+    x = tape.leaf(xv) if input_live else ops.constant(xv)
     root = loss(x)
     if not (live or input_live):
         assert root.is_leaf
@@ -330,7 +334,7 @@ def test_fused_mlp_gradients_match_plain_backprop_and_fd(frozen, input_live):
 
             def f(v, p=p):
                 p.value = v
-                out = float(loss(tape.constant(xv)).value)
+                out = float(loss(ops.constant(xv)).value)
                 p.value = orig
                 return out
 
@@ -339,7 +343,7 @@ def test_fused_mlp_gradients_match_plain_backprop_and_fd(frozen, input_live):
             assert p.grad is None
     if input_live:
         np.testing.assert_allclose(x.grad, g_in, rtol=0, atol=1e-12)
-        fd = finite_diff(lambda v: float(loss(tape.constant(v)).value), xv)
+        fd = finite_diff(lambda v: float(loss(ops.constant(v)).value), xv)
         assert max_rel_err(fd, x.grad) < 1e-4
     else:
         assert x.grad is None
@@ -352,7 +356,7 @@ def test_a_second_backward_through_a_fused_mlp_gives_the_same_gradients():
     rng = derive_rng(9, 2)
     mlp = Mlp([3, 8, 8, 2], rng)
     x = tape.leaf(rng.standard_normal((5, 3)))
-    out = mlp(x)
+    out = ops.mlp_node(mlp, x)
     leaves = [x, *mlp.params()]
 
     root = ops.reduce_sum(ops.mul(out, out))
@@ -374,10 +378,10 @@ def test_mlp_on_column_parts_is_the_mlp_on_their_concatenation():
     a = tape.leaf(rng.standard_normal((4, 3)))
     c = rng.standard_normal((4, 2))             # a constant part
     b = tape.leaf(rng.standard_normal((4, 2)))
-    out = mlp(a, c, b)
+    out = ops.mlp_node(mlp, a, c, b)
     assert out.parents == (a, b)
     whole = tape.leaf(np.concatenate([a.value, c, b.value], axis=1))
-    ref = mlp(whole)
+    ref = ops.mlp_node(mlp, whole)
     assert np.array_equal(out.value, ref.value)
     weights = rng.standard_normal((4, 2))
     tape.backward(ops.reduce_sum(ops.mul(out, weights)))
@@ -394,15 +398,15 @@ def test_a_trained_mlp_on_column_parts_has_its_concatenations_gradients():
     mlp = Mlp([9, 6, 5, 2], rng)
     a = tape.leaf(rng.standard_normal((4, 3)))
     c = rng.standard_normal((4, 2))                     # an array part
-    k = tape.constant(rng.standard_normal((4, 1)))      # a constant node
+    k = ops.constant(rng.standard_normal((4, 1)))      # a constant node
     b = tape.leaf(rng.standard_normal((4, 3)))
     weights = rng.standard_normal((4, 2))
-    out = mlp(a, c, k, b)
+    out = ops.mlp_node(mlp, a, c, k, b)
     assert out.parents == (a, b, *mlp.params())
     tape.backward(ops.reduce_sum(ops.mul(out, weights)))
     grads = [p.grad for p in mlp.params()]
     whole = tape.leaf(np.concatenate([a.value, c, k.value, b.value], axis=1))
-    ref = mlp(whole)
+    ref = ops.mlp_node(mlp, whole)
     assert np.array_equal(out.value, ref.value)
     tape.backward(ops.reduce_sum(ops.mul(ref, weights)))
     for got, p in zip(grads, mlp.params()):
@@ -431,7 +435,7 @@ def _recurrent_loss(mlp, x0, steps, per_op=False):
     """x_{k+1} = x_k + 0.05 * mlp(x_k) for ``steps`` steps, loss sum x_K^2:
     every weight is used at every step. ``per_op`` builds the same net
     from elementary ops, whose matmul VJP forms each step's ``a.T @ g``."""
-    x = tape.constant(x0)
+    x = ops.constant(x0)
     for _ in range(steps):
         if per_op:
             h = x
@@ -440,7 +444,7 @@ def _recurrent_loss(mlp, x0, steps, per_op=False):
                 if i < len(mlp.weights) - 1:
                     h = ops.tanh(h)
         else:
-            h = mlp(x)
+            h = ops.mlp_node(mlp, x)
         x = ops.add(x, ops.scale(h, 0.05))
     return ops.reduce_sum(ops.mul(x, x))
 
@@ -488,7 +492,7 @@ def test_a_single_use_weight_gets_exactly_a_T_g(rows):
     mlp = Mlp([5, 8], rng)
     x = rng.standard_normal((rows, 5))
     c = rng.standard_normal((rows, 8))
-    tape.backward(ops.reduce_sum(ops.mul(mlp(x), c)))
+    tape.backward(ops.reduce_sum(ops.mul(ops.mlp_node(mlp, x), c)))
     assert np.array_equal(mlp.weights[0].grad, x.T @ c)
     assert np.array_equal(tape.OuterSum((x,), c).array(), x.T @ c)
 
@@ -555,12 +559,14 @@ def test_the_input_adjoint_over_live_columns_is_the_full_products_slice(
     tape.freeze(mlp.params())
     rows = 16
     values = [rng.standard_normal((rows, n)) for n in sizes]
-    parts = [tape.leaf(v) if keep else tape.constant(v)
+    parts = [tape.leaf(v) if keep else ops.constant(v)
              for v, keep in zip(values, live)]
     weights = rng.standard_normal((rows, 5))
-    tape.backward(ops.reduce_sum(ops.mul(mlp(*parts), weights)))
+    tape.backward(ops.reduce_sum(ops.mul(ops.mlp_node(mlp, *parts),
+                                         weights)))
     whole = tape.leaf(np.concatenate(values, axis=1))
-    tape.backward(ops.reduce_sum(ops.mul(mlp(whole), weights)))
+    tape.backward(ops.reduce_sum(ops.mul(ops.mlp_node(mlp, whole),
+                                         weights)))
     offsets = np.cumsum([0, *sizes])
     for i, part in enumerate(parts):
         if live[i]:
@@ -598,9 +604,9 @@ def _every_op_graph(x, w, mlp):
     h = ops.add(h, ops.sqrt(ops.exp(ops.log(norm))))
     s = ops.stack([h, ops.reshape(ops.reshape(h, (4, 3)), (3, 4))])
     h = ops.add(ops.index(s, 1), ops.gather_cols(h, [0, 0, 3, 1]))
-    h = mlp(ops.add(h, logsumexp(h)), x)                          # (3, 2)
-    r = tape.rowwise(h, (h.value ** 2).sum(axis=1, keepdims=True),
-                     2.0 * h.value)
+    h = ops.mlp_node(mlp, ops.add(h, logsumexp(h)), x)            # (3, 2)
+    r = ops.rowwise(h, (h.value ** 2).sum(axis=1, keepdims=True),
+                    2.0 * h.value)
     return ops.reduce_sum(ops.add(ops.gather_cols(h, [1]), r))
 
 

@@ -3,7 +3,8 @@ import numpy as np
 
 
 def forward_plain(mlp, x):
-    """``Mlp.__call__`` in plain numpy, reading the weights' values."""
+    """An ``Mlp`` call's output in plain numpy, reading the weights'
+    values."""
     h = np.asarray(x, dtype=np.float64)
     n_layers = len(mlp.weights)
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
