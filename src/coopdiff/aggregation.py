@@ -32,7 +32,6 @@ class MaskAggregator:
     index_sets: tuple            # one sorted tuple of coordinates per agent
     image_hw: tuple | None = None
     seam_pairs: tuple = ()       # ((last row of upper stripe, first row of lower), ...)
-    preset: str = "explicit"
     masks: Array = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -93,9 +92,12 @@ def scatter_adjoint(agg: MaskAggregator, grad_y) -> Array:
 # presets
 # ---------------------------------------------------------------------------
 
-def _balanced_split(n_items: int, n_groups: int) -> list[np.ndarray]:
+def _balanced_split(n_items: int, n_groups: int, what: str) -> list[np.ndarray]:
     # first (n_items mod n_groups) groups get the extra item, as in
     # numpy.array_split: 16 rows over 3 agents -> heights 6, 5, 5
+    if n_groups > n_items:
+        raise ValueError(f"{n_groups} agents cannot split {n_items} {what}: "
+                         f"num_agents must be at most {n_items}")
     return np.array_split(np.arange(n_items), n_groups)
 
 
@@ -104,26 +106,26 @@ def make_mask(
     num_agents: int,
     dim: int,
     image_hw: tuple | None = None,
-    index_sets=None,
 ) -> MaskAggregator:
     """Build a named mask layout.
 
     Presets: "identity" (single agent), "halves" (contiguous split of the
     flat coordinates), "h-stripes" / "v-stripes" (row / column bands of an
-    image, which requires ``image_hw``), "explicit" (caller-supplied
-    ``index_sets``). Horizontal stripes also derive the seam row pairs used
-    by the seam-continuity loss.
+    image, which requires ``image_hw``). Each agent owns at least one
+    coordinate, row or column. Horizontal stripes also derive the seam row
+    pairs used by the seam-continuity loss. Any other partition is built
+    directly as ``MaskAggregator(num_agents, dim, index_sets)``.
     """
     if num_agents < 1:
         raise ValueError("need at least one agent")
     if preset == "identity":
         if num_agents != 1:
             raise ValueError("identity mask is for a single agent")
-        return MaskAggregator(1, dim, (tuple(range(dim)),), image_hw, (), preset)
+        return MaskAggregator(1, dim, (tuple(range(dim)),), image_hw)
     if preset == "halves":
-        groups = _balanced_split(dim, num_agents)
+        groups = _balanced_split(dim, num_agents, "coordinates")
         return MaskAggregator(
-            num_agents, dim, tuple(tuple(g) for g in groups), image_hw, (), preset
+            num_agents, dim, tuple(tuple(g) for g in groups), image_hw
         )
     if preset in ("h-stripes", "v-stripes"):
         if image_hw is None:
@@ -132,7 +134,7 @@ def make_mask(
         if h * w != dim:
             raise ValueError(f"image {h}x{w} does not match dimension {dim}")
         if preset == "h-stripes":
-            bands = _balanced_split(h, num_agents)
+            bands = _balanced_split(h, num_agents, "rows")
             sets = tuple(
                 tuple(int(r) * w + c for r in band for c in range(w))
                 for band in bands
@@ -141,20 +143,14 @@ def make_mask(
                 (int(bands[i][-1]), int(bands[i + 1][0]))
                 for i in range(len(bands) - 1)
             )
-            return MaskAggregator(num_agents, dim, sets, image_hw, seams, preset)
-        bands = _balanced_split(w, num_agents)
+            return MaskAggregator(num_agents, dim, sets, image_hw, seams)
+        bands = _balanced_split(w, num_agents, "columns")
         sets = tuple(
             tuple(r * w + int(c) for c in band for r in range(h))
             for band in bands
         )
-        return MaskAggregator(num_agents, dim, sets, image_hw, (), preset)
-    if preset == "explicit":
-        if index_sets is None:
-            raise ValueError("explicit masks need index_sets")
-        return MaskAggregator(
-            num_agents, dim, tuple(tuple(s) for s in index_sets), image_hw, (), preset
-        )
+        return MaskAggregator(num_agents, dim, sets, image_hw)
     raise ValueError(
         f"unknown mask preset {preset!r}; expected identity, halves, "
-        "h-stripes, v-stripes or explicit"
+        "h-stripes or v-stripes"
     )

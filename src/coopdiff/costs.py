@@ -12,7 +12,7 @@ Objective layout (hat-J for one batch):
           + sum_k alpha_t(t_k) * psi(Y0_hat_k) dt_k        (running cost)
           + psi(Y_terminal)                                (terminal cost)
 
-with lambda_i = control_weight / N unless per-agent weights are given.
+with lambda_i = control_weight / N for every agent.
 
 Each terminal cost forms its gradient in closed form: the quadratic well,
 the classifier NLL (softmax - onehot pushed through the frozen
@@ -41,7 +41,6 @@ class SocConfig:
     control_weight: float = 10.0      # lambda
     running_scale: float = 1.0        # alpha
     running_ramp: str = "constant"    # "constant" or "linear" (alpha * (1 - t))
-    agent_weights: tuple | None = None
     seam_beta: float = 0.0
     seam_gamma: float = 0.0
     charbonnier_eps: float = 1e-3
@@ -60,22 +59,10 @@ class SocConfig:
                 f"running_ramp must be 'constant' or 'linear', got "
                 f"{self.running_ramp!r}"
             )
-        if self.agent_weights is not None:
-            w = tuple(float(x) for x in self.agent_weights)
-            if any(x < 0 for x in w):
-                raise ValueError("per-agent weights must be non-negative")
-            object.__setattr__(self, "agent_weights", w)
 
     def lambda_weights(self, num_agents: int) -> Array:
-        """Per-agent control weights; default lambda / N for every agent."""
-        if self.agent_weights is None:
-            return np.full(num_agents, self.control_weight / num_agents)
-        if len(self.agent_weights) != num_agents:
-            raise ValueError(
-                f"{len(self.agent_weights)} agent weights for "
-                f"{num_agents} agents"
-            )
-        return np.asarray(self.agent_weights, dtype=np.float64)
+        """Per-agent control weights: lambda / N for every agent."""
+        return np.full(num_agents, self.control_weight / num_agents)
 
     def running_weight(self, t: float) -> float:
         """Time scaling alpha_t of the running cost."""

@@ -15,9 +15,11 @@ from ..costs import _nll
 from ..nn import Mlp
 from ..optim import AdamState, adam_step
 from ..sde import derive_rng
-from .shapes import ShapesDataset
+from .shapes import CLASS_NAMES, ShapesDataset
 
 Array = np.ndarray
+
+BATCH = 64
 
 
 class ClassifierTrainingError(RuntimeError):
@@ -46,12 +48,18 @@ def batch_loss(model: Mlp, images: Array, labels: Array):
     return float(per_row.sum() * scale), [tape.dense(g) for g in grads]
 
 
+def new_classifier(dim: int, hidden, seed: int) -> Mlp:
+    """The classifier ``train_classifier`` starts from, at its seeded
+    init: ``dim`` inputs, the ``hidden`` widths, one logit per class."""
+    return Mlp([dim, *hidden, len(CLASS_NAMES)], derive_rng(seed, 42),
+               name="classifier")
+
+
 def train_classifier(
     dataset: ShapesDataset,
     seed: int = 0,
     hidden=(64,),
     lr: float = 1e-3,
-    batch: int = 64,
     max_steps: int = 4000,
     target_accuracy: float = 0.95,
 ) -> Mlp:
@@ -63,15 +71,13 @@ def train_classifier(
     """
     x_train, y_train = dataset.train()
     x_held, y_held = dataset.heldout()
-    dim = x_train.shape[1]
-    model = Mlp([dim, *hidden, dataset.num_classes], derive_rng(seed, 42),
-                name="classifier")
+    model = new_classifier(x_train.shape[1], hidden, seed)
     adam = AdamState.for_params(model.params(), lr=lr)
     data_rng = derive_rng(seed, 43)
     curve: list[tuple[int, float, float]] = []
     check_every = 200
     for step in range(max_steps):
-        pick = data_rng.integers(0, x_train.shape[0], size=batch)
+        pick = data_rng.integers(0, x_train.shape[0], size=BATCH)
         loss_value, grads = batch_loss(model, x_train[pick], y_train[pick])
         adam_step(model.params(), grads, adam)
         if (step + 1) % check_every == 0 or step == max_steps - 1:

@@ -20,16 +20,18 @@ import numpy as np
 
 from ..checkpoint import save_checkpoint
 from ..optimize import DivergedRolloutError, TrainingDivergedError
-from .classifier import ClassifierTrainingError, train_classifier
+from .classifier import ClassifierTrainingError
 from .config import ConfigError, load_config, with_overrides
 from .experiment import (
     build_assets,
+    evaluate_method,
+    fit_classifier,
     load_weights,
     make_policies,
     run_experiment,
     train_score_model,
+    write_samples,
 )
-from .gridio import export_grid
 from .shapes import generate_shapes
 
 EXIT_OK = 0
@@ -73,37 +75,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_train_score(args) -> int:
-    config = load_config(args.config)
-    if config.task != "shapes16":
-        raise ConfigError("train-score applies to the shapes16 task")
-    dataset = generate_shapes(config.shapes_per_class, seed=config.seed)
-    score = train_score_model(config, dataset)
-    save_checkpoint(args.out, score.state_dict(),
-                    meta={"hidden": list(config.score_hidden),
-                          "temb_width": config.score_temb_width,
-                          "seed": config.seed})
-    print(f"score checkpoint written to {args.out}")
-    return EXIT_OK
+# verb -> (the network it fits, the fit, the checkpoint's meta)
+_FITS = {
+    "train-score": ("score", train_score_model, lambda config: {
+        "hidden": list(config.score_hidden),
+        "temb_width": config.score_temb_width}),
+    "train-classifier": ("classifier", fit_classifier, lambda config: {
+        "hidden": list(config.classifier_hidden)}),
+}
 
 
-def _cmd_train_classifier(args) -> int:
+def _cmd_train(args) -> int:
+    what, fit, meta = _FITS[args.verb]
     config = load_config(args.config)
     if config.task != "shapes16":
-        raise ConfigError("train-classifier applies to the shapes16 task")
+        raise ConfigError(f"{args.verb} applies to the shapes16 task")
     dataset = generate_shapes(config.shapes_per_class, seed=config.seed)
-    clf = train_classifier(
-        dataset,
-        seed=config.seed,
-        hidden=config.classifier_hidden,
-        lr=config.classifier_lr,
-        max_steps=config.classifier_max_steps,
-        target_accuracy=config.classifier_target_accuracy,
-    )
-    save_checkpoint(args.out, clf.state_dict(),
-                    meta={"hidden": list(config.classifier_hidden),
-                          "seed": config.seed})
-    print(f"classifier checkpoint written to {args.out}")
+    model = fit(config, dataset)
+    save_checkpoint(args.out, model.state_dict(),
+                    meta={**meta(config), "seed": config.seed})
+    print(f"{what} checkpoint written to {args.out}")
     return EXIT_OK
 
 
@@ -141,19 +132,8 @@ def _cmd_sample(args) -> int:
         for pol in policies:
             path = Path(args.policies) / f"policy_agent{pol.agent_index}.npz"
             load_weights(pol, path, "policy")
-    from .experiment import _evaluate_method
-
-    evals = _evaluate_method(config, assets, policies)
-    y = evals["terminal_y"]
-    if config.task == "shapes16":
-        out = Path(args.out or config.resolve_output_dir() / "samples.pgm")
-        export_grid(y, out, assets.image_hw())
-    else:
-        out = Path(args.out or config.resolve_output_dir() / "samples.csv")
-        from .experiment import _write_samples_csv
-
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _write_samples_csv(out, y)
+    y = evaluate_method(config, assets, policies)["terminal_y"]
+    out = write_samples(config, assets.agg, y, args.out)
     print(f"{y.shape[0]} samples -> {out}")
     return EXIT_OK
 
@@ -172,8 +152,8 @@ def _cmd_report(args) -> int:
 
 
 _COMMANDS = {
-    "train-score": _cmd_train_score,
-    "train-classifier": _cmd_train_classifier,
+    "train-score": _cmd_train,
+    "train-classifier": _cmd_train,
     "run": _cmd_run,
     "sample": _cmd_sample,
     "report": _cmd_report,

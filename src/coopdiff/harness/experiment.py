@@ -7,6 +7,11 @@ file byte for byte at a fixed BLAS thread count (a different thread count
 can move the learned methods' files in the last bits; ROADMAP direction
 5).
 
+The CLI's ``train-*`` verbs call the fits ``build_assets`` calls
+(``train_score_model``, ``fit_classifier``), and ``sample`` evaluates and
+writes its samples as ``run_experiment`` does (``evaluate_method``,
+``write_samples``).
+
 Outputs per run directory:
   config.txt    normalised config snapshot
   metrics.csv   one header + one row (method, counts, mean psi, accuracy, ...)
@@ -30,7 +35,6 @@ from ..aggregation import MaskAggregator
 from ..checkpoint import load_checkpoint, save_checkpoint
 from ..control import make_policy
 from ..costs import ClassifierNll, QuadraticWell, with_seam
-from ..nn import Mlp
 from ..optim import AdamState, adam_step
 from ..optimize import (
     TrainingResult,
@@ -43,7 +47,7 @@ from ..optimize import (
 )
 from ..scores import AnalyticGmmScore, GaussianMixture, MlpScore, denoiser_loss
 from ..sde import derive_rng, make_time_grid
-from .classifier import train_classifier
+from .classifier import new_classifier, train_classifier
 from .config import ConfigError, ExperimentConfig, normalized_text
 from .gridio import export_grid
 from .shapes import CLASS_NAMES, IMAGE_H, IMAGE_W, ShapesDataset, generate_shapes
@@ -66,10 +70,6 @@ class TaskAssets:
     score_fn: object
     psi: object
     accuracy_fn: object
-    classifier: Mlp | None = None
-
-    def image_hw(self):
-        return self.agg.image_hw
 
 
 @dataclass
@@ -96,16 +96,18 @@ def _gmm2d_mixture(config: ExperimentConfig) -> GaussianMixture:
     )
 
 
+def new_score_net(config: ExperimentConfig) -> MlpScore:
+    """The configured score network at its seeded init."""
+    return MlpScore(IMAGE_H * IMAGE_W, config.score_hidden,
+                    config.score_temb_width,
+                    derive_rng(config.seed, _KEY_SCORE_INIT),
+                    schedule=config.schedule())
+
+
 def train_score_model(config: ExperimentConfig, dataset: ShapesDataset) -> MlpScore:
     """Denoising training of the score network on the shapes images."""
     schedule = config.schedule()
-    score = MlpScore(
-        IMAGE_H * IMAGE_W,
-        config.score_hidden,
-        config.score_temb_width,
-        derive_rng(config.seed, _KEY_SCORE_INIT),
-        schedule=schedule,
-    )
+    score = new_score_net(config)
     adam = AdamState.for_params(score.params(), lr=config.score_lr)
     rng = derive_rng(config.seed, _KEY_SCORE_DATA)
     x_train, _ = dataset.train()
@@ -120,6 +122,18 @@ def train_score_model(config: ExperimentConfig, dataset: ShapesDataset) -> MlpSc
     return score
 
 
+def fit_classifier(config: ExperimentConfig, dataset: ShapesDataset):
+    """The configured classifier fit on the shapes images."""
+    return train_classifier(
+        dataset,
+        seed=config.seed,
+        hidden=config.classifier_hidden,
+        lr=config.classifier_lr,
+        max_steps=config.classifier_max_steps,
+        target_accuracy=config.classifier_target_accuracy,
+    )
+
+
 def load_weights(model, path, what: str) -> None:
     """Load the checkpoint at ``path`` into ``model``; a file that is not a
     checkpoint, or whose tensors do not fit the model, is a config error."""
@@ -131,25 +145,19 @@ def load_weights(model, path, what: str) -> None:
         ) from err
 
 
-def build_assets(
-    config: ExperimentConfig,
-    score_fn=None,
-    classifier: Mlp | None = None,
-    dataset: ShapesDataset | None = None,
-) -> TaskAssets:
-    """Construct (or load, or accept pre-built) task components.
+def build_assets(config: ExperimentConfig) -> TaskAssets:
+    """Construct the task components, loading or training the pretrained
+    networks of shapes16.
 
     A score network or classifier trained or loaded here is returned
     frozen: the pretrained agents are fixed, and only the control policies
-    are learned. The shapes16 ``dataset`` (generated from the config when
-    not given) is read only to train them; the assets do not keep it.
+    are learned. The shapes16 dataset is generated from the config and
+    read only to train them; the assets do not keep it.
     """
-    schedule = config.schedule()
     agg = config.aggregator()
     dim = agg.dim
     if config.task == "gmm2d":
-        if score_fn is None:
-            score_fn = AnalyticGmmScore(_gmm2d_mixture(config), schedule)
+        score_fn = AnalyticGmmScore(_gmm2d_mixture(config), config.schedule())
         target = np.asarray(config.soc_target, dtype=np.float64)
         if target.size != dim:
             raise ConfigError(
@@ -166,40 +174,20 @@ def build_assets(
         return TaskAssets(dim, agg, score_fn, psi, accuracy_fn)
 
     # shapes16
-    if dataset is None:
-        dataset = generate_shapes(config.shapes_per_class, seed=config.seed)
-    if classifier is None:
-        if config.classifier_checkpoint:
-            classifier = Mlp(
-                [dim, *config.classifier_hidden, len(CLASS_NAMES)],
-                derive_rng(config.seed, 42),
-                name="classifier",
-            )
-            load_weights(classifier, config.classifier_checkpoint,
-                         "classifier")
-        else:
-            classifier = train_classifier(
-                dataset,
-                seed=config.seed,
-                hidden=config.classifier_hidden,
-                lr=config.classifier_lr,
-                max_steps=config.classifier_max_steps,
-                target_accuracy=config.classifier_target_accuracy,
-            )
-        tape.freeze(classifier.params())
-    if score_fn is None:
-        if config.score_checkpoint:
-            score_fn = MlpScore(
-                dim,
-                config.score_hidden,
-                config.score_temb_width,
-                derive_rng(config.seed, _KEY_SCORE_INIT),
-                schedule=config.schedule(),
-            )
-            load_weights(score_fn, config.score_checkpoint, "score network")
-        else:
-            score_fn = train_score_model(config, dataset)
-        tape.freeze(score_fn.params())
+    dataset = generate_shapes(config.shapes_per_class, seed=config.seed)
+    if config.classifier_checkpoint:
+        classifier = new_classifier(dim, config.classifier_hidden,
+                                    config.seed)
+        load_weights(classifier, config.classifier_checkpoint, "classifier")
+    else:
+        classifier = fit_classifier(config, dataset)
+    tape.freeze(classifier.params())
+    if config.score_checkpoint:
+        score_fn = new_score_net(config)
+        load_weights(score_fn, config.score_checkpoint, "score network")
+    else:
+        score_fn = train_score_model(config, dataset)
+    tape.freeze(score_fn.params())
     label = CLASS_NAMES.index(config.soc_target_class)
     psi = with_seam(ClassifierNll(classifier, label), agg, config.soc())
 
@@ -207,7 +195,7 @@ def build_assets(
         logits = classifier([np.clip(y, -1.0, 1.0)])[0]
         return (logits.argmax(axis=1) == label).astype(np.float64)
 
-    return TaskAssets(dim, agg, score_fn, psi, accuracy_fn, classifier)
+    return TaskAssets(dim, agg, score_fn, psi, accuracy_fn)
 
 
 def make_policies(config: ExperimentConfig, dim: int):
@@ -229,7 +217,7 @@ def make_policies(config: ExperimentConfig, dim: int):
 # evaluation and file output
 # ---------------------------------------------------------------------------
 
-def _evaluate_method(config: ExperimentConfig, assets: TaskAssets, policies):
+def evaluate_method(config: ExperimentConfig, assets: TaskAssets, policies):
     """Chunked paired-noise evaluation; returns per-sample arrays + records."""
     schedule = config.schedule()
     grid = make_time_grid(config.grid_steps, config.grid_eps)
@@ -252,23 +240,16 @@ def _evaluate_method(config: ExperimentConfig, assets: TaskAssets, policies):
             psi_vals = assets.psi(y, grad=False)[0][:, 0]
             rec_states = None
         else:
+            common = (assets.score_fn, assets.agg, cfg, grid, assets.psi,
+                      schedule, eval_seed, batch)
             if config.method == "uncontrolled":
-                rec = sample_uncontrolled(
-                    assets.score_fn, assets.agg, cfg, grid, assets.psi,
-                    schedule, eval_seed, batch, noise_index=chunk_idx,
-                )
+                rec = sample_uncontrolled(*common, noise_index=chunk_idx)
             elif config.method == "cdps":
-                rec = sample_cdps(
-                    assets.score_fn, assets.agg, cfg, grid, assets.psi,
-                    schedule, eval_seed, batch,
-                    alpha_guid=config.cdps_alpha_guid, noise_index=chunk_idx,
-                )
+                rec = sample_cdps(*common, alpha_guid=config.cdps_alpha_guid,
+                                  noise_index=chunk_idx)
             else:
-                rec = sample_controlled(
-                    policies, assets.score_fn, assets.agg, cfg, grid,
-                    assets.psi, schedule, eval_seed, batch,
-                    noise_index=chunk_idx,
-                )
+                rec = sample_controlled(policies, *common,
+                                        noise_index=chunk_idx)
             y = rec.terminal_y
             psi_vals = rec.per_sample_psi
             rec_states = rec.terminal_states
@@ -325,11 +306,23 @@ def _write_curve(path: Path, curve) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_samples_csv(path: Path, y: Array) -> None:
+def write_samples(config: ExperimentConfig, agg: MaskAggregator, y: Array,
+                  path=None) -> Path:
+    """Write terminal samples to ``path`` (by default ``samples.pgm`` or
+    ``samples.csv`` in the run directory) and return it: one PGM grid for
+    the image task, one CSV row per sample otherwise."""
+    image = config.task == "shapes16"
+    path = Path(path or config.resolve_output_dir()
+                / ("samples.pgm" if image else "samples.csv"))
+    if image:
+        export_grid(y, path, agg.image_hw)
+        return path
     lines = [",".join(f"y{i}" for i in range(y.shape[1]))]
     for row in y:
         lines.append(",".join(_float_repr(v) for v in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def run_experiment(config: ExperimentConfig, assets: TaskAssets | None = None) -> Report:
@@ -376,26 +369,21 @@ def run_experiment(config: ExperimentConfig, assets: TaskAssets | None = None) -
                             meta={"update": result.total_updates})
             paths[f"policy_agent{pol.agent_index}"] = ckpt
 
-    evals = _evaluate_method(config, assets, policies)
+    evals = evaluate_method(config, assets, policies)
     _write_metrics(paths["metrics"], config, evals)
     _write_curve(paths["curve"], result.curve if result is not None else [])
 
     y = evals["terminal_y"]
     n_show = min(64, y.shape[0])
-    if config.task == "shapes16":
-        paths["samples"] = out / "samples.pgm"
-        export_grid(y[:n_show], paths["samples"], assets.image_hw())
-        if evals["first_chunk_states"] is not None:
-            for i, xs in enumerate(evals["first_chunk_states"]):
-                agent_path = out / f"agent{i}.pgm"
-                export_grid(
-                    xs[:n_show], agent_path, assets.image_hw(),
-                    agg=assets.agg, agent=i,
-                )
-                paths[f"agent{i}"] = agent_path
-    else:
-        paths["samples"] = out / "samples.csv"
-        _write_samples_csv(paths["samples"], y)
+    image = config.task == "shapes16"
+    paths["samples"] = write_samples(config, assets.agg,
+                                     y[:n_show] if image else y)
+    if image and evals["first_chunk_states"] is not None:
+        for i, xs in enumerate(evals["first_chunk_states"]):
+            agent_path = out / f"agent{i}.pgm"
+            export_grid(xs[:n_show], agent_path, assets.agg.image_hw,
+                        agg=assets.agg, agent=i)
+            paths[f"agent{i}"] = agent_path
 
     return Report(
         method=config.method,

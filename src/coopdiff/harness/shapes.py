@@ -63,10 +63,6 @@ class ShapesDataset:
     train_idx: Array
     heldout_idx: Array
 
-    @property
-    def num_classes(self) -> int:
-        return len(CLASS_NAMES)
-
     def train(self) -> tuple[Array, Array]:
         return self.images[self.train_idx], self.labels[self.train_idx]
 

@@ -123,23 +123,24 @@ class Mlp:
         """The network on the column concatenation of the 2-D arrays
         ``parts``: the output, and the cache ``backward`` reads besides
         the parts, (the weights read, the hidden activations), where
-        ``hidden[i]`` is the input of layer i + 1."""
+        ``hidden[i]`` is the input of layer i + 1. The last layer is
+        ``output``, so a rebuild from the cache equals the call."""
         ws = [w.value for w in self.weights]
         h = _columns(parts)
         hidden = []
-        for i, (w, b) in enumerate(zip(ws, self.biases)):
+        for w, b in zip(ws[:-1], self.biases):
             h = h @ w
             h += b.value
-            if i < len(ws) - 1:
-                np.tanh(h, out=h)
-                hidden.append(h)
-        return h, (ws, hidden)
+            np.tanh(h, out=h)
+            hidden.append(h)
+        cache = (ws, hidden)
+        return self.output(cache, parts), cache
 
     def output(self, cache, parts: list[Array]) -> Array:
-        """A call's output rebuilt from its cache with the call's
-        last-layer ops, so bit for bit; ``parts`` are read only by a
-        network without hidden layers. The bias is the network's own,
-        which is the one the call read until a parameter is rebound."""
+        """A call's output from its cache: the last layer on the last
+        hidden activations (on ``parts`` for a network without hidden
+        layers). The bias is the network's own, which is the one the call
+        read until a parameter is rebound."""
         ws, hidden = cache
         h = (hidden[-1] if hidden else _columns(parts)) @ ws[-1]
         h += self.biases[-1].value

@@ -124,8 +124,8 @@ class RolloutRecord:
     ``loss_u`` is the unweighted control accumulator
     sum_k dt_k (1/N) sum_i mean_B ||u_i_k||^2, ``loss_c`` the unscaled
     running-cost accumulator sum_k dt_k mean_B psi(Y0_hat_k), and
-    ``loss_psi`` the batch-mean terminal cost, so that with default agent
-    weights  hat_J = lambda loss_u + alpha loss_c + loss_psi.
+    ``loss_psi`` the batch-mean terminal cost, so that with a constant
+    running weight  hat_J = lambda loss_u + alpha loss_c + loss_psi.
     """
 
     loss_u: float
@@ -180,6 +180,10 @@ class PolicyControls:
     guidance = "tweedie"
 
     def __init__(self, policies: Sequence[ControlPolicy], agg):
+        if len(policies) != agg.num_agents:
+            raise ValueError(
+                f"{len(policies)} policies for {agg.num_agents} agents"
+            )
         self.policies = list(policies)
         self.agg = agg
         self.sizes = [len(policy.params()) for policy in self.policies]
@@ -408,22 +412,9 @@ def bptt_rollout(
     update_index: int = 0,
 ) -> tuple[Node, RolloutRecord]:
     """Differentiable rollout under the learned per-agent controls."""
-    if len(policies) != agg.num_agents:
-        raise ValueError(
-            f"{len(policies)} policies for {agg.num_agents} agents"
-        )
-    return coupled_rollout(
-        PolicyControls(policies, agg),
-        score_fn,
-        agg,
-        cfg,
-        grid,
-        psi,
-        schedule,
-        noise,
-        batch,
-        update_index=update_index,
-    )
+    return coupled_rollout(PolicyControls(policies, agg), score_fn, agg, cfg,
+                           grid, psi, schedule, noise, batch,
+                           update_index=update_index)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +565,17 @@ def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
 # samplers
 # ---------------------------------------------------------------------------
 
+def _sample(control_fn, score_fn, agg, cfg, grid, psi, schedule, seed,
+            batch, noise_index) -> RolloutRecord:
+    """The record of one rollout under ``control_fn`` without a graph, on
+    the noise of (``seed``, ``noise_index``)."""
+    with tape.no_grad():
+        return coupled_rollout(
+            control_fn, score_fn, agg, cfg, grid, psi, schedule,
+            NoiseStream(seed), batch, update_index=noise_index,
+        )[1]
+
+
 def sample_controlled(
     policies,
     score_fn,
@@ -587,12 +589,8 @@ def sample_controlled(
     noise_index: int = 0,
 ) -> RolloutRecord:
     """Draw samples under trained policies (no parameter updates)."""
-    with tape.no_grad():
-        _, record = bptt_rollout(
-            policies, score_fn, agg, cfg, grid, psi, schedule,
-            NoiseStream(seed), batch, update_index=noise_index,
-        )
-    return record
+    return _sample(PolicyControls(policies, agg), score_fn, agg, cfg, grid,
+                   psi, schedule, seed, batch, noise_index)
 
 
 def sample_uncontrolled(
@@ -607,12 +605,8 @@ def sample_uncontrolled(
     noise_index: int = 0,
 ) -> RolloutRecord:
     """The coupled system with zero control everywhere."""
-    with tape.no_grad():
-        _, record = coupled_rollout(
-            ZeroControls(), score_fn, agg, cfg, grid, psi, schedule,
-            NoiseStream(seed), batch, update_index=noise_index,
-        )
-    return record
+    return _sample(ZeroControls(), score_fn, agg, cfg, grid, psi, schedule,
+                   seed, batch, noise_index)
 
 
 def sample_cdps(
@@ -628,13 +622,8 @@ def sample_cdps(
     noise_index: int = 0,
 ) -> RolloutRecord:
     """Training-free baseline: per-step scaled cost gradients as controls."""
-    control_fn = CdpsControls(alpha_guid)
-    with tape.no_grad():
-        _, record = coupled_rollout(
-            control_fn, score_fn, agg, cfg, grid, psi, schedule,
-            NoiseStream(seed), batch, update_index=noise_index,
-        )
-    return record
+    return _sample(CdpsControls(alpha_guid), score_fn, agg, cfg, grid, psi,
+                   schedule, seed, batch, noise_index)
 
 
 def sample_poe_naive(

@@ -164,30 +164,28 @@ class MlpScore:
     truth is the identity), and the parametrisation bakes in the correct
     linear tail (mean reversion far outside the data region), which a
     free-form network output cannot give with saturating activations.
+
+    Like ``AnalyticGmmScore``, a call is at one float time for all its
+    rows; the fit, whose rows have one time each, calls ``mlp`` itself.
     """
 
     def __init__(self, dim: int, hidden, temb_width: int, rng: np.random.Generator,
-                 schedule: NoiseSchedule | None = None, name: str = "score"):
+                 schedule: NoiseSchedule | None = None):
         self.temb_width = int(temb_width)
         self.schedule = schedule if schedule is not None else NoiseSchedule()
-        self.mlp = Mlp([dim + temb_width, *hidden, dim], rng, name=name)
+        self.mlp = Mlp([dim + temb_width, *hidden, dim], rng, name="score")
 
-    def __call__(self, x: Array, t):
-        """The scores (alpha (x + r) - x) / sigma^2, r = Mlp([x, time
-        features]), and their pullback. ``vjp(g)`` forms the states'
-        adjoint (g inv) a - g inv plus the network's input adjoint of
-        (g inv) a, and the trained weights' adjoints; it keeps the
-        network's cache, and the input parts only when the first-layer
-        weight is trained."""
+    def __call__(self, x: Array, t: float):
+        """The scores (alpha (x + r) - x) / sigma^2 at the one float time
+        ``t`` shared by every row, r = Mlp([x, time features]), and their
+        pullback. ``vjp(g)`` forms the states' adjoint (g inv) a - g inv
+        plus the network's input adjoint of (g inv) a, and the trained
+        weights' adjoints; it keeps the network's cache, and the input
+        parts only when the first-layer weight is trained."""
         parts = [x, time_features(t, self.temb_width, batch=x.shape[0])]
         r, cache = self.mlp(parts)
         alpha, sigma = marginal_coeffs(self.schedule, t)
-        sig2 = np.maximum(np.asarray(sigma) ** 2, 1e-8)
-        if np.ndim(alpha) == 0:
-            a, inv = float(alpha), 1.0 / float(sig2)
-        else:
-            a = np.asarray(alpha).reshape(-1, 1)
-            inv = (1.0 / sig2).reshape(-1, 1)
+        a, inv = float(alpha), 1.0 / max(float(sigma) ** 2, 1e-8)
         value = ((x + r) * a - x) * inv
         params = self.mlp.params()
         live = [p.requires_grad for p in params]

@@ -145,6 +145,19 @@ def row_time_gmm_score(gmm, schedule):
     return lambda x, t: (gmm_score_np(gmm, x, t, schedule), None)
 
 
+def row_time_mlp_score(net):
+    """A score network at one time per row (score-matching evaluation):
+    ``MlpScore``'s scores (alpha (x + r) - x) / sigma^2 with alpha and
+    sigma per row, from ``net.mlp``, with no pullback."""
+    def score(x, t):
+        r = net.mlp([x, time_features(t, net.temb_width, batch=x.shape[0])])[0]
+        alpha, sigma = marginal_coeffs(net.schedule, t)
+        a = np.asarray(alpha).reshape(-1, 1)
+        inv = (1.0 / np.maximum(np.asarray(sigma) ** 2, 1e-8)).reshape(-1, 1)
+        return ((x + r) * a - x) * inv, None
+    return score
+
+
 def selection_matrix(agg):
     """The dense selection matrix M of shape (d, N*d), Y = M vec(X)."""
     m = np.zeros((agg.dim, agg.num_agents * agg.dim))

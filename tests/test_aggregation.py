@@ -14,7 +14,7 @@ from oracles import masked_control_energy, selection_matrix
 
 
 def two_agent_split():
-    return make_mask("explicit", 2, 4, index_sets=[(0, 1), (2, 3)])
+    return MaskAggregator(2, 4, ((0, 1), (2, 3)))
 
 
 def test_two_agent_selection_example():
@@ -86,7 +86,7 @@ def test_scatter_adjoint_examples():
 
 
 def test_scatter_roundtrip_on_basis_vectors():
-    agg = make_mask("explicit", 3, 6, index_sets=[(0, 3), (1, 4), (2, 5)])
+    agg = MaskAggregator(3, 6, ((0, 3), (1, 4), (2, 5)))
     for j in range(6):
         e = np.zeros((1, 6))
         e[0, j] = 1.0
@@ -103,7 +103,7 @@ def test_scatter_roundtrip_on_basis_vectors():
 @given(st.integers(0, 2 ** 31 - 1))
 def test_adjoint_identity(seed):
     rng = np.random.default_rng(seed)
-    agg = make_mask("explicit", 2, 5, index_sets=[(0, 2, 4), (1, 3)])
+    agg = MaskAggregator(2, 5, ((0, 2, 4), (1, 3)))
     xs = [rng.standard_normal((3, 5)) for _ in range(2)]
     g = rng.standard_normal((3, 5))
     lhs = float((aggregate(agg, xs) * g).sum())

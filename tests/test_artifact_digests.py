@@ -1,5 +1,6 @@
 """tools/artifact_digests.py on tiny configs: the digests of two runs of
-the same config agree, and a shapes16 config also digests the two fits."""
+the same config agree, each method is also digested through ``sample``,
+and a shapes16 config also digests the two fits."""
 import sys
 import tempfile
 from pathlib import Path
@@ -62,6 +63,7 @@ def test_two_runs_of_a_config_print_the_same_digests(tmp_path, monkeypatch,
     files = [line.split("  ", 1)[1] for line in first]
     assert "joint/policy_agent0.npz" in files
     assert "uncontrolled/metrics.csv" in files
+    assert {"sample/joint.csv", "sample/uncontrolled.csv"} <= set(files)
     assert not any(f.startswith("fits/") for f in files)
 
 
@@ -73,5 +75,5 @@ def test_a_shapes16_config_also_digests_the_fits(tmp_path, monkeypatch,
     files = [line.split("  ", 1)[1] for line in lines]
     assert files == sorted(files)
     assert {"fits/score.npz", "fits/classifier.npz",
-            "uncontrolled/metrics.csv"} <= set(files)
+            "uncontrolled/metrics.csv", "sample/uncontrolled.pgm"} <= set(files)
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)

@@ -40,10 +40,6 @@ def test_soc_config_validation():
         SocConfig(running_ramp="quadratic")
     cfg = SocConfig(control_weight=10.0)
     np.testing.assert_allclose(cfg.lambda_weights(4), [2.5] * 4)
-    cfg = SocConfig(agent_weights=(1.0, 3.0))
-    np.testing.assert_allclose(cfg.lambda_weights(2), [1.0, 3.0])
-    with pytest.raises(ValueError):
-        cfg.lambda_weights(3)
 
 
 def test_seam_loss_zero_weights():

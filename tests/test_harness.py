@@ -3,6 +3,8 @@ import contextlib
 import io
 import math
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 import warnings
@@ -360,7 +362,7 @@ def test_build_assets_returns_the_pretrained_networks_frozen(source, tmp_path):
         text += (f"score.checkpoint = {tmp_path / 'score.npz'}\n"
                  f"classifier.checkpoint = {tmp_path / 'clf.npz'}\n")
     assets = build_assets(parse_config_text(text))
-    pretrained = assets.score_fn.params() + assets.classifier.params()
+    pretrained = assets.score_fn.params() + assets.psi.classifier.params()
     assert pretrained
     assert all(not p.requires_grad and p.grad is None for p in pretrained)
     # the cost still differentiates in its input, and the score model's
@@ -497,6 +499,21 @@ def test_cli_sample_gmm2d(tmp_path, monkeypatch, capsys):
     assert len(out_file.read_text().splitlines()) == 9  # header + 8 rows
 
 
+def test_the_readme_gmm2d_command_lines_exit_0(tmp_path, monkeypatch,
+                                              capsys):
+    # run, sample and report as README's "Command line" block spells them
+    repo = Path(__file__).resolve().parents[1]
+    block = (repo / "README.md").read_text().split("## Command line")[1]
+    lines = [shlex.split(line) for line in block.split("```")[1].splitlines()
+             if line.startswith("coopdiff ") and "gmm2d" in line]
+    assert [argv[1] for argv in lines] == ["run", "sample", "report"]
+    shutil.copytree(repo / "examples-configs", tmp_path / "examples-configs")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COOPDIFF_OUTPUT_ROOT", "runs")
+    for argv in lines:
+        assert cli_main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+
+
 def test_cli_sample_learned_method_needs_policies(tmp_path, monkeypatch,
                                                  capsys):
     monkeypatch.setenv("COOPDIFF_OUTPUT_ROOT", str(tmp_path))
@@ -519,7 +536,18 @@ BAD_INPUTS = {
     "alpha-below-floor": ("grid.eps = 0.001",
                           "grid.eps = 0.001\nschedule.beta_max = 200"),
     "policy-checkpoint-mismatch": ("method = uncontrolled", "method = joint"),
+    "more-agents-than-coordinates": ("mask = halves",
+                                     "mask = halves\nnum_agents = 3"),
 }
+
+
+@pytest.mark.parametrize("mask, what", [("h-stripes", "rows"),
+                                        ("v-stripes", "columns")])
+def test_a_mask_needs_a_row_or_column_per_agent(mask, what):
+    # 17 stripes of a 16x16 image would leave one agent with no pixel
+    text = f"task = shapes16\nnum_agents = 17\nmask = {mask}\n"
+    with pytest.raises(ConfigError, match=f"17 agents cannot split 16 {what}"):
+        parse_config_text(text)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -578,6 +606,7 @@ def fuzz_dir(tmp_path_factory):
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(config_lines, max_size=8))
+@example(["task = shapes16", "num_agents = 17", "mask = h-stripes"])
 def test_any_config_text_is_accepted_or_rejected_with_exit_2(fuzz_dir, lines):
     text = "\n".join(lines)
     try:

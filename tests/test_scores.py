@@ -22,6 +22,7 @@ from oracles import (
     dsm_loss,
     gmm_score_np,
     row_time_gmm_score,
+    row_time_mlp_score,
     taped_denoiser_loss,
     taped_gmm_score,
     taped_mlp_score,
@@ -240,7 +241,7 @@ def test_trained_score_net_approaches_analytic_dsm_loss():
     x0 = gmm.sample(held_rng, 4096)
     t = held_rng.uniform(0.1, 1.0, size=4096)
     eps = held_rng.standard_normal((4096, 2))
-    net_loss = dsm_loss(net, x0, t, eps, SCHEDULE)
+    net_loss = dsm_loss(row_time_mlp_score(net), x0, t, eps, SCHEDULE)
     ana_loss = dsm_loss(analytic, x0, t, eps, SCHEDULE)
     assert net_loss <= 1.10 * ana_loss, (net_loss, ana_loss)
 

@@ -3,9 +3,12 @@
 Runs ``coopdiff run --config C --method m`` for each listed method, from
 the ``src`` of the checkout this script lives in, under a temporary
 ``COOPDIFF_OUTPUT_ROOT``, and prints one ``sha256  method/file`` line per
-file the runs wrote, sorted. For a shapes16 config it also runs
-``train-score`` and ``train-classifier``, whose checkpoints print as
-``fits/score.npz`` and ``fits/classifier.npz``. Two checkouts that write
+file the runs wrote, sorted. Each method is then drawn once more with
+``coopdiff sample`` (from the run's policies for a learned method), whose
+output prints as ``sample/<method>.csv`` (``.pgm`` for shapes16). For a
+shapes16 config it also runs ``train-score`` and ``train-classifier``,
+whose checkpoints print as ``fits/score.npz`` and
+``fits/classifier.npz``. Two checkouts that write
 byte-identical artifacts print the same lines, so comparing them is a
 ``diff``:
 
@@ -27,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+LEARNED = ("joint", "controlwise")
 
 
 def with_overrides(text: str, overrides: dict) -> str:
@@ -77,10 +81,21 @@ def main(argv=None) -> int:
             config.write_text(with_overrides(Path(args.config).read_text(),
                                              overrides))
         env["COOPDIFF_OUTPUT_ROOT"] = str(root)
+        methods = args.methods.split(",")
         verbs = [["run", "--config", str(config), "--method", method,
-                  "--output-dir", method]
-                 for method in args.methods.split(",")]
-        if task_of(config.read_text()) == "shapes16":
+                  "--output-dir", method] for method in methods]
+        # ``sample`` takes its method from the config, so each method
+        # gets a config of its own
+        ext = "pgm" if task_of(config.read_text()) == "shapes16" else "csv"
+        for method in methods:
+            own = Path(tmp) / f"sample-{method}.cfg"
+            own.write_text(with_overrides(config.read_text(),
+                                          {"method": method}))
+            verbs.append(["sample", "--config", str(own), "--out",
+                          str(root / "sample" / f"{method}.{ext}")])
+            if method in LEARNED:
+                verbs[-1] += ["--policies", str(root / method)]
+        if ext == "pgm":
             verbs += [[verb, "--config", str(config), "--out",
                        str(root / "fits" / f"{name}.npz")]
                       for verb, name in (("train-score", "score"),
