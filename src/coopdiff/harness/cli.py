@@ -146,7 +146,11 @@ def _cmd_report(args) -> int:
         header, row = metrics.read_text(encoding="utf-8").strip().splitlines()[:2]
     except ValueError as err:      # not UTF-8, or no header and value row
         raise OSError(f"{metrics} is not a metrics file: {err}") from err
-    for key, value in zip(header.split(","), row.split(",")):
+    keys, values = header.split(","), row.split(",")
+    if len(keys) != len(values):
+        raise OSError(f"{metrics} is not a metrics file: {len(keys)} header "
+                      f"fields, {len(values)} values")
+    for key, value in zip(keys, values):
         print(f"{key:>14}: {value}")
     return EXIT_OK
 

@@ -1,8 +1,11 @@
 """Experiment configuration: flat key = value text with a strict schema.
 
 The format is one ``key = value`` assignment per line, ``#`` comments,
-dotted keys for grouping (``grid.steps = 80``). Every key must be in the
-schema; parsing reports the offending line on errors. ``normalized_text``
+dotted keys for grouping (``grid.steps = 80``). The keys are the fields
+of ``ExperimentConfig``: a field ``<group>_<rest>`` of one of the
+``_GROUPS`` is the key ``<group>.<rest>``, and the type of a field's
+default picks its parser. Unknown keys are rejected; parsing reports the
+offending line on errors. ``normalized_text``
 re-serialises a config deterministically (sorted keys, repr floats), which
 is what gets written next to run outputs as the config snapshot.
 """
@@ -12,7 +15,6 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-
 
 from ..aggregation import MaskAggregator, make_mask
 from ..costs import SocConfig
@@ -41,13 +43,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_ints(raw: str) -> tuple:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(int(p) for p in raw.replace(",", " ").split())
-
-
 def _parse_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -55,11 +50,26 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-def _parse_floats(raw: str) -> tuple:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(_parse_float(p) for p in raw.replace(",", " ").split())
+_PARSERS = {bool: _parse_bool, int: int, float: _parse_float, str: str.strip}
+
+
+def _parser(default):
+    """A field's parser, chosen by the type of its default. A tuple default
+    takes a comma- or space-separated list of its first item's type."""
+    if isinstance(default, tuple):
+        item = _PARSERS[type(default[0])]
+        return lambda raw: tuple(item(p) for p in raw.replace(",", " ").split())
+    return _PARSERS[type(default)]
+
+
+# a field named ``<group>_<rest>`` is the config key ``<group>.<rest>``
+_GROUPS = ("schedule", "grid", "soc", "plan", "cdps", "policy", "score",
+           "classifier", "shapes", "gmm")
+
+
+def _key(name: str) -> str:
+    group, _, rest = name.partition("_")
+    return f"{group}.{rest}" if group in _GROUPS else name
 
 
 @dataclass(frozen=True)
@@ -75,27 +85,29 @@ class ExperimentConfig:
     eval_chunk: int = 256
     output_dir: str = "run"
 
-    schedule_beta_min: float = 0.1
-    schedule_beta_max: float = 20.0
+    # soc(), plan() and schedule() build their objects from the
+    # ``<group>_<field>`` fields here, which take those objects' defaults
+    schedule_beta_min: float = NoiseSchedule.beta_min
+    schedule_beta_max: float = NoiseSchedule.beta_max
     grid_steps: int = 500
     grid_eps: float = 1e-3
 
-    soc_control_weight: float = 10.0
-    soc_running_scale: float = 1.0
-    soc_running_ramp: str = "constant"
-    soc_seam_beta: float = 0.0
-    soc_seam_gamma: float = 0.0
-    soc_charbonnier_eps: float = 1e-3
+    soc_control_weight: float = SocConfig.control_weight
+    soc_running_scale: float = SocConfig.running_scale
+    soc_running_ramp: str = SocConfig.running_ramp
+    soc_seam_beta: float = SocConfig.seam_beta
+    soc_seam_gamma: float = SocConfig.seam_gamma
+    soc_charbonnier_eps: float = SocConfig.charbonnier_eps
     soc_target_class: str = "cross"
     soc_target: tuple = (2.0, -1.5)
 
-    plan_updates: int = 1000
-    plan_outer_iters: int = 300
-    plan_inner_steps: int = 5
-    plan_batch: int = 16
-    plan_lr: float = 1e-4
-    plan_shuffle_agents: bool = False
-    plan_checkpoint_every: int = 0
+    plan_updates: int = TrainPlan.updates
+    plan_outer_iters: int = TrainPlan.outer_iters
+    plan_inner_steps: int = TrainPlan.inner_steps
+    plan_batch: int = TrainPlan.batch
+    plan_lr: float = TrainPlan.lr
+    plan_shuffle_agents: bool = TrainPlan.shuffle_agents
+    plan_checkpoint_every: int = TrainPlan.checkpoint_every
 
     cdps_alpha_guid: float = 100.0
 
@@ -144,29 +156,27 @@ class ExperimentConfig:
                 f"soc.target_class must be one of {CLASS_NAMES}, got "
                 f"{self.soc_target_class!r}"
             )
-        if self.task == "poe":
-            raise ConfigError("poe is a method, not a task")
         if self.method == "poe" and self.task != "gmm2d":
             raise ConfigError("the poe baseline is defined for the gmm2d task")
         for name in ("policy_hidden", "policy_gain_hidden", "score_hidden",
                      "classifier_hidden"):
             widths = getattr(self, name)
             if any(w < 1 for w in widths):
-                raise ConfigError(f"{_FIELD_TO_KEY[name]} widths must be >= 1, "
+                raise ConfigError(f"{_key(name)} widths must be >= 1, "
                                   f"got {_format_value(widths)!r}")
         for name in ("score_batch", "score_train_steps",
                      "classifier_max_steps", "shapes_per_class"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{_FIELD_TO_KEY[name]} must be >= 1, "
+                raise ConfigError(f"{_key(name)} must be >= 1, "
                                   f"got {getattr(self, name)}")
         for name in ("policy_temb_width", "score_temb_width"):
             width = getattr(self, name)
             if width < 2 or width % 2:
-                raise ConfigError(f"{_FIELD_TO_KEY[name]} must be even and "
+                raise ConfigError(f"{_key(name)} must be even and "
                                   f">= 2, got {width}")
         for name in ("gmm_component_var", "score_lr", "classifier_lr"):
             if getattr(self, name) <= 0:
-                raise ConfigError(f"{_FIELD_TO_KEY[name]} must be > 0, got "
+                raise ConfigError(f"{_key(name)} must be > 0, got "
                                   f"{getattr(self, name)!r}")
         if not 0 < self.classifier_target_accuracy <= 1:
             raise ConfigError(f"classifier.target_accuracy must lie in "
@@ -190,8 +200,12 @@ class ExperimentConfig:
 
     # -- derived objects ---------------------------------------------------
 
+    def _build(self, cls, group: str):
+        return cls(**{f.name: getattr(self, f"{group}_{f.name}")
+                      for f in fields(cls)})
+
     def schedule(self) -> NoiseSchedule:
-        return NoiseSchedule(self.schedule_beta_min, self.schedule_beta_max)
+        return self._build(NoiseSchedule, "schedule")
 
     def aggregator(self) -> MaskAggregator:
         if self.task == "gmm2d":
@@ -200,25 +214,10 @@ class ExperimentConfig:
                          image_hw=(IMAGE_H, IMAGE_W))
 
     def soc(self) -> SocConfig:
-        return SocConfig(
-            control_weight=self.soc_control_weight,
-            running_scale=self.soc_running_scale,
-            running_ramp=self.soc_running_ramp,
-            seam_beta=self.soc_seam_beta,
-            seam_gamma=self.soc_seam_gamma,
-            charbonnier_eps=self.soc_charbonnier_eps,
-        )
+        return self._build(SocConfig, "soc")
 
     def plan(self) -> TrainPlan:
-        return TrainPlan(
-            updates=self.plan_updates,
-            outer_iters=self.plan_outer_iters,
-            inner_steps=self.plan_inner_steps,
-            batch=self.plan_batch,
-            lr=self.plan_lr,
-            shuffle_agents=self.plan_shuffle_agents,
-            checkpoint_every=self.plan_checkpoint_every,
-        )
+        return self._build(TrainPlan, "plan")
 
     def resolve_output_dir(self) -> Path:
         out = Path(self.output_dir)
@@ -228,57 +227,9 @@ class ExperimentConfig:
         return out
 
 
-# schema: config key -> (dataclass field, parser)
-_SCHEMA: dict = {
-    "task": ("task", str.strip),
-    "method": ("method", str.strip),
-    "seed": ("seed", int),
-    "num_agents": ("num_agents", int),
-    "mask": ("mask", str.strip),
-    "eval_samples": ("eval_samples", int),
-    "eval_chunk": ("eval_chunk", int),
-    "output_dir": ("output_dir", str.strip),
-    "schedule.beta_min": ("schedule_beta_min", _parse_float),
-    "schedule.beta_max": ("schedule_beta_max", _parse_float),
-    "grid.steps": ("grid_steps", int),
-    "grid.eps": ("grid_eps", _parse_float),
-    "soc.control_weight": ("soc_control_weight", _parse_float),
-    "soc.running_scale": ("soc_running_scale", _parse_float),
-    "soc.running_ramp": ("soc_running_ramp", str.strip),
-    "soc.seam_beta": ("soc_seam_beta", _parse_float),
-    "soc.seam_gamma": ("soc_seam_gamma", _parse_float),
-    "soc.charbonnier_eps": ("soc_charbonnier_eps", _parse_float),
-    "soc.target_class": ("soc_target_class", str.strip),
-    "soc.target": ("soc_target", _parse_floats),
-    "plan.updates": ("plan_updates", int),
-    "plan.outer_iters": ("plan_outer_iters", int),
-    "plan.inner_steps": ("plan_inner_steps", int),
-    "plan.batch": ("plan_batch", int),
-    "plan.lr": ("plan_lr", _parse_float),
-    "plan.shuffle_agents": ("plan_shuffle_agents", _parse_bool),
-    "plan.checkpoint_every": ("plan_checkpoint_every", int),
-    "cdps.alpha_guid": ("cdps_alpha_guid", _parse_float),
-    "policy.hidden": ("policy_hidden", _parse_ints),
-    "policy.gain_hidden": ("policy_gain_hidden", _parse_ints),
-    "policy.temb_width": ("policy_temb_width", int),
-    "policy.guidance_gain_init": ("policy_guidance_gain_init", _parse_float),
-    "score.hidden": ("score_hidden", _parse_ints),
-    "score.temb_width": ("score_temb_width", int),
-    "score.train_steps": ("score_train_steps", int),
-    "score.lr": ("score_lr", _parse_float),
-    "score.batch": ("score_batch", int),
-    "score.checkpoint": ("score_checkpoint", str.strip),
-    "classifier.hidden": ("classifier_hidden", _parse_ints),
-    "classifier.lr": ("classifier_lr", _parse_float),
-    "classifier.max_steps": ("classifier_max_steps", int),
-    "classifier.target_accuracy": ("classifier_target_accuracy", _parse_float),
-    "classifier.checkpoint": ("classifier_checkpoint", str.strip),
-    "shapes.per_class": ("shapes_per_class", int),
-    "gmm.separation": ("gmm_separation", _parse_float),
-    "gmm.component_var": ("gmm_component_var", _parse_float),
-}
-
-_FIELD_TO_KEY = {field: key for key, (field, _) in _SCHEMA.items()}
+# config key -> (dataclass field, parser), one row per field
+_SCHEMA = {_key(f.name): (f.name, _parser(f.default))
+           for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -333,19 +284,14 @@ def _format_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
-        return " ".join(
-            repr(v) if isinstance(v, float) else str(v) for v in value
-        )
+        return " ".join(_format_value(v) for v in value)
     return str(value)
 
 
 def normalized_text(config: ExperimentConfig) -> str:
     """Deterministic snapshot serialisation (sorted keys, repr floats)."""
-    lines = []
-    for f in sorted(fields(config), key=lambda f: _FIELD_TO_KEY[f.name]):
-        key = _FIELD_TO_KEY[f.name]
-        lines.append(f"{key} = {_format_value(getattr(config, f.name))}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_format_value(getattr(config, name))}\n"
+                   for key, (name, _) in sorted(_SCHEMA.items()))
 
 
 def with_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:

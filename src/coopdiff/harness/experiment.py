@@ -366,7 +366,7 @@ def run_experiment(config: ExperimentConfig, assets: TaskAssets | None = None) -
         for pol in policies:
             ckpt = out / f"policy_agent{pol.agent_index}.npz"
             save_checkpoint(ckpt, pol.state_dict(),
-                            meta={"update": result.total_updates})
+                            meta={"update": len(result.curve)})
             paths[f"policy_agent{pol.agent_index}"] = ckpt
 
     evals = evaluate_method(config, assets, policies)

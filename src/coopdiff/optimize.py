@@ -435,9 +435,7 @@ class CurvePoint:
 
 @dataclass
 class TrainingResult:
-    policies: list
-    curve: list
-    total_updates: int          # updates applied (skipped ones excluded)
+    curve: list                 # one point per update applied
 
 
 def joint_ido(
@@ -514,8 +512,7 @@ def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
     consume identical noise at the same update. A diverged rollout or a
     non-finite gradient of an active policy skips the update and halves
     every learning rate once; a second one aborts with the partial curve
-    attached. ``total_updates`` counts the updates applied, one per curve
-    point.
+    attached. The curve has one point per update applied.
     """
     if not any(policy.params() for policy in policies):
         raise ValueError("no learnable parameters; use the cdps sampler instead")
@@ -558,7 +555,7 @@ def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
         curve.append(CurvePoint(n, rec.loss_u, rec.loss_c, rec.loss_psi, rec.objective))
         if on_update is not None:
             on_update(n, policies)
-    return TrainingResult(policies, curve, len(curve))
+    return TrainingResult(curve)
 
 
 # ---------------------------------------------------------------------------

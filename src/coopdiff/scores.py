@@ -63,36 +63,12 @@ class GaussianMixture:
     def num_components(self) -> int:
         return self.weights.size
 
-    def sample(self, rng: np.random.Generator, n: int) -> Array:
-        comp = rng.choice(self.num_components, size=n, p=self.weights)
-        eps = rng.standard_normal((n, self.dim))
-        return self.means[comp] + np.sqrt(self.variances[comp])[:, None] * eps
-
     def diffused_params(self, t: float, schedule: NoiseSchedule):
         """(means, variances) of the time-t diffused mixture; its weights
         are this mixture's. No mixture is built, so nothing is validated
         again on the hot path."""
         alpha, sigma = marginal_coeffs(schedule, t)
         return alpha * self.means, alpha * alpha * self.variances + sigma * sigma
-
-    def diffused(self, t: float, schedule: NoiseSchedule) -> "GaussianMixture":
-        means, variances = self.diffused_params(t, schedule)
-        return GaussianMixture(
-            weights=self.weights, means=means, variances=variances
-        )
-
-    def log_density(self, x: Array) -> Array:
-        """log p(x) for rows of x, stabilised with log-sum-exp."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        d = self.dim
-        sq = ((x[:, None, :] - self.means[None, :, :]) ** 2).sum(axis=2)  # (B, C)
-        log_comp = (
-            np.log(self.weights)[None, :]
-            - 0.5 * d * np.log(2.0 * np.pi * self.variances)[None, :]
-            - 0.5 * sq / self.variances[None, :]
-        )
-        lmax = log_comp.max(axis=1, keepdims=True)
-        return (np.log(np.exp(log_comp - lmax).sum(axis=1, keepdims=True)) + lmax)[:, 0]
 
 
 def gmm_score(gmm: GaussianMixture, x: Array, t: float,

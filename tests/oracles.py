@@ -7,6 +7,7 @@ from coopdiff.control import StateGuidance, tweedie_guidance
 from coopdiff.costs import ClassifierNll, QuadraticWell, SeamAugmented, SocConfig
 from coopdiff.nn import time_features
 from coopdiff.optimize import sample_poe_naive
+from coopdiff.scores import GaussianMixture
 from coopdiff.sde import STREAM_INIT, STREAM_STEP, marginal_coeffs
 import opgraphs as ops
 from opgraphs import classifier_nll_ops, seam_loss_ops
@@ -16,6 +17,36 @@ def sample_reverse_sde(score_fn, grid, schedule, seed, batch, dim):
     """Ordinary single-model sampling: the one-expert case of
     ``sample_poe_naive``."""
     return sample_poe_naive([score_fn], grid, schedule, seed, batch, dim)
+
+
+def gmm_sample(gmm, rng, n):
+    """``n`` draws from the mixture ``gmm``: a component by its weight,
+    then a draw from that component."""
+    comp = rng.choice(gmm.num_components, size=n, p=gmm.weights)
+    eps = rng.standard_normal((n, gmm.dim))
+    return gmm.means[comp] + np.sqrt(gmm.variances[comp])[:, None] * eps
+
+
+def gmm_diffused(gmm, t, schedule):
+    """The time-t diffused mixture of ``gmm``."""
+    means, variances = gmm.diffused_params(t, schedule)
+    return GaussianMixture(weights=gmm.weights, means=means,
+                           variances=variances)
+
+
+def gmm_log_density(gmm, x):
+    """log p(x) of the mixture ``gmm`` for the rows of x, stabilised with
+    log-sum-exp."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    d = gmm.dim
+    sq = ((x[:, None, :] - gmm.means[None, :, :]) ** 2).sum(axis=2)  # (B, C)
+    log_comp = (
+        np.log(gmm.weights)[None, :]
+        - 0.5 * d * np.log(2.0 * np.pi * gmm.variances)[None, :]
+        - 0.5 * sq / gmm.variances[None, :]
+    )
+    lmax = log_comp.max(axis=1, keepdims=True)
+    return (np.log(np.exp(log_comp - lmax).sum(axis=1, keepdims=True)) + lmax)[:, 0]
 
 
 def confusion_matrix(classifier, images, labels):

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -464,8 +465,11 @@ def test_cli_run_and_report(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("content", [b"", b"method,task,seed\n",
-                                     b"method,task\n\xff\xfe,gmm2d\n"],
-                         ids=["empty", "header-only", "not-utf8"])
+                                     b"method,task\n\xff\xfe,gmm2d\n",
+                                     b"method,task,seed\njoint,gmm2d\n",
+                                     b"method,task\njoint,gmm2d,0\n"],
+                         ids=["empty", "header-only", "not-utf8",
+                              "row-too-short", "row-too-long"])
 def test_cli_report_on_a_malformed_metrics_file_exits_4(content, tmp_path,
                                                         capsys):
     (tmp_path / "metrics.csv").write_bytes(content)
@@ -639,6 +643,50 @@ def test_non_finite_float_values_are_config_errors(value):
     for key in [*FLOAT_KEYS, "soc.target"]:
         with pytest.raises(ConfigError, match="finite"):
             parse_config_text(f"{key} = {value}")
+
+
+def nudged(value):
+    """A value of ``value``'s type that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, tuple):
+        return tuple(nudged(v) for v in value)
+    if isinstance(value, int):
+        return value + 2          # keeps a time-embedding width even
+    if isinstance(value, float):
+        return value / 2 if value else 0.5
+    return value + "x"
+
+
+# the keys that take one of a few names
+CHOICES = {"task": "shapes16", "method": "controlwise", "mask": "h-stripes",
+           "soc.running_ramp": "linear", "soc.target_class": "ring"}
+
+
+def test_every_config_key_round_trips_at_a_non_default_value():
+    # every field is a key, so a new field is covered with no edit here
+    default = parse_config_text("")
+    values = {key.replace(".", "_"): CHOICES.get(key) or
+              nudged(getattr(default, key.replace(".", "_")))
+              for key in CONFIG_KEYS}
+    assert sorted(values) == sorted(f.name for f in fields(default))
+    config = with_overrides(default, **values)
+    assert all(getattr(config, name) != getattr(default, name)
+               for name in values)
+    assert parse_config_text(normalized_text(config)) == config
+
+
+def test_the_readme_names_every_config_key_and_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration")[1].split("\n## ")[0]
+    rows = {row.split(" | ")[0]: row.split(" | ")[1]
+            for row in section.splitlines() if row.startswith("| `")}
+    unnamed = []
+    for line in normalized_text(parse_config_text("")).splitlines():
+        key, value = line.split(" = ")
+        if rows.get(f"| `{key}`") != (f"`{value}`" if value else "empty"):
+            unnamed.append(line)
+    assert not unnamed, f"README's Configuration table lacks {unnamed}"
 
 
 def config_with(text: str, lines: dict) -> str:

@@ -341,7 +341,7 @@ def test_controlwise_freezes_inactive_agents():
     res = controlwise_ido(plan, policies, score, agg, cfg, grid, psi,
                           SCHEDULE, seed=2, on_update=on_update)
     # control-wise sweeps run outer_iters * N * inner_steps updates
-    assert res.total_updates == len(res.curve) == 2 * 2 * 3
+    assert len(res.curve) == 2 * 2 * 3
     # agent schedule: updates 0-2 train agent 0, 3-5 agent 1, 6-8 agent 0, ...
     m = plan.inner_steps
     for (u_prev, params_prev), (u_next, params_next) in zip(snapshots,
@@ -371,7 +371,7 @@ def test_controlwise_single_agent_reduces_to_joint_updates():
     res_c = controlwise_ido(plan_c, cw_pols, score, agg, cfg, grid, psi,
                             SCHEDULE, seed=5)
     # same update count, same noise keys, one coordinate: identical runs
-    assert res_j.total_updates == res_c.total_updates == 6
+    assert len(res_j.curve) == len(res_c.curve) == 6
     for p_j, p_c in zip(joint_pols[0].params(), cw_pols[0].params()):
         np.testing.assert_array_equal(p_j.value, p_c.value)
     np.testing.assert_allclose(
@@ -494,7 +494,7 @@ def test_a_failed_update_is_skipped_and_halves_the_learning_rate(
         res = joint_ido(plan, make_policies(2, c0=-0.2), score, agg, cfg,
                         grid, psi, SCHEDULE, seed=3)
     assert [c.update for c in res.curve] == [0, 2, 3]
-    assert res.total_updates == 3   # the updates applied, not planned
+    assert len(res.curve) == 3   # the updates applied, not planned
     assert lrs == [1e-2] * 2 + [5e-3] * 4   # two policies per update
 
 
