@@ -21,7 +21,6 @@ from .optimize import (
     DivergedRolloutError,
     RolloutRecord,
     TrainPlan,
-    TrainingResult,
     bptt_rollout,
     controlwise_ido,
     joint_ido,

@@ -19,8 +19,9 @@ expensive path the learned parametrisation avoids).
 and the adjoints of the aggregate and of Tweedie, and also returns the
 step's scores, Tweedie aggregate and psi, so a baseline rollout step runs
 the score model and psi once and keeps no graph. ``eval_control`` is the
-one tape form left: a learned control as one fused node over its policy's
-weights, for the tests' reference graphs.
+one tape form left: a learned control as one fused node over x, Y and
+its policy's weights, for the tests' reference graphs (the training
+rollout calls ``forward`` and ``backward`` directly).
 """
 from __future__ import annotations
 
@@ -132,10 +133,11 @@ def eval_control(policy: ControlPolicy, x, y, t: float, guidance) -> Node:
     Y and the policy's weights, with g held constant: ``forward``, with
     ``backward`` as its VJP. The training rollout calls those two
     directly."""
-    x, y = tape.as_node(x), tape.as_node(y)
-    g = tape.as_node(guidance).value
+    x = x if isinstance(x, Node) else Node(x)
+    y = y if isinstance(y, Node) else Node(y)
+    g = np.asarray(guidance, dtype=np.float64)
     inputs = [x, y, *policy.params()]
-    live = tape.live(inputs)
+    live = [n.requires_grad for n in inputs]
     u, cache = policy.forward(x.value, y.value, g, t)
     d = policy.dim
 

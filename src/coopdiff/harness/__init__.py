@@ -17,5 +17,5 @@ from .experiment import (
     run_experiment,
     train_score_model,
 )
-from .gridio import export_grid, read_pgm, write_pgm
+from .gridio import export_grid, write_pgm
 from .shapes import CLASS_NAMES, ShapesDataset, generate_shapes

@@ -2,17 +2,17 @@
 
 A small tanh MLP trained with the batch mean of ``costs._nll`` (softmax
 cross-entropy) on arrays: ``batch_loss`` pushes its gradient softmax -
-onehot through ``Mlp.backward``, and no graph is built. The trained
-network feeds the same negative log-likelihood as the terminal cost, and
-the accuracy metric.
+onehot through ``Mlp.backward`` and folds the weight gradients to arrays
+with ``nn.dense``, and no graph is built. The trained network feeds the
+same negative log-likelihood as the terminal cost, and the accuracy
+metric.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .. import tape
 from ..costs import _nll
-from ..nn import Mlp
+from ..nn import Mlp, dense
 from ..optim import AdamState, adam_step
 from ..sde import derive_rng
 from .shapes import CLASS_NAMES, ShapesDataset
@@ -45,7 +45,7 @@ def batch_loss(model: Mlp, images: Array, labels: Array):
     scale = 1.0 / images.shape[0]
     grads, _ = Mlp.backward(cache, parts, d_logits * scale,
                             [True] * len(model.params()))
-    return float(per_row.sum() * scale), [tape.dense(g) for g in grads]
+    return float(per_row.sum() * scale), [dense(g) for g in grads]
 
 
 def new_classifier(dim: int, hidden, seed: int) -> Mlp:

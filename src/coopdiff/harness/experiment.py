@@ -12,7 +12,8 @@ The CLI's ``train-*`` verbs call the fits ``build_assets`` calls
 writes its samples as ``run_experiment`` does (``evaluate_method``,
 ``write_samples``).
 
-Outputs per run directory:
+Outputs per run directory (a run first deletes those an earlier run
+left there, but for config.txt, which it rewrites):
   config.txt    normalised config snapshot
   metrics.csv   one header + one row (method, counts, mean psi, accuracy, ...)
   curve.csv     per-update training curve (header only for sampling methods)
@@ -37,7 +38,6 @@ from ..control import make_policy
 from ..costs import ClassifierNll, QuadraticWell, with_seam
 from ..optim import AdamState, adam_step
 from ..optimize import (
-    TrainingResult,
     controlwise_ido,
     joint_ido,
     sample_cdps,
@@ -59,6 +59,11 @@ _KEY_SCORE_INIT = 50
 _KEY_SCORE_DATA = 51
 _KEY_POLICY_INIT = 300
 _EVAL_SEED_OFFSET = 1_000_003
+
+# the files a run writes into its directory; a new run removes them first,
+# so a failed or smaller run leaves none of an earlier run's behind
+_RUN_FILES = ("metrics.csv", "curve.csv", "samples.*", "agent*.pgm",
+              "policy_agent*.npz")
 
 
 @dataclass
@@ -331,6 +336,9 @@ def run_experiment(config: ExperimentConfig, assets: TaskAssets | None = None) -
         assets = build_assets(config)
     out = config.resolve_output_dir()
     out.mkdir(parents=True, exist_ok=True)
+    for pattern in _RUN_FILES:
+        for stale in out.glob(pattern):
+            stale.unlink()
     paths = {"config": out / "config.txt", "metrics": out / "metrics.csv",
              "curve": out / "curve.csv"}
     paths["config"].write_text(normalized_text(config))
@@ -340,7 +348,7 @@ def run_experiment(config: ExperimentConfig, assets: TaskAssets | None = None) -
     cfg = config.soc()
 
     policies = None
-    result: TrainingResult | None = None
+    curve = []
     if config.method in ("joint", "controlwise"):
         policies = make_policies(config, assets.dim)
         plan = config.plan()
@@ -358,7 +366,7 @@ def run_experiment(config: ExperimentConfig, assets: TaskAssets | None = None) -
                     )
 
         trainer = joint_ido if config.method == "joint" else controlwise_ido
-        result = trainer(
+        curve = trainer(
             plan, policies, assets.score_fn, assets.agg, cfg, grid,
             assets.psi, schedule, config.seed,
             on_update=checkpoint_cb if plan.checkpoint_every else None,
@@ -366,12 +374,12 @@ def run_experiment(config: ExperimentConfig, assets: TaskAssets | None = None) -
         for pol in policies:
             ckpt = out / f"policy_agent{pol.agent_index}.npz"
             save_checkpoint(ckpt, pol.state_dict(),
-                            meta={"update": len(result.curve)})
+                            meta={"update": len(curve)})
             paths[f"policy_agent{pol.agent_index}"] = ckpt
 
     evals = evaluate_method(config, assets, policies)
     _write_metrics(paths["metrics"], config, evals)
-    _write_curve(paths["curve"], result.curve if result is not None else [])
+    _write_curve(paths["curve"], curve)
 
     y = evals["terminal_y"]
     n_show = min(64, y.shape[0])
@@ -394,6 +402,6 @@ def run_experiment(config: ExperimentConfig, assets: TaskAssets | None = None) -
         mean_loss_u=float(evals["mean_loss_u"]),
         mean_loss_c=float(evals["mean_loss_c"]),
         output_dir=out,
-        curve=result.curve if result is not None else [],
+        curve=curve,
         paths=paths,
     )

@@ -1,4 +1,4 @@
-"""Sample-grid export as binary PGM (P5), plus exact read-back.
+"""Sample-grid export as binary PGM (P5).
 
 PGM is lossless 8-bit grayscale with a trivial header, so round-tripping
 written pixels is exact and needs no imaging dependency. Pixel mapping:
@@ -31,34 +31,6 @@ def write_pgm(path, image: Array) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(image.tobytes())
-
-
-def read_pgm(path) -> Array:
-    data = Path(path).read_bytes()
-    if not data.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM file")
-    # header: magic, width, height, maxval; comments start with '#'
-    tokens: list[bytes] = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos] in b" \t\r\n":
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] not in b"\r\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and data[pos] not in b" \t\r\n":
-            pos += 1
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(t) for t in tokens)
-    if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
-    pixels = np.frombuffer(data[pos:pos + w * h], dtype=np.uint8)
-    if pixels.size != w * h:
-        raise ValueError(f"{path}: truncated pixel data")
-    return pixels.reshape(h, w).copy()
 
 
 def tile_grid(images: Array, pad: int = 1, pad_value: int = 0) -> Array:

@@ -1,4 +1,5 @@
-"""Small tanh MLPs with sinusoidal time features.
+"""Small tanh MLPs with sinusoidal time features, and the lazy weight
+adjoint sums their backward passes return.
 
 An ``Mlp`` has two plain-numpy halves: calling it returns the output and
 a cache (the weights it read, the hidden activations), and ``backward``
@@ -11,9 +12,9 @@ fits with their losses' closed-form ones. A call takes its input as
 column parts, and a cache keeps no copy of them: a first-layer weight's
 gradient term keeps references to the parts, which the fold of that
 weight's terms reads directly. A trained weight's gradient
-``a.T @ g`` is a ``tape.OuterSum`` term, so a weight used at every
-rollout step is summed with one gemm per block of steps: exactly
-``a.T @ g`` for a single use (``tape.dense`` folds it), and a
+``a.T @ g`` is an ``OuterSum`` term, so a weight used at every rollout
+step is summed with one gemm per block of steps (``accumulate``):
+exactly ``a.T @ g`` for a single use (``dense`` folds it), and a
 summation-order difference in the last bits for many. The weights are
 tape leaves, because the training objective is one tape node over the
 policies' weights.
@@ -27,6 +28,7 @@ Two construction modes matter for control policies:
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 import numpy as np
 
@@ -152,7 +154,7 @@ class Mlp:
         output adjoint ``g``; ``live`` flags the parameters (w0, b0,
         w1, ...) that get one. Returns those adjoints (None where not
         live) and, with ``span = (lo, hi)``, the input adjoint over input
-        columns lo:hi (else None). A weight's adjoint is a ``tape.OuterSum``
+        columns lo:hi (else None). A weight's adjoint is an ``OuterSum``
         term, or ``a.T @ g`` if ``g`` has no fewer rows than columns (the
         term would fold at once); the first layer's reads ``parts``. The
         pass stops at the lowest layer it has to reach."""
@@ -164,7 +166,7 @@ class Mlp:
         for i in range(len(ws) - 1, bottom - 1, -1):
             if live[2 * i]:          # folded at once when as tall as wide
                 a = [hidden[i - 1]] if i > 0 else parts
-                grads[2 * i] = (tape.OuterSum(a, g) if len(g) < g.shape[1]
+                grads[2 * i] = (OuterSum(a, g) if len(g) < g.shape[1]
                                 else _columns(a).T @ g)
             if live[2 * i + 1]:
                 grads[2 * i + 1] = g.sum(axis=0)
@@ -202,3 +204,119 @@ class Mlp:
             if not np.isfinite(arr).all():
                 raise ValueError(f"tensor {name!r} holds non-finite values")
             p.value = arr
+
+
+# ---------------------------------------------------------------------------
+# lazy weight adjoints
+# ---------------------------------------------------------------------------
+
+class OuterSum:
+    """The lazy weight adjoint sum_k a_k.T @ g_k.
+
+    A weight used at K steps of a rollout gets one ``a_k.T @ g_k`` per
+    step, each a skinny gemm (inner dimension = the batch) followed by a
+    full-size add. ``Mlp.backward`` instead returns ``OuterSum(a, g)``,
+    and ``accumulate`` adds the terms of later contributions into the
+    first with ``add``: the pending (a_k, g_k) pairs are folded into a
+    dense sum with one ``concatenate(a).T @ concatenate(g)`` whenever their
+    rows reach the weight's column count. Pending rows thus stay below the
+    column count (the pending ``a_k`` hold fewer bytes than the dense
+    sum), and the weight costs one well-shaped gemm and one add per block
+    of steps.
+
+    ``a`` is given as its column parts, a sequence of 2-D arrays whose
+    column concatenation is ``a`` (an ``Mlp``'s input parts, or one hidden
+    layer): a term keeps references to the parts, and the fold fills its
+    block of rows straight from them, so no term copies its input. A
+    single one-part term folds to exactly ``a.T @ g``; a longer sum
+    differs from the step-by-step one only in summation order. The parts
+    and the ``g_k`` are only read, never written.
+    """
+
+    __slots__ = ("pairs", "rows", "cols", "dense")
+
+    def __init__(self, a: Sequence[Array], g: Array):
+        self.pairs: list[tuple] = []                  # pending (a_k, g_k)
+        self.rows = 0                                 # rows of the pending a_k
+        self.cols = g.shape[1]
+        self.dense: Array | None = None               # the folded terms
+        self._push(a, g)
+
+    def add(self, other: "OuterSum") -> None:
+        """Add the terms of ``other`` into this sum, taking ``other`` over
+        (its dense part may become this sum's)."""
+        if other.dense is not None:
+            self._fold_in(other.dense)
+        for a, g in other.pairs:
+            self._push(a, g)
+
+    def array(self) -> Array:
+        """The sum as an array (folds what is pending)."""
+        if self.pairs:
+            parts, g = self.pairs[0]
+            if len(self.pairs) == 1 and len(parts) == 1:
+                part = parts[0].T @ g
+            else:
+                # the pending a_k as one block, filled from their parts
+                block = np.empty((self.rows, sum(p.shape[1] for p in parts)))
+                r = 0
+                for parts, g in self.pairs:
+                    c = 0
+                    for p in parts:
+                        block[r:r + g.shape[0], c:c + p.shape[1]] = p
+                        c += p.shape[1]
+                    r += g.shape[0]
+                gs = [g for _, g in self.pairs]
+                g = gs[0] if len(gs) == 1 else np.concatenate(gs)
+                part = block.T @ g
+            self.pairs, self.rows = [], 0
+            self._fold_in(part)
+        return self.dense
+
+    def _push(self, a: Sequence[Array], g: Array) -> None:
+        self.pairs.append((a, g))
+        self.rows += g.shape[0]
+        if self.rows >= self.cols:
+            self.array()
+
+    def _fold_in(self, part: Array) -> None:
+        if self.dense is None:
+            self.dense = part
+        else:
+            self.dense += part
+
+
+def dense(g):
+    """An adjoint as an array: an ``OuterSum`` term folded, an array as
+    is."""
+    return g.array() if type(g) is OuterSum else g
+
+
+def accumulate(grads: dict, owned: set, key, contrib) -> None:
+    """Add the adjoint contribution ``contrib`` into ``grads[key]``.
+
+    The first contribution is kept as given (it may be shared); the second
+    makes a new sum array that later ones are added into in place (``owned``
+    holds the keys whose array is the caller's), so the sums need no
+    allocation per contribution and never write into an array a VJP
+    returned. ``OuterSum`` terms are added lazily and folded blockwise; a
+    sum that mixes them with arrays is made an array first.
+    """
+    acc = grads.get(key)
+    if acc is None:
+        grads[key] = contrib
+        return
+    if type(acc) is OuterSum:
+        if type(contrib) is OuterSum:
+            acc.add(contrib)
+            return
+        acc = acc.array()             # a mixed sum is made dense first
+        owned.add(key)
+    if type(contrib) is OuterSum:
+        contrib = contrib.array()
+    if key in owned and acc.shape == contrib.shape:
+        acc += contrib
+    else:
+        acc = acc + contrib
+        owned.add(key)
+    grads[key] = acc

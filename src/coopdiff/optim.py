@@ -9,36 +9,35 @@ from .tape import Node
 
 Array = np.ndarray
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment accumulators and step count."""
+    """Per-parameter first/second moment accumulators, step count and
+    learning rate (the trainers halve it after a failed update)."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list[Array] = field(default_factory=list)
     v: list[Array] = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: list[Node], lr: float = 1e-4, **kw) -> "AdamState":
-        state = cls(lr=lr, **kw)
+    def for_params(cls, params: list[Node], lr: float = 1e-4) -> "AdamState":
+        state = cls(lr=lr)
         state.m = [np.zeros_like(p.value) for p in params]
         state.v = [np.zeros_like(p.value) for p in params]
         return state
 
 
-def adam_step(
-    params: list[Node],
-    grads: list[Array],
-    state: AdamState,
-    lr: float | None = None,
-) -> AdamState:
+def adam_step(params: list[Node], grads: list[Array],
+              state: AdamState) -> AdamState:
     """One Adam update; rebinds each parameter's ``.value``.
 
-    update = lr * m_hat / (sqrt(v_hat) + eps)
+    update = lr * m_hat / (sqrt(v_hat) + eps), with the betas ``BETA1``
+    and ``BETA2`` and eps = ``EPS``.
 
     The moment buffers are updated in place, and the update is formed in
     two scratch buffers, in the textbook's op order. ``.value`` is rebound
@@ -49,10 +48,9 @@ def adam_step(
             f"got {len(params)} params, {len(grads)} grads, "
             f"{len(state.m)} moment buffers"
         )
-    step_lr = state.lr if lr is None else lr
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.value.shape:
@@ -60,18 +58,18 @@ def adam_step(
                 f"gradient shape {g.shape} does not match parameter "
                 f"shape {p.value.shape}"
             )
-        num = np.multiply(g, 1.0 - state.beta1)
-        m *= state.beta1
+        num = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
         m += num                                 # beta1 m + (1 - beta1) g
         den = np.multiply(g, g)
-        den *= 1.0 - state.beta2
-        v *= state.beta2
+        den *= 1.0 - BETA2
+        v *= BETA2
         v += den                                 # beta2 v + (1 - beta2) g^2
         np.divide(m, bc1, out=num)
-        num *= step_lr                           # lr * m_hat
+        num *= state.lr                          # lr * m_hat
         np.divide(v, bc2, out=den)
         np.sqrt(den, out=den)
-        den += state.eps                         # sqrt(v_hat) + eps
+        den += EPS                               # sqrt(v_hat) + eps
         num /= den
         p.value = p.value - num
     return state

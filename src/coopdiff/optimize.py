@@ -14,21 +14,24 @@ reverse-time SDEs on a shared time grid. The agents' states are one
 
 accumulating the control energy and the running cost; the terminal cost is
 evaluated on the aggregate of the final states. Every step runs in plain
-arrays, for training and sampling alike. A training rollout (grad enabled,
-some policy weight trained) also appends one record per step holding only
-what its backward reads and cannot rebuild: X_k, grad psi(Yh_k), the
-policies' caches (weights, hidden activations) and the step's score
-call's pullback. It returns hat-J as one ``tape.fused`` node over the
-trained weights, whose VJP is the BPTT reverse sweep k = K-1, ..., 0: it
-carries the adjoint of X_k through the pieces' plain-array adjoint
-helpers (``em_step_adjoint``, ``reverse_drift_adjoint``,
-``tweedie_adjoint``, ``scatter_adjoint``), adds the step's energy and
-running-cost adjoints, rebuilds Y_k, the guidance, the time features and
-the controls U_k (each policy's last layers from its cache) with the
-forward's ops, so bit for bit, and hands each weight's ``a.T @ g`` terms
-to one ``tape.OuterSum``. The sweep frees each record once past it, so it
-runs once. A rollout also returns a ``RolloutRecord`` of its detached
-outputs (the loss parts, terminal states and costs).
+arrays, for training and sampling alike. A training rollout (``train``
+set, as ``bptt_rollout`` does, and some weight trained) also appends one
+record per step holding only what its backward reads and cannot rebuild:
+X_k, grad psi(Yh_k), the policies' caches (weights, hidden activations)
+and the step's score call's pullback. It returns hat-J as one
+``tape.fused`` node over the trained weights, whose VJP is the BPTT
+reverse sweep k = K-1, ..., 0: it carries the adjoint of X_k through the
+pieces' plain-array adjoint helpers (``em_step_adjoint``,
+``reverse_drift_adjoint``, ``tweedie_adjoint``, ``scatter_adjoint``),
+adds the step's energy and running-cost adjoints, rebuilds Y_k, the
+guidance, the time features and the controls U_k (each policy's last
+layers from its cache) with the forward's ops, so bit for bit, and hands
+each weight's ``a.T @ g`` terms to one ``nn.OuterSum``, which it folds
+into the array it returns. The
+sweep frees each record once past it, so it runs once. A sampling
+rollout keeps no record, and its hat-J is a constant node. A rollout
+also returns a ``RolloutRecord`` of its detached outputs (the loss parts,
+terminal states and costs).
 
 The score model and psi are evaluated once per step, for every control
 source; both are only called, on arrays, as the ``scores`` and ``costs``
@@ -51,9 +54,10 @@ allocates, so a sampling chunk holds one step's arrays at a time.
 
 Both trainers run one update loop and differ only in their schedule of
 (update index, agents to step): joint training steps every agent at every
-update, control-wise training one agent per block of updates. An update
-drops its graph right after backward, so training holds one rollout's
-graph at a time.
+update, control-wise training one agent per block of updates, and both
+return the training curve, one ``CurvePoint`` per update applied. An
+update drops its objective node right after ``tape.backward``, so
+training holds one rollout's step records at a time.
 
 All noise is drawn from a ``NoiseStream`` keyed by (stream, update, step),
 so runs sharing a seed are pairable draw by draw: joint and control-wise
@@ -77,6 +81,7 @@ from .control import (
     tweedie_guidance,
 )
 from .costs import SocConfig
+from .nn import accumulate, dense
 from .optim import AdamState, adam_step
 from .scores import tweedie, tweedie_adjoint
 from .sde import (
@@ -110,7 +115,8 @@ class DivergedRolloutError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training aborted after repeated divergence; carries the curve so far."""
+    """Training aborted after repeated divergence; carries the curve so
+    far, one ``CurvePoint`` per update applied."""
 
     def __init__(self, message: str, curve: list):
         super().__init__(message)
@@ -266,10 +272,12 @@ def coupled_rollout(
     noise: NoiseStream,
     batch: int,
     update_index: int = 0,
+    train: bool = False,
 ) -> tuple[Node, RolloutRecord]:
-    """Simulate the coupled controlled system and assemble hat-J: one
-    node over the leaves that require grad, whose VJP is the reverse
-    sweep over the step records (a constant when nothing is trained)."""
+    """Simulate the coupled controlled system and assemble hat-J. With
+    ``train``, hat-J is one node over the leaves that require grad, whose
+    VJP is the reverse sweep over the step records; without it, or when
+    nothing is trained, it is a constant and no record is kept."""
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     n_agents = agg.num_agents
@@ -278,7 +286,7 @@ def coupled_rollout(
     dts = grid.dts
     lambdas = cfg.lambda_weights(n_agents)
     params = control_fn.params()
-    live = tape.live(params)
+    live = [train and p.requires_grad for p in params]
     records = [] if any(live) else None
     extra: dict = {}                  # a score model's trained weights
 
@@ -364,7 +372,7 @@ def coupled_rollout(
                 (g * (lambdas * dt)) * (1.0 / batch), live, a_x)
             for p, a in zip(params, p_grads):
                 if a is not None:
-                    tape.accumulate(grads, owned, id(p), a)
+                    accumulate(grads, owned, id(p), a)
             if a_x is None and pull is None:
                 continue
             # Tweedie's, from the running cost at Y0_hat =
@@ -381,10 +389,10 @@ def coupled_rollout(
                 vjp, leaves = pull
                 a_x_s, a_leaves = vjp(a_s.reshape(-1, dim))
                 for leaf, a in zip(leaves, a_leaves):
-                    tape.accumulate(grads, owned, id(leaf), a)
+                    accumulate(grads, owned, id(leaf), a)
                 if a_x is not None:
                     a_x += a_x_s.reshape(a_x.shape)
-        return tuple(grads[id(p)] for p in parents)
+        return tuple(dense(grads[id(p)]) for p in parents)
 
     value = terminal + running_sum + control_sum
     objective = tape.fused(value, parents, sweep)
@@ -414,7 +422,7 @@ def bptt_rollout(
     """Differentiable rollout under the learned per-agent controls."""
     return coupled_rollout(PolicyControls(policies, agg), score_fn, agg, cfg,
                            grid, psi, schedule, noise, batch,
-                           update_index=update_index)
+                           update_index=update_index, train=True)
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +441,6 @@ class CurvePoint:
         return (self.update, self.loss_u, self.loss_c, self.loss_psi, self.objective)
 
 
-@dataclass
-class TrainingResult:
-    curve: list                 # one point per update applied
-
-
 def joint_ido(
     plan: TrainPlan,
     policies: Sequence[ControlPolicy],
@@ -449,7 +452,7 @@ def joint_ido(
     schedule: NoiseSchedule,
     seed: int,
     on_update: Callable | None = None,
-) -> TrainingResult:
+) -> list[CurvePoint]:
     """Simultaneous gradient descent on every agent's control parameters:
     each of the ``plan.updates`` updates steps every policy."""
     policies = list(policies)
@@ -471,7 +474,7 @@ def controlwise_ido(
     schedule: NoiseSchedule,
     seed: int,
     on_update: Callable | None = None,
-) -> TrainingResult:
+) -> list[CurvePoint]:
     """Coordinate descent over agents.
 
     Outer sweeps select one agent at a time; during that agent's
@@ -500,7 +503,7 @@ def controlwise_ido(
 
 
 def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
-           seed, on_update) -> TrainingResult:
+           seed, on_update) -> list[CurvePoint]:
     """The update loop both trainers share.
 
     ``updates`` yields (update index, indices of the agents to step). Per
@@ -544,7 +547,7 @@ def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
             if lr_halved:
                 raise TrainingDivergedError(
                     f"update {n}: {failure} (after halving the learning rate)",
-                    [c.row() for c in curve],
+                    curve,
                 ) from cause
             lr_halved = True
             for adam in adams:
@@ -555,7 +558,7 @@ def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
         curve.append(CurvePoint(n, rec.loss_u, rec.loss_c, rec.loss_psi, rec.objective))
         if on_update is not None:
             on_update(n, policies)
-    return TrainingResult(curve)
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -564,13 +567,12 @@ def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
 
 def _sample(control_fn, score_fn, agg, cfg, grid, psi, schedule, seed,
             batch, noise_index) -> RolloutRecord:
-    """The record of one rollout under ``control_fn`` without a graph, on
-    the noise of (``seed``, ``noise_index``)."""
-    with tape.no_grad():
-        return coupled_rollout(
-            control_fn, score_fn, agg, cfg, grid, psi, schedule,
-            NoiseStream(seed), batch, update_index=noise_index,
-        )[1]
+    """The record of one rollout under ``control_fn`` without step
+    records, on the noise of (``seed``, ``noise_index``)."""
+    return coupled_rollout(
+        control_fn, score_fn, agg, cfg, grid, psi, schedule,
+        NoiseStream(seed), batch, update_index=noise_index,
+    )[1]
 
 
 def sample_controlled(

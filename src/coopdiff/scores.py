@@ -16,7 +16,10 @@ log density; the network's pushes ``g`` through its residual/affine tail
 and ``Mlp.backward``. ``tweedie`` maps arrays to an array; its adjoint is
 ``tweedie_adjoint``. The score network's fit calls the network the same
 way: ``denoiser_loss`` returns the loss and its weight gradients, the
-loss's closed-form adjoint pushed through ``Mlp.backward``.
+loss's closed-form adjoint pushed through ``Mlp.backward`` and folded to
+arrays with ``nn.dense``. Nothing here builds a tape node: a pullback
+only names its trained weights, as ``leaves``, for the training
+rollout's objective (``optimize``).
 """
 from __future__ import annotations
 
@@ -24,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tape
-from .nn import Mlp, time_features
+from .nn import Mlp, dense, time_features
 from .sde import NoiseSchedule, marginal_coeffs
 
 Array = np.ndarray
@@ -214,7 +216,7 @@ def denoiser_loss(score_net: MlpScore, batch: Array, times: Array,
     loss = (resid * resid).sum(axis=1, keepdims=True).sum() * (1.0 / rows)
     grads, _ = Mlp.backward(cache, parts, resid * (2.0 / rows),
                             [True] * len(score_net.params()))
-    return float(loss), [tape.dense(g) for g in grads]
+    return float(loss), [dense(g) for g in grads]
 
 
 def tweedie(x: Array, t: float, score: Array,

@@ -1,4 +1,7 @@
-"""Reference samplers, losses, metrics and rollouts that only tests use."""
+"""Reference samplers, losses, metrics, rollouts and readers that only
+tests use."""
+from pathlib import Path
+
 import numpy as np
 
 from coopdiff import tape
@@ -49,6 +52,36 @@ def gmm_log_density(gmm, x):
     return (np.log(np.exp(log_comp - lmax).sum(axis=1, keepdims=True)) + lmax)[:, 0]
 
 
+def read_pgm(path):
+    """The uint8 pixels of a binary PGM (P5) file that
+    ``harness.gridio.write_pgm`` wrote, exactly."""
+    data = Path(path).read_bytes()
+    if not data.startswith(b"P5"):
+        raise ValueError(f"{path}: not a binary PGM file")
+    # header: magic, width, height, maxval; comments start with '#'
+    tokens: list[bytes] = []
+    pos = 2
+    while len(tokens) < 3:
+        while pos < len(data) and data[pos] in b" \t\r\n":
+            pos += 1
+        if pos < len(data) and data[pos:pos + 1] == b"#":
+            while pos < len(data) and data[pos] not in b"\r\n":
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and data[pos] not in b" \t\r\n":
+            pos += 1
+        tokens.append(data[start:pos])
+    pos += 1  # single whitespace after maxval
+    w, h, maxval = (int(t) for t in tokens)
+    if maxval != 255:
+        raise ValueError(f"{path}: unsupported maxval {maxval}")
+    pixels = np.frombuffer(data[pos:pos + w * h], dtype=np.uint8)
+    if pixels.size != w * h:
+        raise ValueError(f"{path}: truncated pixel data")
+    return pixels.reshape(h, w).copy()
+
+
 def confusion_matrix(classifier, images, labels):
     """Counts of (true label, predicted label) pairs, shape (C, C)."""
     pred = classifier([images])[0].argmax(axis=1)
@@ -84,7 +117,7 @@ def taped_denoiser_loss(score_net, batch, times, noises, schedule,
                         eps=1e-3):
     """``scores.denoiser_loss`` as a tape graph: the denoiser head x_t + r
     on the fused Mlp call, and the batch mean of ||head - x_0||^2 from
-    elementary ops. ``tape.backward`` on it fills the weights' ``.grad``."""
+    elementary ops. ``opgraphs.backward`` on it fills the weights' ``.grad``."""
     x0 = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     t = np.clip(np.asarray(times, dtype=np.float64).reshape(-1), eps, 1.0)
     alpha, sigma = marginal_coeffs(schedule, t)
@@ -130,8 +163,8 @@ def taped_mlp_score(net, x, t):
     """``MlpScore``'s call at a scalar time as two tape nodes: the fused
     Mlp on [x, time features] and the residual/affine tail
     (alpha (x + r) - x) / sigma^2 as one op on x and r. Its
-    ``tape.pullback`` is the reference for the call's pullback."""
-    x = tape.as_node(x)
+    ``opgraphs.pullback`` is the reference for the call's pullback."""
+    x = ops.as_node(x)
     feats = time_features(t, net.temb_width, batch=x.value.shape[0])
     r = ops.mlp_node(net.mlp, x, feats)
     alpha, sigma = marginal_coeffs(net.schedule, t)
@@ -307,20 +340,20 @@ def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
     psi_term = ops.cost_node(psi, ops.aggregate(agg, xs))
     terminal = ops.scale(ops.reduce_sum(psi_term), 1.0 / batch)
     parents = [p for p in (terminal, *terms) if p.requires_grad]
-    return tape.fused(terminal.value + running_sum + control_sum, parents,
+    return ops.fused(terminal.value + running_sum + control_sum, parents,
                       lambda g: (g,) * len(parents))
 
 
 def taped_state_guidance(score_fn, agg, psi, schedule, x_values, t):
     """``control.state_guidance`` as one sub-tape on a detached state leaf
-    and ``tape.backward``, as it was before it ran on plain arrays: the
+    and ``opgraphs.backward``, as it was before it ran on plain arrays: the
     reference it is checked against."""
     with ops.grad_enabled():
-        xs = tape.leaf(tape.as_node(x_values).value)
+        xs = tape.leaf(ops.as_node(x_values).value)
         scores = ops.stacked_score(score_fn, xs, t)
         y0_hat = ops.aggregate(agg, ops.tweedie(xs, t, scores, schedule))
         psi_y0 = ops.cost_node(psi, y0_hat)
-        tape.backward(ops.reduce_sum(psi_y0))
+        ops.backward(ops.reduce_sum(psi_y0))
     grad = xs.grad if xs.grad is not None else np.zeros_like(xs.value)
     return StateGuidance(scores.value, y0_hat.value, psi_y0.value, grad)
 

@@ -173,7 +173,7 @@ def test_criterion2_mlp_backward_vs_finite_differences():
             return ops.reduce_sum(ops.mul(out, out))
 
         root = loss()
-        tape.backward(root)
+        ops.backward(root)
         check_rng = np.random.default_rng(0)
         for p in mlp.params():
             for idx in check_rng.choice(p.value.size,
@@ -245,7 +245,7 @@ def test_criterion2_stopgrad_isolates_score_network(monkeypatch):
     _, grad = tweedie_guidance(psi,
                                ops.aggregate(agg, ops.stack(x0h)).value)
     u = eval_control(policy, xs[0], xs[1], 0.5, scatter_adjoint(agg, grad)[0])
-    tape.backward(ops.reduce_sum(ops.mul(u, u)))
+    ops.backward(ops.reduce_sum(ops.mul(u, u)))
     assert all(p.grad is None or np.all(p.grad == 0.0) for p in net.params())
     assert any(np.any(p.grad != 0.0) for p in policy.params()
                if p.grad is not None)
@@ -303,7 +303,7 @@ def test_criterion3_zero_control_is_bit_exact_uncontrolled():
         make_policy(2, i, derive_rng(102, i), guidance_gain_init=0.0)
         for i in range(2)
     ]
-    with tape.no_grad(), recorded(grid) as controlled:
+    with recorded(grid) as controlled:
         bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
                      NoiseStream(12), batch=64)
     with recorded(grid) as uncontrolled:
@@ -352,12 +352,12 @@ def _reduction(curve):
 def test_criterion4_joint_ido_halves_objective():
     score, agg, cfg, psi, grid = _smoke_setup()
     plan = TrainPlan(updates=200, batch=48, lr=4e-2)
-    res = joint_ido(plan, _smoke_policies(), score, agg, cfg, grid, psi,
-                    SCHEDULE, seed=SMOKE_SEED)
-    initial, final = _reduction(res.curve)
+    curve = joint_ido(plan, _smoke_policies(), score, agg, cfg, grid, psi,
+                      SCHEDULE, seed=SMOKE_SEED)
+    initial, final = _reduction(curve)
     assert final <= 0.5 * initial, (initial, final)
     # smoothed curve decreases end to end
-    smooth = np.convolve([c.objective for c in res.curve],
+    smooth = np.convolve([c.objective for c in curve],
                          np.ones(20) / 20, mode="valid")
     assert smooth[-1] < smooth[0]
 
@@ -374,10 +374,10 @@ def test_criterion4_controlwise_ido_halves_objective_and_freezes():
             (update, [[p.value.copy() for p in pol.params()] for pol in pols])
         )
 
-    res = controlwise_ido(plan, policies, score, agg, cfg, grid, psi,
-                          SCHEDULE, seed=SMOKE_SEED, on_update=on_update)
-    assert len(res.curve) == 200
-    initial, final = _reduction(res.curve)
+    curve = controlwise_ido(plan, policies, score, agg, cfg, grid, psi,
+                            SCHEDULE, seed=SMOKE_SEED, on_update=on_update)
+    assert len(curve) == 200
+    initial, final = _reduction(curve)
     assert final <= 0.5 * initial, (initial, final)
 
     # freeze assertions across all 200 updates: within an agent's inner

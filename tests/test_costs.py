@@ -221,7 +221,7 @@ def test_seam_loss_is_one_node_with_the_closed_form_gradient(agents):
     out = ops.cost_node(lambda v, grad: seam_loss(v, agg, cfg, grad), y)
     assert out.parents == (y,)
     weights = np.array([[1.0], [-2.0], [0.5]])
-    tape.backward(ops.reduce_sum(ops.mul(out, weights)))
+    ops.backward(ops.reduce_sum(ops.mul(out, weights)))
 
     def f(v):
         return float((seam_loss(v, agg, cfg, grad=False)[0] * weights).sum())
@@ -233,7 +233,7 @@ def test_seam_loss_is_one_node_with_the_closed_form_gradient(agents):
     ref_y = tape.leaf(y0)
     ref = seam_loss_ops(ref_y, agg, cfg)
     assert np.array_equal(out.value, ref.value)
-    tape.backward(ops.reduce_sum(ops.mul(ref, weights)))
+    ops.backward(ops.reduce_sum(ops.mul(ref, weights)))
     np.testing.assert_allclose(y.grad, ref_y.grad, rtol=1e-12, atol=1e-15)
 
 
@@ -253,7 +253,7 @@ def test_classifier_nll_gradient_is_softmax_minus_onehot():
         logits = tape.leaf(lv)
         out = ops.classifier_nll(logits, labels)
         assert out.parents == (logits,)
-        tape.backward(ops.reduce_sum(out))
+        ops.backward(ops.reduce_sum(out))
         assert np.array_equal(logits.grad, grad)
 
 
@@ -279,12 +279,12 @@ def test_each_cost_is_one_node_with_its_tape_references_gradient(name):
     y = tape.leaf(y0)
     node = ops.cost_node(psi, y)
     assert node.parents == (y,) and len(node.vjps) == 1
-    tape.backward(ops.reduce_sum(node))
+    ops.backward(ops.reduce_sum(node))
     assert np.array_equal(y.grad, grad)
     ref_y = tape.leaf(y0)
     ref = taped_cost(psi)(ref_y)
     assert np.array_equal(value, ref.value)
-    tape.backward(ops.reduce_sum(ref))
+    ops.backward(ops.reduce_sum(ref))
     if name == "classifier+seam":
         np.testing.assert_allclose(grad, ref_y.grad, rtol=1e-12,
                                    atol=1e-14 * np.abs(ref_y.grad).max())

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coopdiff
-from coopdiff import optimize, tape
+from coopdiff import nn, optimize
 from coopdiff.aggregation import make_mask
 from coopdiff.checkpoint import load_checkpoint, save_checkpoint
 from coopdiff.control import make_policy
@@ -42,7 +42,6 @@ from coopdiff.harness.gridio import (
     annotate_region,
     export_grid,
     quantize,
-    read_pgm,
     tile_grid,
     write_pgm,
 )
@@ -51,7 +50,8 @@ from coopdiff.harness.cli import main as cli_main
 from coopdiff.nn import Mlp
 from coopdiff.scores import MlpScore
 from coopdiff.sde import derive_rng
-from oracles import confusion_matrix, taped_classifier_loss
+import opgraphs as ops
+from oracles import confusion_matrix, read_pgm, taped_classifier_loss
 
 
 GMM_SMOKE = """
@@ -132,18 +132,18 @@ def test_classifier_batch_loss_equals_its_tape_reference_bit_for_bit(
     # the array fit's step against the taped batch loss of the same
     # network: loss and every weight and bias gradient are bit-equal, for
     # a batch narrower than the 32-wide hidden layer (an OuterSum term
-    # folded by tape.dense) and for a wider one
+    # folded by nn.dense) and for a wider one
     model = Mlp([IMAGE_H * IMAGE_W, 32, 4], derive_rng(8, 0))
     x, y = small_dataset.train()
     pick = derive_rng(8, rows).integers(0, x.shape[0], size=rows)
     folds = []
-    fold = tape.OuterSum.array
-    monkeypatch.setattr(tape.OuterSum, "array",
+    fold = nn.OuterSum.array
+    monkeypatch.setattr(nn.OuterSum, "array",
                         lambda self: folds.append(self) or fold(self))
     loss, grads = batch_loss(model, x[pick], y[pick])
     assert bool(folds) == (rows < 32)
     ref = taped_classifier_loss(model, x[pick], y[pick])
-    tape.backward(ref)
+    ops.backward(ref)
     assert loss == float(ref.value)
     assert len(grads) == len(model.params())
     for p, g in zip(model.params(), grads):
@@ -462,6 +462,41 @@ def test_cli_run_and_report(tmp_path, monkeypatch, capsys):
     assert "cdps on gmm2d" in out
     assert cli_main(["report", "--run", str(tmp_path / "cli")]) == 0
     assert "mean_psi" in capsys.readouterr().out
+
+
+def test_a_diverged_rerun_leaves_no_earlier_results(tmp_path, monkeypatch,
+                                                    capsys):
+    # a joint run, then the same run diverging (exit 3) into the same
+    # directory: config.txt is the new run's, and no result of the first
+    # run is left behind for report to print
+    monkeypatch.setenv("COOPDIFF_OUTPUT_ROOT", str(tmp_path))
+    cfg_path = tmp_path / "exp.cfg"
+    text = config_with(GMM_SMOKE.format(out="stale"),
+                       {"method": "joint", "plan.updates": "3"})
+    cfg_path.write_text(text)
+    assert cli_main(["run", "--config", str(cfg_path)]) == 0
+    run_dir = tmp_path / "stale"
+    assert (run_dir / "policy_agent0.npz").is_file()
+    cfg_path.write_text(config_with(text, {"plan.lr": "1e30"}))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 3
+    assert "plan.lr = 1e+30" in (run_dir / "config.txt").read_text()
+    assert [p.name for p in run_dir.iterdir()] == ["config.txt"]
+    capsys.readouterr()
+    assert cli_main(["report", "--run", str(run_dir)]) == 4
+
+
+def test_a_rerun_with_another_method_keeps_none_of_the_earlier_files(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("COOPDIFF_OUTPUT_ROOT", str(tmp_path))
+    cfg = with_overrides(parse_config_text(GMM_SMOKE.format(out="again")),
+                         method="joint", plan_updates=2, eval_samples=32,
+                         eval_chunk=32)
+    first = run_experiment(cfg)
+    assert (first.output_dir / "policy_agent1.npz").is_file()
+    second = run_experiment(with_overrides(cfg, method="cdps"))
+    assert second.output_dir == first.output_dir
+    assert sorted(p.name for p in second.output_dir.iterdir()) == [
+        "config.txt", "curve.csv", "metrics.csv", "samples.csv"]
 
 
 @pytest.mark.parametrize("content", [b"", b"method,task,seed\n",

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coopdiff import tape
+from coopdiff import optim, tape
 from coopdiff.checkpoint import load_checkpoint, save_checkpoint
 from coopdiff.nn import Mlp, time_features
 from coopdiff.optim import AdamState, adam_step
@@ -104,7 +104,7 @@ def test_an_mlp_node_keeps_its_activations_and_no_input_copy(trained):
     assert out.parents                  # recorded, so its VJP state is alive
     activations = 8 * (16 + 8 + 2) * 8  # bytes of the hidden and output rows
     assert kept < activations + 8 * 1024, kept
-    tape.backward(ops.reduce_sum(out))
+    ops.backward(ops.reduce_sum(out))
     assert x.grad.shape == x.value.shape
 
 
@@ -113,7 +113,7 @@ def test_adam_first_step_hand_computed():
     p = tape.leaf(np.array([0.0]))
     state = AdamState.for_params([p], lr=0.1)
     adam_step([p], [np.array([1.0])], state)
-    expected = -0.1 / (1.0 + state.eps)
+    expected = -0.1 / (1.0 + optim.EPS)
     np.testing.assert_allclose(p.value, [expected], rtol=1e-12)
     assert state.step == 1
 

@@ -211,7 +211,7 @@ def vjp_arrays(nodes) -> dict:
 def graph_nbytes(root) -> int:
     """Bytes of the distinct arrays ``root``'s graph holds: the node values
     and the arrays the VJP closures keep, each buffer counted once."""
-    nodes = tape._toposort(root)
+    nodes = ops._toposort(root)
     held = vjp_arrays(nodes)
     held.update((id(_base(n.value)), _base(n.value)) for n in nodes)
     return sum(a.nbytes for a in held.values())
@@ -311,10 +311,10 @@ def test_joint_ido_requires_learnable_parameters():
 def test_curve_length_equals_updates():
     score, agg, cfg, psi, grid = make_setup(steps=6)
     plan = TrainPlan(updates=7, batch=2, lr=1e-3)
-    res = joint_ido(plan, make_policies(2), score, agg, cfg, grid, psi,
-                    SCHEDULE, seed=1)
-    assert len(res.curve) == 7
-    assert [c.update for c in res.curve] == list(range(7))
+    curve = joint_ido(plan, make_policies(2), score, agg, cfg, grid, psi,
+                      SCHEDULE, seed=1)
+    assert len(curve) == 7
+    assert [c.update for c in curve] == list(range(7))
 
 
 def test_plan_validation_and_counting():
@@ -338,10 +338,10 @@ def test_controlwise_freezes_inactive_agents():
                           [[p.value.copy() for p in pol.params()]
                            for pol in pols]))
 
-    res = controlwise_ido(plan, policies, score, agg, cfg, grid, psi,
-                          SCHEDULE, seed=2, on_update=on_update)
+    curve = controlwise_ido(plan, policies, score, agg, cfg, grid, psi,
+                            SCHEDULE, seed=2, on_update=on_update)
     # control-wise sweeps run outer_iters * N * inner_steps updates
-    assert len(res.curve) == 2 * 2 * 3
+    assert len(curve) == 2 * 2 * 3
     # agent schedule: updates 0-2 train agent 0, 3-5 agent 1, 6-8 agent 0, ...
     m = plan.inner_steps
     for (u_prev, params_prev), (u_next, params_next) in zip(snapshots,
@@ -362,21 +362,21 @@ def test_controlwise_single_agent_reduces_to_joint_updates():
 
     joint_pols = make_policies(1, c0=-0.2)
     plan_j = TrainPlan(updates=6, batch=2, lr=1e-2)
-    res_j = joint_ido(plan_j, joint_pols, score, agg, cfg, grid, psi,
-                      SCHEDULE, seed=5)
+    curve_j = joint_ido(plan_j, joint_pols, score, agg, cfg, grid, psi,
+                        SCHEDULE, seed=5)
 
     cw_pols = make_policies(1, c0=-0.2)
     plan_c = TrainPlan(outer_iters=2, inner_steps=3,
                        batch=2, lr=1e-2)
-    res_c = controlwise_ido(plan_c, cw_pols, score, agg, cfg, grid, psi,
-                            SCHEDULE, seed=5)
+    curve_c = controlwise_ido(plan_c, cw_pols, score, agg, cfg, grid,
+                              psi, SCHEDULE, seed=5)
     # same update count, same noise keys, one coordinate: identical runs
-    assert len(res_j.curve) == len(res_c.curve) == 6
+    assert len(curve_j) == len(curve_c) == 6
     for p_j, p_c in zip(joint_pols[0].params(), cw_pols[0].params()):
         np.testing.assert_array_equal(p_j.value, p_c.value)
     np.testing.assert_allclose(
-        [c.objective for c in res_j.curve],
-        [c.objective for c in res_c.curve], rtol=1e-12,
+        [c.objective for c in curve_j],
+        [c.objective for c in curve_c], rtol=1e-12,
     )
 
 
@@ -461,8 +461,8 @@ def test_second_divergence_aborts_with_the_partial_curve(trainer, mode):
 
 def fail_updates(monkeypatch, updates, how):
     """Make the trainers' rollouts fail at the given update indices: either
-    the rollout diverges, or the objective gains a zero term whose gradient
-    into the first policy weight is NaN."""
+    the rollout diverges, or the objective's sweep gives the first policy
+    weight a NaN gradient."""
     real = optimize.bptt_rollout
 
     def failing(policies, *args, update_index=0, **kwargs):
@@ -471,10 +471,15 @@ def fail_updates(monkeypatch, updates, how):
         objective, rec = real(policies, *args, update_index=update_index,
                               **kwargs)
         if update_index in updates:
-            # sqrt at 0: the VJP 0.5 / 0 is inf, times the zero scale NaN
-            w = policies[0].params()[0]
-            poison = ops.reduce_sum(ops.sqrt(ops.scale(w, 0.0)))
-            objective = ops.add(objective, poison)
+            sweep = objective.vjps[0]
+
+            def poisoned(g):
+                grads = list(sweep(g))
+                grads[0] = grads[0] * np.nan
+                return grads
+
+            objective = tape.fused(objective.value, objective.parents,
+                                   poisoned)
         return objective, rec
 
     monkeypatch.setattr(optimize, "bptt_rollout", failing)
@@ -491,10 +496,10 @@ def test_a_failed_update_is_skipped_and_halves_the_learning_rate(
     monkeypatch.setattr(optimize, "adam_step", lambda params, grads, state:
                         lrs.append(state.lr) or real_adam(params, grads, state))
     with np.errstate(divide="ignore", invalid="ignore"):
-        res = joint_ido(plan, make_policies(2, c0=-0.2), score, agg, cfg,
-                        grid, psi, SCHEDULE, seed=3)
-    assert [c.update for c in res.curve] == [0, 2, 3]
-    assert len(res.curve) == 3   # the updates applied, not planned
+        curve = joint_ido(plan, make_policies(2, c0=-0.2), score, agg,
+                          cfg, grid, psi, SCHEDULE, seed=3)
+    assert [c.update for c in curve] == [0, 2, 3]
+    assert len(curve) == 3   # the updates applied, not planned
     assert lrs == [1e-2] * 2 + [5e-3] * 4   # two policies per update
 
 
@@ -509,7 +514,7 @@ def test_a_second_nonfinite_gradient_aborts_with_the_partial_curve(
                       grid, psi, SCHEDULE, seed=3)
     assert str(err.value) == ("update 3: non-finite policy gradient "
                               "(after halving the learning rate)")
-    assert [row[0] for row in err.value.curve] == [0, 2]
+    assert [point.update for point in err.value.curve] == [0, 2]
 
 
 def test_shuffled_sweeps_follow_the_derived_permutation():
@@ -671,7 +676,7 @@ def test_the_reverse_sweep_matches_the_taped_reference(name):
     got = [p.grad for p in leaves]
     ref = taped_rollout(*args, SCHEDULE, NoiseStream(5), batch)
     assert J.value == ref.value
-    tape.backward(ref)
+    ops.backward(ref)
     for g, p in zip(got, leaves):
         scale = np.abs(p.grad).max()
         assert np.abs(g - p.grad).max() <= 1e-14 * scale, p.name
@@ -679,7 +684,8 @@ def test_the_reverse_sweep_matches_the_taped_reference(name):
 
 def test_a_rollout_node_has_the_trained_leaves_as_parents():
     # frozen policy weights get no adjoint and are no parent; without a
-    # trained leaf, or under no_grad, the objective is a constant
+    # trained leaf, or in a rollout that does not train (a sampler's),
+    # the objective is a constant
     score, agg, cfg, psi, grid = make_setup(steps=5)
     policies = make_policies(2, c0=-0.4)
     tape.freeze(policies[1].nn2.params())
@@ -688,9 +694,9 @@ def test_a_rollout_node_has_the_trained_leaves_as_parents():
     assert J.parents == tuple(policies[0].params() + policies[1].nn1.params())
     tape.backward(J)
     assert all(p.grad is None for p in policies[1].nn2.params())
-    with tape.no_grad():
-        J, _ = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
-                            NoiseStream(1), batch=2)
+    J, _ = optimize.coupled_rollout(
+        optimize.PolicyControls(policies, agg), score, agg, cfg, grid, psi,
+        SCHEDULE, NoiseStream(1), batch=2)
     assert J.is_leaf and not J.requires_grad
 
 
@@ -754,7 +760,7 @@ def test_a_rollout_step_records_at_most_25_tape_nodes():
         J, _ = bptt_rollout(policies, score, agg, cfg,
                             make_time_grid(steps, 0.02), psi, SCHEDULE,
                             NoiseStream(1), batch=4)
-        return len(tape._toposort(J))
+        return len(ops._toposort(J))
 
     per_step = (nodes(9) - nodes(5)) / 4
     assert per_step == 0, per_step
@@ -890,7 +896,7 @@ def test_a_sampling_chunk_peaks_at_one_steps_arrays(sampler, units,
 def unread_bytes(root) -> int:
     """Bytes of the distinct arrays that the nodes of ``root``'s graph
     (the root aside) hold as values and that no VJP closure references."""
-    nodes = tape._toposort(root)
+    nodes = ops._toposort(root)
     read = vjp_arrays(nodes)
     held = {id(_base(n.value)): _base(n.value).nbytes
             for n in nodes if n is not root}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopdiff import tape
+from coopdiff import nn, tape
 from coopdiff.nn import time_features
 from coopdiff.optim import AdamState, adam_step
 from coopdiff.scores import (
@@ -255,20 +255,20 @@ def test_denoiser_loss_equals_its_tape_reference_bit_for_bit(rows,
     # the array fit against the taped loss of the same network: loss and
     # every weight and bias gradient are bit-equal, both for a batch
     # narrower than the 24-wide hidden layers (whose weight gradients are
-    # OuterSum terms, folded by tape.dense) and for a wider one
+    # OuterSum terms, folded by nn.dense) and for a wider one
     net = MlpScore(3, (24, 24), 8, derive_rng(7, 0), schedule=SCHEDULE)
     rng = derive_rng(7, rows)
     x0 = rng.standard_normal((rows, 3))
     t = rng.uniform(0.0, 1.0, rows)
     eps = rng.standard_normal((rows, 3))
     folds = []
-    fold = tape.OuterSum.array
-    monkeypatch.setattr(tape.OuterSum, "array",
+    fold = nn.OuterSum.array
+    monkeypatch.setattr(nn.OuterSum, "array",
                         lambda self: folds.append(self) or fold(self))
     loss, grads = denoiser_loss(net, x0, t, eps, SCHEDULE, eps=0.02)
     assert bool(folds) == (rows < 24)
     ref = taped_denoiser_loss(net, x0, t, eps, SCHEDULE, eps=0.02)
-    tape.backward(ref)
+    ops.backward(ref)
     assert loss == float(ref.value)
     assert len(grads) == len(net.params())
     for p, g in zip(net.params(), grads):
@@ -298,7 +298,7 @@ def test_gmm_score_is_one_node_whose_vjp_is_the_hessian_vector_product(
         x = tape.leaf(x0)
         out = ops.score_node(score, x, t)
         assert out.parents == (x,)
-        tape.backward(ops.reduce_sum(ops.mul(out, g)))
+        ops.backward(ops.reduce_sum(ops.mul(out, g)))
         fd = np.zeros_like(x0)
         for idx in np.ndindex(*x0.shape):
             xp, xm = x0.copy(), x0.copy()
@@ -327,7 +327,7 @@ def test_gmm_score_pullback_equals_its_tape_reference(components, dim):
         x = tape.leaf(x0)
         ref = taped_gmm_score(gmm, x, t, SCHEDULE)
         assert np.array_equal(value, ref.value)
-        ref_leaves, ref_vjp = tape.pullback(ref)
+        ref_leaves, ref_vjp = ops.pullback(ref)
         assert ref_leaves == [x]
         (ref_a_x,) = ref_vjp(g)
         if components == 1:
@@ -342,7 +342,7 @@ def test_gmm_score_pullback_equals_its_tape_reference(components, dim):
 def test_mlp_score_pullback_equals_its_tape_reference_bit_for_bit(rows,
                                                                   trained):
     # the array call and its pullback against the two-node taped call
-    # and ``tape.pullback``: the scores, the states' adjoint and, for a
+    # and ``opgraphs.pullback``: the scores, the states' adjoint and, for a
     # trained net, every weight adjoint are bit-equal, for a batch
     # narrower than the 24-wide hidden layers and for a wider one; a
     # frozen net's pullback has no leaves
@@ -359,13 +359,13 @@ def test_mlp_score_pullback_equals_its_tape_reference_bit_for_bit(rows,
         x = tape.leaf(x0)
         ref = taped_mlp_score(net, x, t)
         assert np.array_equal(value, ref.value)
-        ref_leaves, ref_vjp = tape.pullback(ref)
+        ref_leaves, ref_vjp = ops.pullback(ref)
         ref_grads = dict(zip(map(id, ref_leaves), ref_vjp(g)))
         assert np.array_equal(a_x, ref_grads.pop(id(x)))
         assert len(a_leaves) == len(leaves) == len(ref_grads)
         for leaf, a in zip(leaves, a_leaves):
-            ref_a = tape.dense(ref_grads[id(leaf)])
-            assert np.array_equal(tape.dense(a), ref_a), leaf.name
+            ref_a = nn.dense(ref_grads[id(leaf)])
+            assert np.array_equal(nn.dense(a), ref_a), leaf.name
 
 
 def test_score_net_call_and_tweedie_are_three_nodes():
@@ -376,7 +376,7 @@ def test_score_net_call_and_tweedie_are_three_nodes():
     x = tape.leaf(derive_rng(6, 10).standard_normal((3, 4)))
     score = taped_mlp_score(net, x, 0.3)
     out = ops.tweedie(x, 0.3, score, SCHEDULE)
-    nodes = tape._toposort(ops.reduce_sum(out))
+    nodes = ops._toposort(ops.reduce_sum(out))
     assert len(nodes) == 5      # x, fused Mlp, tail, tweedie, sum
     assert out.parents == (x, score)
     assert np.array_equal(score.value, net(x.value, 0.3)[0])
@@ -388,7 +388,7 @@ def test_score_net_call_and_tweedie_are_three_nodes():
                           (m * float(alpha) - x.value) * (1.0 / sigma ** 2))
     # and its input gradient, through the tail and the Mlp, is the FD one
     w = derive_rng(6, 11).standard_normal((3, 4))
-    tape.backward(ops.reduce_sum(ops.mul(out, w)))
+    ops.backward(ops.reduce_sum(ops.mul(out, w)))
 
     def f(v):
         return float((tweedie(v, 0.3, net(v, 0.3)[0], SCHEDULE) * w).sum())

@@ -1,14 +1,19 @@
-"""Reverse-mode core: values match untaped evaluation, gradients match
-central finite differences, stopgrad cuts adjoints."""
+"""The tape: ``coopdiff.tape.backward`` runs one fused node over leaves
+and refuses any other graph; the reference engine of ``opgraphs`` gives
+values that match untaped evaluation and gradients that match central
+finite differences, and stopgrad cuts adjoints."""
+import ast
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coopdiff
 from coopdiff import tape
-from coopdiff.nn import Mlp
+from coopdiff.nn import Mlp, OuterSum
 from coopdiff.sde import derive_rng
 import opgraphs as ops
 from opgraphs import logsumexp
@@ -33,7 +38,7 @@ def value_and_grad(f, params):
     """Run ``f()``, backprop, return its value and the grads of ``params``
     (zeros where no gradient arrived)."""
     root = f()
-    tape.backward(root)
+    ops.backward(root)
     return root.value.item(), [
         p.grad if p.grad is not None else np.zeros_like(p.value) for p in params
     ]
@@ -68,7 +73,7 @@ def test_constant_program_is_the_constant():
 def test_backward_quadratic():
     w = tape.leaf(np.array([3.0, 4.0]))
     y = ops.reduce_sum(ops.mul(w, w))
-    tape.backward(y)
+    ops.backward(y)
     np.testing.assert_allclose(w.grad, [6.0, 8.0])
 
 
@@ -81,10 +86,57 @@ def test_backward_gradient_of_constant_is_zero():
     np.testing.assert_array_equal(grads[0], np.zeros(2))
 
 
+def test_tape_backward_fills_the_leaves_of_one_fused_node():
+    # the training objective's form: one fused node over distinct leaves;
+    # its VJP's arrays become their .grad, as the reference engine's do,
+    # and a frozen leaf is no parent
+    w = tape.leaf(np.array([1.0, -2.0]))
+    frozen = tape.leaf(np.ones(3))
+    tape.freeze([frozen])
+    b = tape.leaf(np.array([[3.0]]))
+    gw, gb = np.array([0.5, 4.0]), np.array([[-1.0]])
+    root = tape.fused(np.array(7.0), [w, frozen, b],
+                      lambda g: (g * gw, None, g * gb))
+    assert root.parents == (w, b)
+    tape.backward(root)
+    assert np.array_equal(w.grad, gw) and np.array_equal(b.grad, gb)
+    assert frozen.grad is None
+    ops.backward(root)
+    assert np.array_equal(w.grad, gw) and np.array_equal(b.grad, gb)
+    constant = tape.fused(np.array(1.0), [frozen], lambda g: (g,))
+    assert constant.is_leaf
+    tape.backward(constant)                  # requires no grad: a no-op
+    assert frozen.grad is None
+
+
+@pytest.mark.parametrize("graph", ["two-fused-nodes", "elementary-op",
+                                   "leaf", "repeated-parent",
+                                   "non-scalar"])
+def test_tape_backward_raises_on_any_other_graph(graph):
+    # only the reference engine walks these
+    x = tape.leaf(np.array([2.0]))
+    inner = tape.fused(x.value * 3.0, [x], lambda g: (g * 3.0,))
+    root = {
+        "two-fused-nodes": lambda: tape.fused(np.array(6.0), [inner],
+                                              lambda g: (g * np.ones(1),)),
+        "elementary-op": lambda: ops.reduce_sum(ops.mul(x, x)),
+        "leaf": lambda: x,
+        "repeated-parent": lambda: tape.fused(np.array(0.0), [x, x],
+                                              lambda g: (g, g)),
+        "non-scalar": lambda: tape.fused(np.zeros(2), [x], lambda g: (g,)),
+    }[graph]()
+    with pytest.raises(ValueError):
+        tape.backward(root)
+    assert x.grad is None
+    if graph == "two-fused-nodes":
+        ops.backward(root)
+        np.testing.assert_array_equal(x.grad, [3.0])
+
+
 def test_backward_requires_scalar_root():
     w = tape.leaf(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        tape.backward(ops.mul(w, w))
+        ops.backward(ops.mul(w, w))
 
 
 def test_mlp_gradient_matches_finite_differences():
@@ -114,7 +166,7 @@ def test_mlp_gradient_matches_finite_differences():
 def test_stopgrad_definition():
     w = tape.leaf(np.array([3.0]))
     y = ops.reduce_sum(ops.mul(w, ops.stopgrad(w)))
-    tape.backward(y)
+    ops.backward(y)
     np.testing.assert_allclose(w.grad, [3.0])  # not 6
 
 
@@ -125,10 +177,10 @@ def test_stopgrad_preserves_forward_value():
 
 def test_no_grad_builds_parentless_nodes():
     w = tape.leaf(np.ones(3))
-    with tape.no_grad():
+    with ops.no_grad():
         y = ops.mul(w, w)
     assert y.is_leaf
-    with tape.no_grad():
+    with ops.no_grad():
         with ops.grad_enabled():
             z = ops.mul(w, w)
     assert not z.is_leaf
@@ -152,7 +204,7 @@ def test_broadcasting_add_bias_grad():
     x = tape.leaf(np.ones((4, 3)))
     b = tape.leaf(np.arange(3.0))
     y = ops.reduce_sum(ops.add(x, b))
-    tape.backward(y)
+    ops.backward(y)
     np.testing.assert_array_equal(b.grad, [4.0, 4.0, 4.0])
     np.testing.assert_array_equal(x.grad, np.ones((4, 3)))
 
@@ -160,7 +212,7 @@ def test_broadcasting_add_bias_grad():
 def test_gather_cols():
     a = tape.leaf(np.arange(12.0).reshape(3, 4))
     y = ops.reduce_sum(ops.gather_cols(a, [1, 3]))
-    tape.backward(y)
+    ops.backward(y)
     expected = np.zeros((3, 4))
     expected[:, [1, 3]] = 1.0
     np.testing.assert_array_equal(a.grad, expected)
@@ -181,7 +233,7 @@ def test_elementwise_op_gradients_match_fd(rows, cols, seed):
         return x, root
 
     x, root = build(xv)
-    tape.backward(root)
+    ops.backward(root)
     fd = finite_diff(lambda v: float(build(v)[1].value), xv)
     assert max_rel_err(fd, x.grad) < 1e-4
 
@@ -197,7 +249,7 @@ def test_logsumexp_gradient_matches_fd(rows, cols, seed):
         return x, ops.reduce_sum(logsumexp(x, axis=1, keepdims=True))
 
     x, root = build(xv)
-    tape.backward(root)
+    ops.backward(root)
     # closed-form row softmax: central differences carry ~1e-10 of
     # cancellation noise, too much next to softmax entries near 1e-7
     e = np.exp(xv - xv.max(axis=1, keepdims=True))
@@ -220,7 +272,7 @@ def test_matmul_concat_sqrt_gradients_match_fd():
         return a, b, root
 
     a, b, root = build(av, bv)
-    tape.backward(root)
+    ops.backward(root)
     fd_a = finite_diff(lambda v: float(build(v, bv)[2].value), av)
     fd_b = finite_diff(lambda v: float(build(av, v)[2].value), bv)
     assert max_rel_err(fd_a, a.grad) < 1e-4
@@ -232,7 +284,7 @@ def test_backward_keeps_gradients_on_leaves_only():
     x = tape.leaf(np.array([0.5, 3.0]))
     hidden = ops.tanh(ops.mul(w, x))
     root = ops.reduce_sum(ops.mul(hidden, hidden))
-    tape.backward(root)
+    ops.backward(root)
     assert hidden.grad is None and root.grad is None
     dh = 2.0 * np.tanh(w.value * x.value)
     dz = dh * (1.0 - np.tanh(w.value * x.value) ** 2)
@@ -253,8 +305,8 @@ def test_constant_and_frozen_leaves_get_no_vjp_and_no_grad():
         out = ops.mlp_node(pretrained, ops.add(ops.mlp_node(pretrained, x),
                                                ops.mlp_node(policy, x)))
         root = ops.reduce_sum(ops.mul(out, out))
-        tape.backward(root)
-        return pretrained, policy, x, tape._toposort(root)
+        ops.backward(root)
+        return pretrained, policy, x, ops._toposort(root)
 
     pretrained, policy, x, graph = build(freeze=True)
     dead = [x, *pretrained.params()]
@@ -277,9 +329,9 @@ def test_rowwise_node_takes_the_given_gradient_as_its_vjp():
     grad = np.array([[1.0, -1.0], [0.5, 2.0], [3.0, 0.0]])
     node = ops.rowwise(x, np.ones((3, 1)), grad)
     weights = np.array([[2.0], [-1.0], [4.0]])
-    tape.backward(ops.reduce_sum(ops.mul(node, weights)))
+    ops.backward(ops.reduce_sum(ops.mul(node, weights)))
     np.testing.assert_array_equal(x.grad, weights * grad)
-    with tape.no_grad():
+    with ops.no_grad():
         assert ops.rowwise(x, np.ones((3, 1)), grad).is_leaf
 
 
@@ -290,7 +342,7 @@ def test_mlp_call_is_one_fused_node_with_edges_only_into_live_inputs():
     out = ops.mlp_node(mlp, x)
     assert out.parents == (x, *mlp.params()) and len(out.vjps) == 1
     root = ops.reduce_sum(out)
-    assert len(tape._toposort(root)) == 2 + 1 + len(mlp.params())
+    assert len(ops._toposort(root)) == 2 + 1 + len(mlp.params())
     np.testing.assert_array_equal(out.value, forward_plain(mlp, x.value))
 
     assert (ops.mlp_node(mlp, ops.constant(x.value)).parents
@@ -299,7 +351,7 @@ def test_mlp_call_is_one_fused_node_with_edges_only_into_live_inputs():
     assert ops.mlp_node(mlp, x).parents == (x,)   # no edge into frozen weights
     assert ops.mlp_node(mlp, ops.constant(x.value)).is_leaf
     tape.freeze([x])
-    with tape.no_grad():
+    with ops.no_grad():
         assert ops.mlp_node(Mlp([3, 2], rng),
                             rng.standard_normal((4, 3))).is_leaf
 
@@ -324,7 +376,7 @@ def test_fused_mlp_gradients_match_plain_backprop_and_fd(frozen, input_live):
     if not (live or input_live):
         assert root.is_leaf
         return
-    tape.backward(root)
+    ops.backward(root)
     g_out = weights * (1.0 - np.tanh(forward_plain(mlp, xv)) ** 2)
     g_in, plain = backward_plain(mlp, xv, g_out)
     for p, ref in zip(mlp.params(), plain):
@@ -360,13 +412,13 @@ def test_a_second_backward_through_a_fused_mlp_gives_the_same_gradients():
     leaves = [x, *mlp.params()]
 
     root = ops.reduce_sum(ops.mul(out, out))
-    tape.backward(root)
+    ops.backward(root)
     first = [n.grad for n in leaves]
-    tape.backward(root)
+    ops.backward(root)
     for n, g in zip(leaves, first):
         assert np.array_equal(n.grad, g)
 
-    tape.backward(ops.scale(ops.reduce_sum(ops.mul(out, out)), 2.0))
+    ops.backward(ops.scale(ops.reduce_sum(ops.mul(out, out)), 2.0))
     for n, g in zip(leaves, first):
         assert np.array_equal(n.grad, 2.0 * g)
 
@@ -384,8 +436,8 @@ def test_mlp_on_column_parts_is_the_mlp_on_their_concatenation():
     ref = ops.mlp_node(mlp, whole)
     assert np.array_equal(out.value, ref.value)
     weights = rng.standard_normal((4, 2))
-    tape.backward(ops.reduce_sum(ops.mul(out, weights)))
-    tape.backward(ops.reduce_sum(ops.mul(ref, weights)))
+    ops.backward(ops.reduce_sum(ops.mul(out, weights)))
+    ops.backward(ops.reduce_sum(ops.mul(ref, weights)))
     assert np.array_equal(a.grad, whole.grad[:, :3])
     assert np.array_equal(b.grad, whole.grad[:, 5:])
 
@@ -403,12 +455,12 @@ def test_a_trained_mlp_on_column_parts_has_its_concatenations_gradients():
     weights = rng.standard_normal((4, 2))
     out = ops.mlp_node(mlp, a, c, k, b)
     assert out.parents == (a, b, *mlp.params())
-    tape.backward(ops.reduce_sum(ops.mul(out, weights)))
+    ops.backward(ops.reduce_sum(ops.mul(out, weights)))
     grads = [p.grad for p in mlp.params()]
     whole = tape.leaf(np.concatenate([a.value, c, k.value, b.value], axis=1))
     ref = ops.mlp_node(mlp, whole)
     assert np.array_equal(out.value, ref.value)
-    tape.backward(ops.reduce_sum(ops.mul(ref, weights)))
+    ops.backward(ops.reduce_sum(ops.mul(ref, weights)))
     for got, p in zip(grads, mlp.params()):
         assert np.array_equal(got, p.grad), p.name
     assert np.array_equal(a.grad, whole.grad[:, :3])
@@ -422,7 +474,7 @@ def test_adjoint_sums_leave_the_arrays_vjps_return_untouched():
     shared = np.full(3, 2.0)
     root = tape.fused(np.zeros(()), [x, x, x],
                       lambda g: (shared, shared, shared))
-    tape.backward(root)
+    ops.backward(root)
     np.testing.assert_array_equal(x.grad, [6.0, 6.0, 6.0])
     np.testing.assert_array_equal(shared, [2.0, 2.0, 2.0])
 
@@ -455,10 +507,10 @@ def test_a_weight_used_at_200_steps_gets_the_per_step_sum():
     rng = derive_rng(9, 5)
     mlp = Mlp([3, 8, 3], rng)
     x0 = rng.standard_normal((3, 3))
-    tape.backward(_recurrent_loss(mlp, x0, 200))
+    ops.backward(_recurrent_loss(mlp, x0, 200))
     lazy = [p.grad for p in mlp.params()]
     assert all(type(g) is np.ndarray for g in lazy)
-    tape.backward(_recurrent_loss(mlp, x0, 200, per_op=True))
+    ops.backward(_recurrent_loss(mlp, x0, 200, per_op=True))
     for got, p in zip(lazy, mlp.params()):
         scale = np.abs(p.grad).max()
         assert np.abs(got - p.grad).max() <= 1e-14 * scale, p.name
@@ -478,9 +530,9 @@ def test_a_second_backward_repeats_the_lazy_sums():
     rng = derive_rng(9, 6)
     mlp = Mlp([3, 8, 3], rng)
     root = _recurrent_loss(mlp, rng.standard_normal((3, 3)), 50)
-    tape.backward(root)
+    ops.backward(root)
     first = [p.grad for p in mlp.params()]
-    tape.backward(root)
+    ops.backward(root)
     for g, p in zip(first, mlp.params()):
         assert np.array_equal(g, p.grad), p.name
 
@@ -492,9 +544,9 @@ def test_a_single_use_weight_gets_exactly_a_T_g(rows):
     mlp = Mlp([5, 8], rng)
     x = rng.standard_normal((rows, 5))
     c = rng.standard_normal((rows, 8))
-    tape.backward(ops.reduce_sum(ops.mul(ops.mlp_node(mlp, x), c)))
+    ops.backward(ops.reduce_sum(ops.mul(ops.mlp_node(mlp, x), c)))
     assert np.array_equal(mlp.weights[0].grad, x.T @ c)
-    assert np.array_equal(tape.OuterSum((x,), c).array(), x.T @ c)
+    assert np.array_equal(OuterSum((x,), c).array(), x.T @ c)
 
 
 @pytest.mark.parametrize("order", ["dense-first", "lazy-first", "interleaved"])
@@ -511,11 +563,11 @@ def test_mixed_dense_and_lazy_adjoints_sum_and_leave_their_arrays_untouched(
 
     def vjp(g):
         lazy, arrays = iter([((a,), g) for a, g in terms]), iter(dense)
-        return tuple(tape.OuterSum(*next(lazy)) if k == "l" else next(arrays)
+        return tuple(OuterSum(*next(lazy)) if k == "l" else next(arrays)
                      for k in kinds)
 
     root = tape.fused(np.zeros(()), [w] * len(kinds), vjp)
-    tape.backward(root)
+    ops.backward(root)
     ref = sum(a.T @ g for a, g in terms) + sum(dense)
     assert type(w.grad) is np.ndarray
     np.testing.assert_allclose(w.grad, ref, rtol=0,
@@ -533,7 +585,7 @@ def test_pending_rows_stay_below_the_weight_column_count():
         rows = int(rng.integers(1, 2 * cols))
         a, g = rng.standard_normal((rows, 7)), rng.standard_normal((rows, cols))
         ref += a.T @ g
-        term = tape.OuterSum((a,), g)
+        term = OuterSum((a,), g)
         if acc is None:
             acc = term
         else:
@@ -562,10 +614,10 @@ def test_the_input_adjoint_over_live_columns_is_the_full_products_slice(
     parts = [tape.leaf(v) if keep else ops.constant(v)
              for v, keep in zip(values, live)]
     weights = rng.standard_normal((rows, 5))
-    tape.backward(ops.reduce_sum(ops.mul(ops.mlp_node(mlp, *parts),
+    ops.backward(ops.reduce_sum(ops.mul(ops.mlp_node(mlp, *parts),
                                          weights)))
     whole = tape.leaf(np.concatenate(values, axis=1))
-    tape.backward(ops.reduce_sum(ops.mul(ops.mlp_node(mlp, whole),
+    ops.backward(ops.reduce_sum(ops.mul(ops.mlp_node(mlp, whole),
                                          weights)))
     offsets = np.cumsum([0, *sizes])
     for i, part in enumerate(parts):
@@ -583,12 +635,12 @@ def test_terms_on_column_parts_fold_to_the_terms_on_their_concatenation():
     for steps in (1, 3, 20):
         terms = [([rng.standard_normal((4, n)) for n in (5, 1, 3)],
                   rng.standard_normal((4, 6))) for _ in range(steps)]
-        lazy = tape.OuterSum(*terms[0])
-        whole = tape.OuterSum((np.concatenate(terms[0][0], axis=1),),
+        lazy = OuterSum(*terms[0])
+        whole = OuterSum((np.concatenate(terms[0][0], axis=1),),
                               terms[0][1])
         for parts, g in terms[1:]:
-            lazy.add(tape.OuterSum(parts, g))
-            whole.add(tape.OuterSum((np.concatenate(parts, axis=1),), g))
+            lazy.add(OuterSum(parts, g))
+            whole.add(OuterSum((np.concatenate(parts, axis=1),), g))
         assert np.array_equal(lazy.array(), whole.array())
 
 
@@ -635,11 +687,68 @@ def test_a_pullback_keeps_no_node_and_repeats_backwards_adjoints():
     w = tape.leaf(rng.standard_normal((4, 2)))
     mlp = Mlp([8, 5, 2], rng)
     root = _every_op_graph(x, w, mlp)
-    leaves, vjp = tape.pullback(root)
+    leaves, vjp = ops.pullback(root)
     assert sorted(map(id, leaves)) == sorted(map(id, [x, w, *mlp.params()]))
     assert not any(isinstance(o, tape.Node) for o in _closure_objects(vjp))
-    tape.backward(root)
+    ops.backward(root)
     for _ in range(2):
         for leaf, g in zip(leaves, vjp(np.ones(()))):
-            g = g.array() if isinstance(g, tape.OuterSum) else g
+            g = g.array() if isinstance(g, OuterSum) else g
             assert np.array_equal(g, leaf.grad), leaf.name
+
+
+# ---------------------------------------------------------------------------
+# who imports the tape
+# ---------------------------------------------------------------------------
+
+# the policy weights' modules and the training loop's: every other module
+# of coopdiff runs on arrays
+TAPE_IMPORTERS = {"nn", "optim", "control", "optimize", "harness/experiment"}
+
+
+def tape_importers(package: Path) -> set:
+    """The modules under ``package`` (as paths without ``.py``) whose
+    ``import`` or ``from ... import`` statements reach ``coopdiff.tape``,
+    relative imports resolved."""
+    found = set()
+    for path in sorted(package.rglob("*.py")):
+        name = path.relative_to(package).with_suffix("").as_posix()
+        where = ["coopdiff", *name.split("/")[:-1]]   # the module's package
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                targets = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = where[:len(where) - node.level + 1] if node.level else []
+                module = ".".join(base + (node.module.split(".")
+                                          if node.module else []))
+                targets = [module] + [f"{module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(t == "coopdiff.tape" or t.startswith("coopdiff.tape.")
+                   for t in targets):
+                found.add(name)
+    return found
+
+
+def test_only_the_training_modules_import_tape():
+    found = tape_importers(Path(coopdiff.__file__).parent)
+    assert found <= TAPE_IMPORTERS, sorted(found - TAPE_IMPORTERS)
+    assert {"nn", "optimize"} <= found          # the parse sees them
+
+
+def test_the_import_check_resolves_relative_and_absolute_imports(tmp_path):
+    (tmp_path / "harness").mkdir()
+    sources = {
+        "a.py": "from . import tape\n",
+        "b.py": "from .tape import Node\n",
+        "harness/c.py": "from .. import tape\n",
+        "harness/d.py": "from ..tape import leaf\n",
+        "e.py": "import coopdiff.tape\n",
+        "f.py": "from coopdiff import nn, tape\n",
+        "g.py": "from . import nn\nfrom .nn import dense\n",
+        "harness/h.py": "from .shapes import tape\n",
+    }
+    for name, text in sources.items():
+        (tmp_path / name).write_text(text)
+    assert tape_importers(tmp_path) == {"a", "b", "harness/c", "harness/d",
+                                        "e", "f"}
