@@ -29,6 +29,7 @@ from .experiment import (
     load_weights,
     make_policies,
     run_experiment,
+    samples_path,
     train_score_model,
     write_samples,
 )
@@ -120,14 +121,18 @@ def _cmd_sample(args) -> int:
     config = load_config(args.config)
     config = with_overrides(config, eval_samples=args.count,
                             eval_chunk=min(args.count, config.eval_chunk))
+    learned = config.method in ("joint", "controlwise")
+    if learned and args.policies is None:
+        raise ConfigError(
+            "sampling a learned method needs --policies (a directory "
+            "with policy_agent<i>.npz)"
+        )
+    if args.out is None and samples_path(config).exists():
+        raise ConfigError(f"{samples_path(config)} holds a run's samples; "
+                          "pass --out to write elsewhere")
     assets = build_assets(config)
     policies = None
-    if config.method in ("joint", "controlwise"):
-        if args.policies is None:
-            raise ConfigError(
-                "sampling a learned method needs --policies (a directory "
-                "with policy_agent<i>.npz)"
-            )
+    if learned:
         policies = make_policies(config, assets.dim)
         for pol in policies:
             path = Path(args.policies) / f"policy_agent{pol.agent_index}.npz"

@@ -5,7 +5,7 @@ training noise and evaluation noise all derive from the config seed
 through keyed generators, so re-running a config reproduces every output
 file byte for byte at a fixed BLAS thread count (a different thread count
 can move the learned methods' files in the last bits; ROADMAP direction
-5).
+4).
 
 The CLI's ``train-*`` verbs call the fits ``build_assets`` calls
 (``train_score_model``, ``fit_classifier``), and ``sample`` evaluates and
@@ -84,11 +84,8 @@ class Report:
     eval_samples: int
     mean_psi: float
     accuracy: float
-    mean_loss_u: float
-    mean_loss_c: float
     output_dir: Path
     curve: list
-    paths: dict
 
 
 def _gmm2d_mixture(config: ExperimentConfig) -> GaussianMixture:
@@ -228,46 +225,32 @@ def evaluate_method(config: ExperimentConfig, assets: TaskAssets, policies):
     grid = make_time_grid(config.grid_steps, config.grid_eps)
     cfg = config.soc()
     eval_seed = config.seed + _EVAL_SEED_OFFSET
-    remaining = config.eval_samples
-    chunk_idx = 0
+    n = config.eval_samples
     psis, accs, ys = [], [], []
     states = None
-    loss_u = 0.0
-    loss_c = 0.0
-    while remaining > 0:
-        batch = min(config.eval_chunk, remaining)
+    loss_u = loss_c = 0.0
+    for chunk_idx, start in enumerate(range(0, n, config.eval_chunk)):
+        batch = min(config.eval_chunk, n - start)
+        common = (cfg, grid, assets.psi, schedule, eval_seed, batch)
         if config.method == "poe":
-            mixtures = [assets.score_fn] * config.num_agents
-            y = sample_poe_naive(
-                mixtures, grid, schedule, eval_seed, batch, assets.dim,
-                noise_index=chunk_idx,
-            )
-            psi_vals = assets.psi(y, grad=False)[0][:, 0]
-            rec_states = None
+            rec = sample_poe_naive([assets.score_fn] * config.num_agents,
+                                   assets.dim, *common, noise_index=chunk_idx)
+        elif config.method == "uncontrolled":
+            rec = sample_uncontrolled(assets.score_fn, assets.agg, *common,
+                                      noise_index=chunk_idx)
+        elif config.method == "cdps":
+            rec = sample_cdps(assets.score_fn, assets.agg, *common,
+                              alpha_guid=config.cdps_alpha_guid,
+                              noise_index=chunk_idx)
         else:
-            common = (assets.score_fn, assets.agg, cfg, grid, assets.psi,
-                      schedule, eval_seed, batch)
-            if config.method == "uncontrolled":
-                rec = sample_uncontrolled(*common, noise_index=chunk_idx)
-            elif config.method == "cdps":
-                rec = sample_cdps(*common, alpha_guid=config.cdps_alpha_guid,
-                                  noise_index=chunk_idx)
-            else:
-                rec = sample_controlled(policies, *common,
-                                        noise_index=chunk_idx)
-            y = rec.terminal_y
-            psi_vals = rec.per_sample_psi
-            rec_states = rec.terminal_states
-            loss_u += rec.loss_u * batch
-            loss_c += rec.loss_c * batch
-        psis.append(psi_vals)
-        accs.append(assets.accuracy_fn(y))
-        ys.append(y)
-        if states is None and rec_states is not None:
-            states = rec_states
-        remaining -= batch
-        chunk_idx += 1
-    n = config.eval_samples
+            rec = sample_controlled(policies, assets.score_fn, assets.agg,
+                                    *common, noise_index=chunk_idx)
+        psis.append(rec.per_sample_psi)
+        accs.append(assets.accuracy_fn(rec.terminal_y))
+        ys.append(rec.terminal_y)
+        states = rec.terminal_states if states is None else states
+        loss_u += rec.loss_u * batch
+        loss_c += rec.loss_c * batch
     return {
         "psi": np.concatenate(psis),
         "accuracy": np.concatenate(accs),
@@ -311,14 +294,19 @@ def _write_curve(path: Path, curve) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def samples_path(config: ExperimentConfig) -> Path:
+    """The run directory's ``samples.pgm`` (image task) or ``samples.csv``."""
+    name = "samples.pgm" if config.task == "shapes16" else "samples.csv"
+    return config.resolve_output_dir() / name
+
+
 def write_samples(config: ExperimentConfig, agg: MaskAggregator, y: Array,
                   path=None) -> Path:
-    """Write terminal samples to ``path`` (by default ``samples.pgm`` or
-    ``samples.csv`` in the run directory) and return it: one PGM grid for
-    the image task, one CSV row per sample otherwise."""
+    """Write terminal samples to ``path`` (by default ``samples_path``) and
+    return it: one PGM grid for the image task, one CSV row per sample
+    otherwise."""
     image = config.task == "shapes16"
-    path = Path(path or config.resolve_output_dir()
-                / ("samples.pgm" if image else "samples.csv"))
+    path = Path(path or samples_path(config))
     if image:
         export_grid(y, path, agg.image_hw)
         return path
@@ -339,9 +327,7 @@ def run_experiment(config: ExperimentConfig, assets: TaskAssets | None = None) -
     for pattern in _RUN_FILES:
         for stale in out.glob(pattern):
             stale.unlink()
-    paths = {"config": out / "config.txt", "metrics": out / "metrics.csv",
-             "curve": out / "curve.csv"}
-    paths["config"].write_text(normalized_text(config))
+    (out / "config.txt").write_text(normalized_text(config))
 
     schedule = config.schedule()
     grid = make_time_grid(config.grid_steps, config.grid_eps)
@@ -372,26 +358,21 @@ def run_experiment(config: ExperimentConfig, assets: TaskAssets | None = None) -
             on_update=checkpoint_cb if plan.checkpoint_every else None,
         )
         for pol in policies:
-            ckpt = out / f"policy_agent{pol.agent_index}.npz"
-            save_checkpoint(ckpt, pol.state_dict(),
-                            meta={"update": len(curve)})
-            paths[f"policy_agent{pol.agent_index}"] = ckpt
+            save_checkpoint(out / f"policy_agent{pol.agent_index}.npz",
+                            pol.state_dict(), meta={"update": len(curve)})
 
     evals = evaluate_method(config, assets, policies)
-    _write_metrics(paths["metrics"], config, evals)
-    _write_curve(paths["curve"], curve)
+    _write_metrics(out / "metrics.csv", config, evals)
+    _write_curve(out / "curve.csv", curve)
 
     y = evals["terminal_y"]
     n_show = min(64, y.shape[0])
     image = config.task == "shapes16"
-    paths["samples"] = write_samples(config, assets.agg,
-                                     y[:n_show] if image else y)
-    if image and evals["first_chunk_states"] is not None:
+    write_samples(config, assets.agg, y[:n_show] if image else y)
+    if image:
         for i, xs in enumerate(evals["first_chunk_states"]):
-            agent_path = out / f"agent{i}.pgm"
-            export_grid(xs[:n_show], agent_path, assets.agg.image_hw,
-                        agg=assets.agg, agent=i)
-            paths[f"agent{i}"] = agent_path
+            export_grid(xs[:n_show], out / f"agent{i}.pgm",
+                        assets.agg.image_hw, agg=assets.agg, agent=i)
 
     return Report(
         method=config.method,
@@ -399,9 +380,6 @@ def run_experiment(config: ExperimentConfig, assets: TaskAssets | None = None) -
         eval_samples=config.eval_samples,
         mean_psi=float(evals["psi"].mean()),
         accuracy=float(evals["accuracy"].mean()),
-        mean_loss_u=float(evals["mean_loss_u"]),
-        mean_loss_c=float(evals["mean_loss_c"]),
         output_dir=out,
         curve=curve,
-        paths=paths,
     )

@@ -52,6 +52,10 @@ psi(Yh) and grad_X psi(Yh) on arrays, from the score call's pullback
 gradient. Each step's arrays are released before the next step
 allocates, so a sampling chunk holds one step's arrays at a time.
 
+Every method runs this one rollout. The naive product-of-experts baseline
+is the uncontrolled rollout of one agent that owns every coordinate, under
+the experts' summed score (``scores.summed_score``).
+
 Both trainers run one update loop and differ only in their schedule of
 (update index, agents to step): joint training steps every agent at every
 update, control-wise training one agent per block of updates, and both
@@ -73,7 +77,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tape
-from .aggregation import MaskAggregator, aggregate, scatter_adjoint
+from .aggregation import MaskAggregator, aggregate, make_mask, scatter_adjoint
 from .control import (
     ControlPolicy,
     eval_control,  # noqa: F401  (bench/tracing.py times it under this name)
@@ -83,7 +87,7 @@ from .control import (
 from .costs import SocConfig
 from .nn import accumulate, dense
 from .optim import AdamState, adam_step
-from .scores import tweedie, tweedie_adjoint
+from .scores import summed_score, tweedie, tweedie_adjoint
 from .sde import (
     STREAM_INIT,
     STREAM_STEP,
@@ -627,14 +631,17 @@ def sample_cdps(
 
 def sample_poe_naive(
     score_fns: Sequence,
+    dim: int,
+    cfg: SocConfig,
     grid: TimeGrid,
+    psi,
     schedule: NoiseSchedule,
     seed: int,
     batch: int,
-    dim: int,
     noise_index: int = 0,
-) -> Array:
-    """Reverse SDE driven by the SUM of the component scores.
+) -> RolloutRecord:
+    """Reverse SDE driven by the SUM of the component scores: the
+    uncontrolled rollout of one agent owning all ``dim`` coordinates.
 
     This is the biased product-of-experts shortcut: summing scores of the
     diffused components does not give the score of the diffused product
@@ -643,21 +650,6 @@ def sample_poe_naive(
     summed score is -n x and the terminal per-coordinate variance relaxes
     to 1 / (2 n - 1), not the true product variance 1 / n.
     """
-    if not score_fns:
-        raise ValueError("need at least one score model")
-    noise = NoiseStream(seed)
-    times, dts = grid.times, grid.dts
-    sigma0 = float(schedule.sigma(times[0]))
-    x = sigma0 * noise.normal((STREAM_INIT, noise_index, 0), (1, batch, dim))[0]
-    for k in range(times.size - 1):
-        t, dt = float(times[k]), float(dts[k])
-        total = None
-        for fn in score_fns:
-            s = fn(x, t)[0]             # the pullback goes unused
-            total = s if total is None else total + s
-        mu = reverse_drift(x, t, total, schedule)
-        xi = noise.normal((STREAM_STEP, noise_index, k), (1, batch, dim))[0]
-        x = em_step(x, dt, mu, float(schedule.g(t)), xi)
-        if not np.all(np.isfinite(x)):
-            raise DivergedRolloutError(step=k, agent=0)
-    return x
+    return sample_uncontrolled(summed_score(score_fns),
+                               make_mask("identity", 1, dim), cfg, grid, psi,
+                               schedule, seed, batch, noise_index)

@@ -129,6 +129,27 @@ class AnalyticGmmScore:
         return scores, (lambda g: (hvp(g), []), [])
 
 
+def summed_score(score_fns):
+    """The score model whose scores are the experts' scores added in list
+    order. Its pullback is the sum of theirs: the states' adjoints added
+    in the same order, and every expert's leaves with their adjoints."""
+    if not score_fns:
+        raise ValueError("need at least one score model")
+
+    def score_fn(x: Array, t):
+        outs = [fn(x, t) for fn in score_fns]
+
+        def vjp(g):
+            adjs = [pull[0](g) for _, pull in outs]
+            return (sum((a for a, _ in adjs[1:]), adjs[0][0]),
+                    [a for _, a_leaves in adjs for a in a_leaves])
+
+        return (sum((s for s, _ in outs[1:]), outs[0][0]),
+                (vjp, [leaf for _, pull in outs for leaf in pull[1]]))
+
+    return score_fn
+
+
 class MlpScore:
     """Trainable score network with a denoiser head.
 

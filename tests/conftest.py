@@ -35,7 +35,10 @@ _results: dict = {}
 
 
 def pytest_runtest_logreport(report):
-    if report.when != "call" or "test_acceptance" not in report.nodeid:
+    # a test's call decides its criterion, and so does a failed setup or
+    # teardown (a fixture that raises), which has no call report
+    if "test_acceptance" not in report.nodeid or (
+            report.when != "call" and not report.failed):
         return
     match = re.search(r"criterion(\d+)", report.nodeid)
     if not match:

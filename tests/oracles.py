@@ -11,15 +11,35 @@ from coopdiff.costs import ClassifierNll, QuadraticWell, SeamAugmented, SocConfi
 from coopdiff.nn import time_features
 from coopdiff.optimize import sample_poe_naive
 from coopdiff.scores import GaussianMixture
-from coopdiff.sde import STREAM_INIT, STREAM_STEP, marginal_coeffs
+from coopdiff.sde import STREAM_INIT, STREAM_STEP, NoiseStream, marginal_coeffs
 import opgraphs as ops
 from opgraphs import classifier_nll_ops, seam_loss_ops
 
 
 def sample_reverse_sde(score_fn, grid, schedule, seed, batch, dim):
-    """Ordinary single-model sampling: the one-expert case of
-    ``sample_poe_naive``."""
-    return sample_poe_naive([score_fn], grid, schedule, seed, batch, dim)
+    """Ordinary single-model sampling through ``src``: the one-expert case
+    of ``sample_poe_naive``, a one-agent ``coupled_rollout``."""
+    return sample_poe_naive([score_fn], dim, SocConfig(), grid, ZeroCost(),
+                            schedule, seed, batch).terminal_y
+
+
+def reverse_sde_reference(score_fn, grid, schedule, seed, batch, dim):
+    """Euler-Maruyama sampling of the reverse SDE of one score model, step
+    by step, independent of ``sample_poe_naive`` and ``coupled_rollout``:
+    x' = x + (0.5 beta x + beta s) dt + sqrt(beta dt) xi, with the
+    arithmetic of ``reverse_drift`` and ``em_step`` in their order and the
+    noise keys of a one-agent rollout at noise index 0."""
+    noise = NoiseStream(seed)
+    times, dts = grid.times, grid.dts
+    sigma0 = float(schedule.sigma(times[0]))
+    x = sigma0 * noise.normal((STREAM_INIT, 0, 0), (1, batch, dim))[0]
+    for k in range(times.size - 1):
+        t, dt = float(times[k]), float(dts[k])
+        b = float(schedule.beta(t))
+        mu = x * (0.5 * b) + score_fn(x, t)[0] * b
+        xi = noise.normal((STREAM_STEP, 0, k), (1, batch, dim))[0]
+        x = (x + mu * dt) + (float(schedule.g(t)) * np.sqrt(dt)) * xi
+    return x
 
 
 def gmm_sample(gmm, rng, n):

@@ -25,7 +25,7 @@ One test (or test group) per exit criterion, each at its stated tolerance:
     1/(2n - 1) = 1/3; on disjoint-mode mixtures the naive sampler scores
     lower true-product log-density than direct product samples.
   7 reproducibility: identical config and seed give byte-identical
-    metric files (at a fixed BLAS thread count; ROADMAP direction 5).
+    metric files (at a fixed BLAS thread count; ROADMAP direction 4).
 """
 import numpy as np
 import pytest
@@ -66,6 +66,7 @@ from coopdiff.harness import (
 from guidance_replay import record_guidance, replay_guidance
 import opgraphs as ops
 from oracles import (
+    ZeroCost,
     gmm_diffused,
     gmm_log_density,
     gmm_sample,
@@ -492,8 +493,8 @@ def test_criterion6_two_standard_normals_product_variance():
 
     score = AnalyticGmmScore(gmm, SCHEDULE)
     grid = make_time_grid(500, 1e-3)
-    x = sample_poe_naive([score, score], grid, SCHEDULE, seed=44,
-                         batch=50_000, dim=1)
+    x = sample_poe_naive([score, score], 1, SocConfig(), grid, ZeroCost(),
+                         SCHEDULE, seed=44, batch=50_000).terminal_y
     var = float(x.var())
     band = 0.05 * exact_var
     assert var < exact_var - band, (
@@ -545,8 +546,8 @@ def test_criterion6_disjoint_modes_bias_sign():
     grid = make_time_grid(300, 1e-3)
     naive = sample_poe_naive(
         [AnalyticGmmScore(a, SCHEDULE), AnalyticGmmScore(b, SCHEDULE)],
-        grid, SCHEDULE, seed=45, batch=4096, dim=2,
-    )
+        2, SocConfig(), grid, ZeroCost(), SCHEDULE, seed=45, batch=4096,
+    ).terminal_y
     direct = gmm_sample(product, derive_rng(45, 1), 4096)
     naive_ld = gmm_log_density(product, naive).mean()
     direct_ld = gmm_log_density(product, direct).mean()
@@ -580,7 +581,7 @@ output_dir = {out}
 
 def test_criterion7_metric_files_are_byte_identical(tmp_path, monkeypatch):
     # both runs share one process, so one BLAS thread count: the promise
-    # holds at a fixed thread count (ROADMAP direction 5 is to lift that)
+    # holds at a fixed thread count (ROADMAP direction 4 is to lift that)
     monkeypatch.setenv("COOPDIFF_OUTPUT_ROOT", str(tmp_path))
     first = run_experiment(parse_config_text(REPRO_CFG.format(out="a")))
     second = run_experiment(parse_config_text(REPRO_CFG.format(out="b")))

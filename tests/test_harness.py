@@ -538,6 +538,29 @@ def test_cli_sample_gmm2d(tmp_path, monkeypatch, capsys):
     assert len(out_file.read_text().splitlines()) == 9  # header + 8 rows
 
 
+def test_cli_sample_keeps_a_finished_runs_samples(tmp_path, monkeypatch,
+                                                  capsys):
+    # without --out, sample would write into the run directory and replace
+    # the samples that the run's metrics.csv describes: it exits 2 instead
+    monkeypatch.setenv("COOPDIFF_OUTPUT_ROOT", str(tmp_path))
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(GMM_SMOKE.format(out="done"))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 0
+    run_dir = tmp_path / "done"
+    before = {name: (run_dir / name).read_bytes()
+              for name in ("samples.csv", "metrics.csv")}
+    capsys.readouterr()
+    assert cli_main(["sample", "--config", str(cfg_path), "--count", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--out" in err
+    assert {name: (run_dir / name).read_bytes() for name in before} == before
+    out_file = tmp_path / "more.csv"
+    assert cli_main(["sample", "--config", str(cfg_path), "--count", "8",
+                     "--out", str(out_file)]) == 0
+    assert len(out_file.read_text().splitlines()) == 9  # header + 8 rows
+    assert {name: (run_dir / name).read_bytes() for name in before} == before
+
+
 def test_the_readme_gmm2d_command_lines_exit_0(tmp_path, monkeypatch,
                                               capsys):
     # run, sample and report as README's "Command line" block spells them

@@ -27,7 +27,7 @@ from coopdiff.scores import AnalyticGmmScore, GaussianMixture, MlpScore
 from coopdiff.sde import NoiseSchedule, NoiseStream, derive_rng, make_time_grid
 from guidance_replay import record_guidance, replay_guidance
 import opgraphs as ops
-from oracles import ZeroCost, sample_reverse_sde, soc_objective, taped_rollout
+from oracles import ZeroCost, reverse_sde_reference, soc_objective, taped_rollout
 from rollout_history import recorded
 
 SCHEDULE = NoiseSchedule()
@@ -420,12 +420,20 @@ def test_sampler_determinism_and_chunking():
 
 
 def test_poe_single_score_is_ordinary_sampling():
-    gmm = GaussianMixture(weights=[1.0], means=[[0.0, 0.0]], variances=[1.0])
-    score = AnalyticGmmScore(gmm, SCHEDULE)
+    # against a step loop that calls neither sample_poe_naive nor
+    # coupled_rollout, bit for bit
     grid = make_time_grid(40, 1e-3)
-    a = sample_poe_naive([score], grid, SCHEDULE, seed=6, batch=16, dim=2)
-    b = sample_reverse_sde(score, grid, SCHEDULE, seed=6, batch=16, dim=2)
-    np.testing.assert_array_equal(a, b)
+    for gmm in (
+        GaussianMixture(weights=[1.0], means=[[0.0, 0.0]], variances=[1.0]),
+        GaussianMixture(weights=[0.5, 0.5], means=[[-1.0, 0.0], [1.0, 0.0]],
+                        variances=[0.25, 0.25]),
+    ):
+        score = AnalyticGmmScore(gmm, SCHEDULE)
+        a = sample_poe_naive([score], 2, SocConfig(), grid, ZeroCost(),
+                             SCHEDULE, seed=6, batch=16).terminal_y
+        b = reverse_sde_reference(score, grid, SCHEDULE, seed=6, batch=16,
+                                  dim=2)
+        np.testing.assert_array_equal(a, b)
 
 
 def test_poe_two_standard_normals_relaxes_to_one_third_variance():
@@ -436,8 +444,8 @@ def test_poe_two_standard_normals_relaxes_to_one_third_variance():
     gmm = GaussianMixture(weights=[1.0], means=[[0.0]], variances=[1.0])
     score = AnalyticGmmScore(gmm, SCHEDULE)
     grid = make_time_grid(300, 1e-3)
-    x = sample_poe_naive([score, score], grid, SCHEDULE, seed=8,
-                         batch=40_000, dim=1)
+    x = sample_poe_naive([score, score], 1, SocConfig(), grid, ZeroCost(),
+                         SCHEDULE, seed=8, batch=40_000).terminal_y
     var = x.var()
     assert abs(var - 1.0 / 3.0) < 0.015, var
 

@@ -13,6 +13,7 @@ from coopdiff.scores import (
     MlpScore,
     denoiser_loss,
     gmm_score,
+    summed_score,
     tweedie,
     tweedie_adjoint,
 )
@@ -366,6 +367,32 @@ def test_mlp_score_pullback_equals_its_tape_reference_bit_for_bit(rows,
         for leaf, a in zip(leaves, a_leaves):
             ref_a = nn.dense(ref_grads[id(leaf)])
             assert np.array_equal(nn.dense(a), ref_a), leaf.name
+
+
+def test_summed_score_adds_the_experts_scores_and_pullbacks_in_order():
+    # scores s_a + s_n + s_a, and a pullback whose states' adjoint is the
+    # experts' adjoints added in the same order and whose leaves are the
+    # experts' leaves in turn (the trained net's, once), with their adjoints
+    mixture = AnalyticGmmScore(
+        GaussianMixture(weights=[0.3, 0.7], means=[[1.0, 0.0, -1.0],
+                                                   [0.0, 2.0, 0.5]],
+                        variances=[0.4, 0.9]), SCHEDULE)
+    net = MlpScore(3, (8,), 4, derive_rng(8, 1), schedule=SCHEDULE)
+    rng = derive_rng(8, 2)
+    x, g = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+    experts = [mixture, net, mixture]
+    value, (vjp, leaves) = summed_score(experts)(x, 0.4)
+    outs = [fn(x, 0.4) for fn in experts]
+    assert np.array_equal(value, (outs[0][0] + outs[1][0]) + outs[2][0])
+    assert leaves == net.params()
+    a_x, a_leaves = vjp(g)
+    adjs = [pull[0](g) for _, pull in outs]
+    assert np.array_equal(a_x, (adjs[0][0] + adjs[1][0]) + adjs[2][0])
+    assert len(a_leaves) == len(leaves)
+    for a, ref in zip(a_leaves, adjs[1][1]):
+        assert np.array_equal(nn.dense(a), nn.dense(ref))
+    with pytest.raises(ValueError, match="at least one score model"):
+        summed_score([])
 
 
 def test_score_net_call_and_tweedie_are_three_nodes():
