@@ -143,6 +143,12 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
+_POE_LOSS_C_NOTE = (
+    "(poe: the running cost at the summed score's Tweedie estimate, "
+    "not a cost of PoE's samples)"
+)
+
+
 def _cmd_report(args) -> int:
     metrics = Path(args.run) / "metrics.csv"
     if not metrics.exists():
@@ -155,8 +161,11 @@ def _cmd_report(args) -> int:
     if len(keys) != len(values):
         raise OSError(f"{metrics} is not a metrics file: {len(keys)} header "
                       f"fields, {len(values)} values")
+    method = dict(zip(keys, values)).get("method")
     for key, value in zip(keys, values):
         print(f"{key:>14}: {value}")
+        if key == "mean_loss_c" and method == "poe":
+            print(f"{'':>14}  {_POE_LOSS_C_NOTE}")
     return EXIT_OK
 
 

@@ -107,10 +107,23 @@ def new_score_net(config: ExperimentConfig) -> MlpScore:
 
 
 def train_score_model(config: ExperimentConfig, dataset: ShapesDataset) -> MlpScore:
-    """Denoising training of the score network on the shapes images."""
+    """Denoising training of the score network on the shapes images.
+
+    The fit runs in float32, the mixed-precision recipe: the seeded
+    float64 init is cast to float32, and the network, its gradients and
+    Adam's moments stay float32 for every step. The data stream (pick,
+    t, eps) is drawn in float64 as for a float64 fit, and ``denoiser_loss``
+    casts each step's network input once. The weights are cast back to
+    float64 before the network is returned, so every caller (the
+    trainers, the samplers, the ``train-score`` checkpoint) gets a
+    float64 network.
+    """
     schedule = config.schedule()
     score = new_score_net(config)
-    adam = AdamState.for_params(score.params(), lr=config.score_lr)
+    params = score.params()
+    for p in params:
+        p.value = p.value.astype(np.float32)
+    adam = AdamState.for_params(params, lr=config.score_lr)
     rng = derive_rng(config.seed, _KEY_SCORE_DATA)
     x_train, _ = dataset.train()
     for _ in range(config.score_train_steps):
@@ -120,7 +133,9 @@ def train_score_model(config: ExperimentConfig, dataset: ShapesDataset) -> MlpSc
         eps = rng.standard_normal(x0.shape)
         _, grads = denoiser_loss(score, x0, t, eps, schedule,
                                  eps=config.grid_eps)
-        adam_step(score.params(), grads, adam)
+        adam_step(params, grads, adam)
+    for p in params:
+        p.value = p.value.astype(np.float64)
     return score
 
 

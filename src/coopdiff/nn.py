@@ -227,7 +227,8 @@ class OuterSum:
     ``a`` is given as its column parts, a sequence of 2-D arrays whose
     column concatenation is ``a`` (an ``Mlp``'s input parts, or one hidden
     layer): a term keeps references to the parts, and the fold fills its
-    block of rows straight from them, so no term copies its input. A
+    block of rows straight from them, in the terms' dtype (float32 in the
+    score fit), so no term copies its input. A
     single one-part term folds to exactly ``a.T @ g``; a longer sum
     differs from the step-by-step one only in summation order. The parts
     and the ``g_k`` are only read, never written.
@@ -258,7 +259,8 @@ class OuterSum:
                 part = parts[0].T @ g
             else:
                 # the pending a_k as one block, filled from their parts
-                block = np.empty((self.rows, sum(p.shape[1] for p in parts)))
+                block = np.empty((self.rows, sum(p.shape[1] for p in parts)),
+                                 dtype=np.result_type(g, *parts))
                 r = 0
                 for parts, g in self.pairs:
                     c = 0

@@ -1,4 +1,9 @@
-"""Adam updates with bias correction, over lists of tape leaves."""
+"""Adam updates with bias correction, over lists of tape leaves.
+
+An update keeps each parameter's dtype: the moments are made like the
+parameter and a gradient is cast to it, so the float32 score fit runs
+float32 Adam and every other caller float64 Adam.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -40,8 +45,9 @@ def adam_step(params: list[Node], grads: list[Array],
     and ``BETA2`` and eps = ``EPS``.
 
     The moment buffers are updated in place, and the update is formed in
-    two scratch buffers, in the textbook's op order. ``.value`` is rebound
-    to a new array, so a graph that holds the old weights stays valid.
+    two scratch buffers, in the textbook's op order, in the parameter's
+    dtype (a gradient is cast to it). ``.value`` is rebound to a new
+    array, so a graph that holds the old weights stays valid.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError(
@@ -52,7 +58,7 @@ def adam_step(params: list[Node], grads: list[Array],
     bc1 = 1.0 - BETA1 ** state.step
     bc2 = 1.0 - BETA2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        g = np.asarray(g, dtype=np.float64)
+        g = np.asarray(g, dtype=p.value.dtype)
         if g.shape != p.value.shape:
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter "

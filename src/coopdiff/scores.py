@@ -17,9 +17,10 @@ and ``Mlp.backward``. ``tweedie`` maps arrays to an array; its adjoint is
 ``tweedie_adjoint``. The score network's fit calls the network the same
 way: ``denoiser_loss`` returns the loss and its weight gradients, the
 loss's closed-form adjoint pushed through ``Mlp.backward`` and folded to
-arrays with ``nn.dense``. Nothing here builds a tape node: a pullback
-only names its trained weights, as ``leaves``, for the training
-rollout's objective (``optimize``).
+arrays with ``nn.dense``, in the network's dtype (float32 during the
+fit, see ``harness.experiment.train_score_model``). Nothing here builds
+a tape node: a pullback only names its trained weights, as ``leaves``,
+for the training rollout's objective (``optimize``).
 """
 from __future__ import annotations
 
@@ -132,15 +133,25 @@ class AnalyticGmmScore:
 def summed_score(score_fns):
     """The score model whose scores are the experts' scores added in list
     order. Its pullback is the sum of theirs: the states' adjoints added
-    in the same order, and every expert's leaves with their adjoints."""
+    in the same order, and every expert's leaves with their adjoints.
+
+    An expert listed more than once (the same object) is called, and its
+    pullback run, once per call; its scores and states' adjoint are added
+    once per entry, and its leaves and leaf adjoints appear at each entry
+    (as the same objects)."""
     if not score_fns:
         raise ValueError("need at least one score model")
+    first = {}                  # id -> the expert's index in ``distinct``
+    slots = [first.setdefault(id(fn), len(first)) for fn in score_fns]
+    distinct = list({id(fn): fn for fn in score_fns}.values())
 
     def score_fn(x: Array, t):
-        outs = [fn(x, t) for fn in score_fns]
+        calls = [fn(x, t) for fn in distinct]
+        outs = [calls[k] for k in slots]
 
         def vjp(g):
-            adjs = [pull[0](g) for _, pull in outs]
+            pulled = [pull[0](g) for _, pull in calls]
+            adjs = [pulled[k] for k in slots]
             return (sum((a for a, _ in adjs[1:]), adjs[0][0]),
                     [a for _, a_leaves in adjs for a in a_leaves])
 
@@ -222,6 +233,11 @@ def denoiser_loss(score_net: MlpScore, batch: Array, times: Array,
     score-matching integrand diverges like 1/sigma^2. Returns the loss and
     one gradient per ``score_net.params()`` entry: the loss's closed-form
     adjoint 2 (m - x_0) / B through the network's backward pass.
+
+    The loss runs in the network's dtype, that of its first parameter
+    (float64 for a network without parameters): x_t is formed in float64
+    and cast, with x_0 and the time features, once; the forward and
+    backward passes and the gradients are then in that dtype.
     """
     x0 = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if x0.shape[0] == 0:
@@ -229,14 +245,18 @@ def denoiser_loss(score_net: MlpScore, batch: Array, times: Array,
     t = np.clip(np.asarray(times, dtype=np.float64).reshape(-1), eps, 1.0)
     eps_arr = np.asarray(noises, dtype=np.float64)
     alpha, sigma = marginal_coeffs(schedule, t)
+    params = score_net.params()
+    dtype = params[0].value.dtype if params else np.float64
     x_t = alpha[:, None] * x0 + sigma[:, None] * eps_arr
-    parts = [x_t, time_features(t, score_net.temb_width, batch=x0.shape[0])]
+    temb = time_features(t, score_net.temb_width, batch=x0.shape[0])
+    x_t, x0, temb = (a.astype(dtype, copy=False) for a in (x_t, x0, temb))
+    parts = [x_t, temb]
     r, cache = score_net.mlp(parts)
     resid = (x_t + r) - x0
     rows = x0.shape[0]
     loss = (resid * resid).sum(axis=1, keepdims=True).sum() * (1.0 / rows)
     grads, _ = Mlp.backward(cache, parts, resid * (2.0 / rows),
-                            [True] * len(score_net.params()))
+                            [True] * len(params))
     return float(loss), [dense(g) for g in grads]
 
 

@@ -11,8 +11,9 @@ constant. ``backward`` runs a scalar fused root's VJP over its leaves
 once, on a unit adjoint, and accepts no other graph: everything else in
 ``src`` runs on arrays with hand-written adjoints. The tests walk graphs
 of these nodes with a general reverse-mode engine (``tests/opgraphs.py``),
-the reference those adjoints are checked against. Values are float64
-throughout, so central finite differences are a usable oracle.
+the reference those adjoints are checked against. A node's value is made
+float64, so central finite differences are a usable oracle; only the
+score fit rebinds its network's leaves to float32 while it runs.
 """
 from __future__ import annotations
 

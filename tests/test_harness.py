@@ -47,6 +47,7 @@ from coopdiff.harness.gridio import (
 )
 from coopdiff.harness.shapes import CLASS_NAMES, IMAGE_H, IMAGE_W, ShapesDataset
 from coopdiff.harness.cli import main as cli_main
+from coopdiff.harness.experiment import new_score_net, train_score_model
 from coopdiff.nn import Mlp
 from coopdiff.scores import MlpScore
 from coopdiff.sde import derive_rng
@@ -378,6 +379,24 @@ def test_build_assets_returns_the_pretrained_networks_frozen(source, tmp_path):
     assert all(p.grad is None for p in pretrained)
 
 
+def test_the_score_fit_returns_float64_weights_the_same_each_call():
+    # the fit runs in float32 and hands back float64 weights that moved
+    # from the init and that float32 holds exactly; a second fit of the
+    # same config is byte-identical
+    cfg = parse_config_text(SHAPES_TINY.replace("score.train_steps = 1",
+                                                "score.train_steps = 5"))
+    dataset = generate_shapes(cfg.shapes_per_class, seed=cfg.seed)
+    fits = [train_score_model(cfg, dataset).state_dict() for _ in range(2)]
+    init = new_score_net(cfg).state_dict()
+    assert list(fits[0]) == list(init)
+    for name, value in fits[0].items():
+        assert value.dtype == np.float64, name
+        assert np.array_equal(value.astype(np.float32), value), name
+        assert value.tobytes() == fits[1][name].tobytes(), name
+    assert any(not np.array_equal(fits[0][name], init[name])
+               for name in init)
+
+
 def test_the_task_assets_keep_no_dataset():
     # the images train the score net and the classifier and are then
     # dropped: no run reads them again
@@ -462,6 +481,30 @@ def test_cli_run_and_report(tmp_path, monkeypatch, capsys):
     assert "cdps on gmm2d" in out
     assert cli_main(["report", "--run", str(tmp_path / "cli")]) == 0
     assert "mean_psi" in capsys.readouterr().out
+
+
+def test_cli_report_notes_what_poe_mean_loss_c_is(tmp_path, monkeypatch,
+                                                 capsys):
+    # a poe run's report prints one note right after mean_loss_c; another
+    # method's report prints none
+    monkeypatch.setenv("COOPDIFF_OUTPUT_ROOT", str(tmp_path))
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(config_with(GMM_SMOKE.format(out="poe"),
+                                    {"eval_samples": "16",
+                                     "eval_chunk": "16"}))
+    for method in ("poe", "uncontrolled"):
+        assert cli_main(["run", "--config", str(cfg_path), "--method",
+                         method, "--output-dir", method]) == 0
+    capsys.readouterr()
+    assert cli_main(["report", "--run", str(tmp_path / "poe")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = [line.split(":")[0].strip() for line in lines].index("mean_loss_c")
+    assert len(lines) == at + 2
+    assert "running cost at the summed score's Tweedie estimate" in lines[-1]
+    assert "not a cost of PoE's samples" in lines[-1]
+    assert cli_main(["report", "--run", str(tmp_path / "uncontrolled")]) == 0
+    out = capsys.readouterr().out
+    assert "Tweedie" not in out and len(out.splitlines()) == at + 1
 
 
 def test_a_diverged_rerun_leaves_no_earlier_results(tmp_path, monkeypatch,

@@ -135,6 +135,32 @@ def test_adam_is_the_textbook_update_bit_for_bit():
     assert all(a is not b for a, b in zip(held, held[1:]))
 
 
+def test_adam_keeps_float32_params_float32_bit_for_bit():
+    # the float32 textbook update written out: every array stays float32,
+    # and the step's Python-float constants act as float32 scalars
+    rng = derive_rng(0, 6)
+    start = rng.standard_normal((4, 3)).astype(np.float32)
+    grads = [(rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-6, 2))
+             .astype(np.float32) for _ in range(20)]
+    p = tape.leaf(start)
+    p.value = start.copy()          # a leaf is made float64; the fit rebinds
+    state = AdamState.for_params([p], lr=3e-3)
+    value = start
+    m = np.zeros((4, 3), dtype=np.float32)
+    v = np.zeros((4, 3), dtype=np.float32)
+    for step, g in enumerate(grads, start=1):
+        adam_step([p], [g], state)
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * (g * g)
+        m_hat = m / (1.0 - 0.9 ** step)
+        v_hat = v / (1.0 - 0.999 ** step)
+        value = value - 3e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert value.dtype == np.float32
+        assert p.value.dtype == np.float32
+        assert state.m[0].dtype == state.v[0].dtype == np.float32
+        assert np.array_equal(p.value, value), step
+
+
 def test_adam_zero_gradient_keeps_params():
     p = tape.leaf(np.array([1.0, -2.0]))
     state = AdamState.for_params([p], lr=0.1)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import coopdiff
 from coopdiff import tape
-from coopdiff.nn import Mlp, OuterSum
+from coopdiff.nn import Mlp, OuterSum, dense
 from coopdiff.sde import derive_rng
 import opgraphs as ops
 from opgraphs import logsumexp
@@ -642,6 +642,28 @@ def test_terms_on_column_parts_fold_to_the_terms_on_their_concatenation():
             lazy.add(OuterSum(parts, g))
             whole.add(OuterSum((np.concatenate(parts, axis=1),), g))
         assert np.array_equal(lazy.array(), whole.array())
+
+
+def test_a_float32_sum_of_pending_terms_folds_to_float32():
+    # five pending terms on three column parts each (20 rows, below the 32
+    # columns): the fold's block takes the terms' dtype, so the sum is the
+    # float32 product of the concatenations, not a float64 one
+    rng = derive_rng(9, 12)
+    terms = [([rng.standard_normal((4, n)).astype(np.float32)
+               for n in (5, 1, 3)],
+              rng.standard_normal((4, 32)).astype(np.float32))
+             for _ in range(5)]
+    lazy = OuterSum(*terms[0])
+    for parts, g in terms[1:]:
+        lazy.add(OuterSum(parts, g))
+    assert lazy.rows == 20 and len(lazy.pairs) == 5
+    a = np.concatenate([np.concatenate(parts, axis=1) for parts, _ in terms])
+    g = np.concatenate([g for _, g in terms])
+    out = dense(lazy)
+    assert out.dtype == np.float32
+    assert np.array_equal(out, a.T @ g)
+    np.testing.assert_allclose(out, a.astype(np.float64).T @ g, rtol=1e-5,
+                               atol=1e-5)
 
 
 
