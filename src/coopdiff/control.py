@@ -15,25 +15,33 @@ The training-free baseline (``optimize.CdpsControls``) instead scales the
 gradient of the same cost with respect to the *state*, which
 differentiates through the Tweedie map and the score model (the
 expensive path the learned parametrisation avoids).
-``state_guidance`` computes it on arrays, from the score call's pullback
-and the adjoints of the aggregate and of Tweedie, and also returns the
-step's scores, Tweedie aggregate and psi, so a baseline rollout step runs
-the score model and psi once and keeps no graph. ``eval_control`` is the
-one tape form left: a learned control as one fused node over x, Y and
-its policy's weights, for the tests' reference graphs (the training
-rollout calls ``forward`` and ``backward`` directly).
+``state_guidance`` computes it on arrays: the rollout's step forms the
+scores, the Tweedie aggregate and psi as it does for every control
+source, and hands it the score call's pullback and grad psi, which it
+pulls back through the aggregate, Tweedie and the score model. So a
+baseline step runs the score model and psi once and keeps no graph.
+``eval_control`` is the one tape form left: a learned control as one
+fused node over x, Y and its policy's weights, for the tests' reference
+graphs (the training rollout calls ``forward`` and ``backward``
+directly).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import tape
-from .aggregation import MaskAggregator, aggregate, scatter_adjoint
+from .aggregation import (
+    MaskAggregator,
+    aggregate,  # noqa: F401  (bench/tracing.py times it under this name)
+    scatter_adjoint,
+)
 from .nn import Mlp, time_features
-from .scores import tweedie, tweedie_adjoint
+from .scores import (
+    tweedie,  # noqa: F401  (bench/tracing.py times it under this name)
+    tweedie_adjoint,
+)
 from .sde import NoiseSchedule
 from .tape import Node
 
@@ -160,40 +168,19 @@ def tweedie_guidance(psi, y0_hat: Array) -> tuple[Array, Array]:
     return psi(y0_hat)
 
 
-class StateGuidance(NamedTuple):
-    """One step's values from the state-gradient pass, as plain arrays."""
-
-    scores: Array    # (N, B, d) score model at the states
-    y0_hat: Array    # (B, d) aggregated Tweedie estimate
-    psi: Array       # (B, 1) psi(Y0_hat)
-    grad: Array      # (N, B, d) grad of psi(Y0_hat) w.r.t. the states
-
-
-def state_guidance(
-    score_fn,
-    agg: MaskAggregator,
-    psi,
-    schedule: NoiseSchedule,
-    x_values,
-    t: float,
-) -> StateGuidance:
-    """grad of psi(aggregate(tweedie(x, score(x)))) w.r.t. the (N, B, d)
-    agent states, with the forward values it passes through.
+def state_guidance(agg: MaskAggregator, schedule: NoiseSchedule, vjp,
+                   grad_y: Array, t: float) -> Array:
+    """grad of psi(aggregate(tweedie(X, S(X)))) w.r.t. the (N, B, d) agent
+    states X, given the score call's pullback ``vjp`` and ``grad_y`` =
+    grad psi(Y0_hat), both from the rollout's step.
 
     Unlike ``tweedie_guidance`` this differentiates through the score model
     and the Tweedie map; it is the gradient the training-free baseline uses.
-    It runs on arrays: the score call on the N*B rows and its pullback, psi
-    and its gradient from ``tweedie_guidance``, then the adjoints of the
-    aggregate and of Tweedie and the pullback's states' adjoint. So the
-    baseline's rollout evaluates the score model and psi once per step and
-    keeps no graph.
+    It is the adjoint half of the step only: the adjoints of the aggregate
+    and of Tweedie, then the pullback's states' adjoint. So the baseline's
+    rollout evaluates the score model and psi once per step, on the lines
+    every control source runs, and keeps no graph.
     """
-    xs = np.asarray(x_values, dtype=np.float64)
-    dim = xs.shape[2]
-    scores, (vjp, _) = score_fn(xs.reshape(-1, dim), t)
-    scores = scores.reshape(xs.shape)
-    y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
-    psi_value, grad_y = tweedie_guidance(psi, y0_hat)
     grad, a_s = tweedie_adjoint(scatter_adjoint(agg, grad_y), t, schedule)
-    grad += vjp(a_s.reshape(-1, dim))[0].reshape(grad.shape)
-    return StateGuidance(scores, y0_hat, psi_value, grad)
+    grad += vjp(a_s.reshape(-1, grad.shape[2]))[0].reshape(grad.shape)
+    return grad

@@ -11,13 +11,13 @@ step records, a score model's pullback and a cost's gradient call
 fits with their losses' closed-form ones. A call takes its input as
 column parts, and a cache keeps no copy of them: a first-layer weight's
 gradient term keeps references to the parts, which the fold of that
-weight's terms reads directly. A trained weight's gradient
-``a.T @ g`` is an ``OuterSum`` term, so a weight used at every rollout
-step is summed with one gemm per block of steps (``accumulate``):
-exactly ``a.T @ g`` for a single use (``dense`` folds it), and a
-summation-order difference in the last bits for many. The weights are
-tape leaves, because the training objective is one tape node over the
-policies' weights.
+weight's terms reads directly. Every trained weight's gradient
+``a.T @ g`` is an ``OuterSum`` term (one with at least as many rows as
+columns folds at once), so a weight used at every rollout step is summed
+with one gemm per block of steps (``accumulate``): exactly ``a.T @ g``
+for a single use (``dense`` folds it), and a summation-order difference
+in the last bits for many. The weights are tape leaves, because the
+training objective is one tape node over the policies' weights.
 
 Two construction modes matter for control policies:
   * ``zero_final=True`` zero-initialises the last linear layer, so the
@@ -155,19 +155,18 @@ class Mlp:
         w1, ...) that get one. Returns those adjoints (None where not
         live) and, with ``span = (lo, hi)``, the input adjoint over input
         columns lo:hi (else None). A weight's adjoint is an ``OuterSum``
-        term, or ``a.T @ g`` if ``g`` has no fewer rows than columns (the
-        term would fold at once); the first layer's reads ``parts``. The
-        pass stops at the lowest layer it has to reach."""
+        term (folded at once into ``a.T @ g`` when ``g`` has no fewer rows
+        than columns); the first layer's reads ``parts``. The pass stops
+        at the lowest layer it has to reach."""
         ws, hidden = cache
         grads = [None] * len(live)
         if not (span or any(live)):
             return grads, None
         bottom = 0 if span else live.index(True) // 2
         for i in range(len(ws) - 1, bottom - 1, -1):
-            if live[2 * i]:          # folded at once when as tall as wide
+            if live[2 * i]:
                 a = [hidden[i - 1]] if i > 0 else parts
-                grads[2 * i] = (OuterSum(a, g) if len(g) < g.shape[1]
-                                else _columns(a).T @ g)
+                grads[2 * i] = OuterSum(a, g)
             if live[2 * i + 1]:
                 grads[2 * i + 1] = g.sum(axis=0)
             if i > bottom:
@@ -301,21 +300,17 @@ def accumulate(grads: dict, owned: set, key, contrib) -> None:
     makes a new sum array that later ones are added into in place (``owned``
     holds the keys whose array is the caller's), so the sums need no
     allocation per contribution and never write into an array a VJP
-    returned. ``OuterSum`` terms are added lazily and folded blockwise; a
-    sum that mixes them with arrays is made an array first.
+    returned. A key's contributions are all arrays (biases, states) or all
+    ``OuterSum`` terms (weights), which are added lazily and folded
+    blockwise.
     """
     acc = grads.get(key)
     if acc is None:
         grads[key] = contrib
         return
     if type(acc) is OuterSum:
-        if type(contrib) is OuterSum:
-            acc.add(contrib)
-            return
-        acc = acc.array()             # a mixed sum is made dense first
-        owned.add(key)
-    if type(contrib) is OuterSum:
-        contrib = contrib.array()
+        acc.add(contrib)
+        return
     if key in owned and acc.shape == contrib.shape:
         acc += contrib
     else:

@@ -33,24 +33,27 @@ rollout keeps no record, and its hat-J is a constant node. A rollout
 also returns a ``RolloutRecord`` of its detached outputs (the loss parts,
 terminal states and costs).
 
-The score model and psi are evaluated once per step, for every control
-source; both are only called, on arrays, as the ``scores`` and ``costs``
+Every control source runs one step body: the score model and psi are
+evaluated once per step, and S, Yh and psi(Yh) come from the same lines.
+Both are only called, on arrays, as the ``scores`` and ``costs``
 contracts promise: ``score_fn(x, t)`` returns the scores and their
 pullback, ``psi(y, grad)`` the costs and their gradient. A rollout keeps
-a step's pullback only to run it in the sweep: a sampler drops it at
-once, and so does step 0 of a training rollout (X_0 is drawn) unless the
-score model has trained weights. The pieces between them (Tweedie, the
-aggregate, the drift, the EM step) map arrays to arrays. When the step
-needs grad psi(Yh) (the learned control), ``tweedie_guidance`` gives
-psi(Yh) and its per-row gradient; the sweep reuses that gradient for the
-running cost, and the learned control reads G = masks * grad psi(Yh)
-from it as a constant, so no adjoint flows from the controls back into
-the score model through it. The training-free baseline differentiates
-psi through the score model instead: ``state_guidance`` gives S, Yh,
-psi(Yh) and grad_X psi(Yh) on arrays, from the score call's pullback
-(the baseline has no parameters to train). The zero control uses no
-gradient. Each step's arrays are released before the next step
-allocates, so a sampling chunk holds one step's arrays at a time.
+a step's pullback only while something reads it: the baseline's state
+gradient, within the step, and the sweep. A sampler keeps none for a
+sweep, and neither does step 0 of a training rollout (X_0 is drawn)
+unless the score model has trained weights. The pieces between them (Tweedie, the aggregate,
+the drift, the EM step) map arrays to arrays. When the step needs
+grad psi(Yh) (the learned control), ``tweedie_guidance`` gives psi(Yh)
+and its per-row gradient; the sweep reuses that gradient for the running
+cost, and the learned control reads G = masks * grad psi(Yh) from it as
+a constant, so no adjoint flows from the controls back into the score
+model through it. The training-free baseline differentiates psi through
+the score model instead: ``state_guidance`` pulls the step's
+grad psi(Yh) back through the aggregate, Tweedie and the step's score
+call, giving grad_X psi(Yh) on arrays (the baseline has no parameters to
+train). The zero control uses no gradient. Each step's arrays are
+released before the next step allocates, so a sampling chunk holds one
+step's arrays at a time.
 
 Every method runs this one rollout. The naive product-of-experts baseline
 is the uncontrolled rollout of one agent that owns every coordinate, under
@@ -301,29 +304,28 @@ def coupled_rollout(
     running_sum = control_sum = loss_u = loss_c = 0.0
     for k in range(times.size - 1):
         t, dt = float(times[k]), float(dts[k])
-        pull = None
-        if control_fn.guidance == "state":
-            # the step's scores, Y0_hat, psi and the state gradient
-            scores, _, psi_value, grad = state_guidance(
-                score_fn, agg, psi, schedule, xs, t)
+        # one call of the shared score model on the N*B rows
+        scores, pull = score_fn(xs.reshape(-1, dim), t)
+        scores = scores.reshape(xs.shape)
+        # cdps reads the pullback in this step; X_0 is drawn, so the
+        # sweep reads step 0's only for trained score weights
+        vjp = pull[0] if control_fn.guidance == "state" else None
+        if records is not None and (k > 0 or pull[1]):
+            extra.update((id(n), n) for n in pull[1])
         else:
-            # one call of the shared score model on the N*B rows
-            scores, pull = score_fn(xs.reshape(-1, dim), t)
-            scores = scores.reshape(xs.shape)
-            # X_0 is drawn: step 0 keeps the pullback only for trained
-            # score weights
-            if records is not None and (k > 0 or pull[1]):
-                extra.update((id(n), n) for n in pull[1])
-            else:
-                pull = None
-            y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
-            # one psi pass: the guidance also yields psi, and the sweep
-            # reuses its gradient for the running cost
-            if control_fn.guidance == "tweedie":
-                psi_value, grad = tweedie_guidance(psi, y0_hat)
-            else:
-                psi_value, grad = psi(y0_hat, grad=False)
-            del y0_hat
+            pull = None
+        y0_hat = aggregate(agg, tweedie(xs, t, scores, schedule))
+        # one psi pass: the guidance also yields psi, and the sweep
+        # reuses its gradient for the running cost
+        if control_fn.guidance == "tweedie":
+            psi_value, grad = tweedie_guidance(psi, y0_hat)
+        else:
+            psi_value, grad = psi(y0_hat, grad=vjp is not None)
+        del y0_hat
+        if vjp is not None:
+            # grad psi(Y0_hat) pulled back to the states through this step
+            grad = state_guidance(agg, schedule, vjp, grad, t)
+            vjp = None
         step_cost = psi_value.sum() * (1.0 / batch)
         loss_c += float(step_cost) * dt
         running_sum = running_sum + step_cost * (cfg.running_weight(t) * dt)

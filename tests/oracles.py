@@ -6,7 +6,7 @@ import numpy as np
 
 from coopdiff import tape
 from coopdiff.aggregation import aggregate, scatter_adjoint
-from coopdiff.control import StateGuidance, tweedie_guidance
+from coopdiff.control import tweedie_guidance
 from coopdiff.costs import ClassifierNll, QuadraticWell, SeamAugmented, SocConfig
 from coopdiff.nn import time_features
 from coopdiff.optimize import sample_poe_naive
@@ -306,6 +306,79 @@ def soc_objective(record, cfg: SocConfig, psi) -> float:
     return control_term + run_term + term
 
 
+def lq_costs(mean, variance, target, agg, cfg: SocConfig, grid, schedule):
+    """The exact expected hat-J of the coupled rollout on the
+    linear-quadratic task, by the backward Riccati recursion on the EM grid.
+
+    The task: one Gaussian component N(mean, variance I) as the score
+    model, a partition mask ``agg`` and the quadratic well psi(Y) =
+    ||Y - target||^2. The analytic score, Tweedie, the aggregate, the
+    drift and the EM step are then affine in the states, and every cost is
+    quadratic, so each coordinate j is a scalar LQ problem for the agent
+    that owns it: x' = A x + c + B u + w with w ~ N(0, beta dt), step cost
+    alpha_t dt (p x + q - target_j)^2 + lambda_i dt u^2, terminal cost
+    (x - target_j)^2, and x_0 ~ N(0, sigma(t_0)^2). A coordinate's other
+    agents see no cost of it, so their optimal control there is 0. The
+    cost-to-go is V_k(x) = P x^2 + 2 r x + s.
+
+    Returns (J*, J_zero, gains, offsets): the optimal and the zero-control
+    expected costs, and the optimal feedback u_j = -(gains[k, j] x_j +
+    offsets[k, j]) of coordinate j's owner at step k, each (K, d).
+    """
+    mean = np.asarray(mean, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    lam = cfg.lambda_weights(agg.num_agents)[np.argmax(agg.masks, axis=0)]
+    steps = grid.times.size - 1
+    gains, offsets = np.zeros((steps, agg.dim)), np.zeros((steps, agg.dim))
+    # (P, r, s) of the optimal and of the zero control, from V_K
+    best = zero = (np.ones(agg.dim), -target, target * target)
+    for k in range(steps - 1, -1, -1):
+        t, dt = float(grid.times[k]), float(grid.dts[k])
+        alpha, sigma = (float(v) for v in marginal_coeffs(schedule, t))
+        var = alpha * alpha * variance + sigma * sigma   # diffused variance
+        beta = float(schedule.beta(t))
+        # the score -(x - alpha mean) / var in the drift and in Tweedie
+        a = 1.0 + (0.5 * beta - beta / var) * dt
+        c = beta * alpha * mean / var * dt
+        b = float(schedule.g(t)) * dt
+        p = (1.0 - sigma * sigma / var) / alpha
+        q = sigma * sigma * mean / var - target
+        w = cfg.running_weight(t) * dt
+        out = []
+        for (big_p, r, s), optimal in ((best, True), (zero, False)):
+            qxx = w * p * p + big_p * a * a
+            qx = w * p * q + a * (big_p * c + r)
+            qc = w * q * q + big_p * c * c + 2.0 * r * c + s + big_p * beta * dt
+            if optimal:
+                quu = lam * dt + big_p * b * b
+                qxu, qu = big_p * a * b, b * (big_p * c + r)
+                gains[k], offsets[k] = qxu / quu, qu / quu
+                qxx, qx, qc = (qxx - qxu * qxu / quu, qx - qxu * qu / quu,
+                               qc - qu * qu / quu)
+            out.append((qxx, qx, qc))
+        best, zero = out
+    sigma0 = float(schedule.sigma(grid.times[0]))
+    j_star, j_zero = (float((big_p * sigma0 * sigma0 + s).sum())
+                      for big_p, _, s in (best, zero))
+    return j_star, j_zero, gains, offsets
+
+
+class LinearFeedback:
+    """A control source for the tests: the feedback u = -(gains[k] x +
+    offsets[k]) on the coordinates each agent owns, zero on the others,
+    keyed by the step index; it reads no cost gradient."""
+
+    guidance = None
+    params = list            # no parameters: params() is []
+
+    def __init__(self, agg, gains, offsets):
+        self.masks = agg.masks[:, None, :]
+        self.gains, self.offsets = gains, offsets
+
+    def __call__(self, k, t, xs, y, grad):
+        return -(xs * self.gains[k] + self.offsets[k]) * self.masks, None
+
+
 def taped_control(policy, x, y, t, guidance):
     """u = NN1([x, Y, g, feats]) + NN2(feats) * g from tape nodes (the two
     ``Mlp`` calls, a ``mul`` and an ``add``), with g a constant."""
@@ -365,9 +438,10 @@ def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
 
 
 def taped_state_guidance(score_fn, agg, psi, schedule, x_values, t):
-    """``control.state_guidance`` as one sub-tape on a detached state leaf
-    and ``opgraphs.backward``, as it was before it ran on plain arrays: the
-    reference it is checked against."""
+    """The cdps state gradient as one sub-tape on a detached state leaf and
+    ``opgraphs.backward``, as it was before it ran on plain arrays: the
+    reference the rollout's step is checked against. Returns (scores,
+    Y0_hat, psi(Y0_hat), grad_X psi(Y0_hat))."""
     with ops.grad_enabled():
         xs = tape.leaf(ops.as_node(x_values).value)
         scores = ops.stacked_score(score_fn, xs, t)
@@ -375,7 +449,7 @@ def taped_state_guidance(score_fn, agg, psi, schedule, x_values, t):
         psi_y0 = ops.cost_node(psi, y0_hat)
         ops.backward(ops.reduce_sum(psi_y0))
     grad = xs.grad if xs.grad is not None else np.zeros_like(xs.value)
-    return StateGuidance(scores.value, y0_hat.value, psi_y0.value, grad)
+    return scores.value, y0_hat.value, psi_y0.value, grad
 
 
 def taped_cost(psi):

@@ -101,3 +101,19 @@ def test_seed_ranges():
     assert bench_pairs.parse_seeds("4101-4105") == [4101, 4102, 4103, 4104,
                                                    4105]
     assert bench_pairs.parse_seeds("7") == [7]
+
+
+@pytest.mark.parametrize("text", ["5-3", "x", "3-x", "-3", "2--1", ""])
+def test_a_bad_seed_range_exits_2_before_any_run(text, tmp_path, capsys):
+    # an empty range, a non-integer bound or a negative seed
+    parent = fake_checkout(tmp_path / "parent")
+    change = fake_checkout(tmp_path / "change")
+    with pytest.raises(ValueError):
+        bench_pairs.parse_seeds(text)
+    out = tmp_path / "o.json"
+    with pytest.raises(SystemExit) as err:
+        bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                          "--seeds", text, "--out", str(out)])
+    assert err.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not (tmp_path / "log.txt").exists() and not out.exists()

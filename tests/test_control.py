@@ -13,18 +13,29 @@ from coopdiff.control import (
 )
 from coopdiff.costs import ClassifierNll, QuadraticWell, SocConfig, with_seam
 from coopdiff.nn import Mlp
-from coopdiff.optimize import CdpsControls
+from coopdiff.optimize import CdpsControls, sample_cdps
 from coopdiff.scores import (
     AnalyticGmmScore,
     GaussianMixture,
     MlpScore,
     tweedie,
 )
-from coopdiff.sde import NoiseSchedule, derive_rng
+from coopdiff.sde import NoiseSchedule, TimeGrid, derive_rng
 import opgraphs as ops
 from oracles import taped_state_guidance
 
 SCHEDULE = NoiseSchedule()
+
+
+def cdps_gradient(score_fn, agg, psi, xs, t):
+    """The cdps state gradient at the (N, B, d) states ``xs``, formed as a
+    rollout step forms it: one score call, Tweedie, the aggregate and
+    grad psi, then ``state_guidance`` on the score call's pullback."""
+    xs = np.asarray(xs, dtype=np.float64)
+    scores, (vjp, _) = score_fn(xs.reshape(-1, xs.shape[2]), t)
+    y0_hat = aggregate(agg, tweedie(xs, t, scores.reshape(xs.shape),
+                                    SCHEDULE))
+    return state_guidance(agg, SCHEDULE, vjp, psi(y0_hat)[1], t)
 
 
 def test_fresh_policy_is_exactly_gain_times_guidance():
@@ -114,7 +125,7 @@ def test_state_guidance_matches_finite_differences():
     t = 0.35
     rng = derive_rng(1, 0)
     xs = [rng.standard_normal((2, 2)) for _ in range(2)]
-    grads = state_guidance(score_fn, agg, psi, SCHEDULE, xs, t).grad
+    grads = cdps_gradient(score_fn, agg, psi, xs, t)
 
     def forward(xs_val):
         x0h = [tweedie(x, t, score_fn(x, t)[0], SCHEDULE) for x in xs_val]
@@ -136,7 +147,7 @@ def test_state_guidance_matches_finite_differences():
 
 
 def state_guidance_setups():
-    """(name, score, aggregator, cost, states) for the state gradient:
+    """(name, score, aggregator, cost, batch) for the state gradient:
     gmm2d's analytic mixture score, a frozen random score net and
     classifier at shapes16's sizes with the seam loss, and a score net
     whose weights are trained (they require grad)."""
@@ -144,42 +155,52 @@ def state_guidance_setups():
     gmm = GaussianMixture(weights=[0.5, 0.5], means=[[-1.0, 0.0], [1.0, 0.0]],
                           variances=[0.25, 0.25])
     yield ("gmm2d", AnalyticGmmScore(gmm, SCHEDULE), make_mask("halves", 2, 2),
-           QuadraticWell(np.array([2.0, -1.5])), rng.standard_normal((2, 5, 2)))
+           QuadraticWell(np.array([2.0, -1.5])), 5)
     agg = make_mask("h-stripes", 4, 256, image_hw=(16, 16))
     score = MlpScore(256, (192, 192), 16, derive_rng(4, 1), schedule=SCHEDULE)
     clf = Mlp([256, 64, 4], derive_rng(4, 2))
     tape.freeze(score.params() + clf.params())
     cfg = SocConfig(seam_beta=0.05, seam_gamma=0.05)
     yield ("shapes16", score, agg, with_seam(ClassifierNll(clf, 1), agg, cfg),
-           rng.standard_normal((4, 3, 256)))
+           3)
     net = MlpScore(2, (16,), 8, derive_rng(4, 3), schedule=SCHEDULE)
     for p in net.params():
         p.value = p.value + 0.1 * rng.standard_normal(p.value.shape)
     yield ("trained-score", net, make_mask("halves", 2, 2),
-           QuadraticWell(np.array([0.5, -1.0])), rng.standard_normal((2, 4, 2)))
+           QuadraticWell(np.array([0.5, -1.0])), 4)
 
 
 @pytest.mark.parametrize("name", ["gmm2d", "shapes16", "trained-score"])
 def test_state_guidance_matches_the_taped_reference(name, monkeypatch):
-    # the plain-array pass (the score call's pullback, then the adjoints
-    # of psi, the aggregate and Tweedie) against the same gradient from
-    # one sub-tape and its backward: every output is bit-equal, and only
-    # the reference calls backward
-    _, score, agg, psi, xs = next(s for s in state_guidance_setups()
-                                  if s[0] == name)
+    # the gradient a cdps rollout step hands its controls (the step's own
+    # score call pulled back through psi, the aggregate and Tweedie)
+    # against the same gradient from one sub-tape and its backward, at the
+    # states of that step: bit-equal at every step, and only the reference
+    # calls backward
+    _, score, agg, psi, batch = next(s for s in state_guidance_setups()
+                                     if s[0] == name)
+    steps = []
+    real = CdpsControls.__call__
+
+    def recording(self, k, t, xs, y, grad_x):
+        steps.append((t, xs.copy(), grad_x.copy()))
+        return real(self, k, t, xs, y, grad_x)
+
+    monkeypatch.setattr(CdpsControls, "__call__", recording)
     roots = []
     for engine in (tape, ops):
         monkeypatch.setattr(engine, "backward",
                             lambda root, real=engine.backward:
                             roots.append(root) or real(root))
-    for t in (0.9, 0.3, 0.05):
-        got = state_guidance(score, agg, psi, SCHEDULE, xs, t)
-        assert not roots
+    grid = TimeGrid(np.array([0.9, 0.3, 0.05, 0.01]), eps=0.01)
+    sample_cdps(score, agg, SocConfig(), grid, psi, SCHEDULE, seed=4,
+                batch=batch, alpha_guid=1.0)
+    assert not roots
+    assert [t for t, _, _ in steps] == [0.9, 0.3, 0.05]
+    for t, xs, grad_x in steps:
         ref = taped_state_guidance(score, agg, psi, SCHEDULE, xs, t)
-        assert len(roots) == 1
-        roots.clear()
-        for field, a, b in zip(got._fields, got, ref):
-            assert np.array_equal(a, b), (name, t, field)
+        assert np.array_equal(grad_x, ref[3]), (name, t)
+    assert len(roots) == len(steps)
 
 
 def test_tweedie_guidance_equals_masked_cost_gradient():
@@ -228,14 +249,14 @@ def test_score_params_perturbation_changes_cdps_not_stopgrad_guidance():
     xs = [rng.standard_normal((2, 2)) for _ in range(2)]
     t = 0.5
 
-    before = state_guidance(net, agg, psi, SCHEDULE, xs, t).grad
+    before = cdps_gradient(net, agg, psi, xs, t)
     x0h_before = [tweedie(x, t, net(x, t)[0], SCHEDULE) for x in xs]
     tg_before = tweedie_guidance(psi, aggregate(agg, x0h_before))
 
     for p in net.params():
         p.value = p.value + 0.05
 
-    after = state_guidance(net, agg, psi, SCHEDULE, xs, t).grad
+    after = cdps_gradient(net, agg, psi, xs, t)
     assert any(not np.array_equal(a, b) for a, b in zip(before, after))
     # holding the Tweedie estimates fixed, the guidance is untouched
     tg_after = tweedie_guidance(psi, aggregate(agg, x0h_before))

@@ -132,17 +132,17 @@ def test_classifier_batch_loss_equals_its_tape_reference_bit_for_bit(
         rows, small_dataset, monkeypatch):
     # the array fit's step against the taped batch loss of the same
     # network: loss and every weight and bias gradient are bit-equal, for
-    # a batch narrower than the 32-wide hidden layer (an OuterSum term
-    # folded by nn.dense) and for a wider one
+    # a batch narrower than the 32-wide hidden layer and for a wider one;
+    # every weight gradient is an OuterSum term, folded by nn.dense
     model = Mlp([IMAGE_H * IMAGE_W, 32, 4], derive_rng(8, 0))
     x, y = small_dataset.train()
     pick = derive_rng(8, rows).integers(0, x.shape[0], size=rows)
-    folds = []
-    fold = nn.OuterSum.array
-    monkeypatch.setattr(nn.OuterSum, "array",
-                        lambda self: folds.append(self) or fold(self))
+    adjoints = []
+    monkeypatch.setattr("coopdiff.harness.classifier.dense",
+                        lambda g: adjoints.append(g) or nn.dense(g))
     loss, grads = batch_loss(model, x[pick], y[pick])
-    assert bool(folds) == (rows < 32)
+    assert len(adjoints) == len(model.params())
+    assert all(type(g) is nn.OuterSum for g in adjoints[::2])   # w0, w1
     ref = taped_classifier_loss(model, x[pick], y[pick])
     ops.backward(ref)
     assert loss == float(ref.value)

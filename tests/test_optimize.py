@@ -15,8 +15,10 @@ from coopdiff.optimize import (
     DivergedRolloutError,
     TrainingDivergedError,
     TrainPlan,
+    ZeroControls,
     bptt_rollout,
     controlwise_ido,
+    coupled_rollout,
     joint_ido,
     sample_cdps,
     sample_controlled,
@@ -27,7 +29,14 @@ from coopdiff.scores import AnalyticGmmScore, GaussianMixture, MlpScore
 from coopdiff.sde import NoiseSchedule, NoiseStream, derive_rng, make_time_grid
 from guidance_replay import record_guidance, replay_guidance
 import opgraphs as ops
-from oracles import ZeroCost, reverse_sde_reference, soc_objective, taped_rollout
+from oracles import (
+    LinearFeedback,
+    ZeroCost,
+    lq_costs,
+    reverse_sde_reference,
+    soc_objective,
+    taped_rollout,
+)
 from rollout_history import recorded
 
 SCHEDULE = NoiseSchedule()
@@ -616,10 +625,46 @@ def test_stacked_aggregate_matches_the_per_agent_mask_sum():
         np.testing.assert_array_equal(adjoint[i], weights * agg.masks[i])
 
 
+def test_the_rollout_estimates_the_exact_lq_costs():
+    # one Gaussian component, halves and a quadratic well make the control
+    # problem linear-quadratic, so the Riccati recursion gives the exact
+    # expected hat-J under the optimal feedback and under zero control
+    # (the K = 19 values of ROADMAP direction 3). Paired on the same noise
+    # keys, each rollout's mean hat-J and their difference match within 4
+    # standard errors.
+    gmm = GaussianMixture(weights=[1.0], means=[[0.7, -0.4]],
+                          variances=[0.3])
+    score = AnalyticGmmScore(gmm, SCHEDULE)
+    agg = make_mask("halves", 2, 2)
+    cfg = SocConfig(control_weight=0.5, running_scale=0.8)
+    psi = QuadraticWell(np.array([1.2, 0.5]))
+    grid = make_time_grid(20, 0.01)
+    j_star, j_zero, gains, offsets = lq_costs(
+        gmm.means[0], 0.3, psi.target, agg, cfg, grid, SCHEDULE)
+    np.testing.assert_allclose([j_star, j_zero], [1.70285, 2.65927],
+                               atol=5e-6)
+    feedback = LinearFeedback(agg, gains, offsets)
+    noise = NoiseStream(17)
+    costs = np.array([
+        [coupled_rollout(source, score, agg, cfg, grid, psi, SCHEDULE, noise,
+                         batch=4000, update_index=chunk)[1].objective
+         for source in (feedback, ZeroControls())]
+        for chunk in range(40)])
+    means = costs.mean(axis=0)
+    errors = costs.std(axis=0, ddof=1) / np.sqrt(len(costs))
+    gap = costs[:, 1] - costs[:, 0]
+    gap_error = gap.std(ddof=1) / np.sqrt(len(gap))
+    assert abs(means[0] - j_star) < 4 * errors[0], (means[0], errors[0])
+    assert abs(means[1] - j_zero) < 4 * errors[1], (means[1], errors[1])
+    assert abs(gap.mean() - (j_zero - j_star)) < 4 * gap_error, (
+        gap.mean(), gap_error)
+
+
 def test_recorded_rollout_evaluates_psi_once_per_step_and_at_the_end():
     # the guidance pass yields psi(Y0_hat) for the running cost as well, and
-    # the baseline's state-gradient pass yields the scores too, so every
-    # K-step rollout calls the score model K times and psi K + 1 times
+    # the baseline's state gradient pulls back the step's own score call,
+    # so every K-step rollout calls the score model K times and psi K + 1
+    # times
     score, agg, cfg, psi, grid = make_setup(steps=6)
     steps = grid.steps - 1
     shapes, score_rows = [], []

@@ -255,19 +255,19 @@ def test_denoiser_loss_equals_its_tape_reference_bit_for_bit(rows,
                                                              monkeypatch):
     # the array fit against the taped loss of the same network: loss and
     # every weight and bias gradient are bit-equal, both for a batch
-    # narrower than the 24-wide hidden layers (whose weight gradients are
-    # OuterSum terms, folded by nn.dense) and for a wider one
+    # narrower than the 24-wide hidden layers and for a wider one; every
+    # weight gradient is an OuterSum term, folded by nn.dense
     net = MlpScore(3, (24, 24), 8, derive_rng(7, 0), schedule=SCHEDULE)
     rng = derive_rng(7, rows)
     x0 = rng.standard_normal((rows, 3))
     t = rng.uniform(0.0, 1.0, rows)
     eps = rng.standard_normal((rows, 3))
-    folds = []
-    fold = nn.OuterSum.array
-    monkeypatch.setattr(nn.OuterSum, "array",
-                        lambda self: folds.append(self) or fold(self))
+    adjoints = []
+    monkeypatch.setattr("coopdiff.scores.dense",
+                        lambda g: adjoints.append(g) or nn.dense(g))
     loss, grads = denoiser_loss(net, x0, t, eps, SCHEDULE, eps=0.02)
-    assert bool(folds) == (rows < 24)
+    assert len(adjoints) == len(net.params())
+    assert all(type(g) is nn.OuterSum for g in adjoints[::2])   # w0, w1, ...
     ref = taped_denoiser_loss(net, x0, t, eps, SCHEDULE, eps=0.02)
     ops.backward(ref)
     assert loss == float(ref.value)

@@ -30,9 +30,17 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text: str) -> list[int]:
-    """The seeds A to B of ``A-B``, or the one seed of ``A``."""
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    """The seeds A to B of ``A-B``, or the one seed of ``A``; a ValueError
+    unless A and B are integers with 0 <= A <= B."""
+    first, _, last = text.partition("-")
+    try:
+        lo, hi = int(first), int(last or first)
+    except ValueError:
+        raise ValueError(f"--seeds {text!r}: not A-B or A with integer "
+                         "seeds") from None
+    if lo < 0 or hi < lo:
+        raise ValueError(f"--seeds {text!r}: need 0 <= A <= B")
+    return list(range(lo, hi + 1))
 
 
 def parse_run(stdout: str) -> dict:
@@ -125,7 +133,10 @@ def main(argv=None) -> int:
     unknown = sorted(set(workloads) - set(known))
     if unknown:
         parser.error(f"unknown workloads {unknown}; BENCHMARK.json has {known}")
-    seeds = parse_seeds(args.seeds)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as err:
+        parser.error(str(err))
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = []
     for workload in workloads:
