@@ -62,7 +62,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                 f"{path}: checkpoint format version {version} not supported "
                 f"(expected {FORMAT_VERSION})"
             )
-        meta = json.loads(str(data["__meta__"]))
+        try:
+            meta = json.loads(str(data["__meta__"]))
+        except (KeyError, ValueError) as err:
+            raise ValueError(f"{path}: not a checkpoint ({err})") from err
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: not a checkpoint (metadata {meta!r} "
+                             "is not a JSON object)")
         tensors = {
             k: np.asarray(data[k], dtype=np.float64)
             for k in data.files

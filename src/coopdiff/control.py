@@ -9,7 +9,10 @@ where g_i is the gradient of the cost at the aggregated Tweedie estimate
 with respect to agent i's own Tweedie estimate, treated as a constant
 input (no adjoint flows through it). NN1 is zero-initialised in its final
 layer and NN2 starts as a constant, so a fresh policy is exactly
-NN2_const * g_i, and exactly zero for the default constant 0.
+NN2_const * g_i, and exactly zero for the default constant 0. NN1 takes
+its four inputs as parts and NN2 the time's one feature row, which the
+batch shares; each network's adjoints are formed when its one
+``Mlp.trained`` flag is set.
 
 The training-free baseline (``optimize.CdpsControls``) instead scales the
 gradient of the same cost with respect to the *state*, which
@@ -64,11 +67,8 @@ class ControlPolicy:
     def params(self) -> list[Node]:
         return self.nn1.params() + self.nn2.params()
 
-    def named_params(self) -> list[tuple[str, Node]]:
-        return self.nn1.named_params() + self.nn2.named_params()
-
     def state_dict(self) -> dict[str, Array]:
-        return {name: p.value.copy() for name, p in self.named_params()}
+        return {**self.nn1.state_dict(), **self.nn2.state_dict()}
 
     def load_state_dict(self, state: dict[str, Array]) -> None:
         self.nn1.load_state_dict(state)
@@ -77,10 +77,10 @@ class ControlPolicy:
     def forward(self, x: Array, y: Array, guidance: Array, t: float):
         """u = NN1([x, Y, g, feats]) + NN2(feats) * g on (B, d) arrays, and
         both networks' caches (what ``backward`` reads besides the
-        inputs)."""
-        feats = time_features(t, self.temb_width, batch=x.shape[0])
+        inputs). ``feats`` is the time's one shared row."""
+        feats = time_features(t, self.temb_width)
         drift, cache1 = self.nn1([x, y, guidance, feats])
-        gain, cache2 = self.nn2([feats[:1]])    # (1, 1), one per batch
+        gain, cache2 = self.nn2([feats])    # (1, 1), one per batch
         return drift + gain * guidance, (cache1, cache2)
 
     def control(self, cache, x, y, guidance, t: float) -> Array:
@@ -88,25 +88,25 @@ class ControlPolicy:
         rebuilt from its cache with the forward's ops: NN1's and NN2's
         last layers, then drift + gain * g."""
         cache1, cache2 = cache
-        feats = time_features(t, self.temb_width, batch=x.shape[0])
+        feats = time_features(t, self.temb_width)
         drift = self.nn1.output(cache1, [x, y, guidance, feats])
-        gain = self.nn2.output(cache2, [feats[:1]])
+        gain = self.nn2.output(cache2, [feats])
         return drift + gain * guidance
 
-    def backward(self, cache, x, y, guidance, t: float, g, live, span=None):
+    def backward(self, cache, x, y, guidance, t: float, g, span=None):
         """Adjoints of a ``forward`` call given the control adjoint ``g``,
-        with the same inputs: one per parameter of ``params()`` (None where
-        ``live`` is False) and, with ``span``, the input adjoint over those
-        columns of [x, Y] (the guidance is held constant). The gain's
-        adjoint sums over the batch, then the coordinates."""
+        with the same inputs: one per parameter of ``params()``, None for
+        a network with no trained parameter, and, with ``span``, the input
+        adjoint over those columns of [x, Y] (the guidance is held
+        constant). The gain's adjoint sums over the batch, then the
+        coordinates."""
         cache1, cache2 = cache
-        feats = time_features(t, self.temb_width, batch=x.shape[0])
-        n1 = 2 * len(self.nn1.weights)
+        feats = time_features(t, self.temb_width)
         grads, g_in = Mlp.backward(cache1, [x, y, guidance, feats], g,
-                                   live[:n1], span)
+                                   self.nn1.trained, span)
         g_gain = (g * guidance).sum(axis=0, keepdims=True).sum(
             axis=1, keepdims=True)
-        grads += Mlp.backward(cache2, [feats[:1]], g_gain, live[n1:])[0]
+        grads += Mlp.backward(cache2, [feats], g_gain, self.nn2.trained)[0]
         return grads, g_in
 
 
@@ -144,17 +144,15 @@ def eval_control(policy: ControlPolicy, x, y, t: float, guidance) -> Node:
     x = x if isinstance(x, Node) else Node(x)
     y = y if isinstance(y, Node) else Node(y)
     g = np.asarray(guidance, dtype=np.float64)
-    inputs = [x, y, *policy.params()]
-    live = [n.requires_grad for n in inputs]
     u, cache = policy.forward(x.value, y.value, g, t)
     d = policy.dim
 
     def vjp(a):
         grads, g_in = policy.backward(cache, x.value, y.value, g, t, a,
-                                      live[2:], (0, 2 * d))
+                                      (0, 2 * d))
         return [g_in[:, :d], g_in[:, d:], *grads]
 
-    return tape.fused(u, inputs, vjp)
+    return tape.fused(u, [x, y, *policy.params()], vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,7 @@ class ClassifierNll:
         value, d_logits = _nll(logits, self.label)
         if not grad:
             return value, None
-        frozen = [False] * len(self.classifier.params())
-        return value, Mlp.backward(cache, None, d_logits, frozen,
+        return value, Mlp.backward(cache, None, d_logits, False,
                                    (0, y.shape[1]))[1]
 
 

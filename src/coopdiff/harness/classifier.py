@@ -43,8 +43,7 @@ def batch_loss(model: Mlp, images: Array, labels: Array):
     logits, cache = model(parts)
     per_row, d_logits = _nll(logits, labels)
     scale = 1.0 / images.shape[0]
-    grads, _ = Mlp.backward(cache, parts, d_logits * scale,
-                            [True] * len(model.params()))
+    grads, _ = Mlp.backward(cache, parts, d_logits * scale, True)
     return float(per_row.sum() * scale), [dense(g) for g in grads]
 
 

@@ -3,9 +3,8 @@
 A run is fully determined by its config and seed: datasets, network inits,
 training noise and evaluation noise all derive from the config seed
 through keyed generators, so re-running a config reproduces every output
-file byte for byte at a fixed BLAS thread count (a different thread count
-can move the learned methods' files in the last bits; ROADMAP direction
-4).
+file byte for byte, also at another BLAS thread count (CI compares one
+thread with two).
 
 The CLI's ``train-*`` verbs call the fits ``build_assets`` calls
 (``train_score_model``, ``fit_classifier``), and ``sample`` evaluates and

@@ -3,15 +3,17 @@ adjoint sums their backward passes return.
 
 An ``Mlp`` has two plain-numpy halves: calling it returns the output and
 a cache (the weights it read, the hidden activations), and ``backward``
-runs the layer-by-layer reverse pass from that cache for the parameters
-flagged live, and for the input columns asked for. Every network call
-goes through them: a training rollout keeps the policies' caches in its
-step records, a score model's pullback and a cost's gradient call
-``backward`` with their output adjoints, and the score and classifier
-fits with their losses' closed-form ones. A call takes its input as
-column parts, and a cache keeps no copy of them: a first-layer weight's
-gradient term keeps references to the parts, which the fold of that
-weight's terms reads directly. Every trained weight's gradient
+runs the layer-by-layer reverse pass from that cache, for every
+parameter when the network's one ``trained`` flag is set, and for the
+input columns asked for. Every network call goes through them: a
+training rollout keeps the policies' caches in its step records, a
+score model's pullback and a cost's gradient call ``backward`` with
+their output adjoints, and the fits with their losses' closed-form
+ones. A call takes its input as parts, each multiplied by its own rows
+of the first-layer weight, so nothing is concatenated and a one-row part
+(a rollout step's time features) serves the whole batch. A first-layer
+weight's gradient term keeps references to the parts, which the fold of
+that weight's terms reads directly. Every trained weight's gradient
 ``a.T @ g`` is an ``OuterSum`` term (one with at least as many rows as
 columns folds at once), so a weight used at every rollout step is summed
 with one gemm per block of steps (``accumulate``): exactly ``a.T @ g``
@@ -38,53 +40,49 @@ from .tape import Node
 Array = np.ndarray
 
 
-@functools.lru_cache(maxsize=None)
-def _frequencies(half: int) -> Array:
-    freqs = np.exp(np.linspace(np.log(1.0), np.log(400.0), half))
-    freqs.setflags(write=False)
-    return freqs
+def time_features(t, width: int) -> Array:
+    """Sinusoidal features of diffusion time, one row per time.
 
-
-def _features(tt: Array, width: int) -> Array:
-    """The sin/cos features of the (rows, 1) times ``tt``."""
-    ang = tt * _frequencies(width // 2)
+    A float ``t`` gives its one row, (1, width), memoised read-only per
+    (t, width): the calls of one rollout step (each policy and the score
+    net) pass it as an input part that their whole batch shares. A
+    vector of times (the score fit's, one per row) gives a fresh
+    (len(t), width) array. Frequencies are geometric in [1, 400],
+    covering t in [0, 1].
+    """
+    if width % 2 != 0:
+        raise ValueError(f"time feature width must be even, got {width}")
+    if isinstance(t, float):
+        return _time_row(t, width)
+    tt = np.atleast_1d(np.asarray(t, dtype=np.float64)).reshape(-1, 1)
+    ang = tt * np.exp(np.linspace(np.log(1.0), np.log(400.0), width // 2))
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
 @functools.lru_cache(maxsize=4096)
 def _time_row(t: float, width: int) -> Array:
-    row = _features(np.array([[t]]), width)
+    row = time_features(np.array([t]), width)
     row.setflags(write=False)
     return row
 
 
-def time_features(t, width: int, batch: int = 1) -> Array:
-    """Sinusoidal features of diffusion time, shape (batch, width).
-
-    ``t`` may be a scalar (shared across the batch) or a length-``batch``
-    vector. Frequencies are geometric in [1, 400], covering t in [0, 1];
-    they are computed once per width. The row of a float time is memoised
-    per (t, width), so the calls of one rollout step (each policy and the
-    score net) share it; with ``batch = 1`` that read-only row is the
-    result.
-    """
-    if width % 2 != 0:
-        raise ValueError(f"time feature width must be even, got {width}")
-    if isinstance(t, float) and batch >= 1:
-        feats = _time_row(t, width)
-    else:
-        tt = np.atleast_1d(np.asarray(t, dtype=np.float64)).reshape(-1, 1)
-        if tt.shape[0] != batch and not (tt.shape[0] == 1 and batch >= 1):
-            raise ValueError(f"got {tt.shape[0]} times for batch {batch}")
-        feats = _features(tt, width)
-    if feats.shape[0] == 1 and batch > 1:
-        return np.repeat(feats, batch, axis=0)
-    return feats
-
-
-def _columns(parts: list[Array]) -> Array:
-    """The column concatenation of 2-D ``parts`` (a lone part as is)."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+def _first_layer(w: Array, parts: Sequence[Array]) -> Array:
+    """sum_j parts[j] @ w[rows_j], added in part order: each input part
+    times its own rows of the first-layer weight ``w``, a one-row part
+    shared by the batch's rows. No product spans two parts, so the sum
+    does not depend on how a BLAS splits a wide product over threads."""
+    rows = max(p.shape[0] for p in parts)
+    if (sum(p.shape[1] for p in parts) != w.shape[0]
+            or any(p.shape[0] not in (1, rows) for p in parts)):
+        raise ValueError(f"input parts {[p.shape for p in parts]} do not "
+                         f"fit a first layer of {w.shape[0]} rows")
+    h, lo = None, 0
+    for p in parts:
+        term = p @ w[lo:lo + p.shape[1]]
+        lo += p.shape[1]
+        h = term if h is None else np.add(
+            h, term, out=h if h.shape[0] == rows else None)
+    return h
 
 
 class Mlp:
@@ -121,17 +119,20 @@ class Mlp:
     def out_dim(self) -> int:
         return self.sizes[-1]
 
+    @property
+    def trained(self) -> bool:          # the one flag ``backward`` takes
+        return any(p.requires_grad for p in self.params())
+
     def __call__(self, parts: list[Array]) -> tuple[Array, tuple]:
-        """The network on the column concatenation of the 2-D arrays
-        ``parts``: the output, and the cache ``backward`` reads besides
-        the parts, (the weights read, the hidden activations), where
-        ``hidden[i]`` is the input of layer i + 1. The last layer is
-        ``output``, so a rebuild from the cache equals the call."""
+        """The network on the 2-D input ``parts`` (``_first_layer``): the
+        output, and the cache ``backward`` reads besides the parts, (the
+        weights read, the hidden activations), where ``hidden[i]`` is the
+        input of layer i + 1. The last layer is ``output``, so a rebuild
+        from the cache equals the call."""
         ws = [w.value for w in self.weights]
-        h = _columns(parts)
         hidden = []
         for w, b in zip(ws[:-1], self.biases):
-            h = h @ w
+            h = hidden[-1] @ w if hidden else _first_layer(w, parts)
             h += b.value
             np.tanh(h, out=h)
             hidden.append(h)
@@ -144,32 +145,28 @@ class Mlp:
         layers). The bias is the network's own, which is the one the call
         read until a parameter is rebound."""
         ws, hidden = cache
-        h = (hidden[-1] if hidden else _columns(parts)) @ ws[-1]
+        h = hidden[-1] @ ws[-1] if hidden else _first_layer(ws[-1], parts)
         h += self.biases[-1].value
         return h
 
     @staticmethod
-    def backward(cache, parts, g, live, span=None):
-        """Adjoints of a call, from its cache and parts, given its
-        output adjoint ``g``; ``live`` flags the parameters (w0, b0,
-        w1, ...) that get one. Returns those adjoints (None where not
-        live) and, with ``span = (lo, hi)``, the input adjoint over input
-        columns lo:hi (else None). A weight's adjoint is an ``OuterSum``
-        term (folded at once into ``a.T @ g`` when ``g`` has no fewer rows
-        than columns); the first layer's reads ``parts``. The pass stops
-        at the lowest layer it has to reach."""
+    def backward(cache, parts, g, trained: bool, span=None):
+        """Adjoints of a call, from its cache and parts, given its output
+        adjoint ``g``: one per parameter (w0, b0, w1, ...) when
+        ``trained``, else all None, and, with ``span = (lo, hi)``, the
+        input adjoint over input columns lo:hi (else None). A weight's
+        adjoint is an ``OuterSum`` term (folded at once into ``a.T @ g``
+        when ``g`` has no fewer rows than columns); the first layer's
+        reads ``parts``, where a one-row part stands for every row."""
         ws, hidden = cache
-        grads = [None] * len(live)
-        if not (span or any(live)):
+        grads = [None] * (2 * len(ws))
+        if not (trained or span):
             return grads, None
-        bottom = 0 if span else live.index(True) // 2
-        for i in range(len(ws) - 1, bottom - 1, -1):
-            if live[2 * i]:
-                a = [hidden[i - 1]] if i > 0 else parts
-                grads[2 * i] = OuterSum(a, g)
-            if live[2 * i + 1]:
+        for i in range(len(ws) - 1, -1, -1):
+            if trained:
+                grads[2 * i] = OuterSum([hidden[i - 1]] if i else parts, g)
                 grads[2 * i + 1] = g.sum(axis=0)
-            if i > bottom:
+            if i:
                 g = g @ ws[i].T
                 d = hidden[i - 1] * hidden[i - 1]
                 np.subtract(1.0, d, out=d)
@@ -184,14 +181,12 @@ class Mlp:
             out.extend([w, b])
         return out
 
-    def named_params(self) -> list[tuple[str, Node]]:
-        return [(p.name, p) for p in self.params()]
-
     def state_dict(self) -> dict[str, Array]:
-        return {name: p.value.copy() for name, p in self.named_params()}
+        return {p.name: p.value.copy() for p in self.params()}
 
     def load_state_dict(self, state: dict[str, Array]) -> None:
-        for name, p in self.named_params():
+        for p in self.params():
+            name = p.name
             if name not in state:
                 raise KeyError(f"checkpoint is missing tensor {name!r}")
             arr = np.asarray(state[name], dtype=np.float64)
@@ -224,11 +219,12 @@ class OuterSum:
     of steps.
 
     ``a`` is given as its column parts, a sequence of 2-D arrays whose
-    column concatenation is ``a`` (an ``Mlp``'s input parts, or one hidden
-    layer): a term keeps references to the parts, and the fold fills its
-    block of rows straight from them, in the terms' dtype (float32 in the
-    score fit), so no term copies its input. A
-    single one-part term folds to exactly ``a.T @ g``; a longer sum
+    column concatenation is ``a``, a one-row part standing for ``g``'s
+    rows (an ``Mlp``'s input parts, or one hidden layer): a term keeps
+    references to the parts, and the fold fills its block of rows
+    straight from them, in the terms' dtype (float32 in the score fit),
+    so no term copies its input. A single one-part term folds to
+    exactly ``a.T @ g``; a longer sum
     differs from the step-by-step one only in summation order. The parts
     and the ``g_k`` are only read, never written.
     """

@@ -199,7 +199,6 @@ class PolicyControls:
             )
         self.policies = list(policies)
         self.agg = agg
-        self.sizes = [len(policy.params()) for policy in self.policies]
 
     def params(self) -> list[Node]:
         return [p for policy in self.policies for p in policy.params()]
@@ -214,15 +213,15 @@ class PolicyControls:
             caches.append(cache)
         return us, caches
 
-    def backward(self, caches, t, xs, y, grad_psi, a_u, energy, live,
-                 a_x=None):
-        """The parameter adjoints (one per ``params()`` entry, None where
-        not ``live``) given the controls' adjoint ``a_u`` from the EM step,
-        from the step's inputs rebuilt with the forward's ops. The control
-        energy sum_i energy_i ||U_i||^2 adds its adjoint 2 energy_i U_i
-        into ``a_u``, each U_i rebuilt from its policy's cache. With the
-        states' adjoint ``a_x``, the state parts are added into it and the
-        aggregate input's adjoint is returned too."""
+    def backward(self, caches, t, xs, y, grad_psi, a_u, energy, a_x=None):
+        """The parameter adjoints (one per ``params()`` entry, None for a
+        network with no trained parameter) given the controls' adjoint
+        ``a_u`` from the EM step, from the step's inputs rebuilt with the
+        forward's ops. The control energy sum_i energy_i ||U_i||^2 adds its
+        adjoint 2 energy_i U_i into ``a_u``, each U_i rebuilt from its
+        policy's cache. With the states' adjoint ``a_x``, the state parts
+        are added into it and the aggregate input's adjoint is returned
+        too."""
         guidance = scatter_adjoint(self.agg, grad_psi)
         d = self.agg.dim
         span = (0, 2 * d) if a_x is not None else None
@@ -230,9 +229,8 @@ class PolicyControls:
         for i, (policy, cache) in enumerate(zip(self.policies, caches)):
             half = policy.control(cache, xs[i], y, guidance[i], t) * energy[i]
             a_u[i] += half + half
-            flags = live[len(grads):len(grads) + self.sizes[i]]
             g, g_in = policy.backward(cache, xs[i], y, guidance[i], t,
-                                      a_u[i], flags, span)
+                                      a_u[i], span)
             grads += g
             if span:
                 a_x[i] += g_in[:, :d]
@@ -293,8 +291,8 @@ def coupled_rollout(
     dts = grid.dts
     lambdas = cfg.lambda_weights(n_agents)
     params = control_fn.params()
-    live = [train and p.requires_grad for p in params]
-    records = [] if any(live) else None
+    parents = [p for p in params if train and p.requires_grad]
+    records = [] if parents else None
     extra: dict = {}                  # a score model's trained weights
 
     sigma0 = float(schedule.sigma(times[0]))
@@ -354,7 +352,7 @@ def coupled_rollout(
     else:
         psi_term, grad_term = tweedie_guidance(psi, y_term)
     terminal = psi_term.sum() * (1.0 / batch)
-    parents = [p for p, keep in zip(params, live) if keep] + [*extra.values()]
+    parents += extra.values()
 
     def sweep(g):
         """BPTT: the adjoint of X_k, carried from k = K down to 0; each
@@ -375,7 +373,7 @@ def coupled_rollout(
             # the controls', the control energy's included
             p_grads, a_y = control_fn.backward(
                 caches, t, xs_k, aggregate(agg, xs_k), grad, a_u,
-                (g * (lambdas * dt)) * (1.0 / batch), live, a_x)
+                (g * (lambdas * dt)) * (1.0 / batch), a_x)
             for p, a in zip(params, p_grads):
                 if a is not None:
                     accumulate(grads, owned, id(p), a)

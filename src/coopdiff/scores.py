@@ -190,26 +190,28 @@ class MlpScore:
         ``t`` shared by every row, r = Mlp([x, time features]), and their
         pullback. ``vjp(g)`` forms the states' adjoint (g inv) a - g inv
         plus the network's input adjoint of (g inv) a, and the trained
-        weights' adjoints; it keeps the network's cache, and the input
-        parts only when the first-layer weight is trained."""
-        parts = [x, time_features(t, self.temb_width, batch=x.shape[0])]
+        weights' adjoints. The time features are the time's one row,
+        which the network shares across the rows of ``x``. ``vjp`` keeps
+        the network's cache, and the input parts only when the network is
+        trained."""
+        parts = [x, time_features(t, self.temb_width)]
         r, cache = self.mlp(parts)
         alpha, sigma = marginal_coeffs(self.schedule, t)
         a, inv = float(alpha), 1.0 / max(float(sigma) ** 2, 1e-8)
         value = ((x + r) * a - x) * inv
         params = self.mlp.params()
-        live = [p.requires_grad for p in params]
-        leaves = [p for p, keep in zip(params, live) if keep]
-        kept = parts if live[0] else None   # only w0's gradient reads them
+        keep = [p.requires_grad for p in params]
+        leaves = [p for p, k in zip(params, keep) if k]
+        kept = parts if leaves else None   # only w0's gradient reads them
         span = (0, x.shape[1])
 
         def vjp(g):
             g = g * inv
             g_r = g * a
             np.subtract(g_r, g, out=g)          # the tail's own part
-            grads, g_in = Mlp.backward(cache, kept, g_r, live, span)
+            grads, g_in = Mlp.backward(cache, kept, g_r, bool(leaves), span)
             g += g_in
-            return g, [w for w, keep in zip(grads, live) if keep]
+            return g, [w for w, k in zip(grads, keep) if k]
 
         return value, (vjp, leaves)
 
@@ -248,15 +250,14 @@ def denoiser_loss(score_net: MlpScore, batch: Array, times: Array,
     params = score_net.params()
     dtype = params[0].value.dtype if params else np.float64
     x_t = alpha[:, None] * x0 + sigma[:, None] * eps_arr
-    temb = time_features(t, score_net.temb_width, batch=x0.shape[0])
+    temb = time_features(t, score_net.temb_width)
     x_t, x0, temb = (a.astype(dtype, copy=False) for a in (x_t, x0, temb))
     parts = [x_t, temb]
     r, cache = score_net.mlp(parts)
     resid = (x_t + r) - x0
     rows = x0.shape[0]
     loss = (resid * resid).sum(axis=1, keepdims=True).sum() * (1.0 / rows)
-    grads, _ = Mlp.backward(cache, parts, resid * (2.0 / rows),
-                            [True] * len(params))
+    grads, _ = Mlp.backward(cache, parts, resid * (2.0 / rows), True)
     return float(loss), [dense(g) for g in grads]
 
 

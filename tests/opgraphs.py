@@ -418,13 +418,14 @@ def reshape(a, shape) -> tape.Node:
 # ---------------------------------------------------------------------------
 
 def mlp_node(mlp, *xs) -> tape.Node:
-    """``mlp`` on the column concatenation of ``xs`` (nodes or arrays) as
-    one fused node whose VJP is ``Mlp.backward``: a constant part (time
-    features, say) costs no concat node and gets no adjoint, frozen
-    weights get no weight gradient, and the input adjoint is formed only
-    over the column block that spans the live parts. The node keeps the
-    call's cache and, for a trained first-layer weight, references to the
-    parts; the part arrays are never written."""
+    """``mlp`` on the input parts ``xs`` (nodes or arrays) as one fused
+    node whose VJP is ``Mlp.backward``: a constant part (the time
+    features' shared row, say) gets no adjoint, a network with no trained
+    weight forms no weight gradient (a frozen weight's is dropped by
+    ``fused``), and the input adjoint is formed only over the column
+    block that spans the live parts. The node keeps the call's cache and,
+    for a trained network, references to the parts; the part arrays are
+    never written."""
     xs = [as_node(x) for x in xs]
     inputs = [*xs, *mlp.params()]   # x parts, w0, b0, w1, b1, ...
     flags = live(inputs)
@@ -433,8 +434,8 @@ def mlp_node(mlp, *xs) -> tape.Node:
     h, cache = mlp(parts)
     if not any(flags):
         return constant(h)
-    p_live = flags[n_in:]
-    if not p_live[0]:
+    trained = any(flags[n_in:])
+    if not trained:
         parts = None                 # only the w0 gradient reads the input
     cols = list(itertools.accumulate((x.value.shape[1] for x in xs),
                                      initial=0))
@@ -443,7 +444,7 @@ def mlp_node(mlp, *xs) -> tape.Node:
             if parts_live else None)
 
     def vjp(g):
-        grads, g_in = mlp.backward(cache, parts, g, p_live, span)
+        grads, g_in = mlp.backward(cache, parts, g, trained, span)
         ins = [g_in[:, cols[j] - span[0]:cols[j + 1] - span[0]]
                if flags[j] else None for j in range(n_in)]
         return ins + grads

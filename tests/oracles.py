@@ -143,7 +143,7 @@ def taped_denoiser_loss(score_net, batch, times, noises, schedule,
     alpha, sigma = marginal_coeffs(schedule, t)
     x_t = ops.constant(alpha[:, None] * x0
                        + sigma[:, None] * np.asarray(noises, dtype=np.float64))
-    feats = time_features(t, score_net.temb_width, batch=x0.shape[0])
+    feats = time_features(t, score_net.temb_width)
     resid = ops.sub(ops.add(x_t, ops.mlp_node(score_net.mlp, x_t, feats)),
                     ops.constant(x0))
     per_sample = ops.square_norm(resid, axis=1, keepdims=True)
@@ -185,7 +185,7 @@ def taped_mlp_score(net, x, t):
     (alpha (x + r) - x) / sigma^2 as one op on x and r. Its
     ``opgraphs.pullback`` is the reference for the call's pullback."""
     x = ops.as_node(x)
-    feats = time_features(t, net.temb_width, batch=x.value.shape[0])
+    feats = time_features(t, net.temb_width)
     r = ops.mlp_node(net.mlp, x, feats)
     alpha, sigma = marginal_coeffs(net.schedule, t)
     a, inv = float(alpha), 1.0 / float(max(sigma ** 2, 1e-8))
@@ -234,7 +234,7 @@ def row_time_mlp_score(net):
     ``MlpScore``'s scores (alpha (x + r) - x) / sigma^2 with alpha and
     sigma per row, from ``net.mlp``, with no pullback."""
     def score(x, t):
-        r = net.mlp([x, time_features(t, net.temb_width, batch=x.shape[0])])[0]
+        r = net.mlp([x, time_features(t, net.temb_width)])[0]
         alpha, sigma = marginal_coeffs(net.schedule, t)
         a = np.asarray(alpha).reshape(-1, 1)
         inv = (1.0 / np.maximum(np.asarray(sigma) ** 2, 1e-8)).reshape(-1, 1)
@@ -383,9 +383,9 @@ def taped_control(policy, x, y, t, guidance):
     """u = NN1([x, Y, g, feats]) + NN2(feats) * g from tape nodes (the two
     ``Mlp`` calls, a ``mul`` and an ``add``), with g a constant."""
     g = ops.constant(guidance)
-    feats = time_features(t, policy.temb_width, batch=g.value.shape[0])
+    feats = time_features(t, policy.temb_width)
     drift = ops.mlp_node(policy.nn1, x, y, g, feats)
-    return ops.add(drift, ops.mul(ops.mlp_node(policy.nn2, feats[:1]), g))
+    return ops.add(drift, ops.mul(ops.mlp_node(policy.nn2, feats), g))
 
 
 def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
@@ -423,7 +423,7 @@ def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
         control_sum = control_sum + (
             (u * u).sum(axis=2).sum(axis=1) * (1.0 / batch)
             * (lambdas * dt)).sum()
-        scale = (lambdas * dt / batch)[:, None, None]
+        scale = ((lambdas * dt) * (1.0 / batch))[:, None, None]
         terms.append(ops.reduce_sum(ops.mul(ops.mul(controls, controls),
                                               scale)))
         xi = noise.normal((STREAM_STEP, 0, k), (n, batch, d))

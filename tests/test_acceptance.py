@@ -25,7 +25,8 @@ One test (or test group) per exit criterion, each at its stated tolerance:
     1/(2n - 1) = 1/3; on disjoint-mode mixtures the naive sampler scores
     lower true-product log-density than direct product samples.
   7 reproducibility: identical config and seed give byte-identical
-    metric files (at a fixed BLAS thread count; ROADMAP direction 4).
+    metric files (across BLAS thread counts too, which
+    tests/test_artifact_digests.py checks in two processes).
 """
 import numpy as np
 import pytest
@@ -580,8 +581,8 @@ output_dir = {out}
 
 
 def test_criterion7_metric_files_are_byte_identical(tmp_path, monkeypatch):
-    # both runs share one process, so one BLAS thread count: the promise
-    # holds at a fixed thread count (ROADMAP direction 4 is to lift that)
+    # both runs share one process; the two-thread-count case runs in
+    # subprocesses (tests/test_artifact_digests.py)
     monkeypatch.setenv("COOPDIFF_OUTPUT_ROOT", str(tmp_path))
     first = run_experiment(parse_config_text(REPRO_CFG.format(out="a")))
     second = run_experiment(parse_config_text(REPRO_CFG.format(out="b")))

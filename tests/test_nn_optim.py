@@ -38,18 +38,33 @@ def test_forward_matches_plain_duplicate():
 
 
 def test_time_features_shapes_and_errors():
-    f = time_features(0.5, 8, batch=3)
-    assert f.shape == (3, 8)
-    assert np.array_equal(f[0], f[2])  # scalar t is shared
-    # one shared row, bit-identical to the features of a per-row time
-    assert np.array_equal(f, time_features(np.full(3, 0.5), 8, batch=3))
-    f2 = time_features([0.1, 0.2, 0.3], 8, batch=3)
+    f = time_features(0.5, 8)
+    assert f.shape == (1, 8)            # one row, which a batch shares
+    # bit-identical to the features of a per-row time
+    assert np.array_equal(np.repeat(f, 3, axis=0),
+                          time_features(np.full(3, 0.5), 8))
+    f2 = time_features([0.1, 0.2, 0.3], 8)
     assert f2.shape == (3, 8)
     assert not np.array_equal(f2[0], f2[1])
     with pytest.raises(ValueError):
         time_features(0.5, 7)
-    with pytest.raises(ValueError):
-        time_features([0.1, 0.2], 8, batch=3)
+
+
+@pytest.mark.parametrize("sizes", [(5, 4, 2), (5, 2)],
+                         ids=["hidden", "no-hidden"])
+def test_an_mlp_checks_its_input_parts(sizes):
+    # the parts' widths add up to the first layer's rows, and each part
+    # has the batch's rows or one row, which every row shares
+    mlp = Mlp(sizes, derive_rng(1, 2))
+    rng = derive_rng(1, 3)
+    x = rng.standard_normal((3, 3))
+    shared = time_features(0.5, 2)
+    out = mlp([x, shared])[0]
+    assert np.array_equal(out, mlp([x, np.repeat(shared, 3, axis=0)])[0])
+    with pytest.raises(ValueError, match="do not fit"):
+        mlp([x, time_features(0.5, 4)])             # 7 columns, not 5
+    with pytest.raises(ValueError, match="do not fit"):
+        mlp([x, time_features([0.1, 0.2], 2)])      # 2 rows, batch of 3
 
 
 def test_memoised_time_features_and_coefficients_are_the_uncached_ones():
@@ -61,21 +76,23 @@ def test_memoised_time_features_and_coefficients_are_the_uncached_ones():
         assert (alpha, sigma) == marginal_coeffs(schedule, float(t))
         assert alpha == marginal_coeffs(schedule, np.asarray(t))[0]
         assert sigma == marginal_coeffs(schedule, np.asarray(t))[1]
+        for width in (2, 16):
+            feats = time_features(float(t), width)
+            assert feats.shape == (1, width)
+            assert np.array_equal(feats, time_features(np.asarray(t), width))
         for batch in (1, 2, 3, 16, 64, 256):
             per_row = marginal_coeffs(schedule, np.full(batch, t))
             assert np.all(per_row[0] == alpha) and np.all(per_row[1] == sigma)
             for width in (2, 16):
-                feats = time_features(float(t), width, batch=batch)
-                assert feats.shape == (batch, width)
                 assert np.array_equal(
-                    feats, time_features(np.full(batch, t), width, batch=batch))
-                assert np.array_equal(
-                    feats, time_features(np.asarray(t), width, batch=batch))
+                    np.broadcast_to(time_features(float(t), width),
+                                    (batch, width)),
+                    time_features(np.full(batch, t), width))
     row = time_features(0.5, 16)
     assert row is time_features(0.5, 16) and not row.flags.writeable
     with pytest.raises(ValueError):
         row[0, 0] = 1.0
-    assert time_features(0.5, 16, batch=2).flags.writeable   # a fresh copy
+    assert time_features(np.full(2, 0.5), 16).flags.writeable   # fresh
     with pytest.raises(ValueError):
         marginal_coeffs(schedule, 1.5)
 
@@ -230,6 +247,20 @@ def test_checkpoint_rejects_bad_files(tmp_path):
         load_checkpoint(path)
     np.savez(path, __format_version__=np.array([1, 1]), __meta__=np.str_("{}"))
     with pytest.raises(ValueError, match="bad version tag"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("meta", [None, "{not json", "[1]"],
+                         ids=["missing", "not-json", "not-an-object"])
+def test_checkpoint_rejects_bad_metadata(tmp_path, meta):
+    # a version tag with no metadata, or metadata that is not a JSON
+    # object, is not a checkpoint
+    path = tmp_path / "meta.npz"
+    payload = {"w": np.zeros(3), "__format_version__": np.int64(1)}
+    if meta is not None:
+        payload["__meta__"] = np.str_(meta)
+    np.savez(path, **payload)
+    with pytest.raises(ValueError, match="not a checkpoint"):
         load_checkpoint(path)
 
 

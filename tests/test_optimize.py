@@ -625,22 +625,28 @@ def test_stacked_aggregate_matches_the_per_agent_mask_sum():
         np.testing.assert_array_equal(adjoint[i], weights * agg.masks[i])
 
 
-def test_the_rollout_estimates_the_exact_lq_costs():
-    # one Gaussian component, halves and a quadratic well make the control
-    # problem linear-quadratic, so the Riccati recursion gives the exact
-    # expected hat-J under the optimal feedback and under zero control
-    # (the K = 19 values of ROADMAP direction 3). Paired on the same noise
-    # keys, each rollout's mean hat-J and their difference match within 4
-    # standard errors.
+def lq_setup():
+    """The linear-quadratic task: one Gaussian component, halves and a
+    quadratic well, K = 19. Returns the score model, mask, config, cost,
+    grid and ``lq_costs``' (J*, J_zero, gains, offsets)."""
     gmm = GaussianMixture(weights=[1.0], means=[[0.7, -0.4]],
                           variances=[0.3])
-    score = AnalyticGmmScore(gmm, SCHEDULE)
     agg = make_mask("halves", 2, 2)
     cfg = SocConfig(control_weight=0.5, running_scale=0.8)
     psi = QuadraticWell(np.array([1.2, 0.5]))
     grid = make_time_grid(20, 0.01)
-    j_star, j_zero, gains, offsets = lq_costs(
-        gmm.means[0], 0.3, psi.target, agg, cfg, grid, SCHEDULE)
+    exact = lq_costs(gmm.means[0], 0.3, psi.target, agg, cfg, grid, SCHEDULE)
+    return AnalyticGmmScore(gmm, SCHEDULE), agg, cfg, psi, grid, exact
+
+
+def test_the_rollout_estimates_the_exact_lq_costs():
+    # the linear-quadratic control problem: the Riccati recursion gives the
+    # exact expected hat-J under the optimal feedback and under zero
+    # control (the K = 19 values of ROADMAP direction 3). Paired on the
+    # same noise keys, each rollout's mean hat-J and their difference
+    # match within 4 standard errors.
+    score, agg, cfg, psi, grid, exact = lq_setup()
+    j_star, j_zero, gains, offsets = exact
     np.testing.assert_allclose([j_star, j_zero], [1.70285, 2.65927],
                                atol=5e-6)
     feedback = LinearFeedback(agg, gains, offsets)
@@ -658,6 +664,39 @@ def test_the_rollout_estimates_the_exact_lq_costs():
     assert abs(means[1] - j_zero) < 4 * errors[1], (means[1], errors[1])
     assert abs(gap.mean() - (j_zero - j_star)) < 4 * gap_error, (
         gap.mean(), gap_error)
+
+
+@pytest.mark.parametrize("trainer", ["joint", "controlwise"])
+def test_training_closes_the_lq_gap_to_the_exact_optimum(trainer):
+    # 200 updates of (32, 32) policies on the linear-quadratic task, where
+    # the optimal feedback is in the policy class: the trained policies'
+    # excess cost over the optimum, paired with the optimal feedback on the
+    # same noise keys, is at most 1% of the zero-control gap J_zero - J*,
+    # and not below 0 by more than 4 standard errors
+    score, agg, cfg, psi, grid, exact = lq_setup()
+    j_star, j_zero, gains, offsets = exact
+    policies = [make_policy(2, i, derive_rng(23, i), hidden=(32, 32))
+                for i in range(2)]
+    if trainer == "joint":
+        joint_ido(TrainPlan(updates=200, batch=64, lr=1e-2), policies,
+                  score, agg, cfg, grid, psi, SCHEDULE, seed=3)
+    else:                               # 20 sweeps of 5 updates per agent
+        controlwise_ido(TrainPlan(outer_iters=20, inner_steps=5, batch=64,
+                                  lr=1e-2),
+                        policies, score, agg, cfg, grid, psi, SCHEDULE,
+                        seed=3)
+    noise = NoiseStream(29)
+    sources = (optimize.PolicyControls(policies, agg),
+               LinearFeedback(agg, gains, offsets))
+    excess = np.array([
+        np.subtract(*(coupled_rollout(source, score, agg, cfg, grid, psi,
+                                      SCHEDULE, noise, batch=4000,
+                                      update_index=chunk)[1].objective
+                      for source in sources))
+        for chunk in range(10)])
+    error = excess.std(ddof=1) / np.sqrt(len(excess))
+    assert excess.mean() <= 0.01 * (j_zero - j_star), (excess.mean(), error)
+    assert excess.mean() > -4 * error, (excess.mean(), error)
 
 
 def test_recorded_rollout_evaluates_psi_once_per_step_and_at_the_end():

@@ -475,8 +475,7 @@ def test_score_net_call_and_tweedie_are_three_nodes():
     assert np.array_equal(score.value, net(x.value, 0.3)[0])
     # the same values as the per-op composition
     alpha, sigma = marginal_coeffs(SCHEDULE, 0.3)
-    m = x.value + net.mlp([np.concatenate(
-        [x.value, time_features(0.3, 6, batch=3)], axis=1)])[0]
+    m = x.value + net.mlp([x.value, time_features(0.3, 6)])[0]
     assert np.array_equal(score.value,
                           (m * float(alpha) - x.value) * (1.0 / sigma ** 2))
     # and its input gradient, through the tail and the Mlp, is the FD one

@@ -378,7 +378,7 @@ def test_fused_mlp_gradients_match_plain_backprop_and_fd(frozen, input_live):
         return
     ops.backward(root)
     g_out = weights * (1.0 - np.tanh(forward_plain(mlp, xv)) ** 2)
-    g_in, plain = backward_plain(mlp, xv, g_out)
+    g_in, plain = backward_plain(mlp, [xv], g_out)
     for p, ref in zip(mlp.params(), plain):
         if p.requires_grad:
             np.testing.assert_allclose(p.grad, ref, rtol=0, atol=1e-12)
@@ -423,48 +423,48 @@ def test_a_second_backward_through_a_fused_mlp_gives_the_same_gradients():
         assert np.array_equal(n.grad, 2.0 * g)
 
 
-def test_mlp_on_column_parts_is_the_mlp_on_their_concatenation():
+def test_an_mlp_on_column_parts_is_the_sum_of_their_products():
+    # a frozen net on leaf parts around a constant one-row part: the value
+    # and the leaves' adjoints are the plain part-by-part MLP's, bit for
+    # bit, the adjoints as slices of the full product g @ W0.T
     rng = derive_rng(9, 3)
     mlp = Mlp([7, 6, 2], rng)
     tape.freeze(mlp.params())
     a = tape.leaf(rng.standard_normal((4, 3)))
-    c = rng.standard_normal((4, 2))             # a constant part
+    c = rng.standard_normal((1, 2))             # a constant, shared row
     b = tape.leaf(rng.standard_normal((4, 2)))
     out = ops.mlp_node(mlp, a, c, b)
     assert out.parents == (a, b)
-    whole = tape.leaf(np.concatenate([a.value, c, b.value], axis=1))
-    ref = ops.mlp_node(mlp, whole)
-    assert np.array_equal(out.value, ref.value)
+    assert np.array_equal(out.value, forward_plain(mlp, a.value, c, b.value))
     weights = rng.standard_normal((4, 2))
     ops.backward(ops.reduce_sum(ops.mul(out, weights)))
-    ops.backward(ops.reduce_sum(ops.mul(ref, weights)))
-    assert np.array_equal(a.grad, whole.grad[:, :3])
-    assert np.array_equal(b.grad, whole.grad[:, 5:])
+    g_in, _ = backward_plain(mlp, [a.value, c, b.value], weights)
+    assert np.array_equal(a.grad, g_in[:, :3])
+    assert np.array_equal(b.grad, g_in[:, 5:])
 
 
-def test_a_trained_mlp_on_column_parts_has_its_concatenations_gradients():
-    # trained weights on array, node and constant-node parts: the VJP
-    # concatenates the parts again for the first-layer weight's gradient,
-    # which is then the one the pre-concatenated input gives, bit for bit
+def test_a_trained_mlp_on_column_parts_has_the_plain_gradients():
+    # trained weights on array, node, constant-node and shared-row parts:
+    # the VJP fills the first-layer weight's gradient block from the parts
+    # (the shared row repeated), which is then the plain backprop's, bit
+    # for bit
     rng = derive_rng(9, 4)
     mlp = Mlp([9, 6, 5, 2], rng)
     a = tape.leaf(rng.standard_normal((4, 3)))
     c = rng.standard_normal((4, 2))                     # an array part
-    k = ops.constant(rng.standard_normal((4, 1)))      # a constant node
+    k = ops.constant(rng.standard_normal((1, 1)))      # a shared row
     b = tape.leaf(rng.standard_normal((4, 3)))
     weights = rng.standard_normal((4, 2))
     out = ops.mlp_node(mlp, a, c, k, b)
     assert out.parents == (a, b, *mlp.params())
+    parts = [a.value, c, k.value, b.value]
+    assert np.array_equal(out.value, forward_plain(mlp, *parts))
     ops.backward(ops.reduce_sum(ops.mul(out, weights)))
-    grads = [p.grad for p in mlp.params()]
-    whole = tape.leaf(np.concatenate([a.value, c, k.value, b.value], axis=1))
-    ref = ops.mlp_node(mlp, whole)
-    assert np.array_equal(out.value, ref.value)
-    ops.backward(ops.reduce_sum(ops.mul(ref, weights)))
-    for got, p in zip(grads, mlp.params()):
-        assert np.array_equal(got, p.grad), p.name
-    assert np.array_equal(a.grad, whole.grad[:, :3])
-    assert np.array_equal(b.grad, whole.grad[:, 6:])
+    g_in, grads = backward_plain(mlp, parts, weights)
+    for ref, p in zip(grads, mlp.params()):
+        assert np.array_equal(ref, p.grad), p.name
+    assert np.array_equal(a.grad, g_in[:, :3])
+    assert np.array_equal(b.grad, g_in[:, 6:])
 
 
 def test_adjoint_sums_leave_the_arrays_vjps_return_untouched():
@@ -616,14 +616,12 @@ def test_the_input_adjoint_over_live_columns_is_the_full_products_slice(
     weights = rng.standard_normal((rows, 5))
     ops.backward(ops.reduce_sum(ops.mul(ops.mlp_node(mlp, *parts),
                                          weights)))
-    whole = tape.leaf(np.concatenate(values, axis=1))
-    ops.backward(ops.reduce_sum(ops.mul(ops.mlp_node(mlp, whole),
-                                         weights)))
+    whole, _ = backward_plain(mlp, values, weights)
     offsets = np.cumsum([0, *sizes])
     for i, part in enumerate(parts):
         if live[i]:
             assert np.array_equal(
-                part.grad, whole.grad[:, offsets[i]:offsets[i + 1]])
+                part.grad, whole[:, offsets[i]:offsets[i + 1]])
         else:
             assert part.grad is None
 

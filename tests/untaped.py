@@ -2,32 +2,48 @@
 import numpy as np
 
 
-def forward_plain(mlp, x):
-    """An ``Mlp`` call's output in plain numpy, reading the weights'
-    values."""
-    h = np.asarray(x, dtype=np.float64)
+def first_layer_plain(w, parts):
+    """sum_j parts[j] @ w[rows_j] in part order, each part's product on its
+    own rows of ``w`` (a one-row part broadcasts over the batch)."""
+    h, lo = 0.0, 0
+    for p in parts:
+        p = np.asarray(p, dtype=np.float64)
+        h = h + p @ w[lo:lo + p.shape[1]]
+        lo += p.shape[1]
+    return h
+
+
+def forward_plain(mlp, *parts):
+    """An ``Mlp`` call's output on the input ``parts`` in plain numpy,
+    reading the weights' values."""
     n_layers = len(mlp.weights)
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        h = h @ w.value + b.value
+        h = (h @ w.value if i else first_layer_plain(w.value, parts)) + b.value
         if i < n_layers - 1:
             h = np.tanh(h)
     return h
 
 
-def backward_plain(mlp, x, g):
-    """Adjoints of ``forward_plain(mlp, x)`` given the output adjoint ``g``:
-    (input adjoint, [dW0, db0, dW1, db1, ...]), by textbook backprop."""
-    hs = [np.asarray(x, dtype=np.float64)]      # layer inputs
-    zs = []                                     # pre-activations
-    for w, b in zip(mlp.weights, mlp.biases):
-        zs.append(hs[-1] @ w.value + b.value)
-        hs.append(np.tanh(zs[-1]))
+def backward_plain(mlp, parts, g):
+    """Adjoints of ``forward_plain(mlp, *parts)`` given the output adjoint
+    ``g``: (input adjoint over all the parts' columns, [dW0, db0, dW1,
+    db1, ...]), by textbook backprop, tanh' = 1 - tanh^2. The first
+    layer's weight adjoint is the parts' concatenation (one-row parts
+    repeated over the batch) times ``g``."""
+    hs = []                                     # hidden activations
+    for i, (w, b) in enumerate(zip(mlp.weights[:-1], mlp.biases)):
+        z = (hs[-1] @ w.value if i else first_layer_plain(w.value, parts))
+        hs.append(np.tanh(z + b.value))
+    rows = g.shape[0]
+    x = np.concatenate([np.broadcast_to(p, (rows, p.shape[1]))
+                        for p in parts], axis=1)
+    hs.insert(0, x)
     grads = []
     for i in reversed(range(len(mlp.weights))):
-        if i < len(mlp.weights) - 1:
-            g = g / np.cosh(zs[i]) ** 2
         grads[:0] = [hs[i].T @ g, g.sum(axis=0)]
         g = g @ mlp.weights[i].value.T
+        if i > 0:
+            g = g * (1.0 - hs[i] * hs[i])
     return g, grads
 
 
