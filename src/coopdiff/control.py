@@ -12,7 +12,8 @@ layer and NN2 starts as a constant, so a fresh policy is exactly
 NN2_const * g_i, and exactly zero for the default constant 0. NN1 takes
 its four inputs as parts and NN2 the time's one feature row, which the
 batch shares; each network's adjoints are formed when its one
-``Mlp.trained`` flag is set.
+``Mlp.trained`` flag is set. Over the agents' stacked networks
+(``Mlp.stack``) the same lines run all policies at once on (N, B, d).
 
 The training-free baseline (``optimize.CdpsControls``) instead scales the
 gradient of the same cost with respect to the *state*, which
@@ -53,16 +54,12 @@ Array = np.ndarray
 
 @dataclass
 class ControlPolicy:
-    """Parameters of one agent's control."""
+    """Parameters of one agent's control (of all, stacked: index None)."""
 
-    agent_index: int
+    agent_index: int | None
     nn1: Mlp             # [x, Y, guidance, time feats] -> R^d
     nn2: Mlp             # time feats -> R^1 (broadcast gain on the guidance)
     temb_width: int
-
-    @property
-    def dim(self) -> int:
-        return self.nn1.out_dim
 
     def params(self) -> list[Node]:
         return self.nn1.params() + self.nn2.params()
@@ -75,12 +72,12 @@ class ControlPolicy:
         self.nn2.load_state_dict(state)
 
     def forward(self, x: Array, y: Array, guidance: Array, t: float):
-        """u = NN1([x, Y, g, feats]) + NN2(feats) * g on (B, d) arrays, and
-        both networks' caches (what ``backward`` reads besides the
-        inputs). ``feats`` is the time's one shared row."""
+        """u = NN1([x, Y, g, feats]) + NN2(feats) * g on (B, d) arrays (x, g
+        (N, B, d) when stacked), and both networks' caches (what
+        ``backward`` reads besides the inputs); ``feats`` is one row."""
         feats = time_features(t, self.temb_width)
         drift, cache1 = self.nn1([x, y, guidance, feats])
-        gain, cache2 = self.nn2([feats])    # (1, 1), one per batch
+        gain, cache2 = self.nn2([feats])    # (1, 1), one per batch (agent)
         return drift + gain * guidance, (cache1, cache2)
 
     def control(self, cache, x, y, guidance, t: float) -> Array:
@@ -99,13 +96,13 @@ class ControlPolicy:
         a network with no trained parameter, and, with ``span``, the input
         adjoint over those columns of [x, Y] (the guidance is held
         constant). The gain's adjoint sums over the batch, then the
-        coordinates."""
+        coordinates (each agent's, for a stack)."""
         cache1, cache2 = cache
         feats = time_features(t, self.temb_width)
         grads, g_in = Mlp.backward(cache1, [x, y, guidance, feats], g,
                                    self.nn1.trained, span)
-        g_gain = (g * guidance).sum(axis=0, keepdims=True).sum(
-            axis=1, keepdims=True)
+        g_gain = (g * guidance).sum(axis=-2, keepdims=True).sum(
+            axis=-1, keepdims=True)
         grads += Mlp.backward(cache2, [feats], g_gain, self.nn2.trained)[0]
         return grads, g_in
 
@@ -145,7 +142,7 @@ def eval_control(policy: ControlPolicy, x, y, t: float, guidance) -> Node:
     y = y if isinstance(y, Node) else Node(y)
     g = np.asarray(guidance, dtype=np.float64)
     u, cache = policy.forward(x.value, y.value, g, t)
-    d = policy.dim
+    d = x.value.shape[1]
 
     def vjp(a):
         grads, g_in = policy.backward(cache, x.value, y.value, g, t, a,

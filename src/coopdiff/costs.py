@@ -38,7 +38,7 @@ Array = np.ndarray
 class SocConfig:
     """Weights of the control objective."""
 
-    control_weight: float = 10.0      # lambda
+    control_weight: float = 10.0      # lambda (lambda / N per agent)
     running_scale: float = 1.0        # alpha
     running_ramp: str = "constant"    # "constant" or "linear" (alpha * (1 - t))
     seam_beta: float = 0.0
@@ -59,10 +59,6 @@ class SocConfig:
                 f"running_ramp must be 'constant' or 'linear', got "
                 f"{self.running_ramp!r}"
             )
-
-    def lambda_weights(self, num_agents: int) -> Array:
-        """Per-agent control weights: lambda / N for every agent."""
-        return np.full(num_agents, self.control_weight / num_agents)
 
     def running_weight(self, t: float) -> float:
         """Time scaling alpha_t of the running cost."""

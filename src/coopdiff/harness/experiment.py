@@ -154,7 +154,11 @@ def load_weights(model, path, what: str) -> None:
     """Load the checkpoint at ``path`` into ``model``; a file that is not a
     checkpoint, or whose tensors do not fit the model, is a config error."""
     try:
-        model.load_state_dict(load_checkpoint(path)[0])
+        tensors = load_checkpoint(path)[0]
+        extra = sorted(set(tensors) - {p.name for p in model.params()})
+        if extra:
+            raise ValueError(f"the model has no tensors {extra}")
+        model.load_state_dict(tensors)
     except (KeyError, ValueError) as err:
         raise ConfigError(
             f"{path} does not fit the configured {what}: {err}"

@@ -20,6 +20,8 @@ with one gemm per block of steps (``accumulate``): exactly ``a.T @ g``
 for a single use (``dense`` folds it), and a summation-order difference
 in the last bits for many. The weights are tape leaves, because the
 training objective is one tape node over the policies' weights.
+``Mlp.stack`` runs N networks as one over (N, ...) tensors that store
+their weights: a layer's lines index only its last two axes.
 
 Two construction modes matter for control policies:
   * ``zero_final=True`` zero-initialises the last linear layer, so the
@@ -71,17 +73,17 @@ def _first_layer(w: Array, parts: Sequence[Array]) -> Array:
     times its own rows of the first-layer weight ``w``, a one-row part
     shared by the batch's rows. No product spans two parts, so the sum
     does not depend on how a BLAS splits a wide product over threads."""
-    rows = max(p.shape[0] for p in parts)
-    if (sum(p.shape[1] for p in parts) != w.shape[0]
-            or any(p.shape[0] not in (1, rows) for p in parts)):
+    rows = max(p.shape[-2] for p in parts)
+    if (sum(p.shape[-1] for p in parts) != w.shape[-2]
+            or any(p.shape[-2] not in (1, rows) for p in parts)):
         raise ValueError(f"input parts {[p.shape for p in parts]} do not "
-                         f"fit a first layer of {w.shape[0]} rows")
+                         f"fit a first layer of {w.shape[-2]} rows")
     h, lo = None, 0
     for p in parts:
-        term = p @ w[lo:lo + p.shape[1]]
-        lo += p.shape[1]
+        term = p @ w[..., lo:lo + p.shape[-1], :]
+        lo += p.shape[-1]
         h = term if h is None else np.add(
-            h, term, out=h if h.shape[0] == rows else None)
+            h, term, out=h if h.shape[-2] == rows else None)
     return h
 
 
@@ -115,6 +117,29 @@ class Mlp:
             self.weights.append(tape.leaf(w, name=f"{name}.w{i}"))
             self.biases.append(tape.leaf(b, name=f"{name}.b{i}"))
 
+    @classmethod
+    def stack(cls, mlps: Sequence["Mlp"]) -> "Mlp":
+        """``mlps`` (of equal sizes) as one network of (N, ...) tensors,
+        trained where a leaf is, whose row i is member i's leaf; leaves
+        not all rows of one array (a rebound one) are restacked."""
+        if any(m.sizes != mlps[0].sizes for m in mlps):
+            raise ValueError(f"cannot stack sizes {[m.sizes for m in mlps]}")
+        net, tensors = cls.__new__(cls), []
+        for leaves in zip(*(m.params() for m in mlps)):
+            stack = leaves[0].value.base
+            if not (isinstance(stack, np.ndarray) and len(stack) == len(mlps)
+                    and all(p.value.__array_interface__
+                            == stack[i].__array_interface__
+                            for i, p in enumerate(leaves))):
+                stack = np.stack([p.value for p in leaves])
+                for i, p in enumerate(leaves):
+                    p.value = stack[i]
+            trained = any(p.requires_grad for p in leaves)
+            tensors.append((tape.leaf if trained else Node)(stack))
+        net.sizes, net.weights, net.biases = (mlps[0].sizes, tensors[0::2],
+                                              tensors[1::2])
+        return net
+
     @property
     def out_dim(self) -> int:
         return self.sizes[-1]
@@ -124,7 +149,7 @@ class Mlp:
         return any(p.requires_grad for p in self.params())
 
     def __call__(self, parts: list[Array]) -> tuple[Array, tuple]:
-        """The network on the 2-D input ``parts`` (``_first_layer``): the
+        """The network on the input ``parts`` (``_first_layer``): the
         output, and the cache ``backward`` reads besides the parts, (the
         weights read, the hidden activations), where ``hidden[i]`` is the
         input of layer i + 1. The last layer is ``output``, so a rebuild
@@ -133,7 +158,7 @@ class Mlp:
         hidden = []
         for w, b in zip(ws[:-1], self.biases):
             h = hidden[-1] @ w if hidden else _first_layer(w, parts)
-            h += b.value
+            h += b.value[..., None, :]
             np.tanh(h, out=h)
             hidden.append(h)
         cache = (ws, hidden)
@@ -146,7 +171,7 @@ class Mlp:
         read until a parameter is rebound."""
         ws, hidden = cache
         h = hidden[-1] @ ws[-1] if hidden else _first_layer(ws[-1], parts)
-        h += self.biases[-1].value
+        h += self.biases[-1].value[..., None, :]
         return h
 
     @staticmethod
@@ -165,14 +190,14 @@ class Mlp:
         for i in range(len(ws) - 1, -1, -1):
             if trained:
                 grads[2 * i] = OuterSum([hidden[i - 1]] if i else parts, g)
-                grads[2 * i + 1] = g.sum(axis=0)
+                grads[2 * i + 1] = g.sum(axis=-2)
             if i:
-                g = g @ ws[i].T
+                g = g @ ws[i].swapaxes(-1, -2)
                 d = hidden[i - 1] * hidden[i - 1]
                 np.subtract(1.0, d, out=d)
                 g *= d
             elif span:
-                g = g @ ws[0][span[0]:span[1]].T
+                g = g @ ws[0][..., span[0]:span[1], :].swapaxes(-1, -2)
         return grads, (g if span else None)
 
     def params(self) -> list[Node]:
@@ -218,13 +243,13 @@ class OuterSum:
     sum), and the weight costs one well-shaped gemm and one add per block
     of steps.
 
-    ``a`` is given as its column parts, a sequence of 2-D arrays whose
+    ``a`` is given as its column parts, a sequence of arrays whose
     column concatenation is ``a``, a one-row part standing for ``g``'s
     rows (an ``Mlp``'s input parts, or one hidden layer): a term keeps
     references to the parts, and the fold fills its block of rows
     straight from them, in the terms' dtype (float32 in the score fit),
     so no term copies its input. A single one-part term folds to
-    exactly ``a.T @ g``; a longer sum
+    exactly ``a.T @ g`` (a stack's, one per member); a longer sum
     differs from the step-by-step one only in summation order. The parts
     and the ``g_k`` are only read, never written.
     """
@@ -234,7 +259,7 @@ class OuterSum:
     def __init__(self, a: Sequence[Array], g: Array):
         self.pairs: list[tuple] = []                  # pending (a_k, g_k)
         self.rows = 0                                 # rows of the pending a_k
-        self.cols = g.shape[1]
+        self.cols = g.shape[-1]
         self.dense: Array | None = None               # the folded terms
         self._push(a, g)
 
@@ -251,28 +276,29 @@ class OuterSum:
         if self.pairs:
             parts, g = self.pairs[0]
             if len(self.pairs) == 1 and len(parts) == 1:
-                part = parts[0].T @ g
+                part = parts[0].swapaxes(-1, -2) @ g
             else:
                 # the pending a_k as one block, filled from their parts
-                block = np.empty((self.rows, sum(p.shape[1] for p in parts)),
+                block = np.empty((*g.shape[:-2], self.rows,
+                                  sum(p.shape[-1] for p in parts)),
                                  dtype=np.result_type(g, *parts))
                 r = 0
                 for parts, g in self.pairs:
                     c = 0
                     for p in parts:
-                        block[r:r + g.shape[0], c:c + p.shape[1]] = p
-                        c += p.shape[1]
-                    r += g.shape[0]
+                        block[..., r:r + g.shape[-2], c:c + p.shape[-1]] = p
+                        c += p.shape[-1]
+                    r += g.shape[-2]
                 gs = [g for _, g in self.pairs]
-                g = gs[0] if len(gs) == 1 else np.concatenate(gs)
-                part = block.T @ g
+                g = gs[0] if len(gs) == 1 else np.concatenate(gs, axis=-2)
+                part = block.swapaxes(-1, -2) @ g
             self.pairs, self.rows = [], 0
             self._fold_in(part)
         return self.dense
 
     def _push(self, a: Sequence[Array], g: Array) -> None:
         self.pairs.append((a, g))
-        self.rows += g.shape[0]
+        self.rows += g.shape[-2]
         if self.rows >= self.cols:
             self.array()
 

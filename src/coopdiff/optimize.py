@@ -17,17 +17,17 @@ evaluated on the aggregate of the final states. Every step runs in plain
 arrays, for training and sampling alike. A training rollout (``train``
 set, as ``bptt_rollout`` does, and some weight trained) also appends one
 record per step holding only what its backward reads and cannot rebuild:
-X_k, grad psi(Yh_k), the policies' caches (weights, hidden activations)
-and the step's score call's pullback. It returns hat-J as one
+X_k, grad psi(Yh_k), the stacked policy's cache (weights, hidden
+activations) and the step's score call's pullback. It returns hat-J as one
 ``tape.fused`` node over the trained weights, whose VJP is the BPTT
 reverse sweep k = K-1, ..., 0: it carries the adjoint of X_k through the
 pieces' plain-array adjoint helpers (``em_step_adjoint``,
 ``reverse_drift_adjoint``, ``tweedie_adjoint``, ``scatter_adjoint``),
 adds the step's energy and running-cost adjoints, rebuilds Y_k, the
-guidance, the time features and the controls U_k (each policy's last
-layers from its cache) with the forward's ops, so bit for bit, and hands
-each weight's ``a.T @ g`` terms to one ``nn.OuterSum``, which it folds
-into the array it returns. The
+guidance, the time features and the controls U_k (the stacked
+networks' last layers from the cache) with the forward's ops, so bit for
+bit, and hands each stacked weight's ``a.T @ g`` terms to one
+``nn.OuterSum``, whose folded (N, ...) sum gives agent i its row. The
 sweep frees each record once past it, so it runs once. A sampling
 rollout keeps no record, and its hat-J is a constant node. A rollout
 also returns a ``RolloutRecord`` of its detached outputs (the loss parts,
@@ -88,7 +88,7 @@ from .control import (
     tweedie_guidance,
 )
 from .costs import SocConfig
-from .nn import accumulate, dense
+from .nn import Mlp, accumulate, dense
 from .optim import AdamState, adam_step
 from .scores import summed_score, tweedie, tweedie_adjoint
 from .sde import (
@@ -185,7 +185,8 @@ class TrainPlan:
 # grad psi(Y0_hat), "state" for grad_X psi(Y0_hat) through the score
 # model, None for no gradient (the rollout then passes None). Keeping
 # zero controls and learned controls on the same arithmetic path makes
-# "zero policy" and "uncontrolled" runs bit-identical.
+# "zero policy" and "uncontrolled" runs bit-identical. A source with leaves
+# (``params()``) has ``backward`` and ``split`` for the sweep's sums.
 
 class PolicyControls:
     """Learned controls fed the cost gradient at the Tweedie aggregate."""
@@ -197,45 +198,42 @@ class PolicyControls:
             raise ValueError(
                 f"{len(policies)} policies for {agg.num_agents} agents"
             )
-        self.policies = list(policies)
-        self.agg = agg
+        self.policies, self.agg = list(policies), agg
+        self.policy = ControlPolicy(
+            None, Mlp.stack([p.nn1 for p in policies]),
+            Mlp.stack([p.nn2 for p in policies]), policies[0].temb_width)
 
     def params(self) -> list[Node]:
         return [p for policy in self.policies for p in policy.params()]
 
     def __call__(self, k, t, xs, y, grad_psi):
-        """The (N, B, d) controls and each policy's forward cache."""
+        """The (N, B, d) controls and the stacked policy's forward cache."""
         guidance = scatter_adjoint(self.agg, grad_psi)
-        us = np.empty_like(xs)
-        caches = []
-        for i, policy in enumerate(self.policies):
-            us[i], cache = policy.forward(xs[i], y, guidance[i], t)
-            caches.append(cache)
-        return us, caches
+        return self.policy.forward(xs, y, guidance, t)
 
-    def backward(self, caches, t, xs, y, grad_psi, a_u, energy, a_x=None):
-        """The parameter adjoints (one per ``params()`` entry, None for a
-        network with no trained parameter) given the controls' adjoint
-        ``a_u`` from the EM step, from the step's inputs rebuilt with the
-        forward's ops. The control energy sum_i energy_i ||U_i||^2 adds its
-        adjoint 2 energy_i U_i into ``a_u``, each U_i rebuilt from its
-        policy's cache. With the states' adjoint ``a_x``, the state parts
-        are added into it and the aggregate input's adjoint is returned
-        too."""
+    def backward(self, cache, t, xs, y, grad_psi, a_u, energy, a_x=None):
+        """The stacked tensors' adjoints (None for an untrained network)
+        given the controls' adjoint ``a_u`` from the EM step, the inputs
+        rebuilt with the forward's ops; the control energy ``energy``
+        ||U||^2 adds 2 energy U into ``a_u``. With the states' adjoint
+        ``a_x``, its state parts are added in and Y's adjoint returned."""
         guidance = scatter_adjoint(self.agg, grad_psi)
+        half = self.policy.control(cache, xs, y, guidance, t) * energy
+        a_u += half + half
         d = self.agg.dim
         span = (0, 2 * d) if a_x is not None else None
-        grads, a_y = [], None
-        for i, (policy, cache) in enumerate(zip(self.policies, caches)):
-            half = policy.control(cache, xs[i], y, guidance[i], t) * energy[i]
-            a_u[i] += half + half
-            g, g_in = policy.backward(cache, xs[i], y, guidance[i], t,
-                                      a_u[i], span)
-            grads += g
-            if span:
-                a_x[i] += g_in[:, :d]
-                a_y = g_in[:, d:] if a_y is None else a_y + g_in[:, d:]
-        return grads, a_y
+        grads, g_in = self.policy.backward(cache, xs, y, guidance, t, a_u,
+                                           span)
+        if not span:
+            return grads, None
+        a_x += g_in[..., :d]
+        return grads, g_in[..., d:].sum(axis=0)
+
+    def split(self, sums: dict) -> dict:
+        """Leaf id -> row i (agent i's) of its tensor's summed adjoint."""
+        n = len(self.policy.params())
+        return {id(p): dense(sums[j % n])[j // n]
+                for j, p in enumerate(self.params()) if j % n in sums}
 
 
 class ZeroControls:
@@ -289,7 +287,7 @@ def coupled_rollout(
     dim = agg.dim
     times = grid.times
     dts = grid.dts
-    lambdas = cfg.lambda_weights(n_agents)
+    energy_weight = cfg.control_weight / n_agents
     params = control_fn.params()
     parents = [p for p in params if train and p.requires_grad]
     records = [] if parents else None
@@ -330,7 +328,7 @@ def coupled_rollout(
 
         us, caches = control_fn(k, t, xs, aggregate(agg, xs), grad)
         sq = (us * us).sum(axis=2).sum(axis=1) * (1.0 / batch)
-        control_sum = control_sum + (sq * (lambdas * dt)).sum()
+        control_sum = control_sum + (sq * (energy_weight * dt)).sum()
         loss_u += float((sq / n_agents).sum()) * dt
 
         xi = noise.normal((STREAM_STEP, update_index, k),
@@ -360,7 +358,7 @@ def coupled_rollout(
         if not records:
             raise RuntimeError("a rollout's reverse sweep runs once: it "
                                "frees the step records as it goes")
-        grads, owned = {}, set()
+        grads, sums, owned = {}, {}, set()   # by leaf id, by tensor index
         a_x = scatter_adjoint(agg, (g * (1.0 / batch)) * grad_term)
         for k in range(len(records) - 1, -1, -1):
             xs_k, grad, caches, pull = records.pop()
@@ -371,12 +369,12 @@ def coupled_rollout(
             a_x_mu, a_s = reverse_drift_adjoint(a_mu, t, schedule)
             a_x = a_x + a_x_mu if k > 0 else None
             # the controls', the control energy's included
-            p_grads, a_y = control_fn.backward(
+            u_grads, a_y = control_fn.backward(
                 caches, t, xs_k, aggregate(agg, xs_k), grad, a_u,
-                (g * (lambdas * dt)) * (1.0 / batch), a_x)
-            for p, a in zip(params, p_grads):
+                (g * (energy_weight * dt)) * (1.0 / batch), a_x)
+            for j, a in enumerate(u_grads):
                 if a is not None:
-                    accumulate(grads, owned, id(p), a)
+                    accumulate(sums, owned, j, a)
             if a_x is None and pull is None:
                 continue
             # Tweedie's, from the running cost at Y0_hat =
@@ -396,6 +394,7 @@ def coupled_rollout(
                     accumulate(grads, owned, id(leaf), a)
                 if a_x is not None:
                     a_x += a_x_s.reshape(a_x.shape)
+        grads.update(control_fn.split(sums))
         return tuple(dense(grads[id(p)]) for p in parents)
 
     value = terminal + running_sum + control_sum

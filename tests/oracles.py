@@ -8,7 +8,7 @@ from coopdiff import tape
 from coopdiff.aggregation import aggregate, scatter_adjoint
 from coopdiff.control import tweedie_guidance
 from coopdiff.costs import ClassifierNll, QuadraticWell, SeamAugmented, SocConfig
-from coopdiff.nn import time_features
+from coopdiff.nn import dense, time_features
 from coopdiff.optimize import sample_poe_naive
 from coopdiff.scores import GaussianMixture
 from coopdiff.sde import STREAM_INIT, STREAM_STEP, NoiseStream, marginal_coeffs
@@ -293,12 +293,13 @@ def soc_objective(record, cfg: SocConfig, psi) -> float:
     """
     if record.batch == 0:
         raise ValueError("empty batch")
-    lambdas = cfg.lambda_weights(record.num_agents)
+    energy_weight = cfg.control_weight / record.num_agents
     control_term = 0.0
     run_term = 0.0
     for k, dt in enumerate(record.dts):
         u = np.asarray(record.controls[k])
-        control_term += float(lambdas @ (u * u).sum(axis=2).mean(axis=1)) * dt
+        energy = float((u * u).sum(axis=2).mean(axis=1).sum())
+        control_term += energy_weight * energy * dt
         psi_hat = psi(record.y0_hats[k], grad=False)[0]
         run_term += (cfg.running_weight(record.times[k])
                      * float(psi_hat.mean()) * dt)
@@ -316,7 +317,7 @@ def lq_costs(mean, variance, target, agg, cfg: SocConfig, grid, schedule):
     drift and the EM step are then affine in the states, and every cost is
     quadratic, so each coordinate j is a scalar LQ problem for the agent
     that owns it: x' = A x + c + B u + w with w ~ N(0, beta dt), step cost
-    alpha_t dt (p x + q - target_j)^2 + lambda_i dt u^2, terminal cost
+    alpha_t dt (p x + q - target_j)^2 + (lambda / N) dt u^2, terminal cost
     (x - target_j)^2, and x_0 ~ N(0, sigma(t_0)^2). A coordinate's other
     agents see no cost of it, so their optimal control there is 0. The
     cost-to-go is V_k(x) = P x^2 + 2 r x + s.
@@ -327,7 +328,7 @@ def lq_costs(mean, variance, target, agg, cfg: SocConfig, grid, schedule):
     """
     mean = np.asarray(mean, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    lam = cfg.lambda_weights(agg.num_agents)[np.argmax(agg.masks, axis=0)]
+    lam = cfg.control_weight / agg.num_agents
     steps = grid.times.size - 1
     gains, offsets = np.zeros((steps, agg.dim)), np.zeros((steps, agg.dim))
     # (P, r, s) of the optimal and of the zero control, from V_K
@@ -379,6 +380,52 @@ class LinearFeedback:
         return -(xs * self.gains[k] + self.offsets[k]) * self.masks, None
 
 
+class PerAgentControls:
+    """The learned controls as a loop over the agents' policies, each
+    called on its own (B, d) rows: one ``forward``, ``control`` and
+    ``backward`` per agent per step, as the rollout ran them before the
+    policies were stacked. The reference ``optimize.PolicyControls``' one
+    stacked policy is checked against; its tensors are the leaves
+    themselves, so ``split`` only folds their sums."""
+
+    guidance = "tweedie"
+
+    def __init__(self, policies, agg):
+        self.policies, self.agg = list(policies), agg
+
+    def params(self):
+        return [p for policy in self.policies for p in policy.params()]
+
+    def __call__(self, k, t, xs, y, grad_psi):
+        guidance = scatter_adjoint(self.agg, grad_psi)
+        us = np.empty_like(xs)
+        caches = []
+        for i, policy in enumerate(self.policies):
+            us[i], cache = policy.forward(xs[i], y, guidance[i], t)
+            caches.append(cache)
+        return us, caches
+
+    def backward(self, caches, t, xs, y, grad_psi, a_u, energy, a_x=None):
+        guidance = scatter_adjoint(self.agg, grad_psi)
+        d = self.agg.dim
+        span = (0, 2 * d) if a_x is not None else None
+        grads, a_y = [], None
+        for i, (policy, cache) in enumerate(zip(self.policies, caches)):
+            half = policy.control(cache, xs[i], y, guidance[i], t) * energy
+            a_u[i] += half + half
+            g, g_in = policy.backward(cache, xs[i], y, guidance[i], t,
+                                      a_u[i], span)
+            grads += g
+            if span:
+                a_x[i] += g_in[:, :d]
+                a_y = g_in[:, d:] if a_y is None else a_y + g_in[:, d:]
+        return grads, a_y
+
+    def split(self, sums):
+        return {id(p): dense(sums[j]) for j, p in enumerate(self.params())
+                if j in sums}
+
+
 def taped_control(policy, x, y, t, guidance):
     """u = NN1([x, Y, g, feats]) + NN2(feats) * g from tape nodes (the two
     ``Mlp`` calls, a ``mul`` and an ``add``), with g a constant."""
@@ -399,7 +446,7 @@ def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
     control's and the energy's from elementary ops.
     """
     n, d = agg.num_agents, agg.dim
-    lambdas = cfg.lambda_weights(n)
+    energy_weight = cfg.control_weight / n
     sigma0 = float(schedule.sigma(grid.times[0]))
     xs = ops.constant(sigma0 * noise.normal((STREAM_INIT, 0, 0),
                                             (n, batch, d)))
@@ -422,8 +469,8 @@ def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
         u = controls.value
         control_sum = control_sum + (
             (u * u).sum(axis=2).sum(axis=1) * (1.0 / batch)
-            * (lambdas * dt)).sum()
-        scale = ((lambdas * dt) * (1.0 / batch))[:, None, None]
+            * (energy_weight * dt)).sum()
+        scale = np.full((n, 1, 1), (energy_weight * dt) * (1.0 / batch))
         terms.append(ops.reduce_sum(ops.mul(ops.mul(controls, controls),
                                               scale)))
         xi = noise.normal((STREAM_STEP, 0, k), (n, batch, d))

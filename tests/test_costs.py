@@ -38,8 +38,6 @@ def test_soc_config_validation():
         SocConfig(charbonnier_eps=0.0)
     with pytest.raises(ValueError):
         SocConfig(running_ramp="quadratic")
-    cfg = SocConfig(control_weight=10.0)
-    np.testing.assert_allclose(cfg.lambda_weights(4), [2.5] * 4)
 
 
 def test_seam_loss_zero_weights():

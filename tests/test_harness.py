@@ -468,6 +468,30 @@ def test_a_policy_checkpoint_with_a_nan_weight_exits_2(tmp_path, monkeypatch,
     assert not list(tmp_path.rglob("samples.csv"))
 
 
+def test_a_policy_checkpoint_with_tensors_the_model_lacks_exits_2(
+        tmp_path, monkeypatch, capsys):
+    # policies with two hidden layers of width 2 hold every tensor of the
+    # configured one-layer policies, at its shape, and w2 and b2 besides
+    monkeypatch.setenv("COOPDIFF_OUTPUT_ROOT", str(tmp_path))
+    text = GMM_SMOKE.format(out="extra").replace("method = uncontrolled",
+                                                 "method = joint")
+    deeper = parse_config_text(text.replace("policy.hidden = 16 16",
+                                            "policy.hidden = 2 2"))
+    for policy in make_policies(deeper, 2):
+        save_checkpoint(tmp_path / "pols"
+                        / f"policy_agent{policy.agent_index}.npz",
+                        policy.state_dict())
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text.replace("policy.hidden = 16 16",
+                                     "policy.hidden = 2"))
+    assert cli_main(["sample", "--config", str(cfg_path), "--policies",
+                     str(tmp_path / "pols")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "'agent0.nn1.b2', 'agent0.nn1.w2'" in err
+    assert not list(tmp_path.rglob("samples.csv"))
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Rollout engine, training loops, samplers: pairing, freezing, gradients."""
+import collections
 import tracemalloc
 import types
 import weakref
@@ -31,6 +32,7 @@ from guidance_replay import record_guidance, replay_guidance
 import opgraphs as ops
 from oracles import (
     LinearFeedback,
+    PerAgentControls,
     ZeroCost,
     lq_costs,
     reverse_sde_reference,
@@ -100,9 +102,9 @@ def test_control_energy_term_recomputable_from_record():
     with recorded(grid) as history:
         J, rec = bptt_rollout(policies, score, agg, cfg, grid, psi, SCHEDULE,
                               NoiseStream(11), batch=3)
-    lambdas = cfg.lambda_weights(2)
     recomputed = sum(
-        lambdas[i] * float((u * u).sum(axis=1).mean()) * history.dts[k]
+        cfg.control_weight / 2 * float((u * u).sum(axis=1).mean())
+        * history.dts[k]
         for k in range(len(history.controls))
         for i, u in enumerate(history.controls[k])
     )
@@ -893,8 +895,11 @@ def test_a_k80_training_rollout_holds_at_most_26_mb():
     # what the step records of a K = 80 shapes16-sized rollout hold,
     # counted by walking the rollout node's VJP, is what building the
     # rollout left allocated (tracemalloc), up to the record it returns and
-    # the Python objects around the arrays; and it is at most 26 MB
+    # the Python objects around the arrays; and it is at most 26 MB. The
+    # policies are stacked first: tracemalloc would count the stack as new
+    # bytes without seeing the leaves' old arrays freed
     args = shapes16_sized_args(80)
+    optimize.PolicyControls(args[0], args[2])
     (J, _), kept = traced_bytes(lambda: bptt_rollout(
         *args, SCHEDULE, NoiseStream(1), batch=16), keep=True)
     weights = [p for policy in args[0] for p in policy.params()]
@@ -927,7 +932,8 @@ def test_the_sweep_rebuilds_each_steps_controls_bit_for_bit(mode,
 
     def recording(self, cache, x, y, guidance, t):
         u = real(self, cache, x, y, guidance, t)
-        rebuilt[(t, self.agent_index)] = u.copy()
+        for i, row in enumerate(u):      # the stacked policy's agent rows
+            rebuilt[(t, i)] = row.copy()
         return u
 
     def stop(update, pols):
@@ -981,6 +987,9 @@ def test_a_sampling_chunk_peaks_at_one_steps_arrays(sampler, units,
            "controlled": lambda: sample_controlled(policies, score, *args),
            "cdps": lambda: sample_cdps(score, *args)}[sampler]
     monkeypatch.setattr(tape, "backward", None)      # a call would raise
+    # stacked before the trace, which would count the stack as new bytes
+    # without seeing the leaves' old arrays freed
+    optimize.PolicyControls(policies, agg)
     _, peak = traced_bytes(run)
     assert peak <= units * n * batch * dim * 8, peak / (n * batch * dim * 8)
 
@@ -1002,3 +1011,166 @@ def test_a_rollout_graph_holds_only_values_its_vjps_read():
     unread = unread_bytes(shapes16_sized_rollout(80)[0])
     assert unread == unread_bytes(shapes16_sized_rollout(2)[0])
     assert unread < 4 * 2 * 16 * 256 * 8, unread
+
+
+# ---------------------------------------------------------------------------
+# the agents' policies as one stack
+# ---------------------------------------------------------------------------
+
+class Logged:
+    """A control source that passes every call on to ``source`` and logs
+    copies of the controls it returns and, per sweep step, of the states'
+    adjoint it leaves and the aggregate input's adjoint it returns."""
+
+    def __init__(self, source):
+        self.source, self.guidance, self.log = source, source.guidance, []
+
+    def params(self):
+        return self.source.params()
+
+    def split(self, sums):
+        return self.source.split(sums)
+
+    def __call__(self, *args):
+        us, caches = self.source(*args)
+        self.log.append(us.copy())
+        return us, caches
+
+    def backward(self, *args):
+        grads, a_y = self.source.backward(*args)
+        a_x = args[-1]
+        self.log += [None if a_x is None else a_x.copy(), a_y]
+        return grads, a_y
+
+
+def three_agent_setup(steps=7):
+    """N = 3 agents on d = 3 ("halves"), a 3-D mixture and a quadratic
+    well, with policies whose final layers are all off zero."""
+    gmm = GaussianMixture(weights=[0.5, 0.5],
+                          means=[[-1.0, 0.0, 0.5], [1.0, 0.5, -0.5]],
+                          variances=[0.25, 0.25])
+    agg = make_mask("halves", 3, 3)
+    policies = [make_policy(3, i, derive_rng(31, i), hidden=(8, 8),
+                            gain_hidden=(4,), guidance_gain_init=-0.4)
+                for i in range(3)]
+    rng = derive_rng(31, 9)
+    for p in (p for policy in policies for p in policy.params()):
+        p.value = p.value + 0.1 * rng.standard_normal(p.value.shape)
+    return (policies, AnalyticGmmScore(gmm, SCHEDULE), agg,
+            SocConfig(control_weight=0.5, running_scale=0.5),
+            make_time_grid(steps, 1e-3),
+            QuadraticWell(np.array([1.0, -1.0, 0.5])))
+
+
+def test_the_stacked_policy_is_the_per_agent_loop_bit_for_bit():
+    # one training rollout under the stacked policy and under the loop over
+    # the agents' own policies, with agent 1's gain network frozen: the same
+    # objective, controls, states' and aggregate adjoints at every step,
+    # and gradients, bit for bit; the frozen network's leaves get none
+    policies, score, agg, cfg, grid, psi = three_agent_setup()
+    for policy in policies:
+        assert np.all(policy.nn1.weights[-1].value != 0)
+        assert np.all(policy.nn2.weights[-1].value != 0)
+    tape.freeze(policies[1].nn2.params())
+    leaves = [p for policy in policies for p in policy.params()]
+    runs = []
+    for source in (optimize.PolicyControls(policies, agg),
+                   PerAgentControls(policies, agg)):
+        logged = Logged(source)
+        J, _ = coupled_rollout(logged, score, agg, cfg, grid, psi, SCHEDULE,
+                               NoiseStream(4), batch=5, train=True)
+        tape.backward(J)
+        runs.append((J.value, logged.log, [p.grad for p in leaves]))
+        for p in leaves:
+            p.grad = None
+    (j_stack, log_stack, g_stack), (j_loop, log_loop, g_loop) = runs
+    assert j_stack == j_loop
+    assert len(log_stack) == len(log_loop) == 3 * (grid.times.size - 1)
+    for a, b in zip(log_stack, log_loop):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    for p, a, b in zip(leaves, g_stack, g_loop):
+        if p in policies[1].nn2.params():
+            assert a is None and b is None
+        else:
+            assert np.array_equal(a, b), p.name
+
+
+def _count_mlp_calls(monkeypatch, counts):
+    for name in ("__call__", "output", "backward"):
+        real = getattr(Mlp, name)
+
+        def counted(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(Mlp, name, staticmethod(counted)
+                            if name == "backward" else counted)
+
+
+def test_the_mlp_calls_per_rollout_step_do_not_depend_on_the_agent_count(
+        monkeypatch):
+    # per step: two network calls (NN1 and NN2 of the stack) whose outputs
+    # the sweep rebuilds (two more ``output``s) and two backward passes
+    dim, steps = 4, 6
+    gmm = GaussianMixture(weights=[1.0], means=[np.zeros(dim)],
+                          variances=[0.5])
+    score = AnalyticGmmScore(gmm, SCHEDULE)
+    cfg = SocConfig(control_weight=0.5, running_scale=0.5)
+    psi = QuadraticWell(np.ones(dim))
+    grid = make_time_grid(steps, 1e-3)
+    counts = {}
+    for n in (2, 4):
+        policies = [make_policy(dim, i, derive_rng(3, i), hidden=(8,),
+                                gain_hidden=(4,), guidance_gain_init=-0.5)
+                    for i in range(n)]
+        counts[n] = collections.Counter()
+        with monkeypatch.context() as patch:
+            _count_mlp_calls(patch, counts[n])
+            J, _ = bptt_rollout(policies, score, make_mask("halves", n, dim),
+                                cfg, grid, psi, SCHEDULE, NoiseStream(1),
+                                batch=3)
+            tape.backward(J)
+    k = grid.times.size - 1
+    assert counts[2] == counts[4] == {"__call__": 2 * k, "output": 4 * k,
+                                      "backward": 2 * k}
+
+
+def test_the_policies_stack_is_their_storage():
+    # the stack is where the weights live: a second stack over the same
+    # policies reuses every array, and a leaf rebound as ``adam_step`` does
+    # is restacked by the next rollout, whose controls read its new value
+    policies, score, agg, cfg, grid, psi = three_agent_setup(steps=4)
+    leaves = [p for policy in policies for p in policy.params()]
+    stack = optimize.PolicyControls(policies, agg).policy
+    bases = [p.value.base for p in leaves]
+    assert all(b is not None for b in bases)
+    again = optimize.PolicyControls(policies, agg).policy
+    assert all(p.value.base is b for p, b in zip(leaves, bases))
+    assert all(a.value is b.value
+               for a, b in zip(again.params(), stack.params()))
+
+    def terminal(source):
+        return coupled_rollout(source, score, agg, cfg, grid, psi, SCHEDULE,
+                               NoiseStream(2), batch=4)[1].terminal_states
+
+    before = terminal(optimize.PolicyControls(policies, agg))
+    gain = policies[2].nn2.biases[-1]
+    gain.value = gain.value - 0.5
+    source = optimize.PolicyControls(policies, agg)
+    after = terminal(source)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, terminal(PerAgentControls(policies, agg)))
+    # only the rebound leaf's tensor is restacked, every agent's row of it
+    restacked = source.policy.nn2.biases[-1].value
+    assert np.array_equal(restacked[2], gain.value)
+    last = [policy.nn2.biases[-1] for policy in policies]
+    for p, b in zip(leaves, bases):
+        assert p.value.base is (restacked if p in last else b), p.name
+
+
+def test_policies_of_unequal_sizes_do_not_stack():
+    agg = make_mask("halves", 2, 2)
+    policies = [make_policy(2, 0, derive_rng(1, 0), hidden=(8,)),
+                make_policy(2, 1, derive_rng(1, 1), hidden=(6,))]
+    with pytest.raises(ValueError, match="cannot stack"):
+        optimize.PolicyControls(policies, agg)
