@@ -11,7 +11,7 @@ input (no adjoint flows through it). NN1 is zero-initialised in its final
 layer and NN2 starts as a constant, so a fresh policy is exactly
 NN2_const * g_i, and exactly zero for the default constant 0. NN1 takes
 its four inputs as parts and NN2 the time's one feature row, which the
-batch shares; each network's adjoints are formed when its one
+batch shares; each network's weight adjoints are formed when its one
 ``Mlp.trained`` flag is set. Over the agents' stacked networks
 (``Mlp.stack``) the same lines run all policies at once on (N, B, d).
 
@@ -41,7 +41,7 @@ from .aggregation import (
     aggregate,  # noqa: F401  (bench/tracing.py times it under this name)
     scatter_adjoint,
 )
-from .nn import Mlp, time_features
+from .nn import Mlp, load_params, time_features
 from .scores import (
     tweedie,  # noqa: F401  (bench/tracing.py times it under this name)
     tweedie_adjoint,
@@ -68,26 +68,25 @@ class ControlPolicy:
         return {**self.nn1.state_dict(), **self.nn2.state_dict()}
 
     def load_state_dict(self, state: dict[str, Array]) -> None:
-        self.nn1.load_state_dict(state)
-        self.nn2.load_state_dict(state)
+        load_params(self.params(), state)       # both networks' at once
 
     def forward(self, x: Array, y: Array, guidance: Array, t: float):
         """u = NN1([x, Y, g, feats]) + NN2(feats) * g on (B, d) arrays (x, g
-        (N, B, d) when stacked), and both networks' caches (what
-        ``backward`` reads besides the inputs); ``feats`` is one row."""
+        (N, B, d) when stacked), and the cache ``backward`` reads besides
+        the inputs: both networks' hidden activations; ``feats`` is one row."""
         feats = time_features(t, self.temb_width)
-        drift, cache1 = self.nn1([x, y, guidance, feats])
-        gain, cache2 = self.nn2([feats])    # (1, 1), one per batch (agent)
-        return drift + gain * guidance, (cache1, cache2)
+        drift, h1 = self.nn1([x, y, guidance, feats])
+        gain, h2 = self.nn2([feats])        # (1, 1), one per batch (agent)
+        return drift + gain * guidance, (h1, h2)
 
     def control(self, cache, x, y, guidance, t: float) -> Array:
         """The control a ``forward`` call returned for these inputs,
         rebuilt from its cache with the forward's ops: NN1's and NN2's
         last layers, then drift + gain * g."""
-        cache1, cache2 = cache
+        h1, h2 = cache
         feats = time_features(t, self.temb_width)
-        drift = self.nn1.output(cache1, [x, y, guidance, feats])
-        gain = self.nn2.output(cache2, [feats])
+        drift = self.nn1.output(h1, [x, y, guidance, feats])
+        gain = self.nn2.output(h2, [feats])
         return drift + gain * guidance
 
     def backward(self, cache, x, y, guidance, t: float, g, span=None):
@@ -97,13 +96,12 @@ class ControlPolicy:
         adjoint over those columns of [x, Y] (the guidance is held
         constant). The gain's adjoint sums over the batch, then the
         coordinates (each agent's, for a stack)."""
-        cache1, cache2 = cache
+        h1, h2 = cache
         feats = time_features(t, self.temb_width)
-        grads, g_in = Mlp.backward(cache1, [x, y, guidance, feats], g,
-                                   self.nn1.trained, span)
+        grads, g_in = self.nn1.backward(h1, [x, y, guidance, feats], g, span)
         g_gain = (g * guidance).sum(axis=-2, keepdims=True).sum(
             axis=-1, keepdims=True)
-        grads += Mlp.backward(cache2, [feats], g_gain, self.nn2.trained)[0]
+        grads += self.nn2.backward(h2, [feats], g_gain)[0]
         return grads, g_in
 
 

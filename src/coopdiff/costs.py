@@ -99,12 +99,12 @@ class ClassifierNll:
     def __call__(self, y: Array, grad: bool = True):
         """The NLL per row and, with ``grad``, softmax - onehot pushed
         through the classifier's own backward pass to its input."""
-        logits, cache = self.classifier([y])
+        logits, hidden = self.classifier([y])
         value, d_logits = _nll(logits, self.label)
         if not grad:
             return value, None
-        return value, Mlp.backward(cache, None, d_logits, False,
-                                   (0, y.shape[1]))[1]
+        return value, self.classifier.backward(hidden, [y], d_logits,
+                                               (0, y.shape[1]))[1]
 
 
 def _nll(lv: Array, labels):

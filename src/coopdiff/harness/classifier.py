@@ -40,10 +40,10 @@ def batch_loss(model: Mlp, images: Array, labels: Array):
     ``model.params()`` entry: (softmax - onehot) / batch pushed through
     the network's backward pass."""
     parts = [images]
-    logits, cache = model(parts)
+    logits, hidden = model(parts)
     per_row, d_logits = _nll(logits, labels)
     scale = 1.0 / images.shape[0]
-    grads, _ = Mlp.backward(cache, parts, d_logits * scale, True)
+    grads, _ = model.backward(hidden, parts, d_logits * scale)
     return float(per_row.sum() * scale), [dense(g) for g in grads]
 
 

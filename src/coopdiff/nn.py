@@ -2,11 +2,11 @@
 adjoint sums their backward passes return.
 
 An ``Mlp`` has two plain-numpy halves: calling it returns the output and
-a cache (the weights it read, the hidden activations), and ``backward``
-runs the layer-by-layer reverse pass from that cache, for every
-parameter when the network's one ``trained`` flag is set, and for the
-input columns asked for. Every network call goes through them: a
-training rollout keeps the policies' caches in its step records, a
+its hidden activations, and ``backward`` runs the layer-by-layer reverse
+pass from them and the network's own weights (written in place), for
+every parameter when the network's one ``trained`` flag is set, and for
+the input columns asked for. Every network call goes through them: a
+training rollout keeps the policies' activations in its step records, a
 score model's pullback and a cost's gradient call ``backward`` with
 their output adjoints, and the fits with their losses' closed-form
 ones. A call takes its input as parts, each multiplied by its own rows
@@ -121,7 +121,7 @@ class Mlp:
     def stack(cls, mlps: Sequence["Mlp"]) -> "Mlp":
         """``mlps`` (of equal sizes) as one network of (N, ...) tensors,
         trained where a leaf is, whose row i is member i's leaf; leaves
-        not all rows of one array (a rebound one) are restacked."""
+        not all rows of one array (new, or rebound by hand) are stacked."""
         if any(m.sizes != mlps[0].sizes for m in mlps):
             raise ValueError(f"cannot stack sizes {[m.sizes for m in mlps]}")
         net, tensors = cls.__new__(cls), []
@@ -145,45 +145,41 @@ class Mlp:
         return self.sizes[-1]
 
     @property
-    def trained(self) -> bool:          # the one flag ``backward`` takes
+    def trained(self) -> bool:          # the one flag ``backward`` reads
         return any(p.requires_grad for p in self.params())
 
-    def __call__(self, parts: list[Array]) -> tuple[Array, tuple]:
+    def __call__(self, parts: list[Array]) -> tuple[Array, list[Array]]:
         """The network on the input ``parts`` (``_first_layer``): the
-        output, and the cache ``backward`` reads besides the parts, (the
-        weights read, the hidden activations), where ``hidden[i]`` is the
-        input of layer i + 1. The last layer is ``output``, so a rebuild
-        from the cache equals the call."""
-        ws = [w.value for w in self.weights]
-        hidden = []
+        output, and the hidden activations ``backward`` reads besides the
+        parts and the weights, where ``hidden[i]`` is the input of layer
+        i + 1. The last layer is ``output``, so a rebuild from the
+        activations equals the call."""
+        ws, hidden = [w.value for w in self.weights], []
         for w, b in zip(ws[:-1], self.biases):
             h = hidden[-1] @ w if hidden else _first_layer(w, parts)
             h += b.value[..., None, :]
             np.tanh(h, out=h)
             hidden.append(h)
-        cache = (ws, hidden)
-        return self.output(cache, parts), cache
+        return self.output(hidden, parts), hidden
 
-    def output(self, cache, parts: list[Array]) -> Array:
-        """A call's output from its cache: the last layer on the last
-        hidden activations (on ``parts`` for a network without hidden
-        layers). The bias is the network's own, which is the one the call
-        read until a parameter is rebound."""
-        ws, hidden = cache
-        h = hidden[-1] @ ws[-1] if hidden else _first_layer(ws[-1], parts)
+    def output(self, hidden: list[Array], parts: list[Array]) -> Array:
+        """A call's output from its hidden activations: the last layer on
+        the last of them (on ``parts`` for a network without hidden
+        layers)."""
+        w = self.weights[-1].value
+        h = hidden[-1] @ w if hidden else _first_layer(w, parts)
         h += self.biases[-1].value[..., None, :]
         return h
 
-    @staticmethod
-    def backward(cache, parts, g, trained: bool, span=None):
-        """Adjoints of a call, from its cache and parts, given its output
-        adjoint ``g``: one per parameter (w0, b0, w1, ...) when
+    def backward(self, hidden: list[Array], parts, g, span=None):
+        """Adjoints of a call, from its activations and parts, given its
+        output adjoint ``g``: one per parameter (w0, b0, w1, ...) when
         ``trained``, else all None, and, with ``span = (lo, hi)``, the
         input adjoint over input columns lo:hi (else None). A weight's
         adjoint is an ``OuterSum`` term (folded at once into ``a.T @ g``
         when ``g`` has no fewer rows than columns); the first layer's
         reads ``parts``, where a one-row part stands for every row."""
-        ws, hidden = cache
+        trained, ws = self.trained, [w.value for w in self.weights]
         grads = [None] * (2 * len(ws))
         if not (trained or span):
             return grads, None
@@ -210,19 +206,24 @@ class Mlp:
         return {p.name: p.value.copy() for p in self.params()}
 
     def load_state_dict(self, state: dict[str, Array]) -> None:
-        for p in self.params():
-            name = p.name
-            if name not in state:
-                raise KeyError(f"checkpoint is missing tensor {name!r}")
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != p.value.shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: "
-                    f"checkpoint {arr.shape} vs model {p.value.shape}"
-                )
-            if not np.isfinite(arr).all():
-                raise ValueError(f"tensor {name!r} holds non-finite values")
-            p.value = arr
+        load_params(self.params(), state)
+
+
+def load_params(params: Sequence[Node], state: dict[str, Array]) -> None:
+    """Copy ``state``'s tensors into ``params``' arrays, all checked first."""
+    for p in params:
+        if p.name not in state:
+            raise KeyError(f"checkpoint is missing tensor {p.name!r}")
+        arr = np.asarray(state[p.name], dtype=np.float64)
+        if arr.shape != p.value.shape:
+            raise ValueError(
+                f"shape mismatch for {p.name!r}: "
+                f"checkpoint {arr.shape} vs model {p.value.shape}"
+            )
+        if not np.isfinite(arr).all():
+            raise ValueError(f"tensor {p.name!r} holds non-finite values")
+    for p in params:
+        p.value[...] = state[p.name]
 
 
 # ---------------------------------------------------------------------------

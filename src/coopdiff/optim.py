@@ -1,8 +1,8 @@
 """Adam updates with bias correction, over lists of tape leaves.
 
-An update keeps each parameter's dtype: the moments are made like the
-parameter and a gradient is cast to it, so the float32 score fit runs
-float32 Adam and every other caller float64 Adam.
+An update writes into each parameter's array, in its dtype: the moments
+are made like the parameter and a gradient is cast to it, so the float32
+score fit runs float32 Adam and every other caller float64 Adam.
 """
 from __future__ import annotations
 
@@ -39,15 +39,14 @@ class AdamState:
 
 def adam_step(params: list[Node], grads: list[Array],
               state: AdamState) -> AdamState:
-    """One Adam update; rebinds each parameter's ``.value``.
+    """One Adam update, subtracted into each parameter's ``.value``.
 
     update = lr * m_hat / (sqrt(v_hat) + eps), with the betas ``BETA1``
     and ``BETA2`` and eps = ``EPS``.
 
     The moment buffers are updated in place, and the update is formed in
     two scratch buffers, in the textbook's op order, in the parameter's
-    dtype (a gradient is cast to it). ``.value`` is rebound to a new
-    array, so a graph that holds the old weights stays valid.
+    dtype (a gradient is cast to it). Run it after any backward over them.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError(
@@ -77,5 +76,5 @@ def adam_step(params: list[Node], grads: list[Array],
         np.sqrt(den, out=den)
         den += EPS                               # sqrt(v_hat) + eps
         num /= den
-        p.value = p.value - num
+        np.subtract(p.value, num, out=p.value)
     return state

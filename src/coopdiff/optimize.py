@@ -17,7 +17,7 @@ evaluated on the aggregate of the final states. Every step runs in plain
 arrays, for training and sampling alike. A training rollout (``train``
 set, as ``bptt_rollout`` does, and some weight trained) also appends one
 record per step holding only what its backward reads and cannot rebuild:
-X_k, grad psi(Yh_k), the stacked policy's cache (weights, hidden
+X_k, grad psi(Yh_k), the stacked policy's cache (its hidden
 activations) and the step's score call's pullback. It returns hat-J as one
 ``tape.fused`` node over the trained weights, whose VJP is the BPTT
 reverse sweep k = K-1, ..., 0: it carries the adjoint of X_k through the
@@ -510,29 +510,30 @@ def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
     """The update loop both trainers share.
 
     ``updates`` yields (update index, indices of the agents to step). Per
-    update: rollout, backward, one Adam step per active policy, a curve
-    point and ``on_update``. The update's graph is dropped right after
-    backward, before the Adam step and the next rollout, so an update
-    holds one rollout's graph at its peak, not two. The update index keys
-    the noise stream, so joint and control-wise runs with the same seed
-    consume identical noise at the same update. A diverged rollout or a
-    non-finite gradient of an active policy skips the update and halves
-    every learning rate once; a second one aborts with the partial curve
-    attached. The curve has one point per update applied.
+    update: rollout, backward, one Adam step per active policy (on its
+    leaves that require grad), a curve point and ``on_update``. The
+    update's graph is dropped right after backward, so an update holds one
+    rollout's graph at its peak, not two, and Adam writes into weights no
+    graph reads. The update index keys the noise stream, so joint and
+    control-wise runs with the same seed consume identical noise at the
+    same update. A diverged rollout or a non-finite gradient of an active
+    policy skips the update and halves every learning rate once; a second
+    one aborts with the partial curve attached. The curve has one point
+    per update applied.
     """
-    if not any(policy.params() for policy in policies):
+    trainable = [[p for p in policy.params() if p.requires_grad]
+                 for policy in policies]
+    if not any(trainable):
         raise ValueError("no learnable parameters; use the cdps sampler instead")
-    adams = [
-        AdamState.for_params(policy.params(), lr=plan.lr) for policy in policies
-    ]
+    adams = [AdamState.for_params(ps, lr=plan.lr) for ps in trainable]
     noise = NoiseStream(seed)
     curve: list[CurvePoint] = []
     lr_halved = False
-    params = [p for policy in policies for p in policy.params()]
     for n, active in updates:
         cause = grads = None
-        for p in params:         # the last update's gradients are done with
-            p.grad = None
+        for ps in trainable:     # the last update's gradients are done with
+            for p in ps:
+                p.grad = None
         try:
             objective, rec = bptt_rollout(
                 policies, score_fn, agg, cfg, grid, psi, schedule, noise,
@@ -543,7 +544,7 @@ def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
         else:
             tape.backward(objective)
             del objective        # one graph alive: drop it before the next
-            grads = {i: [p.grad for p in policies[i].params()] for i in active}
+            grads = {i: [p.grad for p in trainable[i]] for i in active}
             finite = all(np.isfinite(g).all() for gs in grads.values() for g in gs)
             failure = None if finite else "non-finite policy gradient"
         if failure is not None:
@@ -557,7 +558,7 @@ def _train(plan, policies, updates, score_fn, agg, cfg, grid, psi, schedule,
                 adam.lr = adam.lr / 2.0
             continue
         for i in active:
-            adam_step(policies[i].params(), grads[i], adams[i])
+            adam_step(trainable[i], grads[i], adams[i])
         curve.append(CurvePoint(n, rec.loss_u, rec.loss_c, rec.loss_psi, rec.objective))
         if on_update is not None:
             on_update(n, policies)

@@ -192,10 +192,10 @@ class MlpScore:
         plus the network's input adjoint of (g inv) a, and the trained
         weights' adjoints. The time features are the time's one row,
         which the network shares across the rows of ``x``. ``vjp`` keeps
-        the network's cache, and the input parts only when the network is
-        trained."""
+        the network's hidden activations, and the input parts only when
+        the network is trained."""
         parts = [x, time_features(t, self.temb_width)]
-        r, cache = self.mlp(parts)
+        r, hidden = self.mlp(parts)
         alpha, sigma = marginal_coeffs(self.schedule, t)
         a, inv = float(alpha), 1.0 / max(float(sigma) ** 2, 1e-8)
         value = ((x + r) * a - x) * inv
@@ -209,7 +209,7 @@ class MlpScore:
             g = g * inv
             g_r = g * a
             np.subtract(g_r, g, out=g)          # the tail's own part
-            grads, g_in = Mlp.backward(cache, kept, g_r, bool(leaves), span)
+            grads, g_in = self.mlp.backward(hidden, kept, g_r, span)
             g += g_in
             return g, [w for w, k in zip(grads, keep) if k]
 
@@ -253,11 +253,11 @@ def denoiser_loss(score_net: MlpScore, batch: Array, times: Array,
     temb = time_features(t, score_net.temb_width)
     x_t, x0, temb = (a.astype(dtype, copy=False) for a in (x_t, x0, temb))
     parts = [x_t, temb]
-    r, cache = score_net.mlp(parts)
+    r, hidden = score_net.mlp(parts)
     resid = (x_t + r) - x0
     rows = x0.shape[0]
     loss = (resid * resid).sum(axis=1, keepdims=True).sum() * (1.0 / rows)
-    grads, _ = Mlp.backward(cache, parts, resid * (2.0 / rows), True)
+    grads, _ = score_net.mlp.backward(hidden, parts, resid * (2.0 / rows))
     return float(loss), [dense(g) for g in grads]
 
 

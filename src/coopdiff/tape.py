@@ -25,7 +25,7 @@ Array = np.ndarray
 
 
 class Node:
-    """One recorded value. Treat ``.value`` as immutable once created."""
+    """One recorded value, immutable but for a leaf's parameter array."""
 
     __slots__ = ("value", "parents", "vjps", "grad", "name", "requires_grad")
 

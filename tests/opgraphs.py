@@ -423,19 +423,18 @@ def mlp_node(mlp, *xs) -> tape.Node:
     features' shared row, say) gets no adjoint, a network with no trained
     weight forms no weight gradient (a frozen weight's is dropped by
     ``fused``), and the input adjoint is formed only over the column
-    block that spans the live parts. The node keeps the call's cache and,
-    for a trained network, references to the parts; the part arrays are
-    never written."""
+    block that spans the live parts. The node keeps the call's hidden
+    activations and, for a trained network, references to the parts; the
+    part arrays are never written."""
     xs = [as_node(x) for x in xs]
     inputs = [*xs, *mlp.params()]   # x parts, w0, b0, w1, b1, ...
     flags = live(inputs)
     n_in = len(xs)
     parts = [x.value for x in xs]
-    h, cache = mlp(parts)
+    h, hidden = mlp(parts)
     if not any(flags):
         return constant(h)
-    trained = any(flags[n_in:])
-    if not trained:
+    if not mlp.trained:
         parts = None                 # only the w0 gradient reads the input
     cols = list(itertools.accumulate((x.value.shape[1] for x in xs),
                                      initial=0))
@@ -444,7 +443,7 @@ def mlp_node(mlp, *xs) -> tape.Node:
             if parts_live else None)
 
     def vjp(g):
-        grads, g_in = mlp.backward(cache, parts, g, trained, span)
+        grads, g_in = mlp.backward(hidden, parts, g, span)
         ins = [g_in[:, cols[j] - span[0]:cols[j + 1] - span[0]]
                if flags[j] else None for j in range(n_in)]
         return ins + grads

@@ -6,6 +6,7 @@ import pytest
 
 from coopdiff import optim, tape
 from coopdiff.checkpoint import load_checkpoint, save_checkpoint
+from coopdiff.control import make_policy
 from coopdiff.nn import Mlp, time_features
 from coopdiff.optim import AdamState, adam_step
 from coopdiff.sde import (
@@ -141,15 +142,13 @@ def test_adam_is_the_textbook_update_bit_for_bit():
     grads = [rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-6, 2)
              for _ in range(20)]
     p = tape.leaf(start.copy())
+    value = p.value
     state = AdamState.for_params([p], lr=3e-3)
-    held = []
     for g in grads:
-        held.append(p.value)
         adam_step([p], [g], state)
-    assert np.array_equal(p.value, adam_plain(start, grads, lr=3e-3))
-    # each step rebinds the value: an array a graph holds is not changed
-    assert np.array_equal(held[0], start)
-    assert all(a is not b for a, b in zip(held, held[1:]))
+    # each step writes into the parameter's one array
+    assert p.value is value
+    assert np.array_equal(value, adam_plain(start, grads, lr=3e-3))
 
 
 def test_adam_keeps_float32_params_float32_bit_for_bit():
@@ -272,6 +271,38 @@ def test_checkpoint_missing_tensor_raises(tmp_path):
     save_checkpoint(path, state)
     with pytest.raises(KeyError):
         mlp.load_state_dict(load_checkpoint(path)[0])
+
+
+@pytest.mark.parametrize("fault", ["missing", "misshapen", "non-finite"])
+def test_a_failed_policy_load_writes_no_tensor(fault):
+    # the faulty tensor is the policy's last (NN2's last bias), so a load
+    # that wrote as it checked would have written every other one; the
+    # policies are stacked, so a partial write would corrupt the stack
+    policies = [make_policy(2, i, derive_rng(4, i), hidden=(8,),
+                            gain_hidden=(4,)) for i in range(2)]
+    Mlp.stack([p.nn1 for p in policies])
+    Mlp.stack([p.nn2 for p in policies])
+    leaves = [p for policy in policies for p in policy.params()]
+    arrays = [p.value for p in leaves]
+    before = [a.copy() for a in arrays]
+    good = make_policy(2, 0, derive_rng(5, 0), hidden=(8,), gain_hidden=(4,),
+                       guidance_gain_init=-1.0).state_dict()
+    state = dict(good)
+    if fault == "missing":
+        del state["agent0.nn2.b1"]
+    elif fault == "misshapen":
+        state["agent0.nn2.b1"] = np.zeros(2)
+    else:
+        state["agent0.nn2.b1"] = np.full(1, np.nan)
+    with pytest.raises(KeyError if fault == "missing" else ValueError):
+        policies[0].load_state_dict(state)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+    # a good load writes each tensor into the leaf's own array
+    policies[0].load_state_dict(good)
+    assert all(p.value is a for p, a in zip(leaves, arrays))
+    for p, b in zip(leaves, before):
+        expected = good[p.name] if p.name.startswith("agent0.") else b
+        assert np.array_equal(p.value, expected), p.name
 
 
 def test_checkpoint_shape_mismatch_raises(tmp_path):

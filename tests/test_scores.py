@@ -207,12 +207,16 @@ def test_denoiser_loss_zero_when_head_returns_data():
     t = rng.uniform(0.02, 0.3, 8)
     assert np.all(marginal_coeffs(SCHEDULE, t)[0] >= 0.5)
 
+    class Head:
+        def __call__(self, parts):
+            return x0 - parts[0], []
+
+        def backward(self, hidden, parts, g):
+            return [], None         # no parameters, no input adjoint
+
     class Oracle:
         temb_width = 2
-
-        @staticmethod
-        def mlp(parts):
-            return x0 - parts[0], ([], [])
+        mlp = Head()
 
         @staticmethod
         def params():
