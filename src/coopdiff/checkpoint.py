@@ -6,6 +6,7 @@ tensor, plus two reserved keys:
   * ``__meta__`` -- 0-d unicode array with a JSON object (free-form
     metadata such as layer widths or the training seed).
 Arrays are stored uncompressed and loaded with ``allow_pickle=False``.
+Every file of a run or a fit is written whole through ``write_file``.
 """
 from __future__ import annotations
 
@@ -20,6 +21,22 @@ FORMAT_VERSION = 1
 _RESERVED = ("__format_version__", "__meta__")
 
 
+def write_file(path, write) -> None:
+    """Write ``path`` whole: ``write(fh)`` fills a binary temporary file
+    beside it (parents made), moved over it once written, so a write that
+    fails partway leaves the previous file and no temporary one."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
     for key in _RESERVED:
         if key in tensors:
@@ -27,18 +44,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
     payload = {k: np.asarray(v, dtype=np.float64) for k, v in tensors.items()}
     payload["__format_version__"] = np.int64(FORMAT_VERSION)
     payload["__meta__"] = np.str_(json.dumps(meta or {}, sort_keys=True))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # written beside the target and moved over it, so a write that fails
-    # or is killed partway leaves the previous checkpoint whole
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **payload)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_file(path, lambda fh: np.savez(fh, **payload))
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

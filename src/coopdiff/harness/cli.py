@@ -28,6 +28,7 @@ from .experiment import (
     fit_classifier,
     load_weights,
     make_policies,
+    policy_path,
     run_experiment,
     samples_path,
     train_score_model,
@@ -135,8 +136,8 @@ def _cmd_sample(args) -> int:
     if learned:
         policies = make_policies(config, assets.dim)
         for pol in policies:
-            path = Path(args.policies) / f"policy_agent{pol.agent_index}.npz"
-            load_weights(pol, path, "policy")
+            load_weights(pol, policy_path(args.policies, pol.agent_index),
+                         "policy")
     y = evaluate_method(config, assets, policies)["terminal_y"]
     out = write_samples(config, assets.agg, y, args.out)
     print(f"{y.shape[0]} samples -> {out}")

@@ -11,8 +11,8 @@ The CLI's ``train-*`` verbs call the fits ``build_assets`` calls
 writes its samples as ``run_experiment`` does (``evaluate_method``,
 ``write_samples``).
 
-Outputs per run directory (a run first deletes those an earlier run
-left there, but for config.txt, which it rewrites):
+Outputs per run directory, each written whole by ``write_file`` (a run
+first deletes those an earlier run left there, config.txt aside):
   config.txt    normalised config snapshot
   metrics.csv   one header + one row (method, counts, mean psi, accuracy, ...)
   curve.csv     per-update training curve (header only for sampling methods)
@@ -32,7 +32,7 @@ import numpy as np
 
 from .. import tape
 from ..aggregation import MaskAggregator
-from ..checkpoint import load_checkpoint, save_checkpoint
+from ..checkpoint import load_checkpoint, save_checkpoint, write_file
 from ..control import make_policy
 from ..costs import ClassifierNll, QuadraticWell, with_seam
 from ..optim import AdamState, adam_step
@@ -279,37 +279,20 @@ def evaluate_method(config: ExperimentConfig, assets: TaskAssets, policies):
     }
 
 
-def _float_repr(x) -> str:
-    return repr(float(x))
+def _cell(v) -> str:
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
-def _write_metrics(path: Path, config: ExperimentConfig, evals: dict) -> None:
-    header = [
-        "method", "task", "seed", "eval_samples", "mean_psi", "accuracy",
-        "mean_loss_u", "mean_loss_c",
-    ]
-    row = [
-        config.method,
-        config.task,
-        str(config.seed),
-        str(config.eval_samples),
-        _float_repr(evals["psi"].mean()),
-        _float_repr(evals["accuracy"].mean()),
-        _float_repr(evals["mean_loss_u"]),
-        _float_repr(evals["mean_loss_c"]),
-    ]
-    path.write_text(",".join(header) + "\n" + ",".join(row) + "\n")
+def write_csv(path, header, rows) -> None:
+    """A header line, then one line per row: strings and ints as they are,
+    floats as ``repr(float(v))``, which reads back exactly."""
+    text = "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows))
+    write_file(path, lambda fh: fh.write(text.encode()))
 
 
-def _write_curve(path: Path, curve) -> None:
-    lines = ["update,loss_u,loss_c,loss_psi,objective"]
-    for point in curve:
-        update, lu, lc, lp, obj = point.row()
-        lines.append(
-            f"{update},{_float_repr(lu)},{_float_repr(lc)},"
-            f"{_float_repr(lp)},{_float_repr(obj)}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+def policy_path(directory, agent: int) -> Path:
+    """Agent ``agent``'s policy checkpoint in ``directory``."""
+    return Path(directory) / f"policy_agent{agent}.npz"
 
 
 def samples_path(config: ExperimentConfig) -> Path:
@@ -323,16 +306,11 @@ def write_samples(config: ExperimentConfig, agg: MaskAggregator, y: Array,
     """Write terminal samples to ``path`` (by default ``samples_path``) and
     return it: one PGM grid for the image task, one CSV row per sample
     otherwise."""
-    image = config.task == "shapes16"
     path = Path(path or samples_path(config))
-    if image:
+    if config.task == "shapes16":
         export_grid(y, path, agg.image_hw)
-        return path
-    lines = [",".join(f"y{i}" for i in range(y.shape[1]))]
-    for row in y:
-        lines.append(",".join(_float_repr(v) for v in row))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    else:
+        write_csv(path, [f"y{i}" for i in range(y.shape[1])], y)
     return path
 
 
@@ -341,11 +319,11 @@ def run_experiment(config: ExperimentConfig, assets: TaskAssets | None = None) -
     if assets is None:
         assets = build_assets(config)
     out = config.resolve_output_dir()
-    out.mkdir(parents=True, exist_ok=True)
     for pattern in _RUN_FILES:
         for stale in out.glob(pattern):
             stale.unlink()
-    (out / "config.txt").write_text(normalized_text(config))
+    write_file(out / "config.txt",
+               lambda fh: fh.write(normalized_text(config).encode()))
 
     schedule = config.schedule()
     grid = make_time_grid(config.grid_steps, config.grid_eps)
@@ -357,17 +335,17 @@ def run_experiment(config: ExperimentConfig, assets: TaskAssets | None = None) -
         policies = make_policies(config, assets.dim)
         plan = config.plan()
 
+        def save_policies(done):
+            for pol in policies:
+                save_checkpoint(policy_path(out, pol.agent_index),
+                                pol.state_dict(), meta={"update": done})
+
         applied = itertools.count(1)
 
-        def checkpoint_cb(update, pols):
+        def checkpoint_cb(update, _):
             done = next(applied)          # updates applied so far
             if (update + 1) % plan.checkpoint_every == 0:
-                for pol in pols:
-                    save_checkpoint(
-                        out / f"policy_agent{pol.agent_index}.npz",
-                        pol.state_dict(),
-                        meta={"update": done},
-                    )
+                save_policies(done)
 
         trainer = joint_ido if config.method == "joint" else controlwise_ido
         curve = trainer(
@@ -375,13 +353,18 @@ def run_experiment(config: ExperimentConfig, assets: TaskAssets | None = None) -
             assets.psi, schedule, config.seed,
             on_update=checkpoint_cb if plan.checkpoint_every else None,
         )
-        for pol in policies:
-            save_checkpoint(out / f"policy_agent{pol.agent_index}.npz",
-                            pol.state_dict(), meta={"update": len(curve)})
+        save_policies(len(curve))
 
     evals = evaluate_method(config, assets, policies)
-    _write_metrics(out / "metrics.csv", config, evals)
-    _write_curve(out / "curve.csv", curve)
+    write_csv(out / "metrics.csv",
+              ["method", "task", "seed", "eval_samples", "mean_psi",
+               "accuracy", "mean_loss_u", "mean_loss_c"],
+              [[config.method, config.task, config.seed, config.eval_samples,
+                evals["psi"].mean(), evals["accuracy"].mean(),
+                evals["mean_loss_u"], evals["mean_loss_c"]]])
+    write_csv(out / "curve.csv",
+              ["update", "loss_u", "loss_c", "loss_psi", "objective"],
+              [point.row() for point in curve])
 
     y = evals["terminal_y"]
     n_show = min(64, y.shape[0])

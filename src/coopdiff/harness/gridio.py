@@ -7,11 +7,11 @@ written pixels is exact and needs no imaging dependency. Pixel mapping:
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import numpy as np
 
 from ..aggregation import MaskAggregator
+from ..checkpoint import write_file
 
 Array = np.ndarray
 
@@ -27,10 +27,8 @@ def write_pgm(path, image: Array) -> None:
     if image.dtype != np.uint8 or image.ndim != 2:
         raise ValueError("write_pgm expects a 2-D uint8 array")
     h, w = image.shape
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(image.tobytes())
+    data = f"P5\n{w} {h}\n255\n".encode("ascii") + image.tobytes()
+    write_file(path, lambda fh: fh.write(data))
 
 
 def tile_grid(images: Array, pad: int = 1, pad_value: int = 0) -> Array:

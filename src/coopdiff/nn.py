@@ -236,8 +236,8 @@ class OuterSum:
     A weight used at K steps of a rollout gets one ``a_k.T @ g_k`` per
     step, each a skinny gemm (inner dimension = the batch) followed by a
     full-size add. ``Mlp.backward`` instead returns ``OuterSum(a, g)``,
-    and ``accumulate`` adds the terms of later contributions into the
-    first with ``add``: the pending (a_k, g_k) pairs are folded into a
+    and ``accumulate`` adds the terms of later contributions into a copy
+    of the first with ``add``: the pending (a_k, g_k) pairs are folded into a
     dense sum with one ``concatenate(a).T @ concatenate(g)`` whenever their
     rows reach the weight's column count. Pending rows thus stay below the
     column count (the pending ``a_k`` hold fewer bytes than the dense
@@ -265,12 +265,19 @@ class OuterSum:
         self._push(a, g)
 
     def add(self, other: "OuterSum") -> None:
-        """Add the terms of ``other`` into this sum, taking ``other`` over
-        (its dense part may become this sum's)."""
+        """Add the terms of ``other`` (only read) into this sum."""
         if other.dense is not None:
-            self._fold_in(other.dense)
+            self._fold_in(other.dense if self.dense is not None
+                          else other.dense.copy())
         for a, g in other.pairs:
             self._push(a, g)
+
+    def copy(self) -> "OuterSum":
+        """A new sum of the same terms, sharing no array it writes."""
+        new = OuterSum.__new__(OuterSum)
+        new.pairs, new.rows, new.cols = list(self.pairs), self.rows, self.cols
+        new.dense = None if self.dense is None else self.dense.copy()
+        return new
 
     def array(self) -> Array:
         """The sum as an array (folds what is pending)."""
@@ -319,19 +326,22 @@ def dense(g):
 def accumulate(grads: dict, owned: set, key, contrib) -> None:
     """Add the adjoint contribution ``contrib`` into ``grads[key]``.
 
-    The first contribution is kept as given (it may be shared); the second
-    makes a new sum array that later ones are added into in place (``owned``
-    holds the keys whose array is the caller's), so the sums need no
-    allocation per contribution and never write into an array a VJP
-    returned. A key's contributions are all arrays (biases, states) or all
-    ``OuterSum`` terms (weights), which are added lazily and folded
-    blockwise.
+    The first contribution is kept as given (it may be shared, and come
+    again as a later contribution); the second starts a new sum that later
+    ones are added into in place (``owned`` holds the keys whose sum is the
+    caller's), so the sums need no allocation per contribution and never
+    write into an array or ``OuterSum`` a VJP returned. A key's
+    contributions are all arrays (biases, states) or all ``OuterSum`` terms
+    (weights), which are added lazily and folded blockwise.
     """
     acc = grads.get(key)
     if acc is None:
         grads[key] = contrib
         return
     if type(acc) is OuterSum:
+        if key not in owned:
+            acc = grads[key] = acc.copy()
+            owned.add(key)
         acc.add(contrib)
         return
     if key in owned and acc.shape == contrib.shape:

@@ -435,6 +435,21 @@ def taped_control(policy, x, y, t, guidance):
     return ops.add(drift, ops.mul(ops.mlp_node(policy.nn2, feats), g))
 
 
+def _uses(x, count):
+    """``count`` uses of the node ``x``, one node each, whose adjoints are
+    added into ``x``'s in the uses' order, as the rollout's sweep adds the
+    state adjoint's parts (the generic tape adds them in its topological
+    order)."""
+    def vjp(g):
+        total = g[0]
+        for part in g[1:]:
+            total = total + part
+        return total
+
+    uses = ops.op(np.stack([x.value] * count), (x,), (vjp,))
+    return [ops.index(uses, j) for j in range(count)]
+
+
 def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
                   batch):
     """hat-J of a learned-control rollout (update 0) built on the generic
@@ -453,9 +468,10 @@ def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
     terms, running_sum, control_sum = [], 0.0, 0.0
     for k in range(grid.times.size - 1):
         t, dt = float(grid.times[k]), float(grid.dts[k])
-        y = ops.aggregate(agg, xs)
-        scores = ops.stacked_score(score_fn, xs, t)
-        y0_hat = ops.aggregate(agg, ops.tweedie(xs, t, scores, schedule))
+        x_em, x_mu, x_u, x_tw, x_y, x_s = _uses(xs, 6)
+        y = ops.aggregate(agg, x_y)
+        scores = ops.stacked_score(score_fn, x_s, t)
+        y0_hat = ops.aggregate(agg, ops.tweedie(x_tw, t, scores, schedule))
         psi_value, grad = tweedie_guidance(psi, y0_hat.value)
         weight = cfg.running_weight(t) * dt
         running = psi_value.sum() * (1.0 / batch) * weight
@@ -464,7 +480,7 @@ def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
                                  grad * (weight * (1.0 / batch))))
         guidance = scatter_adjoint(agg, grad)
         controls = ops.stack([
-            taped_control(p, ops.index(xs, i), y, t, guidance[i])
+            taped_control(p, ops.index(x_u, i), y, t, guidance[i])
             for i, p in enumerate(policies)])
         u = controls.value
         control_sum = control_sum + (
@@ -474,8 +490,8 @@ def taped_rollout(policies, score_fn, agg, cfg, grid, psi, schedule, noise,
         terms.append(ops.reduce_sum(ops.mul(ops.mul(controls, controls),
                                               scale)))
         xi = noise.normal((STREAM_STEP, 0, k), (n, batch, d))
-        mu = ops.reverse_drift(xs, t, scores, schedule)
-        xs = ops.em_step(xs, dt, mu, float(schedule.g(t)), xi,
+        mu = ops.reverse_drift(x_mu, t, scores, schedule)
+        xs = ops.em_step(x_em, dt, mu, float(schedule.g(t)), xi,
                          control=controls)
     psi_term = ops.cost_node(psi, ops.aggregate(agg, xs))
     terminal = ops.scale(ops.reduce_sum(psi_term), 1.0 / batch)

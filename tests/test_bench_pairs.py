@@ -88,13 +88,28 @@ def test_pairs_alternate_sides_and_summarize(tmp_path):
 
 
 def test_a_failing_run_ends_the_script(tmp_path):
+    # the change fails at seed 2, its third run: the script ends, and the
+    # report written after each finished run holds the first two runs and
+    # the summary of their pair, and no temporary file is left
     parent = fake_checkout(tmp_path / "parent")
     change = fake_checkout(tmp_path / "change")
-    (change / "bench" / "run.py").write_text("raise SystemExit(2)\n")
+    run = change / "bench" / "run.py"
+    run.write_text(FAKE_RUN.replace("seed = int(a.seed)\n",
+                                    "seed = int(a.seed)\n"
+                                    "if seed == 2:\n"
+                                    "    raise SystemExit(2)\n"))
+    out = tmp_path / "o.json"
     with pytest.raises(SystemExit, match="exited 2"):
         bench_pairs.main(["--parent", str(parent), "--change", str(change),
-                          "--seeds", "1", "--out", str(tmp_path / "o.json")])
-    assert not (tmp_path / "o.json").exists()
+                          "--seeds", "1-2", "--workloads", "w-train",
+                          "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert [(r["seed"], r["side"]) for r in report["runs"]] == [
+        (1, "parent"), (1, "change")]
+    rss = report["summary"]["w-train"]["metrics"]["peak_rss_mb"]
+    assert rss["better_pairs"] == "1/1" and rss["change_median"] == 80.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "change", "log.txt", "o.json", "parent"]
 
 
 def test_seed_ranges():

@@ -47,7 +47,11 @@ from coopdiff.harness.gridio import (
 )
 from coopdiff.harness.shapes import CLASS_NAMES, IMAGE_H, IMAGE_W, ShapesDataset
 from coopdiff.harness.cli import main as cli_main
-from coopdiff.harness.experiment import new_score_net, train_score_model
+from coopdiff.harness.experiment import (
+    _RUN_FILES,
+    new_score_net,
+    train_score_model,
+)
 from coopdiff.nn import Mlp
 from coopdiff.scores import MlpScore
 from coopdiff.sde import derive_rng
@@ -564,6 +568,32 @@ def test_a_rerun_with_another_method_keeps_none_of_the_earlier_files(
     assert second.output_dir == first.output_dir
     assert sorted(p.name for p in second.output_dir.iterdir()) == [
         "config.txt", "curve.csv", "metrics.csv", "samples.csv"]
+
+
+@pytest.mark.parametrize("run", ["shapes16", "learned"])
+def test_every_file_a_run_writes_is_one_a_rerun_removes(run, tmp_path,
+                                                        monkeypatch):
+    # a re-run deletes the files _RUN_FILES names and rewrites config.txt
+    # before it writes anything, so a run writes no other file: an image
+    # run's grids, and a learned run's periodic and final checkpoints
+    monkeypatch.setenv("COOPDIFF_OUTPUT_ROOT", str(tmp_path))
+    if run == "shapes16":
+        cfg = with_overrides(parse_config_text(SHAPES_TINY), eval_samples=8,
+                             eval_chunk=8, output_dir="files")
+        expected = {"samples.pgm", "agent0.pgm", "agent1.pgm"}
+    else:
+        cfg = with_overrides(parse_config_text(GMM_SMOKE.format(out="files")),
+                             method="joint", plan_updates=2,
+                             plan_checkpoint_every=1, eval_samples=32,
+                             eval_chunk=32)
+        expected = {"samples.csv", "policy_agent0.npz", "policy_agent1.npz"}
+    out = run_experiment(cfg).output_dir
+    written = sorted(p.relative_to(tmp_path).as_posix()
+                     for p in tmp_path.rglob("*"))
+    removed = {p.name for pattern in _RUN_FILES for p in out.glob(pattern)}
+    assert written == ["files", *sorted(f"files/{name}" for name in
+                                        removed | {"config.txt"})]
+    assert expected | {"metrics.csv", "curve.csv"} <= removed
 
 
 @pytest.mark.parametrize("content", [b"", b"method,task,seed\n",

@@ -1,12 +1,23 @@
-"""MLP construction modes, time features, Adam, checkpoints."""
+"""MLP construction modes, time features, Adam, checkpoints and the
+writes of every run file."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from coopdiff import optim, tape
+from coopdiff import checkpoint, optim, tape
 from coopdiff.checkpoint import load_checkpoint, save_checkpoint
 from coopdiff.control import make_policy
+from coopdiff.harness.config import parse_config_text, with_overrides
+from coopdiff.harness.experiment import (
+    new_score_net,
+    policy_path,
+    run_experiment,
+    write_csv,
+    write_samples,
+)
+from coopdiff.harness.gridio import export_grid
+from coopdiff.harness.shapes import IMAGE_H, IMAGE_W
 from coopdiff.nn import Mlp, time_features
 from coopdiff.optim import AdamState, adam_step
 from coopdiff.sde import (
@@ -219,24 +230,74 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(mlp([x])[0], clone([x])[0])
 
 
-def test_a_failed_checkpoint_write_keeps_the_previous_one(tmp_path,
-                                                         monkeypatch):
-    # a write that fails partway (a killed run, a full disk) leaves the
-    # last good checkpoint loadable and no temporary file behind
-    path = tmp_path / "policy_agent0.npz"
-    save_checkpoint(path, {"w": np.ones(3)}, meta={"update": 1})
+def _write_run_file(path, v):
+    """Write version ``v`` of the run or fit file ``path`` the way a run
+    (config.txt, CSVs, grids, policies) or ``train-score`` writes it."""
+    gmm = with_overrides(parse_config_text("task = gmm2d\n"), method="cdps",
+                         seed=v, grid_steps=3, eval_samples=8, eval_chunk=8,
+                         output_dir=str(path.parent))
+    shapes = parse_config_text("task = shapes16\n")
+    y = derive_rng(v, 0).uniform(-1.0, 1.0, (4, IMAGE_H * IMAGE_W))
+    name = path.name
+    if name == "config.txt":
+        run_experiment(gmm)
+    elif name == "metrics.csv":
+        write_csv(path, ["method", "seed", "mean_psi"], [["cdps", v, y[0, 0]]])
+    elif name == "curve.csv":
+        write_csv(path, ["update", "loss_u"], [[k, y[0, k]] for k in range(3)])
+    elif name == "samples.csv":
+        write_samples(gmm, gmm.aggregator(), y[:, :2], path)
+    elif name == "samples.pgm":
+        write_samples(shapes, shapes.aggregator(), y, path)
+    elif name == "agent0.pgm":
+        export_grid(y, path, (IMAGE_H, IMAGE_W), agg=shapes.aggregator(),
+                    agent=0)
+    elif name == "policy_agent0.npz":
+        save_checkpoint(policy_path(path.parent, 0), {"w": np.full(3, v)},
+                        meta={"update": v})
+    else:
+        save_checkpoint(path, new_score_net(shapes).state_dict(),
+                        meta={"seed": v})
 
-    def failing_savez(fh, **payload):
-        fh.write(b"PK\x03\x04 a truncated archive")
+
+class _FailingFile:
+    """A file whose first write writes half its bytes, then raises."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(bytes(data)[:len(data) // 2])
         raise OSError("disk full")
 
-    monkeypatch.setattr(np, "savez", failing_savez)
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("name", [
+    "policy_agent0.npz", "score.npz", "config.txt", "metrics.csv",
+    "curve.csv", "samples.csv", "samples.pgm", "agent0.pgm"])
+def test_a_failed_checkpoint_write_keeps_the_previous_one(name, tmp_path,
+                                                         monkeypatch):
+    # a write that fails partway (a killed run, a full disk) leaves the
+    # last good file, a checkpoint or any other file of a run or a fit,
+    # and no temporary file behind
+    path = tmp_path / name
+    _write_run_file(path, 1)
+    before = path.read_bytes()
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda file, mode: _FailingFile(open(file, mode)),
+                        raising=False)
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, {"w": np.zeros(3)}, meta={"update": 2})
-    tensors, meta = load_checkpoint(path)
-    assert meta == {"update": 1}
-    np.testing.assert_array_equal(tensors["w"], np.ones(3))
-    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        _write_run_file(path, 2)
+    assert path.read_bytes() == before
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
 
 
 def test_checkpoint_rejects_bad_files(tmp_path):

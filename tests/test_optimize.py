@@ -26,7 +26,8 @@ from coopdiff.optimize import (
     sample_poe_naive,
     sample_uncontrolled,
 )
-from coopdiff.scores import AnalyticGmmScore, GaussianMixture, MlpScore
+from coopdiff.scores import (AnalyticGmmScore, GaussianMixture, MlpScore,
+                             summed_score)
 from coopdiff.sde import NoiseSchedule, NoiseStream, derive_rng, make_time_grid
 from guidance_replay import record_guidance, replay_guidance
 import opgraphs as ops
@@ -841,6 +842,31 @@ def test_the_reverse_sweep_matches_the_taped_reference(name):
     for g, p in zip(got, leaves):
         scale = np.abs(p.grad).max()
         assert np.abs(g - p.grad).max() <= 1e-14 * scale, p.name
+
+
+@pytest.mark.parametrize("entries", [2, 3])
+def test_a_repeated_trained_expert_gets_the_gradient_of_its_copies(entries):
+    # summed_score([net] * entries) hands the sweep the same leaf adjoint
+    # objects once per entry: net's gradient is the sum of the gradients
+    # that as many distinct copies of net get
+    score, agg, cfg, psi, _ = make_setup()
+
+    def gradients(nets):
+        J, _ = bptt_rollout(make_policies(2, c0=-0.5), summed_score(nets),
+                            agg, cfg, make_time_grid(5, 1e-2), psi, SCHEDULE,
+                            NoiseStream(5), batch=2)
+        tape.backward(J)
+        return [p.grad for p in nets[0].params()]
+
+    def net():
+        return MlpScore(2, (8,), 4, derive_rng(101, 21), schedule=SCHEDULE)
+
+    repeated = gradients([net()] * entries)
+    copies = [net() for _ in range(entries)]
+    gradients(copies)
+    for j, got in enumerate(repeated):
+        ref = sum(c.params()[j].grad for c in copies)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_a_rollout_node_has_the_trained_leaves_as_parents():

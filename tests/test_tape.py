@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import coopdiff
 from coopdiff import tape
-from coopdiff.nn import Mlp, OuterSum, dense
+from coopdiff.nn import Mlp, OuterSum, accumulate, dense
 from coopdiff.sde import derive_rng
 import opgraphs as ops
 from opgraphs import logsumexp
@@ -574,6 +574,32 @@ def test_a_sum_of_adjoints_leaves_their_arrays_untouched(kind):
                                atol=1e-14 * np.abs(ref).max())
     for orig, now in zip(copies, [a for pair in terms for a in pair] + dense):
         assert np.array_equal(orig, now)
+
+
+@pytest.mark.parametrize("kind", ["pending", "folded", "mixed", "arrays"])
+@pytest.mark.parametrize("entries", [2, 3])
+def test_a_contribution_that_comes_again_is_added_once_per_entry(kind,
+                                                                  entries):
+    # a repeated expert's leaf adjoints reach the sum as the same objects:
+    # each entry adds its term once, and no term is written or adopted.
+    # A 4-row term stays pending below the 8 columns, an 8-row one is
+    # folded when made; "mixed" is a pending term, then folded ones
+    rng = derive_rng(9, 13)
+    pairs = [(rng.standard_normal((rows, 3)), rng.standard_normal((rows, 8)))
+             for rows in (4, 8)]
+    refs = [a.T @ g for a, g in pairs]
+    lazy = [OuterSum((a,), g) for a, g in pairs]
+    first, later = {"pending": (0, 0), "folded": (1, 1), "mixed": (0, 1),
+                    "arrays": (0, 0)}[kind]
+    terms = refs if kind == "arrays" else lazy
+    grads, owned = {}, set()
+    for j in [first] + [later] * (entries - 1):
+        accumulate(grads, owned, "w", terms[j])
+    ref = refs[first] + (entries - 1) * refs[later]
+    np.testing.assert_allclose(dense(grads["w"]), ref, rtol=0,
+                               atol=1e-14 * entries * np.abs(ref).max())
+    for term, r in zip(terms, refs):
+        assert np.array_equal(dense(term), r)
 
 
 def test_pending_rows_stay_below_the_weight_column_count():

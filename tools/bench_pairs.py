@@ -14,12 +14,15 @@ The output file holds every run (side, order, end-to-end metrics,
 ``failed`` and ``attempted``, ``ops``: the number of timed operations,
 and the environment the run printed) and, per workload and metric, each
 side's median, the parent's quartiles and the number of pairs in which
-the change is better. A run that fails ends the script with its stderr.
+the change is better. It is rewritten whole after every finished run, so
+a run that fails, which ends the script with its stderr, leaves the runs
+before it and the summary of their complete pairs in the file.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -92,6 +95,8 @@ def summarize(runs: list, spec: dict) -> dict:
             if r["workload"] == workload:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r
         pairs = [p for p in pairs.values() if len(p) == 2]
+        if not pairs:
+            continue
         metrics = {}
         for m in spec["end_to_end"]:
             name, lower = m["name"], m["better"] == "lower"
@@ -114,6 +119,14 @@ def summarize(runs: list, spec: dict) -> dict:
                        for side in SIDES},
         }
     return summary
+
+
+def write_report(path: Path, report: dict) -> None:
+    """Write ``report`` to ``path`` whole: a temporary file beside it is
+    moved over it, so a reader never sees a partial report."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text(json.dumps(report, indent=1) + "\n")
+    os.replace(tmp, path)
 
 
 def main(argv=None) -> int:
@@ -139,6 +152,13 @@ def main(argv=None) -> int:
         parser.error(str(err))
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = []
+    report = {
+        "command": spec["command"],
+        "run_seconds": spec["run_seconds"],
+        "seeds": seeds,
+        "workloads": workloads,
+        "runs": runs,
+    }
     for workload in workloads:
         for j, seed in enumerate(seeds):
             order = SIDES if j % 2 == 0 else SIDES[::-1]
@@ -147,17 +167,10 @@ def main(argv=None) -> int:
                                spec["run_seconds"])
                 runs.append({"workload": workload, "seed": seed, "side": side,
                              "order": position, **run})
+                report["summary"] = summarize(runs, spec)
+                write_report(args.out, report)
                 print(f"{workload} seed {seed} {side}: "
                       + json.dumps(run["metrics"]), flush=True)
-    report = {
-        "command": spec["command"],
-        "run_seconds": spec["run_seconds"],
-        "seeds": seeds,
-        "workloads": workloads,
-        "runs": runs,
-        "summary": summarize(runs, spec),
-    }
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, s in report["summary"].items():
         for name, m in s["metrics"].items():
             print(f"{workload} {name}: parent {m['parent_median']:.6g} -> "
